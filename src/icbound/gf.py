@@ -1,13 +1,15 @@
 """Exact linear algebra over prime fields.
 
-Two representations coexist: general GF(p) matrices as lists of int lists,
-and a GF(2) fast path where a row is a single int bitmask. The incremental
-`EchelonBasis` is what the subspace-dimension walks use; the dense helpers
-cover rank, null space, and inversion for the matroid and code modules.
+General GF(p) vectors are int lists, kept incrementally by `EchelonBasis`;
+over GF(2) a vector is a single int bitmask, kept by `Gf2Basis`. The one
+subset-lattice walk, `span_ranks`, uses `Gf2Basis` when p = 2 and
+`EchelonBasis` otherwise. The dense helpers cover rank, null space, and
+inversion for the matroid and code modules.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence
 
 from icbound import kernels
@@ -23,14 +25,16 @@ __all__ = [
     "EchelonBasis",
 ]
 
-_SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
+# Characteristics come from input files and the command line; the cap bounds
+# the trial division below at isqrt(2^31) = 46341 steps.
+_PRIME_CAP = 1 << 31
 
 
 def check_prime(p: int) -> int:
-    """Validate a field characteristic; only small primes are meaningful here."""
-    if p in _SMALL_PRIMES:
-        return p
-    if p < 2 or any(p % q == 0 for q in range(2, min(p, 1000))):
+    """Validate a field characteristic: a prime below 2^31."""
+    if p >= _PRIME_CAP:
+        raise InputError(f"field size must be a prime below 2^31, got {p}")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise InputError(f"field size must be prime, got {p}")
     return p
 
@@ -215,4 +219,44 @@ def mask_from_bits(bits: Sequence[int]) -> int:
     return mask
 
 
-__all__ += ["Gf2Basis", "gf2_rank", "mask_from_bits"]
+def _pack_gf2(vec: Sequence[int]) -> int:
+    """Bitmask of a GF(2) vector; & 1 reduces any int, negatives too, mod 2."""
+    mask = 0
+    for j, v in enumerate(vec):
+        if v & 1:
+            mask |= 1 << j
+    return mask
+
+
+def span_ranks(
+    p: int,
+    ambient: int,
+    gens: Sequence[Sequence[Sequence[int]]],
+    base: Iterable[Sequence[int]] = (),
+) -> List[int]:
+    """Rank of base plus gens[i] for all i in S, for every subset mask S.
+
+    gens[i] is a list of vectors of length ambient. One walk of the subset
+    lattice: the basis at S is a copy of the basis at S minus its lowest
+    element, extended by that element's vectors.
+    """
+    if p == 2:
+        gens = [[_pack_gf2(vec) for vec in vecs] for vecs in gens]
+        root = Gf2Basis()
+        root.extend(_pack_gf2(vec) for vec in base)
+    else:
+        root = EchelonBasis(p, ambient)
+        root.extend(base)
+    bases = [root]
+    ranks = [root.rank]
+    for s in range(1, 1 << len(gens)):
+        low = s & -s
+        basis = bases[s ^ low].copy()
+        for vec in gens[low.bit_length() - 1]:
+            basis.add(vec)
+        bases.append(basis)
+        ranks.append(basis.rank)
+    return ranks
+
+
+__all__ += ["Gf2Basis", "gf2_rank", "mask_from_bits", "span_ranks"]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from icbound.errors import InputError, ResourceCapError, VerificationError
-from icbound.gf import EchelonBasis, check_prime, nullspace, rank
+from icbound.gf import EchelonBasis, check_prime, nullspace, rank, span_ranks
 from icbound.groundset import SetVector
 from icbound.instance import IndexCodingInstance
 from icbound.matroid import Matroid, to_index_coding
@@ -167,23 +167,14 @@ def underrep_check(matroid: Matroid, rows: Sequence[Sequence[int]], p: int) -> b
             raise InputError("matrix must have one column per matroid element")
     if rank([list(r) for r in rows], p) != d:
         return False
-    cols = [[row[j] % p for row in rows] for j in range(n)]
-
-    spans: List[EchelonBasis] = [EchelonBasis(p, d)]
-    for s in range(1, 1 << n):
-        low = s & -s
-        basis = spans[s ^ low].copy()
-        basis.add(cols[low.bit_length() - 1])
-        spans.append(basis)
-
+    span = span_ranks(p, d, [[[row[j] for row in rows]] for j in range(n)])
     for s in range(1 << n):
         for x in range(n):
             bit = 1 << x
             if s & bit:
                 continue
-            if matroid.ranks[s | bit] == matroid.ranks[s]:
-                if not spans[s].contains(cols[x]):
-                    return False
+            if matroid.ranks[s | bit] == matroid.ranks[s] and span[s | bit] != span[s]:
+                return False
     return True
 
 
@@ -228,18 +219,7 @@ def code_entropy_vector(
     n = gs.n
     if code.matrix and code.n != n:
         raise InputError("code does not match the instance size")
-    base = EchelonBasis(code.p, n)
-    for row in code.matrix:
-        base.add(row)
-    ranks = [0] * (1 << n)
-    bases = [base]
-    for s in range(1, 1 << n):
-        low = s & -s
-        basis = bases[s ^ low].copy()
-        basis.add(_unit(n, low.bit_length() - 1))
-        bases.append(basis)
-        ranks[s] = basis.rank
-    ranks[0] = base.rank
+    ranks = span_ranks(code.p, n, [[_unit(n, i)] for i in range(n)], code.matrix)
     return SetVector(gs, {s: r for s, r in enumerate(ranks) if r})
 
 

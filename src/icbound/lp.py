@@ -90,12 +90,8 @@ def build_problem(
             dec_col[(s, t)] = len(cols_idx)
             dec_pairs.append((s, t))
             dec_cost.append(cost)
-            if s < t:
-                cols_idx.append((s, t))
-                cols_val.append((ONE, -ONE))
-            else:  # unreachable for single-step pairs, kept for clarity
-                cols_idx.append((t, s))
-                cols_val.append((-ONE, ONE))
+            cols_idx.append((s, t))
+            cols_val.append((ONE, -ONE))
             cobj.append(rat(-cost))
 
     schema_rows: List[SchemaRow] = []

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from icbound.certificate import DualCertificate
 from icbound.errors import InputError, ResourceCapError
-from icbound.gf import EchelonBasis, check_prime
+from icbound.gf import check_prime, span_ranks
 from icbound.groundset import GroundSet, SetVector, popcount
 from icbound.instance import ClosureMode, IndexCodingInstance
 from icbound.rational import ONE, ZERO, Rational, rat
@@ -106,9 +106,6 @@ class Matroid:
                 out |= bit
         return out
 
-    def is_independent(self, mask: int) -> bool:
-        return self.rank(mask) == popcount(mask)
-
     def rank_vector(self) -> SetVector:
         return SetVector(self.gs, {s: rat(r) for s, r in enumerate(self.ranks) if r})
 
@@ -147,18 +144,7 @@ def rank_from_matrix(
     dim = len(columns[0]) if columns else 0
     if any(len(c) != dim for c in columns):
         raise InputError("columns must share a common height")
-    cols = [[v % p for v in c] for c in columns]
-
-    ranks = [0] * (1 << gs.n)
-    bases: Dict[int, EchelonBasis] = {0: EchelonBasis(p, dim)}
-    for s in range(1, 1 << gs.n):
-        low = s & -s
-        parent = s ^ low
-        basis = bases[parent].copy()
-        basis.add(cols[low.bit_length() - 1])
-        bases[s] = basis
-        ranks[s] = basis.rank
-    return Matroid(gs, ranks)
+    return Matroid(gs, span_ranks(p, dim, [[c] for c in columns]))
 
 
 def uniform_matroid(k: int, n: int) -> Matroid:

@@ -1,9 +1,8 @@
 """Exact rational arithmetic.
 
 Everything in the lattice/LP code paths runs on exact rationals with unbounded
-integer numerators and denominators; no floating point ever enters. gmpy2.mpq
-is used when available (it is considerably faster under the simplex kernels),
-with fractions.Fraction as the drop-in fallback.
+integer numerators and denominators; no floating point ever enters. The one
+rational type is fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -12,20 +11,15 @@ from fractions import Fraction
 
 from .errors import InputError
 
-try:
-    from gmpy2 import mpq as Rational
-
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - depends on environment
-    Rational = Fraction
-    BACKEND = "fractions"
+Rational = Fraction
+BACKEND = "fractions"
 
 ZERO = Rational(0)
 ONE = Rational(1)
 
 
 def rat(value) -> Rational:
-    """Coerce an int, Fraction, mpq, or 'p/q' string to the active type."""
+    """Coerce an int, Fraction, or 'p/q' string to a Fraction."""
     if isinstance(value, float):
         raise InputError(f"refusing float {value!r}; use an exact rational")
     if isinstance(value, str):

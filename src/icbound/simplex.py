@@ -58,7 +58,6 @@ class SimplexResult:
     x: Optional[list]  # per structural column
     y: Optional[list]  # per row, the simplex multipliers at the final basis
     iterations: int
-    entering: int = -1  # column proving unboundedness, when status says so
 
 
 def _lex_leaving(binv, xb, d, rows, m):
@@ -165,7 +164,6 @@ def solve_standard_form(
                 lp.cols_val[lo:hi],
                 lp.cobj[lo:hi],
                 excluded[lo:hi],
-                False,
             )
             scanned += hi - lo
             cursor = hi % nstruct
@@ -190,7 +188,7 @@ def solve_standard_form(
         else:
             candidates = [i for i in range(m) if d[i] > 0]
             if not candidates:
-                return SimplexResult("unbounded", None, None, None, iterations, enter)
+                return SimplexResult("unbounded", None, None, None, iterations)
             leave = _lex_leaving(binv, xb, d, candidates, m)
 
         out = basis[leave]

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from icbound.errors import InputError
-from icbound.gf import EchelonBasis, Gf2Basis, check_prime, inverse
+from icbound.gf import EchelonBasis, check_prime, inverse, span_ranks
 from icbound.groundset import GroundSet, SetVector
+from icbound.matroid import _FANO_LABELS
 from icbound.rational import ZERO, rat
 from icbound.schema import HomExtSchema, SubmodSchema, UnionSchema
 
@@ -149,8 +150,6 @@ def tighten_transpose_apply(w: SetVector, drop_label="e") -> SetVector:
 
 
 # -- the two generating rows --------------------------------------------------
-
-_FANO_LABELS = ("100", "010", "001", "110", "101", "011", "111")
 
 _LAMBDA_EVEN = (
     (2, ("100",)),
@@ -279,40 +278,12 @@ def _echelon_space(rows, p: int, ambient: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def dimension_vector(tup: SubspaceTuple, gs: Optional[GroundSet] = None) -> SetVector:
-    """Exact dimension of the joint span for every subset of the tuple.
-
-    Walks the subset lattice once, extending a cheap copied echelon basis by
-    one space per step; GF(2) takes the bitmask route.
-    """
+    """Exact dimension of the joint span for every subset of the tuple."""
     if gs is None:
         gs = GroundSet(tuple(str(i) for i in range(tup.count)))
     if gs.n != tup.count:
         raise InputError("ground set size does not match the tuple")
-    nsub = 1 << gs.n
-    if tup.p == 2:
-        packed = [
-            [sum(b << j for j, b in enumerate(vec)) for vec in space]
-            for space in tup.spaces
-        ]
-        bases2: List[Gf2Basis] = [Gf2Basis()]
-        dims = [0] * nsub
-        for s in range(1, nsub):
-            low = s & -s
-            basis = bases2[s ^ low].copy()
-            for row in packed[low.bit_length() - 1]:
-                basis.add(row)
-            bases2.append(basis)
-            dims[s] = basis.rank
-    else:
-        bases: List[EchelonBasis] = [EchelonBasis(tup.p, tup.ambient)]
-        dims = [0] * nsub
-        for s in range(1, nsub):
-            low = s & -s
-            basis = bases[s ^ low].copy()
-            for vec in tup.spaces[low.bit_length() - 1]:
-                basis.add(vec)
-            bases.append(basis)
-            dims[s] = basis.rank
+    dims = span_ranks(tup.p, tup.ambient, tup.spaces)
     return SetVector(gs, {s: d for s, d in enumerate(dims) if d})
 
 

@@ -1,8 +1,8 @@
 """Independent reference computations for the test suite.
 
 Everything here is written straight from the definitions and shares no code
-with the package: Fractions instead of the package rationals, its own closure
-and rank routines, Fourier-Motzkin instead of simplex, dense matrices where
+with the package: fractions.Fraction imported directly, its own closure and
+rank routines, Fourier-Motzkin instead of simplex, dense matrices where
 the package keeps sparse maps. Slow is fine; these only run on tiny inputs.
 """
 

@@ -6,7 +6,7 @@ import pytest
 
 from icbound.errors import InputError
 from icbound.gf import (EchelonBasis, Gf2Basis, check_prime, gf2_rank, inverse,
-                        mask_from_bits, matvec, nullspace, rank, rref)
+                        mask_from_bits, matvec, nullspace, rank, rref, span_ranks)
 
 from oracles import fp_in_span, fp_rank
 
@@ -16,9 +16,9 @@ def random_matrix(rng, m, n, p):
 
 
 def test_check_prime():
-    for p in (2, 3, 5, 7, 31):
+    for p in (2, 3, 5, 7, 31, 2**31 - 1):
         assert check_prime(p) == p
-    for bad in (1, 4, 6, 9, 0, -3):
+    for bad in (1, 4, 6, 9, 0, -3, 1022117, 2**61 - 1):
         with pytest.raises(InputError):
             check_prime(bad)
 
@@ -126,3 +126,24 @@ def test_gf2_basis_agrees_with_general():
 def test_mask_from_bits():
     assert mask_from_bits([0, 2, 3]) == 0b1101
     assert mask_from_bits([]) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_span_ranks_matches_oracle(p):
+    rng = random.Random(400 + p)
+    for trial in range(30):
+        n = rng.randint(0, 5)
+        ambient = rng.randint(1, 5)
+
+        def vec():
+            # entries outside [0, p), negatives too, must reduce exactly
+            return [rng.randint(-2 * p, 2 * p) for _ in range(ambient)]
+
+        gens = [[vec() for _ in range(rng.randint(0, 3))] for _ in range(n)]
+        base = [vec() for _ in range(rng.randint(0, 2))] if trial % 2 else []
+        ranks = span_ranks(p, ambient, gens, base)
+        assert len(ranks) == 1 << n
+        for s in range(1 << n):
+            rows = [v[:] for v in base]
+            rows += [v[:] for i in range(n) if s >> i & 1 for v in gens[i]]
+            assert ranks[s] == fp_rank(rows, p), (s, gens, base)
