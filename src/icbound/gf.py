@@ -238,7 +238,9 @@ def span_ranks(
 
     gens[i] is a list of vectors of length ambient. One walk of the subset
     lattice: the basis at S is a copy of the basis at S minus its lowest
-    element, extended by that element's vectors.
+    element, extended by that element's vectors. A basis is kept only while
+    a later mask still reads it: odd masks are never read, and the last
+    reader of T is T plus the element just below T's lowest one.
     """
     if p == 2:
         gens = [[_pack_gf2(vec) for vec in vecs] for vecs in gens]
@@ -251,10 +253,13 @@ def span_ranks(
     ranks = [root.rank]
     for s in range(1, 1 << len(gens)):
         low = s & -s
-        basis = bases[s ^ low].copy()
+        parent = s ^ low
+        basis = bases[parent].copy()
         for vec in gens[low.bit_length() - 1]:
             basis.add(vec)
-        bases.append(basis)
+        if (parent & -parent) >> 1 == low:
+            bases[parent] = None
+        bases.append(None if s & 1 else basis)
         ranks.append(basis.rank)
     return ranks
 

@@ -1,10 +1,14 @@
 """Inner loops of the simplex core and of GF(p) elimination.
 
-These are the hot paths of the whole package, in plain Python over
-`fractions.Fraction` and ints. They avoid temporary objects where it
-matters but stay readable; the work is dominated by rational arithmetic,
-not by interpreter overhead. Callers reach them as `kernels.<name>` so that
-a tracer can wrap each one by its dotted name.
+These are the hot paths of the whole package, in plain Python over ints.
+The simplex kernels keep the basis inverse fraction-free: an integer matrix
+B and one integer denominator D, which may be negative, with B / D the
+inverse of the basis; basic values and multipliers are integer vectors over
+the same D. Starting from the identity with D = 1 and integer columns, D is
+the determinant of the basis and B its adjugate, so the Bareiss update in
+`pivot_update` divides exactly and entries grow only as large as the minors
+of the basis. No gcd is ever taken. Callers reach these functions as
+`kernels.<name>` so that a tracer can wrap each one by its dotted name.
 """
 
 from __future__ import annotations
@@ -12,23 +16,19 @@ from __future__ import annotations
 BACKEND = "pure"
 
 
-def btran_dense(cb, binv, m, zero):
+def btran_dense(cb, binv, m):
     """y = cb^T * binv for dense rows; rows with a zero weight are skipped."""
-    y = [zero] * m
+    y = [0] * m
     for i in range(m):
         ci = cb[i]
         if ci:
-            row = binv[i]
-            for j in range(m):
-                v = row[j]
-                if v:
-                    y[j] += ci * v
+            y = [a + ci * b for a, b in zip(y, binv[i])]
     return y
 
 
-def ftran_sparse(binv, idx, val, m, zero):
+def ftran_sparse(binv, idx, val, m):
     """d = binv * a for a sparse column a given as (idx, val) pairs."""
-    d = [zero] * m
+    d = [0] * m
     for t in range(len(idx)):
         k = idx[t]
         vt = val[t]
@@ -39,56 +39,66 @@ def ftran_sparse(binv, idx, val, m, zero):
     return d
 
 
-def pivot_update(binv, xb, d, r, m):
-    """Replace basis row r given the entering column's tableau image d.
+def pivot_update(binv, xb, d, r, den, y=None, rc=0):
+    """Bareiss step for the entering column d = binv * a; returns the new D.
 
-    binv row r is scaled by 1/d[r]; every other row i gets d[i] times the new
-    row r subtracted. xb is updated the same way, with xb[r] becoming the
-    entering variable's value.
+    Row r of binv and xb[r] stay as they are; every other row i becomes
+    (row_i * d[r] - d[i] * row_r) / den, an exact division, and the new
+    denominator is d[r]. y, when given, is updated as one more such row with
+    d_i = -rc, where rc is the entering column's reduced cost times den.
     """
     piv = d[r]
     row_r = binv[r]
-    if piv != 1:
-        for j in range(m):
-            if row_r[j]:
-                row_r[j] /= piv
-        xb[r] /= piv
-    theta = xb[r]
-    for i in range(m):
-        if i == r:
-            continue
-        di = d[i]
-        if di:
-            row_i = binv[i]
-            for j in range(m):
-                v = row_r[j]
-                if v:
-                    row_i[j] -= di * v
-            if theta:
-                xb[i] -= di * theta
+    xr = xb[r]
+    if piv == den:
+        # Then row_i * piv / den is row_i itself and each d_i * row_r[j] is
+        # divisible by den: only the nonzero columns of row r move.
+        nz = [(j, b) for j, b in enumerate(row_r) if b]
+        for i in range(len(binv)):
+            di = d[i]
+            if di and i != r:
+                row_i = binv[i]
+                for j, b in nz:
+                    row_i[j] -= di * b // den
+                xb[i] -= di * xr // den
+    else:
+        for i in range(len(binv)):
+            if i == r:
+                continue
+            di = d[i]
+            if di:
+                binv[i] = [(a * piv - di * b) // den for a, b in zip(binv[i], row_r)]
+                xb[i] = (xb[i] * piv - di * xr) // den
+            else:
+                binv[i] = [a * piv // den for a in binv[i]]
+                xb[i] = xb[i] * piv // den
+    if y is not None:
+        y[:] = [(a * piv + rc * b) // den for a, b in zip(y, row_r)]
+    return piv
 
 
-def price_columns(y, cols_idx, cols_val, cobj, excluded):
+def price_columns(y, cols_idx, cols_val, cobj, excluded, scale):
     """Pick an entering column with positive reduced cost, or -1.
 
-    Returns the most positive reduced cost, ties to the lowest column id.
+    The reduced cost of column j is taken as cobj[j] * scale - a_j . y, so a
+    positive common factor may sit on y and scale. Returns the most positive
+    reduced cost, ties to the lowest column id.
     """
     best_j = -1
-    best_rc = None
+    best_rc = 0
     for j in range(len(cobj)):
         if excluded[j]:
             continue
-        rc = cobj[j]
+        rc = cobj[j] * scale
         idx = cols_idx[j]
         val = cols_val[j]
         for t in range(len(idx)):
             yi = y[idx[t]]
             if yi:
                 rc -= val[t] * yi
-        if rc > 0:
-            if best_rc is None or rc > best_rc:
-                best_rc = rc
-                best_j = j
+        if rc > best_rc:
+            best_rc = rc
+            best_j = j
     return best_j
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from icbound.errors import InputError, VerificationError
-from icbound.groundset import GroundSet, SetVector, bit_indices
+from icbound.errors import VerificationError
+from icbound.groundset import GroundSet
 from icbound.instance import ClosureMode, IndexCodingInstance
 from icbound.rational import ONE, ZERO, Rational, rat
 from icbound.schema import SchemaRow, SubmodSchema

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Union
 
 from icbound.errors import InputError, ResourceCapError
-from icbound.groundset import GroundSet, LatticeHom, SetVector, bit_indices
+from icbound.groundset import GroundSet, LatticeHom, SetVector
 
 __all__ = [
     "SubmodRow",

@@ -1,8 +1,14 @@
-"""Exact revised simplex over the rationals.
+"""Exact revised simplex over the rationals, computed fraction-free.
 
 Solves max c.v subject to M v = b, v >= 0, with b >= 0, keeping an explicit
-basis inverse. Columns are sparse (index, value) pairs; the basis inverse and
-multipliers are dense rows of rationals. No floating point anywhere.
+basis inverse. Columns are sparse (index, value) pairs. Rational data is
+scaled to integers on entry (each row and its rhs by the lcm of the row's
+denominators, the costs by the lcm of theirs). The basis inverse is then an
+integer matrix over one common integer denominator, updated by the Bareiss
+step in `kernels.pivot_update`; basic values and simplex multipliers are
+integer vectors over the same denominator, and the multipliers are updated
+as one more row of each pivot, so BTRAN runs once per solve. Fractions appear
+only in the result. No floating point anywhere.
 
 Degeneracy is the norm in the LPs this package builds (the right-hand side
 has a single nonzero), so the leaving row is picked by the lexicographic
@@ -14,20 +20,21 @@ out at ratio zero, so artificials stay at value zero forever and the optimum
 reached belongs to the genuine problem. Callers can hand over a list of
 crash pivots to install a known feasible basis cheaply before the loop.
 
-The result is audited before being returned: exact primal feasibility,
-nonpositive reduced costs, and agreement of primal and dual objectives.
-A failed audit is a bug in the solver, not in the model, and raises
-VerificationError.
+The result is audited on Fractions against the data as given before being
+returned: exact primal feasibility, nonpositive reduced costs, and agreement
+of primal and dual objectives. A failed audit is a bug in the solver, not in
+the model, and raises VerificationError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from icbound import kernels
 from icbound.errors import InputError, VerificationError
-from icbound.rational import ONE, ZERO, rat
+from icbound.rational import ZERO, Rational
 
 __all__ = ["StandardFormLP", "SimplexResult", "solve_standard_form"]
 
@@ -60,8 +67,37 @@ class SimplexResult:
     iterations: int
 
 
+def _integer_form(lp: StandardFormLP):
+    """(cols_val, cobj, rhs, row_scale, cost_scale): lp's data as integers.
+
+    Row i and rhs[i] are multiplied by row_scale[i], the lcm of the row's
+    denominators, and the costs by cost_scale, the lcm of theirs. Row scaling
+    leaves the tableau columns, the reduced costs and the lexicographic order
+    unchanged, and cost scaling multiplies every reduced cost by the same
+    positive factor, so the pivot path is that of the data as given. The
+    multipliers of the scaled LP are those of lp times cost_scale / row_scale.
+    """
+    row_scale = [v.denominator for v in lp.rhs]
+    for idx, val in zip(lp.cols_idx, lp.cols_val):
+        for k, v in zip(idx, val):
+            if v.denominator != 1:
+                row_scale[k] = lcm(row_scale[k], v.denominator)
+    cost_scale = lcm(*(c.denominator for c in lp.cobj))
+    cols_val = [
+        tuple(v.numerator * (row_scale[k] // v.denominator) for k, v in zip(idx, val))
+        for idx, val in zip(lp.cols_idx, lp.cols_val)
+    ]
+    cobj = [c.numerator * (cost_scale // c.denominator) for c in lp.cobj]
+    rhs = [v.numerator * (row_scale[i] // v.denominator) for i, v in enumerate(lp.rhs)]
+    return cols_val, cobj, rhs, row_scale, cost_scale
+
+
 def _lex_leaving(binv, xb, d, rows, m):
-    """Lexicographic minimum of (xb_i, binv row i) / d_i over candidate rows."""
+    """Lexicographic minimum of (xb_i, binv row i) / d_i over candidate rows.
+
+    The candidate d_i all share the sign of the common denominator, so the
+    cross-multiplied comparisons below order the true ratios.
+    """
     best = -1
     for i in rows:
         if best < 0:
@@ -97,14 +133,16 @@ def solve_standard_form(
     """
     m = lp.nrows
     nstruct = len(lp.cols_idx)
-    zero = ZERO
-    one = ONE
+    cols_idx = lp.cols_idx
+    cols_val, cobj, rhs, row_scale, cost_scale = _integer_form(lp)
 
-    # Artificial identity columns occupy ids nstruct .. nstruct+m-1.
-    binv = [[zero] * m for _ in range(m)]
+    # Artificial identity columns occupy ids nstruct .. nstruct+m-1. The
+    # basis inverse is binv / den and the basic values are xb / den.
+    binv = [[0] * m for _ in range(m)]
     for i in range(m):
-        binv[i][i] = one
-    xb = [rat(v) for v in lp.rhs]
+        binv[i][i] = 1
+    den = 1
+    xb = rhs
     basis = [nstruct + i for i in range(m)]
     basic_row = {nstruct + i: i for i in range(m)}  # col id -> row
 
@@ -112,11 +150,12 @@ def solve_standard_form(
         return col >= nstruct
 
     def ftran(col: int):
-        return kernels.ftran_sparse(binv, lp.cols_idx[col], lp.cols_val[col], m, zero)
+        return kernels.ftran_sparse(binv, cols_idx[col], cols_val[col], m)
 
-    def do_pivot(col: int, row: int, d) -> None:
+    def do_pivot(col: int, row: int, d, y=None, rc=0) -> None:
+        nonlocal den
         out = basis[row]
-        kernels.pivot_update(binv, xb, d, row, m)
+        den = kernels.pivot_update(binv, xb, d, row, den, y, rc)
         basis[row] = col
         del basic_row[out]
         basic_row[col] = row
@@ -130,7 +169,7 @@ def solve_standard_form(
         if not is_artificial(basis[row]):
             raise InputError("crash pivot would evict a structural column")
         do_pivot(col, row, d)
-    if any(v < 0 for v in xb):
+    if any(v * den < 0 for v in xb):
         raise InputError("crash basis is not feasible")
     for i in range(m):
         if xb[i] and is_artificial(basis[i]):
@@ -143,13 +182,17 @@ def solve_standard_form(
         if c < nstruct:
             excluded[c] = True
 
+    # Multipliers y / den, kept current by every pivot from here on.
+    y = kernels.btran_dense([cobj[c] if c < nstruct else 0 for c in basis], binv, m)
+
     chunk = max(64, nstruct // 16)
     cursor = 0
     iterations = 0
 
     while True:
-        cb = [lp.cobj[c] if c < nstruct else zero for c in basis]
-        y = kernels.btran_dense(cb, binv, m, zero)
+        # Reduced costs times |den|, so their signs and order are the true ones.
+        y_pos = y if den > 0 else [-v for v in y]
+        scale = abs(den)
 
         # Partial pricing: scan chunks from the cursor until one yields a
         # positive reduced cost; a full wrap with nothing positive is optimality.
@@ -159,11 +202,12 @@ def solve_standard_form(
             lo = cursor
             hi = min(nstruct, lo + chunk)
             j = kernels.price_columns(
-                y,
-                lp.cols_idx[lo:hi],
-                lp.cols_val[lo:hi],
-                lp.cobj[lo:hi],
+                y_pos,
+                cols_idx[lo:hi],
+                cols_val[lo:hi],
+                cobj[lo:hi],
                 excluded[lo:hi],
+                scale,
             )
             scanned += hi - lo
             cursor = hi % nstruct
@@ -186,13 +230,17 @@ def solve_standard_form(
         if forced >= 0:
             leave = forced
         else:
-            candidates = [i for i in range(m) if d[i] > 0]
+            # Tableau entries d_i / den are positive where d_i has den's sign.
+            candidates = [i for i in range(m) if d[i] * den > 0]
             if not candidates:
                 return SimplexResult("unbounded", None, None, None, iterations)
             leave = _lex_leaving(binv, xb, d, candidates, m)
 
+        rc = cobj[enter] * den
+        for k, v in zip(cols_idx[enter], cols_val[enter]):
+            rc -= v * y[k]
         out = basis[leave]
-        do_pivot(enter, leave, d)
+        do_pivot(enter, leave, d, y, rc)
         excluded[enter] = True
         if out < nstruct:
             excluded[out] = False
@@ -203,14 +251,15 @@ def solve_standard_form(
                 "terminate long before this, so something is inconsistent"
             )
 
-    x = [zero] * nstruct
+    x = [ZERO] * nstruct
     for c, i in basic_row.items():
         if c < nstruct:
-            x[c] = xb[i]
+            x[c] = Rational(xb[i], den)
         elif xb[i]:
             raise VerificationError("artificial column ended basic at a nonzero value")
-    _audit(lp, x, y, m, nstruct, zero)
-    objective = sum((lp.cobj[j] * x[j] for j in range(nstruct) if x[j]), zero)
+    y = [Rational(y[i] * row_scale[i], den * cost_scale) for i in range(m)]
+    _audit(lp, x, y, m, nstruct, ZERO)
+    objective = sum((lp.cobj[j] * x[j] for j in range(nstruct) if x[j]), ZERO)
     return SimplexResult("optimal", objective, x, y, iterations)
 
 

@@ -376,3 +376,96 @@ def brute_decodes(n, receivers, p, rows):
             elif prev != x[want]:
                 return False
     return True
+
+
+# -- the Fraction revised simplex ----------------------------------------------
+
+
+def fraction_simplex(lp, crash=()):
+    """The revised simplex on a dense Fraction basis inverse, as a reference.
+
+    Same rules as `icbound.simplex.solve_standard_form`: crash pivots, forced
+    exits of artificial rows, partial pricing by most positive reduced cost
+    (ties to the lowest column id) and the lexicographic ratio test. Every
+    quantity is a Fraction and BTRAN runs from scratch each iteration. lp is
+    read through its attributes nrows, cols_idx, cols_val, cobj and rhs.
+    Returns (status, objective, x, y, iterations).
+    """
+    m = lp.nrows
+    nstruct = len(lp.cols_idx)
+    cobj = [Fraction(c) for c in lp.cobj]
+    cols_val = [tuple(Fraction(v) for v in val) for val in lp.cols_val]
+    binv = [[F1 if i == j else F0 for j in range(m)] for i in range(m)]
+    xb = [Fraction(v) for v in lp.rhs]
+    basis = [nstruct + i for i in range(m)]
+
+    def ftran(col):
+        d = [F0] * m
+        for k, v in zip(lp.cols_idx[col], cols_val[col]):
+            for i in range(m):
+                if binv[i][k]:
+                    d[i] += v * binv[i][k]
+        return d
+
+    def pivot(col, r, d):
+        binv[r] = [v / d[r] if v else F0 for v in binv[r]]
+        xb[r] /= d[r]
+        for i in range(m):
+            if i != r and d[i]:
+                binv[i] = [a - d[i] * b if b else a for a, b in zip(binv[i], binv[r])]
+                xb[i] -= d[i] * xb[r]
+        basis[r] = col
+
+    def reduced_cost(j, y):
+        return cobj[j] - sum(v * y[k] for k, v in zip(lp.cols_idx[j], cols_val[j]))
+
+    def lex_key(i, d):
+        return [xb[i] / d[i]] + [v / d[i] for v in binv[i]]
+
+    for col, row in crash:
+        d = ftran(col)
+        assert d[row] and basis[row] >= nstruct, "bad crash pivot"
+        pivot(col, row, d)
+    assert all(v >= 0 for v in xb), "crash basis is not feasible"
+
+    chunk = max(64, nstruct // 16)
+    cursor = 0
+    iterations = 0
+    while True:
+        cb = [cobj[c] if c < nstruct else F0 for c in basis]
+        weighted = [i for i in range(m) if cb[i]]
+        y = [sum((cb[i] * binv[i][j] for i in weighted), F0) for j in range(m)]
+        in_basis = set(basis)
+        enter = -1
+        scanned = 0
+        while scanned < nstruct and enter < 0:
+            lo, hi = cursor, min(nstruct, cursor + chunk)
+            best = None
+            for j in range(lo, hi):
+                if j in in_basis:
+                    continue
+                rc = reduced_cost(j, y)
+                if rc > 0 and (best is None or rc > best):
+                    best, enter = rc, j
+            scanned += hi - lo
+            cursor = hi % nstruct
+        if enter < 0:
+            break
+        d = ftran(enter)
+        forced = [i for i in range(m) if d[i] and basis[i] >= nstruct]
+        if forced:
+            leave = forced[0]
+        else:
+            candidates = [i for i in range(m) if d[i] > 0]
+            if not candidates:
+                return "unbounded", None, None, None, iterations
+            leave = min(candidates, key=lambda i: lex_key(i, d))
+        pivot(enter, leave, d)
+        iterations += 1
+
+    x = [F0] * nstruct
+    for i, c in enumerate(basis):
+        if c < nstruct:
+            x[c] = xb[i]
+    objective = sum(cobj[j] * x[j] for j in range(nstruct))
+    return "optimal", objective, x, y, iterations

@@ -1,0 +1,72 @@
+"""Every name a module of the package imports is used by that module.
+
+No linter ships with the package, so this scan is the check: it parses each
+module with the standard library's ast and fails on an imported name that
+the module never reads. Names listed in __all__ count as used (they are
+re-exported), and so does `from __future__ import annotations`.
+"""
+
+import ast
+from pathlib import Path
+
+import icbound
+
+SRC = Path(icbound.__file__).resolve().parent
+
+
+def _annotation_names(node):
+    """Names inside a string annotation such as "IndexCodingInstance"."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            return {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                    if isinstance(n, ast.Name)}
+        except SyntaxError:
+            return set()
+    return set()
+
+
+def unused_imports(tree):
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                used |= {c.value for c in ast.walk(node.value)
+                         if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for line, name in unused_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            found.append(f"{path.name}:{line}: {name}")
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_scan_sees_unused_and_used_names():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from typing import List, Tuple\n"
+        "from .x import exported\n"
+        "__all__ = ['exported']\n"
+        "def f(a: 'List[int]') -> None:\n"
+        "    return sys.argv\n"
+    )
+    assert unused_imports(tree) == [(2, "os"), (3, "Tuple")]

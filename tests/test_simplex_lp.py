@@ -1,10 +1,12 @@
 """Exact simplex and the subset-entropy bound LP."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from icbound import kernels
 from icbound.groundset import GroundSet, SetVector, popcount
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               from_graph)
@@ -16,7 +18,7 @@ from icbound.schema import SubmodRow, SubmodSchema
 from icbound.simplex import StandardFormLP, solve_standard_form
 from icbound.tighten import schema_with_submod
 
-from oracles import entropy_feasible, fm_bound, graphic_rank
+from oracles import entropy_feasible, fm_bound, fraction_simplex, graphic_rank
 
 
 def to_fraction(v):
@@ -36,6 +38,95 @@ def test_solver_reports_optimum():
     assert res.status == "optimal"
     assert res.objective == rat("5/2")
     assert res.x == [rat("1/2"), rat("1/2")]
+    assert_same_as_fraction_simplex(lp, [(1, 1), (0, 0)])
+
+    # Row 0 halved and the costs over 3: the integer form scales both back,
+    # so the pivot path and x stay; y_0 doubles and every y_i is over 3.
+    scaled = StandardFormLP(
+        nrows=2,
+        cols_idx=[(0, 1), (0, 1)],
+        cols_val=[(rat("1/2"), ONE), (rat("1/2"), -ONE)],
+        cobj=[rat(1), rat("2/3")],
+        rhs=[rat("1/2"), ZERO],
+    )
+    res2 = solve_standard_form(scaled, crash=[(1, 1), (0, 0)])
+    assert res2.status == "optimal"
+    assert res2.objective == rat("5/6")
+    assert res2.x == res.x
+    assert res2.iterations == res.iterations
+    assert res2.y == [res.y[0] * 2 / 3, res.y[1] / 3]
+    assert_same_as_fraction_simplex(scaled, [(1, 1), (0, 0)])
+
+
+def test_solver_with_negative_denominator(monkeypatch):
+    # max a + 3b + 3c subject to -a + b + d = 0, a + c = 1, b + c = 1. The
+    # first crash pivot is on the -1 entry of a, so the basis determinant
+    # is -1 from the start and the ratio test must flip its sign test.
+    lp = StandardFormLP(
+        nrows=3,
+        cols_idx=[(0, 1), (0, 2), (1, 2), (0,)],
+        cols_val=[(-ONE, ONE), (ONE, ONE), (ONE, ONE), (ONE,)],
+        cobj=[rat(1), rat(3), rat(3), ZERO],
+        rhs=[ZERO, ONE, ONE],
+    )
+    crash = [(0, 0), (2, 1)]
+    dens = []
+    pivot_update = kernels.pivot_update
+
+    def recording(*args):
+        dens.append(pivot_update(*args))
+        return dens[-1]
+
+    monkeypatch.setattr(kernels, "pivot_update", recording)
+    res = solve_standard_form(lp, crash=crash)
+    assert dens[0] == -1
+    assert res.status == "optimal" and res.iterations >= 1
+    assert res.objective == rat(4)
+    assert res.x == [ONE, ONE, ZERO, ZERO]
+    assert_same_as_fraction_simplex(lp, crash)
+
+
+def assert_same_as_fraction_simplex(lp, crash):
+    res = solve_standard_form(lp, crash=crash)
+    status, objective, x, y, iterations = fraction_simplex(lp, crash)
+    assert (res.status, res.iterations) == (status, iterations)
+    assert res.objective == objective
+    assert res.x == x
+    assert res.y == y
+
+
+def random_receivers(rng, n, kind):
+    """Receivers (want, knows) of a random graph, digraph or hypergraph instance."""
+    density = rng.uniform(0.25, 0.6)
+    if kind == "graph":
+        edges = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                 if rng.random() < density]
+        return list(from_graph(range(n), edges).receivers)
+    recs = []
+    for w in range(n):
+        for _ in range(1 if kind == "digraph" else rng.randint(1, 2)):
+            recs.append((w, sum(1 << j for j in range(n) if j != w and rng.random() < density)))
+    return recs
+
+
+def differential_instances():
+    insts = [cycle_instance(k) for k in (3, 4, 5)]
+    rng = random.Random(11082489)
+    kinds = ("graph", "digraph", "hypergraph")
+    for k in range(30):
+        n = 3 + k % 3
+        gs = GroundSet([str(i) for i in range(n)])
+        insts.append(IndexCodingInstance(gs, random_receivers(rng, n, kinds[k // 3 % 3])))
+    gs6 = GroundSet([str(i) for i in range(6)])
+    insts.append(IndexCodingInstance(gs6, random_receivers(rng, 6, "digraph")))
+    insts.append(IndexCodingInstance(gs6, random_receivers(rng, 6, "hypergraph")))
+    return insts
+
+
+def test_solver_matches_fraction_simplex():
+    for inst in differential_instances():
+        prob = build_problem(inst)
+        assert_same_as_fraction_simplex(prob.lp, prob.crash)
 
 
 def test_solver_requires_covering_crash():
