@@ -24,13 +24,14 @@ from icbound.formats import (
     certificate_from_json,
     certificate_to_json,
     dump_json,
+    homs_from_json,
     instance_from_json,
     instance_to_json,
     load_json,
     matroid_from_json,
+    orbit_homs_from_json,
     schema_by_name,
 )
-from icbound.groundset import LatticeHom
 from icbound.instance import ClosureMode
 from icbound.lincode import min_scalar_linear_rate
 from icbound.lp import build_problem, solve_problem
@@ -44,47 +45,21 @@ _CLOSURES = {
 }
 
 
-def _parse_rows_spec(spec: str, schema_name: str, instance):
-    """Turn --rows into (policy, perms, homs) for schema_by_name."""
+def _row_homs(spec: str, schema_name: str, gs):
+    """The homs --rows names for schema_by_name; None means the identity embedding."""
     if spec == "identity":
-        return "identity", None, None
-    if spec.startswith("orbit:"):
-        perms_raw = load_json(spec[len("orbit:"):])
-        if not isinstance(perms_raw, list):
-            raise InputError("orbit file must be a JSON array of label maps")
-        perms = []
-        for entry in perms_raw:
-            if not isinstance(entry, dict):
-                raise InputError("each orbit entry must be a label-to-label object")
-            perms.append({str(k): str(v) for k, v in entry.items()})
-        return "orbit", perms, None
-    if spec.startswith("file:"):
-        homs_raw = load_json(spec[len("file:"):])
-        if not isinstance(homs_raw, list):
-            raise InputError("hom file must be a JSON array")
-        probe = schema_by_name(schema_name)
-        gen = getattr(probe, "generator", None) or getattr(
-            getattr(probe, "right", None), "generator", None
-        )
-        if gen is None:
-            raise InputError(f"schema {schema_name!r} takes no homomorphism rows")
-        gs = instance.messages
-        homs = []
-        for entry in homs_raw:
-            base = gs.mask_of(tuple(str(x) for x in entry.get("base", [])))
-            images = []
-            for lab in gen.labels:
-                entry_atoms = entry.get("atoms", {})
-                images.append(gs.mask_of(tuple(str(x) for x in entry_atoms.get(str(lab), []))))
-            homs.append(LatticeHom(gen, gs, base, tuple(images)))
-        return "file", None, homs
+        return None
+    kind, _, path = spec.partition(":")
+    if kind == "orbit" and path:
+        return orbit_homs_from_json(load_json(path), schema_name, gs)
+    if kind == "file" and path:
+        return homs_from_json(load_json(path), schema_name, gs)
     raise InputError(f"--rows must be identity, orbit:PATH, or file:PATH, got {spec!r}")
 
 
 def _cmd_solve(args) -> int:
     instance = instance_from_json(load_json(args.instance))
-    policy, perms, homs = _parse_rows_spec(args.rows, args.schema, instance)
-    schema = schema_by_name(args.schema, policy, perms, homs)
+    schema = schema_by_name(args.schema, _row_homs(args.rows, args.schema, instance.messages))
     closure = _CLOSURES[args.closure]
     sol = solve_problem(build_problem(instance, schema, closure))
     if sol.status != "optimal":
@@ -110,15 +85,8 @@ def _cmd_product(args) -> int:
 def _cmd_combine(args) -> int:
     inst_g = instance_from_json(load_json(args.first))
     inst_f = instance_from_json(load_json(args.second))
-    cert_g_obj = load_json(args.cert_first)
-    cert_f_obj = load_json(args.cert_second)
-    cert_g, schema = certificate_from_json(cert_g_obj, inst_g.messages)
-    cert_f, _ = certificate_from_json(cert_f_obj, inst_f.messages, schema)
-    if cert_g.schema_name != cert_f.schema_name:
-        raise InputError(
-            f"certificates use different schemas: "
-            f"{cert_g.schema_name!r} vs {cert_f.schema_name!r}"
-        )
+    cert_g, schema = certificate_from_json(load_json(args.cert_first), inst_g.messages)
+    cert_f, _ = certificate_from_json(load_json(args.cert_second), inst_f.messages, schema)
     combined = combine_certificates(inst_g, inst_f, cert_g, cert_f, schema)
     product = inst_g.lex_product(inst_f)
     value = verify_certificate(product, schema, combined)
@@ -304,7 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the bound LP for an instance file")
     p.add_argument("instance")
     p.add_argument("--schema", default="submod", choices=SCHEMA_NAMES)
-    p.add_argument("--rows", default="identity", metavar="identity|orbit:PATH|file:PATH")
+    p.add_argument("--rows", default="identity", metavar="identity|orbit:PATH|file:PATH",
+                   help="fano rows: the identity embedding; it and its images under a JSON "
+                   "array of label maps; or a JSON array of homs (see icbound.formats)")
     p.add_argument("--closure", default="single", choices=sorted(_CLOSURES))
     p.add_argument("--emit-cert", metavar="PATH")
     p.set_defaults(func=_cmd_solve)

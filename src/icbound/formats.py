@@ -1,16 +1,26 @@
-"""JSON formats for instances, certificates, matroids, and codes.
+"""JSON formats for instances, certificates, matroids, codes and --rows files.
 
 Everything round-trips bit-exactly: rationals as "p/q" strings in lowest
 terms, subsets as sorted label arrays, schema rows as tagged objects that
 carry their full homomorphism data so a certificate can be re-verified with
-no access to whatever produced it. Malformed input surfaces as InputError,
-never as a raw KeyError or TypeError.
+no access to whatever produced it.
+
+This module is the only place that decodes JSON. Labels are strings or
+integers, read as decimal strings so the two spellings cannot drift apart,
+never booleans, floats or null; p, ranks and matrix and code entries are
+integers; weights and claimed values are integers or "p/q" strings, q > 0.
+A hom (homext row, `--rows file:` entry) is {"base": [label], "atoms":
+{generator label: [label]}}, a missing atom mapping to nothing; a `--rows
+orbit:` file is an array of {label: label} maps. Malformed input raises
+InputError naming the field's path, such as `receivers[2].knows`, never a
+raw KeyError, TypeError or ValueError.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+import reprlib
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from icbound.certificate import DualCertificate
 from icbound.errors import InputError
@@ -18,8 +28,9 @@ from icbound.groundset import GroundSet, LatticeHom, bit_indices
 from icbound.instance import ClosureMode, IndexCodingInstance, from_graph
 from icbound.lincode import ScalarLinearCode
 from icbound.matroid import Matroid, rank_from_matrix
-from icbound.rational import parse_rational, rat_str
-from icbound.schema import HomExtRow, SchemaRow, SideRow, SubmodRow, SubmodSchema
+from icbound.rational import Rational, rat, rat_str
+from icbound.schema import (HomExtRow, HomExtSchema, SchemaRow, SideRow, SubmodRow,
+                            SubmodSchema, UnionSchema)
 from icbound.tighten import fano_schema, schema_with_submod
 
 __all__ = [
@@ -29,6 +40,8 @@ __all__ = [
     "instance_from_json",
     "certificate_to_json",
     "certificate_from_json",
+    "orbit_homs_from_json",
+    "homs_from_json",
     "matroid_from_json",
     "matroid_to_json",
     "code_from_json",
@@ -46,18 +59,18 @@ SCHEMA_NAMES = (
 )
 
 
-def schema_by_name(name: str, policy: str = "identity", perms=None, homs=None):
+def schema_by_name(name: str, homs=None):
     """Build a schema from its registry name.
 
-    The policy arguments only matter for the homomorphic-extension part;
-    a plain submod schema ignores them.
+    homs are the rows of the homomorphic-extension part, None meaning the
+    identity embedding; a plain submod schema ignores them.
     """
     if name == "submod":
         return SubmodSchema()
     if name in ("fano-odd", "fano-even"):
-        return fano_schema(name.split("-", 1)[1], policy, perms, homs)
+        return fano_schema(name.split("-", 1)[1], homs)
     if name in ("submod+fano-odd", "submod+fano-even"):
-        return schema_with_submod(name.rsplit("-", 1)[1], policy, perms, homs)
+        return schema_with_submod(name.rsplit("-", 1)[1], homs)
     raise InputError(f"unknown schema {name!r}; known: {', '.join(SCHEMA_NAMES)}")
 
 
@@ -70,7 +83,7 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -82,20 +95,97 @@ def dump_json(obj, path: Optional[str]) -> str:
     return text
 
 
-def _need(obj: dict, key: str, where: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise InputError(f"{where} is missing the {key!r} field")
-    return obj[key]
-
-
 def _labels_of_mask(gs: GroundSet, mask: int) -> List[str]:
     return [str(gs.labels[i]) for i in bit_indices(mask)]
 
 
-def _mask_of_labels(gs: GroundSet, labels, where: str) -> int:
-    if not isinstance(labels, (list, tuple)):
-        raise InputError(f"{where} must be an array of labels")
-    return gs.mask_of(tuple(labels))
+# -- typed readers ------------------------------------------------------------
+
+
+class _Json:
+    """A decoded JSON value and the path that reached it; each reader returns
+    the value as one type or raises InputError naming that path."""
+
+    __slots__ = ("value", "key", "parent")
+
+    def __init__(self, value, key, parent: Optional["_Json"] = None):
+        self.value, self.key, self.parent = value, key, parent
+
+    @property
+    def path(self) -> str:
+        up = self.parent  # the root names the file; its fields start the path
+        if isinstance(self.key, int):
+            return f"{up.path}[{self.key}]"
+        return self.key if up is None or up.parent is None else f"{up.path}.{self.key}"
+
+    def _expect(self, ok: bool, expected: str):
+        if not ok:  # reprlib bounds the depth and length of what it shows
+            raise InputError(f"{self.path} must be {expected}, got {reprlib.repr(self.value)}")
+        return self.value
+
+    def _at_path(self, read, arg):
+        """read(arg), with the path put in front of any ValueError it raises."""
+        try:
+            return read(arg)
+        except ValueError as exc:
+            raise InputError(f"{self.path}: {exc}") from None
+
+    def _object(self) -> dict:
+        return self._expect(isinstance(self.value, dict), "an object")
+
+    def _array(self) -> list:
+        return self._expect(isinstance(self.value, (list, tuple)), "an array")
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._object()
+
+    def __getitem__(self, key: str) -> "_Json":
+        """A required field of an object."""
+        if key not in self._object():
+            raise InputError(f"{self.path} is missing the {key!r} field")
+        return _Json(self.value[key], key, self)
+
+    def items(self) -> Iterator[Tuple[str, "_Json"]]:
+        return ((key, _Json(v, key, self)) for key, v in self._object().items())
+
+    def __iter__(self) -> Iterator["_Json"]:
+        """The elements of an array."""
+        return (_Json(v, i, self) for i, v in enumerate(self._array()))
+
+    def integer(self) -> int:
+        return self._expect(type(self.value) is int, "an integer")
+
+    def rational(self) -> Rational:
+        self._expect(type(self.value) in (int, str), 'an integer or a "p/q" string')
+        return self._at_path(rat, self.value)
+
+    def label(self) -> str:
+        return str(self._expect(type(self.value) in (str, int), "a label (a string or an integer)"))
+
+    def labels(self) -> List[str]:
+        items = self._array()
+        if set(map(type, items)) <= {str}:  # one C-speed pass over product-sized lists
+            return items
+        return [v if type(v) is str else _Json(v, i, self).label() for i, v in enumerate(items)]
+
+    def index(self, gs: GroundSet) -> int:
+        """A label as its position in gs."""
+        return self._at_path(gs.index, self.label())
+
+    def mask(self, gs: GroundSet) -> int:
+        """A label list as a subset mask of gs."""
+        return self._at_path(gs.mask_of, self.labels())
+
+
+def _hom(node: _Json, gen: GroundSet, gs: GroundSet) -> LatticeHom:
+    """A {"base", "atoms"} object as a lattice hom from gen into gs."""
+    index = {str(lab): i for i, lab in enumerate(gen.labels)}
+    images = [0] * gen.n
+    for key, labels in node["atoms"].items():
+        if key not in index:
+            raise InputError(f"{labels.path} names {key!r}, which is not a generator label")
+        images[index[key]] = labels.mask(gs)
+    return LatticeHom(gen, gs, node["base"].mask(gs), tuple(images))
 
 
 # -- instances ----------------------------------------------------------------
@@ -113,32 +203,16 @@ def instance_to_json(instance: IndexCodingInstance) -> dict:
 
 
 def instance_from_json(obj) -> IndexCodingInstance:
-    if not isinstance(obj, dict):
-        raise InputError("instance file must be a JSON object")
-    # Labels are canonicalized to strings at the file boundary so numeric
-    # and string spellings of the same label cannot drift apart.
-    if "graph" in obj:
-        graph = obj["graph"]
-        vertices = _need(graph, "vertices", "graph")
-        edges = _need(graph, "edges", "graph")
-        pairs = []
-        for e in edges:
-            if not isinstance(e, (list, tuple)) or len(e) != 2:
-                raise InputError(f"edge {e!r} is not a pair")
-            pairs.append((str(e[0]), str(e[1])))
-        return from_graph(tuple(str(v) for v in vertices), pairs)
-    messages = _need(obj, "messages", "instance")
-    receivers = _need(obj, "receivers", "instance")
-    gs = GroundSet(tuple(str(m) for m in messages))
-    pairs = []
-    for rec in receivers:
-        wants = _need(rec, "wants", "receiver")
-        knows = _need(rec, "knows", "receiver")
-        pairs.append((str(wants), tuple(str(k) for k in knows)))
-    return IndexCodingInstance.from_receivers(gs, pairs)
+    doc = _Json(obj, "instance")
+    if "graph" in doc:
+        graph = doc["graph"]
+        return from_graph(graph["vertices"].labels(), [e.labels() for e in graph["edges"]])
+    gs = GroundSet(doc["messages"].labels())
+    return IndexCodingInstance(
+        gs, [(rec["wants"].index(gs), rec["knows"].mask(gs)) for rec in doc["receivers"]])
 
 
-# -- schema rows and certificates ----------------------------------------------
+# -- schema rows, certificates and --rows files --------------------------------
 
 
 def _row_to_json(row: SchemaRow, gs: GroundSet, schema) -> dict:
@@ -166,35 +240,21 @@ def _row_to_json(row: SchemaRow, gs: GroundSet, schema) -> dict:
     raise InputError(f"cannot serialize schema row {row!r}")
 
 
-def _row_from_json(obj, gs: GroundSet, schema) -> SchemaRow:
-    kind = _need(obj, "kind", "schema row")
+def _row_from_json(node: _Json, gs: GroundSet, schema) -> SchemaRow:
+    kind = node["kind"].value
     if kind in ("left", "right"):
-        if not hasattr(schema, "left"):
-            raise InputError(f"{kind!r} row used with non-union schema {schema.name!r}")
+        if not isinstance(schema, UnionSchema):
+            raise InputError(f"{node.path} is a {kind!r} row under schema {schema.name!r}")
         side = 0 if kind == "left" else 1
-        part = (schema.left, schema.right)[side]
-        return SideRow(side, _row_from_json(_need(obj, "inner", "side row"), gs, part))
+        return SideRow(side, _row_from_json(node["inner"], gs, (schema.left, schema.right)[side]))
     if kind == "submod":
-        s = _mask_of_labels(gs, _need(obj, "s", "submod row"), "s")
-        t = _mask_of_labels(gs, _need(obj, "t", "submod row"), "t")
-        return SubmodRow(s, t)
+        return SubmodRow(node["s"].mask(gs), node["t"].mask(gs))
     if kind == "homext":
-        name = _need(obj, "schema", "homext row")
-        if getattr(schema, "generator", None) is None:
-            raise InputError(f"homext row used with schema {schema.name!r}")
-        if name != schema.name:
-            raise InputError(
-                f"homext row names schema {name!r} but is placed under {schema.name!r}"
-            )
-        gen = schema.generator
-        base = _mask_of_labels(gs, _need(obj, "base", "homext row"), "base")
-        atoms_obj = _need(obj, "atoms", "homext row")
-        images = []
-        for lab in gen.labels:
-            entry = atoms_obj.get(str(lab), [])
-            images.append(_mask_of_labels(gs, entry, f"atom {lab!r}"))
-        return HomExtRow(name, LatticeHom(gen, gs, base, tuple(images)))
-    raise InputError(f"unknown schema row kind {kind!r}")
+        name = node["schema"].value
+        if not isinstance(schema, HomExtSchema) or name != schema.name:
+            raise InputError(f"{node.path} is a {name!r} row under schema {schema.name!r}")
+        return HomExtRow(name, _hom(node, schema.generator, gs))
+    raise InputError(f"{node.path} has unknown kind {kind!r}")
 
 
 def certificate_to_json(cert: DualCertificate, gs: GroundSet, schema) -> dict:
@@ -223,35 +283,65 @@ def certificate_from_json(obj, gs: GroundSet, schema=None):
     """Read a certificate; returns (certificate, schema).
 
     When no schema object is supplied, one is built from the file's schema
-    name with the default row policy — verification never depends on the
-    policy because every row carries its full homomorphism.
+    name with the identity embedding; verification never depends on the
+    schema's own homs because every row carries its full homomorphism. A
+    supplied schema must have the file's schema name.
     """
-    if not isinstance(obj, dict):
-        raise InputError("certificate file must be a JSON object")
-    name = _need(obj, "schema", "certificate")
+    doc = _Json(obj, "certificate")
+    name = doc["schema"].value
     if schema is None:
         schema = schema_by_name(name)
-    closure_raw = _need(obj, "closure", "certificate")
-    try:
-        closure = ClosureMode(closure_raw)
-    except ValueError as exc:
-        raise InputError(f"unknown closure mode {closure_raw!r}") from exc
+    elif name != schema.name:
+        raise InputError(f"schema is {name!r}, expected {schema.name!r}")
+    node = doc["closure"]
+    closure = node._at_path(ClosureMode, node.value)
     x: Dict = {}
-    for entry in _need(obj, "x", "certificate"):
-        s = _mask_of_labels(gs, _need(entry, "s", "x entry"), "s")
-        t = _mask_of_labels(gs, _need(entry, "t", "x entry"), "t")
-        v = parse_rational(_need(entry, "v", "x entry"))
-        if (s, t) in x:
-            raise InputError(f"duplicate x entry for ({entry['s']}, {entry['t']})")
-        x[(s, t)] = v
+    for entry in doc["x"]:
+        pair = (entry["s"].mask(gs), entry["t"].mask(gs))
+        if pair in x:
+            raise InputError(f"{entry.path} repeats an earlier (s, t) pair")
+        x[pair] = entry["v"].rational()
     y: Dict = {}
-    for entry in _need(obj, "y", "certificate"):
-        row = _row_from_json(_need(entry, "row", "y entry"), gs, schema)
-        v = parse_rational(_need(entry, "v", "y entry"))
+    for entry in doc["y"]:
+        row = _row_from_json(entry["row"], gs, schema)
+        v = entry["v"].rational()
         y[row] = (y[row] + v) if row in y else v
-    value = obj.get("value")
-    claimed = None if value is None else parse_rational(value)
+    claimed = None if doc.value.get("value") is None else doc["value"].rational()
     return DualCertificate(name, closure, x, y, claimed), schema
+
+
+def _homext_part(schema_name: str) -> Optional[HomExtSchema]:
+    """The homomorphic-extension part of a registry schema, if it has one."""
+    schema = schema_by_name(schema_name)
+    part = schema.right if isinstance(schema, UnionSchema) else schema
+    return part if isinstance(part, HomExtSchema) else None
+
+
+def homs_from_json(obj, schema_name: str, gs: GroundSet) -> List[LatticeHom]:
+    """A `--rows file:` array of homs from the schema's generator into gs."""
+    part = _homext_part(schema_name)
+    if part is None:
+        raise InputError(f"schema {schema_name!r} takes no homomorphism rows")
+    return [_hom(entry, part.generator, gs) for entry in _Json(obj, "hom file")]
+
+
+def orbit_homs_from_json(obj, schema_name: str, gs: GroundSet) -> List[LatticeHom]:
+    """A `--rows orbit:` array of label maps as homs into gs: the identity
+    embedding, then its image under each map in file order, each hom once;
+    none when the identity embedding is absent, as without the file."""
+    maps = [(entry, {key: image.label() for key, image in entry.items()})
+            for entry in _Json(obj, "orbit file")]
+    part = _homext_part(schema_name)
+    ident = None if part is None else part.embedding(gs, {})
+    if ident is None:
+        return []
+    homs = {ident.key(): ident}
+    for entry, label_map in maps:
+        hom = part.embedding(gs, label_map)
+        if hom is None:
+            raise InputError(f"{entry.path} sends a generator label outside the instance")
+        homs.setdefault(hom.key(), hom)
+    return list(homs.values())
 
 
 # -- matroids and codes ---------------------------------------------------------
@@ -265,20 +355,15 @@ def matroid_to_json(matroid: Matroid) -> dict:
 
 
 def matroid_from_json(obj) -> Matroid:
-    if not isinstance(obj, dict):
-        raise InputError("matroid file must be a JSON object")
-    elements = _need(obj, "elements", "matroid")
-    if "matrix" in obj:
-        mat = obj["matrix"]
-        p = _need(mat, "p", "matroid matrix")
-        rows = _need(mat, "rows", "matroid matrix")
-        for row in rows:
-            if len(row) != len(elements):
-                raise InputError("matrix rows must have one entry per element")
+    doc = _Json(obj, "matroid")
+    elements = doc["elements"].labels()
+    if "matrix" in doc:
+        rows = [[n.integer() for n in row] for row in doc["matrix"]["rows"]]
+        if any(len(row) != len(elements) for row in rows):
+            raise InputError("each of matrix.rows must have one entry per element")
         columns = [[row[j] for row in rows] for j in range(len(elements))]
-        return rank_from_matrix(tuple(str(e) for e in elements), columns, p)
-    ranks = _need(obj, "ranks", "matroid")
-    m = Matroid(GroundSet(tuple(str(e) for e in elements)), ranks)
+        return rank_from_matrix(elements, columns, doc["matrix"]["p"].integer())
+    m = Matroid(GroundSet(elements), [n.integer() for n in doc["ranks"]])
     m.check_axioms()
     return m
 
@@ -288,8 +373,6 @@ def code_to_json(code: ScalarLinearCode) -> dict:
 
 
 def code_from_json(obj) -> ScalarLinearCode:
-    if not isinstance(obj, dict):
-        raise InputError("code file must be a JSON object")
-    p = _need(obj, "p", "code")
-    matrix = _need(obj, "matrix", "code")
-    return ScalarLinearCode(int(p), tuple(tuple(int(v) for v in row) for row in matrix))
+    doc = _Json(obj, "code")
+    p = doc["p"].integer()
+    return ScalarLinearCode(p, tuple(tuple(n.integer() for n in row) for row in doc["matrix"]))

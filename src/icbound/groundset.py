@@ -4,27 +4,18 @@ Subsets of a ground set are plain Python ints used as bitmasks, bit i of the
 mask corresponding to label i in ground-set order. Ints are arbitrary width,
 so ground sets well beyond 64 elements (e.g. three-fold lexicographic powers
 on 125 messages) work unchanged; only *dense* enumeration of all 2^n subsets
-is gated, by the ICB_DENSE_CAP environment variable (default 16).
+is gated, by DENSE_CAP.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InputError, ResourceCapError
 from .rational import Rational, ZERO, rat
 
-DEFAULT_DENSE_CAP = 16
-
-
-def dense_cap() -> int:
-    raw = os.environ.get("ICB_DENSE_CAP", "")
-    try:
-        return int(raw) if raw else DEFAULT_DENSE_CAP
-    except ValueError:
-        raise InputError(f"ICB_DENSE_CAP must be an integer, got {raw!r}")
+DENSE_CAP = 16
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -76,8 +67,12 @@ class GroundSet:
 
     def mask_of(self, labels: Iterable) -> int:
         mask = 0
+        index = self._index
         for lab in labels:
-            mask |= 1 << self.index(lab)
+            i = index.get(lab)
+            if i is None:
+                raise InputError(f"unknown label {lab!r}")
+            mask |= 1 << i
         return mask
 
     def labels_of(self, mask: int) -> tuple:
@@ -92,10 +87,9 @@ class GroundSet:
 
     def subsets(self) -> Iterator[int]:
         """Iterate all 2^n subset masks; refused above the dense cap."""
-        cap = dense_cap()
-        if self.n > cap:
+        if self.n > DENSE_CAP:
             raise ResourceCapError(
-                f"dense enumeration of 2^{self.n} subsets exceeds cap {cap}")
+                f"dense enumeration of 2^{self.n} subsets exceeds cap {DENSE_CAP}")
         return iter(range(1 << self.n))
 
     def append(self, label) -> "GroundSet":

@@ -115,10 +115,10 @@ class IndexCodingInstance:
                 raise InputError("independence number needs a graph instance "
                                  "(one receiver per message)")
             adj[want] = knows
+        if None in adj:
+            raise InputError("independence number needs a graph instance "
+                             "(every message demanded)")
         for v, mask in enumerate(adj):
-            if mask is None:
-                raise InputError("independence number needs a graph instance "
-                                 "(every message demanded)")
             for u in bit_indices(mask):
                 if not adj[u] >> v & 1:
                     raise InputError("independence number needs a graph "

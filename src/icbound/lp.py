@@ -41,7 +41,6 @@ class LPProblem:
     schema: object
     closure: ClosureMode
     dec_pairs: List[Tuple[int, int]]
-    dec_cost: List[int]
     schema_rows: List[SchemaRow]
     lp: StandardFormLP
     crash: List[Tuple[int, int]]
@@ -77,7 +76,6 @@ def build_problem(
     cobj: list = []
 
     dec_pairs: List[Tuple[int, int]] = []
-    dec_cost: List[int] = []
     dec_col: Dict[Tuple[int, int], int] = {}
     for s in masks:
         cl = instance.closure(s, closure)
@@ -89,7 +87,6 @@ def build_problem(
             cost = 0 if cl & bit else 1
             dec_col[(s, t)] = len(cols_idx)
             dec_pairs.append((s, t))
-            dec_cost.append(cost)
             cols_idx.append((s, t))
             cols_val.append((ONE, -ONE))
             cobj.append(rat(-cost))
@@ -128,7 +125,7 @@ def build_problem(
 
     lp = StandardFormLP(nrows, cols_idx, cols_val, cobj, rhs)
     return LPProblem(
-        instance, gs, schema, closure, dec_pairs, dec_cost, schema_rows, lp, crash, w_plus, w_minus
+        instance, gs, schema, closure, dec_pairs, schema_rows, lp, crash, w_plus, w_minus
     )
 
 

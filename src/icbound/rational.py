@@ -19,27 +19,19 @@ ONE = Rational(1)
 
 
 def rat(value) -> Rational:
-    """Coerce an int, Fraction, or 'p/q' string to a Fraction."""
+    """Coerce an int, Fraction, or 'p/q' (or bare 'p') string to a Fraction."""
     if isinstance(value, float):
         raise InputError(f"refusing float {value!r}; use an exact rational")
-    if isinstance(value, str):
-        return parse_rational(value)
-    return Rational(value)
-
-
-def parse_rational(text: str) -> Rational:
-    """Parse 'p/q' (or a bare integer 'p') into an exact rational."""
-    s = text.strip()
+    if not isinstance(value, str):
+        return Rational(value)
+    num, slash, den = value.strip().partition("/")
     try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            d = int(den)
-            if d <= 0:
-                raise InputError(f"denominator must be positive in {text!r}")
-            return Rational(int(num), d)
-        return Rational(int(s))
-    except ValueError as exc:
-        raise InputError(f"not a rational: {text!r}") from exc
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise InputError(f"not a rational: {value!r}") from None
+    if den <= 0:
+        raise InputError(f"denominator must be positive in {value!r}")
+    return Rational(num, den)
 
 
 def rat_str(value) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from icbound.errors import InputError, ResourceCapError
 from icbound.groundset import GroundSet, LatticeHom, SetVector
@@ -158,9 +158,9 @@ class HomExtSchema:
     The generating row lives over its own ground set; for an instance ground
     set the schema's rows are its images under every hom from the generator
     lattice. Enumerating all of them is hopeless in general, so the LP-facing
-    `rows` follows a policy: the identity embedding (when the instance reuses
-    the generator's labels), that embedding composed with label permutations,
-    or an explicit list of homs. row_vector and pushforward_row stay total.
+    `rows` are the pushforwards along `homs`, or, when homs is None, along the
+    identity embedding (when the instance reuses the generator's labels).
+    row_vector and pushforward_row stay total.
     """
 
     def __init__(
@@ -169,68 +169,40 @@ class HomExtSchema:
         generator: GroundSet,
         alpha: SetVector,
         drop_label: object,
-        policy: str = "identity",
-        perms: Optional[Sequence[Dict[object, object]]] = None,
         homs: Optional[Sequence[LatticeHom]] = None,
     ):
         if alpha.gs != generator:
             raise InputError("generating row must live over the generator ground set")
         if drop_label not in generator.labels:
             raise InputError(f"drop label {drop_label!r} not in generator")
-        if policy not in ("identity", "orbit", "file"):
-            raise InputError(f"unknown row policy {policy!r}")
-        if policy == "orbit" and perms is None:
-            raise InputError("orbit policy needs permutations")
-        if policy == "file" and homs is None:
-            raise InputError("file policy needs explicit homs")
         self.name = name
         self.generator = generator
         self.alpha = alpha
         self.drop_label = drop_label
-        self.policy = policy
-        self.perms = list(perms) if perms else []
-        self.homs = list(homs) if homs else []
+        self.homs = None if homs is None else list(homs)
 
-    def _identity_hom(self, gs: GroundSet) -> Optional[LatticeHom]:
+    def embedding(self, gs: GroundSet, label_map: Mapping) -> Optional[LatticeHom]:
+        """Generator labels to their label_map images in gs (themselves when
+        absent), the drop label to nothing; None if an image is not in gs."""
         atom_map = {}
         for label in self.generator.labels:
             if label == self.drop_label:
                 continue
-            if label not in gs.labels:
+            image = label_map.get(label, label)
+            if image not in gs.labels:
                 return None
-            atom_map[label] = (label,)
+            atom_map[label] = (image,)
         return LatticeHom.from_labels(self.generator, gs, (), atom_map)
 
     def rows(self, gs: GroundSet) -> Iterator[SchemaRow]:
-        if self.policy == "file":
-            for hom in self.homs:
-                if hom.domain != self.generator or hom.codomain != gs:
-                    raise InputError("explicit hom does not match generator/instance")
-                yield HomExtRow(self.name, hom)
-            return
-        ident = self._identity_hom(gs)
-        if ident is None:
-            return
-        if self.policy == "identity":
-            yield HomExtRow(self.name, ident)
-            return
-        seen = set()
-        for perm in [None] + self.perms:
-            if perm is None:
-                hom = ident
-            else:
-                atom_map = {}
-                for label in self.generator.labels:
-                    if label == self.drop_label:
-                        continue
-                    image = perm.get(label, label)
-                    if image not in gs.labels:
-                        raise InputError(f"permutation sends {label!r} outside instance")
-                    atom_map[label] = (image,)
-                hom = LatticeHom.from_labels(self.generator, gs, (), atom_map)
-            if hom.key() not in seen:
-                seen.add(hom.key())
-                yield HomExtRow(self.name, hom)
+        homs = self.homs
+        if homs is None:
+            ident = self.embedding(gs, {})
+            homs = [] if ident is None else [ident]
+        for hom in homs:
+            if hom.domain != self.generator or hom.codomain != gs:
+                raise InputError("explicit hom does not match generator/instance")
+            yield HomExtRow(self.name, hom)
 
     def row_vector(self, row: SchemaRow, gs: GroundSet) -> SetVector:
         if not isinstance(row, HomExtRow) or row.schema != self.name:

@@ -232,16 +232,14 @@ def fano_alpha(parity: str) -> SetVector:
     return alpha
 
 
-def fano_schema(parity: str, policy: str = "identity", perms=None, homs=None) -> HomExtSchema:
+def fano_schema(parity: str, homs=None) -> HomExtSchema:
     alpha = fano_alpha(parity)
-    return HomExtSchema(
-        f"fano-{parity}", alpha.gs, alpha, "e", policy=policy, perms=perms, homs=homs
-    )
+    return HomExtSchema(f"fano-{parity}", alpha.gs, alpha, "e", homs)
 
 
-def schema_with_submod(parity: str, policy: str = "identity", perms=None, homs=None) -> UnionSchema:
+def schema_with_submod(parity: str, homs=None) -> UnionSchema:
     """submod+fano-odd / submod+fano-even, the schemas the separation uses."""
-    return UnionSchema(SubmodSchema(), fano_schema(parity, policy, perms, homs))
+    return UnionSchema(SubmodSchema(), fano_schema(parity, homs))
 
 
 # -- explicit subspace tuples over GF(p) --------------------------------------

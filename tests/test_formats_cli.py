@@ -1,9 +1,13 @@
 """JSON round trips and the command-line surface, exit codes included."""
 
+import contextlib
+import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from icbound.certificate import c5_certificate
 from icbound.cli import main
@@ -154,9 +158,11 @@ def test_load_json_errors(tmp_path):
     with pytest.raises(InputError):
         load_json(str(tmp_path / "absent.json"))
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    with pytest.raises(InputError):
-        load_json(str(bad))
+    # not JSON, not UTF-8, an integer past the digit limit, nesting past the stack
+    for text in (b"{nope", b'["\xe9"]', b"1" * 5000, b"[" * 100000):
+        bad.write_bytes(text)
+        with pytest.raises(InputError):
+            load_json(str(bad))
 
 
 # -- command line ----------------------------------------------------------------
@@ -219,6 +225,13 @@ def test_cli_product_and_combine(c5_file, tmp_path, capsys):
     assert main(["verify", prod, comb]) == 0
     assert "value = 25/4" in capsys.readouterr().out
 
+    # the second certificate must use the first one's schema
+    odd = str(tmp_path / "odd.json")
+    assert main(["solve", c5_file, "--schema", "submod+fano-odd", "--emit-cert", odd]) == 0
+    capsys.readouterr()
+    assert main(["combine", c5_file, c5_file, cert, odd]) == 2
+    assert "schema is 'submod+fano-odd', expected 'submod'" in capsys.readouterr().err
+
 
 def test_cli_matroid_alpha_search(tmp_path, c5_file, capsys):
     mat = str(tmp_path / "fano-matroid.json")
@@ -276,3 +289,184 @@ def test_cli_demos(capsys):
     assert main(["demo", "alpha-beta"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "25/4" in out
+
+
+# -- malformed input: exit code 2 and the path of the offending field --------
+
+
+def _assert_input_error(argv, path, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"input error: {re.escape(path)}[ :]", err), err
+
+
+def _write(tmp_path, name, obj) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("obj, path", [
+    # each of these was misread or crashed with a raw TypeError
+    ({"messages": ["1", "2", "3"], "receivers": [{"wants": "1", "knows": "23"}]},
+     "receivers[0].knows"),
+    ({"messages": "abc", "receivers": [{"wants": "a", "knows": ["b"]}]}, "messages"),
+    ({"graph": {"vertices": "123", "edges": [["1", "2"]]}}, "graph.vertices"),
+    ({"messages": ["True", "b"], "receivers": [{"wants": True, "knows": ["b"]}]},
+     "receivers[0].wants"),
+    ({"messages": ["1", "2"], "receivers": 5}, "receivers"),
+    ({"graph": {"vertices": 3, "edges": []}}, "graph.vertices"),
+], ids=["knows-string", "messages-string", "vertices-string", "wants-bool",
+        "receivers-int", "vertices-int"])
+def test_cli_malformed_instance(obj, path, tmp_path, capsys):
+    _assert_input_error(["solve", _write(tmp_path, "inst.json", obj)], path, capsys)
+
+
+@pytest.mark.parametrize("obj, path", [
+    ({"elements": ["a"], "ranks": [0, 1.9]}, "ranks[1]"),
+    ({"elements": ["a"], "ranks": ["x", 1]}, "ranks[0]"),
+    ({"elements": ["a"], "matrix": {"p": "2", "rows": [[1]]}}, "matrix.p"),
+    ({"elements": ["a"], "matrix": {"p": 2, "rows": [5]}}, "matrix.rows[0]"),
+], ids=["rank-float", "rank-string", "p-string", "row-int"])
+def test_cli_malformed_matroid(obj, path, tmp_path, capsys):
+    _assert_input_error(["matroid2ic", _write(tmp_path, "mat.json", obj)], path, capsys)
+
+
+def test_error_message_bounds_deep_values():
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(InputError, match=r"^messages\[0\] must be a label"):
+        instance_from_json({"messages": [deep], "receivers": []})
+
+
+def test_code_entries_must_be_integers():
+    with pytest.raises(InputError, match=r"^matrix\[0\]\[0\] must be an integer"):
+        code_from_json({"p": 2, "matrix": [[1.7, 0]]})
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda c: c["x"][0].update(v=0.5), "x[0].v"),
+    (lambda c: c.update(x=3), "x"),
+], ids=["v-float", "x-int"])
+def test_cli_malformed_certificate(mutate, path, c5_file, tmp_path, capsys):
+    cert = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
+                               schema_by_name("submod"))
+    mutate(cert)
+    _assert_input_error(["verify", c5_file, _write(tmp_path, "cert.json", cert)],
+                        path, capsys)
+
+
+def test_cli_integer_claimed_value_is_checked(c5_file, tmp_path, capsys):
+    # an integer is a rational, so "value": 3 is read and then refuted
+    cert = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
+                               schema_by_name("submod"))
+    cert["value"] = 3
+    assert main(["verify", c5_file, _write(tmp_path, "cert.json", cert)]) == 1
+    assert "claimed value 3 but the combination is worth 5/2" in capsys.readouterr().err
+
+
+def test_cli_homext_atom_key_outside_generator(fano_file, tmp_path, capsys):
+    from icbound.matroid import addineq_certificate
+
+    inst = instance_from_json(instance_to_json(to_index_coding(fano())))
+    schema = schema_by_name("submod+fano-odd")
+    row = next(r for r in schema.rows(inst.messages) if r.side == 1)
+    cert = certificate_to_json(addineq_certificate(fano(), row, schema), inst.messages, schema)
+    cert["y"][0]["row"]["inner"]["atoms"]["1OO"] = []
+    _assert_input_error(["verify", fano_file, _write(tmp_path, "cert.json", cert)],
+                        "y[0].row.inner.atoms.1OO", capsys)
+
+
+@pytest.mark.parametrize("homs, path", [
+    ([{"base": [], "atoms": dict({lab: [lab] for lab in _FANO_LABELS}, **{"1OO": []})}],
+     "hom file[0].atoms.1OO"),
+    (["x"], "hom file[0]"),
+], ids=["atom-key", "entry-string"])
+def test_cli_malformed_hom_file(homs, path, fano_file, tmp_path, capsys):
+    rows = "file:" + _write(tmp_path, "homs.json", homs)
+    _assert_input_error(["solve", fano_file, "--schema", "submod+fano-odd", "--rows", rows],
+                        path, capsys)
+
+
+# -- fuzzing: mutated valid files never escape the exit-code contract --------
+
+_ANY_JSON = st.one_of(
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3) | st.text(max_size=2), max_size=3),
+    st.integers(-10, 10),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+
+
+def _positions(doc, prefix=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in children:
+        yield from _positions(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_seeds(tmp_path_factory):
+    """name -> (valid document, argv with None where the document's path goes)."""
+    from icbound.matroid import addineq_certificate
+
+    work = tmp_path_factory.mktemp("fuzz")
+    c5 = instance_to_json(cycle_instance(5))
+    c5_path = _write(work, "c5.json", c5)
+    fano_inst = instance_from_json(instance_to_json(to_index_coding(fano())))
+    fano_path = _write(work, "fano.json", instance_to_json(fano_inst))
+    odd = schema_by_name("submod+fano-odd")
+    row = next(r for r in odd.rows(fano_inst.messages) if r.side == 1)
+    fano_cert = certificate_to_json(addineq_certificate(fano(), row, odd),
+                                    fano_inst.messages, odd)
+    c5_cert = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
+                                  schema_by_name("submod"))
+    graph = {"graph": {"vertices": [1, 2, 3, 4, 5],
+                       "edges": [[i, i % 5 + 1] for i in range(1, 6)]}}
+    rows = ["solve", fano_path, "--schema", "fano-odd", "--rows"]
+    c5_cert_path = _write(work, "c5.cert.json", c5_cert)
+    return {
+        "instance": (c5, ["solve", None]),
+        "graph": (graph, ["solve", None]),
+        "alpha": (graph, ["alpha", None]),
+        "cert-submod": (c5_cert, ["verify", c5_path, None]),
+        "combine": (c5_cert, ["combine", c5_path, c5_path, c5_cert_path, None]),
+        "cert-fano": (fano_cert, ["verify", fano_path, None]),
+        "matroid-ranks": (matroid_to_json(fano()), ["matroid2ic", None]),
+        "matroid-matrix": ({"elements": list(_FANO_LABELS), "matrix": {"p": 2, "rows": FANO_ROWS}},
+                           ["matroid2ic", None]),
+        "orbit": ([{"100": "010", "010": "100", "101": "011", "011": "101"}], rows + ["orbit:"]),
+        "homs": ([{"base": [], "atoms": {lab: [lab] for lab in _FANO_LABELS}}], rows + ["file:"]),
+    }, work
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_mutated_json(fuzz_seeds, data):
+    seeds, work = fuzz_seeds
+    name = data.draw(st.sampled_from(sorted(seeds)))
+    doc, argv = seeds[name]
+    doc = json.loads(json.dumps(doc))
+    position = data.draw(st.sampled_from(list(_positions(doc))))
+    if not position:
+        doc = data.draw(_ANY_JSON)
+    else:
+        holder = doc
+        for key in position[:-1]:
+            holder = holder[key]
+        if data.draw(st.booleans()):
+            del holder[position[-1]]  # drop a key or an element
+        else:
+            holder[position[-1]] = data.draw(_ANY_JSON)
+    path = _write(work, "mutated.json", doc)
+    argv = [path if a is None else a + path if a in ("orbit:", "file:") else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3)

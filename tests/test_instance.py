@@ -205,6 +205,9 @@ def test_independence_number_guards():
     lopsided = IndexCodingInstance(gs, [(0, 0b10), (1, 0)])
     with pytest.raises(InputError):
         lopsided.independence_number()  # knows relation not symmetric
+    undemanded = IndexCodingInstance(gs, [(0, 0b10)])
+    with pytest.raises(InputError):
+        undemanded.independence_number()  # b is known but never wanted
 
 
 def test_cycle_instance_guard():

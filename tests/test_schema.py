@@ -143,13 +143,18 @@ def test_homext_policy_errors():
     alpha = unit(gen, 0b01) - unit(gen, 0b11)
     with pytest.raises(InputError):
         HomExtSchema("x", gen, alpha, "z")  # drop label absent
-    with pytest.raises(InputError):
-        HomExtSchema("x", gen, alpha, "v", policy="orbit")  # perms missing
-    with pytest.raises(InputError):
-        HomExtSchema("x", gen, alpha, "v", policy="mystery")
     bad_alpha = unit(GS3, 0b001)
     with pytest.raises(InputError):
         HomExtSchema("x", gen, bad_alpha, "v")  # alpha over the wrong lattice
+    # explicit homs must run from the generator into the instance
+    stray = LatticeHom.from_labels(GS3, GS3, (), {"a": ("a",)})
+    with pytest.raises(InputError):
+        list(HomExtSchema("x", gen, alpha, "v", [stray]).rows(GS3))
+    assert list(HomExtSchema("x", gen, alpha, "v", []).rows(GS3)) == []
+    # None is the identity embedding, present only when the labels are
+    (row,) = HomExtSchema("x", gen, alpha, "v").rows(GroundSet(["u", "c"]))
+    assert row.hom.atom_images == (0b01, 0)
+    assert list(HomExtSchema("x", gen, alpha, "v").rows(GS3)) == []
 
 
 def test_homext_rows_are_pushforwards_of_alpha():
