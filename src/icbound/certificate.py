@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from icbound.errors import CertificateInvalid, InputError
-from icbound.groundset import GroundSet, LatticeHom, SetVector
+from icbound.groundset import GroundSet, LatticeHom
 from icbound.instance import ClosureMode, IndexCodingInstance, cycle_instance
 from icbound.rational import ONE, ZERO, Rational, rat
 from icbound.schema import SchemaRow, SubmodRow, SubmodSchema
@@ -53,7 +53,10 @@ def verify_certificate(
     gs = instance.messages
     full = gs.full_mask
 
-    residual = SetVector.zero(gs)
+    # The net subset-vector, accumulated in place; zeros are dropped at the end.
+    residual: Dict[int, Rational] = {}
+    get = residual.get
+    value = ZERO
     for (s, t), v in cert.x.items():
         gs.check_mask(s)
         gs.check_mask(t)
@@ -64,26 +67,29 @@ def verify_certificate(
         if v < 0:
             raise CertificateInvalid(f"negative x weight {v} on ({s}, {t})")
         if v:
-            residual += (SetVector.unit(gs, s) - SetVector.unit(gs, t)).scale(v)
+            v = rat(v)
+            residual[s] = get(s, ZERO) + v
+            residual[t] = get(t, ZERO) - v
+            value += v * instance.dst(s, t, cert.closure)
     for row, v in cert.y.items():
         if v < 0:
             raise CertificateInvalid(f"negative y weight {v} on {row!r}")
         if v:
-            residual += schema.row_vector(row, gs).scale(v)
+            v = rat(v)
+            for mask, c in schema.row_vector(row, gs).items():
+                residual[mask] = get(mask, ZERO) + v * c
 
-    target = SetVector.unit(gs, 0) - SetVector.unit(gs, full)
-    if residual != target:
-        diff = residual - target
-        mask, coeff = next(iter(sorted(diff.items())))
+    # What must remain is e_empty - e_full.
+    residual[0] = get(0, ZERO) - ONE
+    residual[full] = get(full, ZERO) + ONE
+    offenders = [mask for mask, c in residual.items() if c]
+    if offenders:
+        mask = min(offenders)
         raise CertificateInvalid(
             f"combination misses e_empty - e_full; first offender "
-            f"{gs.labels_of(mask)} with excess {coeff}"
+            f"{gs.labels_of(mask)} with excess {residual[mask]}"
         )
 
-    value = ZERO
-    for (s, t), v in cert.x.items():
-        if v:
-            value += v * rat(instance.dst(s, t, cert.closure))
     if cert.claimed_value is not None and cert.claimed_value != value:
         raise CertificateInvalid(
             f"claimed value {cert.claimed_value} but the combination is worth {value}"

@@ -8,23 +8,33 @@ no access to whatever produced it.
 This module is the only place that decodes JSON. Labels are strings or
 integers, read as decimal strings so the two spellings cannot drift apart,
 never booleans, floats or null; p, ranks and matrix and code entries are
-integers; weights and claimed values are integers or "p/q" strings, q > 0.
+integers; weights and claimed values are integers or ASCII "p" or "p/q"
+strings (p an optional minus sign and digits, q digits and positive).
 A hom (homext row, `--rows file:` entry) is {"base": [label], "atoms":
 {generator label: [label]}}, a missing atom mapping to nothing; a `--rows
 orbit:` file is an array of {label: label} maps. Malformed input raises
 InputError naming the field's path, such as `receivers[2].knows`, never a
-raw KeyError, TypeError or ValueError.
+raw KeyError, TypeError or ValueError. A graph edge is a pair of two
+distinct vertex labels.
+
+This module is also the only JSON writer. `dump_json` returns exactly the
+text of `json.dumps(obj, indent=2)`: two-space indentation, "," and a line
+break between items, ": " after keys, keys in insertion order, non-ASCII as
+\\uXXXX escapes, empty containers as [] and {}. A file gets that text plus
+one newline.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
+from itertools import compress
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from icbound.certificate import DualCertificate
 from icbound.errors import InputError
-from icbound.groundset import GroundSet, LatticeHom, bit_indices
+from icbound.groundset import GroundSet, LatticeHom
 from icbound.instance import ClosureMode, IndexCodingInstance, from_graph
 from icbound.lincode import ScalarLinearCode
 from icbound.matroid import Matroid, rank_from_matrix
@@ -88,15 +98,62 @@ def load_json(path: str):
 
 
 def dump_json(obj, path: Optional[str]) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=False)
+    """obj as exactly the text of json.dumps(obj, indent=2), written to path
+    (plus a newline) unless path is None."""
+    parts: List[str] = []
+    _write(obj, "\n", parts.append)
+    text = "".join(parts)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     return text
 
 
-def _labels_of_mask(gs: GroundSet, mask: int) -> List[str]:
-    return [str(gs.labels[i]) for i in bit_indices(mask)]
+def _write(obj, newline: str, out) -> None:
+    """Pass the pieces of json.dumps(obj, indent=2) to out; newline is the
+    line break plus the indentation of obj's own line. With indent set the
+    stdlib encodes in pure Python, so lists and str-keyed dicts are laid out
+    here, with strings escaped in C; anything else goes to json.dumps, whose
+    only newlines are layout because strings escape theirs."""
+    kind = type(obj)
+    if kind is str:
+        out(_escape(obj))
+        return
+    inner = newline + "  "
+    sep = "," + inner
+    if kind in (list, tuple) and obj:
+        out("[" + inner)
+        try:  # the escaper refuses anything but strings
+            out(sep.join(map(_escape, obj)))
+        except TypeError:
+            for i, value in enumerate(obj):
+                if i:
+                    out(sep)
+                _write(value, inner, out)
+        out(newline + "]")
+    elif kind is dict and obj and set(map(type, obj)) == {str}:
+        head = "{" + inner
+        for key, value in obj.items():
+            out(head + _escape(key) + ": ")
+            _write(value, inner, out)
+            head = sep
+        out(newline + "}")
+    else:
+        out(json.dumps(obj, indent=2).replace("\n", newline))
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _labels_of_mask(names: Tuple[str, ...], mask: int) -> List[str]:
+    """The names at the set bits of mask, lowest bit first."""
+    return list(compress(names, bin(mask)[:1:-1].encode().translate(_BITS)))
+
+
+def _names(gs: GroundSet) -> Tuple[str, ...]:
+    """The labels of gs as the strings a file holds."""
+    return tuple(map(str, gs.labels))
 
 
 # -- typed readers ------------------------------------------------------------
@@ -168,6 +225,10 @@ class _Json:
             return items
         return [v if type(v) is str else _Json(v, i, self).label() for i, v in enumerate(items)]
 
+    def ground_set(self) -> GroundSet:
+        """A label list as a ground set (distinct labels)."""
+        return self._at_path(GroundSet, self.labels())
+
     def index(self, gs: GroundSet) -> int:
         """A label as its position in gs."""
         return self._at_path(gs.index, self.label())
@@ -192,22 +253,32 @@ def _hom(node: _Json, gen: GroundSet, gs: GroundSet) -> LatticeHom:
 
 
 def instance_to_json(instance: IndexCodingInstance) -> dict:
-    gs = instance.messages
+    names = _names(instance.messages)
     return {
-        "messages": [str(lab) for lab in gs.labels],
+        "messages": list(names),
         "receivers": [
-            {"wants": str(gs.labels[w]), "knows": _labels_of_mask(gs, k)}
+            {"wants": names[w], "knows": _labels_of_mask(names, k)}
             for w, k in instance.receivers
         ],
     }
+
+
+def _edge(node: _Json, gs: GroundSet) -> Tuple[str, str]:
+    """A graph edge: a pair of two distinct vertex labels."""
+    node._expect(len(node._array()) == 2, "a pair of labels")
+    u, v = (end.index(gs) for end in node)
+    if u == v:
+        raise InputError(f"{node.path} is a self-loop at {gs.labels[u]!r}")
+    return gs.labels[u], gs.labels[v]
 
 
 def instance_from_json(obj) -> IndexCodingInstance:
     doc = _Json(obj, "instance")
     if "graph" in doc:
         graph = doc["graph"]
-        return from_graph(graph["vertices"].labels(), [e.labels() for e in graph["edges"]])
-    gs = GroundSet(doc["messages"].labels())
+        gs = graph["vertices"].ground_set()
+        return from_graph(gs.labels, [_edge(e, gs) for e in graph["edges"]])
+    gs = doc["messages"].ground_set()
     return IndexCodingInstance(
         gs, [(rec["wants"].index(gs), rec["knows"].mask(gs)) for rec in doc["receivers"]])
 
@@ -215,26 +286,26 @@ def instance_from_json(obj) -> IndexCodingInstance:
 # -- schema rows, certificates and --rows files --------------------------------
 
 
-def _row_to_json(row: SchemaRow, gs: GroundSet, schema) -> dict:
+def _row_to_json(row: SchemaRow, names: Tuple[str, ...], schema) -> dict:
     if isinstance(row, SideRow):
         part = (schema.left, schema.right)[row.side]
-        inner = _row_to_json(row.inner, gs, part)
+        inner = _row_to_json(row.inner, names, part)
         return {"kind": "left" if row.side == 0 else "right", "inner": inner}
     if isinstance(row, SubmodRow):
         return {
             "kind": "submod",
-            "s": _labels_of_mask(gs, row.s),
-            "t": _labels_of_mask(gs, row.t),
+            "s": _labels_of_mask(names, row.s),
+            "t": _labels_of_mask(names, row.t),
         }
     if isinstance(row, HomExtRow):
         gen = row.hom.domain
         atoms = {}
         for i, lab in enumerate(gen.labels):
-            atoms[str(lab)] = _labels_of_mask(gs, row.hom.atom_images[i])
+            atoms[str(lab)] = _labels_of_mask(names, row.hom.atom_images[i])
         return {
             "kind": "homext",
             "schema": row.schema,
-            "base": _labels_of_mask(gs, row.hom.base),
+            "base": _labels_of_mask(names, row.hom.base),
             "atoms": atoms,
         }
     raise InputError(f"cannot serialize schema row {row!r}")
@@ -258,18 +329,19 @@ def _row_from_json(node: _Json, gs: GroundSet, schema) -> SchemaRow:
 
 
 def certificate_to_json(cert: DualCertificate, gs: GroundSet, schema) -> dict:
+    names = _names(gs)
     x_entries = []
     for (s, t), v in sorted(cert.x.items()):
         x_entries.append(
             {
-                "s": _labels_of_mask(gs, s),
-                "t": _labels_of_mask(gs, t),
+                "s": _labels_of_mask(names, s),
+                "t": _labels_of_mask(names, t),
                 "v": rat_str(v),
             }
         )
     y_entries = []
     for row, v in cert.y.items():
-        y_entries.append({"row": _row_to_json(row, gs, schema), "v": rat_str(v)})
+        y_entries.append({"row": _row_to_json(row, names, schema), "v": rat_str(v)})
     return {
         "value": None if cert.claimed_value is None else rat_str(cert.claimed_value),
         "schema": cert.schema_name,
@@ -356,14 +428,15 @@ def matroid_to_json(matroid: Matroid) -> dict:
 
 def matroid_from_json(obj) -> Matroid:
     doc = _Json(obj, "matroid")
-    elements = doc["elements"].labels()
+    gs = doc["elements"].ground_set()
+    elements = gs.labels
     if "matrix" in doc:
         rows = [[n.integer() for n in row] for row in doc["matrix"]["rows"]]
         if any(len(row) != len(elements) for row in rows):
             raise InputError("each of matrix.rows must have one entry per element")
         columns = [[row[j] for row in rows] for j in range(len(elements))]
         return rank_from_matrix(elements, columns, doc["matrix"]["p"].integer())
-    m = Matroid(GroundSet(elements), [n.integer() for n in doc["ranks"]])
+    m = Matroid(gs, [n.integer() for n in doc["ranks"]])
     m.check_axioms()
     return m
 

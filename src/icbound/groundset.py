@@ -43,12 +43,12 @@ def submasks(mask: int) -> Iterator[int]:
 class GroundSet:
     """An ordered tuple of distinct hashable labels; immutable."""
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_bits")
 
     def __init__(self, labels: Iterable):
         self.labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != len(self.labels):
+        self._bits = {lab: 1 << i for i, lab in enumerate(self.labels)}
+        if len(self._bits) != len(self.labels):
             raise InputError("ground-set labels must be distinct")
 
     @property
@@ -61,18 +61,18 @@ class GroundSet:
 
     def index(self, label) -> int:
         try:
-            return self._index[label]
+            return self._bits[label].bit_length() - 1
         except KeyError:
             raise InputError(f"unknown label {label!r}") from None
 
     def mask_of(self, labels: Iterable) -> int:
         mask = 0
-        index = self._index
-        for lab in labels:
-            i = index.get(lab)
-            if i is None:
-                raise InputError(f"unknown label {lab!r}")
-            mask |= 1 << i
+        bits = self._bits
+        try:
+            for lab in labels:
+                mask |= bits[lab]
+        except KeyError:
+            raise InputError(f"unknown label {lab!r}") from None
         return mask
 
     def labels_of(self, mask: int) -> tuple:

@@ -22,7 +22,7 @@ class ClosureMode(Enum):
 class IndexCodingInstance:
     """Immutable instance; receivers are deduplicated and sorted."""
 
-    __slots__ = ("messages", "receivers")
+    __slots__ = ("messages", "receivers", "_knows_of")
 
     def __init__(self, messages: GroundSet, receivers: Iterable[tuple[int, int]]):
         if messages.n == 0:
@@ -37,6 +37,11 @@ class IndexCodingInstance:
             clean.add((want, knows))
         self.messages = messages
         self.receivers = tuple(sorted(clean))
+        # per message, the side information of each receiver wanting it
+        knows_of = [[] for _ in range(messages.n)]
+        for want, knows in self.receivers:
+            knows_of[want].append(knows)
+        self._knows_of = tuple(map(tuple, knows_of))
 
     @classmethod
     def from_receivers(cls, messages: GroundSet,
@@ -49,17 +54,27 @@ class IndexCodingInstance:
     def n(self) -> int:
         return self.messages.n
 
+    def _decoded(self, known: int, candidates: int) -> int:
+        """The messages in candidates that a receiver wanting them decodes
+        from known, i.e. whose side information lies inside known."""
+        out = 0
+        knows_of = self._knows_of
+        for m in bit_indices(candidates):
+            for knows in knows_of[m]:
+                if not knows & ~known:
+                    out |= 1 << m
+                    break
+        return out
+
     def closure(self, mask: int, mode: ClosureMode = ClosureMode.SINGLE_STEP) -> int:
         """Messages decodable from the set: mask plus every wanted message
         whose receiver's side information lies inside mask. Single-step adds
         one round; iterated repeats to a fixed point."""
         self.messages.check_mask(mask)
+        full = self.messages.full_mask
         current = mask
         while True:
-            grown = current
-            for want, knows in self.receivers:
-                if knows & ~current == 0:
-                    grown |= 1 << want
+            grown = current | self._decoded(current, full & ~current)
             if mode is ClosureMode.SINGLE_STEP or grown == current:
                 return grown
             current = grown
@@ -69,8 +84,14 @@ class IndexCodingInstance:
         return popcount(t & ~self.closure(s, mode))
 
     def dst(self, s: int, t: int, mode: ClosureMode = ClosureMode.SINGLE_STEP) -> int:
-        """Count of t's messages decodable from s without being in s."""
-        return popcount(t & self.closure(s, mode) & ~s)
+        """Count of t's messages decodable from s without being in s.
+
+        Single-step only tests the messages of t outside s, not every receiver.
+        """
+        if mode is ClosureMode.ITERATED:
+            return popcount(t & self.closure(s, mode) & ~s)
+        self.messages.check_mask(s)
+        return popcount(self._decoded(s, t & ~s & self.messages.full_mask))
 
     def is_nondegenerate(self) -> bool:
         """True when every receiver has nonempty side information."""

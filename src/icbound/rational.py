@@ -7,6 +7,7 @@ rational type is fractions.Fraction.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -18,18 +19,30 @@ ZERO = Rational(0)
 ONE = Rational(1)
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat(value) -> Rational:
-    """Coerce an int, Fraction, or 'p/q' (or bare 'p') string to a Fraction."""
+    """Coerce an int, Fraction, or 'p/q' (or bare 'p') string to a Fraction.
+
+    A string must be ASCII `-?[0-9]+(/[0-9]+)?` with q > 0: no sign on q, no
+    '+', no spaces, no underscores, no other digits.
+    """
+    if type(value) is Rational:
+        return value
     if isinstance(value, float):
         raise InputError(f"refusing float {value!r}; use an exact rational")
     if not isinstance(value, str):
         return Rational(value)
-    num, slash, den = value.strip().partition("/")
+    match = _RATIONAL.fullmatch(value)
     try:
-        num, den = int(num), int(den) if slash else 1
+        if match is None:
+            raise ValueError
+        # int() also refuses more digits than sys.get_int_max_str_digits()
+        num, den = int(match[1]), int(match[2] or 1)
     except ValueError:
         raise InputError(f"not a rational: {value!r}") from None
-    if den <= 0:
+    if den == 0:
         raise InputError(f"denominator must be positive in {value!r}")
     return Rational(num, den)
 

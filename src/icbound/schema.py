@@ -116,15 +116,9 @@ class SubmodSchema:
         s, t = row.s, row.t
         gs.check_mask(s)
         gs.check_mask(t)
-        vec = SetVector.zero(gs)
-        if s & ~t and t & ~s:
-            vec = (
-                SetVector.unit(gs, s)
-                + SetVector.unit(gs, t)
-                - SetVector.unit(gs, s | t)
-                - SetVector.unit(gs, s & t)
-            )
-        return vec
+        if s & ~t and t & ~s:  # the four masks are then distinct
+            return SetVector(gs, {s: 1, t: 1, s | t: -1, s & t: -1})
+        return SetVector.zero(gs)
 
     def pushforward_row(self, hom: LatticeHom, row: SchemaRow) -> SchemaRow:
         if not isinstance(row, SubmodRow):

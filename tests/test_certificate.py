@@ -203,3 +203,26 @@ def test_certificate_value_never_exceeds_lp():
         inst = to_index_coding(matroid)
         assert (verify_certificate(inst, schema, cert)
                 <= bound_with_schema(inst, schema))
+
+
+def test_tampering_messages_on_squared_pentagon():
+    c5, schema, cert = c5_certificate()
+    product = c5.lex_product(c5)
+    m = product.messages.mask_of
+    pair = (m(["1:1", "1:3", "3:1", "3:3"]), m(["1:1", "1:2", "1:3", "3:1", "3:2", "3:3"]))
+
+    def rejects(tamper, message):
+        combined = combine_certificates(c5, c5, cert, cert, schema)
+        assert verify_certificate(product, schema, combined) == rat("25/4")
+        tamper(combined.x)
+        with pytest.raises(CertificateInvalid) as err:
+            verify_certificate(product, schema, combined)
+        assert str(err.value) == message
+
+    rejects(lambda x: x.update({pair: x[pair] + rat("1/4")}),
+            "combination misses e_empty - e_full; first offender "
+            "('1:1', '1:3', '3:1', '3:3') with excess 1/4")
+    rejects(lambda x: x.update({pair: rat("-1/2")}),
+            "negative x weight -1/2 on (5125, 7175)")
+    rejects(lambda x: x.update({(m(["1:1", "2:2"]), m(["1:1", "3:3"])): ONE}),
+            "x entry on (('1:1', '2:2'), ('1:1', '3:3')) is not a strictly nested pair")

@@ -61,6 +61,37 @@ def test_rational_strings():
     assert rat_str(rat("-6/4")) == "-3/2"
 
 
+_AWKWARD_TEXT = st.text(st.sampled_from('a:"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')
+                        | st.characters(), max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _AWKWARD_TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.lists(_AWKWARD_TEXT, max_size=4)
+                   | st.dictionaries(_AWKWARD_TEXT, inner, max_size=4)
+                   | st.dictionaries(st.integers(-2, 2) | st.none() | _AWKWARD_TEXT, inner,
+                                     max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(obj=_JSON_VALUES)
+def test_dump_json_is_stdlib_text(obj):
+    assert dump_json(obj, None) == json.dumps(obj, indent=2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mask=st.integers(0, (1 << 230) - 1), int_labels=st.booleans())
+def test_masks_and_label_lists_roundtrip_past_64_bits(mask, int_labels):
+    from icbound.formats import _labels_of_mask, _names
+    from icbound.groundset import GroundSet
+
+    gs = GroundSet(range(230) if int_labels else [f"m{i}" for i in range(230)])
+    names = _labels_of_mask(_names(gs), mask)
+    assert names == [str(lab) for lab in gs.labels_of(mask)]
+    assert gs.mask_of(gs.labels_of(mask)) == mask
+    assert GroundSet(_names(gs)).mask_of(names) == mask
+
+
 def test_certificate_roundtrip_bit_exact():
     inst = string_c5()
     schema = schema_by_name("submod")
@@ -316,8 +347,15 @@ def _write(tmp_path, name, obj) -> str:
      "receivers[0].wants"),
     ({"messages": ["1", "2"], "receivers": 5}, "receivers"),
     ({"graph": {"vertices": 3, "edges": []}}, "graph.vertices"),
+    # edge errors used to name no path, e.g. "unknown label '9'"
+    ({"graph": {"vertices": ["1", "2"], "edges": [["1", "9"]]}}, "graph.edges[0][1]"),
+    ({"graph": {"vertices": ["1", "2"], "edges": [["1", "2"], ["1", "2", "1"]]}},
+     "graph.edges[1]"),
+    ({"graph": {"vertices": ["1", "2"], "edges": [["1", "2"], ["2", "2"]]}}, "graph.edges[1]"),
+    ({"graph": {"vertices": ["1", "2", "1"], "edges": []}}, "graph.vertices"),
 ], ids=["knows-string", "messages-string", "vertices-string", "wants-bool",
-        "receivers-int", "vertices-int"])
+        "receivers-int", "vertices-int", "edge-unknown-label", "edge-not-a-pair",
+        "edge-self-loop", "vertices-repeated"])
 def test_cli_malformed_instance(obj, path, tmp_path, capsys):
     _assert_input_error(["solve", _write(tmp_path, "inst.json", obj)], path, capsys)
 
@@ -348,7 +386,18 @@ def test_code_entries_must_be_integers():
 @pytest.mark.parametrize("mutate, path", [
     (lambda c: c["x"][0].update(v=0.5), "x[0].v"),
     (lambda c: c.update(x=3), "x"),
-], ids=["v-float", "x-int"])
+    # int() read each of these spellings; the first two as 5/2 and 1/2
+    (lambda c: c.update(value="2_5/10"), "value"),
+    (lambda c: c["x"][0].update(v="1_0/20"), "x[0].v"),
+    (lambda c: c.update(value="+5/2"), "value"),
+    (lambda c: c.update(value="5/+2"), "value"),
+    (lambda c: c.update(value=" 5/2"), "value"),
+    (lambda c: c.update(value="5/2 "), "value"),
+    (lambda c: c.update(value="\uff15/2"), "value"),  # fullwidth digit five
+    (lambda c: c.update(value="\u0665/2"), "value"),  # Arabic-Indic digit five
+], ids=["v-float", "x-int", "value-underscore", "v-underscore", "value-plus",
+        "value-plus-denominator", "value-leading-space", "value-trailing-space",
+        "value-fullwidth-digit", "value-arabic-indic-digit"])
 def test_cli_malformed_certificate(mutate, path, c5_file, tmp_path, capsys):
     cert = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
                                schema_by_name("submod"))

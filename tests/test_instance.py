@@ -1,9 +1,11 @@
 """Instances, closure, LP constants, products, independence numbers."""
 
+import random
+
 import pytest
 
 from icbound.errors import InputError, ResourceCapError
-from icbound.groundset import GroundSet, bit_indices
+from icbound.groundset import GroundSet, bit_indices, popcount
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               from_graph)
 from icbound.matroid import fano, to_index_coding
@@ -213,3 +215,39 @@ def test_independence_number_guards():
 def test_cycle_instance_guard():
     with pytest.raises(InputError):
         cycle_instance(2)
+
+
+def _random_instance(rng, n):
+    """Receivers with several per wanted message, some messages nobody
+    wants, and some receivers with empty side information."""
+    receivers = []
+    for want in rng.sample(range(n), rng.randint(1, n)):
+        for _ in range(rng.randint(1, 3)):
+            knows = 0 if rng.random() < 0.2 else rng.getrandbits(n) & ~(1 << want)
+            receivers.append((want, knows))
+    return IndexCodingInstance(GroundSet(range(n)), receivers), receivers
+
+
+def _oracle_closure(receivers, s, mode):
+    grown = closure_once(receivers, s)
+    while mode is ClosureMode.ITERATED and grown != s:
+        s, grown = grown, closure_once(receivers, grown)
+    return grown
+
+
+@pytest.mark.parametrize("mode", list(ClosureMode), ids=lambda m: m.value)
+def test_dst_and_closure_match_oracle_on_random_instances(mode):
+    rng = random.Random(20260)
+    for n in [3, 4, 5, 6, 7] * 6 + [70, 130]:
+        inst, receivers = _random_instance(rng, n)
+        full = inst.messages.full_mask
+        for _ in range(40):
+            t = rng.getrandbits(n)
+            s = t & rng.getrandbits(n) if rng.random() < 0.7 else rng.getrandbits(n)
+            cl = _oracle_closure(receivers, s, mode)
+            assert inst.closure(s, mode) == cl
+            assert inst.dst(s, t, mode) == popcount(t & cl & ~s)
+            assert inst.dst(s, t, mode) == popcount(t & inst.closure(s, mode) & ~s)
+            assert inst.cst(s, t, mode) == popcount(t & ~cl)
+        assert inst.closure(full, mode) == full
+        assert inst.dst(0, full, mode) == popcount(_oracle_closure(receivers, 0, mode))
