@@ -96,7 +96,7 @@ def matvec(rows: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> List[in
 class EchelonBasis:
     """Row basis over GF(p) kept in reduced echelon form, grown one vector
     at a time. copy() is cheap on purpose: subset-lattice walks fork a basis
-    at every node.
+    at every node below full rank.
     """
 
     __slots__ = ("p", "ncols", "rows", "pivots")
@@ -229,34 +229,41 @@ def _pack_gf2(vec: Sequence[int]) -> int:
 
 
 def span_ranks(
-    p: int,
-    ambient: int,
-    gens: Sequence[Sequence[Sequence[int]]],
-    base: Iterable[Sequence[int]] = (),
+    p: int, ambient: int, gens: Sequence[Sequence[Sequence[int]]]
 ) -> List[int]:
-    """Rank of base plus gens[i] for all i in S, for every subset mask S.
+    """Rank of the vectors gens[i], i in S, for every subset mask S.
 
-    gens[i] is a list of vectors of length ambient. One walk of the subset
-    lattice: the basis at S is a copy of the basis at S minus its lowest
-    element, extended by that element's vectors. A basis is kept only while
-    a later mask still reads it: odd masks are never read, and the last
-    reader of T is T plus the element just below T's lowest one.
+    gens[i] is a list of vectors of length ambient; any other length raises
+    InputError naming i. One walk of the subset lattice: the basis at S is
+    a copy of the basis at S minus its lowest element, extended by that
+    element's vectors. A parent basis of rank ambient is shared instead:
+    every vector lies in GF(p)^ambient, so no rank can exceed ambient and
+    such a basis cannot grow. A basis is kept only while a later mask still
+    reads it: odd masks are never read, and the last reader of T is T plus
+    the element just below T's lowest one.
     """
+    for i, vecs in enumerate(gens):
+        for vec in vecs:
+            if len(vec) != ambient:
+                raise InputError(
+                    f"generator {i} has a vector of length {len(vec)}, "
+                    f"expected {ambient}"
+                )
     if p == 2:
         gens = [[_pack_gf2(vec) for vec in vecs] for vecs in gens]
         root = Gf2Basis()
-        root.extend(_pack_gf2(vec) for vec in base)
     else:
         root = EchelonBasis(p, ambient)
-        root.extend(base)
     bases = [root]
-    ranks = [root.rank]
+    ranks = [0]
     for s in range(1, 1 << len(gens)):
         low = s & -s
         parent = s ^ low
-        basis = bases[parent].copy()
-        for vec in gens[low.bit_length() - 1]:
-            basis.add(vec)
+        basis = bases[parent]
+        if basis.rank < ambient:
+            basis = basis.copy()
+            for vec in gens[low.bit_length() - 1]:
+                basis.add(vec)
         if (parent & -parent) >> 1 == low:
             bases[parent] = None
         bases.append(None if s & 1 else basis)

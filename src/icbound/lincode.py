@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from icbound.errors import InputError, ResourceCapError, VerificationError
 from icbound.gf import EchelonBasis, check_prime, nullspace, rank, span_ranks
-from icbound.groundset import SetVector
+from icbound.groundset import SetVector, popcount
 from icbound.instance import IndexCodingInstance
 from icbound.matroid import Matroid, to_index_coding
 
@@ -212,14 +212,21 @@ def code_entropy_vector(
 ) -> SetVector:
     """Exact joint-rank vector: z_S = rank(rows of Q plus units of S).
 
-    For a valid code this vector satisfies every constraint of the bound LP,
-    which is the whole reason the LP value is a lower bound on code length.
+    The units of S clear Q's columns in S, so z_S = |S| + rank of Q's
+    columns outside S. Those column ranks come from one span_ranks walk in
+    GF(p)^length, which saturates once a set of columns reaches rank
+    length. For a valid code this vector satisfies every constraint of the
+    bound LP, which is the whole reason the LP value is a lower bound on
+    code length.
     """
     gs = instance.messages
     n = gs.n
     if code.matrix and code.n != n:
         raise InputError("code does not match the instance size")
-    ranks = span_ranks(code.p, n, [[_unit(n, i)] for i in range(n)], code.matrix)
+    columns = [[[row[j] for row in code.matrix]] for j in range(n)]
+    cols = span_ranks(code.p, code.length, columns)
+    full = gs.full_mask
+    ranks = [popcount(s) + cols[full ^ s] for s in range(1 << n)]
     return SetVector(gs, {s: r for s, r in enumerate(ranks) if r})
 
 

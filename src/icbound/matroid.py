@@ -178,26 +178,37 @@ def to_index_coding(matroid: Matroid, minimal: bool = True) -> IndexCodingInstan
 
     With minimal=True only inclusion-minimal known sets are kept; the closure
     structure, and hence the LP, is unchanged, the instance is just smaller.
+    The ranks must form a matroid rank function (unit increase and
+    submodularity): then "s spans x" is closed under taking supersets, so a
+    spanning s is minimal exactly when no s minus one element spans x.
     """
     gs = matroid.gs
-    n = gs.n
+    ranks = matroid.ranks
     receivers = []
-    for x in range(n):
+    for x in range(gs.n):
         bit = 1 << x
         rest = gs.full_mask & ~bit
-        sets = []
         s = rest
         while True:
-            if matroid.ranks[s | bit] == matroid.ranks[s]:
-                sets.append(s)
+            if ranks[s | bit] == ranks[s] and not (
+                minimal and _spanned_without_one(ranks, s, bit)
+            ):
+                receivers.append((gs.labels[x], gs.labels_of(s)))
             if s == 0:
                 break
             s = (s - 1) & rest
-        if minimal:
-            sets = [s for s in sets if not any(t != s and t & ~s == 0 for t in sets)]
-        for s in sets:
-            receivers.append((gs.labels[x], gs.labels_of(s)))
     return IndexCodingInstance.from_receivers(gs, receivers)
+
+
+def _spanned_without_one(ranks: Sequence[int], s: int, bit: int) -> bool:
+    """True when s minus some one of its elements still spans bit."""
+    t = s
+    while t:
+        u = s ^ (t & -t)
+        if ranks[u | bit] == ranks[u]:
+            return True
+        t &= t - 1
+    return False
 
 
 def _greedy_independent(matroid: Matroid, inside: int, start: int = 0) -> int:

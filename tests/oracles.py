@@ -238,6 +238,25 @@ def all_rank_functions(n):
     return out
 
 
+def matroid_receivers(ranks, n, minimal=True):
+    """(element, known mask) receivers of a matroid's index coding instance.
+
+    For each element x, every set avoiding x whose rank x does not raise,
+    in descending mask order; with minimal, only the sets that contain no
+    other such set, found by comparing every pair.
+    """
+    out = []
+    for x in range(n):
+        bit = 1 << x
+        sets = [s for s in range((1 << n) - 1, -1, -1)
+                if not s & bit and ranks[s | bit] == ranks[s]]
+        if minimal:
+            sets = [s for s in sets
+                    if not any(t != s and t & ~s == 0 for t in sets)]
+        out += [(x, s) for s in sets]
+    return out
+
+
 # -- dense tightening matrices -------------------------------------------------
 
 

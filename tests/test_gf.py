@@ -131,19 +131,36 @@ def test_mask_from_bits():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_span_ranks_matches_oracle(p):
     rng = random.Random(400 + p)
-    for trial in range(30):
-        n = rng.randint(0, 5)
-        ambient = rng.randint(1, 5)
+    for trial in range(50):
+        if trial < 30:
+            n, ambient, most = rng.randint(0, 5), rng.randint(1, 5), 3
+        else:
+            # small ambient, many generators: most masks extend a parent
+            # basis that already has full rank
+            n, ambient, most = rng.randint(4, 8), rng.randint(1, 3), 2
 
         def vec():
             # entries outside [0, p), negatives too, must reduce exactly
             return [rng.randint(-2 * p, 2 * p) for _ in range(ambient)]
 
-        gens = [[vec() for _ in range(rng.randint(0, 3))] for _ in range(n)]
-        base = [vec() for _ in range(rng.randint(0, 2))] if trial % 2 else []
-        ranks = span_ranks(p, ambient, gens, base)
+        gens = [[vec() for _ in range(rng.randint(0, most))] for _ in range(n)]
+        ranks = span_ranks(p, ambient, gens)
         assert len(ranks) == 1 << n
         for s in range(1 << n):
-            rows = [v[:] for v in base]
-            rows += [v[:] for i in range(n) if s >> i & 1 for v in gens[i]]
-            assert ranks[s] == fp_rank(rows, p), (s, gens, base)
+            rows = [v[:] for i in range(n) if s >> i & 1 for v in gens[i]]
+            assert ranks[s] == fp_rank(rows, p), (s, gens)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_span_ranks_rejects_wrong_length(p):
+    # a vector longer than ambient could push a rank past ambient, and one
+    # shorter is not in GF(p)^ambient; both name the generator
+    with pytest.raises(InputError, match="generator 0 has a vector of length 2"):
+        span_ranks(p, 1, [[[0, 1]], [[0, p - 1]]])
+    with pytest.raises(InputError, match="generator 1 has a vector of length 2"):
+        span_ranks(p, 1, [[[0]], [[0, 1]]])
+    with pytest.raises(InputError, match="generator 0 has a vector of length 1"):
+        span_ranks(p, 2, [[[1]]])
+    with pytest.raises(InputError, match="generator 2"):
+        span_ranks(p, 3, [[], [[1, 0, 0]], [[1, 0, 0], [0, 1]]])
+    assert span_ranks(p, 1, [[[0]], [[1]]]) == [0, 0, 1, 1]

@@ -182,6 +182,29 @@ def test_every_valid_c5_code_entropy_is_lp_feasible():
     assert checked > 30
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_code_entropy_vector_matches_oracle(p):
+    rng = random.Random(600 + p)
+    n = 6
+    inst = cycle_instance(n)
+    codes = [(), ((0,) * n,), ((1,) + (0,) * (n - 1),) * 2]
+    for _ in range(12):
+        rows = [[rng.randrange(p) for _ in range(n)]
+                for _ in range(rng.randint(1, n + 1))]
+        if rng.random() < 0.5:
+            rows.append([(a + 2 * b) % p for a, b in zip(rows[0], rows[-1])])
+        if rng.random() < 0.5:
+            zero = rng.randrange(n)
+            rows = [r[:zero] + [0] + r[zero + 1:] for r in rows]
+        codes.append(tuple(map(tuple, rows)))
+    for rows in codes:
+        z = code_entropy_vector(inst, ScalarLinearCode(p, rows))
+        for s in range(1 << n):
+            units = [[1 if j == i else 0 for j in range(n)]
+                     for i in range(n) if s >> i & 1]
+            assert z.get(s) == oracles.fp_rank([list(r) for r in rows] + units, p)
+
+
 def extend_with_unit(code, column):
     """Add a zero column at the end plus one unit row selecting it."""
     width = code.n + 1

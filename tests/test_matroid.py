@@ -10,7 +10,7 @@ from icbound.groundset import GroundSet, popcount
 from icbound.matroid import (Matroid, fano, nonfano, rank_from_matrix,
                              to_index_coding, uniform_matroid)
 
-from oracles import fp_rank, graphic_rank
+from oracles import all_rank_functions, fp_rank, graphic_rank, matroid_receivers
 
 FANO_COLS = [[int(c) for c in lab] for lab in
              ("100", "010", "001", "110", "101", "011", "111")]
@@ -138,6 +138,34 @@ def test_to_index_coding_receiver_structure():
     assert len(full.receivers) > 49
     for s in range(0, 1 << 7, 3):
         assert inst.closure(s) == full.closure(s)
+
+
+class _ReceiverList:
+    """Stands in for IndexCodingInstance to see the receivers in the order
+    to_index_coding lists them, before the instance sorts them."""
+
+    @staticmethod
+    def from_receivers(gs, pairs):
+        return [(gs.index(want), gs.mask_of(knows)) for want, knows in pairs]
+
+
+def test_to_index_coding_matches_pairwise_filter(monkeypatch):
+    rng = random.Random(23)
+    gs = GroundSet(["a", "b", "c", "d"])
+    matroids = [Matroid(gs, ranks) for ranks in all_rank_functions(4)]
+    for p in (2, 3, 5):
+        for _ in range(6):
+            n = rng.randint(6, 8)
+            height = rng.randint(1, 5)
+            cols = [[rng.randrange(p) for _ in range(height)] for _ in range(n)]
+            matroids.append(rank_from_matrix([f"e{i}" for i in range(n)], cols, p))
+    for m in matroids:
+        for minimal in (True, False):
+            want = matroid_receivers(m.ranks, m.n, minimal)
+            assert to_index_coding(m, minimal).receivers == tuple(sorted(want))
+            with monkeypatch.context() as patch:
+                patch.setattr("icbound.matroid.IndexCodingInstance", _ReceiverList)
+                assert to_index_coding(m, minimal) == want, (m.ranks, minimal)
 
 
 def test_dense_cap():
