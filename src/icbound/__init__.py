@@ -56,11 +56,8 @@ from icbound.tighten import (
 )
 from icbound.lincode import (
     ScalarLinearCode,
-    TableCode,
     code_entropy_vector,
-    concatenate_codes,
     is_valid_code,
-    is_valid_table_code,
     min_scalar_linear_rate,
     underrep_check,
     underrep_to_code,
@@ -114,11 +111,8 @@ __all__ = [
     "tighten_apply",
     "tighten_transpose_apply",
     "ScalarLinearCode",
-    "TableCode",
     "code_entropy_vector",
-    "concatenate_codes",
     "is_valid_code",
-    "is_valid_table_code",
     "min_scalar_linear_rate",
     "underrep_check",
     "underrep_to_code",

@@ -3,8 +3,8 @@
 General GF(p) vectors are int lists, kept incrementally by `EchelonBasis`;
 over GF(2) a vector is a single int bitmask, kept by `Gf2Basis`. The one
 subset-lattice walk, `span_ranks`, uses `Gf2Basis` when p = 2 and
-`EchelonBasis` otherwise. The dense helpers cover rank, null space, and
-inversion for the matroid and code modules.
+`EchelonBasis` otherwise. The dense helpers are rank and null space for
+the code module and inversion for the tightening module.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ __all__ = [
     "rank",
     "nullspace",
     "inverse",
-    "matvec",
     "EchelonBasis",
+    "Gf2Basis",
+    "span_ranks",
 ]
 
 # Characteristics come from input files and the command line; the cap bounds
@@ -81,16 +82,6 @@ def inverse(rows: Sequence[Sequence[int]], p: int) -> List[List[int]]:
     if pivots != list(range(m)):
         raise InputError("matrix is singular, cannot invert")
     return [row[m:] for row in aug]
-
-
-def matvec(rows: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> List[int]:
-    out = []
-    for row in rows:
-        acc = 0
-        for a, b in zip(row, vec):
-            acc += a * b
-        out.append(acc % p)
-    return out
 
 
 class EchelonBasis:
@@ -206,19 +197,6 @@ class Gf2Basis:
             self.add(v)
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    basis = Gf2Basis()
-    basis.extend(rows)
-    return basis.rank
-
-
-def mask_from_bits(bits: Sequence[int]) -> int:
-    mask = 0
-    for b in bits:
-        mask |= 1 << b
-    return mask
-
-
 def _pack_gf2(vec: Sequence[int]) -> int:
     """Bitmask of a GF(2) vector; & 1 reduces any int, negatives too, mod 2."""
     mask = 0
@@ -270,5 +248,3 @@ def span_ranks(
         ranks.append(basis.rank)
     return ranks
 
-
-__all__ += ["Gf2Basis", "gf2_rank", "mask_from_bits", "span_ranks"]

@@ -79,10 +79,6 @@ class IndexCodingInstance:
                 return grown
             current = grown
 
-    def cst(self, s: int, t: int, mode: ClosureMode = ClosureMode.SINGLE_STEP) -> int:
-        """Count of t's messages not decodable from s."""
-        return popcount(t & ~self.closure(s, mode))
-
     def dst(self, s: int, t: int, mode: ClosureMode = ClosureMode.SINGLE_STEP) -> int:
         """Count of t's messages decodable from s without being in s.
 
@@ -92,10 +88,6 @@ class IndexCodingInstance:
             return popcount(t & self.closure(s, mode) & ~s)
         self.messages.check_mask(s)
         return popcount(self._decoded(s, t & ~s & self.messages.full_mask))
-
-    def is_nondegenerate(self) -> bool:
-        """True when every receiver has nonempty side information."""
-        return all(knows for _, knows in self.receivers)
 
     def lex_product(self, other: "IndexCodingInstance") -> "IndexCodingInstance":
         """Lexicographic product: self is the outer factor, other the inner.

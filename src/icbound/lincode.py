@@ -1,4 +1,4 @@
-"""Scalar linear index codes over prime fields, plus tiny table codes.
+"""Scalar linear index codes over prime fields.
 
 A scalar linear code broadcasts the matrix-vector product Qx of the message
 vector; a receiver decodes its wanted message exactly when the wanted unit
@@ -10,18 +10,13 @@ Under-representations of a matroid convert to valid codes for the matroid's
 instance and back by taking null-space bases; that conversion is how the
 length-4 binary code for the seven-message binary-matroid instance is
 produced without any search.
-
-Table codes exist for one purpose: concatenating two scalar linear codes
-into an explicit code for the lexicographic product and checking, receiver
-by receiver and fiber by fiber, that everything still decodes.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from icbound.errors import InputError, ResourceCapError, VerificationError
 from icbound.gf import EchelonBasis, check_prime, nullspace, rank, span_ranks
@@ -38,14 +33,9 @@ __all__ = [
     "underrep_to_code",
     "code_to_underrep",
     "code_entropy_vector",
-    "table_entropy_vector",
-    "TableCode",
-    "is_valid_table_code",
-    "concatenate_codes",
 ]
 
 _SEARCH_CAPS = {2: 5, 3: 4}
-_TABLE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -228,148 +218,3 @@ def code_entropy_vector(
     full = gs.full_mask
     ranks = [popcount(s) + cols[full ^ s] for s in range(1 << n)]
     return SetVector(gs, {s: r for s, r in enumerate(ranks) if r})
-
-
-@dataclass(frozen=True)
-class TableCode:
-    """Explicit encoding table over a small alphabet.
-
-    Inputs are indexed little-endian by message: message i contributes
-    digit (index // sigma^i) mod sigma. Output values are opaque; only
-    equality matters for decodability.
-    """
-
-    sigma: int
-    n: int
-    table: Tuple[object, ...]
-
-    def __post_init__(self):
-        if self.sigma < 1 or self.n < 0:
-            raise InputError("alphabet and message count must be positive")
-        total = self.sigma**self.n
-        if total > _TABLE_CAP:
-            raise ResourceCapError(f"table of {total} entries exceeds {_TABLE_CAP}")
-        if len(self.table) != total:
-            raise InputError(f"table must have exactly {total} entries")
-
-    def digits(self, index: int) -> Tuple[int, ...]:
-        out = []
-        for _ in range(self.n):
-            out.append(index % self.sigma)
-            index //= self.sigma
-        return tuple(out)
-
-
-def is_valid_table_code(instance: IndexCodingInstance, code: TableCode) -> bool:
-    """Fiber test: output plus known coordinates must pin the wanted one."""
-    n = instance.messages.n
-    if code.n != n:
-        raise InputError("table code does not match the instance size")
-    for want, knows in instance.receivers:
-        seen: Dict[tuple, int] = {}
-        for index, out in enumerate(code.table):
-            digits = code.digits(index)
-            key = (out, tuple(digits[i] for i in range(n) if knows >> i & 1))
-            prev = seen.get(key)
-            if prev is None:
-                seen[key] = digits[want]
-            elif prev != digits[want]:
-                return False
-    return True
-
-
-def table_entropy_vector(
-    instance: IndexCodingInstance, code: TableCode
-) -> Dict[int, float]:
-    """Shannon entropies of (output, known part), in message symbols.
-
-    Floating point by necessity; callers compare with a tolerance. Keys are
-    subset masks, like a SetVector's, but the values are binary64.
-    """
-    n = instance.messages.n
-    if code.n != n:
-        raise InputError("table code does not match the instance size")
-    total = len(code.table)
-    log_sigma = math.log2(code.sigma) if code.sigma > 1 else 1.0
-    out: Dict[int, float] = {}
-    for s in range(1 << n):
-        counts: Dict[tuple, int] = {}
-        for index, val in enumerate(code.table):
-            digits = code.digits(index)
-            key = (val, tuple(digits[i] for i in range(n) if s >> i & 1))
-            counts[key] = counts.get(key, 0) + 1
-        h_bits = math.log2(total) - sum(
-            c * math.log2(c) for c in counts.values()
-        ) / total
-        out[s] = h_bits / log_sigma
-    return out
-
-
-def concatenate_codes(
-    inst_g: IndexCodingInstance,
-    inst_f: IndexCodingInstance,
-    code_g: ScalarLinearCode,
-    code_f: ScalarLinearCode,
-) -> TableCode:
-    """Inner-outer concatenation on the lexicographic product, as a table.
-
-    The inner code runs once per outer message on its block; each inner
-    output is carried as base-p_G digits, and the outer code runs once per
-    digit position across blocks. The finished table is checked for every
-    product receiver before being returned.
-    """
-    ng = inst_g.messages.n
-    nf = inst_f.messages.n
-    if code_g.matrix and code_g.n != ng:
-        raise InputError("outer code does not match the first instance")
-    if code_f.matrix and code_f.n != nf:
-        raise InputError("inner code does not match the second instance")
-    if not is_valid_code(inst_g, code_g) or not is_valid_code(inst_f, code_f):
-        raise InputError("both codes must be valid for their instances")
-
-    product = inst_g.lex_product(inst_f)
-    pf, pg = code_f.p, code_g.p
-    inner_range = pf**code_f.length
-    ndigits = 0
-    span = 1
-    while span < inner_range:
-        span *= pg
-        ndigits += 1
-
-    sigma = pf
-    total = sigma ** (ng * nf)
-    if total > _TABLE_CAP:
-        raise ResourceCapError(f"product table of {total} entries exceeds {_TABLE_CAP}")
-
-    table: List[object] = []
-    for index in range(total):
-        digits = []
-        idx = index
-        for _ in range(ng * nf):
-            digits.append(idx % sigma)
-            idx //= sigma
-        inner_digits: List[List[int]] = []
-        for g in range(ng):
-            block = digits[g * nf : (g + 1) * nf]
-            symbols = [
-                sum(q * v for q, v in zip(row, block)) % pf for row in code_f.matrix
-            ]
-            value = 0
-            for sym in reversed(symbols):
-                value = value * pf + sym
-            base_g = []
-            for _ in range(ndigits):
-                base_g.append(value % pg)
-                value //= pg
-            inner_digits.append(base_g)
-        word = []
-        for j in range(ndigits):
-            column = [inner_digits[g][j] for g in range(ng)]
-            for row in code_g.matrix:
-                word.append(sum(q * v for q, v in zip(row, column)) % pg)
-        table.append(tuple(word))
-
-    code = TableCode(sigma, ng * nf, tuple(table))
-    if not is_valid_table_code(product, code):
-        raise VerificationError("concatenated table failed decoding; construction bug")
-    return code

@@ -43,6 +43,19 @@ class Matroid:
     __slots__ = ("gs", "ranks")
 
     def __init__(self, gs: GroundSet, ranks: Sequence[int]):
+        """Raises InputError unless the ranks obey the matroid axioms."""
+        self._set_ranks(gs, ranks)
+        self.check_axioms()
+
+    @classmethod
+    def _unchecked(cls, gs: GroundSet, ranks: Sequence[int]) -> "Matroid":
+        """For ranks that obey the axioms by construction (ranks of matrix
+        columns, min(|S|, k), a matroid plus a loop): skips check_axioms."""
+        m = cls.__new__(cls)
+        m._set_ranks(gs, ranks)
+        return m
+
+    def _set_ranks(self, gs: GroundSet, ranks: Sequence[int]) -> None:
         if gs.n > _MATROID_CAP:
             raise ResourceCapError(
                 f"dense matroid limited to {_MATROID_CAP} elements, got {gs.n}"
@@ -54,9 +67,7 @@ class Matroid:
 
     @classmethod
     def from_rank_function(cls, gs: GroundSet, fn: Callable[[int], int]) -> "Matroid":
-        m = cls(gs, [fn(s) for s in range(1 << gs.n)])
-        m.check_axioms()
-        return m
+        return cls(gs, [fn(s) for s in range(1 << gs.n)])
 
     def rank(self, mask: int) -> int:
         self.gs.check_mask(mask)
@@ -120,7 +131,7 @@ class Matroid:
         gs2 = self.gs.append(label)
         old_full = self.gs.full_mask
         ranks = [self.ranks[s & old_full] for s in range(1 << gs2.n)]
-        return Matroid(gs2, ranks)
+        return Matroid._unchecked(gs2, ranks)
 
     def __eq__(self, other) -> bool:
         return (
@@ -144,7 +155,7 @@ def rank_from_matrix(
     dim = len(columns[0]) if columns else 0
     if any(len(c) != dim for c in columns):
         raise InputError("columns must share a common height")
-    return Matroid(gs, span_ranks(p, dim, [[c] for c in columns]))
+    return Matroid._unchecked(gs, span_ranks(p, dim, [[c] for c in columns]))
 
 
 def uniform_matroid(k: int, n: int) -> Matroid:
@@ -152,7 +163,7 @@ def uniform_matroid(k: int, n: int) -> Matroid:
     if not 0 <= k <= n:
         raise InputError(f"uniform matroid needs 0 <= k <= n, got {k}, {n}")
     gs = GroundSet(tuple(f"e{i + 1}" for i in range(n)))
-    return Matroid(gs, [min(popcount(s), k) for s in range(1 << n)])
+    return Matroid._unchecked(gs, [min(popcount(s), k) for s in range(1 << n)])
 
 
 _FANO_LABELS = ("100", "010", "001", "110", "101", "011", "111")
@@ -178,8 +189,8 @@ def to_index_coding(matroid: Matroid, minimal: bool = True) -> IndexCodingInstan
 
     With minimal=True only inclusion-minimal known sets are kept; the closure
     structure, and hence the LP, is unchanged, the instance is just smaller.
-    The ranks must form a matroid rank function (unit increase and
-    submodularity): then "s spans x" is closed under taking supersets, so a
+    Matroid ranks obey unit increase and submodularity (the constructor
+    checks them), so "s spans x" is closed under taking supersets and a
     spanning s is minimal exactly when no s minus one element spans x.
     """
     gs = matroid.gs

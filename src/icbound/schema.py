@@ -1,24 +1,25 @@
 """Constraint schemas: reusable families of valid rows for the bound LP.
 
 A schema assigns to every ground set a family of row vectors over its subset
-lattice. Rows carry structured ids so that a dual solution can be mapped
-along a lattice homomorphism without re-deriving anything: pushing a row id
-forward and taking its vector must equal pushing the vector forward. That
-commuting square is what `check_homomorphic` exercises, and it is the whole
-reason combined certificates verify on product instances.
+lattice, through three methods: `rows`, `row_vector` and `pushforward_row`.
+Rows carry structured ids so that a dual solution can be mapped along a
+lattice homomorphism without re-deriving anything: pushing a row id forward
+and taking its vector must equal pushing the vector forward. That commuting
+square is the whole reason combined certificates verify on product
+instances.
 
 Tightness (every row orthogonal to the all-ones vector and to every
 indicator-sum vector) is what pins the LP's scale multiplier to 1; schemas
-built here are tight by construction and `check_tight` re-checks it.
+built here are tight by construction. The commuting-square and tightness
+checks live with the test suite, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from icbound.errors import InputError, ResourceCapError
+from icbound.errors import InputError
 from icbound.groundset import GroundSet, LatticeHom, SetVector
 
 __all__ = [
@@ -29,10 +30,7 @@ __all__ = [
     "SubmodSchema",
     "HomExtSchema",
     "UnionSchema",
-    "enumerate_homs",
 ]
-
-_HOM_ENUM_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -60,32 +58,6 @@ class SideRow:
 
 
 SchemaRow = Union[SubmodRow, HomExtRow, SideRow]
-
-
-def enumerate_homs(domain: GroundSet, codomain: GroundSet) -> Iterator[LatticeHom]:
-    """All lattice homomorphisms 2^domain -> 2^codomain in canonical form.
-
-    Each codomain element is independently unused, added to the base, or
-    assigned to exactly one domain atom, so there are (n_dom + 2)^n_cod homs.
-    """
-    nd = domain.n
-    nc = codomain.n
-    total = (nd + 2) ** nc
-    if total > _HOM_ENUM_CAP:
-        raise ResourceCapError(
-            f"hom enumeration would produce {total} maps (cap {_HOM_ENUM_CAP})"
-        )
-    for assignment in itertools.product(range(nd + 2), repeat=nc):
-        base = 0
-        atoms = [0] * nd
-        for elem, code in enumerate(assignment):
-            if code == 0:
-                continue
-            if code == 1:
-                base |= 1 << elem
-            else:
-                atoms[code - 2] |= 1 << elem
-        yield LatticeHom(domain, codomain, base, tuple(atoms))
 
 
 class SubmodSchema:
@@ -124,26 +96,6 @@ class SubmodSchema:
         if not isinstance(row, SubmodRow):
             raise InputError(f"row {row!r} does not belong to schema {self.name}")
         return SubmodRow(hom.apply(row.s), hom.apply(row.t))
-
-    def check_tight(self, gs: GroundSet) -> bool:
-        for row in self.rows(gs):
-            vec = self.row_vector(row, gs)
-            if vec.mass() != 0:
-                return False
-            for i in range(gs.n):
-                if vec.atom_mass(i) != 0:
-                    return False
-        return True
-
-    def check_homomorphic(self, hom: LatticeHom) -> bool:
-        dom = hom.domain
-        for s in dom.subsets():
-            for t in dom.subsets():
-                vec = self.row_vector(SubmodRow(s, t), dom)
-                pushed_row = self.pushforward_row(hom, SubmodRow(s, t))
-                if vec.pushforward(hom) != self.row_vector(pushed_row, hom.codomain):
-                    return False
-        return True
 
 
 class HomExtSchema:
@@ -212,23 +164,6 @@ class HomExtSchema:
             raise InputError(f"row {row!r} does not belong to schema {self.name}")
         return HomExtRow(self.name, hom.compose(row.hom))
 
-    def check_tight(self, gs: GroundSet) -> bool:
-        if self.alpha.mass() != 0:
-            return False
-        for i in range(self.generator.n):
-            if self.alpha.atom_mass(i) != 0:
-                return False
-        return True
-
-    def check_homomorphic(self, hom: LatticeHom) -> bool:
-        for q in enumerate_homs(self.generator, hom.domain):
-            row = HomExtRow(self.name, q)
-            vec = self.row_vector(row, hom.domain)
-            pushed = self.pushforward_row(hom, row)
-            if vec.pushforward(hom) != self.row_vector(pushed, hom.codomain):
-                return False
-        return True
-
 
 class UnionSchema:
     """Disjoint union of two schemas; rows are tagged with their side."""
@@ -255,9 +190,3 @@ class UnionSchema:
     def pushforward_row(self, hom: LatticeHom, row: SchemaRow) -> SchemaRow:
         part = self._part(row)
         return SideRow(row.side, part.pushforward_row(hom, row.inner))
-
-    def check_tight(self, gs: GroundSet) -> bool:
-        return self.left.check_tight(gs) and self.right.check_tight(gs)
-
-    def check_homomorphic(self, hom: LatticeHom) -> bool:
-        return self.left.check_homomorphic(hom) and self.right.check_homomorphic(hom)

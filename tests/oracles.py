@@ -3,11 +3,16 @@
 Everything here is written straight from the definitions and shares no code
 with the package: fractions.Fraction imported directly, its own closure and
 rank routines, Fourier-Motzkin instead of simplex, dense matrices where
-the package keeps sparse maps. Slow is fine; these only run on tiny inputs.
+the package keeps sparse maps. The schema checks are the one exception:
+they drive a schema through its own methods on row ids built here. Slow is
+fine; these only run on tiny inputs.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+
+from icbound.groundset import LatticeHom
+from icbound.schema import HomExtRow, HomExtSchema, SubmodRow, UnionSchema
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -343,6 +348,53 @@ def role_maps(nd, nc):
             elif role <= nd:
                 images[role - 1] |= 1 << bit
         yield base, tuple(images)
+
+
+# -- the two schema lemmas -----------------------------------------------------
+
+
+def schema_is_tight(schema, gs):
+    """Every row sums to zero, over all subsets and over those holding any atom.
+
+    A HomExt schema's rows are pushforwards of alpha, so it is tight when
+    alpha is: checked over the generator, drop label included.
+    """
+    if isinstance(schema, UnionSchema):
+        return schema_is_tight(schema.left, gs) and schema_is_tight(schema.right, gs)
+    if isinstance(schema, HomExtSchema):
+        gs, vecs = schema.generator, [schema.alpha]
+    else:
+        vecs = [schema.row_vector(row, gs) for row in schema.rows(gs)]
+    for vec in vecs:
+        items = list(vec.items())
+        if sum(v for _, v in items) != 0:
+            return False
+        for i in range(gs.n):
+            if sum(v for s, v in items if s >> i & 1) != 0:
+                return False
+    return True
+
+
+def pushforward_commutes(schema, hom):
+    """row_vector then pushforward equals pushforward_row then row_vector.
+
+    Checked on every row id over hom's domain: each pair of subsets for
+    submodularity, each hom from the generator for a HomExt schema. A union
+    is checked side by side.
+    """
+    if isinstance(schema, UnionSchema):
+        return (pushforward_commutes(schema.left, hom)
+                and pushforward_commutes(schema.right, hom))
+    dom, cod = hom.domain, hom.codomain
+    if isinstance(schema, HomExtSchema):
+        gen = schema.generator
+        ids = [HomExtRow(schema.name, LatticeHom(gen, dom, base, images))
+               for base, images in role_maps(gen.n, dom.n)]
+    else:
+        ids = [SubmodRow(s, t) for s in range(1 << dom.n) for t in range(1 << dom.n)]
+    return all(schema.row_vector(row, dom).pushforward(hom)
+               == schema.row_vector(schema.pushforward_row(hom, row), cod)
+               for row in ids)
 
 
 # -- primal feasibility of an entropy-style vector ------------------------------

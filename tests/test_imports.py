@@ -1,12 +1,17 @@
-"""Every name a module of the package imports is used by that module.
+"""Every name a module of the package imports is used by that module, and
+every name it exports is bound.
 
-No linter ships with the package, so this scan is the check: it parses each
-module with the standard library's ast and fails on an imported name that
-the module never reads. Names listed in __all__ count as used (they are
-re-exported), and so does `from __future__ import annotations`.
+No linter ships with the package, so these scans are the check. The first
+parses each module with the standard library's ast and fails on an imported
+name that the module never reads. Names listed in __all__ count as used
+(they are re-exported), and so does `from __future__ import annotations`.
+The second imports each module and fails on a name in its __all__ that the
+module does not bind, as a deleted function left in __all__ would be.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import icbound
@@ -70,3 +75,22 @@ def test_scan_sees_unused_and_used_names():
         "    return sys.argv\n"
     )
     assert unused_imports(tree) == [(2, "os"), (3, "Tuple")]
+
+
+def unbound_exports(module):
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_all_names_are_bound():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "icbound" if path.stem == "__init__" else f"icbound.{path.stem}"
+        module = importlib.import_module(name)
+        found += [f"{name}: {n}" for n in unbound_exports(module)]
+    assert not found, "names in __all__ that are not bound:\n" + "\n".join(found)
+
+
+def test_export_check_sees_missing_name():
+    module = types.ModuleType("m")
+    exec("def kept(): pass\n__all__ = ['kept', 'deleted']\n", module.__dict__)
+    assert unbound_exports(module) == ["deleted"]

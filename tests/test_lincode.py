@@ -1,5 +1,5 @@
 """Scalar linear codes: validity, minimum-length search, matroid duality,
-entropy vectors, and table-code concatenation."""
+and entropy vectors."""
 
 import random
 from fractions import Fraction
@@ -10,11 +10,9 @@ from icbound.errors import InputError, ResourceCapError
 from icbound.gf import rank
 from icbound.groundset import GroundSet
 from icbound.instance import IndexCodingInstance, cycle_instance, from_graph
-from icbound.lincode import (ScalarLinearCode, TableCode, code_entropy_vector,
-                             code_to_underrep, concatenate_codes,
-                             identity_code, is_valid_code,
-                             is_valid_table_code, min_scalar_linear_rate,
-                             table_entropy_vector, underrep_check,
+from icbound.lincode import (ScalarLinearCode, code_entropy_vector,
+                             code_to_underrep, identity_code, is_valid_code,
+                             min_scalar_linear_rate, underrep_check,
                              underrep_to_code)
 from icbound.matroid import (_FANO_LABELS, Matroid, fano, nonfano,
                              to_index_coding)
@@ -25,7 +23,6 @@ import oracles
 
 C5 = cycle_instance(5)
 K2 = from_graph([1, 2], [(1, 2)])
-P3 = from_graph([1, 2, 3], [(1, 2), (2, 3)])
 
 # rows of the representing matrix: coordinate i of every label
 FANO_ROWS = tuple(
@@ -236,55 +233,6 @@ def test_characteristic_schema_rows_on_code_entropy():
         for code in codes:
             z = code_entropy_vector(inst, code)
             assert vec.dot(z) >= rat(0), (parity, code.matrix)
-
-
-def test_table_code_basics():
-    xor = TableCode(2, 2, (0, 1, 1, 0))
-    assert xor.digits(2) == (0, 1)
-    assert is_valid_table_code(K2, xor)
-    assert not is_valid_table_code(from_graph([1, 2], []), xor)
-    h = table_entropy_vector(K2, xor)
-    assert h[0] == pytest.approx(1.0)
-    assert h[1] == pytest.approx(2.0)
-    assert h[2] == pytest.approx(2.0)
-    assert h[3] == pytest.approx(2.0)
-    with pytest.raises(InputError):
-        TableCode(2, 2, (0, 1, 1))
-    with pytest.raises(ResourceCapError):
-        TableCode(2, 21, ())
-    with pytest.raises(InputError):
-        is_valid_table_code(C5, xor)
-
-
-def test_concatenation_on_cycle_times_edge():
-    table = concatenate_codes(C5, K2, C5_CODE, ScalarLinearCode(2, ((1, 1),)))
-    assert table.sigma == 2 and table.n == 10
-    assert len(table.table) == 1 << 10
-    # three outer symbols carry one inner symbol each
-    assert all(len(word) == 3 for word in table.table)
-
-
-def test_concatenation_entropies_small_product():
-    p3_code = ScalarLinearCode(2, ((1, 1, 0), (0, 1, 1)))
-    assert is_valid_code(P3, p3_code)
-    table = concatenate_codes(P3, K2, p3_code, ScalarLinearCode(2, ((1, 1),)))
-    product = P3.lex_product(K2)
-    h = table_entropy_vector(product, table)
-    assert h[0] <= 2.0 + 1e-9
-    assert h[product.messages.full_mask] == pytest.approx(6.0)
-    for want, knows in product.receivers:
-        assert h[knows | 1 << want] == pytest.approx(h[knows])
-
-
-def test_concatenation_guards():
-    one = ScalarLinearCode(2, ((1, 1),))
-    with pytest.raises(ResourceCapError):
-        concatenate_codes(C5, C5, C5_CODE, C5_CODE)  # 2^25 table entries
-    with pytest.raises(InputError):
-        concatenate_codes(C5, K2, C5_CODE, ScalarLinearCode(2, ((1, 0, 0),)))
-    broken = ScalarLinearCode(2, ((1, 0),))  # K2 receivers cannot decode
-    with pytest.raises(InputError):
-        concatenate_codes(C5, K2, C5_CODE, broken)
 
 
 def test_entropy_vector_free_instance():

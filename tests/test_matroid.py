@@ -53,12 +53,19 @@ def test_rank_invariant_under_row_operations():
 def test_axioms_reject_bad_vectors():
     gs = GroundSet(["a", "b"])
     with pytest.raises(InputError):
-        Matroid(gs, [1, 1, 1, 2]).check_axioms()  # r(empty) != 0
+        Matroid(gs, [1, 1, 1, 2])  # r(empty) != 0
     with pytest.raises(InputError):
-        Matroid(gs, [0, 2, 1, 2]).check_axioms()  # rank jump of 2
+        Matroid(gs, [0, 2, 1, 2])  # rank jump of 2
     with pytest.raises(InputError):
         # steps are all 0 or 1, yet two loops cannot span anything
-        Matroid(gs, [0, 0, 0, 1]).check_axioms()
+        Matroid(gs, [0, 0, 0, 1])
+
+
+def test_constructor_rejects_rank_drop():
+    # r({a, c}) = 1 > r({a, b, c}) = 0; accepted, these ranks would make
+    # to_index_coding keep receiver (c, {a, b}) though the empty set spans c
+    with pytest.raises(InputError):
+        Matroid(GroundSet(["a", "b", "c"]), [0, 0, 0, 0, 0, 1, 1, 0])
 
 
 def test_from_rank_function_checks_axioms():

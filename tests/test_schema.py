@@ -9,11 +9,12 @@ from icbound.gf import Gf2Basis
 from icbound.groundset import GroundSet, LatticeHom, SetVector, bit_indices
 from icbound.rational import rat
 from icbound.schema import (HomExtRow, HomExtSchema, SideRow, SubmodRow,
-                            SubmodSchema, UnionSchema, enumerate_homs)
+                            SubmodSchema)
 from icbound.tighten import (dimension_vector, fano_alpha, fano_schema,
                              random_subspace_tuple, schema_with_submod)
 
-from oracles import all_rank_functions
+from oracles import (all_rank_functions, pushforward_commutes, role_maps,
+                     schema_is_tight)
 
 R0 = rat(0)
 R1 = rat(1)
@@ -24,6 +25,11 @@ GS4 = GroundSet(["a", "b", "c", "d"])
 
 def unit(gs, mask):
     return SetVector.unit(gs, mask)
+
+
+def all_homs(dom, cod):
+    return [LatticeHom(dom, cod, base, images)
+            for base, images in role_maps(dom.n, cod.n)]
 
 
 def small_homext():
@@ -70,24 +76,24 @@ def test_elemental_rows_valid_on_all_small_matroids():
 
 
 def test_check_tight():
-    assert SubmodSchema().check_tight(GS4)
-    assert fano_schema("even").check_tight(fano_alpha("even").gs)
-    assert fano_schema("odd").check_tight(fano_alpha("odd").gs)
+    assert schema_is_tight(SubmodSchema(), GS4)
+    assert schema_is_tight(fano_schema("even"), fano_alpha("even").gs)
+    assert schema_is_tight(fano_schema("odd"), fano_alpha("odd").gs)
     gen = GroundSet(["u", "v"])
     lone = HomExtSchema("lone", gen, unit(gen, 0b01), "v")
-    assert not lone.check_tight(gen)
+    assert not schema_is_tight(lone, gen)
 
 
 def test_submod_homomorphic_exhaustive():
     schema = SubmodSchema()
-    for hom in enumerate_homs(GS3, GS4):
-        assert schema.check_homomorphic(hom)
+    for hom in all_homs(GS3, GS4):
+        assert pushforward_commutes(schema, hom)
 
 
 def test_homext_homomorphic_exhaustive():
     schema = small_homext()
-    for hom in enumerate_homs(GS3, GS4):
-        assert schema.check_homomorphic(hom)
+    for hom in all_homs(GS3, GS4):
+        assert pushforward_commutes(schema, hom)
 
 
 def test_corrupted_pushforward_detected():
@@ -96,7 +102,7 @@ def test_corrupted_pushforward_detected():
             return SubmodRow(0, hom.codomain.full_mask)  # always degenerate
 
     hom = LatticeHom.from_labels(GS3, GS4, (), {"a": ("a",), "b": ("b", "c")})
-    assert not Broken().check_homomorphic(hom)
+    assert not pushforward_commutes(Broken(), hom)
 
 
 def test_union_schema_structure():
@@ -112,7 +118,7 @@ def test_union_schema_structure():
     assert len(rights) == 1  # identity policy embeds the generator once
     vec = union.row_vector(rights[0], fgs)
     assert vec == fano_schema("even").row_vector(rights[0].inner, fgs)
-    assert union.check_tight(fgs)
+    assert schema_is_tight(union, fgs)
     with pytest.raises(InputError):
         union.row_vector(SubmodRow(1, 2), fgs)  # untagged row is foreign
 
@@ -231,11 +237,6 @@ def test_homext_rows_valid_via_subspace_construction():
 
 
 def test_enumerate_homs_count_and_canonical():
-    gs2 = GroundSet(["x", "y"])
-    homs = list(enumerate_homs(gs2, GS3))
+    homs = all_homs(GroundSet(["x", "y"]), GS3)
     assert len(homs) == (2 + 2) ** 3
     assert len({h.key() for h in homs}) == len(homs)
-    from icbound.errors import ResourceCapError
-    big = GroundSet([str(i) for i in range(12)])
-    with pytest.raises(ResourceCapError):
-        list(enumerate_homs(big, big))
