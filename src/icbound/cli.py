@@ -9,6 +9,7 @@ as an installed smoke test.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -262,7 +263,10 @@ def _cmd_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first call of main and reused by later calls in the
+    process; parse_args reads the parser and returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="icb",
         description="Exact lower bounds on the index-coding broadcast rate.",

@@ -5,6 +5,13 @@ mask corresponding to label i in ground-set order. Ints are arbitrary width,
 so ground sets well beyond 64 elements (e.g. three-fold lexicographic powers
 on 125 messages) work unchanged; only *dense* enumeration of all 2^n subsets
 is gated, by DENSE_CAP.
+
+A SetVector is validated once, where its entries come from outside the
+package: the public constructor checks every mask against the ground set,
+coerces every value with `rat` and merges duplicate masks. Vectors the
+package builds itself (sums, scalings, pushforwards, rank and dimension
+vectors, submodular rows) already satisfy those invariants by construction
+and are wrapped by `SetVector._from_clean` without a second pass.
 """
 
 from __future__ import annotations
@@ -28,16 +35,6 @@ def bit_indices(mask: int) -> Iterator[int]:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of mask, standard descending-submask walk plus 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 class GroundSet:
@@ -132,6 +129,23 @@ class SetVector:
         self._data = clean
 
     @classmethod
+    def _from_clean(cls, gs: GroundSet, data: dict) -> "SetVector":
+        """Wrap data as it is, without checks. The caller guarantees that
+        every mask fits gs, every value is a nonzero Fraction, and the dict
+        belongs to the new vector (nothing else keeps or changes it)."""
+        out = cls.__new__(cls)
+        out.gs = gs
+        out._data = data
+        return out
+
+    @classmethod
+    def _from_ranks(cls, gs: GroundSet, ranks) -> "SetVector":
+        """The vector of a dense list of 2^n nonnegative integer ranks; the
+        values are shared Fractions from one table, zeros are dropped."""
+        table = [Rational(k) for k in range(max(ranks, default=0) + 1)]
+        return cls._from_clean(gs, {s: table[r] for s, r in enumerate(ranks) if r})
+
+    @classmethod
     def zero(cls, gs: GroundSet) -> "SetVector":
         return cls(gs)
 
@@ -144,9 +158,6 @@ class SetVector:
 
     def items(self):
         return self._data.items()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._data))
 
     def __len__(self) -> int:
         return len(self._data)
@@ -163,19 +174,15 @@ class SetVector:
                 data[mask] = new
             else:
                 data.pop(mask, None)
-        out = SetVector(self.gs)
-        out._data = data
-        return out
+        return SetVector._from_clean(self.gs, data)
 
     def __sub__(self, other: "SetVector") -> "SetVector":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "SetVector":
         f = rat(factor)
-        out = SetVector(self.gs)
-        if f:
-            out._data = {mask: f * v for mask, v in self._data.items()}
-        return out
+        data = {mask: f * v for mask, v in self._data.items()} if f else {}
+        return SetVector._from_clean(self.gs, data)
 
     def dot(self, other: "SetVector") -> Rational:
         self._check_mate(other)
@@ -215,9 +222,7 @@ class SetVector:
                 data[img] = new
             else:
                 data.pop(img, None)
-        out = SetVector(hom.codomain)
-        out._data = data
-        return out
+        return SetVector._from_clean(hom.codomain, data)
 
     def _check_mate(self, other: "SetVector"):
         if not isinstance(other, SetVector) or other.gs != self.gs:
@@ -262,10 +267,6 @@ class LatticeHom:
                 raise InputError("atom images must be disjoint from each "
                                  "other and from the base")
             seen |= img
-
-    @classmethod
-    def identity(cls, gs: GroundSet) -> "LatticeHom":
-        return cls(gs, gs, 0, tuple(1 << i for i in range(gs.n)))
 
     @classmethod
     def from_labels(cls, domain: GroundSet, codomain: GroundSet,

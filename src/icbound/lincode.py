@@ -6,8 +6,8 @@ vector lies in the span of Q's rows and the known coordinates' unit vectors.
 Minimum-length search enumerates row spaces in reduced echelon form, which
 is what keeps the tiny search spaces honest (one candidate per subspace).
 
-Under-representations of a matroid convert to valid codes for the matroid's
-instance and back by taking null-space bases; that conversion is how the
+An under-representation of a matroid converts to a valid code for the
+matroid's instance by taking a null-space basis; that conversion is how the
 length-4 binary code for the seven-message binary-matroid instance is
 produced without any search.
 """
@@ -26,12 +26,10 @@ from icbound.matroid import Matroid, to_index_coding
 
 __all__ = [
     "ScalarLinearCode",
-    "identity_code",
     "is_valid_code",
     "min_scalar_linear_rate",
     "underrep_check",
     "underrep_to_code",
-    "code_to_underrep",
     "code_entropy_vector",
 ]
 
@@ -63,14 +61,6 @@ class ScalarLinearCode:
     @property
     def n(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
-
-    def row_rank(self) -> int:
-        return rank([list(r) for r in self.matrix], self.p)
-
-
-def identity_code(p: int, n: int) -> ScalarLinearCode:
-    rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return ScalarLinearCode(p, rows)
 
 
 def _unit(n: int, i: int) -> List[int]:
@@ -146,8 +136,17 @@ def min_scalar_linear_rate(
 def underrep_check(matroid: Matroid, rows: Sequence[Sequence[int]], p: int) -> bool:
     """Independent rows whose column dependencies cover the matroid's.
 
-    Whenever an element's rank is already carried by a set, the element's
-    column must lie in that set's column span.
+    Whenever an element x lies in the matroid closure of a set s, x's column
+    must lie in the span of s's columns. Only sets s independent in the
+    matroid M (rank equal to size) are tested, which is exact:
+
+    - every s has a basis I inside it with cl_M(I) = cl_M(s), so x in
+      cl_M(s) puts x in cl_M(I);
+    - the test at I puts x in cl_N(I), the closure in the column matroid N,
+      and cl_N(I) lies inside cl_N(s).
+
+    Both steps need matroid ranks, which every Matroid has: its constructor
+    runs check_axioms, and the unchecked builds are matroids by construction.
     """
     check_prime(p)
     n = matroid.gs.n
@@ -158,12 +157,13 @@ def underrep_check(matroid: Matroid, rows: Sequence[Sequence[int]], p: int) -> b
     if rank([list(r) for r in rows], p) != d:
         return False
     span = span_ranks(p, d, [[[row[j] for row in rows]] for j in range(n)])
-    for s in range(1 << n):
-        for x in range(n):
-            bit = 1 << x
-            if s & bit:
-                continue
-            if matroid.ranks[s | bit] == matroid.ranks[s] and span[s | bit] != span[s]:
+    ranks = matroid.ranks
+    bits = [1 << x for x in range(n)]
+    for s, r in enumerate(ranks):
+        if r != popcount(s):
+            continue
+        for bit in bits:
+            if not s & bit and ranks[s | bit] == r and span[s | bit] != span[s]:
                 return False
     return True
 
@@ -180,21 +180,6 @@ def underrep_to_code(
     if not is_valid_code(to_index_coding(matroid), code):
         raise VerificationError("null-space code failed validity; construction bug")
     return code
-
-
-def code_to_underrep(matroid: Matroid, code: ScalarLinearCode) -> List[List[int]]:
-    """Null-space basis of a valid full-row-rank code, as an under-representation."""
-    n = matroid.gs.n
-    if code.n != n:
-        raise InputError("code size does not match the matroid")
-    if code.row_rank() != code.length:
-        raise InputError("code matrix must have full row rank")
-    if not is_valid_code(to_index_coding(matroid), code):
-        raise InputError("code is not valid for the matroid's instance")
-    rows = nullspace([list(r) for r in code.matrix], code.p, n)
-    if not underrep_check(matroid, rows, code.p):
-        raise VerificationError("null space fails the under-representation check")
-    return rows
 
 
 def code_entropy_vector(
@@ -216,5 +201,4 @@ def code_entropy_vector(
     columns = [[[row[j] for row in code.matrix]] for j in range(n)]
     cols = span_ranks(code.p, code.length, columns)
     full = gs.full_mask
-    ranks = [popcount(s) + cols[full ^ s] for s in range(1 << n)]
-    return SetVector(gs, {s: r for s, r in enumerate(ranks) if r})
+    return SetVector._from_ranks(gs, [popcount(s) + cols[full ^ s] for s in range(1 << n)])

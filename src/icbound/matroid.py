@@ -15,12 +15,12 @@ verifier as everything else.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from icbound.certificate import DualCertificate
 from icbound.errors import InputError, ResourceCapError
 from icbound.gf import check_prime, span_ranks
-from icbound.groundset import GroundSet, SetVector, popcount
+from icbound.groundset import GroundSet, popcount
 from icbound.instance import ClosureMode, IndexCodingInstance
 from icbound.rational import ONE, ZERO, Rational, rat
 
@@ -50,7 +50,7 @@ class Matroid:
     @classmethod
     def _unchecked(cls, gs: GroundSet, ranks: Sequence[int]) -> "Matroid":
         """For ranks that obey the axioms by construction (ranks of matrix
-        columns, min(|S|, k), a matroid plus a loop): skips check_axioms."""
+        columns, min(|S|, k)): skips check_axioms."""
         m = cls.__new__(cls)
         m._set_ranks(gs, ranks)
         return m
@@ -64,10 +64,6 @@ class Matroid:
             raise InputError("rank vector length must be 2^n")
         self.gs = gs
         self.ranks = tuple(int(r) for r in ranks)
-
-    @classmethod
-    def from_rank_function(cls, gs: GroundSet, fn: Callable[[int], int]) -> "Matroid":
-        return cls(gs, [fn(s) for s in range(1 << gs.n)])
 
     def rank(self, mask: int) -> int:
         self.gs.check_mask(mask)
@@ -116,22 +112,6 @@ class Matroid:
             if not (mask & bit) and self.ranks[mask | bit] == base:
                 out |= bit
         return out
-
-    def rank_vector(self) -> SetVector:
-        return SetVector(self.gs, {s: rat(r) for s, r in enumerate(self.ranks) if r})
-
-    def basis_intersection_empty(self) -> bool:
-        """True when no element lies in every basis, i.e. there are no coloops."""
-        full = self.gs.full_mask
-        top = self.full_rank
-        return all(self.ranks[full & ~(1 << i)] == top for i in range(self.gs.n))
-
-    def adjoin_zero(self, label: object = "e") -> "Matroid":
-        """The same matroid with an extra rank-zero element appended."""
-        gs2 = self.gs.append(label)
-        old_full = self.gs.full_mask
-        ranks = [self.ranks[s & old_full] for s in range(1 << gs2.n)]
-        return Matroid._unchecked(gs2, ranks)
 
     def __eq__(self, other) -> bool:
         return (

@@ -17,6 +17,7 @@ BACKEND = "fractions"
 
 ZERO = Rational(0)
 ONE = Rational(1)
+MINUS_ONE = Rational(-1)
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

@@ -21,6 +21,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from icbound.errors import InputError
 from icbound.groundset import GroundSet, LatticeHom, SetVector
+from icbound.rational import MINUS_ONE, ONE
 
 __all__ = [
     "SubmodRow",
@@ -89,7 +90,8 @@ class SubmodSchema:
         gs.check_mask(s)
         gs.check_mask(t)
         if s & ~t and t & ~s:  # the four masks are then distinct
-            return SetVector(gs, {s: 1, t: 1, s | t: -1, s & t: -1})
+            return SetVector._from_clean(
+                gs, {s: ONE, t: ONE, s | t: MINUS_ONE, s & t: MINUS_ONE})
         return SetVector.zero(gs)
 
     def pushforward_row(self, hom: LatticeHom, row: SchemaRow) -> SchemaRow:

@@ -281,8 +281,7 @@ def dimension_vector(tup: SubspaceTuple, gs: Optional[GroundSet] = None) -> SetV
         gs = GroundSet(tuple(str(i) for i in range(tup.count)))
     if gs.n != tup.count:
         raise InputError("ground set size does not match the tuple")
-    dims = span_ranks(tup.p, tup.ambient, tup.spaces)
-    return SetVector(gs, {s: d for s, d in enumerate(dims) if d})
+    return SetVector._from_ranks(gs, span_ranks(tup.p, tup.ambient, tup.spaces))
 
 
 def random_subspace_tuple(

@@ -3,15 +3,16 @@
 Everything here is written straight from the definitions and shares no code
 with the package: fractions.Fraction imported directly, its own closure and
 rank routines, Fourier-Motzkin instead of simplex, dense matrices where
-the package keeps sparse maps. The schema checks are the one exception:
-they drive a schema through its own methods on row ids built here. Slow is
-fine; these only run on tiny inputs.
+the package keeps sparse maps. Two exceptions: the schema checks drive a
+schema through its own methods on row ids built here, and adjoin_zero
+builds a package Matroid. Slow is fine; these only run on tiny inputs.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from icbound.groundset import LatticeHom
+from icbound.matroid import Matroid
 from icbound.schema import HomExtRow, HomExtSchema, SubmodRow, UnionSchema
 
 F0 = Fraction(0)
@@ -260,6 +261,30 @@ def matroid_receivers(ranks, n, minimal=True):
                     if not any(t != s and t & ~s == 0 for t in sets)]
         out += [(x, s) for s in sets]
     return out
+
+
+def adjoin_zero(matroid, label="e"):
+    """The same matroid with a rank-zero element appended as the last label."""
+    gs = matroid.gs.append(label)
+    old_full = matroid.gs.full_mask
+    return Matroid(gs, [matroid.ranks[s & old_full] for s in range(1 << gs.n)])
+
+
+def underrep_holds(ranks, n, rows, p):
+    """The rows under-represent the matroid with these ranks, by definition:
+    they are independent, and for every set S and element x outside it, x in
+    the matroid closure of S puts x's column in the span of S's columns.
+    Every (S, x) pair is tested."""
+    if fp_rank(rows, p) != len(rows):
+        return False
+    span = [fp_rank([[row[j] for j in range(n) if s >> j & 1] for row in rows], p)
+            for s in range(1 << n)]
+    for s in range(1 << n):
+        for x in range(n):
+            bit = 1 << x
+            if not s & bit and ranks[s | bit] == ranks[s] and span[s | bit] != span[s]:
+                return False
+    return True
 
 
 # -- dense tightening matrices -------------------------------------------------

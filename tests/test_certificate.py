@@ -1,6 +1,5 @@
 """Dual certificates: verification, tampering, combination, matroid rows."""
 
-import itertools
 import random
 
 import pytest
@@ -9,13 +8,13 @@ from icbound.certificate import (DualCertificate, c5_certificate,
                                  certificate_from_solution,
                                  combine_certificates, verify_certificate)
 from icbound.errors import CertificateInvalid, InputError
-from icbound.groundset import GroundSet
+from icbound.groundset import GroundSet, SetVector
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               from_graph)
 from icbound.lp import bound_b, bound_with_schema, build_problem, solve_problem
 from icbound.matroid import addineq_certificate, fano, nonfano, to_index_coding
-from icbound.rational import ONE, ZERO, rat
-from icbound.schema import HomExtRow, SubmodRow, SubmodSchema
+from icbound.rational import ONE, rat
+from icbound.schema import SubmodRow, SubmodSchema
 from icbound.tighten import fano_schema, schema_with_submod
 
 SUBMOD = SubmodSchema()
@@ -176,7 +175,7 @@ def test_addineq_certificates_exact_values():
         assert value == frozen
         # excess over the submodular optimum is exactly (-a.r)/scale
         a = schema.row_vector(tagged, matroid.gs)
-        deficit = a.dot(matroid.rank_vector())
+        deficit = a.dot(SetVector(matroid.gs, enumerate(matroid.ranks)))
         assert deficit == rat(-1)
         n_minus_r = rat(matroid.n - matroid.full_rank)
         assert value == n_minus_r + (-deficit) / scale

@@ -4,13 +4,12 @@ import contextlib
 import io
 import json
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from icbound.certificate import c5_certificate
-from icbound.cli import main
+from icbound.cli import _build_parser, main
 from icbound.errors import InputError
 from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
                              certificate_to_json, code_from_json,
@@ -232,6 +231,24 @@ def test_cli_solve_verify_and_tamper(c5_file, tmp_path, capsys):
     dump_json(obj, cert)
     assert main(["verify", c5_file, cert]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_cli_calls_in_one_process_share_no_options(c5_file, fano_file, tmp_path, capsys):
+    """main reuses one parser; an option given to one call must not reach the next."""
+    assert main(["solve", c5_file]) == 0
+    assert _build_parser() is _build_parser()
+    cert = tmp_path / "cert.json"
+    assert main(["solve", c5_file, "--emit-cert", str(cert)]) == 0
+    cert.unlink()
+    capsys.readouterr()
+    assert main(["solve", c5_file]) == 0
+    assert "certificate ->" not in capsys.readouterr().out
+    assert not cert.exists()
+
+    assert main(["solve", fano_file, "--schema", "submod+fano-odd"]) == 0
+    assert "b = 73/18" in capsys.readouterr().out
+    assert main(["solve", fano_file]) == 0
+    assert capsys.readouterr().out == "b = 4\n"
 
 
 def test_cli_solve_iterated_closure(c5_file, capsys):

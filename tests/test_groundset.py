@@ -1,13 +1,25 @@
 """Subset lattice primitives: ground sets, set vectors, lattice homs."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from icbound.errors import InputError
-from icbound.groundset import GroundSet, LatticeHom, SetVector, popcount, submasks
+from icbound.groundset import GroundSet, LatticeHom, SetVector, bit_indices, popcount
+from icbound.instance import cycle_instance
+from icbound.lincode import ScalarLinearCode, code_entropy_vector
 from icbound.rational import ONE, ZERO, rat
+from icbound.schema import SubmodRow, SubmodSchema
+from icbound.tighten import (dimension_vector, fano_groundset, fano_schema,
+                             random_subspace_tuple)
 
 from oracles import role_maps
+
+
+def identity(gs):
+    return LatticeHom(gs, gs, 0, tuple(1 << i for i in range(gs.n)))
 
 
 def test_groundset_label_index_bijection():
@@ -37,10 +49,10 @@ def test_append_keeps_order_and_adds_last():
     assert bigger.index("e") == 2
 
 
-def test_popcount_and_submasks():
+def test_popcount_and_bit_indices():
     assert popcount(0b1011) == 3
-    subs = sorted(submasks(0b101))
-    assert subs == [0b000, 0b001, 0b100, 0b101]
+    assert list(bit_indices(0b101)) == [0, 2]
+    assert list(bit_indices(0)) == []
 
 
 def test_setvector_exact_arithmetic_and_pruning():
@@ -49,9 +61,9 @@ def test_setvector_exact_arithmetic_and_pruning():
     v = SetVector(gs, {0b01: rat("-1/3"), 0b11: ONE})
     s = u + v
     assert s.get(0b01) == ZERO
-    assert 0b01 not in s.support()  # exact cancellation prunes the key
+    assert 0b01 not in dict(s.items())  # exact cancellation prunes the key
     assert s.get(0b10) == rat(2)
-    assert (u - u).support() == ()
+    assert len(u - u) == 0
     assert u.scale(rat(3)).get(0b01) == ONE
 
 
@@ -80,7 +92,7 @@ def test_unit_vector_and_dot():
 
 def test_hom_identity_and_apply():
     gs = GroundSet(["a", "b", "c"])
-    h = LatticeHom.identity(gs)
+    h = identity(gs)
     for mask in range(8):
         assert h.apply(mask) == mask
 
@@ -130,7 +142,7 @@ def test_hom_compose_matches_pointwise_application():
 
 def test_hom_compose_identity_left_right():
     gs = GroundSet(["a", "b", "c"])
-    ident = LatticeHom.identity(gs)
+    ident = identity(gs)
     h = LatticeHom(gs, gs, 0b100, (0b001, 0b010, 0))
     assert ident.compose(h).key() == h.key()
     assert h.compose(ident).key() == h.key()
@@ -167,7 +179,7 @@ def test_compose_rejects_mismatched_lattices():
     a = GroundSet(["a"])
     b = GroundSet(["b", "c"])
     with pytest.raises(InputError):
-        LatticeHom.identity(a).compose(LatticeHom.identity(b))
+        identity(a).compose(identity(b))
 
 
 def test_pushforward_unit_goes_to_image_unit():
@@ -221,3 +233,60 @@ def test_setvector_refuses_mixed_groundsets():
     v = SetVector(GroundSet(["b"]), {1: ONE})
     with pytest.raises(InputError):
         _ = u + v
+
+
+# -- vectors built without the checked constructor -------------------------------
+
+
+def assert_clean(vec):
+    """vec holds what the checked constructor would build from its entries:
+    Fraction values, none of them zero, every mask inside the ground set."""
+    assert vec == SetVector(vec.gs, dict(vec.items()))
+    for mask, v in vec.items():
+        assert type(v) is Fraction
+        assert v != 0
+        assert 0 <= mask <= vec.gs.full_mask
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_dimension_and_entropy_vectors_are_clean(p):
+    rng = random.Random(900 + p)
+    for seed in range(8):
+        tup = random_subspace_tuple(p, rng.randint(1, 4), rng.randint(1, 6), seed=seed)
+        assert_clean(dimension_vector(tup))
+    inst = cycle_instance(5)
+    for _ in range(8):
+        rows = tuple(tuple(rng.randrange(p) for _ in range(5))
+                     for _ in range(rng.randint(0, 6)))
+        assert_clean(code_entropy_vector(inst, ScalarLinearCode(p, rows)))
+
+
+def test_schema_rows_are_clean():
+    schema = SubmodSchema()
+    for n in range(6):
+        gs = GroundSet([f"m{i}" for i in range(n)])
+        for row in schema.rows(gs):
+            assert_clean(schema.row_vector(row, gs))
+    gs = GroundSet(["a", "b", "c"])
+    for s in range(8):
+        for t in range(8):  # nested pairs give the zero row
+            assert_clean(schema.row_vector(SubmodRow(s, t), gs))
+    for parity in ("even", "odd"):
+        homext = fano_schema(parity)
+        for row in homext.rows(fano_groundset()):
+            assert_clean(homext.row_vector(row, fano_groundset()))
+
+
+def test_arithmetic_results_are_clean():
+    rng = random.Random(41)
+    dom = GroundSet(["1", "2"])
+    cod = GroundSet(["a", "b", "c"])
+    homs = [LatticeHom(dom, cod, base, images) for base, images in role_maps(2, 3)]
+    for _ in range(30):
+        u = SetVector(dom, {s: rat(f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}")
+                            for s in range(4)})
+        v = SetVector(dom, {s: rng.randint(-2, 2) for s in range(4)})
+        for vec in (u + v, u + u.scale(-1), u - v, u.scale(0), u.scale(rat("-2/3"))):
+            assert_clean(vec)
+        for hom in homs[::5]:
+            assert_clean(u.pushforward(hom))

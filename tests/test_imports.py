@@ -1,5 +1,5 @@
-"""Every name a module of the package imports is used by that module, and
-every name it exports is bound.
+"""Every name a module of the package or of the test suite imports is used by
+that module, and every name a package module exports is bound.
 
 No linter ships with the package, so these scans are the check. The first
 parses each module with the standard library's ast and fails on an imported
@@ -17,6 +17,7 @@ from pathlib import Path
 import icbound
 
 SRC = Path(icbound.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _annotation_names(node):
@@ -58,9 +59,9 @@ def unused_imports(tree):
 
 def test_no_unused_imports():
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         for line, name in unused_imports(ast.parse(path.read_text(encoding="utf-8"))):
-            found.append(f"{path.name}:{line}: {name}")
+            found.append(f"{path.parent.name}/{path.name}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
 
 

@@ -7,15 +7,14 @@ from fractions import Fraction
 import pytest
 
 from icbound.errors import InputError, ResourceCapError
-from icbound.gf import rank
+from icbound.gf import nullspace, rank
 from icbound.groundset import GroundSet
-from icbound.instance import IndexCodingInstance, cycle_instance, from_graph
+from icbound.instance import cycle_instance, from_graph
 from icbound.lincode import (ScalarLinearCode, code_entropy_vector,
-                             code_to_underrep, identity_code, is_valid_code,
-                             min_scalar_linear_rate, underrep_check,
-                             underrep_to_code)
+                             is_valid_code, min_scalar_linear_rate,
+                             underrep_check, underrep_to_code)
 from icbound.matroid import (_FANO_LABELS, Matroid, fano, nonfano,
-                             to_index_coding)
+                             rank_from_matrix, to_index_coding)
 from icbound.rational import rat
 from icbound.tighten import fano_schema
 
@@ -44,6 +43,10 @@ def to_fraction(v):
     return Fraction(int(v.numerator), int(v.denominator))
 
 
+def identity_code(p, n):
+    return ScalarLinearCode(p, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
 def test_code_constructor_guards():
     with pytest.raises(InputError):
         ScalarLinearCode(4, ((1, 0),))
@@ -52,7 +55,7 @@ def test_code_constructor_guards():
     with pytest.raises(InputError):
         ScalarLinearCode(3, ((0, 4),))
     eye = identity_code(3, 4)
-    assert eye.length == 4 and eye.n == 4 and eye.row_rank() == 4
+    assert eye.length == 4 and eye.n == 4 and rank([list(r) for r in eye.matrix], 3) == 4
     empty = ScalarLinearCode(2, ())
     assert empty.length == 0 and empty.n == 0
 
@@ -110,7 +113,7 @@ def test_rate_equals_matroid_duality_complement():
     for n in range(1, 5):
         gs = GroundSet([str(i) for i in range(n)])
         for ranks in oracles.all_rank_functions(n):
-            m = Matroid.from_rank_function(gs, lambda s: ranks[s])
+            m = Matroid(gs, ranks)
             inst = to_index_coding(m)
             lam = min_scalar_linear_rate(inst, 2)
             d_max = max(
@@ -127,7 +130,8 @@ def test_fano_underrep_roundtrip():
     code = underrep_to_code(fano(), FANO_ROWS, 2)
     assert code.length == 4 and code.n == 7 and code.p == 2
     assert is_valid_code(to_index_coding(fano()), code)
-    back = code_to_underrep(fano(), code)
+    back = nullspace([list(r) for r in code.matrix], 2, 7)
+    assert underrep_check(fano(), back, 2)
     # same row space as the matrix we started from
     stacked = [list(r) for r in FANO_ROWS] + [list(r) for r in back]
     assert len(back) == 3 and rank(stacked, 2) == 3
@@ -145,17 +149,54 @@ def test_underrep_rejects_mismatched_characteristic():
     assert not underrep_check(nonfano(), FANO_ROWS, 2)
 
 
-def test_code_to_underrep_guards():
-    with pytest.raises(InputError):
-        code_to_underrep(fano(), ScalarLinearCode(2, ((1, 0, 0),)))
-    dup = ScalarLinearCode(2, (FANO_ROWS[0], FANO_ROWS[0]))
-    with pytest.raises(InputError):
-        code_to_underrep(fano(), dup)
-    short = ScalarLinearCode(2, tuple(identity_code(2, 7).matrix[:6]))
-    with pytest.raises(InputError):
-        code_to_underrep(fano(), short)
+def test_underrep_check_guards():
     with pytest.raises(InputError):
         underrep_check(fano(), ((1, 0, 0),), 2)
+    with pytest.raises(InputError):
+        underrep_check(fano(), FANO_ROWS, 4)
+    assert not underrep_check(fano(), (FANO_ROWS[0], FANO_ROWS[0]), 2)
+
+
+def perturbed_column(rng, rows, p):
+    j = rng.randrange(len(rows[0]))
+    i = rng.randrange(len(rows))
+    out = [list(r) for r in rows]
+    out[i][j] = (out[i][j] + rng.randrange(1, p)) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_underrep_check_matches_full_oracle(p):
+    """The independent-set scan agrees with the every-(S, x) definition, on
+    matrices that under-represent (the representation itself and row
+    subspaces of it) and on ones that do not (rank-deficient rows, a
+    perturbed column, an unrelated matrix)."""
+    rng = random.Random(800 + p)
+    outcomes = set()
+    for _ in range(10):
+        n = rng.randint(3, 7)
+        d = rng.randint(1, 4)
+        rep = [[rng.randrange(p) for _ in range(n)] for _ in range(d)]
+        matroid = rank_from_matrix([str(j) for j in range(n)],
+                                   [[row[j] for row in rep] for j in range(n)], p)
+        mix = [[rng.randrange(p) for _ in range(d)] for _ in range(rng.randint(1, d))]
+        sub = [[sum(c * row[j] for c, row in zip(m, rep)) % p for j in range(n)] for m in mix]
+        candidates = [rep, sub, rep + rep[:1], perturbed_column(rng, rep, p),
+                      [[rng.randrange(p) for _ in range(n)] for _ in range(d)]]
+        for rows in candidates:
+            got = underrep_check(matroid, rows, p)
+            assert got == oracles.underrep_holds(matroid.ranks, n, rows, p), (rep, rows)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_underrep_check_matches_full_oracle_on_fano_pair():
+    for matroid in (fano(), nonfano()):
+        for p in (2, 3, 5):
+            rows = [list(r) for r in FANO_ROWS]
+            for candidate in (rows, rows[:2], [rows[0], rows[1], rows[0]]):
+                assert underrep_check(matroid, candidate, p) == oracles.underrep_holds(
+                    matroid.ranks, 7, candidate, p)
 
 
 def test_every_valid_c5_code_entropy_is_lp_feasible():
@@ -213,7 +254,7 @@ def extend_with_unit(code, column):
 def test_characteristic_schema_rows_on_code_entropy():
     rng = random.Random(11)
     for matroid, parity, p in ((fano(), "even", 2), (nonfano(), "odd", 3)):
-        inst = to_index_coding(matroid.adjoin_zero("e"))
+        inst = to_index_coding(oracles.adjoin_zero(matroid, "e"))
         gs = inst.messages
         schema = fano_schema(parity)
         schema_rows = list(schema.rows(gs))

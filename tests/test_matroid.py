@@ -1,6 +1,5 @@
 """Matroids: matrix ranks, axioms, the two seven-point builds, conversion."""
 
-import itertools
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from icbound.groundset import GroundSet, popcount
 from icbound.matroid import (Matroid, fano, nonfano, rank_from_matrix,
                              to_index_coding, uniform_matroid)
 
-from oracles import all_rank_functions, fp_rank, graphic_rank, matroid_receivers
+from oracles import adjoin_zero, all_rank_functions, fp_rank, graphic_rank, matroid_receivers
 
 FANO_COLS = [[int(c) for c in lab] for lab in
              ("100", "010", "001", "110", "101", "011", "111")]
@@ -68,12 +67,12 @@ def test_constructor_rejects_rank_drop():
         Matroid(GroundSet(["a", "b", "c"]), [0, 0, 0, 0, 0, 1, 1, 0])
 
 
-def test_from_rank_function_checks_axioms():
+def test_constructor_checks_computed_ranks():
     gs = GroundSet(["a", "b", "c"])
-    m = Matroid.from_rank_function(gs, lambda s: min(popcount(s), 2))
+    m = Matroid(gs, [min(popcount(s), 2) for s in range(8)])
     assert m.ranks == uniform_matroid(2, 3).ranks
     with pytest.raises(InputError):
-        Matroid.from_rank_function(gs, lambda s: popcount(s) % 2)
+        Matroid(gs, [popcount(s) % 2 for s in range(8)])
 
 
 def test_graphic_rank_functions_are_matroids():
@@ -85,8 +84,7 @@ def test_graphic_rank_functions_are_matroids():
         if not edges:
             continue
         gs = GroundSet([f"{u}-{v}" for u, v in edges])
-        m = Matroid.from_rank_function(
-            gs, lambda s: graphic_rank(nv, edges, s))
+        m = Matroid(gs, [graphic_rank(nv, edges, s) for s in range(1 << gs.n)])
         assert m.full_rank <= nv - 1
 
 
@@ -105,7 +103,7 @@ def test_closure_operator():
 
 
 def test_adjoin_zero():
-    m = fano().adjoin_zero("e")
+    m = adjoin_zero(fano(), "e")
     assert m.n == 8
     assert m.gs.labels[-1] == "e"
     e_bit = 1 << 7
@@ -113,18 +111,23 @@ def test_adjoin_zero():
         assert m.rank(s | e_bit) == fano().rank(s)
     assert m.closure(0) == e_bit  # the new element is a loop
     with pytest.raises(InputError):
-        fano().adjoin_zero("111")  # label collision
+        adjoin_zero(fano(), "111")  # label collision
 
 
 def test_basis_intersection_empty():
-    assert fano().basis_intersection_empty()
-    assert nonfano().basis_intersection_empty()
-    assert uniform_matroid(2, 4).basis_intersection_empty()
-    assert not uniform_matroid(3, 3).basis_intersection_empty()  # all coloops
+    def no_coloops(m):
+        """No element lies in every basis: dropping any one keeps full rank."""
+        full = m.gs.full_mask
+        return all(m.rank(full & ~(1 << i)) == m.full_rank for i in range(m.n))
+
+    assert no_coloops(fano())
+    assert no_coloops(nonfano())
+    assert no_coloops(uniform_matroid(2, 4))
+    assert not no_coloops(uniform_matroid(3, 3))  # all coloops
     # one bridge in an otherwise parallel pair
     gs = GroundSet(["a", "b"])
     bridge = Matroid(gs, [0, 1, 1, 2])
-    assert not bridge.basis_intersection_empty()
+    assert not no_coloops(bridge)
 
 
 def test_to_index_coding_receiver_structure():

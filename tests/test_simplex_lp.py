@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from icbound import kernels
-from icbound.groundset import GroundSet, SetVector, popcount
+from icbound.groundset import GroundSet, popcount
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               from_graph)
 from icbound.lp import bound_b, bound_with_schema, build_problem, solve_problem
