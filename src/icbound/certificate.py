@@ -19,7 +19,8 @@ from typing import Dict, Optional, Tuple
 
 from icbound.errors import CertificateInvalid, InputError
 from icbound.groundset import GroundSet, LatticeHom
-from icbound.instance import ClosureMode, IndexCodingInstance, cycle_instance
+from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
+                              product_messages)
 from icbound.rational import ONE, ZERO, Rational, rat
 from icbound.schema import SchemaRow, SubmodRow, SubmodSchema
 
@@ -154,7 +155,9 @@ def combine_certificates(
     is pushed through each of these, weighted, and the first certificate's
     schema rows ride along the block embedding. No LP is involved, and the
     result is verified like any other certificate, so nothing here is
-    trusted blindly. Both inputs are verified up front.
+    trusted blindly. Both inputs are verified up front. The product's
+    receivers are not built here: its messages come from `product_messages`,
+    the helper `lex_product` labels them with.
 
     Pass a dict as provenance to get, per product key, the list of factor
     entries that contributed to it (triage aid when a combination misses).
@@ -167,8 +170,7 @@ def combine_certificates(
     verify_certificate(inst_f, schema, cert_f)
     gs_g = inst_g.messages
     gs_f = inst_f.messages
-    product = inst_g.lex_product(inst_f)
-    gs_p = product.messages
+    gs_p = product_messages(gs_g, gs_f)
     nf = gs_f.n
 
     def note(kind, key, source) -> None:

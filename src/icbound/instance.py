@@ -96,10 +96,8 @@ class IndexCodingInstance:
         receivers (wg, Sg) and (wf, Sf) wants (wg, wf) and knows all inner
         copies of Sg plus Sf inside wg's own block.
         """
-        ng, nf = self.n, other.n
-        labels = [f"{g}:{f}" for g in self.messages.labels
-                  for f in other.messages.labels]
-        gs = GroundSet(labels)
+        nf = other.n
+        gs = product_messages(self.messages, other.messages)
         block = (1 << nf) - 1
         receivers = []
         for wg, sg in self.receivers:
@@ -156,6 +154,12 @@ class IndexCodingInstance:
 
         grow(0, 0, vertices)
         return best
+
+
+def product_messages(outer: GroundSet, inner: GroundSet) -> GroundSet:
+    """Messages of the lexicographic product: (g, f) is labelled "g:f" and
+    sits at index g * inner.n + f."""
+    return GroundSet(f"{g}:{f}" for g in outer.labels for f in inner.labels)
 
 
 def from_graph(vertices: Iterable, edges: Iterable[tuple]) -> IndexCodingInstance:

@@ -7,20 +7,26 @@ nonnegative. Solving happens on the dual in standard form, whose simplex
 multipliers are exactly the primal subset values; that keeps the basis at
 size 2^n instead of the number of constraints.
 
+The LP data are ints: costs 0, -1, n and -n, decoding columns (1, -1), the
+rhs e_0, and each schema row's coefficients, kept as a Fraction only where
+one is not integral. Results (`BoundSolution`) are Fractions.
+
 The solution is re-audited here against the instance itself (closures are
 recomputed, schema rows re-evaluated), independently of the solver's own
-audit, so a bug in column construction cannot survive unnoticed.
+audit, so a bug in column construction cannot survive unnoticed. That audit
+works in integers over the common denominator of z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from icbound.errors import VerificationError
 from icbound.groundset import GroundSet
 from icbound.instance import ClosureMode, IndexCodingInstance
-from icbound.rational import ONE, ZERO, Rational, rat
+from icbound.rational import ONE, Rational
 from icbound.schema import SchemaRow, SubmodSchema
 from icbound.simplex import StandardFormLP, solve_standard_form
 
@@ -88,8 +94,8 @@ def build_problem(
             dec_col[(s, t)] = len(cols_idx)
             dec_pairs.append((s, t))
             cols_idx.append((s, t))
-            cols_val.append((ONE, -ONE))
-            cobj.append(rat(-cost))
+            cols_val.append((1, -1))
+            cobj.append(-cost)
 
     schema_rows: List[SchemaRow] = []
     for row in schema.rows(gs):
@@ -99,21 +105,21 @@ def build_problem(
         schema_rows.append(row)
         items = sorted(vec.items())
         cols_idx.append(tuple(k for k, _ in items))
-        cols_val.append(tuple(v for _, v in items))
-        cobj.append(ZERO)
+        cols_val.append(tuple(v.numerator if v.denominator == 1 else v for _, v in items))
+        cobj.append(0)
 
     full = gs.full_mask
     w_plus = len(cols_idx)
     cols_idx.append((full,))
-    cols_val.append((ONE,))
-    cobj.append(rat(n))
+    cols_val.append((1,))
+    cobj.append(n)
     w_minus = len(cols_idx)
     cols_idx.append((full,))
-    cols_val.append((-ONE,))
-    cobj.append(rat(-n))
+    cols_val.append((-1,))
+    cobj.append(-n)
 
-    rhs = [ZERO] * nrows
-    rhs[0] = ONE
+    rhs = [0] * nrows
+    rhs[0] = 1
 
     crash = []
     prefix = 0
@@ -171,37 +177,45 @@ def bound_b(
 
 
 def _audit_against_instance(problem: LPProblem, sol: BoundSolution) -> None:
-    """Check the claimed optimum against the instance, not the built columns."""
+    """Check the claimed optimum against the instance, not the built columns.
+
+    z is brought to integers over the lcm of its denominators, and the dual
+    weights x over theirs, so every check is integer arithmetic.
+    """
     inst = problem.instance
     gs = problem.gs
-    z = sol.z
     n = gs.n
-    if z[gs.full_mask] != rat(n):
+    zf = [sol.z[s] for s in range(1 << n)]
+    dz = lcm(*(v.denominator for v in zf))
+    z = [v.numerator * (dz // v.denominator) for v in zf]
+    value = sol.value
+    if z[gs.full_mask] != n * dz:
         raise VerificationError("full-set value is not pinned to n")
-    if z[0] != sol.value:
+    if z[0] * value.denominator != value.numerator * dz:
         raise VerificationError("empty-set value disagrees with the LP objective")
     for s in gs.subsets():
         cl = inst.closure(s, problem.closure)
+        zs = z[s]
         for i in range(n):
             bit = 1 << i
             if s & bit:
                 continue
-            cost = 0 if cl & bit else 1
-            if z[s | bit] - z[s] > cost:
+            if z[s | bit] - zs > (0 if cl & bit else dz):
                 raise VerificationError(
                     f"solution violates the one-step decoding bound at {gs.labels_of(s)}+{gs.labels[i]}"
                 )
     for row in problem.schema_rows:
         vec = problem.schema.row_vector(row, gs)
-        acc = ZERO
+        acc = 0
         for mask, coeff in vec.items():
-            acc += coeff * z[mask]
+            acc += (coeff.numerator if coeff.denominator == 1 else coeff) * z[mask]
         if acc < 0:
             raise VerificationError(f"solution violates schema row {row!r}")
     # Dual side: the reported multipliers must reproduce the objective.
-    total = ZERO
-    for (s, t), xv in sol.x.items():
-        d = inst.dst(s, t, problem.closure)
-        total += xv * rat(d)
-    if sol.w is not None and sol.w == ONE and total != sol.value:
-        raise VerificationError("dual value identity failed at w = 1")
+    if sol.w == ONE:
+        dx = lcm(*(v.denominator for v in sol.x.values()))
+        total = 0
+        for (s, t), xv in sol.x.items():
+            total += xv.numerator * (dx // xv.denominator) * inst.dst(s, t, problem.closure)
+        if total * value.denominator != value.numerator * dx:
+            raise VerificationError("dual value identity failed at w = 1")

@@ -1,9 +1,11 @@
 """Exact revised simplex over the rationals, computed fraction-free.
 
 Solves max c.v subject to M v = b, v >= 0, with b >= 0, keeping an explicit
-basis inverse. Columns are sparse (index, value) pairs. Rational data is
-scaled to integers on entry (each row and its rhs by the lcm of the row's
-denominators, the costs by the lcm of theirs). The basis inverse is then an
+basis inverse. Columns are sparse (index, value) pairs. LP data are ints (the
+bound LP of `lp.build_problem` is all ints); a Fraction entry is accepted,
+and rational data is scaled to integers on entry (each row and its rhs by
+the lcm of the row's denominators, the costs by the lcm of theirs), which
+leaves integer data as it is. The basis inverse is then an
 integer matrix over one common integer denominator, updated by the Bareiss
 step in `kernels.pivot_update`; basic values and simplex multipliers are
 integer vectors over the same denominator, and the multipliers are updated
@@ -20,10 +22,12 @@ out at ratio zero, so artificials stay at value zero forever and the optimum
 reached belongs to the genuine problem. Callers can hand over a list of
 crash pivots to install a known feasible basis cheaply before the loop.
 
-The result is audited on Fractions against the data as given before being
-returned: exact primal feasibility, nonpositive reduced costs, and agreement
-of primal and dual objectives. A failed audit is a bug in the solver, not in
-the model, and raises VerificationError.
+The result is audited against the data as given before being returned:
+exact primal feasibility, nonpositive reduced costs, and agreement of primal
+and dual objectives. The audit brings x and y each to its own common
+denominator and checks in integers, independently of the solver's scaling.
+A failed audit is a bug in the solver, not in the model, and raises
+VerificationError.
 """
 
 from __future__ import annotations
@@ -41,7 +45,11 @@ __all__ = ["StandardFormLP", "SimplexResult", "solve_standard_form"]
 
 @dataclass
 class StandardFormLP:
-    """max cobj . v  s.t.  sum_j v_j col_j = rhs, v >= 0, rhs >= 0."""
+    """max cobj . v  s.t.  sum_j v_j col_j = rhs, v >= 0, rhs >= 0.
+
+    Entries of cols_val, cobj and rhs are ints, or Fractions where the data
+    are not integral.
+    """
 
     nrows: int
     cols_idx: List[Tuple[int, ...]]
@@ -258,37 +266,49 @@ def solve_standard_form(
         elif xb[i]:
             raise VerificationError("artificial column ended basic at a nonzero value")
     y = [Rational(y[i] * row_scale[i], den * cost_scale) for i in range(m)]
-    _audit(lp, x, y, m, nstruct, ZERO)
+    _audit(lp, x, y)
     objective = sum((lp.cobj[j] * x[j] for j in range(nstruct) if x[j]), ZERO)
     return SimplexResult("optimal", objective, x, y, iterations)
 
 
-def _audit(lp: StandardFormLP, x, y, m, nstruct, zero) -> None:
-    lhs = [zero] * m
-    for j in range(nstruct):
-        xj = x[j]
+def _audit(lp: StandardFormLP, x, y) -> None:
+    """Check the optimum (x, y) against lp's data as given, in this order:
+    x >= 0 while the rows are summed, every primal row, every reduced cost,
+    primal = dual objective.
+
+    x and y are brought to integers over the lcm of their own denominators,
+    dx and dy, never over the solver's scaling, so a scaling bug cannot pass
+    its own audit. With integer data every check is then integer arithmetic;
+    a Fraction coefficient is used as it is. Fractions are built only for an
+    error message.
+    """
+    m = lp.nrows
+    dx = lcm(*(v.denominator for v in x if v))
+    dy = lcm(*(v.denominator for v in y if v))
+    lhs = [0] * m
+    primal = 0
+    for j, xj in enumerate(x):
         if not xj:
             continue
         if xj < 0:
             raise VerificationError("negative primal value in audit")
-        idx = lp.cols_idx[j]
-        val = lp.cols_val[j]
-        for t in range(len(idx)):
-            lhs[idx[t]] += val[t] * xj
-    for i in range(m):
-        if lhs[i] != lp.rhs[i]:
-            raise VerificationError(f"audit: row {i} violated, {lhs[i]} != {lp.rhs[i]}")
-    for j in range(nstruct):
-        rc = lp.cobj[j]
-        idx = lp.cols_idx[j]
-        val = lp.cols_val[j]
-        for t in range(len(idx)):
-            yi = y[idx[t]]
-            if yi:
-                rc -= val[t] * yi
+        xn = xj.numerator * (dx // xj.denominator)
+        for k, v in zip(lp.cols_idx[j], lp.cols_val[j]):
+            lhs[k] += v * xn
+        primal += lp.cobj[j] * xn
+    for i, b in enumerate(lp.rhs):
+        if lhs[i] != b * dx:
+            raise VerificationError(
+                f"audit: row {i} violated, {Rational(lhs[i], dx)} != {b}")
+    yn = [v.numerator * (dy // v.denominator) for v in y]
+    for j, (idx, val) in enumerate(zip(lp.cols_idx, lp.cols_val)):
+        rc = lp.cobj[j] * dy
+        for k, v in zip(idx, val):
+            rc -= v * yn[k]
         if rc > 0:
-            raise VerificationError(f"audit: column {j} has positive reduced cost {rc}")
-    primal = sum((lp.cobj[j] * x[j] for j in range(nstruct) if x[j]), zero)
-    dual = sum((y[i] * lp.rhs[i] for i in range(m) if lp.rhs[i]), zero)
-    if primal != dual:
-        raise VerificationError(f"audit: objective mismatch {primal} != {dual}")
+            raise VerificationError(
+                f"audit: column {j} has positive reduced cost {Rational(rc, dy)}")
+    dual = sum(yn[i] * b for i, b in enumerate(lp.rhs) if b)
+    if primal * dy != dual * dx:
+        raise VerificationError(
+            f"audit: objective mismatch {Rational(primal, dx)} != {Rational(dual, dy)}")

@@ -565,3 +565,39 @@ def fraction_simplex(lp, crash=()):
             x[c] = xb[i]
     objective = sum(cobj[j] * x[j] for j in range(nstruct))
     return "optimal", objective, x, y, iterations
+
+
+def fraction_audit(lp, x, y):
+    """The simplex audit one Fraction operation at a time, as a reference.
+
+    Checks the optimum (x, y) against lp's data as given, in this order: x >= 0
+    while the rows are summed, every primal row, every reduced cost against y,
+    primal = dual objective. Returns None when all hold, else the message
+    `icbound.simplex._audit` raises with.
+    """
+    m = lp.nrows
+    nstruct = len(lp.cols_idx)
+    lhs = [F0] * m
+    for j in range(nstruct):
+        xj = x[j]
+        if not xj:
+            continue
+        if xj < 0:
+            return "negative primal value in audit"
+        for k, v in zip(lp.cols_idx[j], lp.cols_val[j]):
+            lhs[k] += v * xj
+    for i in range(m):
+        if lhs[i] != lp.rhs[i]:
+            return f"audit: row {i} violated, {lhs[i]} != {lp.rhs[i]}"
+    for j in range(nstruct):
+        rc = lp.cobj[j]
+        for k, v in zip(lp.cols_idx[j], lp.cols_val[j]):
+            if y[k]:
+                rc -= v * y[k]
+        if rc > 0:
+            return f"audit: column {j} has positive reduced cost {rc}"
+    primal = sum((lp.cobj[j] * x[j] for j in range(nstruct) if x[j]), F0)
+    dual = sum((y[i] * lp.rhs[i] for i in range(m) if lp.rhs[i]), F0)
+    if primal != dual:
+        return f"audit: objective mismatch {primal} != {dual}"
+    return None

@@ -1,0 +1,171 @@
+"""The two audits of an LP optimum: every check fires on a broken optimum, the
+simplex audit agrees with a Fraction reference, and the LP data are ints
+while every result handed back is a Fraction."""
+
+import dataclasses
+import random
+import re
+from fractions import Fraction
+
+import pytest
+
+from icbound import lp as lp_module
+from icbound import simplex
+from icbound.errors import VerificationError
+from icbound.groundset import GroundSet
+from icbound.instance import IndexCodingInstance, cycle_instance
+from icbound.lp import bound_b, build_problem, solve_problem
+from icbound.matroid import fano, nonfano, to_index_coding
+from icbound.rational import ONE, ZERO, rat
+from icbound.simplex import StandardFormLP, solve_standard_form
+from icbound.tighten import schema_with_submod
+
+from oracles import fraction_audit
+from test_simplex_lp import differential_instances
+
+HALF = rat("1/2")
+
+
+def simplex_audit_message(lp, x, y):
+    """None if simplex._audit accepts (x, y), else its VerificationError text."""
+    try:
+        simplex._audit(lp, x, y)
+    except VerificationError as err:
+        return str(err)
+    return None
+
+
+def instance_audit_message(problem, sol, **changes):
+    """The same for lp._audit_against_instance on sol with fields replaced."""
+    try:
+        lp_module._audit_against_instance(problem, dataclasses.replace(sol, **changes))
+    except VerificationError as err:
+        return str(err)
+    return None
+
+
+def hand_lps():
+    """(lp, crash) pairs: max 3a + 2b s.t. a + b = 1, a - b = 0, as given and
+    with row 0 halved and the costs over 3."""
+    plain = StandardFormLP(2, [(0, 1), (0, 1)], [(ONE, ONE), (ONE, -ONE)],
+                           [rat(3), rat(2)], [ONE, ZERO])
+    scaled = StandardFormLP(2, [(0, 1), (0, 1)], [(HALF, ONE), (HALF, -ONE)],
+                            [rat(1), rat("2/3")], [HALF, ZERO])
+    return [(plain, [(1, 1), (0, 0)]), (scaled, [(1, 1), (0, 0)])]
+
+
+def test_simplex_audit_fires_on_each_check():
+    lp, crash = hand_lps()[0]
+    res = solve_standard_form(lp, crash=crash)
+    x, y = res.x, res.y
+    assert (x, y) == ([HALF, HALF], [rat("5/2"), HALF])
+    assert simplex_audit_message(lp, x, y) is None
+    cases = [
+        ([ONE, HALF], y, "audit: row 0 violated, 3/2 != 1"),
+        ([HALF, -HALF], y, "negative primal value in audit"),
+        (x, [rat(2), HALF], "audit: column 0 has positive reduced cost 1/2"),
+        # y = (3, 0) is dual feasible but not optimal
+        (x, [rat(3), ZERO], "audit: objective mismatch 5/2 != 3"),
+    ]
+    for bad_x, bad_y, message in cases:
+        assert simplex_audit_message(lp, bad_x, bad_y) == message
+        assert fraction_audit(lp, bad_x, bad_y) == message
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            simplex._audit(lp, bad_x, bad_y)
+
+
+def test_instance_audit_fires_on_each_check():
+    problem = build_problem(cycle_instance(5))
+    sol = solve_problem(problem)
+    assert instance_audit_message(problem, sol) is None
+
+    z = dict(sol.z)
+    z[problem.gs.full_mask] = rat(6)
+    assert instance_audit_message(problem, sol, z=z) == "full-set value is not pinned to n"
+    assert (instance_audit_message(problem, sol, value=sol.value + 1)
+            == "empty-set value disagrees with the LP objective")
+    x = dict(sol.x)
+    pair = next(p for p in x if problem.instance.dst(*p))
+    x[pair] *= 2
+    assert instance_audit_message(problem, sol, x=x) == "dual value identity failed at w = 1"
+
+    # Two messages, no receivers: every step costs 1 and the one schema row
+    # is submodularity at {a}, {b}.
+    pair_problem = build_problem(IndexCodingInstance(GroundSet(["a", "b"]), []))
+    pair_sol = solve_problem(pair_problem)
+    assert instance_audit_message(pair_problem, pair_sol) is None
+    steep = {0: ZERO, 1: rat(2), 2: rat(2), 3: rat(2)}
+    assert (instance_audit_message(pair_problem, pair_sol, z=steep, value=ZERO)
+            == "solution violates the one-step decoding bound at ()+a")
+    flat = {0: ONE, 1: ONE, 2: ONE, 3: rat(2)}
+    assert (instance_audit_message(pair_problem, pair_sol, z=flat, value=ONE)
+            == "solution violates schema row SubmodRow(s=1, t=2)")
+    with pytest.raises(VerificationError, match=re.escape("schema row SubmodRow(s=1, t=2)")):
+        lp_module._audit_against_instance(
+            pair_problem, dataclasses.replace(pair_sol, z=flat, value=ONE))
+
+
+def perturbations(rng, x, y, count):
+    """count copies of (x, y), each with one or two entries changed."""
+    out = []
+    for _ in range(count):
+        bx, by = list(x), list(y)
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.randrange(4)
+            step = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+            if kind == 0:
+                j = rng.randrange(len(bx))
+                bx[j] += step
+            elif kind == 1:
+                j = rng.choice([j for j in range(len(bx)) if bx[j]] or [0])
+                bx[j] = -abs(step) if not bx[j] else -bx[j]
+            elif kind == 2:
+                i = rng.randrange(len(by))
+                by[i] += step
+            else:
+                by[0] += abs(step)  # only rhs[0] is nonzero in the bound LP
+        out.append((bx, by))
+    return out
+
+
+def test_simplex_audit_matches_fraction_audit():
+    rng = random.Random(1108)
+    cases = list(hand_lps())
+    cases += [(p.lp, p.crash) for p in map(build_problem, differential_instances())]
+    verdicts = set()
+    for lp, crash in cases:
+        res = solve_standard_form(lp, crash=crash)
+        assert simplex_audit_message(lp, res.x, res.y) is None
+        assert fraction_audit(lp, res.x, res.y) is None
+        for x, y in perturbations(rng, res.x, res.y, 8):
+            expect = fraction_audit(lp, x, y)
+            assert simplex_audit_message(lp, x, y) == expect
+            verdicts.add(expect.split(",")[0] if expect else None)
+    # the perturbations reach every check and sometimes pass them all
+    assert {None, "negative primal value in audit"} <= verdicts
+    assert any(v and v.startswith("audit: row") for v in verdicts)
+    assert any(v and "reduced cost" in v for v in verdicts)
+    assert any(v and "objective mismatch" in v for v in verdicts)
+
+
+def test_lp_data_are_int_and_results_are_fraction():
+    for inst, schema in (
+        (cycle_instance(5), None),
+        (to_index_coding(fano()), None),
+        (to_index_coding(fano()), schema_with_submod("odd")),
+        (to_index_coding(nonfano()), schema_with_submod("even")),
+    ):
+        problem = build_problem(inst, schema)
+        lp = problem.lp
+        assert {type(v) for val in lp.cols_val for v in val} == {int}
+        assert {type(c) for c in lp.cobj} == {int}
+        assert {type(b) for b in lp.rhs} == {int}
+        res = solve_standard_form(lp, crash=problem.crash)
+        assert type(res.objective) is Fraction
+        assert {type(v) for v in res.x + res.y} == {Fraction}
+        sol = solve_problem(problem)
+        assert type(sol.value) is Fraction and type(sol.w) is Fraction
+        for weights in (sol.z, sol.x, sol.y):
+            assert {type(v) for v in weights.values()} <= {Fraction}
+        assert sol.z and sol.x
+    assert type(bound_b(cycle_instance(5))) is Fraction

@@ -10,7 +10,7 @@ from icbound.certificate import (DualCertificate, c5_certificate,
 from icbound.errors import CertificateInvalid, InputError
 from icbound.groundset import GroundSet, SetVector
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
-                              from_graph)
+                              from_graph, product_messages)
 from icbound.lp import bound_b, bound_with_schema, build_problem, solve_problem
 from icbound.matroid import addineq_certificate, fano, nonfano, to_index_coding
 from icbound.rational import ONE, rat
@@ -129,6 +129,19 @@ def test_combine_identity_case():
     assert verify_certificate(single, SUBMOD, trivial) == ONE
     combined = combine_certificates(inst, single, cert, trivial, SUBMOD)
     assert verify_certificate(inst.lex_product(single), SUBMOD, combined) == rat("5/2")
+
+
+def test_combine_labels_product_without_building_it(monkeypatch):
+    inst, schema, cert = c5_certificate()
+    product = inst.lex_product(inst)
+
+    def refuse(self, other):
+        raise AssertionError("combine_certificates built the product instance")
+
+    monkeypatch.setattr(IndexCodingInstance, "lex_product", refuse)
+    combined = combine_certificates(inst, inst, cert, cert, SUBMOD)
+    assert product.messages == product_messages(inst.messages, inst.messages)
+    assert verify_certificate(product, SUBMOD, combined) == rat("25/4")
 
 
 def test_combine_error_paths():

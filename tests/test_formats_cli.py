@@ -16,7 +16,7 @@ from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
                              code_to_json, dump_json, instance_from_json,
                              instance_to_json, load_json, matroid_from_json,
                              matroid_to_json, schema_by_name)
-from icbound.instance import cycle_instance
+from icbound.instance import IndexCodingInstance, cycle_instance
 from icbound.lincode import ScalarLinearCode
 from icbound.lp import build_problem, solve_problem
 from icbound.certificate import certificate_from_solution, verify_certificate
@@ -256,7 +256,7 @@ def test_cli_solve_iterated_closure(c5_file, capsys):
     assert "b = 5/2" in capsys.readouterr().out
 
 
-def test_cli_product_and_combine(c5_file, tmp_path, capsys):
+def test_cli_product_and_combine(c5_file, tmp_path, capsys, monkeypatch):
     cert = str(tmp_path / "cert.json")
     assert main(["solve", c5_file, "--emit-cert", cert]) == 0
     capsys.readouterr()
@@ -267,9 +267,15 @@ def test_cli_product_and_combine(c5_file, tmp_path, capsys):
         f"{a}:{b}" for a in "12345" for b in "12345"
     ]
 
+    # combine builds the product's receivers once, to verify the result
+    built = []
+    lex_product = IndexCodingInstance.lex_product
+    monkeypatch.setattr(IndexCodingInstance, "lex_product",
+                        lambda self, other: built.append(other) or lex_product(self, other))
     comb = str(tmp_path / "comb.json")
     assert main(["combine", c5_file, c5_file, cert, cert, "--out", comb]) == 0
     assert "value = 25/4" in capsys.readouterr().out
+    assert len(built) == 1
     assert main(["verify", prod, comb]) == 0
     assert "value = 25/4" in capsys.readouterr().out
 
