@@ -1,4 +1,4 @@
-"""JSON formats for instances, certificates, matroids, codes and --rows files.
+"""JSON formats for instances, certificates, matroids and --rows files.
 
 Everything round-trips bit-exactly: rationals as "p/q" strings in lowest
 terms, subsets as sorted label arrays, schema rows as tagged objects that
@@ -7,7 +7,7 @@ no access to whatever produced it.
 
 This module is the only place that decodes JSON. Labels are strings or
 integers, read as decimal strings so the two spellings cannot drift apart,
-never booleans, floats or null; p, ranks and matrix and code entries are
+never booleans, floats or null; p, ranks and matrix entries are
 integers; weights and claimed values are integers or ASCII "p" or "p/q"
 strings (p an optional minus sign and digits, q digits and positive).
 A hom (homext row, `--rows file:` entry) is {"base": [label], "atoms":
@@ -34,9 +34,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from icbound.certificate import DualCertificate
 from icbound.errors import InputError
+from icbound.gf import check_prime
 from icbound.groundset import GroundSet, LatticeHom
 from icbound.instance import ClosureMode, IndexCodingInstance, from_graph
-from icbound.lincode import ScalarLinearCode
 from icbound.matroid import Matroid, rank_from_matrix
 from icbound.rational import Rational, rat, rat_str
 from icbound.schema import (HomExtRow, HomExtSchema, SchemaRow, SideRow, SubmodRow,
@@ -54,8 +54,6 @@ __all__ = [
     "homs_from_json",
     "matroid_from_json",
     "matroid_to_json",
-    "code_from_json",
-    "code_to_json",
     "load_json",
     "dump_json",
 ]
@@ -435,15 +433,7 @@ def matroid_from_json(obj) -> Matroid:
         if any(len(row) != len(elements) for row in rows):
             raise InputError("each of matrix.rows must have one entry per element")
         columns = [[row[j] for row in rows] for j in range(len(elements))]
-        return rank_from_matrix(elements, columns, doc["matrix"]["p"].integer())
-    return Matroid(gs, [n.integer() for n in doc["ranks"]])
-
-
-def code_to_json(code: ScalarLinearCode) -> dict:
-    return {"p": code.p, "matrix": [list(row) for row in code.matrix]}
-
-
-def code_from_json(obj) -> ScalarLinearCode:
-    doc = _Json(obj, "code")
-    p = doc["p"].integer()
-    return ScalarLinearCode(p, tuple(tuple(n.integer() for n in row) for row in doc["matrix"]))
+        p = doc["matrix"]["p"]
+        return rank_from_matrix(elements, columns, p._at_path(check_prime, p.integer()))
+    ranks = doc["ranks"]
+    return ranks._at_path(lambda rs: Matroid(gs, rs), [n.integer() for n in ranks])

@@ -77,18 +77,18 @@ def pivot_update(binv, xb, d, r, den, y=None, rc=0):
     return piv
 
 
-def price_columns(y, cols_idx, cols_val, cobj, excluded, scale):
+def price_columns(y, cols_idx, cols_val, cobj, scale):
     """Pick an entering column with positive reduced cost, or -1.
 
     The reduced cost of column j is taken as cobj[j] * scale - a_j . y, so a
     positive common factor may sit on y and scale. Returns the most positive
-    reduced cost, ties to the lowest column id.
+    reduced cost, ties to the lowest column id. With y = c_B^T B and scale =
+    D (both sign-corrected), a basic column prices at exactly zero in integer
+    arithmetic, so basic columns need no mask: they are never picked.
     """
     best_j = -1
     best_rc = 0
     for j in range(len(cobj)):
-        if excluded[j]:
-            continue
         rc = cobj[j] * scale
         idx = cols_idx[j]
         val = cols_val[j]

@@ -8,8 +8,10 @@ multipliers are exactly the primal subset values; that keeps the basis at
 size 2^n instead of the number of constraints.
 
 The LP data are ints: costs 0, -1, n and -n, decoding columns (1, -1), the
-rhs e_0, and each schema row's coefficients, kept as a Fraction only where
-one is not integral. Results (`BoundSolution`) are Fractions.
+rhs e_0, and each schema row's coefficients. A schema coefficient that is
+not integral is passed on as a Fraction, which `StandardFormLP` refuses:
+such a row must be scaled to integers first (every CLI schema's rows are
+integral already). Results (`BoundSolution`) are Fractions.
 
 The solution is re-audited here against the instance itself (closures are
 recomputed, schema rows re-evaluated), independently of the solver's own

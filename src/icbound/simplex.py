@@ -1,31 +1,31 @@
 """Exact revised simplex over the rationals, computed fraction-free.
 
 Solves max c.v subject to M v = b, v >= 0, with b >= 0, keeping an explicit
-basis inverse. Columns are sparse (index, value) pairs. LP data are ints (the
-bound LP of `lp.build_problem` is all ints); a Fraction entry is accepted,
-and rational data is scaled to integers on entry (each row and its rhs by
-the lcm of the row's denominators, the costs by the lcm of theirs), which
-leaves integer data as it is. The basis inverse is then an
-integer matrix over one common integer denominator, updated by the Bareiss
-step in `kernels.pivot_update`; basic values and simplex multipliers are
-integer vectors over the same denominator, and the multipliers are updated
-as one more row of each pivot, so BTRAN runs once per solve. Fractions appear
-only in the result. No floating point anywhere.
+basis inverse. Columns are sparse (index, value) pairs. LP data are ints
+(the bound LP of `lp.build_problem` is all ints; rational data must be
+scaled to integers by the caller), so the basis inverse is an integer
+matrix over one common integer denominator, updated by the Bareiss step in
+`kernels.pivot_update`; basic values and simplex multipliers are integer
+vectors over the same denominator, and the multipliers are updated as one
+more row of each pivot, so BTRAN runs once per solve. Fractions appear only
+in the result. No floating point anywhere.
 
 Degeneracy is the norm in the LPs this package builds (the right-hand side
 has a single nonzero), so the leaving row is picked by the lexicographic
 ratio test, which cannot cycle, and the entering column by most-positive
-reduced cost over a rotating chunk of columns (partial pricing). Artificial
-columns are appended internally to provide the starting basis; they may
-never enter, and any artificial row touched by an entering column is pivoted
-out at ratio zero, so artificials stay at value zero forever and the optimum
-reached belongs to the genuine problem. Callers can hand over a list of
-crash pivots to install a known feasible basis cheaply before the loop.
+reduced cost over a rotating chunk of columns (partial pricing). A basic
+column prices at exactly zero (binv times it is den times a unit vector),
+so pricing needs no mask of basic columns. Artificial columns are appended
+internally to provide the starting basis; they may never enter, and any
+artificial row touched by an entering column is pivoted out at ratio zero,
+so artificials stay at value zero forever and the optimum reached belongs
+to the genuine problem. Callers can hand over a list of crash pivots to
+install a known feasible basis cheaply before the loop.
 
 The result is audited against the data as given before being returned:
 exact primal feasibility, nonpositive reduced costs, and agreement of primal
 and dual objectives. The audit brings x and y each to its own common
-denominator and checks in integers, independently of the solver's scaling.
+denominator and checks in integers, independently of the solver's state.
 A failed audit is a bug in the solver, not in the model, and raises
 VerificationError.
 """
@@ -33,6 +33,7 @@ VerificationError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,13 +43,15 @@ from icbound.rational import ZERO, Rational
 
 __all__ = ["StandardFormLP", "SimplexResult", "solve_standard_form"]
 
+_MAX_ITER = 200_000
+
 
 @dataclass
 class StandardFormLP:
     """max cobj . v  s.t.  sum_j v_j col_j = rhs, v >= 0, rhs >= 0.
 
-    Entries of cols_val, cobj and rhs are ints, or Fractions where the data
-    are not integral.
+    Every entry of cols_val, cobj and rhs is an int (not a bool); anything
+    else is refused with InputError, since the solver never rescales.
     """
 
     nrows: int
@@ -62,8 +65,24 @@ class StandardFormLP:
             raise InputError("column arrays disagree in length")
         if len(self.rhs) != self.nrows:
             raise InputError("rhs length does not match row count")
+        entries = chain(chain.from_iterable(self.cols_val), self.cobj, self.rhs)
+        if set(map(type, entries)) != {int}:  # one C-speed pass when all is well
+            _refuse_non_int("cols_val", "column", self.cols_val, "that row")
+            _refuse_non_int("cobj", "column", [(c,) for c in self.cobj], "the costs")
+            _refuse_non_int("rhs", "row", [(b,) for b in self.rhs], "the rows")
         if any(v < 0 for v in self.rhs):
             raise InputError("standard form here requires rhs >= 0")
+
+
+def _refuse_non_int(name: str, what: str, entries, hint: str) -> None:
+    """Raise InputError at the first value in entries, a sequence of tuples,
+    whose type is not int."""
+    for k, vals in enumerate(entries):
+        for v in vals:
+            if type(v) is not int:
+                raise InputError(
+                    f"LP data must be ints: {name} at {what} {k} holds "
+                    f"{type(v).__name__} {v}; scale {hint} to integers")
 
 
 @dataclass
@@ -73,31 +92,6 @@ class SimplexResult:
     x: Optional[list]  # per structural column
     y: Optional[list]  # per row, the simplex multipliers at the final basis
     iterations: int
-
-
-def _integer_form(lp: StandardFormLP):
-    """(cols_val, cobj, rhs, row_scale, cost_scale): lp's data as integers.
-
-    Row i and rhs[i] are multiplied by row_scale[i], the lcm of the row's
-    denominators, and the costs by cost_scale, the lcm of theirs. Row scaling
-    leaves the tableau columns, the reduced costs and the lexicographic order
-    unchanged, and cost scaling multiplies every reduced cost by the same
-    positive factor, so the pivot path is that of the data as given. The
-    multipliers of the scaled LP are those of lp times cost_scale / row_scale.
-    """
-    row_scale = [v.denominator for v in lp.rhs]
-    for idx, val in zip(lp.cols_idx, lp.cols_val):
-        for k, v in zip(idx, val):
-            if v.denominator != 1:
-                row_scale[k] = lcm(row_scale[k], v.denominator)
-    cost_scale = lcm(*(c.denominator for c in lp.cobj))
-    cols_val = [
-        tuple(v.numerator * (row_scale[k] // v.denominator) for k, v in zip(idx, val))
-        for idx, val in zip(lp.cols_idx, lp.cols_val)
-    ]
-    cobj = [c.numerator * (cost_scale // c.denominator) for c in lp.cobj]
-    rhs = [v.numerator * (row_scale[i] // v.denominator) for i, v in enumerate(lp.rhs)]
-    return cols_val, cobj, rhs, row_scale, cost_scale
 
 
 def _lex_leaving(binv, xb, d, rows, m):
@@ -129,9 +123,8 @@ def _lex_leaving(binv, xb, d, rows, m):
 def solve_standard_form(
     lp: StandardFormLP,
     crash: Sequence[Tuple[int, int]] = (),
-    max_iter: int = 200_000,
 ) -> SimplexResult:
-    """Revised simplex on an exact-rational standard-form LP.
+    """Revised simplex on an integer standard-form LP, solved exactly.
 
     crash is a list of (column, row) pivots applied before the main loop; it
     must leave a feasible basis in which every row with nonzero rhs holds a
@@ -141,8 +134,7 @@ def solve_standard_form(
     """
     m = lp.nrows
     nstruct = len(lp.cols_idx)
-    cols_idx = lp.cols_idx
-    cols_val, cobj, rhs, row_scale, cost_scale = _integer_form(lp)
+    cols_idx, cols_val, cobj = lp.cols_idx, lp.cols_val, lp.cobj
 
     # Artificial identity columns occupy ids nstruct .. nstruct+m-1. The
     # basis inverse is binv / den and the basic values are xb / den.
@@ -150,9 +142,8 @@ def solve_standard_form(
     for i in range(m):
         binv[i][i] = 1
     den = 1
-    xb = rhs
+    xb = list(lp.rhs)  # pivot_update rewrites it in place
     basis = [nstruct + i for i in range(m)]
-    basic_row = {nstruct + i: i for i in range(m)}  # col id -> row
 
     def is_artificial(col: int) -> bool:
         return col >= nstruct
@@ -162,11 +153,8 @@ def solve_standard_form(
 
     def do_pivot(col: int, row: int, d, y=None, rc=0) -> None:
         nonlocal den
-        out = basis[row]
         den = kernels.pivot_update(binv, xb, d, row, den, y, rc)
         basis[row] = col
-        del basic_row[out]
-        basic_row[col] = row
 
     for col, row in crash:
         if not (0 <= col < nstruct):
@@ -184,11 +172,6 @@ def solve_standard_form(
             raise InputError(
                 f"row {i} has nonzero rhs but no crash pivot covers it"
             )
-
-    excluded = [False] * nstruct
-    for c in basis:
-        if c < nstruct:
-            excluded[c] = True
 
     # Multipliers y / den, kept current by every pivot from here on.
     y = kernels.btran_dense([cobj[c] if c < nstruct else 0 for c in basis], binv, m)
@@ -214,7 +197,6 @@ def solve_standard_form(
                 cols_idx[lo:hi],
                 cols_val[lo:hi],
                 cobj[lo:hi],
-                excluded[lo:hi],
                 scale,
             )
             scanned += hi - lo
@@ -247,25 +229,21 @@ def solve_standard_form(
         rc = cobj[enter] * den
         for k, v in zip(cols_idx[enter], cols_val[enter]):
             rc -= v * y[k]
-        out = basis[leave]
         do_pivot(enter, leave, d, y, rc)
-        excluded[enter] = True
-        if out < nstruct:
-            excluded[out] = False
         iterations += 1
-        if iterations > max_iter:
+        if iterations > _MAX_ITER:
             raise VerificationError(
-                f"simplex exceeded {max_iter} iterations; lexicographic rule should "
+                f"simplex exceeded {_MAX_ITER} iterations; lexicographic rule should "
                 "terminate long before this, so something is inconsistent"
             )
 
     x = [ZERO] * nstruct
-    for c, i in basic_row.items():
+    for i, c in enumerate(basis):
         if c < nstruct:
             x[c] = Rational(xb[i], den)
         elif xb[i]:
             raise VerificationError("artificial column ended basic at a nonzero value")
-    y = [Rational(y[i] * row_scale[i], den * cost_scale) for i in range(m)]
+    y = [Rational(v, den) for v in y]
     _audit(lp, x, y)
     objective = sum((lp.cobj[j] * x[j] for j in range(nstruct) if x[j]), ZERO)
     return SimplexResult("optimal", objective, x, y, iterations)
@@ -277,10 +255,9 @@ def _audit(lp: StandardFormLP, x, y) -> None:
     primal = dual objective.
 
     x and y are brought to integers over the lcm of their own denominators,
-    dx and dy, never over the solver's scaling, so a scaling bug cannot pass
-    its own audit. With integer data every check is then integer arithmetic;
-    a Fraction coefficient is used as it is. Fractions are built only for an
-    error message.
+    dx and dy, never over the solver's denominator, so a bug in the solver's
+    state cannot pass its own audit. Every check is then integer arithmetic; Fractions are
+    built only for an error message.
     """
     m = lp.nrows
     dx = lcm(*(v.denominator for v in x if v))

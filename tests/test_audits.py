@@ -11,17 +11,18 @@ import pytest
 
 from icbound import lp as lp_module
 from icbound import simplex
-from icbound.errors import VerificationError
-from icbound.groundset import GroundSet
+from icbound.errors import InputError, VerificationError
+from icbound.groundset import GroundSet, SetVector
 from icbound.instance import IndexCodingInstance, cycle_instance
 from icbound.lp import bound_b, build_problem, solve_problem
 from icbound.matroid import fano, nonfano, to_index_coding
 from icbound.rational import ONE, ZERO, rat
+from icbound.schema import HomExtSchema
 from icbound.simplex import StandardFormLP, solve_standard_form
 from icbound.tighten import schema_with_submod
 
 from oracles import fraction_audit
-from test_simplex_lp import differential_instances
+from test_simplex_lp import differential_instances, hand_lp_arrays
 
 HALF = rat("1/2")
 
@@ -45,13 +46,28 @@ def instance_audit_message(problem, sol, **changes):
 
 
 def hand_lps():
-    """(lp, crash) pairs: max 3a + 2b s.t. a + b = 1, a - b = 0, as given and
-    with row 0 halved and the costs over 3."""
-    plain = StandardFormLP(2, [(0, 1), (0, 1)], [(ONE, ONE), (ONE, -ONE)],
-                           [rat(3), rat(2)], [ONE, ZERO])
-    scaled = StandardFormLP(2, [(0, 1), (0, 1)], [(HALF, ONE), (HALF, -ONE)],
-                            [rat(1), rat("2/3")], [HALF, ZERO])
-    return [(plain, [(1, 1), (0, 0)]), (scaled, [(1, 1), (0, 0)])]
+    """(lp, crash) pairs: max 3a + 2b s.t. a + b = 1, a - b = 0. The same LP
+    with row 0 halved and the costs over 3 is refused, not rescaled."""
+    with pytest.raises(InputError, match=re.escape(
+            "cols_val at column 0 holds Fraction 1/2; scale that row to integers")):
+        StandardFormLP(2, [(0, 1), (0, 1)], [(HALF, 1), (HALF, -1)],
+                       [1, rat("2/3")], [HALF, 0])
+    return [(StandardFormLP(**hand_lp_arrays()), [(1, 1), (0, 0)])]
+
+
+def test_fractional_schema_row_is_refused():
+    # A generating row with coefficient 1/2 reaches the LP as a Fraction.
+    gen = GroundSet(["u", "v", "w"])
+    alpha = SetVector(gen, {0b001: 1, 0b010: 1, 0b011: -1, 0b000: -1})
+    inst = IndexCodingInstance(gen, [(0, 0b010), (1, 0b100), (2, 0b001)])
+    whole = build_problem(inst, HomExtSchema("whole", gen, alpha, "w"))
+    assert len(whole.schema_rows) == 1
+    assert solve_problem(whole).value == rat(2)
+    half = HomExtSchema("half", gen, alpha.scale(HALF), "w")
+    # column 12 is the schema row, after the 3 * 4 decoding columns
+    with pytest.raises(InputError, match=re.escape(
+            "cols_val at column 12 holds Fraction -1/2; scale that row to integers")):
+        build_problem(inst, half)
 
 
 def test_simplex_audit_fires_on_each_check():

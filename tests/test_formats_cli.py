@@ -12,12 +12,10 @@ from icbound.certificate import c5_certificate
 from icbound.cli import _build_parser, main
 from icbound.errors import InputError
 from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
-                             certificate_to_json, code_from_json,
-                             code_to_json, dump_json, instance_from_json,
+                             certificate_to_json, dump_json, instance_from_json,
                              instance_to_json, load_json, matroid_from_json,
                              matroid_to_json, schema_by_name)
 from icbound.instance import IndexCodingInstance, cycle_instance
-from icbound.lincode import ScalarLinearCode
 from icbound.lp import build_problem, solve_problem
 from icbound.certificate import certificate_from_solution, verify_certificate
 from icbound.matroid import _FANO_LABELS, fano, to_index_coding
@@ -146,15 +144,6 @@ def test_matroid_json_forms():
         matroid_from_json(
             {"elements": ["a", "b"], "matrix": {"p": 2, "rows": [[1]]}}
         )
-
-
-def test_code_json_roundtrip():
-    code = ScalarLinearCode(3, ((1, 2, 0), (0, 1, 1)))
-    assert code_from_json(code_to_json(code)) == code
-    with pytest.raises(InputError):
-        code_from_json([1, 2])
-    with pytest.raises(InputError):
-        code_from_json({"p": 3})
 
 
 def test_malformed_certificate_fields():
@@ -344,6 +333,18 @@ def test_cli_demos(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out and "25/4" in out
 
+    # the paper's headline numbers: Fano 133/33 and non-Fano 93/23 under
+    # their parity rows, and the 49-message product pinned at 16 by
+    # submodularity but lifted to 532/33 and 372/23
+    assert main(["demo", "fano-gap"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "= 133/33 > 4" in out and "= 93/23 > 4" in out
+
+    assert main(["demo", "separation"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "at 16\n" in out
+    assert "= 532/33 > 16" in out and "= 372/23 > 16" in out
+
 
 # -- malformed input: exit code 2 and the path of the offending field --------
 
@@ -388,7 +389,11 @@ def test_cli_malformed_instance(obj, path, tmp_path, capsys):
     ({"elements": ["a"], "ranks": ["x", 1]}, "ranks[0]"),
     ({"elements": ["a"], "matrix": {"p": "2", "rows": [[1]]}}, "matrix.p"),
     ({"elements": ["a"], "matrix": {"p": 2, "rows": [5]}}, "matrix.rows[0]"),
-], ids=["rank-float", "rank-string", "p-string", "row-int"])
+    ({"elements": ["a"], "matrix": {"p": 4, "rows": [[1]]}}, "matrix.p"),
+    ({"elements": ["a"], "ranks": [0]}, "ranks"),
+    ({"elements": ["a"], "ranks": [0, 2]}, "ranks"),
+], ids=["rank-float", "rank-string", "p-string", "row-int", "p-not-prime",
+        "ranks-length", "ranks-axioms"])
 def test_cli_malformed_matroid(obj, path, tmp_path, capsys):
     _assert_input_error(["matroid2ic", _write(tmp_path, "mat.json", obj)], path, capsys)
 
@@ -399,11 +404,6 @@ def test_error_message_bounds_deep_values():
         deep = [deep]
     with pytest.raises(InputError, match=r"^messages\[0\] must be a label"):
         instance_from_json({"messages": [deep], "receivers": []})
-
-
-def test_code_entries_must_be_integers():
-    with pytest.raises(InputError, match=r"^matrix\[0\]\[0\] must be an integer"):
-        code_from_json({"p": 2, "matrix": [[1.7, 0]]})
 
 
 @pytest.mark.parametrize("mutate, path", [

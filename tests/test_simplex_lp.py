@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from icbound import kernels
+from icbound.errors import InputError
 from icbound.groundset import GroundSet, popcount
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               from_graph)
@@ -25,37 +27,52 @@ def to_fraction(v):
     return Fraction(int(v.numerator), int(v.denominator))
 
 
+def hand_lp_arrays():
+    """The arrays of max 3a + 2b s.t. a + b = 1, a - b = 0, as fresh lists."""
+    return dict(nrows=2, cols_idx=[(0, 1), (0, 1)], cols_val=[(1, 1), (1, -1)],
+                cobj=[3, 2], rhs=[1, 0])
+
+
 def test_solver_reports_optimum():
-    # max 3a + 2b subject to a + b = 1, a - b = 0 (scaled to rhs >= 0)
-    lp = StandardFormLP(
-        nrows=2,
-        cols_idx=[(0, 1), (0, 1)],
-        cols_val=[(ONE, ONE), (ONE, -ONE)],
-        cobj=[rat(3), rat(2)],
-        rhs=[ONE, ZERO],
-    )
+    lp = StandardFormLP(**hand_lp_arrays())
     res = solve_standard_form(lp, crash=[(1, 1), (0, 0)])
     assert res.status == "optimal"
     assert res.objective == rat("5/2")
     assert res.x == [rat("1/2"), rat("1/2")]
     assert_same_as_fraction_simplex(lp, [(1, 1), (0, 0)])
 
-    # Row 0 halved and the costs over 3: the integer form scales both back,
-    # so the pivot path and x stay; y_0 doubles and every y_i is over 3.
-    scaled = StandardFormLP(
-        nrows=2,
-        cols_idx=[(0, 1), (0, 1)],
-        cols_val=[(rat("1/2"), ONE), (rat("1/2"), -ONE)],
-        cobj=[rat(1), rat("2/3")],
-        rhs=[rat("1/2"), ZERO],
-    )
-    res2 = solve_standard_form(scaled, crash=[(1, 1), (0, 0)])
-    assert res2.status == "optimal"
-    assert res2.objective == rat("5/6")
-    assert res2.x == res.x
-    assert res2.iterations == res.iterations
-    assert res2.y == [res.y[0] * 2 / 3, res.y[1] / 3]
-    assert_same_as_fraction_simplex(scaled, [(1, 1), (0, 0)])
+    # Row 0 halved: rational data is refused, not rescaled; the caller
+    # scales the row back to integers.
+    halved = hand_lp_arrays()
+    halved.update(cols_val=[(rat("1/2"), 1), (rat("1/2"), -1)], rhs=[rat("1/2"), 0])
+    with pytest.raises(InputError, match=re.escape(
+            "cols_val at column 0 holds Fraction 1/2; scale that row to integers")):
+        StandardFormLP(**halved)
+
+
+@pytest.mark.parametrize("bad", [rat("1/2"), True, 0.5], ids=["Fraction", "bool", "float"])
+@pytest.mark.parametrize("array, where", [
+    ("cols_val", "column 1"), ("cobj", "column 1"), ("rhs", "row 1")])
+def test_lp_data_must_be_int(array, where, bad):
+    arrays = hand_lp_arrays()
+    if array == "cols_val":
+        arrays["cols_val"][1] = (1, bad)
+    else:
+        arrays[array][1] = bad
+    message = f"LP data must be ints: {array} at {where} holds {type(bad).__name__} {bad};"
+    with pytest.raises(InputError, match=re.escape(message)):
+        StandardFormLP(**arrays)
+
+
+def test_solver_leaves_lp_data_unchanged():
+    for lp, crash in [(StandardFormLP(**hand_lp_arrays()), [(1, 1), (0, 0)])] + [
+            (p.lp, p.crash) for p in (build_problem(cycle_instance(5)),
+                                      build_problem(to_index_coding(fano())))]:
+        before = (list(lp.rhs), list(lp.cobj), list(lp.cols_val), list(lp.cols_idx))
+        res = solve_standard_form(lp, crash=crash)
+        assert res.status == "optimal"
+        assert (lp.rhs, lp.cobj, lp.cols_val, lp.cols_idx) == before
+        assert solve_standard_form(lp, crash=crash) == res
 
 
 def test_solver_with_negative_denominator(monkeypatch):
@@ -65,9 +82,9 @@ def test_solver_with_negative_denominator(monkeypatch):
     lp = StandardFormLP(
         nrows=3,
         cols_idx=[(0, 1), (0, 2), (1, 2), (0,)],
-        cols_val=[(-ONE, ONE), (ONE, ONE), (ONE, ONE), (ONE,)],
-        cobj=[rat(1), rat(3), rat(3), ZERO],
-        rhs=[ZERO, ONE, ONE],
+        cols_val=[(-1, 1), (1, 1), (1, 1), (1,)],
+        cobj=[1, 3, 3, 0],
+        rhs=[0, 1, 1],
     )
     crash = [(0, 0), (2, 1)]
     dens = []
@@ -130,14 +147,12 @@ def test_solver_matches_fraction_simplex():
 
 
 def test_solver_requires_covering_crash():
-    from icbound.errors import InputError
-
     lp = StandardFormLP(
         nrows=1,
         cols_idx=[(0,)],
-        cols_val=[(ONE,)],
-        cobj=[ONE],
-        rhs=[ONE],
+        cols_val=[(1,)],
+        cobj=[1],
+        rhs=[1],
     )
     with pytest.raises(InputError):
         solve_standard_form(lp)  # row 0 has rhs 1 and no crash pivot
@@ -150,9 +165,9 @@ def test_solver_detects_unbounded():
     lp = StandardFormLP(
         nrows=1,
         cols_idx=[(0,), (0,)],
-        cols_val=[(ONE,), (-ONE,)],
-        cobj=[ONE, ONE],
-        rhs=[ZERO],
+        cols_val=[(1,), (-1,)],
+        cobj=[1, 1],
+        rhs=[0],
     )
     res = solve_standard_form(lp)
     assert res.status == "unbounded"
@@ -232,22 +247,22 @@ def all_pairs_bound(inst):
             if s == 0 and s | t == nrows - 1:
                 empty_to_full = len(cols_idx)
             cols_idx.append((s, s | t))
-            cols_val.append((ONE, -ONE))
-            cobj.append(rat(-popcount((s | t) & ~cl & ~s)))
+            cols_val.append((1, -1))
+            cobj.append(-popcount((s | t) & ~cl & ~s))
             t = (t - 1) & sup
     schema = SubmodSchema()
     for row in schema.rows(inst.messages):
         items = sorted(schema.row_vector(row, inst.messages).items())
         cols_idx.append(tuple(k for k, _ in items))
-        cols_val.append(tuple(v for _, v in items))
-        cobj.append(ZERO)
+        cols_val.append(tuple(int(v) for _, v in items))
+        cobj.append(0)
     full = nrows - 1
     w_plus = len(cols_idx)
     cols_idx += [(full,), (full,)]
-    cols_val += [(ONE,), (-ONE,)]
-    cobj += [rat(n), rat(-n)]
-    rhs = [ZERO] * nrows
-    rhs[0] = ONE
+    cols_val += [(1,), (-1,)]
+    cobj += [n, -n]
+    rhs = [0] * nrows
+    rhs[0] = 1
     lp = StandardFormLP(nrows, cols_idx, cols_val, cobj, rhs)
     res = solve_standard_form(lp, crash=[(empty_to_full, 0), (w_plus, full)])
     assert res.status == "optimal"
