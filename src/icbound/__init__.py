@@ -23,11 +23,10 @@ from icbound.schema import (
     SubmodSchema,
     UnionSchema,
 )
-from icbound.lp import bound_b, bound_with_schema, build_problem, solve_problem
+from icbound.lp import build_problem, solve_problem
 from icbound.certificate import (
     DualCertificate,
     c5_certificate,
-    certificate_from_solution,
     combine_certificates,
     verify_certificate,
 )
@@ -82,13 +81,10 @@ __all__ = [
     "SubmodRow",
     "SubmodSchema",
     "UnionSchema",
-    "bound_b",
-    "bound_with_schema",
     "build_problem",
     "solve_problem",
     "DualCertificate",
     "c5_certificate",
-    "certificate_from_solution",
     "combine_certificates",
     "verify_certificate",
     "Matroid",

@@ -22,13 +22,12 @@ from icbound.groundset import GroundSet, LatticeHom
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               product_messages)
 from icbound.rational import ONE, ZERO, Rational, rat
-from icbound.schema import SchemaRow, SubmodRow, SubmodSchema
+from icbound.schema import SchemaRow, SideRow, SubmodRow, SubmodSchema
 
 __all__ = [
     "DualCertificate",
     "verify_certificate",
     "combine_certificates",
-    "certificate_from_solution",
     "c5_certificate",
 ]
 
@@ -66,7 +65,8 @@ def verify_certificate(
                 f"x entry on ({gs.labels_of(s)}, {gs.labels_of(t)}) is not a strictly nested pair"
             )
         if v < 0:
-            raise CertificateInvalid(f"negative x weight {v} on ({s}, {t})")
+            raise CertificateInvalid(
+                f"negative x weight {v} on ({gs.labels_of(s)}, {gs.labels_of(t)})")
         if v:
             v = rat(v)
             residual[s] = get(s, ZERO) + v
@@ -74,7 +74,7 @@ def verify_certificate(
             value += v * instance.dst(s, t, cert.closure)
     for row, v in cert.y.items():
         if v < 0:
-            raise CertificateInvalid(f"negative y weight {v} on {row!r}")
+            raise CertificateInvalid(f"negative y weight {v} on {_row_text(row, gs)}")
         if v:
             v = rat(v)
             for mask, c in schema.row_vector(row, gs).items():
@@ -98,18 +98,13 @@ def verify_certificate(
     return value
 
 
-def certificate_from_solution(
-    sol, schema_name: str, closure: ClosureMode = ClosureMode.SINGLE_STEP
-) -> DualCertificate:
-    """Package an optimal LP solution's dual weights as a certificate."""
-    if sol.status != "optimal":
-        raise InputError("only optimal solutions yield certificates")
-    if sol.w != ONE:
-        raise InputError(
-            f"certificate extraction needs the scale multiplier at 1, got {sol.w}; "
-            "the schema in use is not pinning the full-set row"
-        )
-    return DualCertificate(schema_name, closure, dict(sol.x), dict(sol.y), sol.value)
+def _row_text(row: SchemaRow, gs: GroundSet) -> str:
+    """A schema row for an error message, a submodularity pair by its labels."""
+    if isinstance(row, SideRow):
+        return f"{('left', 'right')[row.side]} {_row_text(row.inner, gs)}"
+    if isinstance(row, SubmodRow):
+        return f"submod row ({gs.labels_of(row.s)}, {gs.labels_of(row.t)})"
+    return repr(row)
 
 
 def _block_mask(g_mask: int, nf: int) -> int:

@@ -13,12 +13,7 @@ import functools
 import sys
 from typing import List, Optional
 
-from icbound.certificate import (
-    c5_certificate,
-    certificate_from_solution,
-    combine_certificates,
-    verify_certificate,
-)
+from icbound.certificate import c5_certificate, combine_certificates, verify_certificate
 from icbound.errors import CertificateInvalid, InputError, ResourceCapError, VerificationError
 from icbound.formats import (
     SCHEMA_NAMES,
@@ -61,15 +56,11 @@ def _row_homs(spec: str, schema_name: str, gs):
 def _cmd_solve(args) -> int:
     instance = instance_from_json(load_json(args.instance))
     schema = schema_by_name(args.schema, _row_homs(args.rows, args.schema, instance.messages))
-    closure = _CLOSURES[args.closure]
-    sol = solve_problem(build_problem(instance, schema, closure))
-    if sol.status != "optimal":
-        raise VerificationError(f"LP status {sol.status}")
+    sol = solve_problem(build_problem(instance, schema, _CLOSURES[args.closure]))
     print(f"b = {rat_str(sol.value)}")
     if args.emit_cert:
-        cert = certificate_from_solution(sol, schema.name, closure)
-        verify_certificate(instance, schema, cert)
-        dump_json(certificate_to_json(cert, instance.messages, schema), args.emit_cert)
+        verify_certificate(instance, schema, sol.cert)
+        dump_json(certificate_to_json(sol.cert, instance.messages, schema), args.emit_cert)
         print(f"certificate -> {args.emit_cert}")
     return 0
 
@@ -132,6 +123,13 @@ def _cmd_search_linear(args) -> int:
     return 0
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type for counts and caps: ASCII digits only, so no sign."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _check(ok: bool, label: str, failures: List[str]) -> None:
     print(("ok:   " if ok else "FAIL: ") + label)
     if not ok:
@@ -144,9 +142,8 @@ def _demo_c5(failures: List[str]) -> None:
     _check(value == rat("5/2"), f"built-in pentagon certificate verifies to {rat_str(value)}", failures)
     sol = solve_problem(build_problem(instance))
     _check(sol.value == rat("5/2"), f"LP optimum b = {rat_str(sol.value)}", failures)
-    cert = certificate_from_solution(sol, schema.name)
     _check(
-        verify_certificate(instance, schema, cert) == sol.value,
+        verify_certificate(instance, schema, sol.cert) == sol.value,
         "extracted certificate re-verifies to the optimum",
         failures,
     )
@@ -204,15 +201,9 @@ def _demo_separation(failures: List[str]) -> None:
     product = inst_f.lex_product(inst_n)
 
     submod = schema_by_name("submod")
-    sol_f = solve_problem(build_problem(inst_f))
-    sol_n = solve_problem(build_problem(inst_n))
-    base = combine_certificates(
-        inst_f,
-        inst_n,
-        certificate_from_solution(sol_f, submod.name),
-        certificate_from_solution(sol_n, submod.name),
-        submod,
-    )
+    cert_f = solve_problem(build_problem(inst_f, submod)).cert
+    cert_n = solve_problem(build_problem(inst_n, submod)).cert
+    base = combine_certificates(inst_f, inst_n, cert_f, cert_n, submod)
     base_value = verify_certificate(product, submod, base)
     _check(
         base_value == rat(16),
@@ -228,8 +219,7 @@ def _demo_separation(failures: List[str]) -> None:
         cut_mat, cut_inst = good
         _, flat_inst = other
         cut_cert = addineq_certificate(cut_mat, _identity_row(schema, cut_inst), schema)
-        flat_sol = solve_problem(build_problem(flat_inst, schema))
-        flat_cert = certificate_from_solution(flat_sol, schema.name)
+        flat_cert = solve_problem(build_problem(flat_inst, schema)).cert
         if parity == "odd":
             combined = combine_certificates(
                 cut_inst, flat_inst, cut_cert, flat_cert, schema
@@ -310,13 +300,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="independence number by branch and bound")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=40)
+    p.add_argument("--cap", type=_nonnegative, default=40)
     p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("search-linear", help="minimum scalar linear code length")
     p.add_argument("instance")
     p.add_argument("p", type=int)
-    p.add_argument("--l-max", type=int, default=None)
+    p.add_argument("--l-max", type=_nonnegative, default=None)
     p.set_defaults(func=_cmd_search_linear)
 
     p = sub.add_parser("demo", help="scripted pipelines with pass/fail output")

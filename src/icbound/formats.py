@@ -429,9 +429,11 @@ def matroid_from_json(obj) -> Matroid:
     gs = doc["elements"].ground_set()
     elements = gs.labels
     if "matrix" in doc:
-        rows = [[n.integer() for n in row] for row in doc["matrix"]["rows"]]
-        if any(len(row) != len(elements) for row in rows):
-            raise InputError("each of matrix.rows must have one entry per element")
+        rows = []
+        for node in doc["matrix"]["rows"]:
+            rows.append([n.integer() for n in node])
+            node._expect(len(rows[-1]) == len(elements),
+                         f"an array of {len(elements)} integers, one per element")
         columns = [[row[j] for row in rows] for j in range(len(elements))]
         p = doc["matrix"]["p"]
         return rank_from_matrix(elements, columns, p._at_path(check_prime, p.integer()))

@@ -8,10 +8,17 @@ multipliers are exactly the primal subset values; that keeps the basis at
 size 2^n instead of the number of constraints.
 
 The LP data are ints: costs 0, -1, n and -n, decoding columns (1, -1), the
-rhs e_0, and each schema row's coefficients. A schema coefficient that is
-not integral is passed on as a Fraction, which `StandardFormLP` refuses:
-such a row must be scaled to integers first (every CLI schema's rows are
-integral already). Results (`BoundSolution`) are Fractions.
+rhs e_0, and each schema row's coefficients. `build_problem` checks every
+schema row where it becomes a column: each coefficient must be an integer
+and the coefficients must sum to zero, or InputError names the schema and
+the row. The stronger atom-sum tightness check stays in the test suite
+(`tests/oracles.schema_is_tight`).
+
+Zero-sum rows give every bound LP an optimum, with w = x[w_plus] - x[w_minus]
+= 1: the equality rows sum to that, as every other column sums to zero, and
+z = n on every subset is feasible. A solver result "unbounded", or w other
+than 1, is a bug and raises VerificationError. Results (`BoundSolution`) are
+Fractions, and carry the dual weights as a certificate.
 
 The solution is re-audited here against the instance itself (closures are
 recomputed, schema rows re-evaluated), independently of the solver's own
@@ -23,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from icbound.errors import VerificationError
-from icbound.groundset import GroundSet
+from icbound.certificate import DualCertificate
+from icbound.errors import InputError, VerificationError
 from icbound.instance import ClosureMode, IndexCodingInstance
 from icbound.rational import ONE, Rational
 from icbound.schema import SchemaRow, SubmodSchema
@@ -37,15 +44,12 @@ __all__ = [
     "LPProblem",
     "build_problem",
     "solve_problem",
-    "bound_b",
-    "bound_with_schema",
 ]
 
 
 @dataclass
 class LPProblem:
     instance: IndexCodingInstance
-    gs: GroundSet
     schema: object
     closure: ClosureMode
     dec_pairs: List[Tuple[int, int]]
@@ -58,12 +62,12 @@ class LPProblem:
 
 @dataclass
 class BoundSolution:
-    status: str
-    value: Optional[Rational]
+    """The optimum b, the subset values z, and the dual weights as a
+    certificate (claimed value b) under the problem's schema and closure."""
+
+    value: Rational
     z: Dict[int, Rational]
-    x: Dict[Tuple[int, int], Rational]
-    y: Dict[SchemaRow, Rational]
-    w: Optional[Rational]
+    cert: DualCertificate
     iterations: int
 
 
@@ -100,14 +104,19 @@ def build_problem(
             cobj.append(-cost)
 
     schema_rows: List[SchemaRow] = []
-    for row in schema.rows(gs):
+    for pos, row in enumerate(schema.rows(gs)):
         vec = schema.row_vector(row, gs)
         if not vec:
             continue
-        schema_rows.append(row)
         items = sorted(vec.items())
+        vals = tuple(v.numerator if v.denominator == 1 else v for _, v in items)
+        total = sum(vals)
+        # A Fraction anywhere in vals leaves total a Fraction.
+        if total or type(total) is not int:
+            _refuse_row(schema.name, pos, items, total, gs)
+        schema_rows.append(row)
         cols_idx.append(tuple(k for k, _ in items))
-        cols_val.append(tuple(v.numerator if v.denominator == 1 else v for _, v in items))
+        cols_val.append(vals)
         cobj.append(0)
 
     full = gs.full_mask
@@ -133,16 +142,28 @@ def build_problem(
 
     lp = StandardFormLP(nrows, cols_idx, cols_val, cobj, rhs)
     return LPProblem(
-        instance, gs, schema, closure, dec_pairs, schema_rows, lp, crash, w_plus, w_minus
+        instance, schema, closure, dec_pairs, schema_rows, lp, crash, w_plus, w_minus
     )
+
+
+def _refuse_row(name: str, pos: int, items, total, gs) -> None:
+    """Raise InputError for row pos of schema name: its first non-integer
+    coefficient, else its nonzero coefficient sum."""
+    for mask, v in items:
+        if v.denominator != 1:
+            raise InputError(
+                f"schema {name!r} row {pos}: coefficient {v} at {gs.labels_of(mask)} "
+                "is not an integer; scale the row to integers")
+    raise InputError(f"schema {name!r} row {pos}: coefficients sum to {total}, not 0")
 
 
 def solve_problem(problem: LPProblem) -> BoundSolution:
     res = solve_standard_form(problem.lp, crash=problem.crash)
-    if res.status == "unbounded":
-        return BoundSolution("unbounded", None, {}, {}, {}, None, res.iterations)
+    if res.status != "optimal":
+        raise VerificationError(
+            f"bound LP came back {res.status}, yet z = n on every subset is feasible")
 
-    z = {mask: res.y[mask] for mask in range(1 << problem.gs.n)}
+    z = dict(enumerate(res.y))
     x: Dict[Tuple[int, int], Rational] = {}
     for col, pair in enumerate(problem.dec_pairs):
         if res.x[col]:
@@ -152,41 +173,25 @@ def solve_problem(problem: LPProblem) -> BoundSolution:
     for k, row in enumerate(problem.schema_rows):
         if res.x[base + k]:
             y[row] = res.x[base + k]
-    w = res.x[problem.w_plus] - res.x[problem.w_minus]
-    sol = BoundSolution("optimal", res.objective, z, x, y, w, res.iterations)
-    _audit_against_instance(problem, sol)
+    cert = DualCertificate(problem.schema.name, problem.closure, x, y, res.objective)
+    sol = BoundSolution(res.objective, z, cert, res.iterations)
+    _audit_against_instance(problem, sol, res.x[problem.w_plus] - res.x[problem.w_minus])
     return sol
 
 
-def bound_with_schema(
-    instance: IndexCodingInstance,
-    schema=None,
-    closure: ClosureMode = ClosureMode.SINGLE_STEP,
-) -> Rational:
-    """Optimum of the bound LP under the given schema (default submodular)."""
-    sol = solve_problem(build_problem(instance, schema, closure))
-    if sol.status != "optimal":
-        raise VerificationError(f"bound LP came back {sol.status}")
-    return sol.value
-
-
-def bound_b(
-    instance: IndexCodingInstance,
-    closure: ClosureMode = ClosureMode.SINGLE_STEP,
-) -> Rational:
-    """The headline broadcast-rate lower bound, submodularity only."""
-    return bound_with_schema(instance, None, closure)
-
-
-def _audit_against_instance(problem: LPProblem, sol: BoundSolution) -> None:
+def _audit_against_instance(problem: LPProblem, sol: BoundSolution, w: Rational) -> None:
     """Check the claimed optimum against the instance, not the built columns.
 
-    z is brought to integers over the lcm of its denominators, and the dual
-    weights x over theirs, so every check is integer arithmetic.
+    w is the solver's scale multiplier x[w_plus] - x[w_minus], which zero-sum
+    schema rows pin to 1. z is brought to integers over the lcm of its
+    denominators, and the dual weights x over theirs, so every check is
+    integer arithmetic.
     """
     inst = problem.instance
-    gs = problem.gs
+    gs = inst.messages
     n = gs.n
+    if w != ONE:
+        raise VerificationError(f"scale multiplier w = {w}, not 1")
     zf = [sol.z[s] for s in range(1 << n)]
     dz = lcm(*(v.denominator for v in zf))
     z = [v.numerator * (dz // v.denominator) for v in zf]
@@ -213,11 +218,11 @@ def _audit_against_instance(problem: LPProblem, sol: BoundSolution) -> None:
             acc += (coeff.numerator if coeff.denominator == 1 else coeff) * z[mask]
         if acc < 0:
             raise VerificationError(f"solution violates schema row {row!r}")
-    # Dual side: the reported multipliers must reproduce the objective.
-    if sol.w == ONE:
-        dx = lcm(*(v.denominator for v in sol.x.values()))
-        total = 0
-        for (s, t), xv in sol.x.items():
-            total += xv.numerator * (dx // xv.denominator) * inst.dst(s, t, problem.closure)
-        if total * value.denominator != value.numerator * dx:
-            raise VerificationError("dual value identity failed at w = 1")
+    # Dual side: the certificate's weights must reproduce the objective.
+    x = sol.cert.x
+    dx = lcm(*(v.denominator for v in x.values()))
+    total = 0
+    for (s, t), xv in x.items():
+        total += xv.numerator * (dx // xv.denominator) * inst.dst(s, t, problem.closure)
+    if total * value.denominator != value.numerator * dx:
+        raise VerificationError("dual value identity failed at w = 1")

@@ -8,10 +8,13 @@ and taking its vector must equal pushing the vector forward. That commuting
 square is the whole reason combined certificates verify on product
 instances.
 
-Tightness (every row orthogonal to the all-ones vector and to every
-indicator-sum vector) is what pins the LP's scale multiplier to 1; schemas
-built here are tight by construction. The commuting-square and tightness
-checks live with the test suite, in `tests/oracles.py`.
+A row the LP can use has integer coefficients that sum to zero; the zero
+sum is what pins the LP's scale multiplier to 1. `lp.build_problem` checks
+both on every row where it becomes a column. Tightness asks more: every row
+also sums to zero over the subsets holding any one atom. The schemas built
+here are tight by construction. The tightness and commuting-square checks
+live with the test suite, in `tests/oracles.py` (`schema_is_tight`,
+`pushforward_commutes`).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """The two audits of an LP optimum: every check fires on a broken optimum, the
 simplex audit agrees with a Fraction reference, and the LP data are ints
-while every result handed back is a Fraction."""
+while every result handed back is a Fraction. Schema rows that are not
+integral or do not sum to zero are refused before the LP is built."""
 
 import dataclasses
 import random
@@ -14,15 +15,15 @@ from icbound import simplex
 from icbound.errors import InputError, VerificationError
 from icbound.groundset import GroundSet, SetVector
 from icbound.instance import IndexCodingInstance, cycle_instance
-from icbound.lp import bound_b, build_problem, solve_problem
+from icbound.lp import build_problem, solve_problem
 from icbound.matroid import fano, nonfano, to_index_coding
 from icbound.rational import ONE, ZERO, rat
-from icbound.schema import HomExtSchema
-from icbound.simplex import StandardFormLP, solve_standard_form
+from icbound.schema import HomExtSchema, SubmodRow, SubmodSchema, UnionSchema
+from icbound.simplex import SimplexResult, StandardFormLP, solve_standard_form
 from icbound.tighten import schema_with_submod
 
 from oracles import fraction_audit
-from test_simplex_lp import differential_instances, hand_lp_arrays
+from test_simplex_lp import differential_instances, hand_lp_arrays, lp_bound
 
 HALF = rat("1/2")
 
@@ -36,10 +37,10 @@ def simplex_audit_message(lp, x, y):
     return None
 
 
-def instance_audit_message(problem, sol, **changes):
+def instance_audit_message(problem, sol, w=ONE, **changes):
     """The same for lp._audit_against_instance on sol with fields replaced."""
     try:
-        lp_module._audit_against_instance(problem, dataclasses.replace(sol, **changes))
+        lp_module._audit_against_instance(problem, dataclasses.replace(sol, **changes), w)
     except VerificationError as err:
         return str(err)
     return None
@@ -56,7 +57,8 @@ def hand_lps():
 
 
 def test_fractional_schema_row_is_refused():
-    # A generating row with coefficient 1/2 reaches the LP as a Fraction.
+    # A generating row with coefficient 1/2 is refused before it reaches the
+    # LP, by the schema row it came from, not by its LP column.
     gen = GroundSet(["u", "v", "w"])
     alpha = SetVector(gen, {0b001: 1, 0b010: 1, 0b011: -1, 0b000: -1})
     inst = IndexCodingInstance(gen, [(0, 0b010), (1, 0b100), (2, 0b001)])
@@ -64,10 +66,58 @@ def test_fractional_schema_row_is_refused():
     assert len(whole.schema_rows) == 1
     assert solve_problem(whole).value == rat(2)
     half = HomExtSchema("half", gen, alpha.scale(HALF), "w")
-    # column 12 is the schema row, after the 3 * 4 decoding columns
-    with pytest.raises(InputError, match=re.escape(
-            "cols_val at column 12 holds Fraction -1/2; scale that row to integers")):
+    with pytest.raises(InputError, match="^" + re.escape(
+            "schema 'half' row 0: coefficient -1/2 at () is not an integer; "
+            "scale the row to integers") + "$"):
         build_problem(inst, half)
+    # a row of 1/2 and -1/2 sums to an integer, and is still refused
+    even = SetVector(gen, {0b001: HALF, 0b010: -HALF})
+    with pytest.raises(InputError, match=re.escape(
+            "schema 'even' row 0: coefficient 1/2 at ('u',) is not an integer")):
+        build_problem(inst, HomExtSchema("even", gen, even, "w"))
+
+
+def test_schema_row_must_sum_to_zero():
+    # The lone schema's one row is e_{u}: it sums to 1, so it would not
+    # vanish on z = n everywhere, and the scale multiplier would be free.
+    gen = GroundSet(["u", "v"])
+    lone = HomExtSchema("lone", gen, SetVector.unit(gen, 0b01), "v")
+    inst = IndexCodingInstance(gen, [(0, 0b10)])
+    with pytest.raises(InputError, match="^" + re.escape(
+            "schema 'lone' row 0: coefficients sum to 1, not 0") + "$"):
+        build_problem(inst, lone)
+
+    # the position counts every row the schema yields, zero rows included
+    class JunkFirst(SubmodSchema):
+        def rows(self, gs):
+            yield SubmodRow(0b01, 0b11)  # nested pair, zero row
+            yield from super().rows(gs)
+
+    with pytest.raises(InputError, match="^" + re.escape(
+            "schema 'submod+lone' row 2: coefficients sum to 1, not 0") + "$"):
+        build_problem(inst, UnionSchema(JunkFirst(), lone))
+
+
+def test_unbounded_solver_result_is_a_bug(monkeypatch):
+    problem = build_problem(cycle_instance(4))
+    monkeypatch.setattr(lp_module, "solve_standard_form",
+                        lambda lp, crash: SimplexResult("unbounded", None, None, None, 3))
+    with pytest.raises(VerificationError, match=re.escape(
+            "bound LP came back unbounded, yet z = n on every subset is feasible")):
+        solve_problem(problem)
+
+
+def test_forged_scale_multiplier_is_refused(monkeypatch):
+    problem = build_problem(cycle_instance(4))
+
+    def forged(lp, crash):
+        res = solve_standard_form(lp, crash=crash)
+        res.x[problem.w_plus] += 1
+        return res
+
+    monkeypatch.setattr(lp_module, "solve_standard_form", forged)
+    with pytest.raises(VerificationError, match="^scale multiplier w = 2, not 1$"):
+        solve_problem(problem)
 
 
 def test_simplex_audit_fires_on_each_check():
@@ -95,15 +145,17 @@ def test_instance_audit_fires_on_each_check():
     sol = solve_problem(problem)
     assert instance_audit_message(problem, sol) is None
 
+    assert instance_audit_message(problem, sol, w=HALF) == "scale multiplier w = 1/2, not 1"
     z = dict(sol.z)
-    z[problem.gs.full_mask] = rat(6)
+    z[problem.instance.messages.full_mask] = rat(6)
     assert instance_audit_message(problem, sol, z=z) == "full-set value is not pinned to n"
     assert (instance_audit_message(problem, sol, value=sol.value + 1)
             == "empty-set value disagrees with the LP objective")
-    x = dict(sol.x)
+    x = dict(sol.cert.x)
     pair = next(p for p in x if problem.instance.dst(*p))
     x[pair] *= 2
-    assert instance_audit_message(problem, sol, x=x) == "dual value identity failed at w = 1"
+    assert (instance_audit_message(problem, sol, cert=dataclasses.replace(sol.cert, x=x))
+            == "dual value identity failed at w = 1")
 
     # Two messages, no receivers: every step costs 1 and the one schema row
     # is submodularity at {a}, {b}.
@@ -118,7 +170,7 @@ def test_instance_audit_fires_on_each_check():
             == "solution violates schema row SubmodRow(s=1, t=2)")
     with pytest.raises(VerificationError, match=re.escape("schema row SubmodRow(s=1, t=2)")):
         lp_module._audit_against_instance(
-            pair_problem, dataclasses.replace(pair_sol, z=flat, value=ONE))
+            pair_problem, dataclasses.replace(pair_sol, z=flat, value=ONE), ONE)
 
 
 def perturbations(rng, x, y, count):
@@ -180,8 +232,8 @@ def test_lp_data_are_int_and_results_are_fraction():
         assert type(res.objective) is Fraction
         assert {type(v) for v in res.x + res.y} == {Fraction}
         sol = solve_problem(problem)
-        assert type(sol.value) is Fraction and type(sol.w) is Fraction
-        for weights in (sol.z, sol.x, sol.y):
+        assert type(sol.value) is Fraction
+        for weights in (sol.z, sol.cert.x, sol.cert.y):
             assert {type(v) for v in weights.values()} <= {Fraction}
-        assert sol.z and sol.x
-    assert type(bound_b(cycle_instance(5))) is Fraction
+        assert sol.z and sol.cert.x
+    assert type(lp_bound(cycle_instance(5))) is Fraction

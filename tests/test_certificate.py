@@ -5,24 +5,25 @@ import random
 import pytest
 
 from icbound.certificate import (DualCertificate, c5_certificate,
-                                 certificate_from_solution,
                                  combine_certificates, verify_certificate)
 from icbound.errors import CertificateInvalid, InputError
 from icbound.groundset import GroundSet, SetVector
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               from_graph, product_messages)
-from icbound.lp import bound_b, bound_with_schema, build_problem, solve_problem
+from icbound.lp import build_problem, solve_problem
 from icbound.matroid import addineq_certificate, fano, nonfano, to_index_coding
 from icbound.rational import ONE, rat
-from icbound.schema import SubmodRow, SubmodSchema
+from icbound.schema import SideRow, SubmodRow, SubmodSchema
 from icbound.tighten import fano_schema, schema_with_submod
+
+from test_simplex_lp import lp_bound
 
 SUBMOD = SubmodSchema()
 
 
 def solved_certificate(inst):
     sol = solve_problem(build_problem(inst))
-    return certificate_from_solution(sol, "submod"), sol.value
+    return sol.cert, sol.value
 
 
 def test_c5_certificate_verifies():
@@ -181,7 +182,6 @@ def test_addineq_certificates_exact_values():
         inst = to_index_coding(matroid)
         homext = fano_schema(parity)
         (row,) = list(homext.rows(matroid.gs))
-        from icbound.schema import SideRow
         tagged = SideRow(1, row)
         cert = addineq_certificate(matroid, tagged, schema)
         value = verify_certificate(inst, schema, cert)
@@ -205,16 +205,15 @@ def test_addineq_rejects_valid_rows():
 def test_certificate_value_never_exceeds_lp():
     # soundness spot check: certified values sit at or below the solvable optimum
     inst, schema, cert = c5_certificate()
-    assert verify_certificate(inst, schema, cert) <= bound_b(inst)
+    assert verify_certificate(inst, schema, cert) <= lp_bound(inst)
     for matroid, parity in ((fano(), "odd"), (nonfano(), "even")):
         schema = schema_with_submod(parity)
         homext = fano_schema(parity)
         (row,) = list(homext.rows(matroid.gs))
-        from icbound.schema import SideRow
         cert = addineq_certificate(matroid, SideRow(1, row), schema)
         inst = to_index_coding(matroid)
         assert (verify_certificate(inst, schema, cert)
-                <= bound_with_schema(inst, schema))
+                <= lp_bound(inst, schema))
 
 
 def test_tampering_messages_on_squared_pentagon():
@@ -235,6 +234,24 @@ def test_tampering_messages_on_squared_pentagon():
             "combination misses e_empty - e_full; first offender "
             "('1:1', '1:3', '3:1', '3:3') with excess 1/4")
     rejects(lambda x: x.update({pair: rat("-1/2")}),
-            "negative x weight -1/2 on (5125, 7175)")
+            "negative x weight -1/2 on (('1:1', '1:3', '3:1', '3:3'), "
+            "('1:1', '1:2', '1:3', '3:1', '3:2', '3:3'))")
     rejects(lambda x: x.update({(m(["1:1", "2:2"]), m(["1:1", "3:3"])): ONE}),
             "x entry on (('1:1', '2:2'), ('1:1', '3:3')) is not a strictly nested pair")
+
+
+def test_negative_y_weight_names_the_row_by_labels():
+    inst, schema, cert = c5_certificate()
+    row = next(iter(cert.y))
+    cert.y[row] = rat("-1/2")
+    with pytest.raises(CertificateInvalid) as err:
+        verify_certificate(inst, schema, cert)
+    assert str(err.value) == "negative y weight -1/2 on submod row ((2, 3, 4), (1, 2, 3))"
+
+    matroid, union = fano(), schema_with_submod("odd")
+    left = SideRow(0, SubmodRow(0b0000011, 0b0000101))
+    cert = DualCertificate(union.name, ClosureMode.SINGLE_STEP, {}, {left: rat(-1)})
+    with pytest.raises(CertificateInvalid) as err:
+        verify_certificate(to_index_coding(matroid), union, cert)
+    assert str(err.value) == (
+        "negative y weight -1 on left submod row (('100', '010'), ('100', '001'))")

@@ -17,7 +17,7 @@ from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
                              matroid_to_json, schema_by_name)
 from icbound.instance import IndexCodingInstance, cycle_instance
 from icbound.lp import build_problem, solve_problem
-from icbound.certificate import certificate_from_solution, verify_certificate
+from icbound.certificate import verify_certificate
 from icbound.matroid import _FANO_LABELS, fano, to_index_coding
 from icbound.rational import rat, rat_str
 
@@ -92,8 +92,7 @@ def test_masks_and_label_lists_roundtrip_past_64_bits(mask, int_labels):
 def test_certificate_roundtrip_bit_exact():
     inst = string_c5()
     schema = schema_by_name("submod")
-    sol = solve_problem(build_problem(inst, schema))
-    cert = certificate_from_solution(sol, schema.name)
+    cert = solve_problem(build_problem(inst, schema)).cert
     obj = certificate_to_json(cert, inst.messages, schema)
     text = dump_json(obj, None)
     back, back_schema = certificate_from_json(json.loads(text), inst.messages)
@@ -162,15 +161,19 @@ def test_malformed_certificate_fields():
         mutate(obj)
         with pytest.raises(InputError):
             certificate_from_json(obj, inst.messages)
-    # homext row placed under a schema that has no such part
-    with pytest.raises(InputError):
-        certificate_from_json(
-            {"schema": "submod", "closure": "single", "y": [
-                {"row": {"kind": "homext", "schema": "submod", "base": [],
-                         "atoms": {}}, "v": "1"},
-            ], "x": []},
-            inst.messages,
-        )
+    # homext or union rows placed under a schema that has no such part
+    for row, message in (
+        ({"kind": "homext", "schema": "submod", "base": [], "atoms": {}},
+         "y[0].row is a 'submod' row under schema 'submod'"),
+        ({"kind": "left", "inner": good["y"][0]["row"]},
+         "y[0].row is a 'left' row under schema 'submod'"),
+    ):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            certificate_from_json(
+                {"schema": "submod", "closure": "single", "y": [{"row": row, "v": "1"}],
+                 "x": []},
+                inst.messages,
+            )
 
 
 def test_load_json_errors(tmp_path):
@@ -295,6 +298,20 @@ def test_cli_matroid_alpha_search(tmp_path, c5_file, capsys):
     assert main(["search-linear", inst, "2"]) == 3
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["alpha", None, "--cap", "-3"], "--cap"),
+    (["search-linear", None, "2", "--l-max", "-1"], "--l-max"),
+], ids=["cap", "l-max"])
+def test_cli_refuses_negative_counts(argv, option, c5_file, capsys):
+    # --cap -3 used to exit 3 as if the cap were hit; --l-max -1 printed
+    # "exceeds -1" and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main([c5_file if a is None else a for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: must be a nonnegative integer, got '-" in err
+
+
 def test_cli_row_policies(fano_file, tmp_path, capsys):
     assert main(["solve", fano_file, "--schema", "submod+fano-odd"]) == 0
     assert "b = 73/18" in capsys.readouterr().out
@@ -392,8 +409,10 @@ def test_cli_malformed_instance(obj, path, tmp_path, capsys):
     ({"elements": ["a"], "matrix": {"p": 4, "rows": [[1]]}}, "matrix.p"),
     ({"elements": ["a"], "ranks": [0]}, "ranks"),
     ({"elements": ["a"], "ranks": [0, 2]}, "ranks"),
+    # used to name no path: "each of matrix.rows must have one entry per element"
+    ({"elements": ["a", "b"], "matrix": {"p": 2, "rows": [[1, 0], [1]]}}, "matrix.rows[1]"),
 ], ids=["rank-float", "rank-string", "p-string", "row-int", "p-not-prime",
-        "ranks-length", "ranks-axioms"])
+        "ranks-length", "ranks-axioms", "row-length"])
 def test_cli_malformed_matroid(obj, path, tmp_path, capsys):
     _assert_input_error(["matroid2ic", _write(tmp_path, "mat.json", obj)], path, capsys)
 

@@ -1,6 +1,7 @@
 """Constraint schemas: rows, tightness, pushforward coherence, validity."""
 
 import random
+import re
 
 import pytest
 
@@ -73,6 +74,22 @@ def test_elemental_rows_valid_on_all_small_matroids():
             for vec in rows:
                 assert vec.dot(z) >= R0
                 assert vec.dot(shifted) == vec.dot(z)  # rows kill constants
+
+
+@pytest.mark.parametrize("schema_of, row_of", [
+    (SubmodSchema, lambda hom: HomExtRow("toy", hom)),
+    (small_homext, lambda hom: SubmodRow(0b001, 0b010)),
+    (small_homext, lambda hom: HomExtRow("other", hom)),
+], ids=["submod-given-homext", "homext-given-submod", "homext-given-other-name"])
+@pytest.mark.parametrize("method", ["row_vector", "pushforward_row"])
+def test_foreign_row_is_refused(schema_of, row_of, method):
+    schema = schema_of()
+    hom = LatticeHom.from_labels(GS3, GS3, (), {"a": ("a",), "b": ("b",)})
+    row = row_of(hom)
+    args = (row, GS3) if method == "row_vector" else (hom, row)
+    with pytest.raises(InputError, match="^" + re.escape(
+            f"row {row!r} does not belong to schema {schema.name}") + "$"):
+        getattr(schema, method)(*args)
 
 
 def test_check_tight():

@@ -12,7 +12,7 @@ from icbound.errors import InputError
 from icbound.groundset import GroundSet, popcount
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               from_graph)
-from icbound.lp import bound_b, bound_with_schema, build_problem, solve_problem
+from icbound.lp import build_problem, solve_problem
 from icbound.matroid import (Matroid, fano, nonfano, to_index_coding,
                              uniform_matroid)
 from icbound.rational import ONE, ZERO, rat
@@ -25,6 +25,11 @@ from oracles import entropy_feasible, fm_bound, fraction_simplex, graphic_rank
 
 def to_fraction(v):
     return Fraction(int(v.numerator), int(v.denominator))
+
+
+def lp_bound(inst, schema=None, closure=ClosureMode.SINGLE_STEP):
+    """The optimum of the bound LP (default schema: submodularity)."""
+    return solve_problem(build_problem(inst, schema, closure)).value
 
 
 def hand_lp_arrays():
@@ -62,6 +67,36 @@ def test_lp_data_must_be_int(array, where, bad):
     message = f"LP data must be ints: {array} at {where} holds {type(bad).__name__} {bad};"
     with pytest.raises(InputError, match=re.escape(message)):
         StandardFormLP(**arrays)
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(cols_val=[(1, 1)]), "column arrays disagree in length"),
+    (dict(cobj=[3]), "column arrays disagree in length"),
+    (dict(rhs=[1, 0, 0]), "rhs length does not match row count"),
+    (dict(rhs=[1, -1]), "standard form here requires rhs >= 0"),
+], ids=["cols_val", "cobj", "rhs-length", "rhs-negative"])
+def test_lp_shape_errors(changes, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        StandardFormLP(**dict(hand_lp_arrays(), **changes))
+
+
+# max v s.t. v = 1; and an LP whose column 0 has no entry in row 1.
+ONE_ROW = dict(nrows=1, cols_idx=[(0,)], cols_val=[(1,)], cobj=[1], rhs=[1])
+ZERO_IN_ROW_1 = dict(nrows=2, cols_idx=[(0,), (0, 1)], cols_val=[(1,), (1, 1)],
+                     cobj=[1, 1], rhs=[1, 0])
+
+
+@pytest.mark.parametrize("arrays, crash, message", [
+    (hand_lp_arrays(), [(2, 0)], "crash pivot on a non-structural column"),
+    (hand_lp_arrays(), [(-1, 0)], "crash pivot on a non-structural column"),
+    (ZERO_IN_ROW_1, [(0, 1)], "crash pivot hits a zero tableau entry"),
+    (hand_lp_arrays(), [(1, 1), (0, 1)], "crash pivot would evict a structural column"),
+    (dict(ONE_ROW, cols_val=[(-1,)]), [(0, 0)], "crash basis is not feasible"),
+    (ONE_ROW, [], "row 0 has nonzero rhs but no crash pivot covers it"),
+], ids=["past-the-end", "negative", "zero-entry", "evicts", "infeasible", "uncovered"])
+def test_crash_refusals(arrays, crash, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        solve_standard_form(StandardFormLP(**arrays), crash=crash)
 
 
 def test_solver_leaves_lp_data_unchanged():
@@ -193,7 +228,7 @@ def test_degenerate_schema_rows_dropped():
     inst = from_graph([1, 2, 3], [(1, 2)])
     prob = build_problem(inst, WithJunk())
     assert len(prob.schema_rows) == 3 * 2  # junk row was dropped
-    assert bound_with_schema(inst, WithJunk()) == bound_b(inst)
+    assert lp_bound(inst, WithJunk()) == lp_bound(inst)
 
 
 def graph_instances_upto_3():
@@ -209,7 +244,7 @@ def graph_instances_upto_3():
 def test_bound_matches_elimination_oracle_on_small_graphs():
     for inst in graph_instances_upto_3():
         expect = fm_bound(inst.n, list(inst.receivers))
-        assert to_fraction(bound_b(inst)) == expect
+        assert to_fraction(lp_bound(inst)) == expect
 
 
 def test_bound_matches_elimination_oracle_on_hypergraph_receivers():
@@ -222,15 +257,15 @@ def test_bound_matches_elimination_oracle_on_hypergraph_receivers():
     for receivers in cases:
         inst = IndexCodingInstance(gs, receivers)
         expect = fm_bound(3, list(inst.receivers))
-        assert to_fraction(bound_b(inst)) == expect
+        assert to_fraction(lp_bound(inst)) == expect
 
 
 def test_named_values():
-    assert bound_b(cycle_instance(5)) == rat("5/2")
-    assert bound_b(from_graph([1, 2, 3], [])) == rat(3)
-    assert bound_b(from_graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])) == rat(1)
+    assert lp_bound(cycle_instance(5)) == rat("5/2")
+    assert lp_bound(from_graph([1, 2, 3], [])) == rat(3)
+    assert lp_bound(from_graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])) == rat(1)
     single = IndexCodingInstance(GroundSet(["v"]), [(0, 0)])
-    assert bound_b(single) == rat(1)
+    assert lp_bound(single) == rat(1)
 
 
 def all_pairs_bound(inst):
@@ -276,21 +311,22 @@ def test_single_step_family_loses_nothing():
         edges = [pairs4[i] for i in range(6) if pick >> i & 1]
         insts.append(from_graph(list(range(4)), edges))
     for inst in insts:
-        assert bound_b(inst) == all_pairs_bound(inst)
+        assert lp_bound(inst) == all_pairs_bound(inst)
 
 
 def test_strong_duality_and_forced_w():
     for inst in (cycle_instance(5), to_index_coding(fano())):
-        sol = solve_problem(build_problem(inst))
-        assert sol.status == "optimal"
-        assert sol.w == ONE
+        problem = build_problem(inst)
+        res = solve_standard_form(problem.lp, crash=problem.crash)
+        assert res.x[problem.w_plus] - res.x[problem.w_minus] == ONE
+        sol = solve_problem(problem)
         assert sol.z[0] == sol.value
         assert sol.z[inst.messages.full_mask] == rat(inst.n)
         z = [to_fraction(sol.z[s]) for s in range(1 << inst.n)]
         assert entropy_feasible(inst.n, list(inst.receivers), z)
         # explicit strong duality: objective equals the dual mass on rhs
-        assert all(v >= ZERO for v in sol.x.values())
-        assert all(v >= ZERO for v in sol.y.values())
+        assert all(v >= ZERO for v in sol.cert.x.values())
+        assert all(v >= ZERO for v in sol.cert.y.values())
 
 
 def test_matroid_lp_value_every_rank_function_up_to_4():
@@ -303,20 +339,20 @@ def test_matroid_lp_value_every_rank_function_up_to_4():
             inst = to_index_coding(m)
             if not inst.receivers:
                 continue  # free matroid: no decodable element anywhere
-            assert bound_b(inst) == rat(n - m.full_rank)
+            assert lp_bound(inst) == rat(n - m.full_rank)
 
 
 def test_matroid_lp_value_free_matroid():
     # no receivers at all still yields a well-posed LP pinned at 0
     inst = to_index_coding(uniform_matroid(3, 3))
-    assert bound_b(inst) == ZERO
+    assert lp_bound(inst) == ZERO
 
 
 def test_matroid_lp_value_uniform():
     for n in range(1, 7):
         for k in range(n + 1):
             inst = to_index_coding(uniform_matroid(k, n))
-            assert bound_b(inst) == rat(n - k)
+            assert lp_bound(inst) == rat(n - k)
 
 
 def graphic_matroid(nv, edges):
@@ -333,25 +369,24 @@ def test_matroid_lp_value_graphic():
         inst = to_index_coding(m)
         if not inst.receivers:
             continue  # forests have nothing to decode
-        assert bound_b(inst) == rat(len(edges) - m.full_rank)
+        assert lp_bound(inst) == rat(len(edges) - m.full_rank)
     # one 5-vertex case with 7 edges: K4 plus a pendant edge
     edges = pairs4 + [(0, 4)]
     m = graphic_matroid(5, edges)
-    assert bound_b(to_index_coding(m)) == rat(7 - m.full_rank)
+    assert lp_bound(to_index_coding(m)) == rat(7 - m.full_rank)
 
 
 def test_schema_rows_never_hurt():
     for inst in (cycle_instance(5), to_index_coding(fano()),
                  to_index_coding(nonfano())):
-        base = bound_b(inst)
+        base = lp_bound(inst)
         for parity in ("even", "odd"):
-            assert bound_with_schema(inst, schema_with_submod(parity)) >= base
+            assert lp_bound(inst, schema_with_submod(parity)) >= base
 
 
 def test_fano_separation_direction():
-    fano_odd = bound_with_schema(to_index_coding(fano()), schema_with_submod("odd"))
-    nonfano_even = bound_with_schema(
-        to_index_coding(nonfano()), schema_with_submod("even"))
+    fano_odd = lp_bound(to_index_coding(fano()), schema_with_submod("odd"))
+    nonfano_even = lp_bound(to_index_coding(nonfano()), schema_with_submod("even"))
     assert fano_odd > rat(4)
     assert nonfano_even > rat(4)
 
@@ -359,6 +394,6 @@ def test_fano_separation_direction():
 def test_iterated_closure_only_tightens():
     gs = GroundSet(["a", "b", "c"])
     chain = IndexCodingInstance(gs, [(0, 0b010), (1, 0b100), (2, 0b001)])
-    single = bound_b(chain)
-    iterated = bound_b(chain, ClosureMode.ITERATED)
+    single = lp_bound(chain)
+    iterated = lp_bound(chain, closure=ClosureMode.ITERATED)
     assert iterated >= single
