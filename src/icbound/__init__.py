@@ -37,7 +37,6 @@ from icbound.matroid import (
     nonfano,
     rank_from_matrix,
     to_index_coding,
-    uniform_matroid,
 )
 from icbound.tighten import (
     SubspaceTuple,
@@ -46,11 +45,7 @@ from icbound.tighten import (
     fano_schema,
     lambda_even,
     lambda_odd,
-    project_tuple,
-    quotient_tuple,
-    random_subspace_tuple,
     schema_with_submod,
-    tighten_apply,
     tighten_transpose_apply,
 )
 from icbound.lincode import (
@@ -59,7 +54,6 @@ from icbound.lincode import (
     is_valid_code,
     min_scalar_linear_rate,
     underrep_check,
-    underrep_to_code,
 )
 
 __version__ = "0.1.0"
@@ -93,24 +87,18 @@ __all__ = [
     "nonfano",
     "rank_from_matrix",
     "to_index_coding",
-    "uniform_matroid",
     "SubspaceTuple",
     "dimension_vector",
     "fano_alpha",
     "fano_schema",
     "lambda_even",
     "lambda_odd",
-    "project_tuple",
-    "quotient_tuple",
-    "random_subspace_tuple",
     "schema_with_submod",
-    "tighten_apply",
     "tighten_transpose_apply",
     "ScalarLinearCode",
     "code_entropy_vector",
     "is_valid_code",
     "min_scalar_linear_rate",
     "underrep_check",
-    "underrep_to_code",
     "__version__",
 ]

@@ -22,7 +22,7 @@ from icbound.groundset import GroundSet, LatticeHom
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               product_messages)
 from icbound.rational import ONE, ZERO, Rational, rat
-from icbound.schema import SchemaRow, SideRow, SubmodRow, SubmodSchema
+from icbound.schema import HomExtRow, SchemaRow, SideRow, SubmodRow, SubmodSchema
 
 __all__ = [
     "DualCertificate",
@@ -99,30 +99,26 @@ def verify_certificate(
 
 
 def _row_text(row: SchemaRow, gs: GroundSet) -> str:
-    """A schema row for an error message, a submodularity pair by its labels."""
+    """A schema row for an error message, its subsets named by labels: a
+    submodularity pair, or a HomExt row's base and the image of each
+    generator atom."""
     if isinstance(row, SideRow):
         return f"{('left', 'right')[row.side]} {_row_text(row.inner, gs)}"
     if isinstance(row, SubmodRow):
         return f"submod row ({gs.labels_of(row.s)}, {gs.labels_of(row.t)})"
+    if isinstance(row, HomExtRow):
+        hom = row.hom
+        images = ", ".join(f"{atom!r} -> {hom.codomain.labels_of(img)}"
+                           for atom, img in zip(hom.domain.labels, hom.atom_images))
+        return f"{row.schema} row (base {hom.codomain.labels_of(hom.base)}, {images})"
     return repr(row)
 
 
-def _block_mask(g_mask: int, nf: int) -> int:
-    out = 0
-    full_f = (1 << nf) - 1
-    g = g_mask
-    while g:
-        low = g & -g
-        i = low.bit_length() - 1
-        out |= full_f << (i * nf)
-        g ^= low
-    return out
-
-
-def _pair_hom(gs_f: GroundSet, gs_p: GroundSet, s: int, t: int, nf: int) -> LatticeHom:
-    base = _block_mask(s, nf)
+def _pair_hom(gs_f: GroundSet, gs_p: GroundSet, base: int, diff: int, nf: int) -> LatticeHom:
+    """The hom from the second factor's subsets into the product's that
+    a decoding pair (s, t) of the first factor induces: base is the block
+    embedding of s, diff is t minus s."""
     atoms = []
-    diff = t & ~s
     for u in range(nf):
         img = 0
         d = diff
@@ -188,7 +184,7 @@ def combine_certificates(
     for (s, t), vg in cert_g.x.items():
         if not vg:
             continue
-        hom = _pair_hom(gs_f, gs_p, s, t, nf)
+        hom = _pair_hom(gs_f, gs_p, g_hom.apply(s), t & ~s, nf)
         for (a, b), vf in cert_f.x.items():
             if not vf:
                 continue

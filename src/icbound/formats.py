@@ -53,7 +53,6 @@ __all__ = [
     "orbit_homs_from_json",
     "homs_from_json",
     "matroid_from_json",
-    "matroid_to_json",
     "load_json",
     "dump_json",
 ]
@@ -405,23 +404,16 @@ def orbit_homs_from_json(obj, schema_name: str, gs: GroundSet) -> List[LatticeHo
     ident = None if part is None else part.embedding(gs, {})
     if ident is None:
         return []
-    homs = {ident.key(): ident}
+    homs = [ident]
     for entry, label_map in maps:
         hom = part.embedding(gs, label_map)
         if hom is None:
             raise InputError(f"{entry.path} sends a generator label outside the instance")
-        homs.setdefault(hom.key(), hom)
-    return list(homs.values())
+        homs.append(hom)
+    return list(dict.fromkeys(homs))
 
 
 # -- matroids and codes ---------------------------------------------------------
-
-
-def matroid_to_json(matroid: Matroid) -> dict:
-    return {
-        "elements": [str(lab) for lab in matroid.gs.labels],
-        "ranks": list(matroid.ranks),
-    }
 
 
 def matroid_from_json(obj) -> Matroid:

@@ -3,14 +3,14 @@
 General GF(p) vectors are int lists, kept incrementally by `EchelonBasis`;
 over GF(2) a vector is a single int bitmask, kept by `Gf2Basis`. The one
 subset-lattice walk, `span_ranks`, uses `Gf2Basis` when p = 2 and
-`EchelonBasis` otherwise. The dense helpers are rank and null space for
-the code module and inversion for the tightening module.
+`EchelonBasis` otherwise. The dense helpers are `rref` and `rank`, which
+the code module uses to test a matrix for independent rows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from icbound import kernels
 from icbound.errors import InputError
@@ -19,8 +19,6 @@ __all__ = [
     "check_prime",
     "rref",
     "rank",
-    "nullspace",
-    "inverse",
     "EchelonBasis",
     "Gf2Basis",
     "span_ranks",
@@ -51,37 +49,6 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[List[List[int]], List[i
 
 def rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(rref(rows, p)[1])
-
-
-def nullspace(rows: Sequence[Sequence[int]], p: int, ncols: int) -> List[List[int]]:
-    """Basis of {x : A x = 0} as a list of length-ncols vectors."""
-    red, pivots = rref(rows, p)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = [0] * ncols
-        vec[f] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-red[i][f]) % p
-        basis.append(vec)
-    return basis
-
-
-def inverse(rows: Sequence[Sequence[int]], p: int) -> List[List[int]]:
-    """Inverse of a square matrix; raises InputError when singular."""
-    m = len(rows)
-    aug = []
-    for i, row in enumerate(rows):
-        if len(row) != m:
-            raise InputError("inverse needs a square matrix")
-        ext = [v % p for v in row] + [0] * m
-        ext[m + i] = 1
-        aug.append(ext)
-    pivots = kernels.gfp_rref(aug, p)
-    if pivots != list(range(m)):
-        raise InputError("matrix is singular, cannot invert")
-    return [row[m:] for row in aug]
 
 
 class EchelonBasis:
@@ -148,10 +115,6 @@ class EchelonBasis:
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))
 
-    def extend(self, vecs: Iterable[Sequence[int]]) -> None:
-        for v in vecs:
-            self.add(v)
-
 
 class Gf2Basis:
     """GF(2) variant of EchelonBasis with int-bitmask rows."""
@@ -188,13 +151,6 @@ class Gf2Basis:
             pos += 1
         self.rows.insert(pos, vec)
         return True
-
-    def contains(self, vec: int) -> bool:
-        return self.reduce(vec) == 0
-
-    def extend(self, vecs: Iterable[int]) -> None:
-        for v in vecs:
-            self.add(v)
 
 
 def _pack_gf2(vec: Sequence[int]) -> int:

@@ -9,9 +9,9 @@ is gated, by DENSE_CAP.
 A SetVector is validated once, where its entries come from outside the
 package: the public constructor checks every mask against the ground set,
 coerces every value with `rat` and merges duplicate masks. Vectors the
-package builds itself (sums, scalings, pushforwards, rank and dimension
-vectors, submodular rows) already satisfy those invariants by construction
-and are wrapped by `SetVector._from_clean` without a second pass.
+package builds itself (sums, pushforwards, rank and dimension vectors,
+submodular rows) already satisfy those invariants by construction and are
+wrapped by `SetVector._from_clean` without a second pass.
 """
 
 from __future__ import annotations
@@ -149,10 +149,6 @@ class SetVector:
     def zero(cls, gs: GroundSet) -> "SetVector":
         return cls(gs)
 
-    @classmethod
-    def unit(cls, gs: GroundSet, mask: int, value=1) -> "SetVector":
-        return cls(gs, {mask: value})
-
     def get(self, mask: int) -> Rational:
         return self._data.get(mask, ZERO)
 
@@ -175,24 +171,6 @@ class SetVector:
             else:
                 data.pop(mask, None)
         return SetVector._from_clean(self.gs, data)
-
-    def __sub__(self, other: "SetVector") -> "SetVector":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "SetVector":
-        f = rat(factor)
-        data = {mask: f * v for mask, v in self._data.items()} if f else {}
-        return SetVector._from_clean(self.gs, data)
-
-    def dot(self, other: "SetVector") -> Rational:
-        self._check_mate(other)
-        small, big = (self, other) if len(self) <= len(other) else (other, self)
-        total = ZERO
-        for mask, v in small._data.items():
-            w = big._data.get(mask)
-            if w is not None:
-                total += v * w
-        return total
 
     def mass(self) -> Rational:
         """Sum of all entries, i.e. the dot product with the all-ones vector."""
@@ -294,8 +272,3 @@ class LatticeHom:
             self.apply(inner.base | inner.atom_images[i]) & ~base
             for i in range(inner.domain.n))
         return LatticeHom(inner.domain, self.codomain, base, images)
-
-    def key(self) -> tuple:
-        """Hashable identity ignoring label objects (used in schema row ids)."""
-        return (self.domain.labels, self.codomain.labels, self.base,
-                self.atom_images)

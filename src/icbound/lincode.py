@@ -6,10 +6,12 @@ vector lies in the span of Q's rows and the known coordinates' unit vectors.
 Minimum-length search enumerates row spaces in reduced echelon form, which
 is what keeps the tiny search spaces honest (one candidate per subspace).
 
-An under-representation of a matroid converts to a valid code for the
-matroid's instance by taking a null-space basis; that conversion is how the
-length-4 binary code for the seven-message binary-matroid instance is
-produced without any search.
+`underrep_check` decides whether a matrix under-represents a matroid. A
+null-space basis of such a matrix is a valid code for the matroid's
+instance; the test suite builds the length-4 binary code for the
+seven-message binary-matroid instance that way and checks it with
+`is_valid_code`. `code_entropy_vector` gives a code's joint-rank vector,
+which the tests check against the bound LP's rows.
 """
 
 from __future__ import annotations
@@ -18,18 +20,17 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from icbound.errors import InputError, ResourceCapError, VerificationError
-from icbound.gf import EchelonBasis, check_prime, nullspace, rank, span_ranks
+from icbound.errors import InputError, ResourceCapError
+from icbound.gf import EchelonBasis, check_prime, rank, span_ranks
 from icbound.groundset import SetVector, popcount
 from icbound.instance import IndexCodingInstance
-from icbound.matroid import Matroid, to_index_coding
+from icbound.matroid import Matroid
 
 __all__ = [
     "ScalarLinearCode",
     "is_valid_code",
     "min_scalar_linear_rate",
     "underrep_check",
-    "underrep_to_code",
     "code_entropy_vector",
 ]
 
@@ -166,20 +167,6 @@ def underrep_check(matroid: Matroid, rows: Sequence[Sequence[int]], p: int) -> b
             if not s & bit and ranks[s | bit] == r and span[s | bit] != span[s]:
                 return False
     return True
-
-
-def underrep_to_code(
-    matroid: Matroid, rows: Sequence[Sequence[int]], p: int
-) -> ScalarLinearCode:
-    """Null-space basis of an under-representation, as a code of length n - d."""
-    if not underrep_check(matroid, rows, p):
-        raise InputError("matrix does not under-represent the matroid")
-    n = matroid.gs.n
-    basis = nullspace([list(r) for r in rows], p, n)
-    code = ScalarLinearCode(p, tuple(tuple(v) for v in basis))
-    if not is_valid_code(to_index_coding(matroid), code):
-        raise VerificationError("null-space code failed validity; construction bug")
-    return code
 
 
 def code_entropy_vector(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Tuple
 
-from icbound.certificate import DualCertificate
+from icbound.certificate import DualCertificate, _row_text
 from icbound.errors import InputError, VerificationError
 from icbound.instance import ClosureMode, IndexCodingInstance
 from icbound.rational import ONE, Rational
@@ -217,7 +217,7 @@ def _audit_against_instance(problem: LPProblem, sol: BoundSolution, w: Rational)
         for mask, coeff in vec.items():
             acc += (coeff.numerator if coeff.denominator == 1 else coeff) * z[mask]
         if acc < 0:
-            raise VerificationError(f"solution violates schema row {row!r}")
+            raise VerificationError(f"solution violates {_row_text(row, gs)}")
     # Dual side: the certificate's weights must reproduce the objective.
     x = sol.cert.x
     dx = lcm(*(v.denominator for v in x.values()))

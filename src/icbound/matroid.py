@@ -20,14 +20,13 @@ from typing import Dict, List, Sequence, Tuple
 from icbound.certificate import DualCertificate
 from icbound.errors import InputError, ResourceCapError
 from icbound.gf import check_prime, span_ranks
-from icbound.groundset import GroundSet, popcount
+from icbound.groundset import GroundSet
 from icbound.instance import ClosureMode, IndexCodingInstance
 from icbound.rational import ONE, ZERO, Rational, rat
 
 __all__ = [
     "Matroid",
     "rank_from_matrix",
-    "uniform_matroid",
     "fano",
     "nonfano",
     "to_index_coding",
@@ -50,7 +49,7 @@ class Matroid:
     @classmethod
     def _unchecked(cls, gs: GroundSet, ranks: Sequence[int]) -> "Matroid":
         """For ranks that obey the axioms by construction (ranks of matrix
-        columns, min(|S|, k)): skips check_axioms."""
+        columns): skips check_axioms."""
         m = cls.__new__(cls)
         m._set_ranks(gs, ranks)
         return m
@@ -64,10 +63,6 @@ class Matroid:
             raise InputError("rank vector length must be 2^n")
         self.gs = gs
         self.ranks = tuple(int(r) for r in ranks)
-
-    def rank(self, mask: int) -> int:
-        self.gs.check_mask(mask)
-        return self.ranks[mask]
 
     @property
     def n(self) -> int:
@@ -102,17 +97,6 @@ class Matroid:
                     if r[a] + r[b] < r[a | b] + r[s]:
                         raise InputError(f"submodularity fails at masks {a}, {b}")
 
-    def closure(self, mask: int) -> int:
-        """All elements whose addition leaves the rank unchanged."""
-        self.gs.check_mask(mask)
-        out = mask
-        base = self.ranks[mask]
-        for i in range(self.gs.n):
-            bit = 1 << i
-            if not (mask & bit) and self.ranks[mask | bit] == base:
-                out |= bit
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matroid)
@@ -136,14 +120,6 @@ def rank_from_matrix(
     if any(len(c) != dim for c in columns):
         raise InputError("columns must share a common height")
     return Matroid._unchecked(gs, span_ranks(p, dim, [[c] for c in columns]))
-
-
-def uniform_matroid(k: int, n: int) -> Matroid:
-    """Rank min(|S|, k) on elements labeled e1..en."""
-    if not 0 <= k <= n:
-        raise InputError(f"uniform matroid needs 0 <= k <= n, got {k}, {n}")
-    gs = GroundSet(tuple(f"e{i + 1}" for i in range(n)))
-    return Matroid._unchecked(gs, [min(popcount(s), k) for s in range(1 << n)])
 
 
 _FANO_LABELS = ("100", "010", "001", "110", "101", "011", "111")
@@ -184,11 +160,11 @@ def to_index_coding(matroid: Matroid, minimal: bool = True) -> IndexCodingInstan
             if ranks[s | bit] == ranks[s] and not (
                 minimal and _spanned_without_one(ranks, s, bit)
             ):
-                receivers.append((gs.labels[x], gs.labels_of(s)))
+                receivers.append((x, s))
             if s == 0:
                 break
             s = (s - 1) & rest
-    return IndexCodingInstance.from_receivers(gs, receivers)
+    return IndexCodingInstance(gs, receivers)
 
 
 def _spanned_without_one(ranks: Sequence[int], s: int, bit: int) -> bool:

@@ -12,9 +12,10 @@ import pytest
 
 from icbound import lp as lp_module
 from icbound import simplex
+from icbound.certificate import DualCertificate
 from icbound.errors import InputError, VerificationError
 from icbound.groundset import GroundSet, SetVector
-from icbound.instance import IndexCodingInstance, cycle_instance
+from icbound.instance import ClosureMode, IndexCodingInstance, cycle_instance
 from icbound.lp import build_problem, solve_problem
 from icbound.matroid import fano, nonfano, to_index_coding
 from icbound.rational import ONE, ZERO, rat
@@ -65,7 +66,8 @@ def test_fractional_schema_row_is_refused():
     whole = build_problem(inst, HomExtSchema("whole", gen, alpha, "w"))
     assert len(whole.schema_rows) == 1
     assert solve_problem(whole).value == rat(2)
-    half = HomExtSchema("half", gen, alpha.scale(HALF), "w")
+    halved = SetVector(gen, {mask: v * HALF for mask, v in alpha.items()})
+    half = HomExtSchema("half", gen, halved, "w")
     with pytest.raises(InputError, match="^" + re.escape(
             "schema 'half' row 0: coefficient -1/2 at () is not an integer; "
             "scale the row to integers") + "$"):
@@ -81,7 +83,7 @@ def test_schema_row_must_sum_to_zero():
     # The lone schema's one row is e_{u}: it sums to 1, so it would not
     # vanish on z = n everywhere, and the scale multiplier would be free.
     gen = GroundSet(["u", "v"])
-    lone = HomExtSchema("lone", gen, SetVector.unit(gen, 0b01), "v")
+    lone = HomExtSchema("lone", gen, SetVector(gen, {0b01: 1}), "v")
     inst = IndexCodingInstance(gen, [(0, 0b10)])
     with pytest.raises(InputError, match="^" + re.escape(
             "schema 'lone' row 0: coefficients sum to 1, not 0") + "$"):
@@ -167,10 +169,24 @@ def test_instance_audit_fires_on_each_check():
             == "solution violates the one-step decoding bound at ()+a")
     flat = {0: ONE, 1: ONE, 2: ONE, 3: rat(2)}
     assert (instance_audit_message(pair_problem, pair_sol, z=flat, value=ONE)
-            == "solution violates schema row SubmodRow(s=1, t=2)")
-    with pytest.raises(VerificationError, match=re.escape("schema row SubmodRow(s=1, t=2)")):
+            == "solution violates submod row (('a',), ('b',))")
+    with pytest.raises(VerificationError, match=re.escape("submod row (('a',), ('b',))")):
         lp_module._audit_against_instance(
             pair_problem, dataclasses.replace(pair_sol, z=flat, value=ONE), ONE)
+
+
+def test_instance_audit_names_a_homext_row_by_labels():
+    # z = n - r + rank is feasible for the submodular LP of a matroid
+    # instance, and the odd-characteristic row cuts Fano's rank vector.
+    matroid = fano()
+    problem = build_problem(to_index_coding(matroid), schema_with_submod("odd"))
+    value = rat(matroid.n - matroid.full_rank)
+    z = {s: value + r for s, r in enumerate(matroid.ranks)}
+    cert = DualCertificate("submod+fano-odd", ClosureMode.SINGLE_STEP)
+    sol = lp_module.BoundSolution(value, z, cert, 0)
+    atoms = ", ".join(f"{lab!r} -> ({lab!r},)" for lab in matroid.gs.labels)
+    assert instance_audit_message(problem, sol) == (
+        f"solution violates right fano-odd row (base (), {atoms}, 'e' -> ())")
 
 
 def perturbations(rng, x, y, count):

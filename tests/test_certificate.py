@@ -16,6 +16,7 @@ from icbound.rational import ONE, rat
 from icbound.schema import SideRow, SubmodRow, SubmodSchema
 from icbound.tighten import fano_schema, schema_with_submod
 
+from lemmas import dot
 from test_simplex_lp import lp_bound
 
 SUBMOD = SubmodSchema()
@@ -188,7 +189,7 @@ def test_addineq_certificates_exact_values():
         assert value == frozen
         # excess over the submodular optimum is exactly (-a.r)/scale
         a = schema.row_vector(tagged, matroid.gs)
-        deficit = a.dot(SetVector(matroid.gs, enumerate(matroid.ranks)))
+        deficit = dot(a, SetVector(matroid.gs, enumerate(matroid.ranks)))
         assert deficit == rat(-1)
         n_minus_r = rat(matroid.n - matroid.full_rank)
         assert value == n_minus_r + (-deficit) / scale
@@ -255,3 +256,15 @@ def test_negative_y_weight_names_the_row_by_labels():
         verify_certificate(to_index_coding(matroid), union, cert)
     assert str(err.value) == (
         "negative y weight -1 on left submod row (('100', '010'), ('100', '001'))")
+
+
+def test_negative_homext_weight_names_the_hom_by_labels():
+    matroid, union = fano(), schema_with_submod("odd")
+    (row,) = list(fano_schema("odd").rows(matroid.gs))
+    cert = addineq_certificate(matroid, SideRow(1, row), union)
+    cert.y[SideRow(1, row)] = -cert.y[SideRow(1, row)]
+    with pytest.raises(CertificateInvalid) as err:
+        verify_certificate(to_index_coding(matroid), union, cert)
+    atoms = ", ".join(f"{lab!r} -> ({lab!r},)" for lab in matroid.gs.labels)
+    assert str(err.value) == (
+        f"negative y weight -1/33 on right fano-odd row (base (), {atoms}, 'e' -> ())")

@@ -14,14 +14,19 @@ from icbound.errors import InputError
 from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
                              certificate_to_json, dump_json, instance_from_json,
                              instance_to_json, load_json, matroid_from_json,
-                             matroid_to_json, schema_by_name)
+                             schema_by_name)
 from icbound.instance import IndexCodingInstance, cycle_instance
 from icbound.lp import build_problem, solve_problem
 from icbound.certificate import verify_certificate
-from icbound.matroid import _FANO_LABELS, fano, to_index_coding
+from icbound.matroid import _FANO_LABELS, addineq_certificate, fano, to_index_coding
 from icbound.rational import rat, rat_str
 
 FANO_ROWS = [[int(lab[i]) for lab in _FANO_LABELS] for i in range(3)]
+
+
+def fano_ranks_json():
+    """The Fano matroid as a matroid file with a rank vector."""
+    return {"elements": list(_FANO_LABELS), "ranks": list(fano().ranks)}
 
 
 def string_c5():
@@ -104,8 +109,6 @@ def test_certificate_roundtrip_bit_exact():
 
 
 def test_homext_certificate_roundtrip():
-    from icbound.matroid import addineq_certificate
-
     inst = instance_from_json(instance_to_json(to_index_coding(fano())))
     schema = schema_by_name("submod+fano-odd")
     row = next(r for r in schema.rows(inst.messages) if r.side == 1)
@@ -127,7 +130,7 @@ def test_schema_registry():
 
 
 def test_matroid_json_forms():
-    obj = matroid_to_json(fano())
+    obj = fano_ranks_json()
     assert obj["elements"] == list(_FANO_LABELS)
     assert matroid_from_json(obj).ranks == fano().ranks
     via_matrix = matroid_from_json(
@@ -281,7 +284,7 @@ def test_cli_product_and_combine(c5_file, tmp_path, capsys, monkeypatch):
 
 def test_cli_matroid_alpha_search(tmp_path, c5_file, capsys):
     mat = str(tmp_path / "fano-matroid.json")
-    dump_json(matroid_to_json(fano()), mat)
+    dump_json(fano_ranks_json(), mat)
     inst = str(tmp_path / "fano-inst.json")
     assert main(["matroid2ic", mat, "--out", inst]) == 0
     assert len(load_json(inst)["receivers"]) == 49
@@ -458,8 +461,6 @@ def test_cli_integer_claimed_value_is_checked(c5_file, tmp_path, capsys):
 
 
 def test_cli_homext_atom_key_outside_generator(fano_file, tmp_path, capsys):
-    from icbound.matroid import addineq_certificate
-
     inst = instance_from_json(instance_to_json(to_index_coding(fano())))
     schema = schema_by_name("submod+fano-odd")
     row = next(r for r in schema.rows(inst.messages) if r.side == 1)
@@ -505,8 +506,6 @@ def _positions(doc, prefix=()):
 @pytest.fixture(scope="module")
 def fuzz_seeds(tmp_path_factory):
     """name -> (valid document, argv with None where the document's path goes)."""
-    from icbound.matroid import addineq_certificate
-
     work = tmp_path_factory.mktemp("fuzz")
     c5 = instance_to_json(cycle_instance(5))
     c5_path = _write(work, "c5.json", c5)
@@ -529,7 +528,7 @@ def fuzz_seeds(tmp_path_factory):
         "cert-submod": (c5_cert, ["verify", c5_path, None]),
         "combine": (c5_cert, ["combine", c5_path, c5_path, c5_cert_path, None]),
         "cert-fano": (fano_cert, ["verify", fano_path, None]),
-        "matroid-ranks": (matroid_to_json(fano()), ["matroid2ic", None]),
+        "matroid-ranks": (fano_ranks_json(), ["matroid2ic", None]),
         "matroid-matrix": ({"elements": list(_FANO_LABELS), "matrix": {"p": 2, "rows": FANO_ROWS}},
                            ["matroid2ic", None]),
         "orbit": ([{"100": "010", "010": "100", "101": "011", "011": "101"}], rows + ["orbit:"]),

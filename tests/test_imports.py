@@ -6,7 +6,10 @@ parses each module with the standard library's ast and fails on an imported
 name that the module never reads. Names listed in __all__ count as used
 (they are re-exported), and so does `from __future__ import annotations`.
 The second imports each module and fails on a name in its __all__ that the
-module does not bind, as a deleted function left in __all__ would be.
+module does not bind, as a deleted function left in __all__ would be. The
+third fails on a name the package exports that nothing outside the tests
+reads: no package module other than __init__, and no benchmark module.
+Such a name belongs in tests/lemmas.py, or nowhere.
 """
 
 import ast
@@ -18,6 +21,7 @@ import icbound
 
 SRC = Path(icbound.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _annotation_names(node):
@@ -95,3 +99,50 @@ def test_export_check_sees_missing_name():
     module = types.ModuleType("m")
     exec("def kept(): pass\n__all__ = ['kept', 'deleted']\n", module.__dict__)
     assert unbound_exports(module) == ["deleted"]
+
+
+def read_names(tree):
+    """Every Name and Attribute a module reads, and each part of the dotted
+    strings it assigns to LAYERS (the names the benchmark wraps)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+            names |= {part for c in ast.walk(node.value)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                      for part in c.value.split(".")}
+    return names
+
+
+def unread_exports(exported, trees):
+    read = set().union(*map(read_names, trees))
+    return [name for name in exported if name != "__version__" and name not in read]
+
+
+def test_every_export_is_read_outside_the_tests():
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    paths += sorted(PERFBENCH.glob("*.py"))
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
+    found = unread_exports(icbound.__all__, trees)
+    assert not found, "exported names only the tests read:\n" + "\n".join(found)
+
+
+def test_export_scan_sees_unread_names():
+    package = ast.parse(
+        "from .m import listed, defined\n"
+        "__all__ = ['listed']\n"
+        "def defined():\n"
+        "    return called(obj.attribute)\n"
+    )
+    bench = ast.parse(
+        "import icbound as icb\n"
+        "icb.benched()\n"
+        "LAYERS = [('x.s', ['icbound.mod.Wrapped.method'], False, ('.s',))]\n"
+    )
+    exported = ["listed", "defined", "called", "attribute", "benched",
+                "Wrapped", "method", "__version__"]
+    assert unread_exports(exported, [package, bench]) == ["listed", "defined"]

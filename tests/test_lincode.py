@@ -7,18 +7,19 @@ from fractions import Fraction
 import pytest
 
 from icbound.errors import InputError, ResourceCapError
-from icbound.gf import nullspace, rank
+from icbound.gf import rank
 from icbound.groundset import GroundSet
 from icbound.instance import cycle_instance, from_graph
 from icbound.lincode import (ScalarLinearCode, code_entropy_vector,
                              is_valid_code, min_scalar_linear_rate,
-                             underrep_check, underrep_to_code)
+                             underrep_check)
 from icbound.matroid import (_FANO_LABELS, Matroid, fano, nonfano,
                              rank_from_matrix, to_index_coding)
 from icbound.rational import rat
 from icbound.tighten import fano_schema
 
 import oracles
+from lemmas import dot, nullspace
 
 C5 = cycle_instance(5)
 K2 = from_graph([1, 2], [(1, 2)])
@@ -125,9 +126,19 @@ def test_rate_equals_matroid_duality_complement():
             assert lam == n - d_max, (n, ranks)
 
 
+def underrep_code(matroid, rows, p):
+    """An under-representation's null-space basis, as a code of length
+    n - d that decodes the matroid's instance."""
+    assert underrep_check(matroid, rows, p)
+    basis = nullspace([list(r) for r in rows], p, matroid.n)
+    code = ScalarLinearCode(p, tuple(tuple(v) for v in basis))
+    assert is_valid_code(to_index_coding(matroid), code)
+    return code
+
+
 def test_fano_underrep_roundtrip():
     assert underrep_check(fano(), FANO_ROWS, 2)
-    code = underrep_to_code(fano(), FANO_ROWS, 2)
+    code = underrep_code(fano(), FANO_ROWS, 2)
     assert code.length == 4 and code.n == 7 and code.p == 2
     assert is_valid_code(to_index_coding(fano()), code)
     back = nullspace([list(r) for r in code.matrix], 2, 7)
@@ -137,7 +148,7 @@ def test_fano_underrep_roundtrip():
     assert len(back) == 3 and rank(stacked, 2) == 3
 
     assert underrep_check(nonfano(), FANO_ROWS, 3)
-    code3 = underrep_to_code(nonfano(), FANO_ROWS, 3)
+    code3 = underrep_code(nonfano(), FANO_ROWS, 3)
     assert code3.length == 4 and code3.p == 3
     assert is_valid_code(to_index_coding(nonfano()), code3)
 
@@ -263,7 +274,7 @@ def test_characteristic_schema_rows_on_code_entropy():
         vec = schema.row_vector(schema_rows[0], gs)
 
         codes = [identity_code(p, 8),
-                 extend_with_unit(underrep_to_code(matroid, FANO_ROWS, p), 7)]
+                 extend_with_unit(underrep_code(matroid, FANO_ROWS, p), 7)]
         while len(codes) < 8:
             rows = tuple(
                 tuple(rng.randrange(p) for _ in range(8)) for _ in range(6)
@@ -273,7 +284,7 @@ def test_characteristic_schema_rows_on_code_entropy():
                 codes.append(candidate)
         for code in codes:
             z = code_entropy_vector(inst, code)
-            assert vec.dot(z) >= rat(0), (parity, code.matrix)
+            assert dot(vec, z) >= rat(0), (parity, code.matrix)
 
 
 def test_entropy_vector_free_instance():

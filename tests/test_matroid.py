@@ -6,13 +6,19 @@ import pytest
 
 from icbound.errors import InputError, ResourceCapError
 from icbound.groundset import GroundSet, popcount
-from icbound.matroid import (Matroid, fano, nonfano, rank_from_matrix,
-                             to_index_coding, uniform_matroid)
+from icbound.matroid import Matroid, fano, nonfano, rank_from_matrix, to_index_coding
 
+from lemmas import closure
 from oracles import adjoin_zero, all_rank_functions, fp_rank, graphic_rank, matroid_receivers
 
 FANO_COLS = [[int(c) for c in lab] for lab in
              ("100", "010", "001", "110", "101", "011", "111")]
+
+
+def uniform(k, n):
+    """The uniform matroid U(k, n): rank min(|S|, k) on elements e1..en."""
+    gs = GroundSet([f"e{i + 1}" for i in range(n)])
+    return Matroid(gs, [min(popcount(s), k) for s in range(1 << n)])
 
 
 def column_submatrix(cols, mask):
@@ -25,13 +31,13 @@ def test_matrix_ranks_match_elimination_oracle(p, builder):
     m = builder()
     for mask in range(1 << 7):
         sub = column_submatrix(FANO_COLS, mask)
-        assert m.rank(mask) == fp_rank(sub, p)
+        assert m.ranks[mask] == fp_rank(sub, p)
 
 
 def test_characteristic_splits_the_triangle():
     tri = fano().gs.mask_of(["110", "101", "011"])
-    assert fano().rank(tri) == 2
-    assert nonfano().rank(tri) == 3
+    assert fano().ranks[tri] == 2
+    assert nonfano().ranks[tri] == 3
     # and over any odd prime the ranks agree with GF(3)
     m5 = rank_from_matrix(nonfano().gs.labels, FANO_COLS, 5)
     assert m5.ranks == nonfano().ranks
@@ -40,7 +46,7 @@ def test_characteristic_splits_the_triangle():
 def test_identity_matrix_is_free():
     cols = [[1 if i == j else 0 for i in range(4)] for j in range(4)]
     m = rank_from_matrix(["a", "b", "c", "d"], cols, 2)
-    assert all(m.rank(s) == popcount(s) for s in range(16))
+    assert all(m.ranks[s] == popcount(s) for s in range(16))
 
 
 def test_rank_invariant_under_row_operations():
@@ -70,7 +76,7 @@ def test_constructor_rejects_rank_drop():
 def test_constructor_checks_computed_ranks():
     gs = GroundSet(["a", "b", "c"])
     m = Matroid(gs, [min(popcount(s), 2) for s in range(8)])
-    assert m.ranks == uniform_matroid(2, 3).ranks
+    assert m.ranks == uniform(2, 3).ranks
     with pytest.raises(InputError):
         Matroid(gs, [popcount(s) % 2 for s in range(8)])
 
@@ -92,14 +98,14 @@ def test_closure_operator():
     m = fano()
     gs = m.gs
     pair = gs.mask_of(["100", "010"])
-    assert m.closure(pair) == gs.mask_of(["100", "010", "110"])
-    assert m.closure(0) == 0  # no loops here
+    assert closure(m, pair) == gs.mask_of(["100", "010", "110"])
+    assert closure(m, 0) == 0  # no loops here
     line = gs.mask_of(["110", "101"])
-    assert m.closure(line) == gs.mask_of(["110", "101", "011"])
+    assert closure(m, line) == gs.mask_of(["110", "101", "011"])
     for s in range(0, 1 << 7, 5):
-        cl = m.closure(s)
+        cl = closure(m, s)
         assert cl & s == s
-        assert m.rank(cl) == m.rank(s)
+        assert m.ranks[cl] == m.ranks[s]
 
 
 def test_adjoin_zero():
@@ -108,8 +114,8 @@ def test_adjoin_zero():
     assert m.gs.labels[-1] == "e"
     e_bit = 1 << 7
     for s in range(1 << 7):
-        assert m.rank(s | e_bit) == fano().rank(s)
-    assert m.closure(0) == e_bit  # the new element is a loop
+        assert m.ranks[s | e_bit] == fano().ranks[s]
+    assert closure(m, 0) == e_bit  # the new element is a loop
     with pytest.raises(InputError):
         adjoin_zero(fano(), "111")  # label collision
 
@@ -118,12 +124,12 @@ def test_basis_intersection_empty():
     def no_coloops(m):
         """No element lies in every basis: dropping any one keeps full rank."""
         full = m.gs.full_mask
-        return all(m.rank(full & ~(1 << i)) == m.full_rank for i in range(m.n))
+        return all(m.ranks[full & ~(1 << i)] == m.full_rank for i in range(m.n))
 
     assert no_coloops(fano())
     assert no_coloops(nonfano())
-    assert no_coloops(uniform_matroid(2, 4))
-    assert not no_coloops(uniform_matroid(3, 3))  # all coloops
+    assert no_coloops(uniform(2, 4))
+    assert not no_coloops(uniform(3, 3))  # all coloops
     # one bridge in an otherwise parallel pair
     gs = GroundSet(["a", "b"])
     bridge = Matroid(gs, [0, 1, 1, 2])
@@ -137,26 +143,23 @@ def test_to_index_coding_receiver_structure():
     # every receiver decodes: the wanted element sits in the closure
     m = fano()
     for want, knows in inst.receivers:
-        assert m.rank(knows | 1 << want) == m.rank(knows)
+        assert m.ranks[knows | 1 << want] == m.ranks[knows]
         # minimality: dropping any known element breaks the span
         for i in range(7):
             bit = 1 << i
             if knows & bit:
                 smaller = knows & ~bit
-                assert m.rank(smaller | 1 << want) > m.rank(smaller)
+                assert m.ranks[smaller | 1 << want] > m.ranks[smaller]
     full = to_index_coding(fano(), minimal=False)
     assert len(full.receivers) > 49
     for s in range(0, 1 << 7, 3):
         assert inst.closure(s) == full.closure(s)
 
 
-class _ReceiverList:
+def receiver_list(gs, pairs):
     """Stands in for IndexCodingInstance to see the receivers in the order
     to_index_coding lists them, before the instance sorts them."""
-
-    @staticmethod
-    def from_receivers(gs, pairs):
-        return [(gs.index(want), gs.mask_of(knows)) for want, knows in pairs]
+    return list(pairs)
 
 
 def test_to_index_coding_matches_pairwise_filter(monkeypatch):
@@ -174,13 +177,13 @@ def test_to_index_coding_matches_pairwise_filter(monkeypatch):
             want = matroid_receivers(m.ranks, m.n, minimal)
             assert to_index_coding(m, minimal).receivers == tuple(sorted(want))
             with monkeypatch.context() as patch:
-                patch.setattr("icbound.matroid.IndexCodingInstance", _ReceiverList)
+                patch.setattr("icbound.matroid.IndexCodingInstance", receiver_list)
                 assert to_index_coding(m, minimal) == want, (m.ranks, minimal)
 
 
 def test_dense_cap():
     with pytest.raises(ResourceCapError):
-        uniform_matroid(2, 13)
+        uniform(2, 13)
 
 
 def test_rank_from_matrix_validation():

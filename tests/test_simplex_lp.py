@@ -13,14 +13,15 @@ from icbound.groundset import GroundSet, popcount
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               from_graph)
 from icbound.lp import build_problem, solve_problem
-from icbound.matroid import (Matroid, fano, nonfano, to_index_coding,
-                             uniform_matroid)
+from icbound.matroid import Matroid, fano, nonfano, to_index_coding
 from icbound.rational import ONE, ZERO, rat
 from icbound.schema import SubmodRow, SubmodSchema
 from icbound.simplex import StandardFormLP, solve_standard_form
 from icbound.tighten import schema_with_submod
 
-from oracles import entropy_feasible, fm_bound, fraction_simplex, graphic_rank
+from oracles import (all_rank_functions, entropy_feasible, fm_bound, fraction_simplex,
+                     graphic_rank)
+from test_matroid import uniform
 
 
 def to_fraction(v):
@@ -330,8 +331,6 @@ def test_strong_duality_and_forced_w():
 
 
 def test_matroid_lp_value_every_rank_function_up_to_4():
-    from oracles import all_rank_functions
-
     for n in (1, 2, 3, 4):
         gs = GroundSet([str(i) for i in range(n)])
         for ranks in all_rank_functions(n):
@@ -344,14 +343,14 @@ def test_matroid_lp_value_every_rank_function_up_to_4():
 
 def test_matroid_lp_value_free_matroid():
     # no receivers at all still yields a well-posed LP pinned at 0
-    inst = to_index_coding(uniform_matroid(3, 3))
+    inst = to_index_coding(uniform(3, 3))
     assert lp_bound(inst) == ZERO
 
 
 def test_matroid_lp_value_uniform():
     for n in range(1, 7):
         for k in range(n + 1):
-            inst = to_index_coding(uniform_matroid(k, n))
+            inst = to_index_coding(uniform(k, n))
             assert lp_bound(inst) == rat(n - k)
 
 

@@ -8,13 +8,12 @@ from icbound.errors import InputError
 from icbound.groundset import GroundSet, SetVector
 from icbound.matroid import fano, nonfano
 from icbound.rational import ZERO, rat
-from icbound.tighten import (SubspaceTuple, b0_apply, b0_transpose_apply,
-                             bk_apply, bk_transpose_apply, dimension_vector,
-                             fano_alpha, fano_groundset, lambda_even,
-                             lambda_odd, project_tuple, quotient_tuple,
-                             random_subspace_tuple, tighten_apply,
+from icbound.tighten import (SubspaceTuple, b0_transpose_apply,
+                             bk_transpose_apply, dimension_vector, fano_alpha,
+                             fano_groundset, lambda_even, lambda_odd,
                              tighten_transpose_apply)
 
+from lemmas import dot, project_tuple, quotient_tuple, random_subspace_tuple
 from oracles import adjoin_zero, dense_b0, dense_bk, dense_tighten, matvec, mat_tvec
 
 GS3E = GroundSet(["a", "b", "e"])
@@ -40,33 +39,41 @@ def rank_vector(m):
     return SetVector(m.gs, enumerate(m.ranks))
 
 
+def apply_dense(mat, u, gs):
+    """The dense map mat applied to u, as a set vector over gs."""
+    return SetVector(gs, enumerate(matvec(mat, [u.get(s) for s in range(1 << u.gs.n)])))
+
+
 def test_lambda_dot_products():
     r_f = rank_vector(fano())
     r_n = rank_vector(nonfano())
-    assert lambda_odd().dot(r_f) == rat(-1)
-    assert lambda_even().dot(r_n) == rat(-1)
-    assert lambda_odd().dot(r_n) == ZERO
-    assert lambda_even().dot(r_f) == ZERO
+    assert dot(lambda_odd(), r_f) == rat(-1)
+    assert dot(lambda_even(), r_n) == rat(-1)
+    assert dot(lambda_odd(), r_n) == ZERO
+    assert dot(lambda_even(), r_f) == ZERO
 
 
 def test_tighten_kills_ones_and_indicators():
-    gs_j = fano_groundset().append("e")
-    assert tighten_apply(ones(gs_j)) == SetVector.zero(fano_groundset())
+    gs_i = fano_groundset()
+    gs_j = gs_i.append("e")
+    dense = dense_tighten(8)
+    assert apply_dense(dense, ones(gs_j), gs_i) == SetVector.zero(gs_i)
     for j in range(gs_j.n):
-        assert tighten_apply(indicator(gs_j, j)) == SetVector.zero(fano_groundset())
+        assert apply_dense(dense, indicator(gs_j, j), gs_i) == SetVector.zero(gs_i)
 
 
 def test_tighten_maps_extended_ranks_back():
+    dense = dense_tighten(8)
     for m in (fano(), nonfano()):
         extended = rank_vector(adjoin_zero(m, "e"))
-        assert tighten_apply(extended) == rank_vector(m)
+        assert apply_dense(dense, extended, m.gs) == rank_vector(m)
 
 
 def test_alpha_cuts_the_matching_rank_vector():
-    assert fano_alpha("odd").dot(rank_vector(adjoin_zero(fano()))) == rat(-1)
-    assert fano_alpha("even").dot(rank_vector(adjoin_zero(nonfano()))) == rat(-1)
-    assert fano_alpha("odd").dot(rank_vector(adjoin_zero(nonfano()))) == ZERO
-    assert fano_alpha("even").dot(rank_vector(adjoin_zero(fano()))) == ZERO
+    assert dot(fano_alpha("odd"), rank_vector(adjoin_zero(fano()))) == rat(-1)
+    assert dot(fano_alpha("even"), rank_vector(adjoin_zero(nonfano()))) == rat(-1)
+    assert dot(fano_alpha("odd"), rank_vector(adjoin_zero(nonfano()))) == ZERO
+    assert dot(fano_alpha("even"), rank_vector(adjoin_zero(fano()))) == ZERO
 
 
 def test_quotient_and_projection_steps_match_dense_oracle():
@@ -76,10 +83,6 @@ def test_quotient_and_projection_steps_match_dense_oracle():
         gs_i = GroundSet([str(i) for i in range(m - 1)])
         d0 = dense_b0(m)
         for _ in range(12):
-            u = rand_vector(rng, gs_j)
-            got = b0_apply(u)
-            want = matvec(d0, [u.get(s) for s in range(1 << m)])
-            assert [got.get(s) for s in range(1 << (m - 1))] == want
             w = rand_vector(rng, gs_i)
             gott = b0_transpose_apply(w, gs_j)
             wantt = mat_tvec(d0, [w.get(s) for s in range(1 << (m - 1))])
@@ -87,10 +90,6 @@ def test_quotient_and_projection_steps_match_dense_oracle():
         for k in range(m - 1):
             dk = dense_bk(m - 1, k)
             for _ in range(8):
-                v = rand_vector(rng, gs_i)
-                got = bk_apply(v, str(k))
-                want = matvec(dk, [v.get(s) for s in range(1 << (m - 1))])
-                assert [got.get(s) for s in range(1 << (m - 1))] == want
                 w = rand_vector(rng, gs_i)
                 gott = bk_transpose_apply(w, str(k))
                 wantt = mat_tvec(dk, [w.get(s) for s in range(1 << (m - 1))])
@@ -100,27 +99,28 @@ def test_quotient_and_projection_steps_match_dense_oracle():
 def test_full_tighten_matches_dense_composition():
     rng = random.Random(23)
     for m in (2, 3, 4):
-        gs_j = GroundSet([str(i) for i in range(m - 1)] + ["e"])
+        gs_i = GroundSet([str(i) for i in range(m - 1)])
         dense = dense_tighten(m)
         for _ in range(10):
-            u = rand_vector(rng, gs_j)
-            got = tighten_apply(u)
-            want = matvec(dense, [u.get(s) for s in range(1 << m)])
-            assert [got.get(s) for s in range(1 << (m - 1))] == want
+            w = rand_vector(rng, gs_i)
+            got = tighten_transpose_apply(w)
+            want = mat_tvec(dense, [w.get(s) for s in range(1 << (m - 1))])
+            assert [got.get(s) for s in range(1 << m)] == want
 
 
 def test_transpose_is_the_adjoint():
     rng = random.Random(29)
     gs_j = GroundSet(["a", "b", "c", "e"])
     gs_i = GroundSet(["a", "b", "c"])
+    tighten, b0, bk = dense_tighten(4), dense_b0(4), dense_bk(3, gs_i.index("b"))
     for _ in range(20):
         u = rand_vector(rng, gs_j)
         w = rand_vector(rng, gs_i)
-        assert tighten_apply(u).dot(w) == u.dot(tighten_transpose_apply(w))
-        assert b0_apply(u).dot(w) == u.dot(b0_transpose_apply(w, gs_j))
+        assert dot(apply_dense(tighten, u, gs_i), w) == dot(u, tighten_transpose_apply(w))
+        assert dot(apply_dense(b0, u, gs_i), w) == dot(u, b0_transpose_apply(w, gs_j))
         wb = rand_vector(rng, gs_i)
         vb = rand_vector(rng, gs_i)
-        assert bk_apply(vb, "b").dot(wb) == vb.dot(bk_transpose_apply(wb, "b"))
+        assert dot(apply_dense(bk, vb, gs_i), wb) == dot(vb, bk_transpose_apply(wb, "b"))
 
 
 def test_lambda_validity_sampled():
@@ -130,7 +130,7 @@ def test_lambda_validity_sampled():
             for seed in range(60):
                 tup = random_subspace_tuple(p, 4, 7, seed=seed)
                 d = dimension_vector(tup, fano_groundset())
-                assert lam.dot(d) >= ZERO, (parity, p, seed)
+                assert dot(lam, d) >= ZERO, (parity, p, seed)
 
 
 def test_alpha_validity_on_extended_tuples():
@@ -140,7 +140,7 @@ def test_alpha_validity_on_extended_tuples():
         for seed in range(40):
             tup = random_subspace_tuple(p, 4, 8, seed=1000 + seed)
             d = dimension_vector(tup, gs_j)
-            assert alpha.dot(d) >= ZERO, (parity, seed)
+            assert dot(alpha, d) >= ZERO, (parity, seed)
 
 
 def test_quotient_tuple_realizes_b0():
@@ -153,7 +153,7 @@ def test_quotient_tuple_realizes_b0():
             gs_i = GroundSet([str(i) for i in range(count - 1)])
             d_before = dimension_vector(tup, gs_j)
             d_after = dimension_vector(quotient_tuple(tup, count - 1), gs_i)
-            assert b0_apply(d_before) == d_after
+            assert apply_dense(dense_b0(count), d_before, gs_i) == d_after
 
 
 def test_project_tuple_realizes_bk():
@@ -166,11 +166,12 @@ def test_project_tuple_realizes_bk():
             gs = GroundSet([str(i) for i in range(count)])
             d_before = dimension_vector(tup, gs)
             d_after = dimension_vector(project_tuple(tup, k), gs)
-            assert bk_apply(d_before, str(k)) == d_after
+            assert apply_dense(dense_bk(count, k), d_before, gs) == d_after
 
 
 def test_full_tighten_realized_by_tuple_surgery():
     rng = random.Random(41)
+    dense = dense_tighten(4)
     for p in (2, 3):
         for trial in range(10):
             tup = random_subspace_tuple(p, 4, 4, seed=rng.randrange(10 ** 6))
@@ -180,12 +181,13 @@ def test_full_tighten_realized_by_tuple_surgery():
             cooked = quotient_tuple(tup, 3)
             for k in range(3):
                 cooked = project_tuple(cooked, k)
-            assert tighten_apply(d) == dimension_vector(cooked, gs_i)
+            assert apply_dense(dense, d, gs_i) == dimension_vector(cooked, gs_i)
 
 
 def test_input_validation():
     with pytest.raises(InputError):
-        b0_apply(SetVector.zero(GS3E), "a")  # dropped element must come last
+        # the dropped element must come last
+        b0_transpose_apply(SetVector.zero(GroundSet(["b", "e"])), GS3E, "a")
     with pytest.raises(InputError):
         b0_transpose_apply(SetVector.zero(GS3E), GS3E)  # wrong domain
     with pytest.raises(InputError):
