@@ -243,7 +243,8 @@ def _hom(node: _Json, gen: GroundSet, gs: GroundSet) -> LatticeHom:
         if key not in index:
             raise InputError(f"{labels.path} names {key!r}, which is not a generator label")
         images[index[key]] = labels.mask(gs)
-    return LatticeHom(gen, gs, node["base"].mask(gs), tuple(images))
+    base = node["base"].mask(gs)
+    return node._at_path(lambda atoms: LatticeHom(gen, gs, base, atoms), tuple(images))
 
 
 # -- instances ----------------------------------------------------------------
@@ -379,18 +380,19 @@ def certificate_from_json(obj, gs: GroundSet, schema=None):
     return DualCertificate(name, closure, x, y, claimed), schema
 
 
-def _homext_part(schema_name: str) -> Optional[HomExtSchema]:
-    """The homomorphic-extension part of a registry schema, if it has one."""
+def _homext_part(schema_name: str) -> HomExtSchema:
+    """The homomorphic-extension part of a registry schema; InputError when
+    it has none, as a --rows file then has nothing to feed."""
     schema = schema_by_name(schema_name)
     part = schema.right if isinstance(schema, UnionSchema) else schema
-    return part if isinstance(part, HomExtSchema) else None
+    if not isinstance(part, HomExtSchema):
+        raise InputError(f"schema {schema_name!r} takes no homomorphism rows")
+    return part
 
 
 def homs_from_json(obj, schema_name: str, gs: GroundSet) -> List[LatticeHom]:
     """A `--rows file:` array of homs from the schema's generator into gs."""
     part = _homext_part(schema_name)
-    if part is None:
-        raise InputError(f"schema {schema_name!r} takes no homomorphism rows")
     return [_hom(entry, part.generator, gs) for entry in _Json(obj, "hom file")]
 
 
@@ -398,15 +400,15 @@ def orbit_homs_from_json(obj, schema_name: str, gs: GroundSet) -> List[LatticeHo
     """A `--rows orbit:` array of label maps as homs into gs: the identity
     embedding, then its image under each map in file order, each hom once;
     none when the identity embedding is absent, as without the file."""
+    part = _homext_part(schema_name)
     maps = [(entry, {key: image.label() for key, image in entry.items()})
             for entry in _Json(obj, "orbit file")]
-    part = _homext_part(schema_name)
-    ident = None if part is None else part.embedding(gs, {})
+    ident = part.embedding(gs, {})
     if ident is None:
         return []
     homs = [ident]
     for entry, label_map in maps:
-        hom = part.embedding(gs, label_map)
+        hom = entry._at_path(lambda m: part.embedding(gs, m), label_map)
         if hom is None:
             raise InputError(f"{entry.path} sends a generator label outside the instance")
         homs.append(hom)

@@ -6,12 +6,15 @@ so ground sets well beyond 64 elements (e.g. three-fold lexicographic powers
 on 125 messages) work unchanged; only *dense* enumeration of all 2^n subsets
 is gated, by DENSE_CAP.
 
-A SetVector is validated once, where its entries come from outside the
-package: the public constructor checks every mask against the ground set,
-coerces every value with `rat` and merges duplicate masks. Vectors the
-package builds itself (sums, pushforwards, rank and dimension vectors,
-submodular rows) already satisfy those invariants by construction and are
-wrapped by `SetVector._from_clean` without a second pass.
+A SetVector holds ints: every row of the bound LP, every rank and every
+dimension vector has integer entries, so subset vectors reach the LP and its
+audits with no conversion. Fractions appear only in certificate weights and
+LP results. A SetVector is validated once, where its entries come from
+outside the package: the public constructor checks every mask against the
+ground set and refuses any value that is not an int. Vectors the package
+builds itself (sums, pushforwards, rank and dimension vectors, submodular
+rows) already satisfy those invariants by construction and are wrapped by
+`SetVector._from_clean` without a second pass.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InputError, ResourceCapError
-from .rational import Rational, ZERO, rat
 
 DENSE_CAP = 16
 
@@ -104,34 +106,34 @@ class GroundSet:
 
 
 class SetVector:
-    """Sparse exact-rational vector indexed by subset masks of a ground set.
+    """Sparse integer vector indexed by subset masks of a ground set.
 
-    Zero entries are pruned on construction, making == structural equality.
-    Treated as immutable; all arithmetic returns new vectors.
+    Built from a dict mask -> int. Zero entries are pruned on construction,
+    making == structural equality. Treated as immutable; all arithmetic
+    returns new vectors.
     """
 
     __slots__ = ("gs", "_data")
 
-    def __init__(self, gs: GroundSet, data=None):
+    def __init__(self, gs: GroundSet, data: dict):
+        if not isinstance(data, dict):
+            raise InputError(f"set vector data must be a dict mask -> int, "
+                             f"got {type(data).__name__}")
         self.gs = gs
-        clean: dict[int, Rational] = {}
-        if data:
-            for mask, value in (data.items() if hasattr(data, "items") else data):
-                gs.check_mask(mask)
-                v = rat(value)
-                if v:
-                    prev = clean.get(mask)
-                    v = v if prev is None else prev + v
-                    if v:
-                        clean[mask] = v
-                    else:
-                        del clean[mask]
+        clean: dict[int, int] = {}
+        for mask, value in data.items():
+            gs.check_mask(mask)
+            if type(value) is not int:
+                raise InputError(f"set vector entries must be ints: subset "
+                                 f"{gs.labels_of(mask)} holds {type(value).__name__} {value}")
+            if value:
+                clean[mask] = value
         self._data = clean
 
     @classmethod
     def _from_clean(cls, gs: GroundSet, data: dict) -> "SetVector":
         """Wrap data as it is, without checks. The caller guarantees that
-        every mask fits gs, every value is a nonzero Fraction, and the dict
+        every mask fits gs, every value is a nonzero int, and the dict
         belongs to the new vector (nothing else keeps or changes it)."""
         out = cls.__new__(cls)
         out.gs = gs
@@ -139,18 +141,11 @@ class SetVector:
         return out
 
     @classmethod
-    def _from_ranks(cls, gs: GroundSet, ranks) -> "SetVector":
-        """The vector of a dense list of 2^n nonnegative integer ranks; the
-        values are shared Fractions from one table, zeros are dropped."""
-        table = [Rational(k) for k in range(max(ranks, default=0) + 1)]
-        return cls._from_clean(gs, {s: table[r] for s, r in enumerate(ranks) if r})
-
-    @classmethod
     def zero(cls, gs: GroundSet) -> "SetVector":
-        return cls(gs)
+        return cls._from_clean(gs, {})
 
-    def get(self, mask: int) -> Rational:
-        return self._data.get(mask, ZERO)
+    def get(self, mask: int) -> int:
+        return self._data.get(mask, 0)
 
     def items(self):
         return self._data.items()
@@ -165,37 +160,30 @@ class SetVector:
         self._check_mate(other)
         data = dict(self._data)
         for mask, v in other._data.items():
-            new = data.get(mask, ZERO) + v
+            new = data.get(mask, 0) + v
             if new:
                 data[mask] = new
             else:
                 data.pop(mask, None)
         return SetVector._from_clean(self.gs, data)
 
-    def mass(self) -> Rational:
+    def mass(self) -> int:
         """Sum of all entries, i.e. the dot product with the all-ones vector."""
-        total = ZERO
-        for v in self._data.values():
-            total += v
-        return total
+        return sum(self._data.values())
 
-    def atom_mass(self, atom_index: int) -> Rational:
+    def atom_mass(self, atom_index: int) -> int:
         """Sum over subsets containing the given atom (dot with 1_i)."""
         bit = 1 << atom_index
-        total = ZERO
-        for mask, v in self._data.items():
-            if mask & bit:
-                total += v
-        return total
+        return sum(v for mask, v in self._data.items() if mask & bit)
 
     def pushforward(self, hom: "LatticeHom") -> "SetVector":
         """Image vector: (result)_T is the sum of v_S over S with h(S) = T."""
         if hom.domain != self.gs:
             raise InputError("pushforward along a map with a different domain")
-        data: dict[int, Rational] = {}
+        data: dict[int, int] = {}
         for mask, v in self._data.items():
             img = hom.apply(mask)
-            new = data.get(img, ZERO) + v
+            new = data.get(img, 0) + v
             if new:
                 data[img] = new
             else:

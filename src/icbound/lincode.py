@@ -188,4 +188,5 @@ def code_entropy_vector(
     columns = [[[row[j] for row in code.matrix]] for j in range(n)]
     cols = span_ranks(code.p, code.length, columns)
     full = gs.full_mask
-    return SetVector._from_ranks(gs, [popcount(s) + cols[full ^ s] for s in range(1 << n)])
+    ranks = (popcount(s) + cols[full ^ s] for s in range(1 << n))
+    return SetVector._from_clean(gs, {s: r for s, r in enumerate(ranks) if r})

@@ -8,11 +8,12 @@ multipliers are exactly the primal subset values; that keeps the basis at
 size 2^n instead of the number of constraints.
 
 The LP data are ints: costs 0, -1, n and -n, decoding columns (1, -1), the
-rhs e_0, and each schema row's coefficients. `build_problem` checks every
-schema row where it becomes a column: each coefficient must be an integer
-and the coefficients must sum to zero, or InputError names the schema and
-the row. The stronger atom-sum tightness check stays in the test suite
-(`tests/oracles.schema_is_tight`).
+rhs e_0, and each schema row's coefficients, which a SetVector holds as ints
+already. `build_problem` checks every schema row where it becomes a column:
+the coefficients must sum to zero, or InputError names the schema and the
+row. A duck-typed schema whose vectors hold anything but ints is refused by
+`StandardFormLP`'s own type check. The stronger atom-sum tightness check
+stays in the test suite (`tests/oracles.schema_is_tight`).
 
 Zero-sum rows give every bound LP an optimum, with w = x[w_plus] - x[w_minus]
 = 1: the equality rows sum to that, as every other column sums to zero, and
@@ -35,7 +36,7 @@ from typing import Dict, List, Tuple
 from icbound.certificate import DualCertificate, _row_text
 from icbound.errors import InputError, VerificationError
 from icbound.instance import ClosureMode, IndexCodingInstance
-from icbound.rational import ONE, Rational
+from icbound.rational import Rational
 from icbound.schema import SchemaRow, SubmodSchema
 from icbound.simplex import StandardFormLP, solve_standard_form
 
@@ -108,14 +109,12 @@ def build_problem(
         vec = schema.row_vector(row, gs)
         if not vec:
             continue
-        items = sorted(vec.items())
-        vals = tuple(v.numerator if v.denominator == 1 else v for _, v in items)
-        total = sum(vals)
-        # A Fraction anywhere in vals leaves total a Fraction.
-        if total or type(total) is not int:
-            _refuse_row(schema.name, pos, items, total, gs)
+        idx, vals = zip(*sorted(vec.items()))
+        if sum(vals):
+            raise InputError(
+                f"schema {schema.name!r} row {pos}: coefficients sum to {sum(vals)}, not 0")
         schema_rows.append(row)
-        cols_idx.append(tuple(k for k, _ in items))
+        cols_idx.append(idx)
         cols_val.append(vals)
         cobj.append(0)
 
@@ -144,17 +143,6 @@ def build_problem(
     return LPProblem(
         instance, schema, closure, dec_pairs, schema_rows, lp, crash, w_plus, w_minus
     )
-
-
-def _refuse_row(name: str, pos: int, items, total, gs) -> None:
-    """Raise InputError for row pos of schema name: its first non-integer
-    coefficient, else its nonzero coefficient sum."""
-    for mask, v in items:
-        if v.denominator != 1:
-            raise InputError(
-                f"schema {name!r} row {pos}: coefficient {v} at {gs.labels_of(mask)} "
-                "is not an integer; scale the row to integers")
-    raise InputError(f"schema {name!r} row {pos}: coefficients sum to {total}, not 0")
 
 
 def solve_problem(problem: LPProblem) -> BoundSolution:
@@ -190,7 +178,7 @@ def _audit_against_instance(problem: LPProblem, sol: BoundSolution, w: Rational)
     inst = problem.instance
     gs = inst.messages
     n = gs.n
-    if w != ONE:
+    if w != 1:
         raise VerificationError(f"scale multiplier w = {w}, not 1")
     zf = [sol.z[s] for s in range(1 << n)]
     dz = lcm(*(v.denominator for v in zf))
@@ -213,10 +201,7 @@ def _audit_against_instance(problem: LPProblem, sol: BoundSolution, w: Rational)
                 )
     for row in problem.schema_rows:
         vec = problem.schema.row_vector(row, gs)
-        acc = 0
-        for mask, coeff in vec.items():
-            acc += (coeff.numerator if coeff.denominator == 1 else coeff) * z[mask]
-        if acc < 0:
+        if sum(coeff * z[mask] for mask, coeff in vec.items()) < 0:
             raise VerificationError(f"solution violates {_row_text(row, gs)}")
     # Dual side: the certificate's weights must reproduce the objective.
     x = sol.cert.x

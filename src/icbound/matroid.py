@@ -22,7 +22,7 @@ from icbound.errors import InputError, ResourceCapError
 from icbound.gf import check_prime, span_ranks
 from icbound.groundset import GroundSet
 from icbound.instance import ClosureMode, IndexCodingInstance
-from icbound.rational import ONE, ZERO, Rational, rat
+from icbound.rational import ZERO, Rational
 
 __all__ = [
     "Matroid",
@@ -204,10 +204,7 @@ def addineq_certificate(matroid: Matroid, row, schema) -> DualCertificate:
     a = schema.row_vector(row, gs)
     if a.mass() != 0:
         raise InputError("row weights must sum to zero")
-    deficit = ZERO
-    for s, coeff in a.items():
-        if matroid.ranks[s]:
-            deficit += coeff * rat(matroid.ranks[s])
+    deficit = sum(coeff * matroid.ranks[s] for s, coeff in a.items())
     if not deficit < 0:
         raise InputError(f"row does not cut the rank vector (value {deficit})")
 
@@ -230,17 +227,17 @@ def addineq_certificate(matroid: Matroid, row, schema) -> DualCertificate:
             continue
         if coeff > 0:
             m = _greedy_independent(matroid, s)
-            w = coeff / scale
+            w = Rational(coeff, scale)
             bump(0, m, w)
             bump(m, s, w)
         else:
             m = _greedy_independent(matroid, s)
             basis = _greedy_independent(matroid, full, start=m)
             u = s | basis
-            w = -coeff / scale
+            w = Rational(-coeff, scale)
             bump(s, u, w)
             bump(u, full, w)
 
-    y = {row: ONE / scale}
-    value = rat(gs.n - matroid.full_rank) - deficit / scale
+    y = {row: Rational(1, scale)}
+    value = gs.n - matroid.full_rank - Rational(deficit, scale)
     return DualCertificate(schema.name, ClosureMode.SINGLE_STEP, x, y, value)

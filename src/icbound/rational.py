@@ -1,8 +1,9 @@
 """Exact rational arithmetic.
 
-Everything in the lattice/LP code paths runs on exact rationals with unbounded
-integer numerators and denominators; no floating point ever enters. The one
-rational type is fractions.Fraction.
+Subset vectors, schema rows and LP data are ints. Rationals appear only where
+a value can be fractional: certificate weights, claimed values and LP results.
+The one rational type is fractions.Fraction, with unbounded integer numerator
+and denominator; no floating point ever enters.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ BACKEND = "fractions"
 
 ZERO = Rational(0)
 ONE = Rational(1)
-MINUS_ONE = Rational(-1)
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -49,8 +49,9 @@ def rat(value) -> Rational:
 
 
 def rat_str(value) -> str:
-    """Serialize in lowest terms with positive denominator; 'p' when q == 1."""
-    q = Rational(value)
+    """Serialize in lowest terms with positive denominator; 'p' when q == 1.
+    Takes what `rat` takes, so a float is refused, not written out exactly."""
+    q = rat(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -9,12 +9,14 @@ square is the whole reason combined certificates verify on product
 instances.
 
 A row the LP can use has integer coefficients that sum to zero; the zero
-sum is what pins the LP's scale multiplier to 1. `lp.build_problem` checks
-both on every row where it becomes a column. Tightness asks more: every row
-also sums to zero over the subsets holding any one atom. The schemas built
-here are tight by construction. The tightness and commuting-square checks
-live with the test suite, in `tests/oracles.py` (`schema_is_tight`,
-`pushforward_commutes`).
+sum is what pins the LP's scale multiplier to 1. Row vectors are SetVectors,
+which hold ints (submodularity rows are +1/-1), so a row reaches the LP and
+its audit as it is; Fractions appear only in certificate weights and LP
+results. `lp.build_problem` checks the zero sum on every row where it
+becomes a column. Tightness asks more: every row also sums to zero over the
+subsets holding any one atom. The schemas built here are tight by
+construction. The tightness and commuting-square checks live with the test
+suite, in `tests/oracles.py` (`schema_is_tight`, `pushforward_commutes`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from icbound.errors import InputError
 from icbound.groundset import GroundSet, LatticeHom, SetVector
-from icbound.rational import MINUS_ONE, ONE
 
 __all__ = [
     "SubmodRow",
@@ -94,7 +95,7 @@ class SubmodSchema:
         gs.check_mask(t)
         if s & ~t and t & ~s:  # the four masks are then distinct
             return SetVector._from_clean(
-                gs, {s: ONE, t: ONE, s | t: MINUS_ONE, s & t: MINUS_ONE})
+                gs, {s: 1, t: 1, s | t: -1, s & t: -1})
         return SetVector.zero(gs)
 
     def pushforward_row(self, hom: LatticeHom, row: SchemaRow) -> SchemaRow:

@@ -28,7 +28,6 @@ from icbound.errors import InputError
 from icbound.gf import EchelonBasis, check_prime, span_ranks
 from icbound.groundset import GroundSet, SetVector
 from icbound.matroid import _FANO_LABELS
-from icbound.rational import ZERO, rat
 from icbound.schema import HomExtSchema, SubmodSchema, UnionSchema
 
 __all__ = [
@@ -70,12 +69,12 @@ def b0_transpose_apply(w: SetVector, gs_j: GroundSet, drop_label="e") -> SetVect
     if w.gs != gs_i:
         raise InputError("vector does not live over the reduced ground set")
     e_bit = 1 << gs_i.n
-    data: Dict[int, object] = {}
+    data: Dict[int, int] = {}
     for mask, v in w.items():
         data[mask | e_bit] = v
     total = w.mass()
     if total:
-        prev = data.get(e_bit, ZERO) - total
+        prev = data.get(e_bit, 0) - total
         if prev:
             data[e_bit] = prev
         else:
@@ -148,7 +147,7 @@ def fano_groundset() -> GroundSet:
 
 def _lambda_vector(terms) -> SetVector:
     gs = fano_groundset()
-    return SetVector(gs, {gs.mask_of(labels): rat(c) for c, labels in terms})
+    return SetVector(gs, {gs.mask_of(labels): c for c, labels in terms})
 
 
 def lambda_even() -> SetVector:
@@ -222,4 +221,5 @@ def dimension_vector(tup: SubspaceTuple, gs: Optional[GroundSet] = None) -> SetV
         gs = GroundSet(tuple(str(i) for i in range(tup.count)))
     if gs.n != tup.count:
         raise InputError("ground set size does not match the tuple")
-    return SetVector._from_ranks(gs, span_ranks(tup.p, tup.ambient, tup.spaces))
+    ranks = span_ranks(tup.p, tup.ambient, tup.spaces)
+    return SetVector._from_clean(gs, {s: r for s, r in enumerate(ranks) if r})

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from icbound.errors import InputError
 from icbound.gf import EchelonBasis, rref
-from icbound.rational import ZERO
 from icbound.tighten import SubspaceTuple
 
 
@@ -182,4 +181,4 @@ def dot(u, w):
     """Exact inner product of two set vectors over the same ground set."""
     if u.gs != w.gs:
         raise InputError("set vectors over different ground sets")
-    return sum((v * w.get(mask) for mask, v in u.items()), ZERO)
+    return sum(v * w.get(mask) for mask, v in u.items())

@@ -1,7 +1,8 @@
 """The two audits of an LP optimum: every check fires on a broken optimum, the
-simplex audit agrees with a Fraction reference, and the LP data are ints
-while every result handed back is a Fraction. Schema rows that are not
-integral or do not sum to zero are refused before the LP is built."""
+simplex audit agrees with a Fraction reference, and the subset vectors and
+LP data are ints while every result handed back is a Fraction. A schema row
+that is not integral is refused when its vector is built, and one that does
+not sum to zero before the LP is built."""
 
 import dataclasses
 import random
@@ -16,13 +17,15 @@ from icbound.certificate import DualCertificate
 from icbound.errors import InputError, VerificationError
 from icbound.groundset import GroundSet, SetVector
 from icbound.instance import ClosureMode, IndexCodingInstance, cycle_instance
+from icbound.lincode import ScalarLinearCode, code_entropy_vector
 from icbound.lp import build_problem, solve_problem
 from icbound.matroid import fano, nonfano, to_index_coding
 from icbound.rational import ONE, ZERO, rat
 from icbound.schema import HomExtSchema, SubmodRow, SubmodSchema, UnionSchema
 from icbound.simplex import SimplexResult, StandardFormLP, solve_standard_form
-from icbound.tighten import schema_with_submod
+from icbound.tighten import dimension_vector, fano_alpha, schema_with_submod
 
+from lemmas import random_subspace_tuple
 from oracles import fraction_audit
 from test_simplex_lp import differential_instances, hand_lp_arrays, lp_bound
 
@@ -58,25 +61,31 @@ def hand_lps():
 
 
 def test_fractional_schema_row_is_refused():
-    # A generating row with coefficient 1/2 is refused before it reaches the
-    # LP, by the schema row it came from, not by its LP column.
+    # A generating row with coefficient 1/2 is refused where its vector is
+    # built, so it never reaches a schema, let alone the LP.
     gen = GroundSet(["u", "v", "w"])
     alpha = SetVector(gen, {0b001: 1, 0b010: 1, 0b011: -1, 0b000: -1})
     inst = IndexCodingInstance(gen, [(0, 0b010), (1, 0b100), (2, 0b001)])
     whole = build_problem(inst, HomExtSchema("whole", gen, alpha, "w"))
     assert len(whole.schema_rows) == 1
     assert solve_problem(whole).value == rat(2)
-    halved = SetVector(gen, {mask: v * HALF for mask, v in alpha.items()})
-    half = HomExtSchema("half", gen, halved, "w")
     with pytest.raises(InputError, match="^" + re.escape(
-            "schema 'half' row 0: coefficient -1/2 at () is not an integer; "
-            "scale the row to integers") + "$"):
-        build_problem(inst, half)
+            "set vector entries must be ints: subset () holds Fraction -1/2") + "$"):
+        SetVector(gen, {mask: v * HALF for mask, v in sorted(alpha.items())})
     # a row of 1/2 and -1/2 sums to an integer, and is still refused
-    even = SetVector(gen, {0b001: HALF, 0b010: -HALF})
-    with pytest.raises(InputError, match=re.escape(
-            "schema 'even' row 0: coefficient 1/2 at ('u',) is not an integer")):
-        build_problem(inst, HomExtSchema("even", gen, even, "w"))
+    with pytest.raises(InputError, match="^" + re.escape(
+            "set vector entries must be ints: subset ('u',) holds Fraction 1/2") + "$"):
+        SetVector(gen, {0b001: HALF, 0b010: -HALF})
+
+    # a schema that is not built on SetVector can still hand over Fractions;
+    # the LP's own type check refuses them
+    class Halves(SubmodSchema):
+        def row_vector(self, row, gs):
+            return {0b001: HALF, 0b010: -HALF}
+
+    with pytest.raises(InputError, match="^" + re.escape(
+            "LP data must be ints: cols_val at column 12 holds Fraction 1/2")):
+        build_problem(inst, Halves())
 
 
 def test_schema_row_must_sum_to_zero():
@@ -240,6 +249,9 @@ def test_lp_data_are_int_and_results_are_fraction():
         (to_index_coding(nonfano()), schema_with_submod("even")),
     ):
         problem = build_problem(inst, schema)
+        for row in problem.schema_rows:
+            vec = problem.schema.row_vector(row, inst.messages)
+            assert {type(v) for _, v in vec.items()} == {int}
         lp = problem.lp
         assert {type(v) for val in lp.cols_val for v in val} == {int}
         assert {type(c) for c in lp.cobj} == {int}
@@ -253,3 +265,8 @@ def test_lp_data_are_int_and_results_are_fraction():
             assert {type(v) for v in weights.values()} <= {Fraction}
         assert sol.z and sol.cert.x
     assert type(lp_bound(cycle_instance(5))) is Fraction
+    vectors = [fano_alpha("even"), fano_alpha("odd"),
+               dimension_vector(random_subspace_tuple(3, 4, 5, seed=7)),
+               code_entropy_vector(cycle_instance(5), ScalarLinearCode(2, ((1, 1, 0, 1, 1),)))]
+    for vec in vectors:
+        assert {type(v) for _, v in vec.items()} == {int}

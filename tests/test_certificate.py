@@ -1,6 +1,7 @@
 """Dual certificates: verification, tampering, combination, matroid rows."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -187,10 +188,12 @@ def test_addineq_certificates_exact_values():
         cert = addineq_certificate(matroid, tagged, schema)
         value = verify_certificate(inst, schema, cert)
         assert value == frozen
+        weights = [*cert.x.values(), *cert.y.values(), cert.claimed_value]
+        assert {type(v) for v in weights} == {Fraction}
         # excess over the submodular optimum is exactly (-a.r)/scale
         a = schema.row_vector(tagged, matroid.gs)
-        deficit = dot(a, SetVector(matroid.gs, enumerate(matroid.ranks)))
-        assert deficit == rat(-1)
+        deficit = dot(a, SetVector(matroid.gs, dict(enumerate(matroid.ranks))))
+        assert deficit == -1
         n_minus_r = rat(matroid.n - matroid.full_rank)
         assert value == n_minus_r + (-deficit) / scale
         assert value > n_minus_r == rat(4)

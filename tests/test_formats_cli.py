@@ -61,6 +61,14 @@ def test_rational_strings():
     assert rat_str(rat("5/2")) == "5/2"
     assert rat_str(rat(4)) == "4"
     assert rat_str(rat("-6/4")) == "-3/2"
+    # a float weight was once written as its binary expansion,
+    # "3602879701896397/36028797018963968"
+    with pytest.raises(InputError, match=re.escape("refusing float 0.1")):
+        rat_str(0.1)
+    instance, schema, cert = c5_certificate()
+    cert.x[next(iter(cert.x))] = 0.1
+    with pytest.raises(InputError, match=re.escape("refusing float 0.1")):
+        certificate_to_json(cert, instance.messages, schema)
 
 
 _AWKWARD_TEXT = st.text(st.sampled_from('a:"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')
@@ -465,20 +473,39 @@ def test_cli_homext_atom_key_outside_generator(fano_file, tmp_path, capsys):
     schema = schema_by_name("submod+fano-odd")
     row = next(r for r in schema.rows(inst.messages) if r.side == 1)
     cert = certificate_to_json(addineq_certificate(fano(), row, schema), inst.messages, schema)
-    cert["y"][0]["row"]["inner"]["atoms"]["1OO"] = []
+    atoms = cert["y"][0]["row"]["inner"]["atoms"]
+    atoms["1OO"] = []
     _assert_input_error(["verify", fano_file, _write(tmp_path, "cert.json", cert)],
                         "y[0].row.inner.atoms.1OO", capsys)
+    del atoms["1OO"]
+    atoms["010"] = atoms["100"]
+    assert main(["verify", fano_file, _write(tmp_path, "cert.json", cert)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: y[0].row.inner: atom images must be disjoint from each other "
+        "and from the base\n")
 
 
-@pytest.mark.parametrize("homs, path", [
-    ([{"base": [], "atoms": dict({lab: [lab] for lab in _FANO_LABELS}, **{"1OO": []})}],
-     "hom file[0].atoms.1OO"),
-    (["x"], "hom file[0]"),
-], ids=["atom-key", "entry-string"])
-def test_cli_malformed_hom_file(homs, path, fano_file, tmp_path, capsys):
-    rows = "file:" + _write(tmp_path, "homs.json", homs)
-    _assert_input_error(["solve", fano_file, "--schema", "submod+fano-odd", "--rows", rows],
-                        path, capsys)
+_IDENTITY_HOM = {"base": [], "atoms": {lab: [lab] for lab in _FANO_LABELS}}
+_OVERLAP = "atom images must be disjoint from each other and from the base"
+
+
+@pytest.mark.parametrize("rows, schema, obj, message", [
+    ("file", "submod+fano-odd",
+     [{"base": [], "atoms": dict(_IDENTITY_HOM["atoms"], **{"1OO": []})}],
+     "hom file[0].atoms.1OO names '1OO', which is not a generator label"),
+    ("file", "submod+fano-odd", ["x"], "hom file[0] must be an object, got 'x'"),
+    ("file", "submod+fano-odd", [{"base": [], "atoms": {"100": ["100", "010"], "010": ["010"]}}],
+     f"hom file[0]: {_OVERLAP}"),
+    ("orbit", "submod+fano-odd", [{"100": "010"}], f"orbit file[0]: {_OVERLAP}"),
+    # used to exit 0 with b = 4, the map and its unknown label unread
+    ("orbit", "submod", [{"100": "zzz"}], "schema 'submod' takes no homomorphism rows"),
+    ("file", "submod", [_IDENTITY_HOM], "schema 'submod' takes no homomorphism rows"),
+], ids=["atom-key", "entry-string", "overlapping-atoms", "orbit-overlapping-atoms",
+        "orbit-under-submod", "file-under-submod"])
+def test_cli_malformed_hom_file(rows, schema, obj, message, fano_file, tmp_path, capsys):
+    spec = f"{rows}:" + _write(tmp_path, "rows.json", obj)
+    assert main(["solve", fano_file, "--schema", schema, "--rows", spec]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 # -- fuzzing: mutated valid files never escape the exit-code contract --------

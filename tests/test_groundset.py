@@ -1,6 +1,7 @@
 """Subset lattice primitives: ground sets, set vectors, lattice homs."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from icbound.errors import InputError
 from icbound.groundset import GroundSet, LatticeHom, SetVector, bit_indices, popcount
 from icbound.instance import cycle_instance
 from icbound.lincode import ScalarLinearCode, code_entropy_vector
-from icbound.rational import ONE, ZERO, rat
 from icbound.schema import SubmodRow, SubmodSchema
 from icbound.tighten import dimension_vector, fano_groundset, fano_schema
 
@@ -62,36 +62,49 @@ def test_popcount_and_bit_indices():
 
 def test_setvector_exact_arithmetic_and_pruning():
     gs = GroundSet(["a", "b"])
-    u = SetVector(gs, {0b01: rat("1/3"), 0b10: rat(2)})
-    v = SetVector(gs, {0b01: rat("-1/3"), 0b11: ONE})
+    u = SetVector(gs, {0b01: 3, 0b10: 2, 0b11: 0})
+    assert 0b11 not in dict(u.items())  # a zero entry is dropped
+    with pytest.raises(InputError, match="does not fit a 2-element ground set"):
+        SetVector(gs, {0b100: 1})
+    # pairs were once merged entry by entry; only a dict is read now
+    with pytest.raises(InputError, match="^set vector data must be a dict mask -> int, got list$"):
+        SetVector(gs, [(0b01, 1), (0b01, 1)])
+    v = SetVector(gs, {0b01: -3, 0b11: 1})
     s = u + v
-    assert s.get(0b01) == ZERO
+    assert s.get(0b01) == 0
     assert 0b01 not in dict(s.items())  # exact cancellation prunes the key
-    assert s.get(0b10) == rat(2)
+    assert s.get(0b10) == 2
     assert len(u + scaled(u, -1)) == 0
 
 
-def test_setvector_duplicate_keys_accumulate():
-    gs = GroundSet(["a"])
-    v = SetVector(gs, [(1, rat("1/2")), (1, rat("1/2"))])
-    assert v.get(1) == ONE
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(2), 0.5, 1.0, True, "1"],
+                         ids=["fraction", "integral-fraction", "float", "integral-float",
+                              "bool", "str"])
+def test_setvector_refuses_entries_that_are_not_ints(value):
+    gs = GroundSet(["a", "b"])
+    with pytest.raises(InputError, match="^" + re.escape(
+            f"set vector entries must be ints: subset ('b',) holds "
+            f"{type(value).__name__} {value}") + "$"):
+        SetVector(gs, {0b01: 1, 0b10: value})
 
 
 def test_setvector_mass_and_atom_mass():
     gs = GroundSet(["a", "b", "c"])
-    v = SetVector(gs, {0b011: rat(2), 0b100: rat(-1), 0b110: rat("1/2")})
-    assert v.mass() == rat("3/2")
-    assert v.atom_mass(0) == rat(2)          # sets containing "a"
-    assert v.atom_mass(1) == rat("5/2")      # sets containing "b"
-    assert v.atom_mass(2) == rat("-1/2")
+    v = SetVector(gs, {0b011: 2, 0b100: -4, 0b110: 3})
+    assert v.mass() == 1
+    assert v.atom_mass(0) == 2          # sets containing "a"
+    assert v.atom_mass(1) == 5          # sets containing "b"
+    assert v.atom_mass(2) == -1
+    assert SetVector.zero(gs).mass() == SetVector.zero(gs).atom_mass(0) == 0
+    assert type(v.mass()) is type(v.atom_mass(2)) is type(v.get(0)) is int
 
 
 def test_unit_vector_and_dot():
     gs = GroundSet(["a", "b"])
     e1 = SetVector(gs, {0b01: 1})
-    e2 = SetVector(gs, {0b10: rat(5)})
-    assert dot(e1, e2) == ZERO
-    assert dot(e1 + e2, e2) == rat(25)
+    e2 = SetVector(gs, {0b10: 5})
+    assert dot(e1, e2) == 0
+    assert dot(e1 + e2, e2) == 25
 
 
 def test_hom_identity_and_apply():
@@ -197,9 +210,11 @@ def test_pushforward_collapsing_hom_sums_mass():
     dom = GroundSet(["1", "2"])
     cod = GroundSet(["a"])
     collapse = LatticeHom(dom, cod, 0, (0, 0))
-    v = SetVector(dom, {0b01: ONE, 0b10: rat(2)})
+    v = SetVector(dom, {0b01: 1, 0b10: 2})
     pushed = v.pushforward(collapse)
-    assert pushed == SetVector(cod, {0: rat(3)})
+    assert pushed == SetVector(cod, {0: 3})
+    # opposite entries on one image cancel, and the key is pruned
+    assert SetVector(dom, {0b01: 2, 0b10: -2}).pushforward(collapse) == SetVector.zero(cod)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -215,8 +230,8 @@ def test_pushforward_is_linear(a, b, code):
         if role:
             images[role - 1] |= 1 << bit
     h = LatticeHom(dom, cod, 0, tuple(images))
-    u = SetVector(dom, {0b01: rat("1/2"), 0b11: rat(-2)})
-    v = SetVector(dom, {0b10: rat("2/3"), 0b11: ONE})
+    u = SetVector(dom, {0b01: 3, 0b11: -2})
+    v = SetVector(dom, {0b10: 5, 0b11: 1})
     lhs = (scaled(u, a) + scaled(v, b)).pushforward(h)
     rhs = scaled(u.pushforward(h), a) + scaled(v.pushforward(h), b)
     assert lhs == rhs
@@ -226,13 +241,13 @@ def test_pushforward_preserves_mass():
     dom = GroundSet(["1", "2", "3"])
     cod = GroundSet(["a", "b"])
     h = LatticeHom(dom, cod, 0b10, (0b01, 0, 0))
-    v = SetVector(dom, {s: rat(f"{s + 1}/3") for s in range(8)})
+    v = SetVector(dom, {s: 2 * s - 5 for s in range(8)})
     assert v.pushforward(h).mass() == v.mass()
 
 
 def test_setvector_refuses_mixed_groundsets():
-    u = SetVector(GroundSet(["a"]), {1: ONE})
-    v = SetVector(GroundSet(["b"]), {1: ONE})
+    u = SetVector(GroundSet(["a"]), {1: 1})
+    v = SetVector(GroundSet(["b"]), {1: 1})
     with pytest.raises(InputError):
         _ = u + v
 
@@ -242,10 +257,10 @@ def test_setvector_refuses_mixed_groundsets():
 
 def assert_clean(vec):
     """vec holds what the checked constructor would build from its entries:
-    Fraction values, none of them zero, every mask inside the ground set."""
+    int values, none of them zero, every mask inside the ground set."""
     assert vec == SetVector(vec.gs, dict(vec.items()))
     for mask, v in vec.items():
-        assert type(v) is Fraction
+        assert type(v) is int
         assert v != 0
         assert 0 <= mask <= vec.gs.full_mask
 
@@ -285,10 +300,9 @@ def test_arithmetic_results_are_clean():
     cod = GroundSet(["a", "b", "c"])
     homs = [LatticeHom(dom, cod, base, images) for base, images in role_maps(2, 3)]
     for _ in range(30):
-        u = SetVector(dom, {s: rat(f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}")
-                            for s in range(4)})
+        u = SetVector(dom, {s: rng.randint(-3, 3) for s in range(4)})
         v = SetVector(dom, {s: rng.randint(-2, 2) for s in range(4)})
-        for vec in (u + v, u + scaled(u, -1), u + scaled(v, rat("-2/3"))):
+        for vec in (u + v, u + scaled(u, -1), u + scaled(v, -2)):
             assert_clean(vec)
         for hom in homs[::5]:
             assert_clean(u.pushforward(hom))
