@@ -12,16 +12,23 @@ integers; weights and claimed values are integers or ASCII "p" or "p/q"
 strings (p an optional minus sign and digits, q digits and positive).
 A hom (homext row, `--rows file:` entry) is {"base": [label], "atoms":
 {generator label: [label]}}, a missing atom mapping to nothing; a `--rows
-orbit:` file is an array of {label: label} maps. Malformed input raises
-InputError naming the field's path, such as `receivers[2].knows`, never a
-raw KeyError, TypeError or ValueError. A graph edge is a pair of two
-distinct vertex labels.
+orbit:` file is an array of {generator label: instance label} maps.
+Malformed input raises InputError naming the field's path, such as
+`receivers[2].knows`, never a raw KeyError, TypeError or ValueError. A
+graph edge is a pair of two distinct vertex labels.
+
+`load_json` returns what json.load does, except that equal strings in an
+object's all-string array values are one object, so a product certificate
+holds each label once however many subsets name it. Arrays holding
+anything but strings are left as decoded, because 1 == True == 1.0 would
+let sharing alias a boolean or a float to an integer.
 
 This module is also the only JSON writer. `dump_json` returns exactly the
 text of `json.dumps(obj, indent=2)`: two-space indentation, "," and a line
 break between items, ": " after keys, keys in insertion order, non-ASCII as
 \\uXXXX escapes, empty containers as [] and {}. A file gets that text plus
-one newline.
+one newline, written in slices of 2^20 characters so the encoder never
+holds a second copy of a certificate's text.
 """
 
 from __future__ import annotations
@@ -85,25 +92,51 @@ def schema_by_name(name: str, homs=None):
 
 
 def load_json(path: str):
+    """The decoded JSON document at path, equal to json.load's in every value,
+    type and key order.
+
+    Each object's all-string array values are rewritten in place to hold one
+    shared copy of each distinct string, so a product certificate's label
+    arrays become lists of pointers to its few hundred labels as each object
+    closes. Only all-string arrays are shared: equal values of other types
+    may differ in type (1 == True == 1.0), and sharing them would hand a
+    reader one where the file holds another."""
+    memo: Dict[str, str] = {}
+
+    def share(obj: dict) -> dict:
+        for value in obj.values():
+            if type(value) is list and set(map(type, value)) == {str}:
+                value[:] = map(memo.setdefault, value, value)
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=share)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+_SLICE = 1 << 20  # characters written per call, so no encoded copy of the whole text exists
+
+
 def dump_json(obj, path: Optional[str]) -> str:
     """obj as exactly the text of json.dumps(obj, indent=2), written to path
-    (plus a newline) unless path is None."""
+    (plus a newline) unless path is None, in slices of _SLICE characters.
+    A path that cannot be written raises InputError."""
     parts: List[str] = []
     _write(obj, "\n", parts.append)
     text = "".join(parts)
+    del parts
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                for start in range(0, len(text), _SLICE):
+                    fh.write(text[start:start + _SLICE])
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
     return text
 
 
@@ -399,19 +432,25 @@ def homs_from_json(obj, schema_name: str, gs: GroundSet) -> List[LatticeHom]:
 def orbit_homs_from_json(obj, schema_name: str, gs: GroundSet) -> List[LatticeHom]:
     """A `--rows orbit:` array of label maps as homs into gs: the identity
     embedding, then its image under each map in file order, each hom once;
-    none when the identity embedding is absent, as without the file."""
+    none when the identity embedding is absent, as without the file. Every
+    map is read first: its keys must be generator labels, its images labels
+    of gs."""
     part = _homext_part(schema_name)
-    maps = [(entry, {key: image.label() for key, image in entry.items()})
-            for entry in _Json(obj, "orbit file")]
+    generator = set(map(str, part.generator.labels))
+    maps = []
+    for entry in _Json(obj, "orbit file"):
+        label_map = {}
+        for key, image in entry.items():
+            if key not in generator:
+                raise InputError(f"{image.path} names {key!r}, which is not a generator label")
+            label_map[key] = gs.labels[image.index(gs)]
+        maps.append((entry, label_map))
     ident = part.embedding(gs, {})
     if ident is None:
         return []
-    homs = [ident]
-    for entry, label_map in maps:
-        hom = entry._at_path(lambda m: part.embedding(gs, m), label_map)
-        if hom is None:
-            raise InputError(f"{entry.path} sends a generator label outside the instance")
-        homs.append(hom)
+    # every image is in gs, so with the identity present each map embeds
+    homs = [ident] + [entry._at_path(lambda m: part.embedding(gs, m), label_map)
+                      for entry, label_map in maps]
     return list(dict.fromkeys(homs))
 
 

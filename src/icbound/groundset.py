@@ -42,21 +42,18 @@ def popcount(mask: int) -> int:
 class GroundSet:
     """An ordered tuple of distinct hashable labels; immutable."""
 
-    __slots__ = ("labels", "_bits")
+    __slots__ = ("labels", "_bits", "full_mask")
 
     def __init__(self, labels: Iterable):
         self.labels = tuple(labels)
         self._bits = {lab: 1 << i for i, lab in enumerate(self.labels)}
         if len(self._bits) != len(self.labels):
             raise InputError("ground-set labels must be distinct")
+        self.full_mask = (1 << len(self.labels)) - 1
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.labels)) - 1
 
     def index(self, label) -> int:
         try:

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -198,6 +200,33 @@ def test_load_json_errors(tmp_path):
             load_json(str(bad))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=_JSON_VALUES)
+def test_load_json_is_json_load(obj, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"value": obj}))  # arrays are shared only as object values
+    # repr tells 1, True, 1.0 and "1" apart, where == does not
+    assert repr(load_json(str(path))) == repr(json.loads(path.read_text()))
+
+
+def test_load_json_keeps_mixed_arrays_as_decoded(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": ["x:y", "1"], "b": [1, true, 1.0, "1"], "c": [["x:y"]]}')
+    assert repr(load_json(str(path))) == repr(
+        {"a": ["x:y", "1"], "b": [1, True, 1.0, "1"], "c": [["x:y"]]})
+
+
+def test_dump_json_writes_long_text_in_slices(tmp_path):
+    # over 2 MiB, so the write crosses slice boundaries
+    obj = {"x": [{"s": [f"{i}:{j}" for j in range(40)], "v": f"{i}/7"} for i in range(6000)]}
+    path = tmp_path / "long.json"
+    text = dump_json(obj, str(path))
+    assert len(text) > 2 << 20
+    assert text == json.dumps(obj, indent=2)
+    assert path.read_bytes() == (text + "\n").encode("ascii")
+
+
 # -- command line ----------------------------------------------------------------
 
 
@@ -234,6 +263,23 @@ def test_cli_solve_verify_and_tamper(c5_file, tmp_path, capsys):
     dump_json(obj, cert)
     assert main(["verify", c5_file, cert]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{c5}", "--emit-cert", "{out}"],
+    ["product", "{c5}", "{c5}", "--out", "{out}"],
+    ["combine", "{c5}", "{c5}", "{cert}", "{cert}", "--out", "{out}"],
+    ["matroid2ic", "{matroid}", "--out", "{out}"],
+], ids=["solve", "product", "combine", "matroid2ic"])
+def test_cli_unwritable_output_is_an_input_error(argv, c5_file, tmp_path, capsys):
+    # each used to end in a FileNotFoundError traceback and exit 1
+    cert = _write(tmp_path, "cert.json", certificate_to_json(
+        c5_certificate()[2], cycle_instance(5).messages, schema_by_name("submod")))
+    files = {"c5": c5_file, "cert": cert, "out": str(tmp_path / "missing" / "out.json"),
+             "matroid": _write(tmp_path, "matroid.json", fano_ranks_json())}
+    assert main([a.format(**files) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {files['out']}: "), err
 
 
 def test_cli_calls_in_one_process_share_no_options(c5_file, fano_file, tmp_path, capsys):
@@ -415,6 +461,8 @@ def test_cli_malformed_instance(obj, path, tmp_path, capsys):
 @pytest.mark.parametrize("obj, path", [
     ({"elements": ["a"], "ranks": [0, 1.9]}, "ranks[1]"),
     ({"elements": ["a"], "ranks": ["x", 1]}, "ranks[0]"),
+    # a valid rank vector but for true == 1, which must not be read as 1
+    ({"elements": ["a", "b"], "ranks": [0, 1, 1, True]}, "ranks[3]"),
     ({"elements": ["a"], "matrix": {"p": "2", "rows": [[1]]}}, "matrix.p"),
     ({"elements": ["a"], "matrix": {"p": 2, "rows": [5]}}, "matrix.rows[0]"),
     ({"elements": ["a"], "matrix": {"p": 4, "rows": [[1]]}}, "matrix.p"),
@@ -422,7 +470,7 @@ def test_cli_malformed_instance(obj, path, tmp_path, capsys):
     ({"elements": ["a"], "ranks": [0, 2]}, "ranks"),
     # used to name no path: "each of matrix.rows must have one entry per element"
     ({"elements": ["a", "b"], "matrix": {"p": 2, "rows": [[1, 0], [1]]}}, "matrix.rows[1]"),
-], ids=["rank-float", "rank-string", "p-string", "row-int", "p-not-prime",
+], ids=["rank-float", "rank-string", "rank-bool", "p-string", "row-int", "p-not-prime",
         "ranks-length", "ranks-axioms", "row-length"])
 def test_cli_malformed_matroid(obj, path, tmp_path, capsys):
     _assert_input_error(["matroid2ic", _write(tmp_path, "mat.json", obj)], path, capsys)
@@ -500,12 +548,71 @@ _OVERLAP = "atom images must be disjoint from each other and from the base"
     # used to exit 0 with b = 4, the map and its unknown label unread
     ("orbit", "submod", [{"100": "zzz"}], "schema 'submod' takes no homomorphism rows"),
     ("file", "submod", [_IDENTITY_HOM], "schema 'submod' takes no homomorphism rows"),
+    # used to exit 0 with b = 73/18, the key not a generator label yet ignored
+    ("orbit", "submod+fano-odd", [{"nope": "zzz"}],
+     "orbit file[0].nope names 'nope', which is not a generator label"),
+    ("orbit", "submod+fano-odd", [{"100": "zzz"}], "orbit file[0].100: unknown label 'zzz'"),
 ], ids=["atom-key", "entry-string", "overlapping-atoms", "orbit-overlapping-atoms",
-        "orbit-under-submod", "file-under-submod"])
+        "orbit-under-submod", "file-under-submod", "orbit-key-outside-generator",
+        "orbit-image-outside-instance"])
 def test_cli_malformed_hom_file(rows, schema, obj, message, fano_file, tmp_path, capsys):
     spec = f"{rows}:" + _write(tmp_path, "rows.json", obj)
     assert main(["solve", fano_file, "--schema", schema, "--rows", spec]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_cli_orbit_map_is_read_without_the_identity_embedding(c5_file, tmp_path, capsys):
+    # C5 lacks the generator's labels, so no row is added; the map used to go
+    # unread and the solve exit 0 with b = 5/2
+    spec = "orbit:" + _write(tmp_path, "rows.json", [{"100": "zzz"}])
+    assert main(["solve", c5_file, "--schema", "submod+fano-odd", "--rows", spec]) == 2
+    assert capsys.readouterr().err == "input error: orbit file[0].100: unknown label 'zzz'\n"
+    spec = "orbit:" + _write(tmp_path, "rows.json", [{"100": "1"}])
+    assert main(["solve", c5_file, "--schema", "submod+fano-odd", "--rows", spec]) == 0
+    assert capsys.readouterr().out == "b = 5/2\n"
+
+
+# -- product certificates: labels held once ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def c5_power_certs(tmp_path_factory):
+    """Exponent -> certificate file of C5^2 and C5^3, by icb product and
+    combine from the built-in pentagon certificate."""
+    work = tmp_path_factory.mktemp("powers")
+    c5 = inst = _write(work, "c5.json", instance_to_json(cycle_instance(5)))
+    c5_cert = cert = _write(work, "c5.cert.json", certificate_to_json(
+        c5_certificate()[2], cycle_instance(5).messages, schema_by_name("submod")))
+    certs = {}
+    for k in (2, 3):
+        power, certs[k] = str(work / f"c5p{k}.json"), str(work / f"c5p{k}.cert.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["product", inst, c5, "--out", power]) == 0
+            assert main(["combine", inst, c5, cert, c5_cert, "--out", certs[k]]) == 0
+        inst, cert = power, certs[k]
+    return certs
+
+
+def test_load_json_holds_each_label_once(c5_power_certs):
+    doc = load_json(c5_power_certs[2])
+    first = {}
+    for entry in doc["x"]:
+        for label in entry["s"] + entry["t"]:
+            assert first.setdefault(label, label) is label
+    assert len(first) == 25
+
+
+def test_loaded_certificate_holds_less_memory_than_its_file(c5_power_certs):
+    # each label was its own string object, 3.6 times the file size in all
+    path = c5_power_certs[3]
+    tracemalloc.start()
+    try:
+        doc = load_json(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(doc["x"]) == 343
+    assert held < 1.5 * os.path.getsize(path)
 
 
 # -- fuzzing: mutated valid files never escape the exit-code contract --------
