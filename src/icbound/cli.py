@@ -35,12 +35,6 @@ from icbound.matroid import addineq_certificate, fano, nonfano, to_index_coding
 from icbound.rational import rat, rat_str
 from icbound.schema import SideRow
 
-_CLOSURES = {
-    "single": ClosureMode.SINGLE_STEP,
-    "iterated": ClosureMode.ITERATED,
-}
-
-
 def _row_homs(spec: str, schema_name: str, gs):
     """The homs --rows names for schema_by_name; None means the identity embedding."""
     if spec == "identity":
@@ -56,7 +50,7 @@ def _row_homs(spec: str, schema_name: str, gs):
 def _cmd_solve(args) -> int:
     instance = instance_from_json(load_json(args.instance))
     schema = schema_by_name(args.schema, _row_homs(args.rows, args.schema, instance.messages))
-    sol = solve_problem(build_problem(instance, schema, _CLOSURES[args.closure]))
+    sol = solve_problem(build_problem(instance, schema, ClosureMode(args.closure)))
     print(f"b = {rat_str(sol.value)}")
     if args.emit_cert:
         verify_certificate(instance, schema, sol.cert)
@@ -269,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", default="identity", metavar="identity|orbit:PATH|file:PATH",
                    help="fano rows: the identity embedding; it and its images under a JSON "
                    "array of label maps; or a JSON array of homs (see icbound.formats)")
-    p.add_argument("--closure", default="single", choices=sorted(_CLOSURES))
+    p.add_argument("--closure", default="single", choices=sorted(m.value for m in ClosureMode))
     p.add_argument("--emit-cert", metavar="PATH")
     p.set_defaults(func=_cmd_solve)
 

@@ -3,12 +3,14 @@
 These are the hot paths of the whole package, in plain Python over ints.
 The simplex kernels keep the basis inverse fraction-free: an integer matrix
 B and one integer denominator D, which may be negative, with B / D the
-inverse of the basis; basic values and multipliers are integer vectors over
-the same D. Starting from the identity with D = 1 and integer columns, D is
-the determinant of the basis and B its adjugate, so the Bareiss update in
-`pivot_update` divides exactly and entries grow only as large as the minors
-of the basis. No gcd is ever taken. Callers reach these functions as
-`kernels.<name>` so that a tracer can wrap each one by its dotted name.
+inverse of the basis; the multipliers are an integer vector over the same
+D, and, as the simplex's right-hand side is e_0, the basic values are
+column 0 of B over D. Starting from the identity with D = 1 and integer
+columns, D is the determinant of the basis and B its adjugate, so the
+Bareiss update in `pivot_update` divides exactly and entries grow only as
+large as the minors of the basis. No gcd is ever taken. Callers reach these
+functions as `kernels.<name>` so that a tracer can wrap each one by its
+dotted name.
 """
 
 from __future__ import annotations
@@ -39,17 +41,18 @@ def ftran_sparse(binv, idx, val, m):
     return d
 
 
-def pivot_update(binv, xb, d, r, den, y=None, rc=0):
+def pivot_update(binv, d, r, den, y=None, rc=0):
     """Bareiss step for the entering column d = binv * a; returns the new D.
 
-    Row r of binv and xb[r] stay as they are; every other row i becomes
+    Row r of binv stays as it is; every other row i becomes
     (row_i * d[r] - d[i] * row_r) / den, an exact division, and the new
-    denominator is d[r]. y, when given, is updated as one more such row with
-    d_i = -rc, where rc is the entering column's reduced cost times den.
+    denominator is d[r]. Column 0 of binv carries the basic values, since
+    the simplex's right-hand side is e_0. y, when given, is updated as one
+    more such row with d_i = -rc, where rc is the entering column's reduced
+    cost times den.
     """
     piv = d[r]
     row_r = binv[r]
-    xr = xb[r]
     if piv == den:
         # Then row_i * piv / den is row_i itself and each d_i * row_r[j] is
         # divisible by den: only the nonzero columns of row r move.
@@ -60,7 +63,6 @@ def pivot_update(binv, xb, d, r, den, y=None, rc=0):
                 row_i = binv[i]
                 for j, b in nz:
                     row_i[j] -= di * b // den
-                xb[i] -= di * xr // den
     else:
         for i in range(len(binv)):
             if i == r:
@@ -68,10 +70,8 @@ def pivot_update(binv, xb, d, r, den, y=None, rc=0):
             di = d[i]
             if di:
                 binv[i] = [(a * piv - di * b) // den for a, b in zip(binv[i], row_r)]
-                xb[i] = (xb[i] * piv - di * xr) // den
             else:
                 binv[i] = [a * piv // den for a in binv[i]]
-                xb[i] = xb[i] * piv // den
     if y is not None:
         y[:] = [(a * piv + rc * b) // den for a, b in zip(y, row_r)]
     return piv

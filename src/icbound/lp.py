@@ -5,13 +5,17 @@ message set scores n, adding one message to a known set costs at most 1 (and
 costs 0 when that message is already implied), and every schema row is
 nonnegative. Solving happens on the dual in standard form, whose simplex
 multipliers are exactly the primal subset values; that keeps the basis at
-size 2^n instead of the number of constraints.
+size 2^n instead of the number of constraints. The primal objective is z of
+the empty set alone, so the dual's right-hand side is e_0, the one shape
+`simplex.StandardFormLP` takes. The crash basis climbs from the empty set
+to the full set one decoding column at a time, then covers the full set's
+row with w_plus.
 
-The LP data are ints: costs 0, -1, n and -n, decoding columns (1, -1), the
-rhs e_0, and each schema row's coefficients, which a SetVector holds as ints
-already. `build_problem` checks every schema row where it becomes a column:
-the coefficients must sum to zero, or InputError names the schema and the
-row. A duck-typed schema whose vectors hold anything but ints is refused by
+The LP data are ints: costs 0, -1, n and -n, decoding columns (1, -1), and
+each schema row's coefficients, which a SetVector holds as ints already.
+`build_problem` checks every schema row where it becomes a column: the
+coefficients must sum to zero, or InputError names the schema and the row.
+A duck-typed schema whose vectors hold anything but ints is refused by
 `StandardFormLP`'s own type check. The stronger atom-sum tightness check
 stays in the test suite (`tests/oracles.schema_is_tight`).
 
@@ -81,16 +85,14 @@ def build_problem(
         schema = SubmodSchema()
     gs = instance.messages
     n = gs.n
-    nrows = 1 << n
-    masks = list(gs.subsets())
 
     cols_idx: List[Tuple[int, ...]] = []
     cols_val: List[tuple] = []
     cobj: list = []
 
     dec_pairs: List[Tuple[int, int]] = []
-    dec_col: Dict[Tuple[int, int], int] = {}
-    for s in masks:
+    crash: List[Tuple[int, int]] = []
+    for s in gs.subsets():
         cl = instance.closure(s, closure)
         for i in range(n):
             bit = 1 << i
@@ -98,7 +100,8 @@ def build_problem(
                 continue
             t = s | bit
             cost = 0 if cl & bit else 1
-            dec_col[(s, t)] = len(cols_idx)
+            if s == bit - 1:  # the crash step {0..i-1} -> {0..i}
+                crash.append((len(cols_idx), s))
             dec_pairs.append((s, t))
             cols_idx.append((s, t))
             cols_val.append((1, -1))
@@ -128,18 +131,9 @@ def build_problem(
     cols_val.append((-1,))
     cobj.append(-n)
 
-    rhs = [0] * nrows
-    rhs[0] = 1
-
-    crash = []
-    prefix = 0
-    for k in range(n):
-        nxt = prefix | (1 << k)
-        crash.append((dec_col[(prefix, nxt)], prefix))
-        prefix = nxt
     crash.append((w_plus, full))
 
-    lp = StandardFormLP(nrows, cols_idx, cols_val, cobj, rhs)
+    lp = StandardFormLP(1 << n, cols_idx, cols_val, cobj)
     return LPProblem(
         instance, schema, closure, dec_pairs, schema_rows, lp, crash, w_plus, w_minus
     )

@@ -61,8 +61,14 @@ class Matroid:
             )
         if len(ranks) != (1 << gs.n):
             raise InputError("rank vector length must be 2^n")
+        ranks = tuple(ranks)
+        if set(map(type, ranks)) != {int}:  # one C-speed pass when all is well
+            for mask, r in enumerate(ranks):
+                if type(r) is not int:
+                    raise InputError(f"matroid ranks must be ints: subset "
+                                     f"{gs.labels_of(mask)} holds {type(r).__name__} {r}")
         self.gs = gs
-        self.ranks = tuple(int(r) for r in ranks)
+        self.ranks = ranks
 
     @property
     def n(self) -> int:

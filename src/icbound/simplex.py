@@ -1,26 +1,30 @@
 """Exact revised simplex over the rationals, computed fraction-free.
 
-Solves max c.v subject to M v = b, v >= 0, with b >= 0, keeping an explicit
-basis inverse. Columns are sparse (index, value) pairs. LP data are ints
-(the bound LP of `lp.build_problem` is all ints; rational data must be
-scaled to integers by the caller), so the basis inverse is an integer
-matrix over one common integer denominator, updated by the Bareiss step in
-`kernels.pivot_update`; basic values and simplex multipliers are integer
-vectors over the same denominator, and the multipliers are updated as one
-more row of each pivot, so BTRAN runs once per solve. Fractions appear only
-in the result. No floating point anywhere.
+Solves max c.v subject to M v = e_0, v >= 0, the shape of the dual LP that
+`lp.build_problem` hands over (e_0 is the unit vector of row 0, the empty
+set's row), keeping an explicit basis inverse. Columns are sparse (index,
+value) pairs. LP data are ints (rational data must be scaled to integers by
+the caller), so the basis inverse is an integer matrix, the adjugate of the
+basis, over one integer denominator, its determinant, updated by the
+Bareiss step in `kernels.pivot_update`. The basic values, the inverse times
+e_0, are its column 0. The simplex multipliers are an integer vector over
+the same denominator, updated as one more row of each pivot, so BTRAN runs
+once per solve. Fractions appear only in the result. No floating point
+anywhere.
 
-Degeneracy is the norm in the LPs this package builds (the right-hand side
-has a single nonzero), so the leaving row is picked by the lexicographic
-ratio test, which cannot cycle, and the entering column by most-positive
-reduced cost over a rotating chunk of columns (partial pricing). A basic
-column prices at exactly zero (binv times it is den times a unit vector),
-so pricing needs no mask of basic columns. Artificial columns are appended
-internally to provide the starting basis; they may never enter, and any
-artificial row touched by an entering column is pivoted out at ratio zero,
-so artificials stay at value zero forever and the optimum reached belongs
-to the genuine problem. Callers can hand over a list of crash pivots to
-install a known feasible basis cheaply before the loop.
+Degeneracy is the norm in these LPs (the right-hand side has a single
+nonzero), so the leaving row is picked by the lexicographic ratio test,
+which cannot cycle; as the basic values are column 0 of the inverse, that
+test compares rows of the inverse alone. The entering column is the one of
+most-positive reduced cost over a rotating chunk of columns (partial
+pricing). A basic column prices at exactly zero (binv times it is den
+times a unit vector), so pricing needs no mask of basic columns.
+Artificial columns are appended internally to provide the starting basis;
+they may never enter, and any artificial row touched by an entering column
+is pivoted out at ratio zero, so artificials stay at value zero forever and
+the optimum reached belongs to the genuine problem. Callers can hand over a
+list of crash pivots to install a known feasible basis cheaply before the
+loop.
 
 The result is audited against the data as given before being returned:
 exact primal feasibility, nonpositive reduced costs, and agreement of primal
@@ -48,9 +52,10 @@ _MAX_ITER = 200_000
 
 @dataclass
 class StandardFormLP:
-    """max cobj . v  s.t.  sum_j v_j col_j = rhs, v >= 0, rhs >= 0.
+    """max cobj . v  s.t.  sum_j v_j col_j = e_0, v >= 0.
 
-    Every entry of cols_val, cobj and rhs is an int (not a bool); anything
+    The right-hand side is always e_0, row 0's unit vector, so it is not
+    stored. Every entry of cols_val and cobj is an int (not a bool); anything
     else is refused with InputError, since the solver never rescales.
     """
 
@@ -58,30 +63,26 @@ class StandardFormLP:
     cols_idx: List[Tuple[int, ...]]
     cols_val: List[tuple]
     cobj: list
-    rhs: list
 
     def __post_init__(self):
+        if self.nrows < 1:
+            raise InputError("the right-hand side e_0 needs at least one row")
         if len(self.cols_val) != len(self.cols_idx) or len(self.cobj) != len(self.cols_idx):
             raise InputError("column arrays disagree in length")
-        if len(self.rhs) != self.nrows:
-            raise InputError("rhs length does not match row count")
-        entries = chain(chain.from_iterable(self.cols_val), self.cobj, self.rhs)
+        entries = chain(chain.from_iterable(self.cols_val), self.cobj)
         if set(map(type, entries)) != {int}:  # one C-speed pass when all is well
-            _refuse_non_int("cols_val", "column", self.cols_val, "that row")
-            _refuse_non_int("cobj", "column", [(c,) for c in self.cobj], "the costs")
-            _refuse_non_int("rhs", "row", [(b,) for b in self.rhs], "the rows")
-        if any(v < 0 for v in self.rhs):
-            raise InputError("standard form here requires rhs >= 0")
+            _refuse_non_int("cols_val", self.cols_val, "that row")
+            _refuse_non_int("cobj", [(c,) for c in self.cobj], "the costs")
 
 
-def _refuse_non_int(name: str, what: str, entries, hint: str) -> None:
+def _refuse_non_int(name: str, entries, hint: str) -> None:
     """Raise InputError at the first value in entries, a sequence of tuples,
     whose type is not int."""
     for k, vals in enumerate(entries):
         for v in vals:
             if type(v) is not int:
                 raise InputError(
-                    f"LP data must be ints: {name} at {what} {k} holds "
+                    f"LP data must be ints: {name} at column {k} holds "
                     f"{type(v).__name__} {v}; scale {hint} to integers")
 
 
@@ -94,11 +95,13 @@ class SimplexResult:
     iterations: int
 
 
-def _lex_leaving(binv, xb, d, rows, m):
-    """Lexicographic minimum of (xb_i, binv row i) / d_i over candidate rows.
+def _lex_leaving(binv, d, rows, m):
+    """Lexicographic minimum of binv row i / d_i over candidate rows.
 
-    The candidate d_i all share the sign of the common denominator, so the
-    cross-multiplied comparisons below order the true ratios.
+    Column 0 holds the basic values, so this is the ratio test with ties
+    broken by the rest of the row. The candidate d_i all share the sign of
+    the common denominator, so the cross-multiplied comparisons below order
+    the true ratios.
     """
     best = -1
     for i in rows:
@@ -106,15 +109,12 @@ def _lex_leaving(binv, xb, d, rows, m):
             best = i
             continue
         di, db = d[i], d[best]
-        a = xb[i] * db
-        b = xb[best] * di
-        if a == b:
-            row_i, row_b = binv[i], binv[best]
-            for j in range(m):
-                a = row_i[j] * db
-                b = row_b[j] * di
-                if a != b:
-                    break
+        row_i, row_b = binv[i], binv[best]
+        for j in range(m):
+            a = row_i[j] * db
+            b = row_b[j] * di
+            if a != b:
+                break
         if a < b:
             best = i
     return best
@@ -127,22 +127,21 @@ def solve_standard_form(
     """Revised simplex on an integer standard-form LP, solved exactly.
 
     crash is a list of (column, row) pivots applied before the main loop; it
-    must leave a feasible basis in which every row with nonzero rhs holds a
-    structural column, since there is no phase-one here. Rows whose rhs is
-    zero may keep their artificial columns; those are pivoted out at ratio
-    zero the moment an entering column touches them.
+    must leave a feasible basis in which every row with a nonzero basic value
+    holds a structural column, since there is no phase-one here. Rows whose
+    basic value is zero may keep their artificial columns; those are pivoted
+    out at ratio zero the moment an entering column touches them.
     """
     m = lp.nrows
     nstruct = len(lp.cols_idx)
     cols_idx, cols_val, cobj = lp.cols_idx, lp.cols_val, lp.cobj
 
     # Artificial identity columns occupy ids nstruct .. nstruct+m-1. The
-    # basis inverse is binv / den and the basic values are xb / den.
+    # basis inverse is binv / den and basic value i is binv[i][0] / den.
     binv = [[0] * m for _ in range(m)]
     for i in range(m):
         binv[i][i] = 1
     den = 1
-    xb = list(lp.rhs)  # pivot_update rewrites it in place
     basis = [nstruct + i for i in range(m)]
 
     def is_artificial(col: int) -> bool:
@@ -153,7 +152,7 @@ def solve_standard_form(
 
     def do_pivot(col: int, row: int, d, y=None, rc=0) -> None:
         nonlocal den
-        den = kernels.pivot_update(binv, xb, d, row, den, y, rc)
+        den = kernels.pivot_update(binv, d, row, den, y, rc)
         basis[row] = col
 
     for col, row in crash:
@@ -165,12 +164,12 @@ def solve_standard_form(
         if not is_artificial(basis[row]):
             raise InputError("crash pivot would evict a structural column")
         do_pivot(col, row, d)
-    if any(v * den < 0 for v in xb):
+    if any(row[0] * den < 0 for row in binv):
         raise InputError("crash basis is not feasible")
     for i in range(m):
-        if xb[i] and is_artificial(basis[i]):
+        if binv[i][0] and is_artificial(basis[i]):
             raise InputError(
-                f"row {i} has nonzero rhs but no crash pivot covers it"
+                f"row {i} has a nonzero basic value but no crash pivot covers it"
             )
 
     # Multipliers y / den, kept current by every pivot from here on.
@@ -224,7 +223,7 @@ def solve_standard_form(
             candidates = [i for i in range(m) if d[i] * den > 0]
             if not candidates:
                 return SimplexResult("unbounded", None, None, None, iterations)
-            leave = _lex_leaving(binv, xb, d, candidates, m)
+            leave = _lex_leaving(binv, d, candidates, m)
 
         rc = cobj[enter] * den
         for k, v in zip(cols_idx[enter], cols_val[enter]):
@@ -239,9 +238,10 @@ def solve_standard_form(
 
     x = [ZERO] * nstruct
     for i, c in enumerate(basis):
+        v = binv[i][0]
         if c < nstruct:
-            x[c] = Rational(xb[i], den)
-        elif xb[i]:
+            x[c] = Rational(v, den)
+        elif v:
             raise VerificationError("artificial column ended basic at a nonzero value")
     y = [Rational(v, den) for v in y]
     _audit(lp, x, y)
@@ -251,8 +251,8 @@ def solve_standard_form(
 
 def _audit(lp: StandardFormLP, x, y) -> None:
     """Check the optimum (x, y) against lp's data as given, in this order:
-    x >= 0 while the rows are summed, every primal row, every reduced cost,
-    primal = dual objective.
+    x >= 0 while the rows are summed, every primal row against e_0, every
+    reduced cost, primal objective = dual objective y_0.
 
     x and y are brought to integers over the lcm of their own denominators,
     dx and dy, never over the solver's denominator, so a bug in the solver's
@@ -273,10 +273,11 @@ def _audit(lp: StandardFormLP, x, y) -> None:
         for k, v in zip(lp.cols_idx[j], lp.cols_val[j]):
             lhs[k] += v * xn
         primal += lp.cobj[j] * xn
-    for i, b in enumerate(lp.rhs):
-        if lhs[i] != b * dx:
+    for i, v in enumerate(lhs):
+        b = 1 if i == 0 else 0
+        if v != b * dx:
             raise VerificationError(
-                f"audit: row {i} violated, {Rational(lhs[i], dx)} != {b}")
+                f"audit: row {i} violated, {Rational(v, dx)} != {b}")
     yn = [v.numerator * (dy // v.denominator) for v in y]
     for j, (idx, val) in enumerate(zip(lp.cols_idx, lp.cols_val)):
         rc = lp.cobj[j] * dy
@@ -285,7 +286,7 @@ def _audit(lp: StandardFormLP, x, y) -> None:
         if rc > 0:
             raise VerificationError(
                 f"audit: column {j} has positive reduced cost {Rational(rc, dy)}")
-    dual = sum(yn[i] * b for i, b in enumerate(lp.rhs) if b)
+    dual = yn[0]
     if primal * dy != dual * dx:
         raise VerificationError(
             f"audit: objective mismatch {Rational(primal, dx)} != {Rational(dual, dy)}")

@@ -484,7 +484,8 @@ def fraction_simplex(lp, crash=()):
     exits of artificial rows, partial pricing by most positive reduced cost
     (ties to the lowest column id) and the lexicographic ratio test. Every
     quantity is a Fraction and BTRAN runs from scratch each iteration. lp is
-    read through its attributes nrows, cols_idx, cols_val, cobj and rhs.
+    read through its attributes nrows, cols_idx, cols_val and cobj, and its
+    right-hand side is e_0; the basic values are a vector of their own here.
     Returns (status, objective, x, y, iterations).
     """
     m = lp.nrows
@@ -492,7 +493,7 @@ def fraction_simplex(lp, crash=()):
     cobj = [Fraction(c) for c in lp.cobj]
     cols_val = [tuple(Fraction(v) for v in val) for val in lp.cols_val]
     binv = [[F1 if i == j else F0 for j in range(m)] for i in range(m)]
-    xb = [Fraction(v) for v in lp.rhs]
+    xb = [F1 if i == 0 else F0 for i in range(m)]
     basis = [nstruct + i for i in range(m)]
 
     def ftran(col):
@@ -571,8 +572,8 @@ def fraction_audit(lp, x, y):
     """The simplex audit one Fraction operation at a time, as a reference.
 
     Checks the optimum (x, y) against lp's data as given, in this order: x >= 0
-    while the rows are summed, every primal row, every reduced cost against y,
-    primal = dual objective. Returns None when all hold, else the message
+    while the rows are summed, every primal row against e_0, every reduced
+    cost against y, primal = dual objective. Returns None when all hold, else the message
     `icbound.simplex._audit` raises with.
     """
     m = lp.nrows
@@ -586,9 +587,10 @@ def fraction_audit(lp, x, y):
             return "negative primal value in audit"
         for k, v in zip(lp.cols_idx[j], lp.cols_val[j]):
             lhs[k] += v * xj
+    rhs = [1] + [0] * (m - 1)
     for i in range(m):
-        if lhs[i] != lp.rhs[i]:
-            return f"audit: row {i} violated, {lhs[i]} != {lp.rhs[i]}"
+        if lhs[i] != rhs[i]:
+            return f"audit: row {i} violated, {lhs[i]} != {rhs[i]}"
     for j in range(nstruct):
         rc = lp.cobj[j]
         for k, v in zip(lp.cols_idx[j], lp.cols_val[j]):
@@ -597,7 +599,7 @@ def fraction_audit(lp, x, y):
         if rc > 0:
             return f"audit: column {j} has positive reduced cost {rc}"
     primal = sum((lp.cobj[j] * x[j] for j in range(nstruct) if x[j]), F0)
-    dual = sum((y[i] * lp.rhs[i] for i in range(m) if lp.rhs[i]), F0)
+    dual = sum((y[i] * rhs[i] for i in range(m) if rhs[i]), F0)
     if primal != dual:
         return f"audit: objective mismatch {primal} != {dual}"
     return None

@@ -51,12 +51,13 @@ def instance_audit_message(problem, sol, w=ONE, **changes):
 
 
 def hand_lps():
-    """(lp, crash) pairs: max 3a + 2b s.t. a + b = 1, a - b = 0. The same LP
-    with row 0 halved and the costs over 3 is refused, not rescaled."""
+    """(lp, crash) pairs: max 3a + 2b s.t. a + b = 1, a - b = 0. The same
+    arrays with row 0's entries halved and the costs over 3 are refused, not
+    rescaled."""
     with pytest.raises(InputError, match=re.escape(
             "cols_val at column 0 holds Fraction 1/2; scale that row to integers")):
         StandardFormLP(2, [(0, 1), (0, 1)], [(HALF, 1), (HALF, -1)],
-                       [1, rat("2/3")], [HALF, 0])
+                       [1, rat("2/3")])
     return [(StandardFormLP(**hand_lp_arrays()), [(1, 1), (0, 0)])]
 
 
@@ -216,7 +217,7 @@ def perturbations(rng, x, y, count):
                 i = rng.randrange(len(by))
                 by[i] += step
             else:
-                by[0] += abs(step)  # only rhs[0] is nonzero in the bound LP
+                by[0] += abs(step)  # the right-hand side is e_0
         out.append((bx, by))
     return out
 
@@ -255,7 +256,6 @@ def test_lp_data_are_int_and_results_are_fraction():
         lp = problem.lp
         assert {type(v) for val in lp.cols_val for v in val} == {int}
         assert {type(c) for c in lp.cobj} == {int}
-        assert {type(b) for b in lp.rhs} == {int}
         res = solve_standard_form(lp, crash=problem.crash)
         assert type(res.objective) is Fraction
         assert {type(v) for v in res.x + res.y} == {Fraction}

@@ -1,6 +1,8 @@
 """Matroids: matrix ranks, axioms, the two seven-point builds, conversion."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +66,18 @@ def test_axioms_reject_bad_vectors():
     with pytest.raises(InputError):
         # steps are all 0 or 1, yet two loops cannot span anything
         Matroid(gs, [0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("ranks, held", [
+    ([0, Fraction(3, 2), 1.9, 1], "('a',) holds Fraction 3/2"),
+    ([0, 1, 1.9, 1], "('b',) holds float 1.9"),
+    ([0, True, True, True], "('a',) holds bool True"),
+], ids=["Fraction", "float", "bool"])
+def test_constructor_rejects_non_int_ranks(ranks, held):
+    # int() would read each of these as (0, 1, 1, 1), a valid matroid
+    with pytest.raises(InputError, match="^" + re.escape(
+            f"matroid ranks must be ints: subset {held}") + "$"):
+        Matroid(GroundSet(["a", "b"]), ranks)
 
 
 def test_constructor_rejects_rank_drop():

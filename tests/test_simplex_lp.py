@@ -36,7 +36,7 @@ def lp_bound(inst, schema=None, closure=ClosureMode.SINGLE_STEP):
 def hand_lp_arrays():
     """The arrays of max 3a + 2b s.t. a + b = 1, a - b = 0, as fresh lists."""
     return dict(nrows=2, cols_idx=[(0, 1), (0, 1)], cols_val=[(1, 1), (1, -1)],
-                cobj=[3, 2], rhs=[1, 0])
+                cobj=[3, 2])
 
 
 def test_solver_reports_optimum():
@@ -47,10 +47,10 @@ def test_solver_reports_optimum():
     assert res.x == [rat("1/2"), rat("1/2")]
     assert_same_as_fraction_simplex(lp, [(1, 1), (0, 0)])
 
-    # Row 0 halved: rational data is refused, not rescaled; the caller
-    # scales the row back to integers.
+    # Row 0's entries halved: rational data is refused, not rescaled; the
+    # caller scales the row back to integers.
     halved = hand_lp_arrays()
-    halved.update(cols_val=[(rat("1/2"), 1), (rat("1/2"), -1)], rhs=[rat("1/2"), 0])
+    halved.update(cols_val=[(rat("1/2"), 1), (rat("1/2"), -1)])
     with pytest.raises(InputError, match=re.escape(
             "cols_val at column 0 holds Fraction 1/2; scale that row to integers")):
         StandardFormLP(**halved)
@@ -58,7 +58,7 @@ def test_solver_reports_optimum():
 
 @pytest.mark.parametrize("bad", [rat("1/2"), True, 0.5], ids=["Fraction", "bool", "float"])
 @pytest.mark.parametrize("array, where", [
-    ("cols_val", "column 1"), ("cobj", "column 1"), ("rhs", "row 1")])
+    ("cols_val", "column 1"), ("cobj", "column 1")])
 def test_lp_data_must_be_int(array, where, bad):
     arrays = hand_lp_arrays()
     if array == "cols_val":
@@ -73,18 +73,20 @@ def test_lp_data_must_be_int(array, where, bad):
 @pytest.mark.parametrize("changes, message", [
     (dict(cols_val=[(1, 1)]), "column arrays disagree in length"),
     (dict(cobj=[3]), "column arrays disagree in length"),
-    (dict(rhs=[1, 0, 0]), "rhs length does not match row count"),
-    (dict(rhs=[1, -1]), "standard form here requires rhs >= 0"),
-], ids=["cols_val", "cobj", "rhs-length", "rhs-negative"])
+    (dict(nrows=0, cols_idx=[], cols_val=[], cobj=[]),
+     "the right-hand side e_0 needs at least one row"),
+], ids=["cols_val", "cobj", "no-rows"])
 def test_lp_shape_errors(changes, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         StandardFormLP(**dict(hand_lp_arrays(), **changes))
 
 
-# max v s.t. v = 1; and an LP whose column 0 has no entry in row 1.
-ONE_ROW = dict(nrows=1, cols_idx=[(0,)], cols_val=[(1,)], cobj=[1], rhs=[1])
+# max v s.t. v = 1; an LP whose column 0 has no entry in row 1; and one whose
+# only column, pivoted in on row 0, leaves row 1's artificial at value 1.
+ONE_ROW = dict(nrows=1, cols_idx=[(0,)], cols_val=[(1,)], cobj=[1])
 ZERO_IN_ROW_1 = dict(nrows=2, cols_idx=[(0,), (0, 1)], cols_val=[(1,), (1, 1)],
-                     cobj=[1, 1], rhs=[1, 0])
+                     cobj=[1, 1])
+ROW_1_UNCOVERED = dict(nrows=2, cols_idx=[(0, 1)], cols_val=[(1, -1)], cobj=[1])
 
 
 @pytest.mark.parametrize("arrays, crash, message", [
@@ -93,8 +95,11 @@ ZERO_IN_ROW_1 = dict(nrows=2, cols_idx=[(0,), (0, 1)], cols_val=[(1,), (1, 1)],
     (ZERO_IN_ROW_1, [(0, 1)], "crash pivot hits a zero tableau entry"),
     (hand_lp_arrays(), [(1, 1), (0, 1)], "crash pivot would evict a structural column"),
     (dict(ONE_ROW, cols_val=[(-1,)]), [(0, 0)], "crash basis is not feasible"),
-    (ONE_ROW, [], "row 0 has nonzero rhs but no crash pivot covers it"),
-], ids=["past-the-end", "negative", "zero-entry", "evicts", "infeasible", "uncovered"])
+    (ONE_ROW, [], "row 0 has a nonzero basic value but no crash pivot covers it"),
+    (ROW_1_UNCOVERED, [(0, 0)],
+     "row 1 has a nonzero basic value but no crash pivot covers it"),
+], ids=["past-the-end", "negative", "zero-entry", "evicts", "infeasible", "uncovered",
+        "uncovered-row-1"])
 def test_crash_refusals(arrays, crash, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         solve_standard_form(StandardFormLP(**arrays), crash=crash)
@@ -104,25 +109,24 @@ def test_solver_leaves_lp_data_unchanged():
     for lp, crash in [(StandardFormLP(**hand_lp_arrays()), [(1, 1), (0, 0)])] + [
             (p.lp, p.crash) for p in (build_problem(cycle_instance(5)),
                                       build_problem(to_index_coding(fano())))]:
-        before = (list(lp.rhs), list(lp.cobj), list(lp.cols_val), list(lp.cols_idx))
+        before = (list(lp.cobj), list(lp.cols_val), list(lp.cols_idx))
         res = solve_standard_form(lp, crash=crash)
         assert res.status == "optimal"
-        assert (lp.rhs, lp.cobj, lp.cols_val, lp.cols_idx) == before
+        assert (lp.cobj, lp.cols_val, lp.cols_idx) == before
         assert solve_standard_form(lp, crash=crash) == res
 
 
 def test_solver_with_negative_denominator(monkeypatch):
-    # max a + 3b + 3c subject to -a + b + d = 0, a + c = 1, b + c = 1. The
+    # max a + 3b + 3c subject to a + c = 1, -a + b + d = 0, -a + b = 0. The
     # first crash pivot is on the -1 entry of a, so the basis determinant
     # is -1 from the start and the ratio test must flip its sign test.
     lp = StandardFormLP(
         nrows=3,
-        cols_idx=[(0, 1), (0, 2), (1, 2), (0,)],
-        cols_val=[(-1, 1), (1, 1), (1, 1), (1,)],
+        cols_idx=[(0, 1, 2), (1, 2), (0,), (1,)],
+        cols_val=[(1, -1, -1), (1, 1), (1,), (1,)],
         cobj=[1, 3, 3, 0],
-        rhs=[0, 1, 1],
     )
-    crash = [(0, 0), (2, 1)]
+    crash = [(0, 1), (2, 0)]
     dens = []
     pivot_update = kernels.pivot_update
 
@@ -146,6 +150,7 @@ def assert_same_as_fraction_simplex(lp, crash):
     assert res.objective == objective
     assert res.x == x
     assert res.y == y
+    return res
 
 
 def random_receivers(rng, n, kind):
@@ -182,30 +187,61 @@ def test_solver_matches_fraction_simplex():
         assert_same_as_fraction_simplex(prob.lp, prob.crash)
 
 
+def random_e0_lp(rng):
+    """A random LP of the solver's shape that is not a bound LP: 2-6 rows,
+    entries in -2..2, costs in -3..3. Column 0 touches only row 0, with a
+    positive entry, so the crash [(0, 0)] covers the right-hand side e_0."""
+    m = rng.randint(2, 6)
+    cols_idx, cols_val = [(0,)], [(rng.randint(1, 2),)]
+    for _ in range(rng.randint(m, 2 * m + 2)):
+        col = [rng.randint(-2, 2) for _ in range(m)]
+        idx = tuple(i for i in range(m) if col[i])
+        cols_idx.append(idx)
+        cols_val.append(tuple(col[i] for i in idx))
+    cobj = [rng.randint(-3, 3) for _ in cols_idx]
+    return StandardFormLP(m, cols_idx, cols_val, cobj)
+
+
+def test_solver_matches_fraction_simplex_on_random_lps(monkeypatch):
+    dens = []
+    pivot_update = kernels.pivot_update
+
+    def recording(*args):
+        dens.append(pivot_update(*args))
+        return dens[-1]
+
+    monkeypatch.setattr(kernels, "pivot_update", recording)
+    rng = random.Random(2489)
+    statuses = set()
+    for _ in range(200):
+        statuses.add(assert_same_as_fraction_simplex(random_e0_lp(rng), [(0, 0)]).status)
+    # the series reaches both outcomes and a basis of negative determinant
+    assert statuses == {"optimal", "unbounded"}
+    assert min(dens) < 0
+
+
 def test_solver_requires_covering_crash():
     lp = StandardFormLP(
         nrows=1,
         cols_idx=[(0,)],
         cols_val=[(1,)],
         cobj=[1],
-        rhs=[1],
     )
     with pytest.raises(InputError):
-        solve_standard_form(lp)  # row 0 has rhs 1 and no crash pivot
+        solve_standard_form(lp)  # row 0 has basic value 1 and no crash pivot
     res = solve_standard_form(lp, crash=[(0, 0)])
     assert res.status == "optimal" and res.objective == ONE
 
 
 def test_solver_detects_unbounded():
-    # a - b = 0 with both rewarded: the ray a = b = t grows forever
+    # a - b = 1 with both rewarded: the ray a = 1 + t, b = t grows forever
     lp = StandardFormLP(
         nrows=1,
         cols_idx=[(0,), (0,)],
         cols_val=[(1,), (-1,)],
         cobj=[1, 1],
-        rhs=[0],
     )
-    res = solve_standard_form(lp)
+    res = solve_standard_form(lp, crash=[(0, 0)])
     assert res.status == "unbounded"
 
 
@@ -297,9 +333,7 @@ def all_pairs_bound(inst):
     cols_idx += [(full,), (full,)]
     cols_val += [(1,), (-1,)]
     cobj += [n, -n]
-    rhs = [0] * nrows
-    rhs[0] = 1
-    lp = StandardFormLP(nrows, cols_idx, cols_val, cobj, rhs)
+    lp = StandardFormLP(nrows, cols_idx, cols_val, cobj)
     res = solve_standard_form(lp, crash=[(empty_to_full, 0), (w_plus, full)])
     assert res.status == "optimal"
     return res.objective
@@ -325,7 +359,7 @@ def test_strong_duality_and_forced_w():
         assert sol.z[inst.messages.full_mask] == rat(inst.n)
         z = [to_fraction(sol.z[s]) for s in range(1 << inst.n)]
         assert entropy_feasible(inst.n, list(inst.receivers), z)
-        # explicit strong duality: objective equals the dual mass on rhs
+        # explicit strong duality: objective equals the dual mass y_0
         assert all(v >= ZERO for v in sol.cert.x.values())
         assert all(v >= ZERO for v in sol.cert.y.values())
 
