@@ -1,94 +1,330 @@
 """Inner loops of the simplex core and of GF(p) elimination.
 
 These are the hot paths of the whole package, in plain Python over ints.
-The simplex kernels keep the basis inverse fraction-free: an integer matrix
-B and one integer denominator D, which may be negative, with B / D the
-inverse of the basis; the multipliers are an integer vector over the same
-D, and, as the simplex's right-hand side is e_0, the basic values are
-column 0 of B over D. Starting from the identity with D = 1 and integer
-columns, D is the determinant of the basis and B its adjugate, so the
-Bareiss update in `pivot_update` divides exactly and entries grow only as
-large as the minors of the basis. No gcd is ever taken. Callers reach these
-functions as `kernels.<name>` so that a tracer can wrap each one by its
-dotted name.
+Callers reach these functions as `kernels.<name>` so that a tracer can wrap
+each one by its dotted name.
+
+The simplex keeps its basis inverse fraction-free: an integer matrix B and
+one integer denominator D, which may be negative, with B / D the inverse of
+the basis; the multipliers are an integer vector over the same D, and, as
+the simplex's right-hand side is e_0, the basic values are column 0 of B
+over D. Starting from the identity with D = 1 and integer columns, D is the
+determinant of the basis and B its adjugate, so the Bareiss step in
+`pivot_update` divides exactly and entries grow only as large as the minors
+of the basis. No gcd is ever taken.
+
+`Adjugate` stores column j of B as one Python int, `cols[j]`. Its W-bit
+fields, W = 64 to start with, hold the entries (i, j), field i at bit W*i,
+each biased by H = 2^(W-1) so that every field is nonnegative:
+
+    cols[j] = sum_i (B[i][j] + H) << (W*i) = P_j + BIAS,
+
+where P_j = sum_i B[i][j] << (W*i) is the signed packed column and BIAS
+holds H in every field. P_j is a linear function of the column, so any
+integer combination of columns is the same combination of their packed
+ints, carries and borrows included. Exact division distributes over the
+fields too: if every entry of a column is divisible by den, then
+P // den is the packed column of the quotients, since the sum of the
+quotients times den is P again. So FTRAN is one big-int product per
+nonzero of the entering column, and a Bareiss step, which computes every
+new entry as (B[i][j] * piv - d[i] * B[r][j]) / den with an exact
+division, is four or five big-int operations per column (three when
+piv == den, and then only on the columns with a nonzero entry in row r).
+Reads: a whole column becomes a list at C speed through `to_bytes` and a
+memoryview cast to 64-bit ints (XOR with BIAS turns each biased field into
+its two's complement), which is how the simplex reads column 0, the basic
+values. Row r of B, the only transposed read, costs one shift and mask per
+column; BTRAN reads the rows of its nonzero weights the same way. FTRAN
+hands d back packed like a column, and the simplex tests the signs of its
+fields with masks over the whole int.
+
+Width invariant: a field is read back only while |entry| < H. The packed
+sum stays exact in any case, but a field that outgrew its W bits carries
+into its neighbour and can no longer be told apart from it. Two proofs keep
+the invariant. Every entry of B, and of B times an LP column, is a minor of
+a matrix made of at most m columns of the LP, so Hadamard's inequality
+bounds it by the product of their norms; when the caller's bound is below
+H the adjugate is `capped` and nothing more is checked. Otherwise the
+adjugate keeps a proven bound per column and every kernel bounds what it is
+about to write or decode: a Bareiss step bounds the new entries of column
+j by (bound_j * |piv| + max|d'| * |B[r][j]|) / |den|, and FTRAN bounds its
+entries by sum |v| * bound_k over the column's nonzeros. When a bound
+reaches H, the bounds are first recomputed exactly from the stored columns,
+which are still readable; if that is not enough, every column is repacked
+into fields twice as wide (128, 256, ... bits), read with `int.from_bytes`.
+The representation is the same at every width.
 """
 
 from __future__ import annotations
 
+import sys
+from functools import partial
+
+from icbound.errors import VerificationError
+
 BACKEND = "pure"
 
 
-def btran_dense(cb, binv, m):
-    """y = cb^T * binv for dense rows; rows with a zero weight are skipped."""
-    y = [0] * m
-    for i in range(m):
-        ci = cb[i]
-        if ci:
-            y = [a + ci * b for a, b in zip(y, binv[i])]
+class Adjugate:
+    """The integer adjugate of the basis, one packed int per column.
+
+    Starts as the m x m identity. `cols`, `width`, `half` (H), `mask` (one
+    field of ones), `bias` and `low` (all but the top bit of every field)
+    follow the layout in the module docstring. `bounds[j]` bounds |entry|
+    over column j. `capped` is set when cap_square, the square of a bound on
+    every entry that can ever arise, is below H^2; the bounds are then left
+    alone. `marks` holds the top bit of the field of each row the caller
+    has marked, every row to start with. `widenings` and `tightenings` count
+    repacks into wider fields and exact recomputations of the bounds.
+    """
+
+    __slots__ = ("m", "width", "half", "mask", "bias", "low", "cols", "capped", "bounds",
+                 "marks", "widenings", "tightenings")
+
+    def __init__(self, m: int, cap_square: int):
+        self.m = m
+        self._set_width(64)
+        self.capped = cap_square < self.half * self.half
+        self.cols = [self.bias + (1 << 64 * j) for j in range(m)]
+        self.marks = self.bias
+        self.bounds = [1] * m
+        self.widenings = 0
+        self.tightenings = 0
+
+    def _set_width(self, width: int) -> None:
+        self.width = width
+        self.half = 1 << width - 1
+        self.mask = (1 << width) - 1
+        self.bias = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * self.m, "little")
+        self.low = self.bias - (self.bias >> width - 1)
+
+    def unpack(self, q: int) -> list:
+        """The entries of the biased packed column q, as a list."""
+        # XOR with the bias turns each field into its two's complement.
+        raw = (q ^ self.bias).to_bytes(self.width * self.m // 8, sys.byteorder)
+        if self.width == 64:
+            entries = memoryview(raw).cast("q").tolist()
+        else:
+            step = self.width // 8
+            entries = [int.from_bytes(raw[k:k + step], sys.byteorder, signed=True)
+                       for k in range(0, len(raw), step)]
+        if sys.byteorder == "big":  # the last field came first
+            entries.reverse()
+        return entries
+
+    def entry(self, q: int, i: int) -> int:
+        """Entry i of the biased packed column q."""
+        return ((q >> self.width * i) & self.mask) - self.half
+
+    def unmark(self, i: int) -> None:
+        self.marks &= ~(self.half << self.width * i)
+
+    def first_marked_nonzero(self, q: int) -> int:
+        """The lowest marked row whose entry of the biased packed column q is
+        nonzero, or -1."""
+        low = self.low
+        signed = q ^ self.bias  # two's complement fields
+        hits = (((signed & low) + low) | signed) & self.marks  # top bit: field is nonzero
+        return (hits & -hits).bit_length() // self.width - 1
+
+    def pack(self, entries) -> int:
+        """The biased packed column of a list of entries that fit the width."""
+        step = self.width // 8
+        raw = b"".join(v.to_bytes(step, "little", signed=True) for v in entries)
+        return int.from_bytes(raw, "little") ^ self.bias
+
+    def make_room(self, reach) -> None:
+        """Make the fields hold every value up to reach(), a bound computed
+        from `bounds`: recompute the bounds exactly from the columns, then, if
+        reach() still reaches H, widen the fields until it does not."""
+        self.bounds = [max(map(abs, self.unpack(q))) for q in self.cols]
+        self.tightenings += 1
+        bound = reach()
+        if bound >= self.half:
+            entries = [self.unpack(q) for q in self.cols]
+            marked = [i for i in range(self.m) if self.marks >> self.width * i & self.half]
+            width = self.width
+            while bound >> width - 1:
+                width *= 2
+            self._set_width(width)
+            self.cols = [self.pack(col) for col in entries]
+            self.marks = sum(self.half << width * i for i in marked)
+            self.widenings += 1
+
+
+def btran_dense(cb, adj: Adjugate):
+    """y = cb^T * B, row by row of B; rows with a zero weight are skipped."""
+    width, mask, half = adj.width, adj.mask, adj.half
+    y = [0] * adj.m
+    for i, c in enumerate(cb):
+        if c:
+            shift = width * i
+            y = [a + c * (((q >> shift) & mask) - half) for a, q in zip(y, adj.cols)]
     return y
 
 
-def ftran_sparse(binv, idx, val, m):
-    """d = binv * a for a sparse column a given as (idx, val) pairs."""
-    d = [0] * m
-    for t in range(len(idx)):
-        k = idx[t]
-        vt = val[t]
-        for i in range(m):
-            w = binv[i][k]
-            if w:
-                d[i] += vt * w
-    return d
+def _column_reach(adj: Adjugate, idx, val) -> int:
+    """A bound on the entries of B * a for the sparse column a."""
+    bounds = adj.bounds
+    return sum(abs(v) * bounds[k] for k, v in zip(idx, val))
 
 
-def pivot_update(binv, d, r, den, y=None, rc=0):
-    """Bareiss step for the entering column d = binv * a; returns the new D.
+def ftran_sparse(adj: Adjugate, idx, val) -> int:
+    """d = B * a for a sparse column a given as (idx, val) pairs, packed and
+    biased like a column of B."""
+    if not adj.capped and _column_reach(adj, idx, val) >= adj.half:
+        adj.make_room(partial(_column_reach, adj, idx, val))
+    cols = adj.cols
+    packed = 0
+    total = 0
+    for k, v in zip(idx, val):
+        packed += v * cols[k]
+        total += v
+    return packed - (total - 1) * adj.bias  # the sum carries total biases; keep one
 
-    Row r of binv stays as it is; every other row i becomes
-    (row_i * d[r] - d[i] * row_r) / den, an exact division, and the new
-    denominator is d[r]. Column 0 of binv carries the basic values, since
-    the simplex's right-hand side is e_0. y, when given, is updated as one
-    more such row with d_i = -rc, where rc is the entering column's reduced
-    cost times den.
+
+def _pivot_bounds(adj: Adjugate, row_u, apiv, top, aden) -> list:
+    """Per column j, a bound on the entries after a Bareiss step, where
+    row_u holds the biased fields B[r][j] + H."""
+    half = adj.half
+    return [(b * apiv + top * abs(u - half)) // aden for b, u in zip(adj.bounds, row_u)]
+
+
+def _pivot_reach(*args) -> int:
+    return max(_pivot_bounds(*args))
+
+
+def pivot_update(adj: Adjugate, packed_d, r, den, y=None, rc=0):
+    """Bareiss step for the entering column d = B * a; returns the new D.
+
+    packed_d is d as `ftran_sparse` returns it. Row r of B stays as it is;
+    every other row i becomes (row_i * d[r] - d[i] * row_r) / den, an exact
+    division, and the new denominator is d[r]. On packed columns that is,
+    for every column j, P_j <- (P_j * piv - D' * B[r][j]) / den, where D' is
+    d packed without the bias and with field r lowered by den (so that row
+    r comes out unchanged); with the bias folded in, cols[j] <- (cols[j] *
+    piv + BIAS * (den - piv) - D' * B[r][j]) // den. When piv == den,
+    P_j * piv / den is P_j itself: only the columns with a nonzero entry in
+    row r move, and the bias stays. y, when given, is updated as one more
+    such row with d_i = -rc, where rc is the entering column's reduced cost
+    times den; when piv == den, only its entries over those columns move.
     """
-    piv = d[r]
-    row_r = binv[r]
+    width, mask, half = adj.width, adj.mask, adj.half
+    shift = width * r
+    piv = ((packed_d >> shift) & mask) - half
+    row_u = [(q >> shift) & mask for q in adj.cols]  # row r, each entry plus H
+    if not adj.capped:
+        d = adj.unpack(packed_d)
+        args = (adj, row_u, abs(piv), max(max(d), -min(d), abs(piv - den)), abs(den))
+        bounds = _pivot_bounds(*args)
+        if max(bounds) >= half:
+            adj.make_room(partial(_pivot_reach, *args))
+            if adj.width != width:  # start over on the wider fields
+                return pivot_update(adj, adj.pack(d), r, den, y, rc)
+            bounds = _pivot_bounds(*args)
+        adj.bounds = bounds
+    lowered = packed_d - adj.bias - (den << shift)
+    cols = adj.cols
     if piv == den:
-        # Then row_i * piv / den is row_i itself and each d_i * row_r[j] is
-        # divisible by den: only the nonzero columns of row r move.
-        nz = [(j, b) for j, b in enumerate(row_r) if b]
-        for i in range(len(binv)):
-            di = d[i]
-            if di and i != r:
-                row_i = binv[i]
-                for j, b in nz:
-                    row_i[j] -= di * b // den
+        for j, u in enumerate(row_u):
+            if u != half:
+                x = u - half
+                cols[j] -= lowered * x // den
+                if y is not None:
+                    y[j] += rc * x // den
     else:
-        for i in range(len(binv)):
-            if i == r:
-                continue
-            di = d[i]
-            if di:
-                binv[i] = [(a * piv - di * b) // den for a, b in zip(binv[i], row_r)]
-            else:
-                binv[i] = [a * piv // den for a in binv[i]]
-    if y is not None:
-        y[:] = [(a * piv + rc * b) // den for a, b in zip(y, row_r)]
+        fold = adj.bias * (den - piv) + lowered * half
+        adj.cols = [(q * piv + fold - lowered * u) // den for q, u in zip(cols, row_u)]
+        if y is not None:
+            rc_half = rc * half
+            y[:] = [(a * piv + rc * u - rc_half) // den for a, u in zip(y, row_u)]
     return piv
 
 
-def price_columns(y, cols_idx, cols_val, cobj, scale):
-    """Pick an entering column with positive reduced cost, or -1.
+def leaving_row(adj: Adjugate, packed_d, den) -> int:
+    """The leaving row by the lexicographic ratio test, or -1 when no entry
+    of the entering column d (packed_d, biased) is positive: the LP is
+    unbounded.
+
+    The candidates are the rows i with d_i / den > 0, and the winner is the
+    lexicographic minimum of row i of the adjugate over d_i. Column 0 holds
+    the basic values, so this is the ratio test with ties broken by the rest
+    of the row. The rows still tied are kept as flags, the top bit of their
+    fields. Columns in which every tied entry is zero are skipped with one
+    masked AND each; in the next column, the sign of each tied entry against
+    den orders the ratios, so actual ratios are compared only among the
+    tied rows of the least sign. Two rows of a nonsingular matrix are never
+    proportional, so the minimum is unique and one row is left in the end.
+    """
+    width, top, low = adj.width, adj.bias, adj.low
+    if den > 0:  # candidates: fields with the top bit set and some other bit too
+        tied = packed_d & ((packed_d & low) + low) & top
+    else:  # candidates: fields with the top bit clear
+        tied = top & ~packed_d
+    if not tied:
+        return -1
+    cols = adj.cols
+    ones = adj.mask
+    j = 0
+    while tied & (tied - 1):
+        fields = (tied >> width - 1) * ones
+        try:
+            q = cols[j]
+            while q & fields == tied:  # every tied entry is zero: biased, it is H
+                j += 1
+                q = cols[j]
+        except IndexError:
+            raise VerificationError(
+                "lexicographic ratio test: two rows of the adjugate are proportional") from None
+        j += 1
+        if den > 0:
+            smaller = tied & ~q  # negative entries
+        else:
+            smaller = tied & q & ((q & low) + low)  # positive entries
+        if smaller:
+            tied = _least_ratio(adj, q, packed_d, smaller) if smaller & (smaller - 1) else smaller
+            continue
+        zero = tied & ~((q & low) + low) if den > 0 else tied & q
+        tied = zero if zero else _least_ratio(adj, q, packed_d, tied)
+    return tied.bit_length() // width - 1
+
+
+def _least_ratio(adj: Adjugate, q, packed_d, flags) -> int:
+    """The flags, among the given ones, of the rows i at which entry i of
+    the packed column q over entry i of packed_d is least."""
+    width, mask, half = adj.width, adj.mask, adj.half
+    kept = 0
+    while flags:
+        bit = flags & -flags
+        flags ^= bit
+        shift = bit.bit_length() - width
+        a = ((q >> shift) & mask) - half
+        d = ((packed_d >> shift) & mask) - half
+        if not kept:
+            best_a, best_d, kept = a, d, bit
+            continue
+        lhs, rhs = a * best_d, best_a * d
+        if lhs < rhs:
+            best_a, best_d, kept = a, d, bit
+        elif lhs == rhs:
+            kept |= bit
+    return kept
+
+
+def price_columns(y, cols_idx, cols_val, cobj, scale, lo, hi):
+    """Pick an entering column among lo..hi-1 with positive reduced cost, or
+    -1.
 
     The reduced cost of column j is taken as cobj[j] * scale - a_j . y, so a
     positive common factor may sit on y and scale. Returns the most positive
     reduced cost, ties to the lowest column id. With y = c_B^T B and scale =
     D (both sign-corrected), a basic column prices at exactly zero in integer
-    arithmetic, so basic columns need no mask: they are never picked.
+    arithmetic, so basic columns need no mask: they are never picked. The
+    chunk is read in place, not sliced.
     """
     best_j = -1
     best_rc = 0
-    for j in range(len(cobj)):
+    for j in range(lo, hi):
         rc = cobj[j] * scale
         idx = cols_idx[j]
         val = cols_val[j]

@@ -42,7 +42,7 @@ from icbound.errors import InputError, VerificationError
 from icbound.instance import ClosureMode, IndexCodingInstance
 from icbound.rational import Rational
 from icbound.schema import SchemaRow, SubmodSchema
-from icbound.simplex import StandardFormLP, solve_standard_form
+from icbound.simplex import SolveStats, StandardFormLP, solve_standard_form
 
 __all__ = [
     "BoundSolution",
@@ -67,13 +67,18 @@ class LPProblem:
 
 @dataclass
 class BoundSolution:
-    """The optimum b, the subset values z, and the dual weights as a
-    certificate (claimed value b) under the problem's schema and closure."""
+    """The optimum b, the subset values z, the dual weights as a certificate
+    (claimed value b) under the problem's schema and closure, and the
+    solver's counts."""
 
     value: Rational
     z: Dict[int, Rational]
     cert: DualCertificate
-    iterations: int
+    stats: SolveStats
+
+    @property
+    def iterations(self) -> int:
+        return self.stats.iterations
 
 
 def build_problem(
@@ -156,7 +161,7 @@ def solve_problem(problem: LPProblem) -> BoundSolution:
         if res.x[base + k]:
             y[row] = res.x[base + k]
     cert = DualCertificate(problem.schema.name, problem.closure, x, y, res.objective)
-    sol = BoundSolution(res.objective, z, cert, res.iterations)
+    sol = BoundSolution(res.objective, z, cert, res.stats)
     _audit_against_instance(problem, sol, res.x[problem.w_plus] - res.x[problem.w_minus])
     return sol
 

@@ -6,7 +6,8 @@ set's row), keeping an explicit basis inverse. Columns are sparse (index,
 value) pairs. LP data are ints (rational data must be scaled to integers by
 the caller), so the basis inverse is an integer matrix, the adjugate of the
 basis, over one integer denominator, its determinant, updated by the
-Bareiss step in `kernels.pivot_update`. The basic values, the inverse times
+Bareiss step in `kernels.pivot_update`. The adjugate is held as one packed
+int per column (`kernels.Adjugate`). The basic values, the inverse times
 e_0, are its column 0. The simplex multipliers are an integer vector over
 the same denominator, updated as one more row of each pivot, so BTRAN runs
 once per solve. Fractions appear only in the result. No floating point
@@ -15,16 +16,17 @@ anywhere.
 Degeneracy is the norm in these LPs (the right-hand side has a single
 nonzero), so the leaving row is picked by the lexicographic ratio test,
 which cannot cycle; as the basic values are column 0 of the inverse, that
-test compares rows of the inverse alone. The entering column is the one of
-most-positive reduced cost over a rotating chunk of columns (partial
-pricing). A basic column prices at exactly zero (binv times it is den
-times a unit vector), so pricing needs no mask of basic columns.
-Artificial columns are appended internally to provide the starting basis;
-they may never enter, and any artificial row touched by an entering column
-is pivoted out at ratio zero, so artificials stay at value zero forever and
-the optimum reached belongs to the genuine problem. Callers can hand over a
-list of crash pivots to install a known feasible basis cheaply before the
-loop.
+test compares rows of the inverse alone, reading the packed columns one at
+a time. The entering column is the one of most-positive reduced cost over
+a rotating chunk of columns (partial pricing). A basic column prices at
+exactly zero (the adjugate times it is den times a unit vector), so pricing
+needs no mask of basic columns. Artificial columns are appended internally
+to provide the starting basis; they may never enter, and any artificial
+row touched by an entering column is pivoted out at ratio zero, so
+artificials stay at value zero forever and the optimum reached belongs to
+the genuine problem. Callers can hand over a list of crash pivots to
+install a known feasible basis cheaply before the loop. Each result
+carries `SolveStats`, counts of what the solve did.
 
 The result is audited against the data as given before being returned:
 exact primal feasibility, nonpositive reduced costs, and agreement of primal
@@ -36,8 +38,7 @@ VerificationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -45,7 +46,7 @@ from icbound import kernels
 from icbound.errors import InputError, VerificationError
 from icbound.rational import ZERO, Rational
 
-__all__ = ["StandardFormLP", "SimplexResult", "solve_standard_form"]
+__all__ = ["SimplexResult", "SolveStats", "StandardFormLP", "solve_standard_form"]
 
 _MAX_ITER = 200_000
 
@@ -56,23 +57,63 @@ class StandardFormLP:
 
     The right-hand side is always e_0, row 0's unit vector, so it is not
     stored. Every entry of cols_val and cobj is an int (not a bool); anything
-    else is refused with InputError, since the solver never rescales.
+    else is refused with InputError, since the solver never rescales. Each
+    cols_idx tuple holds int row indices that increase strictly within
+    0..nrows-1, one per value in the matching cols_val tuple; anything else
+    is refused too, since the solver would misread it (a negative index
+    would name a row counted from the end). One pass over the columns checks
+    all of this and records `longest` and `largest`.
     """
 
     nrows: int
     cols_idx: List[Tuple[int, ...]]
     cols_val: List[tuple]
     cobj: list
+    # Filled in by the checks: the most entries in a column and the largest
+    # |entry| (each at least 1), which bound the solver's numbers.
+    longest: int = field(init=False, repr=False, compare=False)
+    largest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.nrows < 1:
+        m = self.nrows
+        if m < 1:
             raise InputError("the right-hand side e_0 needs at least one row")
         if len(self.cols_val) != len(self.cols_idx) or len(self.cobj) != len(self.cols_idx):
             raise InputError("column arrays disagree in length")
-        entries = chain(chain.from_iterable(self.cols_val), self.cobj)
-        if set(map(type, entries)) != {int}:  # one C-speed pass when all is well
+        extent = _scan_columns(self.cols_idx, self.cols_val, m)
+        if extent is None or set(map(type, self.cobj)) - {int}:
             _refuse_non_int("cols_val", self.cols_val, "that row")
             _refuse_non_int("cobj", [(c,) for c in self.cobj], "the costs")
+            _refuse_rows(self.cols_idx, self.cols_val, m)
+        self.longest, self.largest = extent
+
+
+def _scan_columns(cols_idx, cols_val, m: int):
+    """(most entries in a column, largest |value|), each at least 1, or None
+    if some column breaks a rule of `StandardFormLP`. Plain loops are the
+    fastest check here."""
+    longest = largest = 1
+    for idx, val in zip(cols_idx, cols_val):
+        n = len(idx)
+        if n != len(val):
+            return None
+        if n > longest:
+            longest = n
+        prev = -1
+        for i in idx:
+            if type(i) is not int or not prev < i:
+                return None
+            prev = i
+        if prev >= m:
+            return None
+        for v in val:
+            if type(v) is not int:
+                return None
+            if v > largest:
+                largest = v
+            elif -v > largest:
+                largest = -v
+    return longest, largest
 
 
 def _refuse_non_int(name: str, entries, hint: str) -> None:
@@ -86,38 +127,61 @@ def _refuse_non_int(name: str, entries, hint: str) -> None:
                     f"{type(v).__name__} {v}; scale {hint} to integers")
 
 
+def _refuse_rows(cols_idx, cols_val, m: int) -> None:
+    """Raise InputError at the first column whose row indices are not ints
+    that increase strictly within 0..m-1, one per value."""
+    for k, (idx, val) in enumerate(zip(cols_idx, cols_val)):
+        idx = tuple(idx)
+        if len(idx) != len(val):
+            raise InputError(f"column {k} has {len(idx)} row indices but {len(val)} values")
+        if not all(type(i) is int for i in idx) or not all(
+                a < b for a, b in zip((-1,) + idx, idx + (m,))):
+            raise InputError(f"cols_idx at column {k} is {idx}: row indices must be ints "
+                             f"that increase strictly within 0..{m - 1}")
+
+
+@dataclass
+class SolveStats:
+    """What one solve did, counted at O(1) per pivot.
+
+    iterations: pivots of the main loop (crash pivots excluded);
+    degenerate: those whose leaving row had basic value zero;
+    forced_exits: those that pivoted an artificial column out;
+    rescaling: pivots, crash pivots included, whose pivot entry differs
+    from the denominator, so that every column of the adjugate moves;
+    widenings: repacks of the adjugate into wider fields;
+    tightenings: exact recomputations of the adjugate's entry bounds.
+    """
+
+    iterations: int = 0
+    degenerate: int = 0
+    forced_exits: int = 0
+    rescaling: int = 0
+    widenings: int = 0
+    tightenings: int = 0
+
+
 @dataclass
 class SimplexResult:
     status: str  # "optimal" or "unbounded"
     objective: Optional[object]
     x: Optional[list]  # per structural column
     y: Optional[list]  # per row, the simplex multipliers at the final basis
-    iterations: int
+    stats: SolveStats
+
+    @property
+    def iterations(self) -> int:
+        return self.stats.iterations
 
 
-def _lex_leaving(binv, d, rows, m):
-    """Lexicographic minimum of binv row i / d_i over candidate rows.
-
-    Column 0 holds the basic values, so this is the ratio test with ties
-    broken by the rest of the row. The candidate d_i all share the sign of
-    the common denominator, so the cross-multiplied comparisons below order
-    the true ratios.
-    """
-    best = -1
-    for i in rows:
-        if best < 0:
-            best = i
-            continue
-        di, db = d[i], d[best]
-        row_i, row_b = binv[i], binv[best]
-        for j in range(m):
-            a = row_i[j] * db
-            b = row_b[j] * di
-            if a != b:
-                break
-        if a < b:
-            best = i
-    return best
+def _hadamard_square(lp: StandardFormLP) -> int:
+    """The square of a bound on every determinant of m columns of the LP
+    or of the identity. Every entry of the adjugate of a basis, and of an
+    entering column times it, is such a determinant or a minor of one, and
+    by Hadamard's inequality it is at most the product of the column norms;
+    no column's squared norm exceeds its length times its largest squared
+    entry."""
+    return (lp.longest * lp.largest * lp.largest) ** lp.nrows
 
 
 def solve_standard_form(
@@ -135,49 +199,59 @@ def solve_standard_form(
     m = lp.nrows
     nstruct = len(lp.cols_idx)
     cols_idx, cols_val, cobj = lp.cols_idx, lp.cols_val, lp.cobj
+    stats = SolveStats()
 
     # Artificial identity columns occupy ids nstruct .. nstruct+m-1. The
-    # basis inverse is binv / den and basic value i is binv[i][0] / den.
-    binv = [[0] * m for _ in range(m)]
-    for i in range(m):
-        binv[i][i] = 1
+    # basis inverse is adj / den and basic value i is entry (i, 0) / den.
+    adj = kernels.Adjugate(m, _hadamard_square(lp))
     den = 1
-    basis = [nstruct + i for i in range(m)]
+    basis = [nstruct + i for i in range(m)]  # adj marks the rows of artificial columns
 
     def is_artificial(col: int) -> bool:
         return col >= nstruct
 
-    def ftran(col: int):
-        return kernels.ftran_sparse(binv, cols_idx[col], cols_val[col], m)
+    def ftran(col: int) -> int:
+        return kernels.ftran_sparse(adj, cols_idx[col], cols_val[col])
 
-    def do_pivot(col: int, row: int, d, y=None, rc=0) -> None:
+    def result(status, objective=None, x=None, y=None) -> SimplexResult:
+        stats.widenings, stats.tightenings = adj.widenings, adj.tightenings
+        return SimplexResult(status, objective, x, y, stats)
+
+    def do_pivot(col: int, row: int, packed_d, y=None, rc=0) -> None:
         nonlocal den
-        den = kernels.pivot_update(binv, d, row, den, y, rc)
+        piv = kernels.pivot_update(adj, packed_d, row, den, y, rc)
+        if piv != den:
+            stats.rescaling += 1
+        den = piv
+        if is_artificial(basis[row]):
+            adj.unmark(row)
         basis[row] = col
 
     for col, row in crash:
         if not (0 <= col < nstruct):
             raise InputError("crash pivot on a non-structural column")
-        d = ftran(col)
-        if not d[row]:
+        if not (type(row) is int and 0 <= row < m):
+            raise InputError(f"crash pivot {(col, row)}: the row must be an int within 0..{m - 1}")
+        packed_d = ftran(col)
+        if not adj.entry(packed_d, row):
             raise InputError("crash pivot hits a zero tableau entry")
         if not is_artificial(basis[row]):
             raise InputError("crash pivot would evict a structural column")
-        do_pivot(col, row, d)
-    if any(row[0] * den < 0 for row in binv):
+        do_pivot(col, row, packed_d)
+    values = adj.unpack(adj.cols[0])
+    if any(v * den < 0 for v in values):
         raise InputError("crash basis is not feasible")
     for i in range(m):
-        if binv[i][0] and is_artificial(basis[i]):
+        if values[i] and is_artificial(basis[i]):
             raise InputError(
                 f"row {i} has a nonzero basic value but no crash pivot covers it"
             )
 
     # Multipliers y / den, kept current by every pivot from here on.
-    y = kernels.btran_dense([cobj[c] if c < nstruct else 0 for c in basis], binv, m)
+    y = kernels.btran_dense([cobj[c] if c < nstruct else 0 for c in basis], adj)
 
     chunk = max(64, nstruct // 16)
     cursor = 0
-    iterations = 0
 
     while True:
         # Reduced costs times |den|, so their signs and order are the true ones.
@@ -191,54 +265,43 @@ def solve_standard_form(
         while scanned < nstruct:
             lo = cursor
             hi = min(nstruct, lo + chunk)
-            j = kernels.price_columns(
-                y_pos,
-                cols_idx[lo:hi],
-                cols_val[lo:hi],
-                cobj[lo:hi],
-                scale,
-            )
+            enter = kernels.price_columns(y_pos, cols_idx, cols_val, cobj, scale, lo, hi)
             scanned += hi - lo
             cursor = hi % nstruct
-            if j >= 0:
-                enter = lo + j
+            if enter >= 0:
                 break
         if enter < 0:
             break
 
-        d = ftran(enter)
+        packed_d = ftran(enter)
 
         # Artificial rows all carry zero values (checked after the crash and
         # preserved by every pivot), so any the column touches can leave
         # first, degenerately, keeping the basis feasible.
-        forced = -1
-        for i in range(m):
-            if d[i] and is_artificial(basis[i]):
-                forced = i
-                break
-        if forced >= 0:
-            leave = forced
+        leave = adj.first_marked_nonzero(packed_d)
+        if leave >= 0:
+            stats.forced_exits += 1
+            stats.degenerate += 1
         else:
-            # Tableau entries d_i / den are positive where d_i has den's sign.
-            candidates = [i for i in range(m) if d[i] * den > 0]
-            if not candidates:
-                return SimplexResult("unbounded", None, None, None, iterations)
-            leave = _lex_leaving(binv, d, candidates, m)
+            leave = kernels.leaving_row(adj, packed_d, den)
+            if leave < 0:
+                return result("unbounded")
+            if not adj.entry(adj.cols[0], leave):
+                stats.degenerate += 1
 
         rc = cobj[enter] * den
         for k, v in zip(cols_idx[enter], cols_val[enter]):
             rc -= v * y[k]
-        do_pivot(enter, leave, d, y, rc)
-        iterations += 1
-        if iterations > _MAX_ITER:
+        do_pivot(enter, leave, packed_d, y, rc)
+        stats.iterations += 1
+        if stats.iterations > _MAX_ITER:
             raise VerificationError(
                 f"simplex exceeded {_MAX_ITER} iterations; lexicographic rule should "
                 "terminate long before this, so something is inconsistent"
             )
 
     x = [ZERO] * nstruct
-    for i, c in enumerate(basis):
-        v = binv[i][0]
+    for i, (c, v) in enumerate(zip(basis, adj.unpack(adj.cols[0]))):
         if c < nstruct:
             x[c] = Rational(v, den)
         elif v:
@@ -246,7 +309,7 @@ def solve_standard_form(
     y = [Rational(v, den) for v in y]
     _audit(lp, x, y)
     objective = sum((lp.cobj[j] * x[j] for j in range(nstruct) if x[j]), ZERO)
-    return SimplexResult("optimal", objective, x, y, iterations)
+    return result("optimal", objective, x, y)
 
 
 def _audit(lp: StandardFormLP, x, y) -> None:

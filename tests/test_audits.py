@@ -22,7 +22,7 @@ from icbound.lp import build_problem, solve_problem
 from icbound.matroid import fano, nonfano, to_index_coding
 from icbound.rational import ONE, ZERO, rat
 from icbound.schema import HomExtSchema, SubmodRow, SubmodSchema, UnionSchema
-from icbound.simplex import SimplexResult, StandardFormLP, solve_standard_form
+from icbound.simplex import SimplexResult, SolveStats, StandardFormLP, solve_standard_form
 from icbound.tighten import dimension_vector, fano_alpha, schema_with_submod
 
 from lemmas import random_subspace_tuple
@@ -113,7 +113,8 @@ def test_schema_row_must_sum_to_zero():
 def test_unbounded_solver_result_is_a_bug(monkeypatch):
     problem = build_problem(cycle_instance(4))
     monkeypatch.setattr(lp_module, "solve_standard_form",
-                        lambda lp, crash: SimplexResult("unbounded", None, None, None, 3))
+                        lambda lp, crash: SimplexResult("unbounded", None, None, None,
+                                                        SolveStats(iterations=3)))
     with pytest.raises(VerificationError, match=re.escape(
             "bound LP came back unbounded, yet z = n on every subset is feasible")):
         solve_problem(problem)
@@ -193,7 +194,7 @@ def test_instance_audit_names_a_homext_row_by_labels():
     value = rat(matroid.n - matroid.full_rank)
     z = {s: value + r for s, r in enumerate(matroid.ranks)}
     cert = DualCertificate("submod+fano-odd", ClosureMode.SINGLE_STEP)
-    sol = lp_module.BoundSolution(value, z, cert, 0)
+    sol = lp_module.BoundSolution(value, z, cert, SolveStats())
     atoms = ", ".join(f"{lab!r} -> ({lab!r},)" for lab in matroid.gs.labels)
     assert instance_audit_message(problem, sol) == (
         f"solution violates right fano-odd row (base (), {atoms}, 'e' -> ())")

@@ -1,0 +1,74 @@
+"""The packed adjugate of `icbound.kernels`: field layout, reads, exact
+division over the fields, and widening."""
+
+import random
+
+from icbound.kernels import Adjugate
+
+EXTREMES = [0, 1, -1, (1 << 63) - 1, -(1 << 63), 12345, -98765]
+
+
+def rotations(values):
+    return [values[k:] + values[:k] for k in range(len(values))]
+
+
+def test_adjugate_starts_as_the_identity():
+    adj = Adjugate(3, 0)
+    assert [adj.unpack(q) for q in adj.cols] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert adj.capped
+
+
+def test_fields_hold_entries_plus_half():
+    adj = Adjugate(len(EXTREMES), 0)
+    col = adj.pack(EXTREMES)
+    assert adj.unpack(col) == EXTREMES
+    assert [(col >> 64 * i) & adj.mask for i in range(len(EXTREMES))] == [
+        v + adj.half for v in EXTREMES]
+
+
+def test_exact_division_distributes_over_the_fields():
+    rng = random.Random(5)
+    adj = Adjugate(6, 0)
+    for _ in range(200):
+        den = rng.choice([-7, -3, -1, 1, 2, 5])
+        quotients = [rng.randint(-10**6, 10**6) for _ in range(6)]
+        signed = adj.pack([v * den for v in quotients]) - adj.bias
+        assert adj.unpack(signed // den + adj.bias) == quotients
+
+
+def test_cap_decides_whether_bounds_are_kept():
+    assert Adjugate(4, (1 << 126) - 1).capped
+    assert not Adjugate(4, 1 << 126).capped
+
+
+def test_make_room_tightens_before_it_widens():
+    adj = Adjugate(2, 1 << 200)
+    adj.bounds = [1 << 70, 1 << 70]  # valid but loose
+    adj.make_room(lambda: max(adj.bounds))
+    assert (adj.width, adj.bounds, adj.tightenings, adj.widenings) == (64, [1, 1], 1, 0)
+
+
+def test_make_room_widens_and_keeps_every_entry():
+    adj = Adjugate(len(EXTREMES), 1 << 200)
+    cols = rotations(EXTREMES)
+    adj.cols = [adj.pack(col) for col in cols]
+    adj.make_room(lambda: 1 << 100)
+    assert (adj.width, adj.tightenings, adj.widenings) == (128, 1, 1)
+    assert [adj.unpack(q) for q in adj.cols] == cols
+    assert adj.bounds == [1 << 63] * len(EXTREMES)
+    wide = [1 << 100, -(1 << 100), 0, 1, -1, 2, -2]
+    assert adj.unpack(adj.pack(wide)) == wide
+
+
+def test_marks_find_the_lowest_marked_nonzero_row_at_every_width():
+    adj = Adjugate(4, 1 << 200)
+    adj.unmark(1)
+    col = adj.pack([0, 5, -3, 7])
+    assert [adj.entry(col, i) for i in range(4)] == [0, 5, -3, 7]
+    assert adj.first_marked_nonzero(col) == 2
+    adj.cols = [adj.pack([1 << 62, 0, 0, 0])] * 4
+    adj.make_room(lambda: 1 << 64)
+    assert adj.width == 128
+    col = adj.pack([0, 5, -(1 << 64), 7])
+    assert adj.first_marked_nonzero(col) == 2
+    assert adj.first_marked_nonzero(adj.pack([0, 5, 0, 0])) == -1

@@ -16,7 +16,7 @@ from icbound.lp import build_problem, solve_problem
 from icbound.matroid import Matroid, fano, nonfano, to_index_coding
 from icbound.rational import ONE, ZERO, rat
 from icbound.schema import SubmodRow, SubmodSchema
-from icbound.simplex import StandardFormLP, solve_standard_form
+from icbound.simplex import SolveStats, StandardFormLP, solve_standard_form
 from icbound.tighten import schema_with_submod
 
 from oracles import (all_rank_functions, entropy_feasible, fm_bound, fraction_simplex,
@@ -81,6 +81,41 @@ def test_lp_shape_errors(changes, message):
         StandardFormLP(**dict(hand_lp_arrays(), **changes))
 
 
+# Row indices the solver would misread. Index -1 would name the last row, and
+# read that way MISREAD is optimal with objective 5.
+MISREAD = dict(nrows=2, cols_idx=[(0,), (-1,), (0, 1)], cols_val=[(1,), (1,), (1, -1)],
+               cobj=[1, 5, 0])
+
+
+@pytest.mark.parametrize("idx, val, message", [
+    ((-1,), (1,), "cols_idx at column 1 is (-1,)"),
+    ((2,), (1,), "cols_idx at column 1 is (2,)"),
+    ((1, 1), (1, 1), "cols_idx at column 1 is (1, 1)"),
+    ((1, 0), (1, 1), "cols_idx at column 1 is (1, 0)"),
+    ((True,), (1,), "cols_idx at column 1 is (True,)"),
+    ((0.0,), (1,), "cols_idx at column 1 is (0.0,)"),
+], ids=["negative", "past-the-end", "repeated", "decreasing", "bool", "float"])
+def test_lp_refuses_row_indices_it_would_misread(idx, val, message):
+    arrays = dict(MISREAD)
+    arrays["cols_idx"] = [(0,), idx, (0, 1)]
+    arrays["cols_val"] = [(1,), val, (1, -1)]
+    with pytest.raises(InputError, match="^" + re.escape(
+            message + ": row indices must be ints that increase strictly within 0..1") + "$"):
+        StandardFormLP(**arrays)
+
+
+def test_lp_refuses_a_column_whose_lengths_disagree():
+    arrays = dict(MISREAD, cols_idx=[(0,), (1,), (0, 1)], cols_val=[(1,), (1, 2), (1, -1)])
+    with pytest.raises(InputError, match="^column 1 has 1 row indices but 2 values$"):
+        StandardFormLP(**arrays)
+
+
+def test_lp_accepts_empty_and_full_columns():
+    lp = StandardFormLP(2, [(0,), (), (0, 1)], [(1,), (), (1, -1)], [1, 0, 0])
+    assert (lp.longest, lp.largest) == (2, 1)
+    assert solve_standard_form(lp, crash=[(0, 0)]).status == "optimal"
+
+
 # max v s.t. v = 1; an LP whose column 0 has no entry in row 1; and one whose
 # only column, pivoted in on row 0, leaves row 1's artificial at value 1.
 ONE_ROW = dict(nrows=1, cols_idx=[(0,)], cols_val=[(1,)], cobj=[1])
@@ -98,8 +133,11 @@ ROW_1_UNCOVERED = dict(nrows=2, cols_idx=[(0, 1)], cols_val=[(1, -1)], cobj=[1])
     (ONE_ROW, [], "row 0 has a nonzero basic value but no crash pivot covers it"),
     (ROW_1_UNCOVERED, [(0, 0)],
      "row 1 has a nonzero basic value but no crash pivot covers it"),
+    (ZERO_IN_ROW_1, [(0, 2)], "crash pivot (0, 2): the row must be an int within 0..1"),
+    (ZERO_IN_ROW_1, [(1, -1)], "crash pivot (1, -1): the row must be an int within 0..1"),
+    (ZERO_IN_ROW_1, [(1, True)], "crash pivot (1, True): the row must be an int within 0..1"),
 ], ids=["past-the-end", "negative", "zero-entry", "evicts", "infeasible", "uncovered",
-        "uncovered-row-1"])
+        "uncovered-row-1", "row-past-the-end", "row-negative", "row-bool"])
 def test_crash_refusals(arrays, crash, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         solve_standard_form(StandardFormLP(**arrays), crash=crash)
@@ -187,14 +225,15 @@ def test_solver_matches_fraction_simplex():
         assert_same_as_fraction_simplex(prob.lp, prob.crash)
 
 
-def random_e0_lp(rng):
-    """A random LP of the solver's shape that is not a bound LP: 2-6 rows,
-    entries in -2..2, costs in -3..3. Column 0 touches only row 0, with a
-    positive entry, so the crash [(0, 0)] covers the right-hand side e_0."""
-    m = rng.randint(2, 6)
-    cols_idx, cols_val = [(0,)], [(rng.randint(1, 2),)]
+def random_e0_lp(rng, rows=(2, 6), bound=2):
+    """A random LP of the solver's shape that is not a bound LP: rows rows
+    (a range), entries in -bound..bound, costs in -3..3. Column 0 touches
+    only row 0, with a positive entry, so the crash [(0, 0)] covers the
+    right-hand side e_0."""
+    m = rng.randint(*rows)
+    cols_idx, cols_val = [(0,)], [(rng.randint(1, bound),)]
     for _ in range(rng.randint(m, 2 * m + 2)):
-        col = [rng.randint(-2, 2) for _ in range(m)]
+        col = [rng.randint(-bound, bound) for _ in range(m)]
         idx = tuple(i for i in range(m) if col[i])
         cols_idx.append(idx)
         cols_val.append(tuple(col[i] for i in idx))
@@ -218,6 +257,46 @@ def test_solver_matches_fraction_simplex_on_random_lps(monkeypatch):
     # the series reaches both outcomes and a basis of negative determinant
     assert statuses == {"optimal", "unbounded"}
     assert min(dens) < 0
+
+
+def test_solver_matches_fraction_simplex_on_tall_lps():
+    # 20-40 rows: the adjugate's columns hold that many fields
+    rng = random.Random(1108)
+    statuses = set()
+    for _ in range(6):
+        res = assert_same_as_fraction_simplex(random_e0_lp(rng, (20, 40)), [(0, 0)])
+        statuses.add(res.status)
+    assert "optimal" in statuses
+
+
+def test_solver_widens_its_fields_on_wide_lps():
+    # coefficients up to 2^40 on 3-6 rows: adjugate entries pass 2^63
+    rng = random.Random(24890)
+    statuses = set()
+    widenings = 0
+    for _ in range(60):
+        res = assert_same_as_fraction_simplex(random_e0_lp(rng, (3, 6), 1 << 40), [(0, 0)])
+        statuses.add(res.status)
+        widenings += res.stats.widenings
+    assert statuses == {"optimal", "unbounded"}
+    assert widenings > 0
+
+
+@pytest.mark.parametrize("make, stats", [
+    (lambda: build_problem(cycle_instance(5)),
+     SolveStats(iterations=50, degenerate=48, forced_exits=26, rescaling=8)),
+    (lambda: build_problem(cycle_instance(7)),
+     SolveStats(iterations=490, degenerate=487, forced_exits=120, rescaling=112)),
+    (lambda: build_problem(to_index_coding(nonfano()), schema_with_submod("odd")),
+     SolveStats(iterations=440, degenerate=440, forced_exits=120, rescaling=180)),
+], ids=["C5", "C7", "nonfano-odd"])
+def test_solve_stats_pin_the_pivot_path(make, stats):
+    # The counts follow the pivot path alone, so an arithmetic-only change
+    # to the solver leaves every one of them as it is; the fields of these
+    # LPs never outgrow 64 bits.
+    sol = solve_problem(make())
+    assert sol.stats == stats
+    assert sol.iterations == stats.iterations
 
 
 def test_solver_requires_covering_crash():
