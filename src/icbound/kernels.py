@@ -5,13 +5,14 @@ Callers reach these functions as `kernels.<name>` so that a tracer can wrap
 each one by its dotted name.
 
 The simplex keeps its basis inverse fraction-free: an integer matrix B and
-one integer denominator D, which may be negative, with B / D the inverse of
-the basis; the multipliers are an integer vector over the same D, and, as
-the simplex's right-hand side is e_0, the basic values are column 0 of B
-over D. Starting from the identity with D = 1 and integer columns, D is the
-determinant of the basis and B its adjugate, so the Bareiss step in
+one integer denominator D > 0, with B / D the inverse of the basis; the
+multipliers are an integer vector over the same D, and, as the simplex's
+right-hand side is e_0, the basic values are column 0 of B over D. Starting
+from the identity with D = 1 and integer columns, D is |det| of the basis
+and B its adjugate times the sign of det, so the Bareiss step in
 `pivot_update` divides exactly and entries grow only as large as the minors
-of the basis. No gcd is ever taken.
+of the basis. No gcd is ever taken. (B, D) and (-B, -D) are the same
+inverse; `pivot_update` keeps D > 0, so no kernel has a case for D < 0.
 
 `Adjugate` stores column j of B as one Python int, `cols[j]`. Its W-bit
 fields, W = 64 to start with, hold the entries (i, j), field i at bit W*i,
@@ -29,7 +30,7 @@ quotients times den is P again. So FTRAN is one big-int product per
 nonzero of the entering column, and a Bareiss step, which computes every
 new entry as (B[i][j] * piv - d[i] * B[r][j]) / den with an exact
 division, is four or five big-int operations per column (three when
-piv == den, and then only on the columns with a nonzero entry in row r).
+|piv| == den, and then only on the columns with a nonzero entry in row r).
 Reads: a whole column becomes a list at C speed through `to_bytes` and a
 memoryview cast to 64-bit ints (XOR with BIAS turns each biased field into
 its two's complement), which is how the simplex reads column 0, the basic
@@ -47,7 +48,7 @@ bounds it by the product of their norms; when the caller's bound is below
 H the adjugate is `capped` and nothing more is checked. Otherwise the
 adjugate keeps a proven bound per column and every kernel bounds what it is
 about to write or decode: a Bareiss step bounds the new entries of column
-j by (bound_j * |piv| + max|d'| * |B[r][j]|) / |den|, and FTRAN bounds its
+j by (bound_j * |piv| + max|d'| * |B[r][j]|) / den, and FTRAN bounds its
 entries by sum |v| * bound_k over the column's nonzeros. When a bound
 reaches H, the bounds are first recomputed exactly from the stored columns,
 which are still readable; if that is not enough, every column is repacked
@@ -66,7 +67,8 @@ BACKEND = "pure"
 
 
 class Adjugate:
-    """The integer adjugate of the basis, one packed int per column.
+    """The integer adjugate of the basis, one packed int per column, times
+    the sign of the determinant, so that its denominator D stays positive.
 
     Starts as the m x m identity. `cols`, `width`, `half` (H), `mask` (one
     field of ones), `bias` and `low` (all but the top bit of every field)
@@ -183,11 +185,11 @@ def ftran_sparse(adj: Adjugate, idx, val) -> int:
     return packed - (total - 1) * adj.bias  # the sum carries total biases; keep one
 
 
-def _pivot_bounds(adj: Adjugate, row_u, apiv, top, aden) -> list:
+def _pivot_bounds(adj: Adjugate, row_u, apiv, top, den) -> list:
     """Per column j, a bound on the entries after a Bareiss step, where
     row_u holds the biased fields B[r][j] + H."""
     half = adj.half
-    return [(b * apiv + top * abs(u - half)) // aden for b, u in zip(adj.bounds, row_u)]
+    return [(b * apiv + top * abs(u - half)) // den for b, u in zip(adj.bounds, row_u)]
 
 
 def _pivot_reach(*args) -> int:
@@ -195,19 +197,21 @@ def _pivot_reach(*args) -> int:
 
 
 def pivot_update(adj: Adjugate, packed_d, r, den, y=None, rc=0):
-    """Bareiss step for the entering column d = B * a; returns the new D.
+    """Bareiss step for the entering column d = B * a; returns |d[r]|, the new D.
 
-    packed_d is d as `ftran_sparse` returns it. Row r of B stays as it is;
-    every other row i becomes (row_i * d[r] - d[i] * row_r) / den, an exact
-    division, and the new denominator is d[r]. On packed columns that is,
-    for every column j, P_j <- (P_j * piv - D' * B[r][j]) / den, where D' is
-    d packed without the bias and with field r lowered by den (so that row
-    r comes out unchanged); with the bias folded in, cols[j] <- (cols[j] *
-    piv + BIAS * (den - piv) - D' * B[r][j]) // den. When piv == den,
-    P_j * piv / den is P_j itself: only the columns with a nonzero entry in
-    row r move, and the bias stays. y, when given, is updated as one more
-    such row with d_i = -rc, where rc is the entering column's reduced cost
-    times den; when piv == den, only its entries over those columns move.
+    packed_d is d as `ftran_sparse` returns it, and den is positive. Row r
+    stays as it is; every other row i becomes (row_i * d[r] - d[i] * row_r)
+    / den, an exact division, and the new denominator is d[r]. On packed
+    columns that is, for every column j, P_j <- (P_j * piv - D' * B[r][j]) /
+    den, where D' is d packed without the bias and with field r lowered by
+    den (so that row r comes out unchanged); with the bias folded in,
+    cols[j] <- (cols[j] * piv + BIAS * (den - piv) - D' * B[r][j]) // den.
+    When piv < 0, piv, D' and rc are negated first, which negates the new
+    B, D and y: the same inverse, over a positive D. When piv == den, P_j *
+    piv / den is P_j itself: only the columns with a nonzero entry in row r
+    move, and the bias stays. y, when given, is updated as one more such row
+    with d_i = -rc, where rc is the entering column's reduced cost times
+    den; when piv == den, only its entries over those columns move.
     """
     width, mask, half = adj.width, adj.mask, adj.half
     shift = width * r
@@ -215,7 +219,7 @@ def pivot_update(adj: Adjugate, packed_d, r, den, y=None, rc=0):
     row_u = [(q >> shift) & mask for q in adj.cols]  # row r, each entry plus H
     if not adj.capped:
         d = adj.unpack(packed_d)
-        args = (adj, row_u, abs(piv), max(max(d), -min(d), abs(piv - den)), abs(den))
+        args = (adj, row_u, abs(piv), max(max(d), -min(d), abs(piv - den)), den)
         bounds = _pivot_bounds(*args)
         if max(bounds) >= half:
             adj.make_room(partial(_pivot_reach, *args))
@@ -224,8 +228,12 @@ def pivot_update(adj: Adjugate, packed_d, r, den, y=None, rc=0):
             bounds = _pivot_bounds(*args)
         adj.bounds = bounds
     lowered = packed_d - adj.bias - (den << shift)
+    if piv < 0:  # (B, D) and (-B, -D) are the same inverse; keep D > 0
+        piv, lowered, rc = -piv, -lowered, -rc
     cols = adj.cols
     if piv == den:
+        # Most pivots land here (419 of C7's 498); sent through the general
+        # update instead, they make a C7 solve three times as slow.
         for j, u in enumerate(row_u):
             if u != half:
                 x = u - half
@@ -241,26 +249,24 @@ def pivot_update(adj: Adjugate, packed_d, r, den, y=None, rc=0):
     return piv
 
 
-def leaving_row(adj: Adjugate, packed_d, den) -> int:
+def leaving_row(adj: Adjugate, packed_d) -> int:
     """The leaving row by the lexicographic ratio test, or -1 when no entry
     of the entering column d (packed_d, biased) is positive: the LP is
     unbounded.
 
-    The candidates are the rows i with d_i / den > 0, and the winner is the
-    lexicographic minimum of row i of the adjugate over d_i. Column 0 holds
-    the basic values, so this is the ratio test with ties broken by the rest
-    of the row. The rows still tied are kept as flags, the top bit of their
-    fields. Columns in which every tied entry is zero are skipped with one
-    masked AND each; in the next column, the sign of each tied entry against
-    den orders the ratios, so actual ratios are compared only among the
-    tied rows of the least sign. Two rows of a nonsingular matrix are never
-    proportional, so the minimum is unique and one row is left in the end.
+    The candidates are the rows i with d_i > 0 (D is positive), and the
+    winner is the lexicographic minimum of row i of the adjugate over d_i.
+    Column 0 holds the basic values, so this is the ratio test with ties
+    broken by the rest of the row. The rows still tied are kept as flags,
+    the top bit of their fields. Columns in which every tied entry is zero
+    are skipped with one masked AND each; in the next column, the sign of
+    each tied entry orders the ratios, so actual ratios are compared only
+    among the tied rows of the least sign. Two rows of a nonsingular matrix
+    are never proportional, so the minimum is unique and one row is left in
+    the end.
     """
     width, top, low = adj.width, adj.bias, adj.low
-    if den > 0:  # candidates: fields with the top bit set and some other bit too
-        tied = packed_d & ((packed_d & low) + low) & top
-    else:  # candidates: fields with the top bit clear
-        tied = top & ~packed_d
+    tied = packed_d & ((packed_d & low) + low) & top  # top bit set and some other bit too
     if not tied:
         return -1
     cols = adj.cols
@@ -277,14 +283,11 @@ def leaving_row(adj: Adjugate, packed_d, den) -> int:
             raise VerificationError(
                 "lexicographic ratio test: two rows of the adjugate are proportional") from None
         j += 1
-        if den > 0:
-            smaller = tied & ~q  # negative entries
-        else:
-            smaller = tied & q & ((q & low) + low)  # positive entries
+        smaller = tied & ~q  # negative entries
         if smaller:
             tied = _least_ratio(adj, q, packed_d, smaller) if smaller & (smaller - 1) else smaller
             continue
-        zero = tied & ~((q & low) + low) if den > 0 else tied & q
+        zero = tied & ~((q & low) + low)
         tied = zero if zero else _least_ratio(adj, q, packed_d, tied)
     return tied.bit_length() // width - 1
 
@@ -311,21 +314,20 @@ def _least_ratio(adj: Adjugate, q, packed_d, flags) -> int:
     return kept
 
 
-def price_columns(y, cols_idx, cols_val, cobj, scale, lo, hi):
-    """Pick an entering column among lo..hi-1 with positive reduced cost, or
-    -1.
+def price_columns(y, cols_idx, cols_val, cobj, den, lo, hi):
+    """Pick an entering column among lo..hi-1 with positive reduced cost:
+    returns (j, its reduced cost times den), or (-1, 0).
 
-    The reduced cost of column j is taken as cobj[j] * scale - a_j . y, so a
-    positive common factor may sit on y and scale. Returns the most positive
-    reduced cost, ties to the lowest column id. With y = c_B^T B and scale =
-    D (both sign-corrected), a basic column prices at exactly zero in integer
-    arithmetic, so basic columns need no mask: they are never picked. The
-    chunk is read in place, not sliced.
+    The reduced cost of column j times den is cobj[j] * den - a_j . y, with
+    y the multipliers times den. Returns the most positive reduced cost,
+    ties to the lowest column id. With y = c_B^T B, a basic column prices at
+    exactly zero in integer arithmetic, so basic columns need no mask: they
+    are never picked. The chunk is read in place, not sliced.
     """
     best_j = -1
     best_rc = 0
     for j in range(lo, hi):
-        rc = cobj[j] * scale
+        rc = cobj[j] * den
         idx = cols_idx[j]
         val = cols_val[j]
         for t in range(len(idx)):
@@ -335,7 +337,7 @@ def price_columns(y, cols_idx, cols_val, cobj, scale, lo, hi):
         if rc > best_rc:
             best_rc = rc
             best_j = j
-    return best_j
+    return best_j, best_rc
 
 
 def gfp_rref(rows, p):

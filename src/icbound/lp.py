@@ -57,7 +57,7 @@ class LPProblem:
     instance: IndexCodingInstance
     schema: object
     closure: ClosureMode
-    dec_pairs: List[Tuple[int, int]]
+    dec_count: int  # columns 0..dec_count-1 decode: cols_idx[col] is the pair (s, t)
     schema_rows: List[SchemaRow]
     lp: StandardFormLP
     crash: List[Tuple[int, int]]
@@ -95,7 +95,6 @@ def build_problem(
     cols_val: List[tuple] = []
     cobj: list = []
 
-    dec_pairs: List[Tuple[int, int]] = []
     crash: List[Tuple[int, int]] = []
     for s in gs.subsets():
         cl = instance.closure(s, closure)
@@ -107,10 +106,10 @@ def build_problem(
             cost = 0 if cl & bit else 1
             if s == bit - 1:  # the crash step {0..i-1} -> {0..i}
                 crash.append((len(cols_idx), s))
-            dec_pairs.append((s, t))
             cols_idx.append((s, t))
             cols_val.append((1, -1))
             cobj.append(-cost)
+    dec_count = len(cols_idx)
 
     schema_rows: List[SchemaRow] = []
     for pos, row in enumerate(schema.rows(gs)):
@@ -140,7 +139,7 @@ def build_problem(
 
     lp = StandardFormLP(1 << n, cols_idx, cols_val, cobj)
     return LPProblem(
-        instance, schema, closure, dec_pairs, schema_rows, lp, crash, w_plus, w_minus
+        instance, schema, closure, dec_count, schema_rows, lp, crash, w_plus, w_minus
     )
 
 
@@ -152,11 +151,11 @@ def solve_problem(problem: LPProblem) -> BoundSolution:
 
     z = dict(enumerate(res.y))
     x: Dict[Tuple[int, int], Rational] = {}
-    for col, pair in enumerate(problem.dec_pairs):
+    for col in range(problem.dec_count):
         if res.x[col]:
-            x[pair] = res.x[col]
+            x[problem.lp.cols_idx[col]] = res.x[col]
     y: Dict[SchemaRow, Rational] = {}
-    base = len(problem.dec_pairs)
+    base = problem.dec_count
     for k, row in enumerate(problem.schema_rows):
         if res.x[base + k]:
             y[row] = res.x[base + k]

@@ -5,8 +5,9 @@ Solves max c.v subject to M v = e_0, v >= 0, the shape of the dual LP that
 set's row), keeping an explicit basis inverse. Columns are sparse (index,
 value) pairs. LP data are ints (rational data must be scaled to integers by
 the caller), so the basis inverse is an integer matrix, the adjugate of the
-basis, over one integer denominator, its determinant, updated by the
-Bareiss step in `kernels.pivot_update`. The adjugate is held as one packed
+basis times the sign of its determinant, over one positive denominator, the
+determinant's absolute value, updated by the Bareiss step in
+`kernels.pivot_update`. The adjugate is held as one packed
 int per column (`kernels.Adjugate`). The basic values, the inverse times
 e_0, are its column 0. The simplex multipliers are an integer vector over
 the same denominator, updated as one more row of each pivot, so BTRAN runs
@@ -147,8 +148,9 @@ class SolveStats:
     iterations: pivots of the main loop (crash pivots excluded);
     degenerate: those whose leaving row had basic value zero;
     forced_exits: those that pivoted an artificial column out;
-    rescaling: pivots, crash pivots included, whose pivot entry differs
-    from the denominator, so that every column of the adjugate moves;
+    rescaling: pivots, crash pivots included, whose pivot entry |piv|
+    differs from the denominator D, so that every column of the adjugate
+    moves;
     widenings: repacks of the adjugate into wider fields;
     tightenings: exact recomputations of the adjugate's entry bounds.
     """
@@ -202,7 +204,7 @@ def solve_standard_form(
     stats = SolveStats()
 
     # Artificial identity columns occupy ids nstruct .. nstruct+m-1. The
-    # basis inverse is adj / den and basic value i is entry (i, 0) / den.
+    # basis inverse is adj / den, den positive; basic value i is entry (i, 0) / den.
     adj = kernels.Adjugate(m, _hadamard_square(lp))
     den = 1
     basis = [nstruct + i for i in range(m)]  # adj marks the rows of artificial columns
@@ -239,7 +241,7 @@ def solve_standard_form(
             raise InputError("crash pivot would evict a structural column")
         do_pivot(col, row, packed_d)
     values = adj.unpack(adj.cols[0])
-    if any(v * den < 0 for v in values):
+    if any(v < 0 for v in values):
         raise InputError("crash basis is not feasible")
     for i in range(m):
         if values[i] and is_artificial(basis[i]):
@@ -254,18 +256,15 @@ def solve_standard_form(
     cursor = 0
 
     while True:
-        # Reduced costs times |den|, so their signs and order are the true ones.
-        y_pos = y if den > 0 else [-v for v in y]
-        scale = abs(den)
-
         # Partial pricing: scan chunks from the cursor until one yields a
-        # positive reduced cost; a full wrap with nothing positive is optimality.
+        # positive reduced cost (times den); a full wrap with nothing positive
+        # is optimality.
         enter = -1
         scanned = 0
         while scanned < nstruct:
             lo = cursor
             hi = min(nstruct, lo + chunk)
-            enter = kernels.price_columns(y_pos, cols_idx, cols_val, cobj, scale, lo, hi)
+            enter, rc = kernels.price_columns(y, cols_idx, cols_val, cobj, den, lo, hi)
             scanned += hi - lo
             cursor = hi % nstruct
             if enter >= 0:
@@ -283,15 +282,12 @@ def solve_standard_form(
             stats.forced_exits += 1
             stats.degenerate += 1
         else:
-            leave = kernels.leaving_row(adj, packed_d, den)
+            leave = kernels.leaving_row(adj, packed_d)
             if leave < 0:
                 return result("unbounded")
             if not adj.entry(adj.cols[0], leave):
                 stats.degenerate += 1
 
-        rc = cobj[enter] * den
-        for k, v in zip(cols_idx[enter], cols_val[enter]):
-            rc -= v * y[k]
         do_pivot(enter, leave, packed_d, y, rc)
         stats.iterations += 1
         if stats.iterations > _MAX_ITER:

@@ -1,9 +1,11 @@
 """The packed adjugate of `icbound.kernels`: field layout, reads, exact
-division over the fields, and widening."""
+division over the fields, widening, and the sign of the denominator."""
 
 import random
 
-from icbound.kernels import Adjugate
+import pytest
+
+from icbound.kernels import Adjugate, ftran_sparse, pivot_update
 
 EXTREMES = [0, 1, -1, (1 << 63) - 1, -(1 << 63), 12345, -98765]
 
@@ -72,3 +74,43 @@ def test_marks_find_the_lowest_marked_nonzero_row_at_every_width():
     col = adj.pack([0, 5, -(1 << 64), 7])
     assert adj.first_marked_nonzero(col) == 2
     assert adj.first_marked_nonzero(adj.pack([0, 5, 0, 0])) == -1
+
+
+def bareiss(rows, d, r, den):
+    """The Bareiss step on plain rows: row r stays, every other row i
+    becomes (row_i * d[r] - d[i] * row_r) / den, which must divide."""
+    new = []
+    for i, row in enumerate(rows):
+        if i == r:
+            new.append(list(row))
+            continue
+        nums = [b * d[r] - d[i] * br for b, br in zip(row, rows[r])]
+        assert all(v % den == 0 for v in nums)
+        new.append([v // den for v in nums])
+    return new
+
+
+@pytest.mark.parametrize("cap", [0, 1 << 200], ids=["capped", "bounded"])
+@pytest.mark.parametrize("a", [(1, 2, -1), (1, 2, -2)], ids=["piv=-D", "piv=-2D"])
+def test_pivot_update_keeps_the_denominator_positive(cap, a):
+    # B over D = 3 is the adjugate of the basis [(3, 1, 0), e_1, e_2], and
+    # y = c_B^T B for the costs c_B = (2, 0, 1). The entering column a, of
+    # cost 1, has d = B a with d[2] = -3 or -6: a determinant of the sign
+    # opposite to D's. The step must store (-B', -d[2]), where (B', d[2])
+    # is the plain Bareiss step, with y as one more row of d entry -rc.
+    rows = [[1, 0, 0], [-1, 3, 0], [0, 0, 3]]
+    y0 = [2, 0, 3]
+    adj = Adjugate(3, cap)
+    adj.cols = [adj.pack(col) for col in zip(*rows)]
+    adj.bounds = [3, 3, 3]
+    before = list(adj.cols)
+    d = [sum(b * v for b, v in zip(row, a)) for row in rows]
+    rc = 1 * 3 - sum(v * w for v, w in zip(a, y0))
+    y = list(y0)
+    den = pivot_update(adj, ftran_sparse(adj, (0, 1, 2), a), 2, 3, y, rc)
+    new = bareiss(rows + [y0], d + [-rc], 2, 3)
+    assert den == -d[2] > 0
+    assert [adj.unpack(q) for q in adj.cols] == [[-v for v in col] for col in zip(*new[:3])]
+    assert y == [-v for v in new[3]]
+    if d[2] == -3:  # |piv| == D: the columns with a zero in row 2 are left alone
+        assert adj.cols[:2] == before[:2]
