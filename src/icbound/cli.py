@@ -35,6 +35,16 @@ from icbound.matroid import addineq_certificate, fano, nonfano, to_index_coding
 from icbound.rational import rat, rat_str
 from icbound.schema import SideRow
 
+def _read_certificate(path: str, gs, schema=None):
+    """certificate_from_json of the file at path, its label arrays decoded
+    straight to masks of gs. A file that this read refuses is read again
+    plainly, so its error is worded exactly as the typed reader words it."""
+    try:
+        return certificate_from_json(load_json(path, gs), gs, schema)
+    except InputError:
+        return certificate_from_json(load_json(path), gs, schema)
+
+
 def _row_homs(spec: str, schema_name: str, gs):
     """The homs --rows names for schema_by_name; None means the identity embedding."""
     if spec == "identity":
@@ -71,8 +81,8 @@ def _cmd_product(args) -> int:
 def _cmd_combine(args) -> int:
     inst_g = instance_from_json(load_json(args.first))
     inst_f = instance_from_json(load_json(args.second))
-    cert_g, schema = certificate_from_json(load_json(args.cert_first), inst_g.messages)
-    cert_f, _ = certificate_from_json(load_json(args.cert_second), inst_f.messages, schema)
+    cert_g, schema = _read_certificate(args.cert_first, inst_g.messages)
+    cert_f, _ = _read_certificate(args.cert_second, inst_f.messages, schema)
     combined = combine_certificates(inst_g, inst_f, cert_g, cert_f, schema)
     product = inst_g.lex_product(inst_f)
     value = verify_certificate(product, schema, combined)
@@ -86,7 +96,7 @@ def _cmd_combine(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = instance_from_json(load_json(args.instance))
-    cert, schema = certificate_from_json(load_json(args.cert), instance.messages)
+    cert, schema = _read_certificate(args.cert, instance.messages)
     value = verify_certificate(instance, schema, cert)
     print(f"value = {rat_str(value)}")
     return 0

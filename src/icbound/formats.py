@@ -17,11 +17,19 @@ Malformed input raises InputError naming the field's path, such as
 `receivers[2].knows`, never a raw KeyError, TypeError or ValueError. A
 graph edge is a pair of two distinct vertex labels.
 
-`load_json` returns what json.load does, except that equal strings in an
-object's all-string array values are one object, so a product certificate
-holds each label once however many subsets name it. Arrays holding
-anything but strings are left as decoded, because 1 == True == 1.0 would
-let sharing alias a boolean or a float to an integer.
+`load_json(path)` returns what json.load does, except that equal strings
+in an object's all-string array values are one object, so a product
+instance holds each label once however many receivers name it. Arrays
+holding anything but strings are left as decoded, because 1 == True == 1.0
+would let sharing alias a boolean or a float to an integer.
+`load_json(path, gs)` reads a certificate: each subset's label array
+becomes its mask of gs as its object closes, so no label list outlives
+its entry, and `_Json.mask` takes the mask as it is. An array that is not
+a list of distinct str labels of gs is left as decoded; the CLI then reads
+the file again plainly, so the typed reader words the error exactly as it
+does for a plain read. `instance_from_json` reads a regular receivers
+array the same way, in one pass, and falls back to the typed reader on
+anything else. A label array that repeats a label is refused.
 
 This module is also the only JSON writer. `dump_json` returns exactly the
 text of `json.dumps(obj, indent=2)`: two-space indentation, "," and a line
@@ -91,16 +99,57 @@ def schema_by_name(name: str, homs=None):
 # -- plumbing -----------------------------------------------------------------
 
 
-def load_json(path: str):
-    """The decoded JSON document at path, equal to json.load's in every value,
-    type and key order.
+class _Mask(int):
+    """A label array that load_json already read as its subset mask. JSON
+    never yields this type, so `_Json.mask` tells it from a number in the file."""
 
-    Each object's all-string array values are rewritten in place to hold one
-    shared copy of each distinct string, so a product certificate's label
-    arrays become lists of pointers to its few hundred labels as each object
-    closes. Only all-string arrays are shared: equal values of other types
-    may differ in type (1 == True == 1.0), and sharing them would hand a
-    reader one where the file holds another."""
+    __slots__ = ()
+
+
+def _bits_of(gs: GroundSet) -> Dict[str, int]:
+    """The str labels of gs mapped to their bits; an int, a bool or a float
+    misses every key, so only a label spelled as a JSON string is found."""
+    return {lab: 1 << i for i, lab in enumerate(gs.labels) if type(lab) is str}
+
+
+def _plain_mask(get, value) -> Optional[int]:
+    """The mask of value when it is a list of distinct labels that get maps
+    to their bits, summed at C speed; None for anything else."""
+    if type(value) is not list:
+        return None
+    try:
+        mask = sum(map(get, value))
+    except (KeyError, TypeError):  # not a label, or unhashable
+        return None
+    return mask if mask.bit_count() == len(value) else None  # else a repeat
+
+
+def _masker(gs: GroundSet):
+    """The object hook of load_json(path, gs): it replaces the arrays under
+    "s", "t" and "base", and each value of an "atoms" object, by their masks."""
+    get = _bits_of(gs).__getitem__
+
+    def to_mask(value):
+        mask = _plain_mask(get, value)
+        return value if mask is None else _Mask(mask)
+
+    def hook(obj: dict) -> dict:
+        for key in ("s", "t", "base"):
+            if key in obj:
+                obj[key] = to_mask(obj[key])
+        atoms = obj.get("atoms")
+        if type(atoms) is dict:
+            for key, value in list(atoms.items()):
+                atoms[key] = to_mask(value)
+        return obj
+
+    return hook
+
+
+def _share():
+    """The object hook of a plain load_json: each object's all-string array
+    values are rewritten in place to hold one shared copy of each distinct
+    string as the object closes."""
     memo: Dict[str, str] = {}
 
     def share(obj: dict) -> dict:
@@ -109,9 +158,23 @@ def load_json(path: str):
                 value[:] = map(memo.setdefault, value, value)
         return obj
 
+    return share
+
+
+def load_json(path: str, masks_of: Optional[GroundSet] = None):
+    """The decoded JSON document at path, equal to json.load's in every value,
+    type and key order, its all-string arrays sharing one copy of each
+    distinct string.
+
+    With masks_of, no string is shared; instead every array under "s", "t"
+    or "base", and every value of an "atoms" object, that holds only
+    distinct str labels of masks_of becomes its mask as its object closes.
+    Any other array is left as decoded, for the typed readers to word its
+    error. A document read this way must be read against masks_of."""
+    hook = _share() if masks_of is None else _masker(masks_of)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_hook=share)
+            return json.load(fh, object_hook=hook)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
@@ -121,12 +184,21 @@ def load_json(path: str):
 _SLICE = 1 << 20  # characters written per call, so no encoded copy of the whole text exists
 
 
+class _Escapes(dict):
+    """str -> its JSON spelling, escaped once per distinct string; any other
+    key raises TypeError, as the escaper does."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = escaped = _escape(text)
+        return escaped
+
+
 def dump_json(obj, path: Optional[str]) -> str:
     """obj as exactly the text of json.dumps(obj, indent=2), written to path
     (plus a newline) unless path is None, in slices of _SLICE characters.
     A path that cannot be written raises InputError."""
     parts: List[str] = []
-    _write(obj, "\n", parts.append)
+    _write(obj, "\n", parts.append, _Escapes())
     text = "".join(parts)
     del parts
     if path is not None:
@@ -140,33 +212,33 @@ def dump_json(obj, path: Optional[str]) -> str:
     return text
 
 
-def _write(obj, newline: str, out) -> None:
+def _write(obj, newline: str, out, escaped: _Escapes) -> None:
     """Pass the pieces of json.dumps(obj, indent=2) to out; newline is the
     line break plus the indentation of obj's own line. With indent set the
     stdlib encodes in pure Python, so lists and str-keyed dicts are laid out
-    here, with strings escaped in C; anything else goes to json.dumps, whose
-    only newlines are layout because strings escape theirs."""
+    here, each distinct string escaped once in C; anything else goes to
+    json.dumps, whose only newlines are layout because strings escape theirs."""
     kind = type(obj)
     if kind is str:
-        out(_escape(obj))
+        out(escaped[obj])
         return
     inner = newline + "  "
     sep = "," + inner
     if kind in (list, tuple) and obj:
         out("[" + inner)
-        try:  # the escaper refuses anything but strings
-            out(sep.join(map(_escape, obj)))
+        try:  # the escaper refuses anything but strings, and hashing a list fails
+            out(sep.join(map(escaped.__getitem__, obj)))
         except TypeError:
             for i, value in enumerate(obj):
                 if i:
                     out(sep)
-                _write(value, inner, out)
+                _write(value, inner, out, escaped)
         out(newline + "]")
     elif kind is dict and obj and set(map(type, obj)) == {str}:
         head = "{" + inner
         for key, value in obj.items():
-            out(head + _escape(key) + ": ")
-            _write(value, inner, out)
+            out(head + escaped[key] + ": ")
+            _write(value, inner, out, escaped)
             head = sep
         out(newline + "}")
     else:
@@ -264,8 +336,18 @@ class _Json:
         return self._at_path(gs.index, self.label())
 
     def mask(self, gs: GroundSet) -> int:
-        """A label list as a subset mask of gs."""
-        return self._at_path(gs.mask_of, self.labels())
+        """A list of distinct labels as a subset mask of gs; an array that
+        load_json(path, gs) already read as its mask, as that int."""
+        if type(self.value) is _Mask:
+            return int(self.value)
+        labels = self.labels()
+        mask = self._at_path(gs.mask_of, labels)
+        if mask.bit_count() != len(labels):
+            first = {}
+            for i, label in enumerate(labels):
+                if first.setdefault(label, i) != i:
+                    raise InputError(f"{self.path}[{i}] repeats the label {label!r}")
+        return mask
 
 
 def _hom(node: _Json, gen: GroundSet, gs: GroundSet) -> LatticeHom:
@@ -310,8 +392,31 @@ def instance_from_json(obj) -> IndexCodingInstance:
         gs = graph["vertices"].ground_set()
         return from_graph(gs.labels, [_edge(e, gs) for e in graph["edges"]])
     gs = doc["messages"].ground_set()
-    return IndexCodingInstance(
-        gs, [(rec["wants"].index(gs), rec["knows"].mask(gs)) for rec in doc["receivers"]])
+    receivers = doc["receivers"]
+    pairs = _plain_receivers(receivers.value, gs)
+    if pairs is None:
+        pairs = [(rec["wants"].index(gs), rec["knows"].mask(gs)) for rec in receivers]
+    return IndexCodingInstance(gs, pairs)
+
+
+def _plain_receivers(items, gs: GroundSet) -> Optional[List[Tuple[int, int]]]:
+    """The (wants, knows) pairs of a receivers array whose every entry has a
+    str label of gs as "wants" and an array of distinct str labels of gs as
+    "knows", in one pass; None when anything is irregular, for the typed
+    reader to word the error."""
+    if type(items) is not list:
+        return None
+    get = _bits_of(gs).__getitem__
+    pairs = []
+    try:
+        for rec in items:
+            mask = _plain_mask(get, rec["knows"])
+            if mask is None:
+                return None
+            pairs.append((get(rec["wants"]).bit_length() - 1, mask))
+    except (KeyError, TypeError):  # a missing field, a non-object entry, a non-label
+        return None
+    return pairs
 
 
 # -- schema rows, certificates and --rows files --------------------------------

@@ -10,8 +10,9 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from icbound import formats
 from icbound.certificate import c5_certificate
-from icbound.cli import _build_parser, main
+from icbound.cli import _build_parser, _read_certificate, main
 from icbound.errors import InputError
 from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
                              certificate_to_json, dump_json, instance_from_json,
@@ -22,6 +23,7 @@ from icbound.lp import build_problem, solve_problem
 from icbound.certificate import verify_certificate
 from icbound.matroid import _FANO_LABELS, addineq_certificate, fano, to_index_coding
 from icbound.rational import rat, rat_str
+from icbound.schema import SideRow, SubmodRow
 
 FANO_ROWS = [[int(lab[i]) for lab in _FANO_LABELS] for i in range(3)]
 
@@ -572,6 +574,26 @@ def test_cli_orbit_map_is_read_without_the_identity_embedding(c5_file, tmp_path,
     assert capsys.readouterr().out == "b = 5/2\n"
 
 
+def test_cli_repeated_label_is_refused(c5_file, tmp_path, capsys):
+    # mask_of used to OR a repeat away, so each of these exited 0
+    cert = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
+                               schema_by_name("submod"))
+    cert["x"][0]["t"] = ["1", "3", "1"]
+    assert main(["verify", c5_file, _write(tmp_path, "cert.json", cert)]) == 2
+    assert capsys.readouterr().err == "input error: x[0].t[2] repeats the label '1'\n"
+    inst = {"messages": ["1", "2", "3"], "receivers": [{"wants": "1", "knows": ["2", 3, "2"]}]}
+    assert main(["solve", _write(tmp_path, "inst.json", inst)]) == 2
+    assert capsys.readouterr().err == "input error: receivers[0].knows[2] repeats the label '2'\n"
+
+
+def test_cli_number_for_a_label_array_is_refused(c5_file, tmp_path, capsys):
+    cert = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
+                               schema_by_name("submod"))
+    cert["x"][0]["s"] = 5
+    assert main(["verify", c5_file, _write(tmp_path, "cert.json", cert)]) == 2
+    assert capsys.readouterr().err == "input error: x[0].s must be an array, got 5\n"
+
+
 # -- product certificates: labels held once ------------------------------------
 
 
@@ -613,6 +635,22 @@ def test_loaded_certificate_holds_less_memory_than_its_file(c5_power_certs):
         tracemalloc.stop()
     assert len(doc["x"]) == 343
     assert held < 1.5 * os.path.getsize(path)
+
+
+def test_masked_certificate_load_holds_a_fraction_of_its_file(c5_power_certs):
+    # the plain load holds 0.67 times the file; label lists die as entries close
+    path = c5_power_certs[3]
+    gs = instance_from_json(load_json(path.replace(".cert.json", ".json"))).messages
+    tracemalloc.start()
+    try:
+        doc = load_json(path, gs)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.3 * os.path.getsize(path)
+    cert, _ = certificate_from_json(doc, gs)
+    assert cert == certificate_from_json(load_json(path), gs)[0]
+    assert len(cert.x) == 343 and all(type(mask) is int for pair in cert.x for mask in pair)
 
 
 # -- fuzzing: mutated valid files never escape the exit-code contract --------
@@ -694,3 +732,93 @@ def test_cli_fuzz_mutated_json(fuzz_seeds, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv)
     assert rc in (0, 1, 2, 3)
+
+
+# -- the fast reads equal the typed reads ----------------------------------------
+
+
+def _read_outcome(read):
+    """What read() returns, or the text of the InputError it raises."""
+    try:
+        return read()
+    except InputError as exc:
+        return f"input error: {exc}"
+
+
+def _mutated(data, doc, labels):
+    """doc with one position replaced (often by a label), dropped or, in an
+    array, repeated."""
+    position = data.draw(st.sampled_from(list(_positions(doc))))
+    value = st.sampled_from(labels) | st.integers(0, 8) | _ANY_JSON
+    if not position:
+        return data.draw(value)
+    holder = doc
+    for key in position[:-1]:
+        holder = holder[key]
+    action = data.draw(st.sampled_from(["replace", "drop", "repeat"]))
+    if action == "drop":
+        del holder[position[-1]]
+    elif action == "repeat" and isinstance(holder, list):
+        holder.append(holder[position[-1]])
+    else:
+        holder[position[-1]] = data.draw(value)
+    return doc
+
+
+def _row_masks(row):
+    if isinstance(row, SideRow):
+        return _row_masks(row.inner)
+    if isinstance(row, SubmodRow):
+        return [row.s, row.t]
+    return [row.hom.base, *row.hom.atom_images]
+
+
+@pytest.fixture(scope="module")
+def cert_seeds(tmp_path_factory):
+    """name -> (valid certificate document, ground set, schema or None)."""
+    fano_inst = instance_from_json(instance_to_json(to_index_coding(fano())))
+    odd = schema_by_name("submod+fano-odd")
+    row = next(r for r in odd.rows(fano_inst.messages) if r.side == 1)
+    return tmp_path_factory.mktemp("masked"), {
+        "c5": (certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
+                                   schema_by_name("submod")), string_c5().messages, None),
+        "fano": (certificate_to_json(addineq_certificate(fano(), row, odd), fano_inst.messages,
+                                     odd), fano_inst.messages, odd),
+    }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_masked_certificate_read_matches_the_typed_read(cert_seeds, data):
+    work, seeds = cert_seeds
+    doc, gs, schema = seeds[data.draw(st.sampled_from(sorted(seeds)))]
+    doc = _mutated(data, json.loads(json.dumps(doc)), list(map(str, gs.labels)))
+    path = _write(work, "mutated.json", doc)
+    masked = _read_outcome(lambda: _read_certificate(path, gs, schema))
+    typed = _read_outcome(lambda: certificate_from_json(load_json(path), gs, schema))
+    if isinstance(typed, str):
+        assert masked == typed
+        return
+    assert (masked[0], masked[1].name) == (typed[0], typed[1].name)
+    cert = masked[0]
+    masks = [m for pair in cert.x for m in pair] + [m for row in cert.y for m in _row_masks(row)]
+    assert all(type(mask) is int for mask in masks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fast_receivers_read_matches_the_typed_read(data):
+    name = data.draw(st.sampled_from(["c5", "fano"]))
+    inst = string_c5() if name == "c5" else to_index_coding(fano())
+    labels = list(map(str, inst.messages.labels))
+    doc = _mutated(data, instance_to_json(inst), labels)
+
+    def read():
+        got = instance_from_json(doc)
+        return got.messages.labels, got.receivers
+
+    fast = _read_outcome(read)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_plain_receivers", lambda items, gs: None)
+        assert fast == _read_outcome(read)
