@@ -157,8 +157,11 @@ def combine_certificates(
         raise InputError("both certificates must match the schema being combined under")
     if cert_g.closure != cert_f.closure:
         raise InputError("certificates disagree on closure mode")
-    verify_certificate(inst_g, schema, cert_g)
-    verify_certificate(inst_f, schema, cert_f)
+    for which, inst, cert in (("first", inst_g, cert_g), ("second", inst_f, cert_f)):
+        try:
+            verify_certificate(inst, schema, cert)
+        except CertificateInvalid as exc:
+            raise CertificateInvalid(f"{which} certificate: {exc}") from None
     gs_g = inst_g.messages
     gs_f = inst_f.messages
     gs_p = product_messages(gs_g, gs_f)

@@ -37,12 +37,8 @@ from icbound.schema import SideRow
 
 def _read_certificate(path: str, gs, schema=None):
     """certificate_from_json of the file at path, its label arrays decoded
-    straight to masks of gs. A file that this read refuses is read again
-    plainly, so its error is worded exactly as the typed reader words it."""
-    try:
-        return certificate_from_json(load_json(path, gs), gs, schema)
-    except InputError:
-        return certificate_from_json(load_json(path), gs, schema)
+    straight to masks of gs."""
+    return certificate_from_json(load_json(path, gs), gs, schema)
 
 
 def _row_homs(spec: str, schema_name: str, gs):

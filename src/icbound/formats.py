@@ -17,19 +17,20 @@ Malformed input raises InputError naming the field's path, such as
 `receivers[2].knows`, never a raw KeyError, TypeError or ValueError. A
 graph edge is a pair of two distinct vertex labels.
 
-`load_json(path)` returns what json.load does, except that equal strings
-in an object's all-string array values are one object, so a product
-instance holds each label once however many receivers name it. Arrays
-holding anything but strings are left as decoded, because 1 == True == 1.0
-would let sharing alias a boolean or a float to an integer.
-`load_json(path, gs)` reads a certificate: each subset's label array
-becomes its mask of gs as its object closes, so no label list outlives
-its entry, and `_Json.mask` takes the mask as it is. An array that is not
-a list of distinct str labels of gs is left as decoded; the CLI then reads
-the file again plainly, so the typed reader words the error exactly as it
-does for a plain read. `instance_from_json` reads a regular receivers
-array the same way, in one pass, and falls back to the typed reader on
-anything else. A label array that repeats a label is refused.
+`load_json(path)` returns what json.load does, except that an object
+that repeats a key is refused, where json.load would keep the last value,
+and equal strings in an object's all-string array values are one object,
+so a product instance holds each label once however many receivers name
+it. Arrays holding anything but strings are left as decoded, because
+1 == True == 1.0 would let sharing alias a boolean or a float to an
+integer. `load_json(path, gs)` reads a certificate: each subset's label
+array becomes its mask of gs as its object closes, so no label list
+outlives its entry, and `_Json.mask` takes the mask as it is. An array
+that is not a list of distinct str labels of gs is left as decoded, for
+the typed reader to word its error. `instance_from_json` reads a regular
+receivers array the same way, in one pass, and falls back to the typed
+reader on anything else. A label array that repeats a label, and a
+certificate that repeats an (s, t) pair or a y row, are refused.
 
 This module is also the only JSON writer. `dump_json` returns exactly the
 text of `json.dumps(obj, indent=2)`: two-space indentation, "," and a line
@@ -50,7 +51,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from icbound.certificate import DualCertificate
 from icbound.errors import InputError
 from icbound.gf import check_prime
-from icbound.groundset import GroundSet, LatticeHom
+from icbound.groundset import GroundSet, LatticeHom, first_repeat
 from icbound.instance import ClosureMode, IndexCodingInstance, from_graph
 from icbound.matroid import Matroid, rank_from_matrix
 from icbound.rational import Rational, rat, rat_str
@@ -124,8 +125,17 @@ def _plain_mask(get, value) -> Optional[int]:
     return mask if mask.bit_count() == len(value) else None  # else a repeat
 
 
+def _object(pairs: list) -> dict:
+    """dict(pairs), or InputError naming the first key that repeats."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        _, key = first_repeat(key for key, _ in pairs)
+        raise InputError(f"an object repeats the key {key!r}")
+    return obj
+
+
 def _masker(gs: GroundSet):
-    """The object hook of load_json(path, gs): it replaces the arrays under
+    """The pairs hook of load_json(path, gs): it replaces the arrays under
     "s", "t" and "base", and each value of an "atoms" object, by their masks."""
     get = _bits_of(gs).__getitem__
 
@@ -133,7 +143,8 @@ def _masker(gs: GroundSet):
         mask = _plain_mask(get, value)
         return value if mask is None else _Mask(mask)
 
-    def hook(obj: dict) -> dict:
+    def hook(pairs: list) -> dict:
+        obj = _object(pairs)
         for key in ("s", "t", "base"):
             if key in obj:
                 obj[key] = to_mask(obj[key])
@@ -147,12 +158,13 @@ def _masker(gs: GroundSet):
 
 
 def _share():
-    """The object hook of a plain load_json: each object's all-string array
+    """The pairs hook of a plain load_json: each object's all-string array
     values are rewritten in place to hold one shared copy of each distinct
     string as the object closes."""
     memo: Dict[str, str] = {}
 
-    def share(obj: dict) -> dict:
+    def share(pairs: list) -> dict:
+        obj = _object(pairs)
         for value in obj.values():
             if type(value) is list and set(map(type, value)) == {str}:
                 value[:] = map(memo.setdefault, value, value)
@@ -164,7 +176,7 @@ def _share():
 def load_json(path: str, masks_of: Optional[GroundSet] = None):
     """The decoded JSON document at path, equal to json.load's in every value,
     type and key order, its all-string arrays sharing one copy of each
-    distinct string.
+    distinct string. An object that repeats a key raises InputError.
 
     With masks_of, no string is shared; instead every array under "s", "t"
     or "base", and every value of an "atoms" object, that holds only
@@ -174,7 +186,9 @@ def load_json(path: str, masks_of: Optional[GroundSet] = None):
     hook = _share() if masks_of is None else _masker(masks_of)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_hook=hook)
+            return json.load(fh, object_pairs_hook=hook)
+    except InputError as exc:  # a repeated key
+        raise InputError(f"{path}: {exc}") from None
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
@@ -343,10 +357,8 @@ class _Json:
         labels = self.labels()
         mask = self._at_path(gs.mask_of, labels)
         if mask.bit_count() != len(labels):
-            first = {}
-            for i, label in enumerate(labels):
-                if first.setdefault(label, i) != i:
-                    raise InputError(f"{self.path}[{i}] repeats the label {label!r}")
+            i, label = first_repeat(labels)
+            raise InputError(f"{self.path}[{i}] repeats the label {label!r}")
         return mask
 
 
@@ -512,8 +524,9 @@ def certificate_from_json(obj, gs: GroundSet, schema=None):
     y: Dict = {}
     for entry in doc["y"]:
         row = _row_from_json(entry["row"], gs, schema)
-        v = entry["v"].rational()
-        y[row] = (y[row] + v) if row in y else v
+        if row in y:
+            raise InputError(f"{entry.path} repeats an earlier row")
+        y[row] = entry["v"].rational()
     claimed = None if doc.value.get("value") is None else doc["value"].rational()
     return DualCertificate(name, closure, x, y, claimed), schema
 

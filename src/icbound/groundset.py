@@ -20,7 +20,7 @@ rows) already satisfy those invariants by construction and are wrapped by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Tuple
 
 from .errors import InputError, ResourceCapError
 
@@ -39,6 +39,13 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def first_repeat(items: Iterable) -> Tuple[int, object]:
+    """The position and value of the first item equal to an earlier one;
+    items must hold such an item."""
+    seen = set()
+    return next((i, x) for i, x in enumerate(items) if x in seen or seen.add(x))
+
+
 class GroundSet:
     """An ordered tuple of distinct hashable labels; immutable."""
 
@@ -48,7 +55,8 @@ class GroundSet:
         self.labels = tuple(labels)
         self._bits = {lab: 1 << i for i, lab in enumerate(self.labels)}
         if len(self._bits) != len(self.labels):
-            raise InputError("ground-set labels must be distinct")
+            _, label = first_repeat(self.labels)
+            raise InputError(f"ground-set labels must be distinct; {label!r} repeats")
         self.full_mask = (1 << len(self.labels)) - 1
 
     @property

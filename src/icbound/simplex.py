@@ -81,35 +81,32 @@ class StandardFormLP:
             raise InputError("the right-hand side e_0 needs at least one row")
         if len(self.cols_val) != len(self.cols_idx) or len(self.cobj) != len(self.cols_idx):
             raise InputError("column arrays disagree in length")
-        extent = _scan_columns(self.cols_idx, self.cols_val, m)
-        if extent is None or set(map(type, self.cobj)) - {int}:
-            _refuse_non_int("cols_val", self.cols_val, "that row")
-            _refuse_non_int("cobj", [(c,) for c in self.cobj], "the costs")
-            _refuse_rows(self.cols_idx, self.cols_val, m)
-        self.longest, self.largest = extent
+        self.longest, self.largest = _scan_columns(self.cols_idx, self.cols_val, m)
+        if set(map(type, self.cobj)) - {int}:  # one C-speed pass in the common case
+            k = next(k for k, c in enumerate(self.cobj) if type(c) is not int)
+            raise _not_int("cobj", k, self.cobj[k], "the costs")
 
 
 def _scan_columns(cols_idx, cols_val, m: int):
-    """(most entries in a column, largest |value|), each at least 1, or None
-    if some column breaks a rule of `StandardFormLP`. Plain loops are the
-    fastest check here."""
+    """(most entries in a column, largest |value|), each at least 1; raises
+    InputError at the first column that breaks a rule of `StandardFormLP`.
+    Plain loops are the fastest check here."""
     longest = largest = 1
-    for idx, val in zip(cols_idx, cols_val):
+    for k, (idx, val) in enumerate(zip(cols_idx, cols_val)):
         n = len(idx)
         if n != len(val):
-            return None
+            raise InputError(f"column {k} has {n} row indices but {len(val)} values")
         if n > longest:
             longest = n
         prev = -1
         for i in idx:
-            if type(i) is not int or not prev < i:
-                return None
+            if type(i) is not int or not prev < i < m:
+                raise InputError(f"cols_idx at column {k} is {tuple(idx)}: row indices must be "
+                                 f"ints that increase strictly within 0..{m - 1}")
             prev = i
-        if prev >= m:
-            return None
         for v in val:
             if type(v) is not int:
-                return None
+                raise _not_int("cols_val", k, v, "that row")
             if v > largest:
                 largest = v
             elif -v > largest:
@@ -117,28 +114,10 @@ def _scan_columns(cols_idx, cols_val, m: int):
     return longest, largest
 
 
-def _refuse_non_int(name: str, entries, hint: str) -> None:
-    """Raise InputError at the first value in entries, a sequence of tuples,
-    whose type is not int."""
-    for k, vals in enumerate(entries):
-        for v in vals:
-            if type(v) is not int:
-                raise InputError(
-                    f"LP data must be ints: {name} at column {k} holds "
-                    f"{type(v).__name__} {v}; scale {hint} to integers")
-
-
-def _refuse_rows(cols_idx, cols_val, m: int) -> None:
-    """Raise InputError at the first column whose row indices are not ints
-    that increase strictly within 0..m-1, one per value."""
-    for k, (idx, val) in enumerate(zip(cols_idx, cols_val)):
-        idx = tuple(idx)
-        if len(idx) != len(val):
-            raise InputError(f"column {k} has {len(idx)} row indices but {len(val)} values")
-        if not all(type(i) is int for i in idx) or not all(
-                a < b for a, b in zip((-1,) + idx, idx + (m,))):
-            raise InputError(f"cols_idx at column {k} is {idx}: row indices must be ints "
-                             f"that increase strictly within 0..{m - 1}")
+def _not_int(name: str, k: int, v, hint: str) -> InputError:
+    """The refusal of v, not an int, found in column k of the array name."""
+    return InputError(f"LP data must be ints: {name} at column {k} holds "
+                      f"{type(v).__name__} {v}; scale {hint} to integers")
 
 
 @dataclass

@@ -594,6 +594,70 @@ def test_cli_number_for_a_label_array_is_refused(c5_file, tmp_path, capsys):
     assert capsys.readouterr().err == "input error: x[0].s must be an array, got 5\n"
 
 
+def _c5_cert_json():
+    return certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
+                               schema_by_name("submod"))
+
+
+def test_cli_wrong_container_shows_the_masks_read(c5_file, tmp_path, capsys):
+    # a certificate is read once, with its label arrays already masks of the
+    # instance, so a container of the wrong type shows them as masks
+    cert = _c5_cert_json()
+    cert["y"] = cert["y"][0]
+    assert main(["verify", c5_file, _write(tmp_path, "cert.json", cert)]) == 2
+    assert capsys.readouterr().err == ("input error: y must be an array, got "
+                                       "{'row': {'kind': 'submod', 's': 14, 't': 7}, 'v': '1/2'}\n")
+
+
+def test_cli_repeated_key_is_refused(c5_file, tmp_path, capsys):
+    # json.load keeps the last of a repeated key: the false claim of 3 was
+    # dropped (verify exited 0), and the instance was solved on its second
+    # receivers array alone
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(_c5_cert_json()).replace('"5/2"', '"3", "value": null', 1))
+    assert main(["verify", c5_file, str(cert)]) == 2
+    assert capsys.readouterr().err == f"input error: {cert}: an object repeats the key 'value'\n"
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"messages": ["1", "2"], "receivers": [{"wants": "1", "knows": ["2"]}],'
+                    ' "receivers": [{"wants": "2", "knows": []}]}')
+    assert main(["solve", str(inst)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {inst}: an object repeats the key 'receivers'\n")
+
+
+def test_cli_repeated_y_row_is_refused(c5_file, tmp_path, capsys):
+    # a repeated y row used to add its weights up and fail verification
+    # (exit 1), where a repeated x pair is refused as input (exit 2)
+    cert = _c5_cert_json()
+    cert["y"].append(cert["y"][0])
+    assert main(["verify", c5_file, _write(tmp_path, "cert.json", cert)]) == 2
+    assert capsys.readouterr().err == "input error: y[2] repeats an earlier row\n"
+
+
+@pytest.mark.parametrize("broken", [0, 1], ids=["first", "second"])
+def test_cli_combine_names_the_factor_that_fails(broken, c5_file, tmp_path, capsys):
+    cert = _c5_cert_json()
+    good = _write(tmp_path, "good.json", cert)
+    cert["value"] = "3"
+    certs = [good, good]
+    certs[broken] = _write(tmp_path, "bad.json", cert)
+    assert main(["combine", c5_file, c5_file, *certs]) == 1
+    assert capsys.readouterr().err == (
+        f"verification failed: {['first', 'second'][broken]} certificate: "
+        "claimed value 3 but the combination is worth 5/2\n")
+
+
+def test_cli_product_names_a_repeated_label(tmp_path, capsys):
+    # "a" with "b:c" and "a:b" with "c" both make the product label "a:b:c"
+    first = _write(tmp_path, "g.json", {"messages": ["a", "a:b"], "receivers": [
+        {"wants": "a", "knows": []}, {"wants": "a:b", "knows": ["a"]}]})
+    second = _write(tmp_path, "f.json", {"messages": ["b:c", "c"], "receivers": [
+        {"wants": "b:c", "knows": []}, {"wants": "c", "knows": []}]})
+    assert main(["product", first, second]) == 2
+    assert capsys.readouterr().err == (
+        "input error: ground-set labels must be distinct; 'a:b:c' repeats\n")
+
+
 # -- product certificates: labels held once ------------------------------------
 
 

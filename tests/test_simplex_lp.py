@@ -104,6 +104,14 @@ def test_lp_refuses_row_indices_it_would_misread(idx, val, message):
         StandardFormLP(**arrays)
 
 
+def test_lp_names_the_earlier_of_two_faulty_columns():
+    # every column's values used to be checked before any column's rows
+    arrays = dict(MISREAD, cols_val=[(1,), (1,), (1, rat("1/2"))])
+    with pytest.raises(InputError, match="^" + re.escape(
+            "cols_idx at column 1 is (-1,): row indices must be ints") + " "):
+        StandardFormLP(**arrays)
+
+
 def test_lp_refuses_a_column_whose_lengths_disagree():
     arrays = dict(MISREAD, cols_idx=[(0,), (1,), (0, 1)], cols_val=[(1,), (1, 2), (1, -1)])
     with pytest.raises(InputError, match="^column 1 has 1 row indices but 2 values$"):
