@@ -9,7 +9,9 @@ as an installed smoke test.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import json
 import sys
 from typing import List, Optional
 
@@ -57,6 +59,8 @@ def _cmd_solve(args) -> int:
     instance = instance_from_json(load_json(args.instance))
     schema = schema_by_name(args.schema, _row_homs(args.rows, args.schema, instance.messages))
     sol = solve_problem(build_problem(instance, schema, ClosureMode(args.closure)))
+    if args.stats:
+        print(json.dumps(dataclasses.asdict(sol.stats)), file=sys.stderr)
     print(f"b = {rat_str(sol.value)}")
     if args.emit_cert:
         verify_certificate(instance, schema, sol.cert)
@@ -271,6 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "array of label maps; or a JSON array of homs (see icbound.formats)")
     p.add_argument("--closure", default="single", choices=sorted(m.value for m in ClosureMode))
     p.add_argument("--emit-cert", metavar="PATH")
+    p.add_argument("--stats", action="store_true",
+                   help="print the solver's counts to stderr as one JSON line")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("product", help="lexicographic product of two instance files")

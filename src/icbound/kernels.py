@@ -15,8 +15,8 @@ of the basis. No gcd is ever taken. (B, D) and (-B, -D) are the same
 inverse; `pivot_update` keeps D > 0, so no kernel has a case for D < 0.
 
 `Adjugate` stores column j of B as one Python int, `cols[j]`. Its W-bit
-fields, W = 64 to start with, hold the entries (i, j), field i at bit W*i,
-each biased by H = 2^(W-1) so that every field is nonnegative:
+fields hold the entries (i, j), field i at bit W*i, each biased by
+H = 2^(W-1) so that every field is nonnegative:
 
     cols[j] = sum_i (B[i][j] + H) << (W*i) = P_j + BIAS,
 
@@ -32,12 +32,12 @@ new entry as (B[i][j] * piv - d[i] * B[r][j]) / den with an exact
 division, is four or five big-int operations per column (three when
 |piv| == den, and then only on the columns with a nonzero entry in row r).
 Reads: a whole column becomes a list at C speed through `to_bytes` and a
-memoryview cast to 64-bit ints (XOR with BIAS turns each biased field into
-its two's complement), which is how the simplex reads column 0, the basic
-values. Row r of B, the only transposed read, costs one shift and mask per
-column; BTRAN reads the rows of its nonzero weights the same way. FTRAN
-hands d back packed like a column, and the simplex tests the signs of its
-fields with masks over the whole int.
+memoryview cast to 16-, 32- or 64-bit ints (XOR with BIAS turns each biased
+field into its two's complement), which is how the simplex reads column 0,
+the basic values. Row r of B, the only transposed read, costs one shift and
+mask per column; BTRAN reads the rows of its nonzero weights the same way.
+FTRAN hands d back packed like a column, and the simplex tests the signs of
+its fields with masks over the whole int.
 
 Width invariant: a field is read back only while |entry| < H. The packed
 sum stays exact in any case, but a field that outgrew its W bits carries
@@ -52,8 +52,19 @@ j by (bound_j * |piv| + max|d'| * |B[r][j]|) / den, and FTRAN bounds its
 entries by sum |v| * bound_k over the column's nonzeros. When a bound
 reaches H, the bounds are first recomputed exactly from the stored columns,
 which are still readable; if that is not enough, every column is repacked
-into fields twice as wide (128, 256, ... bits), read with `int.from_bytes`.
-The representation is the same at every width.
+into fields doubled in width until they suffice (32, 64, then 128, 256,
+... bits, read with `int.from_bytes`). The representation is the same at
+every width.
+
+The starting width: the narrowest of 16, 32 and 64 bits that the caller's
+bound proves wide enough, and the adjugate is capped; when none is proven,
+16 bits with bounds, widened on demand. Every big-int operation costs in
+proportion to the width, and the entries of the 128-row bound LPs stay far
+below the Hadamard bound: C7 ends at 16 bits and non-Fano at 32, and
+their solves took 0.5 and 0.7 times as long as with 64-bit fields
+(CPython 3.11, 2 vCPUs). Small LPs keep the capped path, which tracks no
+bounds: starting them at 16 bits with bounds made their solves 10-20%
+slower.
 """
 
 from __future__ import annotations
@@ -65,6 +76,12 @@ from icbound.errors import VerificationError
 
 BACKEND = "pure"
 
+# The starting widths of a capped adjugate, narrowest first; the first one
+# also starts every adjugate that no cap proves.
+_CAPPED_WIDTHS = (16, 32, 64)
+# The memoryview item code of each width that has one.
+_ITEM_CODES = {16: "h", 32: "i", 64: "q"}
+
 
 class Adjugate:
     """The integer adjugate of the basis, one packed int per column, times
@@ -72,12 +89,14 @@ class Adjugate:
 
     Starts as the m x m identity. `cols`, `width`, `half` (H), `mask` (one
     field of ones), `bias` and `low` (all but the top bit of every field)
-    follow the layout in the module docstring. `bounds[j]` bounds |entry|
-    over column j. `capped` is set when cap_square, the square of a bound on
-    every entry that can ever arise, is below H^2; the bounds are then left
-    alone. `marks` holds the top bit of the field of each row the caller
-    has marked, every row to start with. `widenings` and `tightenings` count
-    repacks into wider fields and exact recomputations of the bounds.
+    follow the layout in the module docstring. cap_square is the square of
+    a bound on every entry that can ever arise. The width starts at the
+    narrowest of 16, 32 and 64 bits whose H^2 exceeds cap_square, and then
+    `capped` is set and the bounds are left alone; when none does, it
+    starts at 16 bits and `bounds[j]` bounds |entry| over column j. `marks`
+    holds the top bit of the field of each row the caller has marked, every
+    row to start with. `widenings` and `tightenings` count repacks into
+    wider fields and exact recomputations of the bounds.
     """
 
     __slots__ = ("m", "width", "half", "mask", "bias", "low", "cols", "capped", "bounds",
@@ -85,9 +104,10 @@ class Adjugate:
 
     def __init__(self, m: int, cap_square: int):
         self.m = m
-        self._set_width(64)
-        self.capped = cap_square < self.half * self.half
-        self.cols = [self.bias + (1 << 64 * j) for j in range(m)]
+        width = next((w for w in _CAPPED_WIDTHS if cap_square < 1 << 2 * w - 2), None)
+        self.capped = width is not None  # H^2 = 2^(2W-2) is past cap_square
+        self._set_width(width or _CAPPED_WIDTHS[0])
+        self.cols = [self.bias + (1 << self.width * j) for j in range(m)]
         self.marks = self.bias
         self.bounds = [1] * m
         self.widenings = 0
@@ -101,11 +121,13 @@ class Adjugate:
         self.low = self.bias - (self.bias >> width - 1)
 
     def unpack(self, q: int) -> list:
-        """The entries of the biased packed column q, as a list."""
+        """The entries of the biased packed column q, as a list: a memoryview
+        cast at 16, 32 and 64 bits, `int.from_bytes` per field beyond."""
         # XOR with the bias turns each field into its two's complement.
         raw = (q ^ self.bias).to_bytes(self.width * self.m // 8, sys.byteorder)
-        if self.width == 64:
-            entries = memoryview(raw).cast("q").tolist()
+        code = _ITEM_CODES.get(self.width)
+        if code:
+            entries = memoryview(raw).cast(code).tolist()
         else:
             step = self.width // 8
             entries = [int.from_bytes(raw[k:k + step], sys.byteorder, signed=True)

@@ -7,9 +7,11 @@ value) pairs. LP data are ints (rational data must be scaled to integers by
 the caller), so the basis inverse is an integer matrix, the adjugate of the
 basis times the sign of its determinant, over one positive denominator, the
 determinant's absolute value, updated by the Bareiss step in
-`kernels.pivot_update`. The adjugate is held as one packed
-int per column (`kernels.Adjugate`). The basic values, the inverse times
-e_0, are its column 0. The simplex multipliers are an integer vector over
+`kernels.pivot_update`. The adjugate is held as one packed int per column
+(`kernels.Adjugate`), in fields as narrow as the Hadamard bound of the LP
+proves wide enough, or in 16-bit fields widened on demand when no width up
+to 64 bits is proven. The basic values, the inverse times e_0, are its
+column 0. The simplex multipliers are an integer vector over
 the same denominator, updated as one more row of each pivot, so BTRAN runs
 once per solve. Fractions appear only in the result. No floating point
 anywhere.
@@ -131,7 +133,9 @@ class SolveStats:
     differs from the denominator D, so that every column of the adjugate
     moves;
     widenings: repacks of the adjugate into wider fields;
-    tightenings: exact recomputations of the adjugate's entry bounds.
+    tightenings: exact recomputations of the adjugate's entry bounds;
+    width: the bits per field of the adjugate at the end;
+    den_bits: the largest bit length the denominator D reached.
     """
 
     iterations: int = 0
@@ -140,6 +144,8 @@ class SolveStats:
     rescaling: int = 0
     widenings: int = 0
     tightenings: int = 0
+    width: int = 0
+    den_bits: int = 1  # D starts at 1
 
 
 @dataclass
@@ -196,6 +202,7 @@ def solve_standard_form(
 
     def result(status, objective=None, x=None, y=None) -> SimplexResult:
         stats.widenings, stats.tightenings = adj.widenings, adj.tightenings
+        stats.width = adj.width
         return SimplexResult(status, objective, x, y, stats)
 
     def do_pivot(col: int, row: int, packed_d, y=None, rc=0) -> None:
@@ -203,6 +210,7 @@ def solve_standard_form(
         piv = kernels.pivot_update(adj, packed_d, row, den, y, rc)
         if piv != den:
             stats.rescaling += 1
+            stats.den_bits = max(stats.den_bits, piv.bit_length())
         den = piv
         if is_artificial(basis[row]):
             adj.unmark(row)

@@ -267,6 +267,22 @@ def test_cli_solve_verify_and_tamper(c5_file, tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_cli_solve_stats_go_to_stderr_alone(c5_file, tmp_path, capsys):
+    plain, counted = str(tmp_path / "plain.json"), str(tmp_path / "counted.json")
+    assert main(["solve", c5_file, "--emit-cert", plain]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert main(["solve", c5_file, "--emit-cert", counted, "--stats"]) == 0
+    out_stats, err_stats = capsys.readouterr()
+    assert out_stats == out.replace(plain, counted)
+    with open(plain, "rb") as a, open(counted, "rb") as b:
+        assert a.read() == b.read()
+    assert err_stats.endswith("\n") and err_stats.count("\n") == 1
+    assert json.loads(err_stats) == {
+        "iterations": 50, "degenerate": 48, "forced_exits": 26, "rescaling": 7,
+        "widenings": 0, "tightenings": 0, "width": 64, "den_bits": 3}
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "{c5}", "--emit-cert", "{out}"],
     ["product", "{c5}", "{c5}", "--out", "{out}"],

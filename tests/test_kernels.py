@@ -7,7 +7,21 @@ import pytest
 
 from icbound.kernels import Adjugate, ftran_sparse, pivot_update
 
-EXTREMES = [0, 1, -1, (1 << 63) - 1, -(1 << 63), 12345, -98765]
+# The widths an adjugate can start at.
+WIDTHS = [16, 32, 64]
+
+
+def capped_at(width: int) -> int:
+    """The largest cap_square that starts an adjugate capped at width bits:
+    its fields hold |entry| < H = 2^(width-1), so H^2 must exceed it."""
+    return (1 << 2 * width - 2) - 1
+
+
+def extremes(width: int) -> list:
+    """Entries that fill the fields of the given width in every way: zero,
+    both signs, and the largest of each sign."""
+    half = 1 << width - 1
+    return [0, 1, -1, half - 1, -half, half // 3, -(half // 5)]
 
 
 def rotations(values):
@@ -21,59 +35,78 @@ def test_adjugate_starts_as_the_identity():
 
 
 def test_fields_hold_entries_plus_half():
-    adj = Adjugate(len(EXTREMES), 0)
-    col = adj.pack(EXTREMES)
-    assert adj.unpack(col) == EXTREMES
-    assert [(col >> 64 * i) & adj.mask for i in range(len(EXTREMES))] == [
-        v + adj.half for v in EXTREMES]
+    for width in WIDTHS:
+        values = extremes(width)
+        adj = Adjugate(len(values), capped_at(width))
+        assert adj.width == width
+        col = adj.pack(values)
+        assert adj.unpack(col) == values
+        assert [(col >> width * i) & adj.mask for i in range(len(values))] == [
+            v + adj.half for v in values]
 
 
 def test_exact_division_distributes_over_the_fields():
     rng = random.Random(5)
-    adj = Adjugate(6, 0)
-    for _ in range(200):
-        den = rng.choice([-7, -3, -1, 1, 2, 5])
-        quotients = [rng.randint(-10**6, 10**6) for _ in range(6)]
-        signed = adj.pack([v * den for v in quotients]) - adj.bias
-        assert adj.unpack(signed // den + adj.bias) == quotients
+    for width in WIDTHS:
+        adj = Adjugate(6, capped_at(width))
+        assert adj.width == width
+        top = adj.half // 8  # times |den| <= 7, still inside the fields
+        for _ in range(200):
+            den = rng.choice([-7, -3, -1, 1, 2, 5])
+            quotients = [rng.randint(-top, top) for _ in range(6)]
+            signed = adj.pack([v * den for v in quotients]) - adj.bias
+            assert adj.unpack(signed // den + adj.bias) == quotients
 
 
 def test_cap_decides_whether_bounds_are_kept():
-    assert Adjugate(4, (1 << 126) - 1).capped
-    assert not Adjugate(4, 1 << 126).capped
+    # the narrowest width whose H^2 = 2^(2W-2) exceeds cap_square starts
+    # capped; past every such width, the fields start at 16 bits with bounds
+    for cap_square, start in [((1 << 30) - 1, (16, True)), (1 << 30, (32, True)),
+                              ((1 << 62) - 1, (32, True)), (1 << 62, (64, True)),
+                              ((1 << 126) - 1, (64, True)), (1 << 126, (16, False))]:
+        adj = Adjugate(4, cap_square)
+        assert (adj.width, adj.capped) == start, cap_square
+        assert [adj.unpack(q) for q in adj.cols] == [[int(i == j) for i in range(4)]
+                                                     for j in range(4)]
 
 
 def test_make_room_tightens_before_it_widens():
-    adj = Adjugate(2, 1 << 200)
-    adj.bounds = [1 << 70, 1 << 70]  # valid but loose
-    adj.make_room(lambda: max(adj.bounds))
-    assert (adj.width, adj.bounds, adj.tightenings, adj.widenings) == (64, [1, 1], 1, 0)
+    for width in WIDTHS:
+        adj = Adjugate(2, capped_at(width))
+        adj.bounds = [1 << width + 6, 1 << width + 6]  # valid but loose
+        adj.make_room(lambda: max(adj.bounds))
+        assert (adj.width, adj.bounds, adj.tightenings, adj.widenings) == (width, [1, 1], 1, 0)
 
 
 def test_make_room_widens_and_keeps_every_entry():
-    adj = Adjugate(len(EXTREMES), 1 << 200)
-    cols = rotations(EXTREMES)
-    adj.cols = [adj.pack(col) for col in cols]
-    adj.make_room(lambda: 1 << 100)
-    assert (adj.width, adj.tightenings, adj.widenings) == (128, 1, 1)
-    assert [adj.unpack(q) for q in adj.cols] == cols
-    assert adj.bounds == [1 << 63] * len(EXTREMES)
-    wide = [1 << 100, -(1 << 100), 0, 1, -1, 2, -2]
-    assert adj.unpack(adj.pack(wide)) == wide
+    for width in WIDTHS:
+        values = extremes(width)
+        adj = Adjugate(len(values), capped_at(width))
+        assert adj.width == width
+        cols = rotations(values)
+        adj.cols = [adj.pack(col) for col in cols]
+        adj.make_room(lambda: 1 << 100)
+        assert (adj.width, adj.tightenings, adj.widenings) == (128, 1, 1)
+        assert [adj.unpack(q) for q in adj.cols] == cols
+        assert adj.bounds == [1 << width - 1] * len(values)
+        wide = [1 << 100, -(1 << 100), 0, 1, -1, 2, -2]
+        assert adj.unpack(adj.pack(wide)) == wide
 
 
 def test_marks_find_the_lowest_marked_nonzero_row_at_every_width():
-    adj = Adjugate(4, 1 << 200)
-    adj.unmark(1)
-    col = adj.pack([0, 5, -3, 7])
-    assert [adj.entry(col, i) for i in range(4)] == [0, 5, -3, 7]
-    assert adj.first_marked_nonzero(col) == 2
-    adj.cols = [adj.pack([1 << 62, 0, 0, 0])] * 4
-    adj.make_room(lambda: 1 << 64)
-    assert adj.width == 128
-    col = adj.pack([0, 5, -(1 << 64), 7])
-    assert adj.first_marked_nonzero(col) == 2
-    assert adj.first_marked_nonzero(adj.pack([0, 5, 0, 0])) == -1
+    for width in WIDTHS:
+        adj = Adjugate(4, capped_at(width))
+        assert adj.width == width
+        adj.unmark(1)
+        col = adj.pack([0, 5, -3, 7])
+        assert [adj.entry(col, i) for i in range(4)] == [0, 5, -3, 7]
+        assert adj.first_marked_nonzero(col) == 2
+        adj.cols = [adj.pack([adj.half - 1, 0, 0, 0])] * 4
+        adj.make_room(lambda: 1 << width)
+        assert adj.width == 2 * width
+        col = adj.pack([0, 5, -(1 << width), 7])
+        assert adj.first_marked_nonzero(col) == 2
+        assert adj.first_marked_nonzero(adj.pack([0, 5, 0, 0])) == -1
 
 
 def bareiss(rows, d, r, den):

@@ -1,9 +1,11 @@
 """Exact simplex and the subset-entropy bound LP."""
 
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               from_graph)
 from icbound.lp import build_problem, solve_problem
 from icbound.matroid import Matroid, fano, nonfano, to_index_coding
-from icbound.rational import ONE, ZERO, rat
+from icbound.rational import ONE, ZERO, rat, rat_str
 from icbound.schema import SubmodRow, SubmodSchema
 from icbound.simplex import SolveStats, StandardFormLP, solve_standard_form
 from icbound.tighten import schema_with_submod
@@ -258,27 +260,101 @@ def random_e0_lp(rng, rows=(2, 6), bound=2):
     return StandardFormLP(m, cols_idx, cols_val, cobj)
 
 
+def record_adjugates(monkeypatch):
+    """Wrap kernels.Adjugate; returns the list of adjugates the solver
+    makes, each with `widths`, the field widths it started at and was
+    widened to, in order."""
+    made = []
+
+    class Recording(kernels.Adjugate):
+        def __init__(self, m, cap_square):
+            super().__init__(m, cap_square)
+            self.widths = [self.width]
+            made.append(self)
+
+        def make_room(self, reach):
+            super().make_room(reach)
+            if self.width != self.widths[-1]:
+                self.widths.append(self.width)
+
+    monkeypatch.setattr(kernels, "Adjugate", Recording)
+    return made
+
+
 def test_solver_matches_fraction_simplex_on_random_lps(monkeypatch):
     pivots, dens = record_pivots(monkeypatch)
+    made = record_adjugates(monkeypatch)
     rng = random.Random(2489)
     statuses = set()
     for _ in range(200):
         statuses.add(assert_same_as_fraction_simplex(random_e0_lp(rng), [(0, 0)]).status)
     # the series reaches both outcomes and negative pivot entries, yet the
-    # denominator stays positive
+    # denominator stays positive; 2-6 rows of entries in -2..2 prove 16 bits
     assert statuses == {"optimal", "unbounded"}
     assert min(pivots) < 0
     assert min(dens) > 0
+    assert {(adj.widths[0], adj.capped) for adj in made} == {(16, True)}
 
 
-def test_solver_matches_fraction_simplex_on_tall_lps():
-    # 20-40 rows: the adjugate's columns hold that many fields
+@pytest.mark.parametrize("rows, count, start", [
+    ((8, 11), 30, (32, True)),
+    ((13, 18), 10, (64, True)),
+], ids=["32-capped", "64-capped"])
+def test_solver_matches_fraction_simplex_from_wider_capped_starts(monkeypatch, rows, count,
+                                                                  start):
+    # entries in -2..2: the row count alone sets the Hadamard bound, and
+    # with it the width the adjugate starts at (2-6 rows start at 16 bits
+    # capped, 20 and more at 16 bits with bounds: see the neighbouring tests)
+    made = record_adjugates(monkeypatch)
+    rng = random.Random(1108 + rows[0])
+    statuses = set()
+    for _ in range(count):
+        statuses.add(assert_same_as_fraction_simplex(random_e0_lp(rng, rows), [(0, 0)]).status)
+    assert "optimal" in statuses
+    assert {(adj.widths[0], adj.capped) for adj in made} == {start}
+
+
+def test_solver_widens_from_16_bits_through_every_width(monkeypatch):
+    # coefficients up to 2^20 on 3-6 rows: no width is proven, and the
+    # entries outgrow 16, 32 and 64 bits in turn
+    made = record_adjugates(monkeypatch)
+    rng = random.Random(24890)
+    for _ in range(30):
+        assert_same_as_fraction_simplex(random_e0_lp(rng, (3, 6), 1 << 20), [(0, 0)])
+    assert [16, 32, 64, 128] in [adj.widths for adj in made]
+    assert all(adj.widths[0] == 16 for adj in made if not adj.capped)
+
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+
+def test_cycle_bound_lps_keep_their_path_at_every_start(monkeypatch):
+    # C3-C7 start at every width the rule picks; b is the known value and
+    # the iterations are the benchmark's references where it has them
+    fixed = json.loads(EXPECTED.read_text())["fixed"]
+    assert {"C3", "C4", "C5", "C7"} <= fixed.keys()
+    made = record_adjugates(monkeypatch)
+    for n, b, start in [(3, "1", (16, True)), (4, "2", (32, True)), (5, "5/2", (64, True)),
+                        (6, "3", (16, False)), (7, "7/2", (16, False))]:
+        sol = solve_problem(build_problem(cycle_instance(n)))
+        assert (made[-1].widths[0], made[-1].capped) == start
+        assert rat_str(sol.value) == b
+        ref = fixed.get(f"C{n}")
+        if ref:
+            assert (b, sol.iterations) == (ref["b"], ref["iterations"])
+
+
+def test_solver_matches_fraction_simplex_on_tall_lps(monkeypatch):
+    # 20-40 rows: the adjugate's columns hold that many fields, which start
+    # at 16 bits with bounds, as no width up to 64 is proven
+    made = record_adjugates(monkeypatch)
     rng = random.Random(1108)
     statuses = set()
     for _ in range(6):
         res = assert_same_as_fraction_simplex(random_e0_lp(rng, (20, 40)), [(0, 0)])
         statuses.add(res.status)
     assert "optimal" in statuses
+    assert {(adj.widths[0], adj.capped) for adj in made} == {(16, False)}
 
 
 def test_solver_widens_its_fields_on_wide_lps():
@@ -296,18 +372,22 @@ def test_solver_widens_its_fields_on_wide_lps():
 
 @pytest.mark.parametrize("make, stats", [
     (lambda: build_problem(cycle_instance(5)),
-     SolveStats(iterations=50, degenerate=48, forced_exits=26, rescaling=7)),
+     SolveStats(iterations=50, degenerate=48, forced_exits=26, rescaling=7,
+                width=64, den_bits=3)),
     (lambda: build_problem(cycle_instance(7)),
-     SolveStats(iterations=490, degenerate=487, forced_exits=120, rescaling=79)),
+     SolveStats(iterations=490, degenerate=487, forced_exits=120, rescaling=79,
+                tightenings=1, width=16, den_bits=6)),
     (lambda: build_problem(to_index_coding(nonfano()), schema_with_submod("odd")),
-     SolveStats(iterations=440, degenerate=440, forced_exits=120, rescaling=165)),
+     SolveStats(iterations=440, degenerate=440, forced_exits=120, rescaling=165,
+                widenings=1, tightenings=1, width=32, den_bits=14)),
 ], ids=["C5", "C7", "nonfano-odd"])
 def test_solve_stats_pin_the_pivot_path(make, stats):
     # iterations, degenerate and forced_exits follow the pivot path alone,
     # so an arithmetic-only change to the solver leaves them as they are;
-    # rescaling counts the work of the pivots on that path, and
-    # widenings and tightenings stay 0 as the fields of these LPs never
-    # outgrow 64 bits.
+    # rescaling and den_bits count the work of the pivots on that path.
+    # C5's Hadamard bound proves 64-bit fields, so they are capped there;
+    # the 128-row LPs start at 16 bits, where C7 stays after one exact
+    # recomputation of its bounds and non-Fano widens once, to 32 bits.
     sol = solve_problem(make())
     assert sol.stats == stats
     assert sol.iterations == stats.iterations
