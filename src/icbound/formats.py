@@ -508,11 +508,12 @@ def certificate_from_json(obj, gs: GroundSet, schema=None):
     supplied schema must have the file's schema name.
     """
     doc = _Json(obj, "certificate")
-    name = doc["schema"].value
+    node = doc["schema"]
+    name = node.value
     if schema is None:
-        schema = schema_by_name(name)
+        schema = node._at_path(schema_by_name, name)
     elif name != schema.name:
-        raise InputError(f"schema is {name!r}, expected {schema.name!r}")
+        raise InputError(f"{node.path} is {name!r}, expected {schema.name!r}")
     node = doc["closure"]
     closure = node._at_path(ClosureMode, node.value)
     x: Dict = {}

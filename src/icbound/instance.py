@@ -28,12 +28,13 @@ class IndexCodingInstance:
         if messages.n == 0:
             raise InputError("an instance needs at least one message")
         clean = set()
-        for want, knows in receivers:
+        for k, (want, knows) in enumerate(receivers):
             if not 0 <= want < messages.n:
-                raise InputError(f"receiver wants unknown message index {want}")
+                raise InputError(f"receivers[{k}] wants unknown message index {want}")
             messages.check_mask(knows)
             if knows & (1 << want):
-                raise InputError("a receiver cannot know the message it wants")
+                raise InputError(
+                    f"receivers[{k}] knows {messages.labels[want]!r}, the message it wants")
             clean.add((want, knows))
         self.messages = messages
         self.receivers = tuple(sorted(clean))

@@ -46,31 +46,32 @@ the invariant. Every entry of B, and of B times an LP column, is a minor of
 a matrix made of at most m columns of the LP, so Hadamard's inequality
 bounds it by the product of their norms; when the caller's bound is below
 H the adjugate is `capped` and nothing more is checked. Otherwise the
-adjugate keeps a proven bound per column and every kernel bounds what it is
-about to write or decode: a Bareiss step bounds the new entries of column
-j by (bound_j * |piv| + max|d'| * |B[r][j]|) / den, and FTRAN bounds its
-entries by sum |v| * bound_k over the column's nonzeros. When a bound
-reaches H, the bounds are first recomputed exactly from the stored columns,
-which are still readable; if that is not enough, every column is repacked
-into fields doubled in width until they suffice (32, 64, then 128, 256,
-... bits, read with `int.from_bytes`). The representation is the same at
-every width.
+adjugate keeps one proven `bound` on every |entry| of B, and every kernel
+bounds what it is about to write or decode. FTRAN: |d_i| <= bound * sum|v|.
+A Bareiss step: for a row i != r, |new B[i][j]| <= (|B[i][j]| * |piv| +
+|d_i| * |B[r][j]|) / den <= (bound * |piv| + max|d'| * max_j |B[r][j]|) /
+den, floored, as entries are integers; row r, unchanged, is covered too,
+as |B[r][j]| <= bound and |piv| + max|d'| >= |piv| + |piv - den| >= den.
+When the bound reaches H, it is first recomputed exactly from the stored
+columns, which are still readable; if that is not enough, every column is
+repacked into fields doubled in width until they suffice (32, 64, then
+128, 256, ... bits, read with `int.from_bytes`). The representation is the
+same at every width.
 
 The starting width: the narrowest of 16, 32 and 64 bits that the caller's
 bound proves wide enough, and the adjugate is capped; when none is proven,
-16 bits with bounds, widened on demand. Every big-int operation costs in
+16 bits with the bound, widened on demand. Every big-int operation costs in
 proportion to the width, and the entries of the 128-row bound LPs stay far
 below the Hadamard bound: C7 ends at 16 bits and non-Fano at 32, and
 their solves took 0.5 and 0.7 times as long as with 64-bit fields
-(CPython 3.11, 2 vCPUs). Small LPs keep the capped path, which tracks no
-bounds: starting them at 16 bits with bounds made their solves 10-20%
-slower.
+(CPython 3.11, 2 vCPUs). Small LPs keep the capped path: starting them at
+16 bits with the bound made 4-message solves 6-7% slower, as each bounded
+pivot pays about 3 us to unpack d and take the maxima.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import partial
 
 from icbound.errors import VerificationError
 
@@ -92,14 +93,14 @@ class Adjugate:
     follow the layout in the module docstring. cap_square is the square of
     a bound on every entry that can ever arise. The width starts at the
     narrowest of 16, 32 and 64 bits whose H^2 exceeds cap_square, and then
-    `capped` is set and the bounds are left alone; when none does, it
-    starts at 16 bits and `bounds[j]` bounds |entry| over column j. `marks`
-    holds the top bit of the field of each row the caller has marked, every
-    row to start with. `widenings` and `tightenings` count repacks into
-    wider fields and exact recomputations of the bounds.
+    `capped` is set and `bound` is not maintained; when none does, it
+    starts at 16 bits and `bound` bounds every |entry|. `marks` holds the
+    top bit of the field of each row the caller has marked, every row to
+    start with. `widenings` and `tightenings` count repacks into wider
+    fields and exact recomputations of `bound`.
     """
 
-    __slots__ = ("m", "width", "half", "mask", "bias", "low", "cols", "capped", "bounds",
+    __slots__ = ("m", "width", "half", "mask", "bias", "low", "cols", "capped", "bound",
                  "marks", "widenings", "tightenings")
 
     def __init__(self, m: int, cap_square: int):
@@ -109,7 +110,7 @@ class Adjugate:
         self._set_width(width or _CAPPED_WIDTHS[0])
         self.cols = [self.bias + (1 << self.width * j) for j in range(m)]
         self.marks = self.bias
-        self.bounds = [1] * m
+        self.bound = 1
         self.widenings = 0
         self.tightenings = 0
 
@@ -159,16 +160,16 @@ class Adjugate:
 
     def make_room(self, reach) -> None:
         """Make the fields hold every value up to reach(), a bound computed
-        from `bounds`: recompute the bounds exactly from the columns, then, if
+        from `bound`: recompute `bound` exactly from the columns, then, if
         reach() still reaches H, widen the fields until it does not."""
-        self.bounds = [max(map(abs, self.unpack(q))) for q in self.cols]
+        self.bound = max(max(map(abs, self.unpack(q))) for q in self.cols)
         self.tightenings += 1
-        bound = reach()
-        if bound >= self.half:
+        need = reach()
+        if need >= self.half:
             entries = [self.unpack(q) for q in self.cols]
             marked = [i for i in range(self.m) if self.marks >> self.width * i & self.half]
             width = self.width
-            while bound >> width - 1:
+            while need >> width - 1:
                 width *= 2
             self._set_width(width)
             self.cols = [self.pack(col) for col in entries]
@@ -187,17 +188,13 @@ def btran_dense(cb, adj: Adjugate):
     return y
 
 
-def _column_reach(adj: Adjugate, idx, val) -> int:
-    """A bound on the entries of B * a for the sparse column a."""
-    bounds = adj.bounds
-    return sum(abs(v) * bounds[k] for k, v in zip(idx, val))
-
-
 def ftran_sparse(adj: Adjugate, idx, val) -> int:
     """d = B * a for a sparse column a given as (idx, val) pairs, packed and
     biased like a column of B."""
-    if not adj.capped and _column_reach(adj, idx, val) >= adj.half:
-        adj.make_room(partial(_column_reach, adj, idx, val))
+    if not adj.capped:
+        norm = sum(map(abs, val))
+        if adj.bound * norm >= adj.half:
+            adj.make_room(lambda: adj.bound * norm)
     cols = adj.cols
     packed = 0
     total = 0
@@ -205,17 +202,6 @@ def ftran_sparse(adj: Adjugate, idx, val) -> int:
         packed += v * cols[k]
         total += v
     return packed - (total - 1) * adj.bias  # the sum carries total biases; keep one
-
-
-def _pivot_bounds(adj: Adjugate, row_u, apiv, top, den) -> list:
-    """Per column j, a bound on the entries after a Bareiss step, where
-    row_u holds the biased fields B[r][j] + H."""
-    half = adj.half
-    return [(b * apiv + top * abs(u - half)) // den for b, u in zip(adj.bounds, row_u)]
-
-
-def _pivot_reach(*args) -> int:
-    return max(_pivot_bounds(*args))
 
 
 def pivot_update(adj: Adjugate, packed_d, r, den, y=None, rc=0):
@@ -241,14 +227,13 @@ def pivot_update(adj: Adjugate, packed_d, r, den, y=None, rc=0):
     row_u = [(q >> shift) & mask for q in adj.cols]  # row r, each entry plus H
     if not adj.capped:
         d = adj.unpack(packed_d)
-        args = (adj, row_u, abs(piv), max(max(d), -min(d), abs(piv - den)), den)
-        bounds = _pivot_bounds(*args)
-        if max(bounds) >= half:
-            adj.make_room(partial(_pivot_reach, *args))
+        grow = max(max(d), -min(d), abs(piv - den)) * max(max(row_u) - half, half - min(row_u))
+        reach = lambda: (adj.bound * abs(piv) + grow) // den
+        if reach() >= half:
+            adj.make_room(reach)
             if adj.width != width:  # start over on the wider fields
                 return pivot_update(adj, adj.pack(d), r, den, y, rc)
-            bounds = _pivot_bounds(*args)
-        adj.bounds = bounds
+        adj.bound = reach()
     lowered = packed_d - adj.bias - (den << shift)
     if piv < 0:  # (B, D) and (-B, -D) are the same inverse; keep D > 0
         piv, lowered, rc = -piv, -lowered, -rc

@@ -21,7 +21,7 @@ nonzero), so the leaving row is picked by the lexicographic ratio test,
 which cannot cycle; as the basic values are column 0 of the inverse, that
 test compares rows of the inverse alone, reading the packed columns one at
 a time. The entering column is the one of most-positive reduced cost over
-a rotating chunk of columns (partial pricing). A basic column prices at
+a rotating chunk of columns (pricing by chunks). A basic column prices at
 exactly zero (the adjugate times it is den times a unit vector), so pricing
 needs no mask of basic columns. Artificial columns are appended internally
 to provide the starting basis; they may never enter, and any artificial

@@ -469,9 +469,14 @@ def _write(tmp_path, name, obj) -> str:
      "graph.edges[1]"),
     ({"graph": {"vertices": ["1", "2"], "edges": [["1", "2"], ["2", "2"]]}}, "graph.edges[1]"),
     ({"graph": {"vertices": ["1", "2", "1"], "edges": []}}, "graph.vertices"),
+    # used to name no path: "a receiver cannot know the message it wants"
+    ({"messages": ["a", "b"], "receivers": [{"wants": "a", "knows": ["a"]}]}, "receivers[0]"),
+    ({"messages": ["a", "b"], "receivers": [{"wants": "a", "knows": ["b"]},
+                                            {"wants": "b", "knows": ["a", "b"]}]},
+     "receivers[1]"),
 ], ids=["knows-string", "messages-string", "vertices-string", "wants-bool",
         "receivers-int", "vertices-int", "edge-unknown-label", "edge-not-a-pair",
-        "edge-self-loop", "vertices-repeated"])
+        "edge-self-loop", "vertices-repeated", "knows-wanted", "knows-wanted-second"])
 def test_cli_malformed_instance(obj, path, tmp_path, capsys):
     _assert_input_error(["solve", _write(tmp_path, "inst.json", obj)], path, capsys)
 
@@ -514,9 +519,11 @@ def test_error_message_bounds_deep_values():
     (lambda c: c.update(value="5/2 "), "value"),
     (lambda c: c.update(value="\uff15/2"), "value"),  # fullwidth digit five
     (lambda c: c.update(value="\u0665/2"), "value"),  # Arabic-Indic digit five
+    # used to name no path: "unknown schema 'sumbod'; known: ..."
+    (lambda c: c.update(schema="sumbod"), "schema"),
 ], ids=["v-float", "x-int", "value-underscore", "v-underscore", "value-plus",
         "value-plus-denominator", "value-leading-space", "value-trailing-space",
-        "value-fullwidth-digit", "value-arabic-indic-digit"])
+        "value-fullwidth-digit", "value-arabic-indic-digit", "schema-unknown"])
 def test_cli_malformed_certificate(mutate, path, c5_file, tmp_path, capsys):
     cert = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
                                schema_by_name("submod"))

@@ -73,9 +73,9 @@ def test_cap_decides_whether_bounds_are_kept():
 def test_make_room_tightens_before_it_widens():
     for width in WIDTHS:
         adj = Adjugate(2, capped_at(width))
-        adj.bounds = [1 << width + 6, 1 << width + 6]  # valid but loose
-        adj.make_room(lambda: max(adj.bounds))
-        assert (adj.width, adj.bounds, adj.tightenings, adj.widenings) == (width, [1, 1], 1, 0)
+        adj.bound = 1 << width + 6  # valid but loose
+        adj.make_room(lambda: adj.bound)
+        assert (adj.width, adj.bound, adj.tightenings, adj.widenings) == (width, 1, 1, 0)
 
 
 def test_make_room_widens_and_keeps_every_entry():
@@ -88,7 +88,7 @@ def test_make_room_widens_and_keeps_every_entry():
         adj.make_room(lambda: 1 << 100)
         assert (adj.width, adj.tightenings, adj.widenings) == (128, 1, 1)
         assert [adj.unpack(q) for q in adj.cols] == cols
-        assert adj.bounds == [1 << width - 1] * len(values)
+        assert adj.bound == 1 << width - 1
         wide = [1 << 100, -(1 << 100), 0, 1, -1, 2, -2]
         assert adj.unpack(adj.pack(wide)) == wide
 
@@ -135,7 +135,7 @@ def test_pivot_update_keeps_the_denominator_positive(cap, a):
     y0 = [2, 0, 3]
     adj = Adjugate(3, cap)
     adj.cols = [adj.pack(col) for col in zip(*rows)]
-    adj.bounds = [3, 3, 3]
+    adj.bound = 3
     before = list(adj.cols)
     d = [sum(b * v for b, v in zip(row, a)) for row in rows]
     rc = 1 * 3 - sum(v * w for v, w in zip(a, y0))

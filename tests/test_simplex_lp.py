@@ -370,24 +370,54 @@ def test_solver_widens_its_fields_on_wide_lps():
     assert widenings > 0
 
 
+def test_entry_bound_holds_after_every_kernel_call(monkeypatch):
+    # an adjugate that is not capped keeps `bound` on every |entry| of B,
+    # below H, through every FTRAN and Bareiss step, widenings included
+    checked = []
+
+    def checking(kernel):
+        def call(adj, *args):
+            out = kernel(adj, *args)
+            if not adj.capped:
+                assert max(max(map(abs, adj.unpack(q))) for q in adj.cols) <= adj.bound < adj.half
+                checked.append(kernel.__name__)
+            return out
+        return call
+
+    for name in ("ftran_sparse", "pivot_update"):
+        monkeypatch.setattr(kernels, name, checking(getattr(kernels, name)))
+    tall, wide = random.Random(1108), random.Random(24890)
+    lps = [random_e0_lp(tall, (20, 40)) for _ in range(6)]
+    lps += [random_e0_lp(wide, (3, 6), 1 << 20) for _ in range(30)]
+    widenings = tightenings = 0
+    for lp in lps:
+        stats = solve_standard_form(lp, crash=[(0, 0)]).stats
+        widenings, tightenings = widenings + stats.widenings, tightenings + stats.tightenings
+    for n in (6, 7):
+        tightenings += solve_problem(build_problem(cycle_instance(n))).stats.tightenings
+    assert set(checked) == {"ftran_sparse", "pivot_update"}
+    assert widenings > 0 and tightenings > 0
+
+
 @pytest.mark.parametrize("make, stats", [
     (lambda: build_problem(cycle_instance(5)),
      SolveStats(iterations=50, degenerate=48, forced_exits=26, rescaling=7,
                 width=64, den_bits=3)),
     (lambda: build_problem(cycle_instance(7)),
      SolveStats(iterations=490, degenerate=487, forced_exits=120, rescaling=79,
-                tightenings=1, width=16, den_bits=6)),
+                tightenings=5, width=16, den_bits=6)),
     (lambda: build_problem(to_index_coding(nonfano()), schema_with_submod("odd")),
      SolveStats(iterations=440, degenerate=440, forced_exits=120, rescaling=165,
-                widenings=1, tightenings=1, width=32, den_bits=14)),
+                widenings=1, tightenings=2, width=32, den_bits=14)),
 ], ids=["C5", "C7", "nonfano-odd"])
 def test_solve_stats_pin_the_pivot_path(make, stats):
     # iterations, degenerate and forced_exits follow the pivot path alone,
     # so an arithmetic-only change to the solver leaves them as they are;
     # rescaling and den_bits count the work of the pivots on that path.
     # C5's Hadamard bound proves 64-bit fields, so they are capped there;
-    # the 128-row LPs start at 16 bits, where C7 stays after one exact
-    # recomputation of its bounds and non-Fano widens once, to 32 bits.
+    # the 128-row LPs start at 16 bits, where C7 stays through five exact
+    # recomputations of its entry bound; non-Fano, with two, widens once,
+    # to 32 bits.
     sol = solve_problem(make())
     assert sol.stats == stats
     assert sol.iterations == stats.iterations
