@@ -133,7 +133,7 @@ class SolveStats:
     differs from the denominator D, so that every column of the adjugate
     moves;
     widenings: repacks of the adjugate into wider fields;
-    tightenings: exact recomputations of the adjugate's entry bounds;
+    tightenings: exact recomputations of the adjugate's entry bound;
     width: the bits per field of the adjugate at the end;
     den_bits: the largest bit length the denominator D reached.
     """

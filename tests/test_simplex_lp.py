@@ -389,14 +389,10 @@ def test_entry_bound_holds_after_every_kernel_call(monkeypatch):
     tall, wide = random.Random(1108), random.Random(24890)
     lps = [random_e0_lp(tall, (20, 40)) for _ in range(6)]
     lps += [random_e0_lp(wide, (3, 6), 1 << 20) for _ in range(30)]
-    widenings = tightenings = 0
-    for lp in lps:
-        stats = solve_standard_form(lp, crash=[(0, 0)]).stats
-        widenings, tightenings = widenings + stats.widenings, tightenings + stats.tightenings
-    for n in (6, 7):
-        tightenings += solve_problem(build_problem(cycle_instance(n))).stats.tightenings
+    stats = [solve_standard_form(lp, crash=[(0, 0)]).stats for lp in lps]
+    stats += [solve_problem(build_problem(cycle_instance(n))).stats for n in (6, 7)]
     assert set(checked) == {"ftran_sparse", "pivot_update"}
-    assert widenings > 0 and tightenings > 0
+    assert sum(s.widenings for s in stats) > 0 and sum(s.tightenings for s in stats) > 0
 
 
 @pytest.mark.parametrize("make, stats", [
