@@ -43,6 +43,14 @@ def _read_certificate(path: str, gs, schema=None):
     return certificate_from_json(load_json(path, gs), gs, schema)
 
 
+def _emit(obj, out: Optional[str]) -> None:
+    """obj as JSON into the file out, or printed when out is None."""
+    if out is None:
+        print(dump_json(obj, None))
+    else:
+        dump_json(obj, out)
+
+
 def _row_homs(spec: str, schema_name: str, gs):
     """The homs --rows names for schema_by_name; None means the identity embedding."""
     if spec == "identity":
@@ -72,9 +80,7 @@ def _cmd_solve(args) -> int:
 def _cmd_product(args) -> int:
     g = instance_from_json(load_json(args.first))
     f = instance_from_json(load_json(args.second))
-    text = dump_json(instance_to_json(g.lex_product(f)), args.out)
-    if args.out is None:
-        print(text)
+    _emit(instance_to_json(g.lex_product(f)), args.out)
     return 0
 
 
@@ -87,9 +93,7 @@ def _cmd_combine(args) -> int:
     product = inst_g.lex_product(inst_f)
     value = verify_certificate(product, schema, combined)
     combined.claimed_value = value
-    text = dump_json(certificate_to_json(combined, product.messages, schema), args.out)
-    if args.out is None:
-        print(text)
+    _emit(certificate_to_json(combined, product.messages, schema), args.out)
     print(f"value = {rat_str(value)}")
     return 0
 
@@ -105,9 +109,7 @@ def _cmd_verify(args) -> int:
 def _cmd_matroid2ic(args) -> int:
     matroid = matroid_from_json(load_json(args.matroid))
     instance = to_index_coding(matroid, minimal=not args.full_receivers)
-    text = dump_json(instance_to_json(instance), args.out)
-    if args.out is None:
-        print(text)
+    _emit(instance_to_json(instance), args.out)
     return 0
 
 

@@ -32,17 +32,30 @@ receivers array the same way, in one pass, and falls back to the typed
 reader on anything else. A label array that repeats a label, and a
 certificate that repeats an (s, t) pair or a y row, are refused.
 
-This module is also the only JSON writer. `dump_json` returns exactly the
+`load_json` holds one buffer of the file's text, _CHUNK (2^22) characters,
+beside what it has decoded. A file of at most _CHUNK bytes goes to
+json.load whole. A longer one is read a member of its top-level object or
+array at a time, and a member array an element at a time until the rest of
+the file is in the buffer, each by raw_decode with the same hook, so a
+certificate's label arrays become masks while the text behind them is
+dropped. Text that this reader does not take (malformed JSON, a repeated
+key, a top-level scalar) is read again by json.load, whose error names the
+line and column in the whole file.
+
+This module is also the only JSON writer. `dump_json` lays out exactly the
 text of `json.dumps(obj, indent=2)`: two-space indentation, "," and a line
 break between items, ": " after keys, keys in insertion order, non-ASCII as
-\\uXXXX escapes, empty containers as [] and {}. A file gets that text plus
-one newline, written in slices of 2^20 characters so the encoder never
-holds a second copy of a certificate's text.
+\\uXXXX escapes, empty containers as [] and {}. With no path it returns
+that text; a file gets it plus one newline, written a batch of _BATCH
+pieces at a time between the elements of an array, so no copy of the whole
+text is built.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
 import reprlib
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _escape
@@ -186,7 +199,9 @@ def load_json(path: str, masks_of: Optional[GroundSet] = None):
     hook = _share() if masks_of is None else _masker(masks_of)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=hook)
+            if os.fstat(fh.fileno()).st_size <= _CHUNK:  # no more characters than bytes
+                return json.load(fh, object_pairs_hook=hook)
+            return _Reader(fh, hook).document()
     except InputError as exc:  # a repeated key
         raise InputError(f"{path}: {exc}") from None
     except OSError as exc:
@@ -195,7 +210,117 @@ def load_json(path: str, masks_of: Optional[GroundSet] = None):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-_SLICE = 1 << 20  # characters written per call, so no encoded copy of the whole text exists
+_CHUNK = 1 << 22  # characters load_json reads at a time
+_SPACE = re.compile(r"[ \t\n\r]*").match  # what JSON allows between tokens
+_ENDS = frozenset(" \t\n\r,]}:")  # what may follow a whole value
+
+
+class _Reader:
+    """The document of an open file, read a buffer at a time as the module
+    docstring says; the hook closes each object in json.load's order."""
+
+    def __init__(self, fh, hook):
+        self.fh, self.hook = fh, hook
+        self.decode = json.JSONDecoder(object_pairs_hook=hook).raw_decode
+        self.text, self.pos, self.whole = "", 0, False
+
+    def document(self):
+        try:
+            if self._peek() in ("{", "["):
+                doc = self._container(self._member)
+                if not self._peek():
+                    return doc
+        except (ValueError, RecursionError):
+            pass
+        # json.load has the last word on anything else: it words the error
+        # at its place in the file, or reads a top-level scalar
+        self.text = ""
+        self.fh.seek(0)
+        return json.load(self.fh, object_pairs_hook=self.hook)
+
+    def _more(self) -> bool:
+        """Drop the text before pos and read the next buffer behind the rest;
+        False once the whole file is in."""
+        if self.whole:
+            return False
+        rest, self.text = self.text[self.pos:], ""
+        chunk = self.fh.read(_CHUNK)
+        self.whole = len(chunk) < _CHUNK
+        self.text, self.pos = rest + chunk, 0
+        return True
+
+    def _peek(self) -> str:
+        """The character at pos after whitespace, "" at the end of the file.
+        The next buffer is read once at most a quarter of one is left, so a
+        decode seldom fails at the buffer's end (its error counts the lines
+        before it)."""
+        self.pos = _SPACE(self.text, self.pos).end()
+        while len(self.text) - self.pos <= _CHUNK >> 2 and self._more():
+            self.pos = _SPACE(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
+
+    def _value(self):
+        """The value after pos. The buffer may cut a value short, "12" of
+        "123" or "1e" of "1e+5", so it is whole only when whitespace or one
+        of ,]}: follows it or the file ends; else it is decoded again with
+        more text."""
+        self._peek()
+        while True:
+            try:
+                value, end = self.decode(self.text, self.pos)
+            except json.JSONDecodeError:
+                if self._more():
+                    continue
+                raise
+            if self.whole or end < len(self.text) and self.text[end] in _ENDS:
+                self.pos = end
+                return value
+            self._more()
+
+    def _member(self):
+        """A member of the top-level container: an array an element at a time
+        until the rest of the file is in the buffer, anything else whole."""
+        if self._peek() == "[" and not self.whole:
+            return self._container(self._value)
+        return self._value()
+
+    def _container(self, item):
+        """The object or array at pos, each member read by item(); ValueError
+        where it is not JSON."""
+        close = "}" if self.text[self.pos] == "{" else "]"
+        self.pos += 1
+        items = []
+        sep = self._peek()
+        if sep == close:
+            self.pos += 1
+        else:
+            sep = ","
+        while sep == ",":
+            if close == "]":
+                items.append(item())
+            else:
+                key = self._value()
+                if type(key) is not str or self._peek() != ":":
+                    raise ValueError("not an object member")
+                self.pos += 1
+                items.append((key, item()))
+            sep = self._peek()
+            self.pos += 1
+        if sep != close:
+            raise ValueError("not a separator")
+        return items if close == "]" else self.hook(items)
+
+
+class _Written(int):
+    """The characters dump_json wrote before the file's last newline; the
+    text is ASCII, so they are also its bytes. encode() answers with a
+    sequence of that length, as the text's own would, for callers that
+    measure what dump_json returned by len(text.encode())."""
+
+    __slots__ = ()
+
+    def encode(self, encoding: str = "utf-8", errors: str = "strict") -> range:
+        return range(self)
 
 
 class _Escapes(dict):
@@ -207,35 +332,51 @@ class _Escapes(dict):
         return escaped
 
 
-def dump_json(obj, path: Optional[str]) -> str:
-    """obj as exactly the text of json.dumps(obj, indent=2), written to path
-    (plus a newline) unless path is None, in slices of _SLICE characters.
-    A path that cannot be written raises InputError."""
+_BATCH = 1 << 8  # pieces joined into one write
+
+
+def dump_json(obj, path: Optional[str]) -> str | int:
+    """obj as exactly the text of json.dumps(obj, indent=2). With path None
+    this returns the text; otherwise it writes the text plus a newline to
+    path, a batch of _BATCH pieces at a time as they are laid out, and
+    returns the number of characters before that newline. A path that
+    cannot be written raises InputError."""
     parts: List[str] = []
-    _write(obj, "\n", parts.append, _Escapes())
-    text = "".join(parts)
-    del parts
-    if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                for start in range(0, len(text), _SLICE):
-                    fh.write(text[start:start + _SLICE])
-                fh.write("\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}") from exc
-    return text
+    if path is None:
+        _write(obj, "\n", parts, _Escapes(), None)
+        return "".join(parts)
+    written = 0
+
+    def spill() -> None:
+        nonlocal written
+        text = "".join(parts)
+        parts.clear()
+        written += len(text)
+        fh.write(text)
+
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            _write(obj, "\n", parts, _Escapes(), spill)
+            spill()
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    return _Written(written)
 
 
-def _write(obj, newline: str, out, escaped: _Escapes) -> None:
-    """Pass the pieces of json.dumps(obj, indent=2) to out; newline is the
-    line break plus the indentation of obj's own line. With indent set the
-    stdlib encodes in pure Python, so lists and str-keyed dicts are laid out
-    here, each distinct string escaped once in C; anything else goes to
-    json.dumps, whose only newlines are layout because strings escape theirs."""
+def _write(obj, newline: str, parts: List[str], escaped: _Escapes, spill) -> None:
+    """Append the pieces of json.dumps(obj, indent=2) to parts; newline is
+    the line break plus the indentation of obj's own line. Unless spill is
+    None, it is called to empty parts whenever a container's member leaves
+    more than _BATCH pieces. With indent set the stdlib encodes in pure
+    Python, so lists and str-keyed dicts are laid out here, each distinct
+    string escaped once in C; anything else goes to json.dumps, whose only
+    newlines are layout because strings escape theirs."""
     kind = type(obj)
     if kind is str:
-        out(escaped[obj])
+        parts.append(escaped[obj])
         return
+    out = parts.append
     inner = newline + "  "
     sep = "," + inner
     if kind in (list, tuple) and obj:
@@ -246,13 +387,15 @@ def _write(obj, newline: str, out, escaped: _Escapes) -> None:
             for i, value in enumerate(obj):
                 if i:
                     out(sep)
-                _write(value, inner, out, escaped)
+                _write(value, inner, parts, escaped, spill)
+                if spill and len(parts) > _BATCH:
+                    spill()
         out(newline + "]")
     elif kind is dict and obj and set(map(type, obj)) == {str}:
         head = "{" + inner
         for key, value in obj.items():
             out(head + escaped[key] + ": ")
-            _write(value, inner, out, escaped)
+            _write(value, inner, parts, escaped, spill)
             head = sep
         out(newline + "}")
     else:

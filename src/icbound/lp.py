@@ -29,6 +29,11 @@ The solution is re-audited here against the instance itself (closures are
 recomputed, schema rows re-evaluated), independently of the solver's own
 audit, so a bug in column construction cannot survive unnoticed. That audit
 works in integers over the common denominator of z.
+
+The LP has a row per subset and the simplex keeps a dense adjugate of
+rows^2 entries, so `build_problem` refuses more than ROW_CAP rows before it
+builds anything (ResourceCapError, exit 3): full C8's 256 rows solve in
+about 5 s, while full C9's 512 had not finished after 15 minutes.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from math import lcm
 from typing import Dict, List, Tuple
 
 from icbound.certificate import DualCertificate, _row_text
-from icbound.errors import InputError, VerificationError
+from icbound.errors import InputError, ResourceCapError, VerificationError
 from icbound.instance import ClosureMode, IndexCodingInstance
 from icbound.rational import Rational
 from icbound.schema import SchemaRow, SubmodSchema
@@ -81,6 +86,9 @@ class BoundSolution:
         return self.stats.iterations
 
 
+ROW_CAP = 256  # rows of the largest LP build_problem admits
+
+
 def build_problem(
     instance: IndexCodingInstance,
     schema=None,
@@ -90,6 +98,10 @@ def build_problem(
         schema = SubmodSchema()
     gs = instance.messages
     n = gs.n
+    if 1 << n > ROW_CAP:
+        raise ResourceCapError(
+            f"the bound LP of {n} messages has {1 << n} rows, a dense adjugate of "
+            f"{1 << 2 * n} entries (rows^2); the cap is {ROW_CAP} rows")
 
     cols_idx: List[Tuple[int, ...]] = []
     cols_val: List[tuple] = []

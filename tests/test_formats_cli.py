@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -18,6 +20,7 @@ from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
                              certificate_to_json, dump_json, instance_from_json,
                              instance_to_json, load_json, matroid_from_json,
                              schema_by_name)
+from icbound.groundset import GroundSet
 from icbound.instance import IndexCodingInstance, cycle_instance
 from icbound.lp import build_problem, solve_problem
 from icbound.certificate import verify_certificate
@@ -220,13 +223,107 @@ def test_load_json_keeps_mixed_arrays_as_decoded(tmp_path):
 
 
 def test_dump_json_writes_long_text_in_slices(tmp_path):
-    # over 2 MiB, so the write crosses slice boundaries
+    # over 2 MiB, so the write spans many batches
     obj = {"x": [{"s": [f"{i}:{j}" for j in range(40)], "v": f"{i}/7"} for i in range(6000)]}
     path = tmp_path / "long.json"
-    text = dump_json(obj, str(path))
+    text = json.dumps(obj, indent=2)
     assert len(text) > 2 << 20
-    assert text == json.dumps(obj, indent=2)
+    assert dump_json(obj, str(path)) == len(text)
     assert path.read_bytes() == (text + "\n").encode("ascii")
+
+
+def _read_or_refuse(read) -> str:
+    """repr of what read() returns; "InputError" when it refuses the text."""
+    try:
+        return repr(read())
+    except InputError:
+        return "InputError"
+
+
+def _buffered_matches_json_loads(tmp_path, monkeypatch, text, hook, masks_of=None,
+                                 chunks=(1, 4, 9)):
+    """load_json reads text as json.loads does with the same hook, whatever
+    the buffer size, and leaves json.load to word only a refusal."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    want = _read_or_refuse(lambda: json.loads(text, object_pairs_hook=hook))
+    reread = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda *args, **kw: reread.append(1) or load(*args, **kw))
+    for chunk in chunks:
+        monkeypatch.setattr(formats, "_CHUNK", chunk)
+        assert _read_or_refuse(lambda: load_json(str(path), masks_of)) == want, chunk
+    assert not reread or want == "InputError"
+    monkeypatch.undo()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=_JSON_VALUES)
+def test_load_json_reads_across_buffer_edges(obj, tmp_path, monkeypatch):
+    for doc in ({"value": obj, "next": [obj, [obj], []], "last": {}}, [obj, {"k": obj}, [obj, obj]]):
+        for text in (json.dumps(doc), json.dumps(doc, indent=2)):
+            _buffered_matches_json_loads(tmp_path, monkeypatch, text, formats._share())
+
+
+_GS_LABELS = ["a", "b", "c:d", "e"]
+_MASKABLE = st.lists(st.sampled_from(_GS_LABELS + ["zz", 1, True]), max_size=5)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entries=st.lists(st.fixed_dictionaries(
+    {"s": _MASKABLE, "t": _MASKABLE, "v": st.integers() | _AWKWARD_TEXT}), max_size=4),
+    atoms=_MASKABLE)
+def test_masked_load_json_reads_across_buffer_edges(entries, atoms, tmp_path, monkeypatch):
+    gs = GroundSet(_GS_LABELS)
+    doc = {"x": entries, "y": [{"row": {"base": atoms, "atoms": {"1": atoms}}, "v": "1"}]}
+    for top in (doc, [doc, entries]):
+        _buffered_matches_json_loads(tmp_path, monkeypatch, json.dumps(top), formats._masker(gs),
+                                     gs)
+
+
+def test_load_json_takes_a_number_only_when_it_ends(tmp_path, monkeypatch):
+    # a 5-character buffer once ended after "e+" and 7.0160528404885225 was read
+    for pad in range(12):
+        for number in ("7.0160528404885225e+19", "-12345.5e-3", "123456789", "-0.25"):
+            text = '{"x": [' + " " * pad + number + ", " + number + "]}"
+            _buffered_matches_json_loads(tmp_path, monkeypatch, text, formats._share(),
+                                         chunks=(5,))
+
+
+def _entries(count: int, bad: str = "") -> str:
+    """A certificate-shaped document of count x entries, one of them bad,
+    past the first few buffers."""
+    lines = [f'    {{"s": ["{i}"], "t": [], "v": "{i}/7"}}' for i in range(count)]
+    if bad:
+        lines[count - 3] = bad
+    return '{\n  "x": [\n' + ",\n".join(lines) + '\n  ]\n}\n'
+
+
+@pytest.mark.parametrize("bad", [
+    '    {"s": ["1"], "t": [], "t": [], "v": "1"}',  # a repeated key
+    '    {"s": ["1"], "t": [], "v": "1/2",}',  # a trailing comma
+    '    {"s": ["1"] "t": [], "v": "1/2"}',  # a missing comma
+    '    {"s": ["1"], "t": [], "v": 1/2}',  # not a value
+    '    {"s": ["1"], "t": [], "v": "1/2"',  # an object left open
+])
+def test_load_json_past_the_first_buffer_refuses_as_json_load(bad, tmp_path, monkeypatch):
+    monkeypatch.setattr(formats, "_CHUNK", 64)
+    path = tmp_path / "doc.json"
+    for text in (_entries(40, bad), _entries(40) + "x"):
+        path.write_text(text)
+        with pytest.raises(InputError) as got:
+            load_json(str(path))
+        try:
+            json.loads(text, object_pairs_hook=formats._share())
+        except InputError as exc:  # the repeated key
+            assert str(got.value) == f"{path}: {exc}"
+        except ValueError as exc:  # line and column count from the start of the file
+            assert re.search(r"line (4[0-9]|3[0-9]) column", str(exc)), exc
+            assert str(got.value) == f"{path} is not valid JSON: {exc}"
+        else:
+            raise AssertionError("json.loads read the bad document")
 
 
 # -- command line ----------------------------------------------------------------
@@ -352,6 +449,24 @@ def test_cli_product_and_combine(c5_file, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["combine", c5_file, c5_file, cert, odd]) == 2
     assert "schema is 'submod+fano-odd', expected 'submod'" in capsys.readouterr().err
+
+
+def test_cli_solve_refuses_an_lp_past_the_row_cap(tmp_path, capsys):
+    # full C9's 512 rows had not finished after 15 minutes; C8's 256 take about 5 s
+    import time
+
+    from icbound.lp import ROW_CAP
+
+    eight = IndexCodingInstance.from_receivers(GroundSet(range(8)), [])
+    assert build_problem(eight).lp.nrows == ROW_CAP == 256
+    path = _write(tmp_path, "nine.json", {"messages": [str(i) for i in range(9)], "receivers": []})
+    start = time.perf_counter()
+    assert main(["solve", path, "--emit-cert", str(tmp_path / "cert.json")]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        "resource cap: the bound LP of 9 messages has 512 rows, a dense adjugate of "
+        "262144 entries (rows^2); the cap is 256 rows\n")
+    assert not (tmp_path / "cert.json").exists()
 
 
 def test_cli_matroid_alpha_search(tmp_path, c5_file, capsys):
@@ -738,6 +853,66 @@ def test_masked_certificate_load_holds_a_fraction_of_its_file(c5_power_certs):
     cert, _ = certificate_from_json(doc, gs)
     assert cert == certificate_from_json(load_json(path), gs)[0]
     assert len(cert.x) == 343 and all(type(mask) is int for pair in cert.x for mask in pair)
+
+
+def test_buffered_certificate_load_holds_a_few_buffers(c5_power_certs, monkeypatch):
+    # a whole-file read peaked at twice the file, held as bytes and as a str
+    path = c5_power_certs[3]
+    gs = instance_from_json(load_json(path.replace(".cert.json", ".json"))).messages
+    whole, _ = certificate_from_json(load_json(path, gs), gs)
+    monkeypatch.setattr(formats, "_CHUNK", 1 << 14)
+    tracemalloc.start()
+    try:
+        doc = load_json(path, gs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(path) > 50 * formats._CHUNK
+    assert peak < held + 4 * formats._CHUNK + (64 << 10)
+    assert certificate_from_json(doc, gs)[0] == whole
+
+
+def test_dump_json_to_a_file_holds_a_fraction_of_its_text(c5_power_certs, tmp_path):
+    obj = load_json(c5_power_certs[3])
+    tracemalloc.start()
+    try:
+        written = dump_json(obj, str(tmp_path / "copy.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == os.path.getsize(c5_power_certs[3]) - 1
+    assert peak < written // 3
+    with open(c5_power_certs[3], "rb") as fh:
+        assert (tmp_path / "copy.json").read_bytes() == fh.read()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_verify_of_c5_to_the_fourth_peaks_under_50_mb(c5_power_certs, tmp_path):
+    # a whole-file read peaked at 84.6 MB on the 34.6 MB certificate
+    work = os.path.dirname(c5_power_certs[3])
+    c5, c5_cert = os.path.join(work, "c5.json"), os.path.join(work, "c5.cert.json")
+    cube, cube_cert = c5_power_certs[3].replace(".cert.json", ".json"), c5_power_certs[3]
+    power, cert = str(tmp_path / "c5p4.json"), str(tmp_path / "c5p4.cert.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["product", cube, c5, "--out", power]) == 0
+        assert main(["combine", cube, c5, cube_cert, c5_cert, "--out", cert]) == 0
+    assert os.path.getsize(cert) > 30 << 20
+    # VmHWM is the child's own peak: its ru_maxrss would also count this
+    # process's pages, which the child holds until it execs
+    child = ("import sys\n"
+             "from icbound.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "with open('/proc/self/status') as fh:\n"
+             "    print(fh.read().split('VmHWM:')[1].split()[0])\n"
+             "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(formats.__file__))
+    proc = subprocess.run([sys.executable, "-c", child, "verify", power, cert],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    printed, peak_kib = proc.stdout.rsplit("\n", 2)[:2]
+    assert printed == "value = 625/16"
+    assert int(peak_kib) < 50 << 10
 
 
 # -- fuzzing: mutated valid files never escape the exit-code contract --------
