@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -22,7 +23,7 @@ from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
                              schema_by_name)
 from icbound.groundset import GroundSet
 from icbound.instance import IndexCodingInstance, cycle_instance
-from icbound.lp import build_problem, solve_problem
+from icbound.lp import ROW_CAP, build_problem, solve_problem
 from icbound.certificate import verify_certificate
 from icbound.matroid import _FANO_LABELS, addineq_certificate, fano, to_index_coding
 from icbound.rational import rat, rat_str
@@ -453,10 +454,6 @@ def test_cli_product_and_combine(c5_file, tmp_path, capsys, monkeypatch):
 
 def test_cli_solve_refuses_an_lp_past_the_row_cap(tmp_path, capsys):
     # full C9's 512 rows had not finished after 15 minutes; C8's 256 take about 5 s
-    import time
-
-    from icbound.lp import ROW_CAP
-
     eight = IndexCodingInstance.from_receivers(GroundSet(range(8)), [])
     assert build_problem(eight).lp.nrows == ROW_CAP == 256
     path = _write(tmp_path, "nine.json", {"messages": [str(i) for i in range(9)], "receivers": []})
