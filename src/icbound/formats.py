@@ -33,14 +33,15 @@ reader on anything else. A label array that repeats a label, and a
 certificate that repeats an (s, t) pair or a y row, are refused.
 
 `load_json` holds one buffer of the file's text, _CHUNK (2^22) characters,
-beside what it has decoded. A file of at most _CHUNK bytes goes to
-json.load whole. A longer one is read a member of its top-level object or
+beside what it has decoded. It reads a member of the top-level object or
 array at a time, and a member array an element at a time until the rest of
 the file is in the buffer, each by raw_decode with the same hook, so a
 certificate's label arrays become masks while the text behind them is
-dropped. Text that this reader does not take (malformed JSON, a repeated
-key, a top-level scalar) is read again by json.load, whose error names the
-line and column in the whole file.
+dropped; a file that fits one buffer is read whole at the first read. A
+value longer than the rest of a buffer doubles the buffer until it fits.
+Text that this reader does not take (malformed JSON, a repeated key, a
+top-level scalar) is read again by json.load, whose error names the line
+and column in the whole file.
 
 This module is also the only JSON writer. `dump_json` lays out exactly the
 text of `json.dumps(obj, indent=2)`: two-space indentation, "," and a line
@@ -54,8 +55,6 @@ text is built.
 from __future__ import annotations
 
 import json
-import os
-import re
 import reprlib
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _escape
@@ -199,8 +198,6 @@ def load_json(path: str, masks_of: Optional[GroundSet] = None):
     hook = _share() if masks_of is None else _masker(masks_of)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            if os.fstat(fh.fileno()).st_size <= _CHUNK:  # no more characters than bytes
-                return json.load(fh, object_pairs_hook=hook)
             return _Reader(fh, hook).document()
     except InputError as exc:  # a repeated key
         raise InputError(f"{path}: {exc}") from None
@@ -211,7 +208,7 @@ def load_json(path: str, masks_of: Optional[GroundSet] = None):
 
 
 _CHUNK = 1 << 22  # characters load_json reads at a time
-_SPACE = re.compile(r"[ \t\n\r]*").match  # what JSON allows between tokens
+_SPACE = json.decoder.WHITESPACE.match  # what JSON allows between tokens
 _ENDS = frozenset(" \t\n\r,]}:")  # what may follow a whole value
 
 
@@ -239,13 +236,16 @@ class _Reader:
         return json.load(self.fh, object_pairs_hook=self.hook)
 
     def _more(self) -> bool:
-        """Drop the text before pos and read the next buffer behind the rest;
-        False once the whole file is in."""
+        """Drop the text before pos and read the next buffer behind the rest,
+        as long as the rest when that is longer, so a value that keeps
+        failing to fit is copied a linear total; False once the whole file
+        is in."""
         if self.whole:
             return False
         rest, self.text = self.text[self.pos:], ""
-        chunk = self.fh.read(_CHUNK)
-        self.whole = len(chunk) < _CHUNK
+        size = max(_CHUNK, len(rest))
+        chunk = self.fh.read(size)
+        self.whole = len(chunk) < size
         self.text, self.pos = rest + chunk, 0
         return True
 
@@ -255,7 +255,8 @@ class _Reader:
         decode seldom fails at the buffer's end (its error counts the lines
         before it)."""
         self.pos = _SPACE(self.text, self.pos).end()
-        while len(self.text) - self.pos <= _CHUNK >> 2 and self._more():
+        while not self.whole and len(self.text) - self.pos <= _CHUNK >> 2:
+            self._more()
             self.pos = _SPACE(self.text, self.pos).end()
         return self.text[self.pos:self.pos + 1]
 

@@ -233,6 +233,19 @@ def test_dump_json_writes_long_text_in_slices(tmp_path):
     assert path.read_bytes() == (text + "\n").encode("ascii")
 
 
+def test_dump_json_leaves_the_batches_before_a_layout_error(tmp_path):
+    # the file is opened, and so emptied, before obj is laid out: a value
+    # that is not JSON stops the write where the batches written so far end
+    good = [[f"{i}:{j}", i] for i in range(2000) for j in range(2)]
+    path = tmp_path / "out.json"
+    path.write_text("the old file\n")
+    with pytest.raises(TypeError):
+        dump_json(good + [object()], str(path))
+    partial = path.read_text()
+    assert 0 < len(partial) < len(json.dumps(good, indent=2))
+    assert json.dumps(good + [0], indent=2).startswith(partial)
+
+
 def _read_or_refuse(read) -> str:
     """repr of what read() returns; "InputError" when it refuses the text."""
     try:
@@ -291,6 +304,34 @@ def test_load_json_takes_a_number_only_when_it_ends(tmp_path, monkeypatch):
             text = '{"x": [' + " " * pad + number + ", " + number + "]}"
             _buffered_matches_json_loads(tmp_path, monkeypatch, text, formats._share(),
                                          chunks=(5,))
+
+
+class _CountedReads(io.StringIO):
+    """Text whose read sizes are recorded."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("text, whole", [
+    ('{"k": ["' + "x" * 10000 + '"]}', True),  # one value many buffers long
+    ('{"k": [1, "' + "x" * 10000 + ']}', False),  # a string left open
+], ids=["long-value", "unclosed-string"])
+def test_load_json_grows_the_buffer_for_a_long_value(text, whole, monkeypatch):
+    # a 4-character buffer grown by one buffer per retry would read 2500 times
+    monkeypatch.setattr(formats, "_CHUNK", 4)
+    fh = _CountedReads(text)
+    reader = formats._Reader(fh, formats._share())
+    if whole:
+        assert reader.document() == json.loads(text)
+    else:
+        pytest.raises(ValueError, reader.document)
+    assert len(fh.sizes) < 30, fh.sizes
 
 
 def _entries(count: int, bad: str = "") -> str:
