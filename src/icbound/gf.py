@@ -1,10 +1,13 @@
 """Exact linear algebra over prime fields.
 
-General GF(p) vectors are int lists, kept incrementally by `EchelonBasis`;
-over GF(2) a vector is a single int bitmask, kept by `Gf2Basis`. The one
-subset-lattice walk, `span_ranks`, uses `Gf2Basis` when p = 2 and
-`EchelonBasis` otherwise. The dense helpers are `rref` and `rank`, which
-the code module uses to test a matrix for independent rows.
+`EchelonBasis` grows a GF(p) row basis of int lists in reduced echelon form;
+`rref` and `rank` are the dense helpers. The subset-lattice walk `span_ranks`
+packs each vector into one int: over GF(2) bit j holds entry j mod 2; over
+GF(p) field j of w bits holds entry j mod p, w the bit length of
+(p-1)(1 + ambient(p-1)). A field starts below p and each of at most ambient
+reduction steps adds at most (p-1)^2, so it never goes negative or carries.
+`Gf2Basis` is not used by the walk; tests and the benchmark's layer table
+name it, and it goes with that table.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import math
 from typing import List, Optional, Sequence
 
 from icbound import kernels
-from icbound.errors import InputError
+from icbound.errors import InputError, ResourceCapError
+from icbound.groundset import DENSE_CAP
 
 __all__ = [
     "check_prime",
@@ -52,10 +56,7 @@ def rank(rows: Sequence[Sequence[int]], p: int) -> int:
 
 
 class EchelonBasis:
-    """Row basis over GF(p) kept in reduced echelon form, grown one vector
-    at a time. copy() is cheap on purpose: subset-lattice walks fork a basis
-    at every node below full rank.
-    """
+    """Row basis over GF(p) in reduced echelon form, grown one vector at a time."""
 
     __slots__ = ("p", "ncols", "rows", "pivots")
 
@@ -117,49 +118,28 @@ class EchelonBasis:
 
 
 class Gf2Basis:
-    """GF(2) variant of EchelonBasis with int-bitmask rows."""
+    """GF(2) basis of int-bitmask rows, each 0 at earlier rows' lowest bits."""
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: Optional[List[int]] = None):
-        self.rows: List[int] = list(rows) if rows else []
+    def __init__(self):
+        self.rows: List[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "Gf2Basis":
-        return Gf2Basis(self.rows)
-
     def reduce(self, vec: int) -> int:
         for row in self.rows:
-            high = row.bit_length() - 1
-            if (vec >> high) & 1:
+            if vec & row & -row:
                 vec ^= row
         return vec
 
     def add(self, vec: int) -> bool:
         vec = self.reduce(vec)
-        if not vec:
-            return False
-        high = vec.bit_length() - 1
-        for i, row in enumerate(self.rows):
-            if (row >> high) & 1:
-                self.rows[i] ^= vec
-        pos = 0
-        while pos < len(self.rows) and self.rows[pos].bit_length() - 1 > high:
-            pos += 1
-        self.rows.insert(pos, vec)
-        return True
-
-
-def _pack_gf2(vec: Sequence[int]) -> int:
-    """Bitmask of a GF(2) vector; & 1 reduces any int, negatives too, mod 2."""
-    mask = 0
-    for j, v in enumerate(vec):
-        if v & 1:
-            mask |= 1 << j
-    return mask
+        if vec:
+            self.rows.append(vec)
+        return bool(vec)
 
 
 def span_ranks(
@@ -168,39 +148,58 @@ def span_ranks(
     """Rank of the vectors gens[i], i in S, for every subset mask S.
 
     gens[i] is a list of vectors of length ambient; any other length raises
-    InputError naming i. One walk of the subset lattice: the basis at S is
-    a copy of the basis at S minus its lowest element, extended by that
-    element's vectors. A parent basis of rank ambient is shared instead:
-    every vector lies in GF(p)^ambient, so no rank can exceed ambient and
-    such a basis cannot grow. A basis is kept only while a later mask still
-    reads it: odd masks are never read, and the last reader of T is T plus
-    the element just below T's lowest one.
+    InputError naming i. More than DENSE_CAP generators raise ResourceCapError
+    before anything is allocated. The basis at S is the tuple of (shift, row)
+    pairs at S minus its lowest element, extended by that element's vectors;
+    a basis of rank ambient cannot grow and is shared. A basis is kept only
+    while a later mask still reads it: odd masks are never read, and the last
+    reader of T is T plus the element just below T's lowest one.
+
+    Rows are used in the order they were added. Each is 1 at its own pivot
+    and 0 mod p at the pivots of earlier rows, so one pass zeroes every pivot
+    and no step undoes an earlier one; a nonzero span vector is nonzero at
+    the pivot of its first row, so the residual is 0 exactly on the span.
     """
+    if len(gens) > DENSE_CAP:
+        raise ResourceCapError(
+            f"dense enumeration of 2^{len(gens)} subsets exceeds cap {DENSE_CAP}")
     for i, vecs in enumerate(gens):
         for vec in vecs:
             if len(vec) != ambient:
-                raise InputError(
-                    f"generator {i} has a vector of length {len(vec)}, "
-                    f"expected {ambient}"
-                )
-    if p == 2:
-        gens = [[_pack_gf2(vec) for vec in vecs] for vecs in gens]
-        root = Gf2Basis()
-    else:
-        root = EchelonBasis(p, ambient)
-    bases = [root]
+                raise InputError(f"generator {i} has a vector of length {len(vec)}, "
+                                 f"expected {ambient}")
+    width = 1 if p == 2 else ((p - 1) * (1 + ambient * (p - 1))).bit_length()
+    field = (1 << width) - 1
+    shifts = range(0, width * ambient, width)
+    packed = [[sum(v % p << t for v, t in zip(vec, shifts)) for vec in vecs] for vecs in gens]
+    bases: List[Optional[tuple]] = [()]
     ranks = [0]
     for s in range(1, 1 << len(gens)):
         low = s & -s
         parent = s ^ low
-        basis = bases[parent]
-        if basis.rank < ambient:
-            basis = basis.copy()
-            for vec in gens[low.bit_length() - 1]:
-                basis.add(vec)
+        rows = bases[parent]
+        if len(rows) < ambient:
+            for vec in packed[low.bit_length() - 1]:
+                if p == 2:
+                    for shift, row in rows:
+                        if vec >> shift & 1:
+                            vec ^= row
+                    if vec:
+                        rows += (((vec & -vec).bit_length() - 1, vec),)
+                    continue
+                for shift, row in rows:
+                    f = (vec >> shift & field) % p
+                    if f:
+                        vec += (p - f) * row
+                for j, t in enumerate(shifts):
+                    f = (vec >> t & field) % p
+                    if f:
+                        inv = pow(f, p - 2, p)
+                        row = sum((vec >> u & field) * inv % p << u for u in shifts[j:])
+                        rows += ((t, row),)
+                        break
         if (parent & -parent) >> 1 == low:
             bases[parent] = None
-        bases.append(None if s & 1 else basis)
-        ranks.append(basis.rank)
+        bases.append(None if s & 1 else rows)
+        ranks.append(len(rows))
     return ranks
-

@@ -36,6 +36,14 @@ __all__ = [
 _MATROID_CAP = 12
 
 
+def _check_cap(gs: GroundSet) -> GroundSet:
+    if gs.n > _MATROID_CAP:
+        raise ResourceCapError(
+            f"dense matroid limited to {_MATROID_CAP} elements, got {gs.n}"
+        )
+    return gs
+
+
 class Matroid:
     """Ground set plus a dense rank vector indexed by subset mask."""
 
@@ -55,10 +63,7 @@ class Matroid:
         return m
 
     def _set_ranks(self, gs: GroundSet, ranks: Sequence[int]) -> None:
-        if gs.n > _MATROID_CAP:
-            raise ResourceCapError(
-                f"dense matroid limited to {_MATROID_CAP} elements, got {gs.n}"
-            )
+        _check_cap(gs)
         if len(ranks) != (1 << gs.n):
             raise InputError("rank vector length must be 2^n")
         ranks = tuple(ranks)
@@ -117,9 +122,10 @@ class Matroid:
 def rank_from_matrix(
     labels: Sequence[object], columns: Sequence[Sequence[int]], p: int
 ) -> Matroid:
-    """Matroid of a matrix over GF(p); columns are indexed by labels."""
+    """Matroid of a matrix over GF(p); columns are indexed by labels.
+    More than _MATROID_CAP columns are refused before the 2^n-mask walk."""
     check_prime(p)
-    gs = GroundSet(tuple(labels))
+    gs = _check_cap(GroundSet(tuple(labels)))
     if len(columns) != gs.n:
         raise InputError("need exactly one column per label")
     dim = len(columns[0]) if columns else 0

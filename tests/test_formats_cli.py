@@ -507,6 +507,33 @@ def test_cli_solve_refuses_an_lp_past_the_row_cap(tmp_path, capsys):
     assert not (tmp_path / "cert.json").exists()
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS")
+def test_cli_matroid2ic_refuses_a_large_matrix_before_the_walk(tmp_path):
+    # the cap used to fire only after the walk: 2^18 masks took 0.21 s, and
+    # 2^30 would exhaust memory; the child's address space and CPU time are
+    # capped so that a walk here fails instead
+    labels = [f"e{i}" for i in range(30)]
+    path = _write(tmp_path, "wide.json", {"elements": labels, "matrix": {
+        "p": 3, "rows": [[(i * j) % 3 for j in range(30)] for i in range(4)]}})
+    child = ("import resource, sys, time\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+             "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
+             "from icbound.cli import main\n"
+             "start = time.perf_counter()\n"
+             "code = main(sys.argv[1:])\n"
+             "print(time.perf_counter() - start)\n"
+             "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(formats.__file__))
+    proc = subprocess.run([sys.executable, "-c", child, "matroid2ic", path,
+                           "--out", str(tmp_path / "wide.ic.json")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "resource cap: dense matroid limited to 12 elements, got 30\n"
+    assert float(proc.stdout) < 0.5
+    assert not (tmp_path / "wide.ic.json").exists()
+
+
 def test_cli_matroid_alpha_search(tmp_path, c5_file, capsys):
     mat = str(tmp_path / "fano-matroid.json")
     dump_json(fano_ranks_json(), mat)

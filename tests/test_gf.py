@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from icbound.errors import InputError
+from icbound.errors import InputError, ResourceCapError
 from icbound.gf import EchelonBasis, Gf2Basis, check_prime, rank, rref, span_ranks
 from icbound.groundset import GroundSet
 
@@ -136,27 +136,64 @@ def test_mask_from_bits():
     assert gs.mask_of([]) == 0
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, (1 << 31) - 1])
 def test_span_ranks_matches_oracle(p):
     rng = random.Random(400 + p)
+    # full rank at ambient >= 4 takes the shared-basis path, and for
+    # p = 2^31 - 1 its fields are 65 bits or wider
+    full = wide = 0
     for trial in range(50):
-        if trial < 30:
-            n, ambient, most = rng.randint(0, 5), rng.randint(1, 5), 3
+        if trial < 20:
+            n, ambient, most = rng.randint(0, 5), rng.randint(1, 7), 3
+        elif trial < 35:
+            n, ambient, most = rng.randint(3, 6), rng.randint(4, 7), 3
         else:
             # small ambient, many generators: most masks extend a parent
             # basis that already has full rank
             n, ambient, most = rng.randint(4, 8), rng.randint(1, 3), 2
+        made = []
 
         def vec():
-            # entries outside [0, p), negatives too, must reduce exactly
-            return [rng.randint(-2 * p, 2 * p) for _ in range(ambient)]
+            # entries outside [0, p), negatives too, must reduce exactly; a
+            # combination of two earlier vectors keeps large p from being
+            # independent every time
+            if len(made) > 1 and rng.random() < 0.4:
+                (a, b), c = rng.sample(made, 2), rng.randrange(p)
+                out = [x + c * y + p * rng.randint(-2, 2) for x, y in zip(a, b)]
+            else:
+                out = [rng.randint(-2 * p, 2 * p) for _ in range(ambient)]
+            made.append(out)
+            return out
 
         gens = [[vec() for _ in range(rng.randint(0, most))] for _ in range(n)]
         ranks = span_ranks(p, ambient, gens)
         assert len(ranks) == 1 << n
+        full += ranks[-1] == ambient
+        wide += ranks[-1] == ambient >= 4
         for s in range(1 << n):
             rows = [v[:] for i in range(n) if s >> i & 1 for v in gens[i]]
             assert ranks[s] == fp_rank(rows, p), (s, gens)
+    assert full >= 15 and wide >= 5, (full, wide)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, (1 << 31) - 1])
+def test_span_ranks_at_the_field_bound(p):
+    # v is added last and is the sum of the six units, so reducing it adds
+    # (p-1)^2 to its last field six times: 6 (p-1)^2 + p - 6 is past 2^64
+    # for p = 2^31 - 1, and a truncated field would read nonzero mod p
+    units = [[[int(j == k) + (p - 1) * (j == 6) for j in range(7)]] for k in range(6)]
+    v = [[1] * 6 + [p - 6]]
+    ranks = span_ranks(p, 7, [v] + units)
+    assert ranks[-1] == 6
+    for s in range(1 << 7):
+        rows = [vec for i, gen in enumerate([v] + units) if s >> i & 1 for vec in gen]
+        assert ranks[s] == fp_rank(rows, p), s
+
+
+def test_span_ranks_refuses_past_the_dense_cap():
+    with pytest.raises(ResourceCapError, match="dense enumeration of 2\\^17 subsets exceeds cap 16"):
+        span_ranks(2, 1, [[[1]]] * 17)
+    assert span_ranks(2, 1, [[[1]]] * 16)[-1] == 1
 
 
 @pytest.mark.parametrize("p", [2, 3])
