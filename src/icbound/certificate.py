@@ -114,23 +114,6 @@ def _row_text(row: SchemaRow, gs: GroundSet) -> str:
     return repr(row)
 
 
-def _pair_hom(gs_f: GroundSet, gs_p: GroundSet, base: int, diff: int, nf: int) -> LatticeHom:
-    """The hom from the second factor's subsets into the product's that
-    a decoding pair (s, t) of the first factor induces: base is the block
-    embedding of s, diff is t minus s."""
-    atoms = []
-    for u in range(nf):
-        img = 0
-        d = diff
-        while d:
-            low = d & -d
-            i = low.bit_length() - 1
-            img |= 1 << (i * nf + u)
-            d ^= low
-        atoms.append(img)
-    return LatticeHom(gs_f, gs_p, base, tuple(atoms))
-
-
 def combine_certificates(
     inst_g: IndexCodingInstance,
     inst_f: IndexCodingInstance,
@@ -173,6 +156,7 @@ def combine_certificates(
 
     block_atoms = tuple(((1 << nf) - 1) << (i * nf) for i in range(gs_g.n))
     g_hom = LatticeHom(gs_g, gs_p, 0, block_atoms)
+    firsts = sum(1 << i * nf for i in range(gs_g.n))  # bit 0 of every block
 
     x: Dict[Tuple[int, int], Rational] = {}
     y: Dict[SchemaRow, Rational] = {}
@@ -187,7 +171,9 @@ def combine_certificates(
     for (s, t), vg in cert_g.x.items():
         if not vg:
             continue
-        hom = _pair_hom(gs_f, gs_p, g_hom.apply(s), t & ~s, nf)
+        # atom u goes to bit u of each block of t minus s, on s's blocks
+        spread = g_hom.apply(t & ~s) & firsts
+        hom = LatticeHom(gs_f, gs_p, g_hom.apply(s), tuple(spread << u for u in range(nf)))
         for (a, b), vf in cert_f.x.items():
             if not vf:
                 continue

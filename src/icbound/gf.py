@@ -1,13 +1,13 @@
 """Exact linear algebra over prime fields.
 
-`EchelonBasis` grows a GF(p) row basis of int lists in reduced echelon form;
-`rref` and `rank` are the dense helpers. The subset-lattice walk `span_ranks`
+A one-off rank uses `rank`, the dense `kernels.gfp_rref` on a copy. A rank
+for every subset of a list of generators uses the walk `span_ranks`, which
 packs each vector into one int: over GF(2) bit j holds entry j mod 2; over
 GF(p) field j of w bits holds entry j mod p, w the bit length of
 (p-1)(1 + ambient(p-1)). A field starts below p and each of at most ambient
 reduction steps adds at most (p-1)^2, so it never goes negative or carries.
-`Gf2Basis` is not used by the walk; tests and the benchmark's layer table
-name it, and it goes with that table.
+`EchelonBasis` and `Gf2Basis` serve no package path: they remain only as
+test references that the benchmark's layer table names, and go with it.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Subsets of a ground set are plain Python ints used as bitmasks, bit i of the
 mask corresponding to label i in ground-set order. Ints are arbitrary width,
 so ground sets well beyond 64 elements (e.g. three-fold lexicographic powers
-on 125 messages) work unchanged; only *dense* enumeration of all 2^n subsets
-is gated, by DENSE_CAP.
+on 125 messages) work unchanged. DENSE_CAP gates only the GF(p) subset walk
+`gf.span_ranks`; the bound LP's 2^n rows are gated by `lp.ROW_CAP`.
 
 A SetVector holds ints: every row of the bound LP, every rank and every
 dimension vector has integer entries, so subset vectors reach the LP and its
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
-from .errors import InputError, ResourceCapError
+from .errors import InputError
 
 DENSE_CAP = 16
 
@@ -88,13 +88,6 @@ class GroundSet:
             raise InputError(
                 f"mask {mask!r} does not fit a {self.n}-element ground set")
         return mask
-
-    def subsets(self) -> Iterator[int]:
-        """Iterate all 2^n subset masks; refused above the dense cap."""
-        if self.n > DENSE_CAP:
-            raise ResourceCapError(
-                f"dense enumeration of 2^{self.n} subsets exceeds cap {DENSE_CAP}")
-        return iter(range(1 << self.n))
 
     def append(self, label) -> "GroundSet":
         """New ground set with one extra label at the end."""

@@ -3,6 +3,9 @@
 A scalar linear code broadcasts the matrix-vector product Qx of the message
 vector; a receiver decodes its wanted message exactly when the wanted unit
 vector lies in the span of Q's rows and the known coordinates' unit vectors.
+Those units clear Q's columns in the known set, so the test needs ranks only:
+`is_valid_code` takes two `gf.rank`s of column subsets per receiver, and
+`code_entropy_vector` walks every column subset once with `gf.span_ranks`.
 Minimum-length search enumerates row spaces in reduced echelon form, which
 is what keeps the tiny search spaces honest (one candidate per subspace).
 
@@ -18,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from icbound.errors import InputError, ResourceCapError
-from icbound.gf import EchelonBasis, check_prime, rank, span_ranks
+from icbound.gf import check_prime, rank, span_ranks
 from icbound.groundset import SetVector, popcount
 from icbound.instance import IndexCodingInstance
 from icbound.matroid import Matroid
@@ -64,31 +67,24 @@ class ScalarLinearCode:
         return len(self.matrix[0]) if self.matrix else 0
 
 
-def _unit(n: int, i: int) -> List[int]:
-    row = [0] * n
-    row[i] = 1
-    return row
-
-
 def is_valid_code(instance: IndexCodingInstance, code: ScalarLinearCode) -> bool:
-    """Every receiver can decode: e_want in span(rows of Q, knowns' units)."""
+    """Every receiver (w, K) can decode: e_w lies in the span of Q's rows and
+    K's units. Those units clear Q's columns in K, so the span has rank |K|
+    plus the rank of Q's columns outside K, and e_w lies in it exactly when
+    adding e_w leaves that rank unchanged: when Q's columns outside K have
+    more rank than Q's columns outside K and w."""
     n = instance.messages.n
     if code.matrix and code.n != n:
         raise InputError(
             f"code is over {code.n} messages but the instance has {n}"
         )
-    for want, knows in instance.receivers:
-        basis = EchelonBasis(code.p, n)
-        for row in code.matrix:
-            basis.add(row)
-        k = knows
-        while k:
-            low = k & -k
-            basis.add(_unit(n, low.bit_length() - 1))
-            k ^= low
-        if not basis.contains(_unit(n, want)):
-            return False
-    return True
+
+    def rank_outside(mask: int) -> int:
+        keep = [j for j in range(n) if not mask >> j & 1]
+        return rank([[row[j] for j in keep] for row in code.matrix], code.p)
+
+    return all(rank_outside(knows) > rank_outside(knows | 1 << want)
+               for want, knows in instance.receivers)
 
 
 def _rref_matrices(n: int, length: int, p: int):

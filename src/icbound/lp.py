@@ -108,7 +108,7 @@ def build_problem(
     cobj: list = []
 
     crash: List[Tuple[int, int]] = []
-    for s in gs.subsets():
+    for s in range(1 << n):
         cl = instance.closure(s, closure)
         for i in range(n):
             bit = 1 << i
@@ -198,7 +198,7 @@ def _audit_against_instance(problem: LPProblem, sol: BoundSolution, w: Rational)
         raise VerificationError("full-set value is not pinned to n")
     if z[0] * value.denominator != value.numerator * dz:
         raise VerificationError("empty-set value disagrees with the LP objective")
-    for s in gs.subsets():
+    for s in range(1 << n):
         cl = inst.closure(s, problem.closure)
         zs = z[s]
         for i in range(n):

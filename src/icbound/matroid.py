@@ -122,15 +122,14 @@ class Matroid:
 def rank_from_matrix(
     labels: Sequence[object], columns: Sequence[Sequence[int]], p: int
 ) -> Matroid:
-    """Matroid of a matrix over GF(p); columns are indexed by labels.
+    """Matroid of a matrix over GF(p); columns are indexed by labels, and
+    span_ranks refuses one not as tall as the first, naming its index.
     More than _MATROID_CAP columns are refused before the 2^n-mask walk."""
     check_prime(p)
     gs = _check_cap(GroundSet(tuple(labels)))
     if len(columns) != gs.n:
         raise InputError("need exactly one column per label")
     dim = len(columns[0]) if columns else 0
-    if any(len(c) != dim for c in columns):
-        raise InputError("columns must share a common height")
     return Matroid._unchecked(gs, span_ranks(p, dim, [[c] for c in columns]))
 
 

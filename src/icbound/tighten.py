@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from icbound.errors import InputError
-from icbound.gf import EchelonBasis, check_prime, span_ranks
+from icbound.gf import check_prime, rank, span_ranks
 from icbound.groundset import GroundSet, SetVector
 from icbound.matroid import _FANO_LABELS
 from icbound.schema import HomExtSchema, SubmodSchema, UnionSchema
@@ -203,12 +203,10 @@ class SubspaceTuple:
     def __post_init__(self):
         check_prime(self.p)
         for space in self.spaces:
-            probe = EchelonBasis(self.p, self.ambient)
-            for vec in space:
-                if len(vec) != self.ambient:
-                    raise InputError("basis vector of wrong length")
-                if not probe.add(vec):
-                    raise InputError("space rows are not independent")
+            if any(len(vec) != self.ambient for vec in space):
+                raise InputError("basis vector of wrong length")
+            if rank(space, self.p) != len(space):
+                raise InputError("space rows are not independent")
 
     @property
     def count(self) -> int:

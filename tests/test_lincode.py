@@ -9,7 +9,7 @@ import pytest
 from icbound.errors import InputError, ResourceCapError
 from icbound.gf import rank
 from icbound.groundset import GroundSet
-from icbound.instance import cycle_instance, from_graph
+from icbound.instance import IndexCodingInstance, cycle_instance, from_graph
 from icbound.lincode import (ScalarLinearCode, code_entropy_vector,
                              is_valid_code, min_scalar_linear_rate,
                              underrep_check)
@@ -79,6 +79,22 @@ def test_validity_matches_brute_force_decoding():
         assert is_valid_code(inst, code) == oracles.brute_decodes(
             inst.n, list(inst.receivers), p, [list(r) for r in rows]
         )
+    # not from a graph: up to three receivers per message, each knowing a
+    # random subset of the others, so side information is asymmetric
+    seen = set()
+    for trial in range(120):
+        n = rng.randint(2, 4)
+        receivers = [(w, rng.randrange(1 << n) & ~(1 << w))
+                     for w in range(n) for _ in range(rng.randint(1, 3))]
+        inst = IndexCodingInstance(GroundSet(range(n)), receivers)
+        p = rng.choice((2, 3, 5))
+        rows = tuple(tuple(rng.randrange(p) for _ in range(n))
+                     for _ in range(rng.randint(0, n)))
+        valid = is_valid_code(inst, ScalarLinearCode(p, rows))
+        assert valid == oracles.brute_decodes(
+            n, list(inst.receivers), p, [list(r) for r in rows])
+        seen.add((p, valid))
+    assert seen == {(p, v) for p in (2, 3, 5) for v in (False, True)}
 
 
 def test_c5_partition_code_is_optimal():

@@ -192,8 +192,11 @@ def test_input_validation():
         b0_transpose_apply(SetVector.zero(GroundSet(["b", "e"])), GS3E, "a")
     with pytest.raises(InputError):
         b0_transpose_apply(SetVector.zero(GS3E), GS3E)  # wrong domain
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="not independent"):
         SubspaceTuple(2, 3, ((( 1, 0, 1), (1, 0, 1)),))  # dependent rows
+    with pytest.raises(InputError, match="not independent"):
+        SubspaceTuple(3, 3, (((1, 0, 0),), ((1, 2, 0), (2, 1, 0))))  # 2 * row 0 over GF(3)
+    assert SubspaceTuple(5, 3, (((1, 2, 0), (2, 1, 0)),)).count == 1  # independent over GF(5)
     with pytest.raises(InputError):
         fano_alpha("middling")
     with pytest.raises(InputError):
