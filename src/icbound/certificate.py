@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from icbound.errors import CertificateInvalid, InputError
-from icbound.groundset import GroundSet, LatticeHom
+from icbound.groundset import BlockEmbedding, GroundSet, LatticeHom
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               product_messages)
 from icbound.rational import ONE, ZERO, Rational, rat
@@ -154,8 +154,7 @@ def combine_certificates(
         if provenance is not None:
             provenance.setdefault((kind, key), []).append(source)
 
-    block_atoms = tuple(((1 << nf) - 1) << (i * nf) for i in range(gs_g.n))
-    g_hom = LatticeHom(gs_g, gs_p, 0, block_atoms)
+    g_hom = BlockEmbedding(gs_g, gs_p, nf)
     firsts = sum(1 << i * nf for i in range(gs_g.n))  # bit 0 of every block
 
     x: Dict[Tuple[int, int], Rational] = {}

@@ -32,7 +32,7 @@ receivers array the same way, in one pass, and falls back to the typed
 reader on anything else. A label array that repeats a label, and a
 certificate that repeats an (s, t) pair or a y row, are refused.
 
-`load_json` holds one buffer of the file's text, _CHUNK (2^22) characters,
+`load_json` holds one buffer of the file's text, _CHUNK (2^21) characters,
 beside what it has decoded. It reads a member of the top-level object or
 array at a time, and a member array an element at a time until the rest of
 the file is in the buffer, each by raw_decode with the same hook, so a
@@ -41,22 +41,32 @@ dropped; a file that fits one buffer is read whole at the first read. A
 value longer than the rest of a buffer doubles the buffer until it fits.
 Text that this reader does not take (malformed JSON, a repeated key, a
 top-level scalar) is read again by json.load, whose error names the line
-and column in the whole file.
+and column in the whole file. The buffer's size trades peak memory against
+speed. A 2^22-character buffer peaked at 18.6 MB while reading the 34.6 MB
+C5^4 certificate. A file longer than the buffer is decoded a member at a
+time, which costs time once the buffer is much smaller than the file: at
+2^16, verifying the squared Fano and non-Fano certificates ran about 30%
+slower in one run. At 2^21 the squared non-Fano instance (1.8 MB) is still
+read whole; the 3.8 MB C5^4 instance is not, and verifying C5^4 measured
+no slower.
 
 This module is also the only JSON writer. `dump_json` lays out exactly the
 text of `json.dumps(obj, indent=2)`: two-space indentation, "," and a line
 break between items, ": " after keys, keys in insertion order, non-ASCII as
-\\uXXXX escapes, empty containers as [] and {}. With no path it returns
-that text; a file gets it plus one newline, written a batch of _BATCH
-pieces at a time between the elements of an array, so no copy of the whole
-text is built.
+\\uXXXX escapes, empty containers as [] and {}. It also writes an
+iterator, which json.dumps refuses, as the array of what it yields, taking
+one element at a time. With no path it returns that text; a file gets it
+plus one newline, written a batch of _BATCH pieces at a time between the
+elements of an array, so no copy of the whole text is built.
+`certificate_to_json` returns its "x" and "y" arrays as such iterators, so
+an entry's label arrays exist only while the writer lays that entry out.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
-from itertools import compress
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -207,7 +217,7 @@ def load_json(path: str, masks_of: Optional[GroundSet] = None):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-_CHUNK = 1 << 22  # characters load_json reads at a time
+_CHUNK = 1 << 21  # characters load_json reads at a time
 _SPACE = json.decoder.WHITESPACE.match  # what JSON allows between tokens
 _ENDS = frozenset(" \t\n\r,]}:")  # what may follow a whole value
 
@@ -371,8 +381,9 @@ def _write(obj, newline: str, parts: List[str], escaped: _Escapes, spill) -> Non
     None, it is called to empty parts whenever a container's member leaves
     more than _BATCH pieces. With indent set the stdlib encodes in pure
     Python, so lists and str-keyed dicts are laid out here, each distinct
-    string escaped once in C; anything else goes to json.dumps, whose only
-    newlines are layout because strings escape theirs."""
+    string escaped once in C, and so is an iterator, as the array of what it
+    yields; anything else goes to json.dumps, whose only newlines are layout
+    because strings escape theirs."""
     kind = type(obj)
     if kind is str:
         parts.append(escaped[obj])
@@ -385,12 +396,7 @@ def _write(obj, newline: str, parts: List[str], escaped: _Escapes, spill) -> Non
         try:  # the escaper refuses anything but strings, and hashing a list fails
             out(sep.join(map(escaped.__getitem__, obj)))
         except TypeError:
-            for i, value in enumerate(obj):
-                if i:
-                    out(sep)
-                _write(value, inner, parts, escaped, spill)
-                if spill and len(parts) > _BATCH:
-                    spill()
+            _elements(obj, inner, parts, escaped, spill)
         out(newline + "]")
     elif kind is dict and obj and set(map(type, obj)) == {str}:
         head = "{" + inner
@@ -399,8 +405,31 @@ def _write(obj, newline: str, parts: List[str], escaped: _Escapes, spill) -> Non
             _write(value, inner, parts, escaped, spill)
             head = sep
         out(newline + "}")
+    elif isinstance(obj, Iterator):
+        first = next(obj, _END)
+        if first is _END:
+            out("[]")
+        else:
+            out("[" + inner)
+            _elements(chain((first,), obj), inner, parts, escaped, spill)
+            out(newline + "]")
     else:
         out(json.dumps(obj, indent=2).replace("\n", newline))
+
+
+_END = object()  # next() past an iterator's last element
+
+
+def _elements(values, inner: str, parts: List[str], escaped: _Escapes, spill) -> None:
+    """Append the pieces of an array's elements, each on a line indented as
+    inner; spill as _write says."""
+    sep = "," + inner
+    for i, value in enumerate(values):
+        if i:
+            parts.append(sep)
+        _write(value, inner, parts, escaped, spill)
+        if spill and len(parts) > _BATCH:
+            spill()
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -578,29 +607,37 @@ def _plain_receivers(items, gs: GroundSet) -> Optional[List[Tuple[int, int]]]:
 # -- schema rows, certificates and --rows files --------------------------------
 
 
-def _row_to_json(row: SchemaRow, names: Tuple[str, ...], schema) -> dict:
+def _row_to_json(row: SchemaRow, names: Tuple[str, ...]) -> dict:
+    """The tagged object of a row that _serializable accepted."""
     if isinstance(row, SideRow):
-        part = (schema.left, schema.right)[row.side]
-        inner = _row_to_json(row.inner, names, part)
-        return {"kind": "left" if row.side == 0 else "right", "inner": inner}
+        return {"kind": "left" if row.side == 0 else "right",
+                "inner": _row_to_json(row.inner, names)}
     if isinstance(row, SubmodRow):
         return {
             "kind": "submod",
             "s": _labels_of_mask(names, row.s),
             "t": _labels_of_mask(names, row.t),
         }
-    if isinstance(row, HomExtRow):
-        gen = row.hom.domain
-        atoms = {}
-        for i, lab in enumerate(gen.labels):
-            atoms[str(lab)] = _labels_of_mask(names, row.hom.atom_images[i])
-        return {
-            "kind": "homext",
-            "schema": row.schema,
-            "base": _labels_of_mask(names, row.hom.base),
-            "atoms": atoms,
-        }
-    raise InputError(f"cannot serialize schema row {row!r}")
+    gen = row.hom.domain
+    atoms = {}
+    for i, lab in enumerate(gen.labels):
+        atoms[str(lab)] = _labels_of_mask(names, row.hom.atom_images[i])
+    return {
+        "kind": "homext",
+        "schema": row.schema,
+        "base": _labels_of_mask(names, row.hom.base),
+        "atoms": atoms,
+    }
+
+
+def _serializable(row: SchemaRow) -> SchemaRow:
+    """row, or InputError when it or a row inside it has no JSON form."""
+    inner = row
+    while isinstance(inner, SideRow):
+        inner = inner.inner
+    if not isinstance(inner, (SubmodRow, HomExtRow)):
+        raise InputError(f"cannot serialize schema row {inner!r}")
+    return row
 
 
 def _row_from_json(node: _Json, gs: GroundSet, schema) -> SchemaRow:
@@ -621,25 +658,21 @@ def _row_from_json(node: _Json, gs: GroundSet, schema) -> SchemaRow:
 
 
 def certificate_to_json(cert: DualCertificate, gs: GroundSet, schema) -> dict:
+    """The certificate file's object, with "x" and "y" as iterators that
+    build each entry, label arrays and all, only when dump_json reaches it,
+    so the object can be written once. Every weight is spelled and every row
+    checked here, so a refusal comes before a file is opened. schema is not
+    read, as each row carries its full homomorphism."""
     names = _names(gs)
-    x_entries = []
-    for (s, t), v in sorted(cert.x.items()):
-        x_entries.append(
-            {
-                "s": _labels_of_mask(names, s),
-                "t": _labels_of_mask(names, t),
-                "v": rat_str(v),
-            }
-        )
-    y_entries = []
-    for row, v in cert.y.items():
-        y_entries.append({"row": _row_to_json(row, names, schema), "v": rat_str(v)})
+    x = [(s, t, rat_str(v)) for (s, t), v in sorted(cert.x.items())]
+    y = [(_serializable(row), rat_str(v)) for row, v in cert.y.items()]
     return {
         "value": None if cert.claimed_value is None else rat_str(cert.claimed_value),
         "schema": cert.schema_name,
         "closure": cert.closure.value,
-        "x": x_entries,
-        "y": y_entries,
+        "x": ({"s": _labels_of_mask(names, s), "t": _labels_of_mask(names, t), "v": v}
+              for s, t, v in x),
+        "y": ({"row": _row_to_json(row, names), "v": v} for row, v in y),
     }
 
 

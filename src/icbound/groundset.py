@@ -258,3 +258,22 @@ class LatticeHom:
             self.apply(inner.base | inner.atom_images[i]) & ~base
             for i in range(inner.domain.n))
         return LatticeHom(inner.domain, self.codomain, base, images)
+
+
+class BlockEmbedding(LatticeHom):
+    """The hom sending atom i of outer to block i of a lexicographic product:
+    bits i*width to (i+1)*width - 1 of product. apply looks up each byte of
+    a mask in one 256-entry table of width-byte strings and joins them at C
+    speed, where LatticeHom.apply takes a Python step per set bit."""
+
+    def __init__(self, outer: GroundSet, product: GroundSet, width: int):
+        block = (1 << width) - 1
+        super().__init__(outer, product, 0, tuple(block << i * width for i in range(outer.n)))
+        table = [sum(block << i * width for i in bit_indices(byte)).to_bytes(width, "little")
+                 for byte in range(256)]
+        object.__setattr__(self, "_spread", table.__getitem__)
+
+    def apply(self, mask: int) -> int:
+        self.domain.check_mask(mask)
+        data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+        return int.from_bytes(b"".join(map(self._spread, data)), "little")

@@ -11,7 +11,7 @@ from enum import Enum
 from typing import Iterable
 
 from .errors import InputError, ResourceCapError
-from .groundset import GroundSet, bit_indices, popcount
+from .groundset import BlockEmbedding, GroundSet, bit_indices, popcount
 
 
 class ClosureMode(Enum):
@@ -99,12 +99,10 @@ class IndexCodingInstance:
         """
         nf = other.n
         gs = product_messages(self.messages, other.messages)
-        block = (1 << nf) - 1
+        embed = BlockEmbedding(self.messages, gs, nf)
         receivers = []
         for wg, sg in self.receivers:
-            outer_knows = 0
-            for i in bit_indices(sg):
-                outer_knows |= block << (i * nf)
+            outer_knows = embed.apply(sg)
             for wf, sf in other.receivers:
                 want = wg * nf + wf
                 knows = outer_knows | (sf << (wg * nf))

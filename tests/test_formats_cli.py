@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from icbound import formats
-from icbound.certificate import c5_certificate
+from icbound.certificate import c5_certificate, combine_certificates
 from icbound.cli import _build_parser, _read_certificate, main
 from icbound.errors import InputError
 from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
@@ -22,7 +22,7 @@ from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
                              instance_to_json, load_json, matroid_from_json,
                              schema_by_name)
 from icbound.groundset import GroundSet
-from icbound.instance import IndexCodingInstance, cycle_instance
+from icbound.instance import IndexCodingInstance, cycle_instance, product_messages
 from icbound.lp import ROW_CAP, build_problem, solve_problem
 from icbound.certificate import verify_certificate
 from icbound.matroid import _FANO_LABELS, addineq_certificate, fano, to_index_coding
@@ -40,6 +40,12 @@ def fano_ranks_json():
 def string_c5():
     """C5 with string labels, as any instance read back from a file has."""
     return instance_from_json(instance_to_json(cycle_instance(5)))
+
+
+def _listed(cert: dict) -> dict:
+    """A certificate_to_json object with its "x" and "y" iterators listed,
+    for a test to index, change or write more than once."""
+    return dict(cert, x=list(cert["x"]), y=list(cert["y"]))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -91,10 +97,26 @@ _JSON_VALUES = st.recursive(
     max_leaves=20)
 
 
+def _iterated(obj):
+    """obj with each list that dump_json lays out itself passed as an iterator;
+    a dict whose keys are not all strings goes to json.dumps as it is."""
+    if type(obj) is list:
+        return iter(list(map(_iterated, obj)))
+    if type(obj) is tuple:
+        return tuple(map(_iterated, obj))
+    if type(obj) is dict and set(map(type, obj)) == {str}:
+        return {key: _iterated(value) for key, value in obj.items()}
+    return obj
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(obj=_JSON_VALUES)
 def test_dump_json_is_stdlib_text(obj):
-    assert dump_json(obj, None) == json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2)
+    assert dump_json(obj, None) == text
+    assert dump_json(_iterated(obj), None) == text
+    assert dump_json(iter(()), None) == "[]"
+    assert dump_json({"x": iter([])}, None) == json.dumps({"x": []}, indent=2)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -129,7 +151,7 @@ def test_homext_certificate_roundtrip():
     schema = schema_by_name("submod+fano-odd")
     row = next(r for r in schema.rows(inst.messages) if r.side == 1)
     cert = addineq_certificate(fano(), row, schema)
-    obj = certificate_to_json(cert, inst.messages, schema)
+    obj = _listed(certificate_to_json(cert, inst.messages, schema))
     kinds = {entry["row"]["kind"] for entry in obj["y"]}
     assert kinds == {"right"}
     assert obj["y"][0]["row"]["inner"]["kind"] == "homext"
@@ -166,8 +188,8 @@ def test_matroid_json_forms():
 
 def test_malformed_certificate_fields():
     inst = string_c5()
-    good = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
-                               schema_by_name("submod"))
+    good = _listed(certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
+                                       schema_by_name("submod")))
     for mutate in (
         lambda o: o.pop("schema"),
         lambda o: o.pop("closure"),
@@ -628,9 +650,9 @@ def _assert_input_error(argv, path, capsys):
 
 
 def _write(tmp_path, name, obj) -> str:
-    path = tmp_path / name
-    path.write_text(json.dumps(obj))
-    return str(path)
+    path = str(tmp_path / name)
+    dump_json(obj, path)
+    return path
 
 
 @pytest.mark.parametrize("obj, path", [
@@ -705,8 +727,7 @@ def test_error_message_bounds_deep_values():
         "value-plus-denominator", "value-leading-space", "value-trailing-space",
         "value-fullwidth-digit", "value-arabic-indic-digit", "schema-unknown"])
 def test_cli_malformed_certificate(mutate, path, c5_file, tmp_path, capsys):
-    cert = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
-                               schema_by_name("submod"))
+    cert = _c5_cert_json()
     mutate(cert)
     _assert_input_error(["verify", c5_file, _write(tmp_path, "cert.json", cert)],
                         path, capsys)
@@ -725,7 +746,8 @@ def test_cli_homext_atom_key_outside_generator(fano_file, tmp_path, capsys):
     inst = instance_from_json(instance_to_json(to_index_coding(fano())))
     schema = schema_by_name("submod+fano-odd")
     row = next(r for r in schema.rows(inst.messages) if r.side == 1)
-    cert = certificate_to_json(addineq_certificate(fano(), row, schema), inst.messages, schema)
+    cert = _listed(certificate_to_json(addineq_certificate(fano(), row, schema), inst.messages,
+                                       schema))
     atoms = cert["y"][0]["row"]["inner"]["atoms"]
     atoms["1OO"] = []
     _assert_input_error(["verify", fano_file, _write(tmp_path, "cert.json", cert)],
@@ -779,8 +801,7 @@ def test_cli_orbit_map_is_read_without_the_identity_embedding(c5_file, tmp_path,
 
 def test_cli_repeated_label_is_refused(c5_file, tmp_path, capsys):
     # mask_of used to OR a repeat away, so each of these exited 0
-    cert = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
-                               schema_by_name("submod"))
+    cert = _c5_cert_json()
     cert["x"][0]["t"] = ["1", "3", "1"]
     assert main(["verify", c5_file, _write(tmp_path, "cert.json", cert)]) == 2
     assert capsys.readouterr().err == "input error: x[0].t[2] repeats the label '1'\n"
@@ -790,16 +811,15 @@ def test_cli_repeated_label_is_refused(c5_file, tmp_path, capsys):
 
 
 def test_cli_number_for_a_label_array_is_refused(c5_file, tmp_path, capsys):
-    cert = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
-                               schema_by_name("submod"))
+    cert = _c5_cert_json()
     cert["x"][0]["s"] = 5
     assert main(["verify", c5_file, _write(tmp_path, "cert.json", cert)]) == 2
     assert capsys.readouterr().err == "input error: x[0].s must be an array, got 5\n"
 
 
 def _c5_cert_json():
-    return certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
-                               schema_by_name("submod"))
+    return _listed(certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
+                                       schema_by_name("submod")))
 
 
 def test_cli_wrong_container_shows_the_masks_read(c5_file, tmp_path, capsys):
@@ -866,14 +886,14 @@ def test_cli_product_names_a_repeated_label(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def c5_power_certs(tmp_path_factory):
-    """Exponent -> certificate file of C5^2 and C5^3, by icb product and
-    combine from the built-in pentagon certificate."""
+    """Exponent -> certificate file of C5^2, C5^3 and C5^4, by icb product
+    and combine from the built-in pentagon certificate."""
     work = tmp_path_factory.mktemp("powers")
     c5 = inst = _write(work, "c5.json", instance_to_json(cycle_instance(5)))
     c5_cert = cert = _write(work, "c5.cert.json", certificate_to_json(
         c5_certificate()[2], cycle_instance(5).messages, schema_by_name("submod")))
     certs = {}
-    for k in (2, 3):
+    for k in (2, 3, 4):
         power, certs[k] = str(work / f"c5p{k}.json"), str(work / f"c5p{k}.cert.json")
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["product", inst, c5, "--out", power]) == 0
@@ -951,33 +971,90 @@ def test_dump_json_to_a_file_holds_a_fraction_of_its_text(c5_power_certs, tmp_pa
         assert (tmp_path / "copy.json").read_bytes() == fh.read()
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_verify_of_c5_to_the_fourth_peaks_under_50_mb(c5_power_certs, tmp_path):
-    # a whole-file read peaked at 84.6 MB on the 34.6 MB certificate
+def test_streamed_certificate_dump_peaks_at_a_fraction_of_its_entries(c5_power_certs, tmp_path):
+    # the listed entries of C5^4 hold 16.5 MB of label arrays; the writer
+    # needs those of about one batch of entries at a time
+    cube, c5, cube_cert, c5_cert = _factor_files(c5_power_certs)
+    inst_g, inst_f = (instance_from_json(load_json(path)) for path in (cube, c5))
+    schema = schema_by_name("submod")
+    combined = combine_certificates(
+        inst_g, inst_f, _read_certificate(cube_cert, inst_g.messages)[0],
+        _read_certificate(c5_cert, inst_f.messages)[0], schema)
+    combined.claimed_value = rat("625/16")  # as icb combine writes it
+    gs = product_messages(inst_g.messages, inst_f.messages)
+    path = tmp_path / "c5p4.cert.json"
+    tracemalloc.start()
+    try:
+        listed = _listed(certificate_to_json(combined, gs, schema))
+        held = tracemalloc.get_traced_memory()[0]
+        del listed
+        tracemalloc.reset_peak()
+        dump_json(certificate_to_json(combined, gs, schema), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held > 10 << 20
+    assert peak < held // 6
+    with open(c5_power_certs[4], "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+def _factor_files(c5_power_certs):
+    """The instances of C5^3 and C5, then their certificates, as icb combine
+    takes them to make C5^4."""
     work = os.path.dirname(c5_power_certs[3])
-    c5, c5_cert = os.path.join(work, "c5.json"), os.path.join(work, "c5.cert.json")
-    cube, cube_cert = c5_power_certs[3].replace(".cert.json", ".json"), c5_power_certs[3]
-    power, cert = str(tmp_path / "c5p4.json"), str(tmp_path / "c5p4.cert.json")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["product", cube, c5, "--out", power]) == 0
-        assert main(["combine", cube, c5, cube_cert, c5_cert, "--out", cert]) == 0
-    assert os.path.getsize(cert) > 30 << 20
-    # VmHWM is the child's own peak: its ru_maxrss would also count this
-    # process's pages, which the child holds until it execs
-    child = ("import sys\n"
-             "from icbound.cli import main\n"
-             "code = main(sys.argv[1:])\n"
-             "with open('/proc/self/status') as fh:\n"
-             "    print(fh.read().split('VmHWM:')[1].split()[0])\n"
-             "sys.exit(code)\n")
+    return (c5_power_certs[3].replace(".cert.json", ".json"), os.path.join(work, "c5.json"),
+            c5_power_certs[3], os.path.join(work, "c5.cert.json"))
+
+
+# The child measures how far its peak RSS rises above its RSS once
+# icbound.cli is imported, so the bound does not move with the size of the
+# interpreter and its imports. VmHWM is the child's own peak: its ru_maxrss
+# would also count this process's pages, which the child holds until it execs.
+_RISE = ("import sys\n"
+         "def status(key):\n"
+         "    with open('/proc/self/status') as fh:\n"
+         "        return int(fh.read().split(key + ':')[1].split()[0])\n"
+         "from icbound.cli import main\n"
+         "start = status('VmRSS')\n"
+         "code = main(sys.argv[1:])\n"
+         "print(status('VmHWM') - start)\n"
+         "sys.exit(code)\n")
+
+
+def _rise_of(*argv):
+    """What `icb argv` prints in a fresh process, and how many KiB its peak
+    RSS rose above its RSS after importing icbound.cli."""
     src = os.path.dirname(os.path.dirname(formats.__file__))
-    proc = subprocess.run([sys.executable, "-c", child, "verify", power, cert],
+    proc = subprocess.run([sys.executable, "-c", _RISE, *argv],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    printed, peak_kib = proc.stdout.rsplit("\n", 2)[:2]
+    printed, rise_kib = proc.stdout.rsplit("\n", 2)[:2]
+    return printed, int(rise_kib)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_verify_of_c5_to_the_fourth_rises_little_past_its_imports(c5_power_certs):
+    # on the 34.6 MB certificate a 2^22-character buffer rose 21.5-22.5 MB
+    # (CPython 3.10-3.13); a 2^21 one rises 10.6-11.8 MB
+    assert os.path.getsize(c5_power_certs[4]) > 30 << 20
+    power = c5_power_certs[4].replace(".cert.json", ".json")
+    printed, rise_kib = _rise_of("verify", power, c5_power_certs[4])
     assert printed == "value = 625/16"
-    assert int(peak_kib) < 50 << 10
+    assert rise_kib < 16 << 10
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_combine_into_c5_to_the_fourth_rises_little_past_its_imports(c5_power_certs, tmp_path):
+    # listing every entry before the write rose 18.0-19.2 MB (CPython
+    # 3.10-3.13); building each as the writer reaches it rises 2.5-3.5 MB
+    out = str(tmp_path / "c5p4.cert.json")
+    printed, rise_kib = _rise_of("combine", *_factor_files(c5_power_certs), "--out", out)
+    assert printed == "value = 625/16"
+    assert rise_kib < 9 << 10
+    with open(c5_power_certs[4], "rb") as fh, open(out, "rb") as mine:
+        assert mine.read() == fh.read()
 
 
 # -- fuzzing: mutated valid files never escape the exit-code contract --------
@@ -1012,10 +1089,9 @@ def fuzz_seeds(tmp_path_factory):
     fano_path = _write(work, "fano.json", instance_to_json(fano_inst))
     odd = schema_by_name("submod+fano-odd")
     row = next(r for r in odd.rows(fano_inst.messages) if r.side == 1)
-    fano_cert = certificate_to_json(addineq_certificate(fano(), row, odd),
-                                    fano_inst.messages, odd)
-    c5_cert = certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
-                                  schema_by_name("submod"))
+    fano_cert = _listed(certificate_to_json(addineq_certificate(fano(), row, odd),
+                                            fano_inst.messages, odd))
+    c5_cert = _c5_cert_json()
     graph = {"graph": {"vertices": [1, 2, 3, 4, 5],
                        "edges": [[i, i % 5 + 1] for i in range(1, 6)]}}
     rows = ["solve", fano_path, "--schema", "fano-odd", "--rows"]
@@ -1107,10 +1183,9 @@ def cert_seeds(tmp_path_factory):
     odd = schema_by_name("submod+fano-odd")
     row = next(r for r in odd.rows(fano_inst.messages) if r.side == 1)
     return tmp_path_factory.mktemp("masked"), {
-        "c5": (certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,
-                                   schema_by_name("submod")), string_c5().messages, None),
-        "fano": (certificate_to_json(addineq_certificate(fano(), row, odd), fano_inst.messages,
-                                     odd), fano_inst.messages, odd),
+        "c5": (_c5_cert_json(), string_c5().messages, None),
+        "fano": (_listed(certificate_to_json(addineq_certificate(fano(), row, odd),
+                                             fano_inst.messages, odd)), fano_inst.messages, odd),
     }
 
 

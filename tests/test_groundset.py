@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icbound.errors import InputError
-from icbound.groundset import GroundSet, LatticeHom, SetVector, bit_indices, popcount
+from icbound.groundset import (BlockEmbedding, GroundSet, LatticeHom, SetVector, bit_indices,
+                               popcount)
 from icbound.instance import cycle_instance
 from icbound.lincode import ScalarLinearCode, code_entropy_vector
 from icbound.schema import SubmodRow, SubmodSchema
@@ -112,6 +113,20 @@ def test_hom_identity_and_apply():
     h = identity(gs)
     for mask in range(8):
         assert h.apply(mask) == mask
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 70), width=st.integers(0, 12))
+def test_block_embedding_applies_as_the_per_bit_loop(data, n, width):
+    outer, product = GroundSet(range(n)), GroundSet(range(n * width))
+    embed = BlockEmbedding(outer, product, width)
+    plain = LatticeHom(outer, product, embed.base, embed.atom_images)
+    assert embed.atom_images == tuple(((1 << width) - 1) << i * width for i in range(n))
+    mask = data.draw(st.integers(0, outer.full_mask))
+    assert embed.apply(mask) == plain.apply(mask)
+    assert embed.compose(identity(outer)) == plain.compose(identity(outer))
+    with pytest.raises(InputError):
+        embed.apply(outer.full_mask + 1)
 
 
 def test_hom_with_base_and_dead_atom():
