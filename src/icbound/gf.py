@@ -1,11 +1,12 @@
 """Exact linear algebra over prime fields.
 
-A one-off rank uses `rank`, the dense `kernels.gfp_rref` on a copy. A rank
-for every subset of a list of generators uses the walk `span_ranks`, which
-packs each vector into one int: over GF(2) bit j holds entry j mod 2; over
-GF(p) field j of w bits holds entry j mod p, w the bit length of
-(p-1)(1 + ambient(p-1)). A field starts below p and each of at most ambient
-reduction steps adds at most (p-1)^2, so it never goes negative or carries.
+A one-off rank uses `rank`, the dense `kernels.gfp_rref` on a copy. Ranks
+of every subset of a list of generators come from the walk `span_ranks`,
+which visits only the subsets below full rank (a down-set, as rank is
+monotone) and packs each vector into one int: over GF(2) bit j holds entry
+j mod 2; over GF(p) field j of w bits holds entry j mod p, w the bit length
+of (p-1)(1 + ambient(p-1)). A field starts below p and each of at most
+ambient reduction steps adds at most (p-1)^2: none goes negative or carries.
 `EchelonBasis` and `Gf2Basis` serve no package path: they remain only as
 test references that the benchmark's layer table names, and go with it.
 """
@@ -13,7 +14,7 @@ test references that the benchmark's layer table names, and go with it.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from icbound import kernels
 from icbound.errors import InputError, ResourceCapError
@@ -149,11 +150,11 @@ def span_ranks(
 
     gens[i] is a list of vectors of length ambient; any other length raises
     InputError naming i. More than DENSE_CAP generators raise ResourceCapError
-    before anything is allocated. The basis at S is the tuple of (shift, row)
-    pairs at S minus its lowest element, extended by that element's vectors;
-    a basis of rank ambient cannot grow and is shared. A basis is kept only
-    while a later mask still reads it: odd masks are never read, and the last
-    reader of T is T plus the element just below T's lowest one.
+    before anything is allocated. Every mask starts at top, the rank of all
+    the generators, and the walk visits only the masks below top: rank is
+    monotone, so each is reached from its parent, the mask minus its lowest
+    element, whose basis (a tuple of (shift, row) pairs) it extends by that
+    element's vectors. Every mask above one at top is at top too.
 
     Rows are used in the order they were added. Each is 1 at its own pivot
     and 0 mod p at the pivots of earlier rows, so one pass zeroes every pivot
@@ -172,34 +173,38 @@ def span_ranks(
     field = (1 << width) - 1
     shifts = range(0, width * ambient, width)
     packed = [[sum(v % p << t for v, t in zip(vec, shifts)) for vec in vecs] for vecs in gens]
-    bases: List[Optional[tuple]] = [()]
-    ranks = [0]
-    for s in range(1, 1 << len(gens)):
-        low = s & -s
-        parent = s ^ low
-        rows = bases[parent]
-        if len(rows) < ambient:
-            for vec in packed[low.bit_length() - 1]:
-                if p == 2:
-                    for shift, row in rows:
-                        if vec >> shift & 1:
-                            vec ^= row
-                    if vec:
-                        rows += (((vec & -vec).bit_length() - 1, vec),)
-                    continue
+
+    def grow(rows: tuple, vecs: List[int], cap: int) -> tuple:  # stops at rank cap
+        for vec in vecs:
+            if len(rows) == cap:
+                break
+            if p == 2:
                 for shift, row in rows:
-                    f = (vec >> shift & field) % p
-                    if f:
-                        vec += (p - f) * row
-                for j, t in enumerate(shifts):
-                    f = (vec >> t & field) % p
-                    if f:
-                        inv = pow(f, p - 2, p)
-                        row = sum((vec >> u & field) * inv % p << u for u in shifts[j:])
-                        rows += ((t, row),)
-                        break
-        if (parent & -parent) >> 1 == low:
-            bases[parent] = None
-        bases.append(None if s & 1 else rows)
-        ranks.append(len(rows))
+                    if vec >> shift & 1:
+                        vec ^= row
+                if vec:
+                    rows += (((vec & -vec).bit_length() - 1, vec),)
+                continue
+            for shift, row in rows:
+                f = (vec >> shift & field) % p
+                if f:
+                    vec += (p - f) * row
+            for j, t in enumerate(shifts):
+                f = (vec >> t & field) % p
+                if f:
+                    inv = pow(f, p - 2, p)
+                    rows += ((t, sum((vec >> u & field) * inv % p << u for u in shifts[j:])),)
+                    break
+        return rows
+
+    top = len(grow((), [vec for vecs in packed for vec in vecs], ambient))
+    ranks = [top] * (1 << len(gens))
+    below = [(0, (), len(gens))]  # mask, basis, index of its lowest element (n at 0)
+    while below:
+        s, rows, low = below.pop()
+        ranks[s] = len(rows)
+        for i in range(low):
+            child = grow(rows, packed[i], top)
+            if len(child) < top:
+                below.append((s | 1 << i, child, i))
     return ranks

@@ -5,27 +5,31 @@ vector; a receiver decodes its wanted message exactly when the wanted unit
 vector lies in the span of Q's rows and the known coordinates' unit vectors.
 Those units clear Q's columns in the known set, so the test needs ranks only:
 `is_valid_code` takes two `gf.rank`s of column subsets per receiver, and
-`code_entropy_vector` walks every column subset once with `gf.span_ranks`.
-Minimum-length search enumerates row spaces in reduced echelon form, which
-is what keeps the tiny search spaces honest (one candidate per subspace).
+`code_entropy_vector` ranks every column subset with one `gf.span_ranks`.
+Minimum-length search enumerates row spaces in reduced echelon form (one
+candidate per subspace) from the ceiling of the bound LP's value b: a valid
+code's `code_entropy_vector` satisfies every row of that LP, and its value
+at the empty set is the code's rank, at most its length.
 
 `underrep_check` decides whether a matrix under-represents a matroid. A
 null-space basis of such a matrix is a valid code for the matroid's
 instance; the test suite builds the length-4 binary code for the
 seven-message binary-matroid instance that way and checks it with
-`is_valid_code`. `code_entropy_vector` gives a code's joint-rank vector,
-which the tests check against the bound LP's rows.
+`is_valid_code`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import add, eq
 from typing import Optional, Sequence, Tuple
 
+from icbound import lp
 from icbound.errors import InputError, ResourceCapError
 from icbound.gf import check_prime, rank, span_ranks
-from icbound.groundset import SetVector, popcount
+from icbound.groundset import SetVector
 from icbound.instance import IndexCodingInstance
 from icbound.matroid import Matroid
 
@@ -90,20 +94,12 @@ def is_valid_code(instance: IndexCodingInstance, code: ScalarLinearCode) -> bool
 def _rref_matrices(n: int, length: int, p: int):
     """All reduced-echelon l x n matrices of full row rank, one per row space."""
     for pivots in itertools.combinations(range(n), length):
-        pivot_set = set(pivots)
-        free_slots = [
-            (i, j)
-            for i in range(length)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
-        for values in itertools.product(range(p), repeat=len(free_slots)):
-            rows = [[0] * n for _ in range(length)]
-            for i, c in enumerate(pivots):
-                rows[i][c] = 1
-            for (i, j), v in zip(free_slots, values):
+        free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, n) if j not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            rows = [[int(j == c) for j in range(n)] for c in pivots]
+            for (i, j), v in zip(free, values):
                 rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
+            yield tuple(map(tuple, rows))
 
 
 def min_scalar_linear_rate(
@@ -111,19 +107,17 @@ def min_scalar_linear_rate(
 ) -> Optional[int]:
     """Least code length over GF(p), or None when every length up to l_max fails.
 
-    Exhaustive over row spaces in echelon form; capped at the sizes where
-    that is still a moment's work.
+    Exhaustive over row spaces in echelon form from the ceiling of the bound
+    LP's value b; capped at the sizes where that is still a moment's work.
     """
     check_prime(p)
     n = instance.messages.n
     cap = _SEARCH_CAPS.get(p)
     if cap is None or n > cap:
         known = ", ".join(f"n <= {v} over GF({k})" for k, v in _SEARCH_CAPS.items())
-        raise ResourceCapError(
-            f"exhaustive search supports only {known}; got n = {n} over GF({p})"
-        )
+        raise ResourceCapError(f"exhaustive search supports only {known}; got n = {n} over GF({p})")
     top = n if l_max is None else min(l_max, n)
-    for length in range(top + 1):
+    for length in range(math.ceil(lp.solve_problem(lp.build_problem(instance)).value), top + 1):
         for rows in _rref_matrices(n, length, p):
             if is_valid_code(instance, ScalarLinearCode(p, rows)):
                 return length
@@ -147,20 +141,16 @@ def underrep_check(matroid: Matroid, rows: Sequence[Sequence[int]], p: int) -> b
     """
     check_prime(p)
     n = matroid.gs.n
-    d = len(rows)
     for row in rows:
         if len(row) != n:
             raise InputError("matrix must have one column per matroid element")
-    if rank([list(r) for r in rows], p) != d:
+    span = span_ranks(p, len(rows), [[[row[j] for row in rows]] for j in range(n)])
+    if span[-1] != len(rows):
         return False
-    span = span_ranks(p, d, [[[row[j] for row in rows]] for j in range(n)])
-    ranks = matroid.ranks
-    bits = [1 << x for x in range(n)]
-    for s, r in enumerate(ranks):
-        if r != popcount(s):
-            continue
+    ranks, bits = matroid.ranks, [1 << x for x in range(n)]
+    for s in itertools.compress(range(1 << n), map(eq, ranks, map(int.bit_count, range(1 << n)))):
         for bit in bits:
-            if not s & bit and ranks[s | bit] == r and span[s | bit] != span[s]:
+            if not s & bit and ranks[s | bit] == ranks[s] and span[s | bit] != span[s]:
                 return False
     return True
 
@@ -171,18 +161,14 @@ def code_entropy_vector(
     """Exact joint-rank vector: z_S = rank(rows of Q plus units of S).
 
     The units of S clear Q's columns in S, so z_S = |S| + rank of Q's
-    columns outside S. Those column ranks come from one span_ranks walk in
-    GF(p)^length, which saturates once a set of columns reaches rank
-    length. For a valid code this vector satisfies every constraint of the
-    bound LP, which is the whole reason the LP value is a lower bound on
-    code length.
+    columns outside S, all from one span_ranks walk in GF(p)^length. For a
+    valid code this vector satisfies every constraint of the bound LP, which
+    is the whole reason the LP value is a lower bound on code length.
     """
     gs = instance.messages
     n = gs.n
     if code.matrix and code.n != n:
         raise InputError("code does not match the instance size")
-    columns = [[[row[j] for row in code.matrix]] for j in range(n)]
-    cols = span_ranks(code.p, code.length, columns)
-    full = gs.full_mask
-    ranks = (popcount(s) + cols[full ^ s] for s in range(1 << n))
-    return SetVector._from_clean(gs, {s: r for s, r in enumerate(ranks) if r})
+    cols = span_ranks(code.p, code.length, [[[row[j] for row in code.matrix]] for j in range(n)])
+    ranks = list(map(add, map(int.bit_count, range(1 << n)), reversed(cols)))
+    return SetVector._from_clean(gs, dict(itertools.compress(enumerate(ranks), ranks)))

@@ -15,6 +15,7 @@ verifier as everything else.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from icbound.certificate import DualCertificate
@@ -84,29 +85,36 @@ class Matroid:
         return self.ranks[self.gs.full_mask]
 
     def check_axioms(self) -> None:
-        """Normalization, unit increase, and submodularity; raises InputError."""
-        n = self.gs.n
-        r = self.ranks
+        """Normalization, unit increase, and submodularity; raises InputError at the
+        least failing mask, then element or pair. Ranks are packed one w-bit field per
+        mask, a byte for ranks in [0, n]: a shift by w * 2^i moves field S + i onto S,
+        avoid[i] keeps the S without i, and a bias of 2^(w-1) holds any step or slack."""
+        n, r = self.gs.n, self.ranks
         if r[0] != 0:
             raise InputError("rank of the empty set must be 0")
-        for s in range(1 << n):
-            for i in range(n):
-                bit = 1 << i
-                if s & bit:
-                    continue
-                step = r[s | bit] - r[s]
-                if step not in (0, 1):
-                    raise InputError(f"rank step {step} at mask {s} plus element {i}")
-        for s in range(1 << n):
-            for i in range(n):
-                if s & (1 << i):
-                    continue
-                for j in range(i + 1, n):
-                    if s & (1 << j):
-                        continue
-                    a, b = s | (1 << i), s | (1 << j)
-                    if r[a] + r[b] < r[a | b] + r[s]:
-                        raise InputError(f"submodularity fails at masks {a}, {b}")
+        lo = min(r)
+        w = max(8, (max(r) - lo).bit_length() + 2)
+        packed = (int.from_bytes(bytes(r), "little") if w == 8 and lo == 0
+                  else sum(x - lo << w * s for s, x in enumerate(r)))
+        every = (1 << (w << n)) - 1
+        ones = every // ((1 << w) - 1)
+        bias = ones << w - 1
+        avoid = [((1 << (w << i)) - 1) * (every // ((1 << (w << i + 1)) - 1)) for i in range(n)]
+
+        def first(bad: int, *at: int) -> tuple:  # the lowest nonzero field's S, 2^n if none
+            return (((bad & -bad).bit_length() - 1) // w if bad else 1 << n, *at)
+
+        s, i = min([(1 << n, 0)] + [
+            first(((packed >> (w << i) & m) + (bias & m) - (packed & m) ^ bias) & m & ~ones, i)
+            for i, m in enumerate(avoid)])
+        if s >> n == 0:
+            raise InputError(f"rank step {r[s | 1 << i] - r[s]} at mask {s} plus element {i}")
+        s, i, j = min([(1 << n, 0, 0)] + [
+            first(bias & m & ~((packed >> (w << i) & m) + (packed >> (w << j) & m) + (bias & m)
+                               - (packed >> (w << i) + (w << j) & m) - (packed & m)), i, j)
+            for i, j in combinations(range(n), 2) for m in [avoid[i] & avoid[j]]])
+        if s >> n == 0:
+            raise InputError(f"submodularity fails at masks {s | 1 << i}, {s | 1 << j}")
 
     def __eq__(self, other) -> bool:
         return (

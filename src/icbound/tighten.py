@@ -22,6 +22,7 @@ vector-space constructions that realize them on subspace tuples over GF(p)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Optional, Tuple
 
 from icbound.errors import InputError
@@ -220,4 +221,4 @@ def dimension_vector(tup: SubspaceTuple, gs: Optional[GroundSet] = None) -> SetV
     if gs.n != tup.count:
         raise InputError("ground set size does not match the tuple")
     ranks = span_ranks(tup.p, tup.ambient, tup.spaces)
-    return SetVector._from_clean(gs, {s: r for s, r in enumerate(ranks) if r})
+    return SetVector._from_clean(gs, dict(compress(enumerate(ranks), ranks)))

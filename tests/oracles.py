@@ -603,3 +603,36 @@ def fraction_audit(lp, x, y):
     if primal != dual:
         return f"audit: objective mismatch {primal} != {dual}"
     return None
+
+
+# -- matroid axioms, one mask at a time -------------------------------------------
+
+
+def axiom_failure(n, r):
+    """The message `Matroid.check_axioms` raises for the rank vector r, or None.
+
+    Normalization, then unit increase at every mask and element outside it,
+    then submodularity at every mask and pair of elements outside it, each in
+    ascending order; the first failure is reported.
+    """
+    if r[0] != 0:
+        return "rank of the empty set must be 0"
+    for s in range(1 << n):
+        for i in range(n):
+            bit = 1 << i
+            if s & bit:
+                continue
+            step = r[s | bit] - r[s]
+            if step not in (0, 1):
+                return f"rank step {step} at mask {s} plus element {i}"
+    for s in range(1 << n):
+        for i in range(n):
+            if s & (1 << i):
+                continue
+            for j in range(i + 1, n):
+                if s & (1 << j):
+                    continue
+                a, b = s | (1 << i), s | (1 << j)
+                if r[a] + r[b] < r[a | b] + r[s]:
+                    return f"submodularity fails at masks {a}, {b}"
+    return None

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from icbound import formats
+from icbound import formats, lincode
 from icbound.certificate import c5_certificate, combine_certificates
 from icbound.cli import _build_parser, _read_certificate, main
 from icbound.errors import InputError
@@ -573,6 +573,16 @@ def test_cli_matroid_alpha_search(tmp_path, c5_file, capsys):
     assert main(["search-linear", c5_file, "2", "--l-max", "2"]) == 0
     assert "exceeds 2" in capsys.readouterr().out
     assert main(["search-linear", inst, "2"]) == 3
+
+
+def test_cli_search_below_the_bound_exceeds_without_a_code(c5_file, monkeypatch, capsys):
+    # b(C5) = 5/2, so no length up to 2 is tried
+    calls = []
+    monkeypatch.setattr(lincode, "is_valid_code", lambda *a: calls.append(a))
+    for l_max in ("0", "2"):
+        assert main(["search-linear", c5_file, "2", "--l-max", l_max]) == 0
+        assert capsys.readouterr().out == f"exceeds {l_max}\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv, option", [

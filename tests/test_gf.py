@@ -190,6 +190,48 @@ def test_span_ranks_at_the_field_bound(p):
         assert ranks[s] == fp_rank(rows, p), s
 
 
+def assert_span_ranks(p, ambient, gens, masks=None):
+    ranks = span_ranks(p, ambient, gens)
+    assert len(ranks) == 1 << len(gens)
+    for s in range(1 << len(gens)) if masks is None else masks:
+        rows = [v for i, gen in enumerate(gens) if s >> i & 1 for v in gen]
+        assert ranks[s] == fp_rank(rows, p), (s, gens)
+    return ranks
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_span_ranks_in_a_proper_subspace(p):
+    # every vector is a combination of two, so the walk stops at rank 2 < 5
+    rng = random.Random(900 + p)
+    for trial in range(20):
+        base = random_matrix(rng, 2, 5, p)
+        pairs = [[(rng.randrange(p), rng.randrange(p)) for _ in range(rng.randint(0, 2))]
+                 for _ in range(rng.randint(1, 7))]
+        gens = [[[a * x + b * y for x, y in zip(*base)] for a, b in gen] for gen in pairs]
+        assert assert_span_ranks(p, 5, gens)[-1] <= 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_span_ranks_of_zero_and_empty_generators(p):
+    assert span_ranks(p, 3, [[[0, 0, 0]], [[0, p, -p]], [[0, 0, 0]] * 2]) == [0] * 8
+    assert span_ranks(p, 3, [[]] * 4) == [0] * 16
+    assert span_ranks(p, 0, [[[]], []]) == [0] * 4
+    # empty and zero generators add nothing to the masks that hold them
+    gens = [[], [[1, 0, 1]], [[0, 0, 0]], [], [[0, 1, 1], [1, 1, 0]], []]
+    ranks = assert_span_ranks(p, 3, gens)
+    assert all(ranks[s] == ranks[s & 0b10010] for s in range(1 << 6))
+
+
+def test_span_ranks_of_sixteen_generators_in_the_plane():
+    rng = random.Random(16)
+    for p in (2, 3):
+        gens = [[[rng.randrange(p) for _ in range(2)] for _ in range(rng.randint(0, 1))]
+                for _ in range(16)]
+        gens[3] = [[1, 0]]
+        masks = [0, 1 << 3, (1 << 16) - 1] + [rng.randrange(1 << 16) for _ in range(300)]
+        assert_span_ranks(p, 2, gens, masks)
+
+
 def test_span_ranks_refuses_past_the_dense_cap():
     with pytest.raises(ResourceCapError, match="dense enumeration of 2\\^17 subsets exceeds cap 16"):
         span_ranks(2, 1, [[[1]]] * 17)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from icbound import lincode
 from icbound.errors import InputError, ResourceCapError
 from icbound.gf import rank
 from icbound.groundset import GroundSet
@@ -110,6 +111,46 @@ def test_search_values_small_graphs():
     assert min_scalar_linear_rate(triangle, 3) == 1
     lonely = from_graph([1, 2, 3], [])
     assert min_scalar_linear_rate(lonely, 2) == 3
+
+
+def search_from_zero(instance, p, l_max=None):
+    """The minimum-length search with no LP bound: every length from 0."""
+    n = instance.messages.n
+    for length in range((n if l_max is None else min(l_max, n)) + 1):
+        for rows in oracles.rref_spaces(p, length, n):
+            if is_valid_code(instance, ScalarLinearCode(p, tuple(map(tuple, rows)))):
+                return length
+    return None
+
+
+def test_bounded_search_matches_search_from_zero():
+    rng = random.Random(2711)
+    seen = set()
+    for trial in range(240):
+        p = 2 if trial % 3 else 3
+        n = rng.randint(1, 5 if p == 2 else 4)
+        # some messages nobody wants, and every tenth instance has no receivers
+        wanted = [] if trial % 10 == 0 else [w for w in range(n) if rng.random() < 0.8]
+        receivers = [(w, rng.randrange(1 << n) & ~(1 << w))
+                     for w in wanted for _ in range(rng.randint(1, 3))]
+        inst = IndexCodingInstance(GroundSet(range(n)), receivers)
+        l_max = rng.choice([None, rng.randint(0, n)])
+        got = min_scalar_linear_rate(inst, p, l_max)
+        assert got == search_from_zero(inst, p, l_max), (p, n, receivers, l_max)
+        seen.add((got is None, not receivers, len(wanted) < n))
+    assert {(False, True, True), (True, False, False), (False, False, True)} <= seen, seen
+
+
+def test_search_below_the_bound_tries_no_code(monkeypatch):
+    calls = []
+    real = lincode.is_valid_code
+    monkeypatch.setattr(lincode, "is_valid_code", lambda *a: calls.append(a) or real(*a))
+    # b(C5) = 5/2 and b of three isolated messages is 3
+    lonely = from_graph([1, 2, 3], [])
+    for inst, l_max in ((C5, 2), (lonely, 2), (lonely, 0)):
+        assert min_scalar_linear_rate(inst, 2, l_max) is None
+    assert calls == []
+    assert min_scalar_linear_rate(C5, 2, 3) == 3 and calls
 
 
 def test_search_caps():

@@ -11,7 +11,8 @@ from icbound.groundset import GroundSet, popcount
 from icbound.matroid import Matroid, fano, nonfano, rank_from_matrix, to_index_coding
 
 from lemmas import closure
-from oracles import adjoin_zero, all_rank_functions, fp_rank, graphic_rank, matroid_receivers
+from oracles import (adjoin_zero, all_rank_functions, axiom_failure, fp_rank, graphic_rank,
+                     matroid_receivers)
 
 FANO_COLS = [[int(c) for c in lab] for lab in
              ("100", "010", "001", "110", "101", "011", "111")]
@@ -78,6 +79,49 @@ def test_constructor_rejects_non_int_ranks(ranks, held):
     with pytest.raises(InputError, match="^" + re.escape(
             f"matroid ranks must be ints: subset {held}") + "$"):
         Matroid(GroundSet(["a", "b"]), ranks)
+
+
+def axiom_message(ranks):
+    n = (len(ranks) - 1).bit_length()
+    try:
+        Matroid(GroundSet([f"e{i}" for i in range(n)]), ranks)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def test_packed_axioms_name_the_first_offender_of_the_loops():
+    rng = random.Random(77)
+    kinds = set()
+
+    def check(ranks):
+        message = axiom_message(ranks)
+        assert message == axiom_failure((len(ranks) - 1).bit_length(), ranks), ranks
+        kinds.add(re.sub(r"[0-9]+", "#", message or ""))
+
+    for n in range(5):
+        for ranks in all_rank_functions(n):
+            assert axiom_message(list(ranks)) is None
+            for shift in (-1, 1, n + 1, -(1 << 70)):
+                bent = list(ranks)
+                bent[rng.randrange(1 << n)] += shift
+                check(bent)
+            # two bends: several pairs can fail, at masks in either order
+            bent = list(ranks)
+            for mask in rng.sample(range(1, 1 << n), min(2, (1 << n) - 1)):
+                bent[mask] += rng.choice((-1, 1))
+            check(bent)
+    for trial in range(40):
+        p, n = rng.choice((2, 3, 5)), rng.randint(1, 12)
+        dim = rng.randint(1, 4)
+        cols = [[rng.randrange(p) for _ in range(dim)] for _ in range(n)]
+        ranks = list(rank_from_matrix([f"e{i}" for i in range(n)], cols, p).ranks)
+        check(ranks)
+        for _ in range(rng.randint(1, 3)):
+            ranks[rng.randrange(1, 1 << n)] += rng.choice((-2, -1, 1, 2, n + 3))
+        check(ranks)
+    assert kinds >= {"", "rank of the empty set must be #", "rank step # at mask # plus element #",
+                     "rank step -# at mask # plus element #", "submodularity fails at masks #, #"}
 
 
 def test_constructor_rejects_rank_drop():
