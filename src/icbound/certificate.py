@@ -15,13 +15,15 @@ any solving, which is how bounds for large products are certified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from math import gcd, lcm
 from typing import Dict, Optional, Tuple
 
 from icbound.errors import CertificateInvalid, InputError
 from icbound.groundset import BlockEmbedding, GroundSet, LatticeHom
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               product_messages)
-from icbound.rational import ONE, ZERO, Rational, rat
+from icbound.rational import Rational, rat
 from icbound.schema import HomExtRow, SchemaRow, SideRow, SubmodRow, SubmodSchema
 
 __all__ = [
@@ -44,7 +46,13 @@ class DualCertificate:
 def verify_certificate(
     instance: IndexCodingInstance, schema, cert: DualCertificate
 ) -> Rational:
-    """Check a certificate exactly; returns its value, raises CertificateInvalid."""
+    """Check a certificate exactly; returns its value, raises CertificateInvalid.
+
+    Each entry, x before y, is checked as it comes: its masks, its nesting,
+    its weight's sign, then the weight as a rational. The sums are integers
+    over den, the lcm of the nonzero weights' denominators so far, and are
+    scaled up when den grows. Only the value and an offender's excess
+    become Fractions."""
     if cert.schema_name != schema.name:
         raise InputError(
             f"certificate was written against schema {cert.schema_name!r}, "
@@ -53,10 +61,24 @@ def verify_certificate(
     gs = instance.messages
     full = gs.full_mask
 
-    # The net subset-vector, accumulated in place; zeros are dropped at the end.
-    residual: Dict[int, Rational] = {}
+    # The net subset-vector times den, accumulated in place; zeros are dropped at the end.
+    residual: Dict[int, int] = {}
     get = residual.get
-    value = ZERO
+    value, den = 0, 1
+
+    def over_den(v) -> int:
+        """The nonzero weight v times den, den first grown to take it."""
+        nonlocal den, value
+        v = rat(v)
+        q = v.denominator
+        if den % q:
+            scale = q // gcd(den, q)
+            den *= scale
+            value *= scale
+            for mask in residual:
+                residual[mask] *= scale
+        return v.numerator * (den // q)
+
     for (s, t), v in cert.x.items():
         gs.check_mask(s)
         gs.check_mask(t)
@@ -68,29 +90,30 @@ def verify_certificate(
             raise CertificateInvalid(
                 f"negative x weight {v} on ({gs.labels_of(s)}, {gs.labels_of(t)})")
         if v:
-            v = rat(v)
-            residual[s] = get(s, ZERO) + v
-            residual[t] = get(t, ZERO) - v
+            v = over_den(v)
+            residual[s] = get(s, 0) + v
+            residual[t] = get(t, 0) - v
             value += v * instance.dst(s, t, cert.closure)
     for row, v in cert.y.items():
         if v < 0:
             raise CertificateInvalid(f"negative y weight {v} on {_row_text(row, gs)}")
         if v:
-            v = rat(v)
+            v = over_den(v)
             for mask, c in schema.row_vector(row, gs).items():
-                residual[mask] = get(mask, ZERO) + v * c
+                residual[mask] = get(mask, 0) + v * c
 
     # What must remain is e_empty - e_full.
-    residual[0] = get(0, ZERO) - ONE
-    residual[full] = get(full, ZERO) + ONE
+    residual[0] = get(0, 0) - den
+    residual[full] = get(full, 0) + den
     offenders = [mask for mask, c in residual.items() if c]
     if offenders:
         mask = min(offenders)
         raise CertificateInvalid(
             f"combination misses e_empty - e_full; first offender "
-            f"{gs.labels_of(mask)} with excess {residual[mask]}"
+            f"{gs.labels_of(mask)} with excess {Rational(residual[mask], den)}"
         )
 
+    value = Rational(value, den)
     if cert.claimed_value is not None and cert.claimed_value != value:
         raise CertificateInvalid(
             f"claimed value {cert.claimed_value} but the combination is worth {value}"
@@ -157,39 +180,55 @@ def combine_certificates(
     g_hom = BlockEmbedding(gs_g, gs_p, nf)
     firsts = sum(1 << i * nf for i in range(gs_g.n))  # bit 0 of every block
 
-    x: Dict[Tuple[int, int], Rational] = {}
-    y: Dict[SchemaRow, Rational] = {}
+    # Weights are summed as integers over den_g * den_f, each the lcm of its
+    # certificate's denominators, and become Fractions at the end.
+    den_g, den_f = _den(cert_g), _den(cert_f)
+    x: Dict[Tuple[int, int], int] = {}
+    y: Dict[SchemaRow, int] = {}
 
     for row, v in cert_g.y.items():
         if not v:
             continue
         key = schema.pushforward_row(g_hom, row)
-        y[key] = y.get(key, ZERO) + v
+        y[key] = y.get(key, 0) + _times(v, den_g) * den_f
         note("y", key, ("left-row", row))
 
+    f_x = [(a, b, _times(vf, den_f)) for (a, b), vf in cert_f.x.items() if vf]
+    f_y = [(row, _times(vf, den_f)) for row, vf in cert_f.y.items() if vf]
     for (s, t), vg in cert_g.x.items():
         if not vg:
             continue
+        vg = _times(vg, den_g)
         # atom u goes to bit u of each block of t minus s, on s's blocks
         spread = g_hom.apply(t & ~s) & firsts
         hom = LatticeHom(gs_f, gs_p, g_hom.apply(s), tuple(spread << u for u in range(nf)))
-        for (a, b), vf in cert_f.x.items():
-            if not vf:
-                continue
+        for a, b, vf in f_x:
             ka, kb = hom.apply(a), hom.apply(b)
             if ka == kb:
                 continue  # degenerate image, dropped with its mass
             key = (ka, kb)
-            x[key] = x.get(key, ZERO) + vg * vf
+            x[key] = x.get(key, 0) + vg * vf
             note("x", key, ((s, t), (a, b)))
-        for row, vf in cert_f.y.items():
-            if not vf:
-                continue
+        for row, vf in f_y:
             key = schema.pushforward_row(hom, row)
-            y[key] = y.get(key, ZERO) + vg * vf
+            y[key] = y.get(key, 0) + vg * vf
             note("y", key, ((s, t), row))
 
-    return DualCertificate(schema.name, cert_g.closure, x, y, None)
+    den = den_g * den_f
+    return DualCertificate(schema.name, cert_g.closure,
+                           {key: Rational(w, den) for key, w in x.items()},
+                           {key: Rational(w, den) for key, w in y.items()}, None)
+
+
+def _den(cert: DualCertificate) -> int:
+    """The lcm of the denominators of a verified certificate's weights."""
+    return lcm(*(rat(v).denominator for v in chain(cert.x.values(), cert.y.values()) if v))
+
+
+def _times(v, den: int) -> int:
+    """v times den, an integer where den is a multiple of v's denominator."""
+    v = rat(v)
+    return v.numerator * (den // v.denominator)
 
 
 def c5_certificate():

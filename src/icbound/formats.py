@@ -30,7 +30,9 @@ that is not a list of distinct str labels of gs is left as decoded, for
 the typed reader to word its error. `instance_from_json` reads a regular
 receivers array the same way, in one pass, and falls back to the typed
 reader on anything else. A label array that repeats a label, and a
-certificate that repeats an (s, t) pair or a y row, are refused.
+certificate that repeats an (s, t) pair or a y row, are refused. Both
+readers take a _Labels (below) as its list, so what instance_to_json and
+certificate_to_json return reads back in process.
 
 `load_json` holds one buffer of the file's text, _CHUNK (2^21) characters,
 beside what it has decoded. It reads a member of the top-level object or
@@ -58,8 +60,15 @@ iterator, which json.dumps refuses, as the array of what it yields, taking
 one element at a time. With no path it returns that text; a file gets it
 plus one newline, written a batch of _BATCH pieces at a time between the
 elements of an array, so no copy of the whole text is built.
-`certificate_to_json` returns its "x" and "y" arrays as such iterators, so
-an entry's label arrays exist only while the writer lays that entry out.
+`instance_to_json` and `certificate_to_json` hand it each label array as a
+_Labels: a subset mask and the document's _Names, which keep per
+indentation a tuple of pre-escaped `,\\n<indentation>"label"` pieces. Such
+an array is laid out by one compress of the pieces by the mask's bits, and
+an object of strings and such arrays (a receiver, an x entry, a submod row,
+a hom's atoms) is one piece, one join of its keys' and values' pieces.
+A _Labels iterates as its labels and equals their list, but json.dumps
+refuses it. `certificate_to_json` returns its "x" and "y" arrays as
+iterators, so an entry exists only while the writer lays it out.
 """
 
 from __future__ import annotations
@@ -136,9 +145,11 @@ def _bits_of(gs: GroundSet) -> Dict[str, int]:
 
 
 def _plain_mask(get, value) -> Optional[int]:
-    """The mask of value when it is a list of distinct labels that get maps
-    to their bits, summed at C speed; None for anything else."""
-    if type(value) is not list:
+    """The mask of value when it is a list or a _Labels of distinct labels
+    that get maps to their bits, summed at C speed; None for anything else."""
+    if type(value) is _Labels:
+        value = list(value)
+    elif type(value) is not list:
         return None
     try:
         mask = sum(map(get, value))
@@ -343,15 +354,17 @@ class _Escapes(dict):
         return escaped
 
 
-_BATCH = 1 << 8  # pieces joined into one write
+# Pieces joined into one write: 32 receivers or x entries, each one piece
+# after its separator, about the text of 256 pieces of their members.
+_BATCH = 1 << 6
 
 
 def dump_json(obj, path: Optional[str]) -> str | int:
-    """obj as exactly the text of json.dumps(obj, indent=2). With path None
-    this returns the text; otherwise it writes the text plus a newline to
-    path, a batch of _BATCH pieces at a time as they are laid out, and
-    returns the number of characters before that newline. A path that
-    cannot be written raises InputError."""
+    """obj as exactly the text of json.dumps(obj, indent=2), a _Labels as
+    its list. With path None this returns the text; otherwise it writes the
+    text plus a newline to path, a batch of _BATCH pieces at a time as they
+    are laid out, and returns the number of characters before that newline.
+    A path that cannot be written raises InputError."""
     parts: List[str] = []
     if path is None:
         _write(obj, "\n", parts, _Escapes(), None)
@@ -382,15 +395,35 @@ def _write(obj, newline: str, parts: List[str], escaped: _Escapes, spill) -> Non
     more than _BATCH pieces. With indent set the stdlib encodes in pure
     Python, so lists and str-keyed dicts are laid out here, each distinct
     string escaped once in C, and so is an iterator, as the array of what it
-    yields; anything else goes to json.dumps, whose only newlines are layout
-    because strings escape theirs."""
+    yields, and so is a _Labels array. An object of strings and such arrays
+    is one piece. Anything else goes to json.dumps, whose only newlines are
+    layout because strings escape theirs."""
     kind = type(obj)
     if kind is str:
         parts.append(escaped[obj])
         return
+    if kind is _Labels:
+        obj.lay_out(parts, newline)
+        return
     out = parts.append
     inner = newline + "  "
     sep = "," + inner
+    if kind is dict and obj:
+        items: List[str] = []
+        head = "{" + inner
+        try:  # one piece; the escaper refuses anything but a string
+            for key, value in obj.items():
+                if type(value) is _Labels:
+                    items.append(head + escaped[key] + ": ")
+                    value.lay_out(items, inner)
+                else:
+                    items.append(head + escaped[key] + ": " + escaped[value])
+                head = sep
+            items.append(newline + "}")
+            out("".join(items))
+            return
+        except TypeError:
+            pass
     if kind in (list, tuple) and obj:
         out("[" + inner)
         try:  # the escaper refuses anything but strings, and hashing a list fails
@@ -435,14 +468,56 @@ def _elements(values, inner: str, parts: List[str], escaped: _Escapes, spill) ->
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _labels_of_mask(names: Tuple[str, ...], mask: int) -> List[str]:
-    """The names at the set bits of mask, lowest bit first."""
-    return list(compress(names, bin(mask)[:1:-1].encode().translate(_BITS)))
+def _bits(mask: int) -> bytes:
+    """One byte per bit of mask, lowest first: 1 where the bit is set."""
+    return bin(mask)[:1:-1].encode().translate(_BITS)
 
 
-def _names(gs: GroundSet) -> Tuple[str, ...]:
-    """The labels of gs as the strings a file holds."""
-    return tuple(map(str, gs.labels))
+class _Names:
+    """The labels of a ground set as the strings a file holds, and per
+    indentation the pieces of their arrays: ",", the line break and
+    indentation, and the label's JSON spelling."""
+
+    __slots__ = ("labels", "_pieces")
+
+    def __init__(self, gs: GroundSet):
+        self.labels = tuple(map(str, gs.labels))
+        self._pieces: Dict[str, Tuple[str, ...]] = {}
+
+    def pieces(self, newline: str) -> Tuple[str, ...]:
+        """The pieces for an array whose own line is newline."""
+        pieces = self._pieces.get(newline)
+        if pieces is None:
+            sep = "," + newline + "  "
+            pieces = self._pieces[newline] = tuple(sep + _escape(lab) for lab in self.labels)
+        return pieces
+
+
+class _Labels:
+    """A label array held as its subset mask of names. It iterates as its
+    labels and equals their list; json.dumps refuses it."""
+
+    __slots__ = ("names", "mask")
+
+    def __init__(self, names: _Names, mask: int):
+        self.names, self.mask = names, mask
+
+    def __iter__(self) -> Iterator[str]:
+        return compress(self.names.labels, _bits(self.mask))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if type(other) is _Labels else other)
+
+    def lay_out(self, items: List[str], newline: str) -> None:
+        """Append the pieces of the array on a line indented as newline to
+        items: one compress of the label pieces by mask's bits."""
+        if not self.mask:
+            items.append("[]")
+            return
+        first = len(items)
+        items += compress(self.names.pieces(newline), _bits(self.mask))
+        items[first] = "[" + items[first][1:]
+        items.append(newline + "]")
 
 
 # -- typed readers ------------------------------------------------------------
@@ -480,6 +555,8 @@ class _Json:
         return self._expect(isinstance(self.value, dict), "an object")
 
     def _array(self) -> list:
+        if type(self.value) is _Labels:
+            return list(self.value)
         return self._expect(isinstance(self.value, (list, tuple)), "an array")
 
     def __contains__(self, key: str) -> bool:
@@ -523,8 +600,8 @@ class _Json:
         return self._at_path(gs.index, self.label())
 
     def mask(self, gs: GroundSet) -> int:
-        """A list of distinct labels as a subset mask of gs; an array that
-        load_json(path, gs) already read as its mask, as that int."""
+        """A list or a _Labels of distinct labels as a subset mask of gs; an
+        array that load_json(path, gs) already read as its mask, as that int."""
         if type(self.value) is _Mask:
             return int(self.value)
         labels = self.labels()
@@ -551,12 +628,12 @@ def _hom(node: _Json, gen: GroundSet, gs: GroundSet) -> LatticeHom:
 
 
 def instance_to_json(instance: IndexCodingInstance) -> dict:
-    names = _names(instance.messages)
+    names = _Names(instance.messages)
+    labels = names.labels
     return {
-        "messages": list(names),
+        "messages": list(labels),
         "receivers": [
-            {"wants": names[w], "knows": _labels_of_mask(names, k)}
-            for w, k in instance.receivers
+            {"wants": labels[w], "knows": _Labels(names, k)} for w, k in instance.receivers
         ],
     }
 
@@ -607,7 +684,7 @@ def _plain_receivers(items, gs: GroundSet) -> Optional[List[Tuple[int, int]]]:
 # -- schema rows, certificates and --rows files --------------------------------
 
 
-def _row_to_json(row: SchemaRow, names: Tuple[str, ...]) -> dict:
+def _row_to_json(row: SchemaRow, names: _Names) -> dict:
     """The tagged object of a row that _serializable accepted."""
     if isinstance(row, SideRow):
         return {"kind": "left" if row.side == 0 else "right",
@@ -615,17 +692,17 @@ def _row_to_json(row: SchemaRow, names: Tuple[str, ...]) -> dict:
     if isinstance(row, SubmodRow):
         return {
             "kind": "submod",
-            "s": _labels_of_mask(names, row.s),
-            "t": _labels_of_mask(names, row.t),
+            "s": _Labels(names, row.s),
+            "t": _Labels(names, row.t),
         }
     gen = row.hom.domain
     atoms = {}
     for i, lab in enumerate(gen.labels):
-        atoms[str(lab)] = _labels_of_mask(names, row.hom.atom_images[i])
+        atoms[str(lab)] = _Labels(names, row.hom.atom_images[i])
     return {
         "kind": "homext",
         "schema": row.schema,
-        "base": _labels_of_mask(names, row.hom.base),
+        "base": _Labels(names, row.hom.base),
         "atoms": atoms,
     }
 
@@ -663,14 +740,14 @@ def certificate_to_json(cert: DualCertificate, gs: GroundSet, schema) -> dict:
     so the object can be written once. Every weight is spelled and every row
     checked here, so a refusal comes before a file is opened. schema is not
     read, as each row carries its full homomorphism."""
-    names = _names(gs)
+    names = _Names(gs)
     x = [(s, t, rat_str(v)) for (s, t), v in sorted(cert.x.items())]
     y = [(_serializable(row), rat_str(v)) for row, v in cert.y.items()]
     return {
         "value": None if cert.claimed_value is None else rat_str(cert.claimed_value),
         "schema": cert.schema_name,
         "closure": cert.closure.value,
-        "x": ({"s": _labels_of_mask(names, s), "t": _labels_of_mask(names, t), "v": v}
+        "x": ({"s": _Labels(names, s), "t": _Labels(names, t), "v": v}
               for s, t, v in x),
         "y": ({"row": _row_to_json(row, names), "v": v} for row, v in y),
     }

@@ -4,15 +4,20 @@ Everything here is written straight from the definitions and shares no code
 with the package: fractions.Fraction imported directly, its own closure and
 rank routines, Fourier-Motzkin instead of simplex, dense matrices where
 the package keeps sparse maps. Two exceptions: the schema checks drive a
-schema through its own methods on row ids built here, and adjoin_zero
-builds a package Matroid. Slow is fine; these only run on tiny inputs.
+schema through its own methods on row ids built here, adjoin_zero builds a
+package Matroid, and fraction_verify is the certificate check with Fraction
+sums, driving the instance and schema through their own methods. Slow is
+fine; these only run on small inputs.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
+from icbound.certificate import _row_text
+from icbound.errors import CertificateInvalid, InputError
 from icbound.groundset import LatticeHom
 from icbound.matroid import Matroid
+from icbound.rational import rat
 from icbound.schema import HomExtRow, HomExtSchema, SubmodRow, UnionSchema
 
 F0 = Fraction(0)
@@ -603,6 +608,58 @@ def fraction_audit(lp, x, y):
     if primal != dual:
         return f"audit: objective mismatch {primal} != {dual}"
     return None
+
+
+# -- certificates, one Fraction at a time ----------------------------------------
+
+
+def fraction_verify(instance, schema, cert):
+    """`verify_certificate` with every sum a Fraction, as a reference: the
+    same checks in the same order, the same value and the same messages."""
+    if cert.schema_name != schema.name:
+        raise InputError(
+            f"certificate was written against schema {cert.schema_name!r}, "
+            f"verifying against {schema.name!r}"
+        )
+    gs = instance.messages
+    residual = {}
+    value = F0
+    for (s, t), v in cert.x.items():
+        gs.check_mask(s)
+        gs.check_mask(t)
+        if s & ~t or s == t:
+            raise CertificateInvalid(
+                f"x entry on ({gs.labels_of(s)}, {gs.labels_of(t)}) is not a strictly nested pair"
+            )
+        if v < 0:
+            raise CertificateInvalid(
+                f"negative x weight {v} on ({gs.labels_of(s)}, {gs.labels_of(t)})")
+        if v:
+            v = rat(v)
+            residual[s] = residual.get(s, F0) + v
+            residual[t] = residual.get(t, F0) - v
+            value += v * instance.dst(s, t, cert.closure)
+    for row, v in cert.y.items():
+        if v < 0:
+            raise CertificateInvalid(f"negative y weight {v} on {_row_text(row, gs)}")
+        if v:
+            v = rat(v)
+            for mask, c in schema.row_vector(row, gs).items():
+                residual[mask] = residual.get(mask, F0) + v * c
+    residual[0] = residual.get(0, F0) - F1
+    residual[gs.full_mask] = residual.get(gs.full_mask, F0) + F1
+    offenders = [mask for mask, c in residual.items() if c]
+    if offenders:
+        mask = min(offenders)
+        raise CertificateInvalid(
+            f"combination misses e_empty - e_full; first offender "
+            f"{gs.labels_of(mask)} with excess {residual[mask]}"
+        )
+    if cert.claimed_value is not None and cert.claimed_value != value:
+        raise CertificateInvalid(
+            f"claimed value {cert.claimed_value} but the combination is worth {value}"
+        )
+    return value
 
 
 # -- matroid axioms, one mask at a time -------------------------------------------

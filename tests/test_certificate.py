@@ -18,6 +18,7 @@ from icbound.schema import SideRow, SubmodRow, SubmodSchema
 from icbound.tighten import fano_schema, schema_with_submod
 
 from lemmas import dot
+from oracles import fraction_verify
 from test_simplex_lp import lp_bound
 
 SUBMOD = SubmodSchema()
@@ -271,3 +272,83 @@ def test_negative_homext_weight_names_the_hom_by_labels():
     atoms = ", ".join(f"{lab!r} -> ({lab!r},)" for lab in matroid.gs.labels)
     assert str(err.value) == (
         f"negative y weight -1/33 on right fano-odd row (base (), {atoms}, 'e' -> ())")
+
+
+# -- integer sums against the Fraction loop ------------------------------------
+
+
+def _seeded_certificates():
+    """(instance, schema, certificate) from the solver, combine_certificates
+    and addineq_certificate, under both closure modes."""
+    rng = random.Random(2801)
+    out = []
+    for closure in ClosureMode:
+        solved = []
+        for _ in range(8):
+            inst = random_graph_instance(rng, rng.randint(1, 5), True)
+            solved.append((inst, solve_problem(build_problem(inst, SUBMOD, closure)).cert))
+        out += [(inst, SUBMOD, cert) for inst, cert in solved]
+        for _ in range(4):
+            (g, cert_g), (f, cert_f) = rng.sample(solved[:6], 2)
+            out.append((g.lex_product(f), SUBMOD,
+                        combine_certificates(g, f, cert_g, cert_f, SUBMOD)))
+        for matroid, parity in ((fano(), "odd"), (nonfano(), "even")):
+            schema = schema_with_submod(parity)
+            inst = to_index_coding(matroid)
+            solved = solve_problem(build_problem(inst, schema, closure)).cert
+            out.append((inst, schema, solved))
+            (row,) = list(fano_schema(parity).rows(matroid.gs))
+            cert = addineq_certificate(matroid, SideRow(1, row), schema)
+            cert.closure = closure
+            out.append((inst, schema, cert))
+    return out
+
+
+def _moved(rng, cert):
+    """A copy of cert with one to three weights zeroed, negated, moved by
+    1/q, spelled as an int or a float, or with its claimed value moved."""
+    x, y = dict(cert.x), dict(cert.y)
+    claimed = cert.claimed_value
+    for _ in range(rng.randint(1, 3)):
+        how = rng.choice(("zero", "negate", "move", "move", "int", "float", "claim"))
+        if how == "claim":
+            claimed = (claimed or 0) + Fraction(rng.choice((-1, 1)), rng.randint(1, 13))
+            continue
+        weights = rng.choice([w for w in (x, y) if w] or [x])
+        if not weights:
+            continue
+        key = rng.choice(list(weights))
+        v = weights[key]
+        if how == "zero":
+            v = Fraction(0)
+        elif how == "negate":
+            v = -v
+        elif how == "move":
+            v += Fraction(rng.choice((-1, 1)), rng.randint(1, 13))
+        elif how == "int":
+            v = int(v) if v == int(v) else v
+        else:
+            v = float(v)
+        weights[key] = v
+    return DualCertificate(cert.schema_name, cert.closure, x, y, claimed)
+
+
+def _outcome(check, inst, schema, cert):
+    """check's value and its type, or its exception's type and message."""
+    try:
+        value = check(inst, schema, cert)
+    except (CertificateInvalid, InputError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def test_integer_verify_matches_the_fraction_loop():
+    rng = random.Random(2802)
+    seen = set()
+    for inst, schema, cert in _seeded_certificates():
+        for moved in [cert] + [_moved(rng, cert) for _ in range(6)]:
+            got = _outcome(verify_certificate, inst, schema, moved)
+            assert got == _outcome(fraction_verify, inst, schema, moved)
+            seen.add(got[0] if got[0] is Fraction else str(got[1]).split()[0])
+    # values, offenders with their excess, negative weights, wrong claims, floats
+    assert seen == {Fraction, "combination", "negative", "claimed", "refusing"}

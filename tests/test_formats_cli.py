@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -42,10 +43,15 @@ def string_c5():
     return instance_from_json(instance_to_json(cycle_instance(5)))
 
 
-def _listed(cert: dict) -> dict:
-    """A certificate_to_json object with its "x" and "y" iterators listed,
-    for a test to index, change or write more than once."""
-    return dict(cert, x=list(cert["x"]), y=list(cert["y"]))
+def _listed(obj):
+    """An instance_to_json or certificate_to_json object with its iterators
+    and label arrays listed, for a test to index, change, write twice or
+    hand to json.dumps. A listed label array holds its names' strings."""
+    if type(obj) is dict:
+        return {key: _listed(value) for key, value in obj.items()}
+    if type(obj) in (list, formats._Labels) or isinstance(obj, Iterator):
+        return [_listed(value) for value in obj]
+    return obj
 
 
 # -- serialization ---------------------------------------------------------------
@@ -122,14 +128,22 @@ def test_dump_json_is_stdlib_text(obj):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(mask=st.integers(0, (1 << 230) - 1), int_labels=st.booleans())
 def test_masks_and_label_lists_roundtrip_past_64_bits(mask, int_labels):
-    from icbound.formats import _labels_of_mask, _names
+    from icbound.formats import _Labels, _Names
     from icbound.groundset import GroundSet
 
     gs = GroundSet(range(230) if int_labels else [f"m{i}" for i in range(230)])
-    names = _labels_of_mask(_names(gs), mask)
-    assert names == [str(lab) for lab in gs.labels_of(mask)]
+    names = _Names(gs)
+    array = _Labels(names, mask)
+    labels = [str(lab) for lab in gs.labels_of(mask)]
+    assert list(array) == labels and array == labels and labels == array
+    with pytest.raises(TypeError):
+        json.dumps(array)
+    for obj in (array, [array], {"a": array}, {"a": {"b": array}, "c": "d"},
+                {"a": array, "n": [1, array], "e": {}}):
+        listed = json.loads(json.dumps(obj, default=list))
+        assert dump_json(obj, None) == json.dumps(listed, indent=2)
     assert gs.mask_of(gs.labels_of(mask)) == mask
-    assert GroundSet(_names(gs)).mask_of(names) == mask
+    assert GroundSet(names.labels).mask_of(array) == mask
 
 
 def test_certificate_roundtrip_bit_exact():
@@ -1093,7 +1107,7 @@ def _positions(doc, prefix=()):
 def fuzz_seeds(tmp_path_factory):
     """name -> (valid document, argv with None where the document's path goes)."""
     work = tmp_path_factory.mktemp("fuzz")
-    c5 = instance_to_json(cycle_instance(5))
+    c5 = _listed(instance_to_json(cycle_instance(5)))
     c5_path = _write(work, "c5.json", c5)
     fano_inst = instance_from_json(instance_to_json(to_index_coding(fano())))
     fano_path = _write(work, "fano.json", instance_to_json(fano_inst))

@@ -139,17 +139,21 @@ def test_mask_from_bits():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, (1 << 31) - 1])
 def test_span_ranks_matches_oracle(p):
     rng = random.Random(400 + p)
-    # full rank at ambient >= 4 takes the shared-basis path, and for
-    # p = 2^31 - 1 its fields are 65 bits or wider
-    full = wide = 0
+    # every mask starts at top, the rank of all the generators, and the walk
+    # below top extends a parent's basis by one element's vectors. Count the
+    # cases where top < ambient, so top is not the ambient rank; where an
+    # element's vectors are dependent on a basis below top, so the child
+    # keeps its parent's rank; and where the walk goes three elements deep
+    # at ambient >= 4, whose fields are 65 bits or wider for p = 2^31 - 1
+    short = dependent = deep = 0
     for trial in range(50):
         if trial < 20:
             n, ambient, most = rng.randint(0, 5), rng.randint(1, 7), 3
         elif trial < 35:
             n, ambient, most = rng.randint(3, 6), rng.randint(4, 7), 3
         else:
-            # small ambient, many generators: most masks extend a parent
-            # basis that already has full rank
+            # small ambient, many generators: most children reach top, and
+            # the walk drops them there
             n, ambient, most = rng.randint(4, 8), rng.randint(1, 3), 2
         made = []
 
@@ -168,12 +172,15 @@ def test_span_ranks_matches_oracle(p):
         gens = [[vec() for _ in range(rng.randint(0, most))] for _ in range(n)]
         ranks = span_ranks(p, ambient, gens)
         assert len(ranks) == 1 << n
-        full += ranks[-1] == ambient
-        wide += ranks[-1] == ambient >= 4
+        top = ranks[-1]
+        short += n > 0 and top < ambient
+        dependent += any(ranks[s | 1 << i] == ranks[s] < top for s in range(1 << n)
+                         for i in range(n) if not s >> i & 1 and gens[i])
+        deep += ambient >= 4 and any(ranks[s] < top for s in range(1 << n) if s.bit_count() >= 3)
         for s in range(1 << n):
             rows = [v[:] for i in range(n) if s >> i & 1 for v in gens[i]]
             assert ranks[s] == fp_rank(rows, p), (s, gens)
-    assert full >= 15 and wide >= 5, (full, wide)
+    assert short >= 10 and dependent >= 10 and deep >= 10, (short, dependent, deep)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, (1 << 31) - 1])

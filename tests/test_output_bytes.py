@@ -1,10 +1,10 @@
 """The files the command line writes, pinned byte for byte by sha256.
 
-Certificates from `icb solve --emit-cert`, products from `icb combine` and
-instances from `icb matroid2ic` must not change by a single byte unless a
-change means them to. A change that does (a new pivot rule moves the
-optimal vertex, say) shows up here as new digests, and the diff of this
-file is the record of it.
+Certificates from `icb solve --emit-cert`, products from `icb combine`, and
+instances from `icb product` and `icb matroid2ic` must not change by a
+single byte unless a change means them to. A change that does (a new pivot
+rule moves the optimal vertex, say) shows up here as new digests, and the
+diff of this file is the record of it.
 """
 
 import hashlib
@@ -40,6 +40,10 @@ DIGESTS = {
     "solve fano submod+fano-odd iterated": "024009acd5bea837bf45fa638ffc38dd5dcbed07cc48c5d92db4a0f2e0afd4dd",
     "combine C5 C5": "7e83e676c54cc6aabba3b9e26dac5a5a776df287b981b70b1f922b6d025aa8c7",
     "combine fano nonfano": "99a4100536806245ae380c7b187628d59b204d2e4a7b6c9e71ea871012d4c97d",
+    "product C5 C5": "b159f5cf0b4be02c472c5e2aaa3e476590dad7514f3882236c583b0022a3c3e2",
+    "product fano nonfano": "433fb0db37d71189307a8a7e114317c5090b9853bb97d68cb9719d6843f574ad",
+    "combine C5^2 C5": "40d019a854bacb176e9778507ad79716619494a509087f2b5e293226c9309843",
+    "combine fano fano submod+fano-odd": "4fa5982dacd78669e314b3ab8c8bff888abd85e2ef9995860c3f0478e8755013",
     "matroid2ic fano minimal": "69b68ed644afe014dc48c24f807c97223d918e128f77e9fa8678366c2440f37d",
     "matroid2ic fano full": "522f460f9170fed627bdbac28d7bac99ca2073246fb8b5e85f17d0db8efa0d3e",
     "matroid2ic nonfano minimal": "c4680984e1ed410e5c3c868a3f5be0179280751f949a70286b0f60a495e39d57",
@@ -86,6 +90,38 @@ def test_combine_bytes(first, second, tmp_path, capsys):
     _run(["combine", str(inst_g), str(inst_f), str(cert_g), str(cert_f),
           "--out", str(out)], capsys)
     assert _digest(out) == DIGESTS[f"combine {first} {second}"]
+
+
+@pytest.mark.parametrize("first, second", [("C5", "C5"), ("fano", "nonfano")])
+def test_product_bytes(first, second, tmp_path, capsys):
+    paths = []
+    for name in (first, second):
+        paths.append(tmp_path / f"{name}.json")
+        dump_json(instance_to_json(_instance(name)), str(paths[-1]))
+    out = tmp_path / "product.json"
+    _run(["product", *map(str, paths), "--out", str(out)], capsys)
+    assert _digest(out) == DIGESTS[f"product {first} {second}"]
+
+
+def test_combine_past_a_machine_word_bytes(tmp_path, capsys):
+    # C5^2 x C5 has 125 messages, so every mask is wider than 64 bits
+    inst, cert = _solve(tmp_path, "C5", "submod", "single", capsys)
+    square, square_cert = tmp_path / "C5^2.json", tmp_path / "C5^2.cert.json"
+    _run(["product", str(inst), str(inst), "--out", str(square)], capsys)
+    _run(["combine", str(inst), str(inst), str(cert), str(cert), "--out", str(square_cert)],
+         capsys)
+    out = tmp_path / "combined.json"
+    _run(["combine", str(square), str(inst), str(square_cert), str(cert), "--out", str(out)],
+         capsys)
+    assert _digest(out) == DIGESTS["combine C5^2 C5"]
+
+
+def test_combine_homext_rows_bytes(tmp_path, capsys):
+    # the Fano rows carry "base" and "atoms" label arrays into the product
+    inst, cert = _solve(tmp_path, "fano", "submod+fano-odd", "single", capsys)
+    out = tmp_path / "combined.json"
+    _run(["combine", str(inst), str(inst), str(cert), str(cert), "--out", str(out)], capsys)
+    assert _digest(out) == DIGESTS["combine fano fano submod+fano-odd"]
 
 
 @pytest.mark.parametrize("full", [False, True], ids=["minimal", "full-receivers"])
