@@ -37,6 +37,12 @@ from icbound.matroid import addineq_certificate, fano, nonfano, to_index_coding
 from icbound.rational import rat, rat_str
 from icbound.schema import SideRow
 
+def _read_instance(path: str):
+    """instance_from_json of the file at path, its "knows" arrays decoded
+    straight to masks of its messages."""
+    return instance_from_json(load_json(path, "messages"))
+
+
 def _read_certificate(path: str, gs, schema=None):
     """certificate_from_json of the file at path, its label arrays decoded
     straight to masks of gs."""
@@ -64,7 +70,7 @@ def _row_homs(spec: str, schema_name: str, gs):
 
 
 def _cmd_solve(args) -> int:
-    instance = instance_from_json(load_json(args.instance))
+    instance = _read_instance(args.instance)
     schema = schema_by_name(args.schema, _row_homs(args.rows, args.schema, instance.messages))
     sol = solve_problem(build_problem(instance, schema, ClosureMode(args.closure)))
     if args.stats:
@@ -78,15 +84,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    g = instance_from_json(load_json(args.first))
-    f = instance_from_json(load_json(args.second))
+    g = _read_instance(args.first)
+    f = _read_instance(args.second)
     _emit(instance_to_json(g.lex_product(f)), args.out)
     return 0
 
 
 def _cmd_combine(args) -> int:
-    inst_g = instance_from_json(load_json(args.first))
-    inst_f = instance_from_json(load_json(args.second))
+    inst_g = _read_instance(args.first)
+    inst_f = _read_instance(args.second)
     cert_g, schema = _read_certificate(args.cert_first, inst_g.messages)
     cert_f, _ = _read_certificate(args.cert_second, inst_f.messages, schema)
     combined = combine_certificates(inst_g, inst_f, cert_g, cert_f, schema)
@@ -99,7 +105,7 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = instance_from_json(load_json(args.instance))
+    instance = _read_instance(args.instance)
     cert, schema = _read_certificate(args.cert, instance.messages)
     value = verify_certificate(instance, schema, cert)
     print(f"value = {rat_str(value)}")
@@ -114,13 +120,13 @@ def _cmd_matroid2ic(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    instance = instance_from_json(load_json(args.instance))
+    instance = _read_instance(args.instance)
     print(f"alpha = {instance.independence_number(cap=args.cap)}")
     return 0
 
 
 def _cmd_search_linear(args) -> int:
-    instance = instance_from_json(load_json(args.instance))
+    instance = _read_instance(args.instance)
     result = min_scalar_linear_rate(instance, args.p, args.l_max)
     if result is None:
         print(f"exceeds {args.l_max}")

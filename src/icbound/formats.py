@@ -27,12 +27,17 @@ integer. `load_json(path, gs)` reads a certificate: each subset's label
 array becomes its mask of gs as its object closes, so no label list
 outlives its entry, and `_Json.mask` takes the mask as it is. An array
 that is not a list of distinct str labels of gs is left as decoded, for
-the typed reader to word its error. `instance_from_json` reads a regular
-receivers array the same way, in one pass, and falls back to the typed
-reader on anything else. A label array that repeats a label, and a
-certificate that repeats an (s, t) pair or a y row, are refused. Both
-readers take a _Labels (below) as its list, so what instance_to_json and
-certificate_to_json return reads back in process.
+the typed reader to word its error. `load_json(path, "messages")` reads an
+instance so: each receiver's "knows" becomes its mask as it closes, once
+the top-level "messages" (instance_to_json writes it first) is read, if
+its labels are distinct strings. `instance_from_json` and
+`certificate_from_json` take arrays of such masks at C speed; anything
+else goes to the typed reader, whose errors are the same: "messages" after
+"receivers", integer labels, the graph form, a repeated or unknown label.
+A label array that repeats a label, and a certificate that repeats an (s,
+t) pair or a y row, are refused. Both readers take a _Labels (below) as
+its list, so what instance_to_json and certificate_to_json return reads
+back in process.
 
 `load_json` holds one buffer of the file's text, _CHUNK (2^21) characters,
 beside what it has decoded. It reads a member of the top-level object or
@@ -76,6 +81,7 @@ from __future__ import annotations
 import json
 import reprlib
 from itertools import chain, compress
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -144,18 +150,17 @@ def _bits_of(gs: GroundSet) -> Dict[str, int]:
     return {lab: 1 << i for i, lab in enumerate(gs.labels) if type(lab) is str}
 
 
-def _plain_mask(get, value) -> Optional[int]:
-    """The mask of value when it is a list or a _Labels of distinct labels
-    that get maps to their bits, summed at C speed; None for anything else."""
-    if type(value) is _Labels:
-        value = list(value)
-    elif type(value) is not list:
-        return None
-    try:
-        mask = sum(map(get, value))
-    except (KeyError, TypeError):  # not a label, or unhashable
-        return None
-    return mask if mask.bit_count() == len(value) else None  # else a repeat
+def _masked(get, value):
+    """value as a _Mask when it is a list of distinct labels that get maps to
+    their bits, summed at C speed; anything else as decoded."""
+    if type(value) is list:
+        try:
+            mask = sum(map(get, value))
+        except (KeyError, TypeError):  # not a label, or unhashable
+            return value
+        if mask.bit_count() == len(value):  # else a repeat
+            return _Mask(mask)
+    return value
 
 
 def _object(pairs: list) -> dict:
@@ -167,27 +172,34 @@ def _object(pairs: list) -> dict:
     return obj
 
 
-def _masker(gs: GroundSet):
-    """The pairs hook of load_json(path, gs): it replaces the arrays under
-    "s", "t" and "base", and each value of an "atoms" object, by their masks."""
-    get = _bits_of(gs).__getitem__
+def _masker(masks_of):
+    """The pairs hook of load_json(path, masks_of), which masks as that
+    says, and the callback that gets each top-level member as soon as it is
+    read; until the labels are known, the hook masks nothing."""
+    get = None if masks_of == "messages" else _bits_of(masks_of).__getitem__
 
-    def to_mask(value):
-        mask = _plain_mask(get, value)
-        return value if mask is None else _Mask(mask)
+    def seen(key: str, value) -> None:
+        nonlocal get
+        if key == "messages" and get is None and type(value) is list \
+                and set(map(type, value)) <= {str}:
+            bits = {lab: 1 << i for i, lab in enumerate(value)}
+            if len(bits) == len(value):
+                get = bits.__getitem__
 
     def hook(pairs: list) -> dict:
         obj = _object(pairs)
-        for key in ("s", "t", "base"):
+        if get is None:
+            return obj
+        for key in ("s", "t", "base", "knows"):
             if key in obj:
-                obj[key] = to_mask(obj[key])
+                obj[key] = _masked(get, obj[key])
         atoms = obj.get("atoms")
         if type(atoms) is dict:
             for key, value in list(atoms.items()):
-                atoms[key] = to_mask(value)
+                atoms[key] = _masked(get, value)
         return obj
 
-    return hook
+    return hook, seen
 
 
 def _share():
@@ -206,20 +218,23 @@ def _share():
     return share
 
 
-def load_json(path: str, masks_of: Optional[GroundSet] = None):
+def load_json(path: str, masks_of: Optional[GroundSet | str] = None):
     """The decoded JSON document at path, equal to json.load's in every value,
     type and key order, its all-string arrays sharing one copy of each
     distinct string. An object that repeats a key raises InputError.
 
-    With masks_of, no string is shared; instead every array under "s", "t"
-    or "base", and every value of an "atoms" object, that holds only
-    distinct str labels of masks_of becomes its mask as its object closes.
-    Any other array is left as decoded, for the typed readers to word its
-    error. A document read this way must be read against masks_of."""
-    hook = _share() if masks_of is None else _masker(masks_of)
+    With masks_of, no string is shared; instead every array under "s", "t",
+    "base" or "knows", and every value of an "atoms" object, that holds
+    only distinct str labels becomes its mask as its object closes: labels
+    of the ground set masks_of, or with masks_of="messages" (an instance
+    file) those of the top-level "messages" array, once it is read and if
+    they are distinct strings. Any other array is left as decoded, for the
+    typed readers to word its error. A document read this way must be read
+    against the same labels."""
+    hook, seen = (_share(), None) if masks_of is None else _masker(masks_of)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _Reader(fh, hook).document()
+            return _Reader(fh, hook, seen).document()
     except InputError as exc:  # a repeated key
         raise InputError(f"{path}: {exc}") from None
     except OSError as exc:
@@ -235,10 +250,12 @@ _ENDS = frozenset(" \t\n\r,]}:")  # what may follow a whole value
 
 class _Reader:
     """The document of an open file, read a buffer at a time as the module
-    docstring says; the hook closes each object in json.load's order."""
+    docstring says; the hook closes each object in json.load's order, and
+    seen, unless None, is called with each member of a top-level object as
+    soon as it is read."""
 
-    def __init__(self, fh, hook):
-        self.fh, self.hook = fh, hook
+    def __init__(self, fh, hook, seen=None):
+        self.fh, self.hook, self.seen = fh, hook, seen
         self.decode = json.JSONDecoder(object_pairs_hook=hook).raw_decode
         self.text, self.pos, self.whole = "", 0, False
 
@@ -326,6 +343,8 @@ class _Reader:
                     raise ValueError("not an object member")
                 self.pos += 1
                 items.append((key, item()))
+                if self.seen:
+                    self.seen(*items[-1])
             sep = self._peek()
             self.pos += 1
         if sep != close:
@@ -663,22 +682,23 @@ def instance_from_json(obj) -> IndexCodingInstance:
 
 def _plain_receivers(items, gs: GroundSet) -> Optional[List[Tuple[int, int]]]:
     """The (wants, knows) pairs of a receivers array whose every entry has a
-    str label of gs as "wants" and an array of distinct str labels of gs as
-    "knows", in one pass; None when anything is irregular, for the typed
-    reader to word the error."""
+    str label of gs as "wants" and, as "knows", a mask load_json read or an
+    array of distinct str labels of gs; None when anything is irregular, for
+    the typed reader to word the error."""
     if type(items) is not list:
         return None
-    get = _bits_of(gs).__getitem__
-    pairs = []
+    index = {lab: i for i, lab in enumerate(gs.labels) if type(lab) is str}
     try:
-        for rec in items:
-            mask = _plain_mask(get, rec["knows"])
-            if mask is None:
-                return None
-            pairs.append((get(rec["wants"]).bit_length() - 1, mask))
+        wants = list(map(index.__getitem__, map(itemgetter("wants"), items)))
+        knows = list(map(itemgetter("knows"), items))
     except (KeyError, TypeError):  # a missing field, a non-object entry, a non-label
         return None
-    return pairs
+    if set(map(type, knows)) != {_Mask}:  # label arrays, from a plain load_json or in process
+        get = _bits_of(gs).__getitem__
+        knows = [_masked(get, list(k) if type(k) is _Labels else k) for k in knows]
+        if set(map(type, knows)) != {_Mask}:
+            return None
+    return list(zip(wants, map(int, knows)))
 
 
 # -- schema rows, certificates and --rows files --------------------------------
@@ -753,6 +773,20 @@ def certificate_to_json(cert: DualCertificate, gs: GroundSet, schema) -> dict:
     }
 
 
+def _plain_x(items) -> Optional[Dict[Tuple[int, int], Rational]]:
+    """The weights of an "x" array whose every entry has masks load_json
+    read as "s" and "t" and an integer or string "v", no (s, t) pair twice;
+    None when anything is irregular, for the typed loop to word the error."""
+    try:
+        s, t, v = (list(map(itemgetter(key), items)) for key in ("s", "t", "v"))
+        if {*map(type, s), *map(type, t)} == {_Mask} and {*map(type, v)} <= {int, str}:
+            x = dict(zip(zip(map(int, s), map(int, t)), map(rat, v)))
+            return x if len(x) == len(items) else None
+    except (KeyError, TypeError, ValueError):  # a missing field, a non-object entry, a bad weight
+        pass
+    return None
+
+
 def certificate_from_json(obj, gs: GroundSet, schema=None):
     """Read a certificate; returns (certificate, schema).
 
@@ -770,12 +804,14 @@ def certificate_from_json(obj, gs: GroundSet, schema=None):
         raise InputError(f"{node.path} is {name!r}, expected {schema.name!r}")
     node = doc["closure"]
     closure = node._at_path(ClosureMode, node.value)
-    x: Dict = {}
-    for entry in doc["x"]:
-        pair = (entry["s"].mask(gs), entry["t"].mask(gs))
-        if pair in x:
-            raise InputError(f"{entry.path} repeats an earlier (s, t) pair")
-        x[pair] = entry["v"].rational()
+    x = _plain_x(doc["x"].value)
+    if x is None:
+        x = {}
+        for entry in doc["x"]:
+            pair = (entry["s"].mask(gs), entry["t"].mask(gs))
+            if pair in x:
+                raise InputError(f"{entry.path} repeats an earlier (s, t) pair")
+            x[pair] = entry["v"].rational()
     y: Dict = {}
     for entry in doc["y"]:
         row = _row_from_json(entry["row"], gs, schema)

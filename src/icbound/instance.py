@@ -7,7 +7,10 @@ Undirected graphs embed as one receiver per vertex knowing its neighbors.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
+from itertools import repeat
+from operator import rshift
 from typing import Iterable
 
 from .errors import InputError, ResourceCapError
@@ -20,29 +23,28 @@ class ClosureMode(Enum):
 
 
 class IndexCodingInstance:
-    """Immutable instance; receivers are deduplicated and sorted."""
+    """Immutable instance; receivers are deduplicated and sorted.
 
-    __slots__ = ("messages", "receivers", "_knows_of")
+    Decoding reads a packed index, built on the first closure or dst. Message
+    m with r receivers is one int K_m of r fields, each n + 1 bits rounded up
+    to whole bytes: field j holds the side information of m's j-th receiver,
+    and bit n of every field, its guard bit, is clear. With OUT the messages
+    outside s copied into every field, LOWS_m n ones in each of m's fields and
+    TOPS_m their guard bits, ((K_m & OUT) + LOWS_m) & TOPS_m keeps the guard
+    of exactly the receivers that know something outside s: some receiver of
+    m decodes from s iff that differs from TOPS_m. Three big-int operations
+    test all of m's receivers. The index holds n + 1 bits, rounded up to
+    bytes, per receiver, beside one LOWS/TOPS pair per receiver count.
+    """
+
+    __slots__ = ("messages", "receivers", "_packed")
 
     def __init__(self, messages: GroundSet, receivers: Iterable[tuple[int, int]]):
         if messages.n == 0:
             raise InputError("an instance needs at least one message")
-        clean = set()
-        for k, (want, knows) in enumerate(receivers):
-            if not 0 <= want < messages.n:
-                raise InputError(f"receivers[{k}] wants unknown message index {want}")
-            messages.check_mask(knows)
-            if knows & (1 << want):
-                raise InputError(
-                    f"receivers[{k}] knows {messages.labels[want]!r}, the message it wants")
-            clean.add((want, knows))
         self.messages = messages
-        self.receivers = tuple(sorted(clean))
-        # per message, the side information of each receiver wanting it
-        knows_of = [[] for _ in range(messages.n)]
-        for want, knows in self.receivers:
-            knows_of[want].append(knows)
-        self._knows_of = tuple(map(tuple, knows_of))
+        self.receivers = tuple(sorted(_checked(messages, list(receivers))))
+        self._packed = None
 
     @classmethod
     def from_receivers(cls, messages: GroundSet,
@@ -55,17 +57,42 @@ class IndexCodingInstance:
     def n(self) -> int:
         return self.messages.n
 
-    def _decoded(self, known: int, candidates: int) -> int:
+    def _pack(self) -> tuple:
+        """(REP, per message (K_m, LOWS_m, TOPS_m)): REP is one 1 per field of
+        the longest K_m, so (~s & full) * REP is OUT for every message."""
+        n, full = self.messages.n, self.messages.full_mask
+        width = (n + 8) // 8  # bytes per field: n side-information bits and the guard
+        one = (1).to_bytes(width, "little")
+        wants, knows = zip(*self.receivers) if self.receivers else ((), ())
+        guards = {0: (0, 0), 1: (full, full + 1)}  # receiver count -> (LOWS, TOPS)
+        packed = []
+        start = 0
+        for end in map(bisect_right, repeat(wants), range(n)):
+            r = end - start
+            if r not in guards:
+                rep = int.from_bytes(one * r, "little")
+                guards[r] = full * rep, rep << n
+            k = knows[start] if r == 1 else int.from_bytes(b"".join(
+                map(int.to_bytes, knows[start:end], repeat(width), repeat("little"))), "little")
+            packed.append((k, *guards[r]))
+            start = end
+        self._packed = int.from_bytes(one * max(guards), "little"), packed
+        return self._packed
+
+    def _decoded(self, outside: int, candidates: int) -> int:
         """The messages in candidates that a receiver wanting them decodes
-        from known, i.e. whose side information lies inside known."""
-        out = 0
-        knows_of = self._knows_of
-        for m in bit_indices(candidates):
-            for knows in knows_of[m]:
-                if not knows & ~known:
-                    out |= 1 << m
-                    break
-        return out
+        from the messages not in outside, i.e. whose side information misses
+        outside."""
+        rep, packed = self._packed or self._pack()
+        out = outside * rep
+        decoded = 0
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            k, lows, tops = packed[bit.bit_length() - 1]
+            if ((k & out) + lows) & tops != tops:
+                decoded |= bit
+        return decoded
 
     def closure(self, mask: int, mode: ClosureMode = ClosureMode.SINGLE_STEP) -> int:
         """Messages decodable from the set: mask plus every wanted message
@@ -75,7 +102,8 @@ class IndexCodingInstance:
         full = self.messages.full_mask
         current = mask
         while True:
-            grown = current | self._decoded(current, full & ~current)
+            outside = full ^ current
+            grown = current | self._decoded(outside, outside)
             if mode is ClosureMode.SINGLE_STEP or grown == current:
                 return grown
             current = grown
@@ -87,8 +115,8 @@ class IndexCodingInstance:
         """
         if mode is ClosureMode.ITERATED:
             return popcount(t & self.closure(s, mode) & ~s)
-        self.messages.check_mask(s)
-        return popcount(self._decoded(s, t & ~s & self.messages.full_mask))
+        outside = self.messages.full_mask ^ self.messages.check_mask(s)
+        return popcount(self._decoded(outside, t & outside))
 
     def lex_product(self, other: "IndexCodingInstance") -> "IndexCodingInstance":
         """Lexicographic product: self is the outer factor, other the inner.
@@ -153,6 +181,35 @@ class IndexCodingInstance:
 
         grow(0, 0, vertices)
         return best
+
+
+def _checked(messages: GroundSet, pairs: list) -> dict:
+    """The distinct (want, knows) pairs as dict keys in their first order,
+    which keeps sorting an already sorted list linear, each checked against
+    messages: want indexes a message, knows is a mask of messages without
+    want's bit. The checks run at C speed over all pairs; only when one fails
+    does a loop find the first offender to word its error."""
+    n, full = messages.n, messages.full_mask
+    try:
+        if set(map(len, pairs)) == {2}:
+            wants, knows = zip(*pairs)
+            if ({*map(type, wants), *map(type, knows)} == {int}
+                    and 0 <= min(wants) and max(wants) < n
+                    and 0 <= min(knows) and max(knows) <= full
+                    and not any(map((1).__and__, map(rshift, knows, wants)))):
+                return dict.fromkeys(zip(wants, knows))
+    except TypeError:  # an entry that has no length
+        pass
+    clean = {}
+    for k, (want, knows) in enumerate(pairs):
+        if not 0 <= want < n:
+            raise InputError(f"receivers[{k}] wants unknown message index {want}")
+        messages.check_mask(knows)
+        if knows & (1 << want):
+            raise InputError(
+                f"receivers[{k}] knows {messages.labels[want]!r}, the message it wants")
+        clean[want, knows] = None
+    return clean
 
 
 def product_messages(outer: GroundSet, inner: GroundSet) -> GroundSet:

@@ -36,6 +36,33 @@ def closure_once(receivers, s):
     return out
 
 
+def scan_decoded(receivers, known, candidates):
+    """The messages in candidates that a receiver wanting them decodes from
+    known: each candidate's receivers are scanned until one's side
+    information lies inside known, as IndexCodingInstance once did."""
+    knows_of = {}
+    for want, knows in receivers:
+        knows_of.setdefault(want, []).append(knows)
+    out = 0
+    for m, side in knows_of.items():
+        if candidates >> m & 1:
+            for knows in side:
+                if not knows & ~known:
+                    out |= 1 << m
+                    break
+    return out
+
+
+def scan_closure(receivers, n, s, iterated):
+    """s plus what scan_decoded finds outside it: one round, or rounds to a
+    fixed point when iterated."""
+    while True:
+        grown = s | scan_decoded(receivers, s, ((1 << n) - 1) & ~s)
+        if not iterated or grown == s:
+            return grown
+        s = grown
+
+
 def step_cost(receivers, s, i):
     """c for the single-step pair (S, S+i): 1 unless i is decodable from S."""
     return 0 if closure_once(receivers, s) >> i & 1 else 1

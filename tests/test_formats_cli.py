@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from icbound.groundset import GroundSet
 from icbound.instance import IndexCodingInstance, cycle_instance, product_messages
 from icbound.lp import ROW_CAP, build_problem, solve_problem
 from icbound.certificate import verify_certificate
-from icbound.matroid import _FANO_LABELS, addineq_certificate, fano, to_index_coding
+from icbound.matroid import _FANO_LABELS, addineq_certificate, fano, nonfano, to_index_coding
 from icbound.rational import rat, rat_str
 from icbound.schema import SideRow, SubmodRow
 
@@ -329,7 +330,7 @@ def test_masked_load_json_reads_across_buffer_edges(entries, atoms, tmp_path, mo
     gs = GroundSet(_GS_LABELS)
     doc = {"x": entries, "y": [{"row": {"base": atoms, "atoms": {"1": atoms}}, "v": "1"}]}
     for top in (doc, [doc, entries]):
-        _buffered_matches_json_loads(tmp_path, monkeypatch, json.dumps(top), formats._masker(gs),
+        _buffered_matches_json_loads(tmp_path, monkeypatch, json.dumps(top), formats._masker(gs)[0],
                                      gs)
 
 
@@ -905,6 +906,86 @@ def test_cli_product_names_a_repeated_label(tmp_path, capsys):
         "input error: ground-set labels must be distinct; 'a:b:c' repeats\n")
 
 
+# -- instance reads: masks where the file allows, the typed reader elsewhere ----
+
+
+def _instances_to_read():
+    rng = random.Random(30)
+    fano_ic, nonfano_ic = to_index_coding(fano()), to_index_coding(nonfano())
+    yield cycle_instance(5)
+    yield cycle_instance(5).lex_product(cycle_instance(5))
+    yield fano_ic.lex_product(nonfano_ic)
+    for n in (1, 3, 9, 70):
+        receivers = [(w, rng.getrandbits(n) & ~(1 << w)) for w in range(n) for _ in range(w % 3)]
+        yield IndexCodingInstance(GroundSet(range(n)), receivers)
+
+
+@pytest.mark.parametrize("chunk", [formats._CHUNK, 1 << 8], ids=["whole", "elementwise"])
+def test_masked_instance_read_equals_the_typed_read(chunk, tmp_path, monkeypatch):
+    monkeypatch.setattr(formats, "_CHUNK", chunk)
+    path = str(tmp_path / "inst.json")
+    for inst in _instances_to_read():
+        dump_json(instance_to_json(inst), path)
+        doc = load_json(path, "messages")
+        assert all(type(rec["knows"]) is formats._Mask for rec in doc["receivers"])
+        masked, typed = instance_from_json(doc), instance_from_json(load_json(path))
+        assert masked.messages == typed.messages
+        assert masked.receivers == typed.receivers == inst.receivers
+        assert all(type(knows) is int for _, knows in masked.receivers)
+
+
+_C5_RECEIVERS = [{"wants": str(i), "knows": [str((i - 2) % 5 + 1), str(i % 5 + 1)]}
+                 for i in range(1, 6)]
+_C5_LABELS = ["1", "2", "3", "4", "5"]
+
+
+def _c5_with(third):
+    """C5's instance file with its third receiver replaced."""
+    return {"messages": _C5_LABELS, "receivers": _C5_RECEIVERS[:2] + [third] + _C5_RECEIVERS[3:]}
+
+
+_C5_EDGES = [[str(i), str(i % 5 + 1)] for i in range(1, 6)]
+
+
+@pytest.mark.parametrize("obj, err", [
+    ({"receivers": _C5_RECEIVERS, "messages": _C5_LABELS}, None),
+    ({"messages": [1, 2, 3, 4, 5], "receivers": [
+        {"wants": int(r["wants"]), "knows": list(map(int, r["knows"]))} for r in _C5_RECEIVERS]},
+     None),
+    ({"messages": [1, 2, 3, 4, 5], "receivers": _C5_RECEIVERS}, None),
+    (_c5_with({"wants": "3", "knows": [2, 4]}), None),
+    ({"graph": {"vertices": _C5_LABELS, "edges": _C5_EDGES}}, None),
+    ({"messages": _C5_LABELS, "graph": {"vertices": _C5_LABELS, "edges": _C5_EDGES}}, None),
+    ({"messages": _C5_LABELS + ["2"], "receivers": _C5_RECEIVERS},
+     "messages: ground-set labels must be distinct; '2' repeats"),
+    (_c5_with({"wants": "3", "knows": ["2", "4", "2"]}),
+     "receivers[2].knows[2] repeats the label '2'"),
+    (_c5_with({"wants": "3", "knows": ["2", "9"]}), "receivers[2].knows: unknown label '9'"),
+    (_c5_with({"wants": "9", "knows": ["2", "4"]}), "receivers[2].wants: unknown label '9'"),
+    (_c5_with({"wants": "3", "knows": 6}), "receivers[2].knows must be an array, got 6"),
+    (_c5_with({"wants": "3", "knows": ["2", "3"]}), "receivers[2] knows '3', the message it wants"),
+], ids=["messages-last", "integer-labels", "integer-messages", "integer-knows", "graph",
+        "graph-and-messages", "repeated-message", "repeated-knows", "unknown-knows",
+        "unknown-wants", "knows-number", "knows-wanted"])
+def test_instance_files_the_masked_read_passes_on(obj, err, tmp_path, capsys):
+    """What solve and verify print for files the masked read leaves to the
+    typed reader, as they printed before instances were read to masks."""
+    path = _write(tmp_path, "inst.json", obj)
+    cert = _write(tmp_path, "c5.cert.json", _c5_cert_json())
+    for argv, out in ((["solve", path], "b = 5/2\n"), (["verify", path, cert], "value = 5/2\n")):
+        assert main(argv) == (0 if err is None else 2)
+        assert capsys.readouterr() == ((out, "") if err is None else ("", f"input error: {err}\n"))
+
+
+def test_instance_read_refuses_a_repeated_key(tmp_path, capsys):
+    path = str(tmp_path / "inst.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"messages": ["1", "2"], "receivers": '
+                 '[{"wants": "1", "knows": [], "knows": ["2"]}]}')
+    assert main(["solve", path]) == 2
+    assert capsys.readouterr().err == f"input error: {path}: an object repeats the key 'knows'\n"
+
+
 # -- product certificates: labels held once ------------------------------------
 
 
@@ -1081,6 +1162,48 @@ def test_combine_into_c5_to_the_fourth_rises_little_past_its_imports(c5_power_ce
         assert mine.read() == fh.read()
 
 
+@pytest.fixture(scope="module")
+def nonfano_squared(tmp_path_factory):
+    """The non-Fano instance and its even-row certificate, then the files of
+    their square, by icb product and combine."""
+    work = tmp_path_factory.mktemp("nonfano")
+    inst = instance_from_json(instance_to_json(to_index_coding(nonfano())))
+    even = schema_by_name("submod+fano-even")
+    row = next(r for r in even.rows(inst.messages) if r.side == 1)
+    files = [_write(work, "nf.json", instance_to_json(inst)), _write(
+        work, "nf.cert.json", certificate_to_json(addineq_certificate(nonfano(), row, even),
+                                                  inst.messages, even))]
+    square, square_cert = str(work / "nf2.json"), str(work / "nf2.cert.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["product", files[0], files[0], "--out", square]) == 0
+        assert main(["combine", files[0], files[0], files[1], files[1], "--out", square_cert]) == 0
+    return files, square, square_cert
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_verify_of_nonfano_squared_rises_little_past_its_imports(nonfano_squared):
+    # the 1.8 MB instance is read whole, its receivers to masks, beside the
+    # 0.7 MB certificate and the packed index: 3.4 MB (CPython 3.11), as
+    # much as reading label lists and scanning receivers took
+    _, square, square_cert = nonfano_squared
+    printed, rise_kib = _rise_of("verify", square, square_cert)
+    assert printed == "value = 8649/529"
+    assert rise_kib < 6 << 10
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_combine_into_nonfano_squared_rises_little_past_its_imports(nonfano_squared, tmp_path):
+    # the product instance is built and decoded in memory and the
+    # certificate written an entry at a time: 0.7 MB (CPython 3.11)
+    (inst, cert), _, square_cert = nonfano_squared
+    out = str(tmp_path / "nf2.cert.json")
+    printed, rise_kib = _rise_of("combine", inst, inst, cert, cert, "--out", out)
+    assert printed == "value = 8649/529"
+    assert rise_kib < 2 << 10
+    with open(square_cert, "rb") as fh, open(out, "rb") as mine:
+        assert mine.read() == fh.read()
+
+
 # -- fuzzing: mutated valid files never escape the exit-code contract --------
 
 _ANY_JSON = st.one_of(
@@ -1230,6 +1353,26 @@ def test_masked_certificate_read_matches_the_typed_read(cert_seeds, data):
     cert = masked[0]
     masks = [m for pair in cert.x for m in pair] + [m for row in cert.y for m in _row_masks(row)]
     assert all(type(mask) is int for mask in masks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_masked_instance_read_matches_the_typed_read(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(["c5", "fano"]))
+    inst = string_c5() if name == "c5" else to_index_coding(fano())
+    doc = _mutated(data, _listed(instance_to_json(inst)), list(map(str, inst.messages.labels)))
+    if isinstance(doc, dict) and data.draw(st.booleans()):  # "messages" last, if present
+        doc = dict(sorted(doc.items(), key=lambda item: item[0] == "messages"))
+    path = _write(tmp_path_factory.getbasetemp(), "mutated-instance.json", doc)
+
+    def read(load):
+        got = instance_from_json(load())
+        return got.messages.labels, got.receivers
+
+    masked = _read_outcome(lambda: read(lambda: load_json(path, "messages")))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_plain_receivers", lambda items, gs: None)
+        assert masked == _read_outcome(lambda: read(lambda: load_json(path)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

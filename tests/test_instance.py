@@ -8,10 +8,10 @@ from icbound.errors import InputError, ResourceCapError
 from icbound.groundset import GroundSet, bit_indices, popcount
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               from_graph)
-from icbound.matroid import fano, to_index_coding
+from icbound.matroid import fano, nonfano, to_index_coding
 
 from lemmas import closure
-from oracles import closure_once, mis_size, step_cost
+from oracles import closure_once, mis_size, scan_closure, scan_decoded, step_cost
 
 
 C5 = cycle_instance(5)
@@ -253,3 +253,60 @@ def test_dst_and_closure_match_oracle_on_random_instances(mode):
             assert cst(inst, s, t, mode) == popcount(t & ~cl)
         assert inst.closure(full, mode) == full
         assert inst.dst(0, full, mode) == popcount(_oracle_closure(receivers, 0, mode))
+
+
+def _seeded_instances(rng):
+    """Random instances of 1-12 messages, with messages nobody wants,
+    repeated receivers and receivers that know nothing."""
+    for n in list(range(1, 13)) * 4:
+        receivers = []
+        for _ in range(rng.randint(0, 3 * n)):
+            want = rng.randrange(n)
+            knows = 0 if rng.random() < 0.15 else rng.getrandbits(n) & ~(1 << want)
+            receivers.append((want, knows))
+        receivers += rng.sample(receivers, len(receivers) // 4)
+        yield IndexCodingInstance(GroundSet(range(n)), receivers), receivers
+
+
+@pytest.mark.parametrize("mode", list(ClosureMode), ids=lambda m: m.value)
+def test_packed_decode_matches_the_receiver_scan(mode):
+    """closure and dst read the packed index; the per-receiver scan they
+    replaced is the reference, on s and t from 0 to the full mask."""
+    rng = random.Random(1108)
+    fano_ic, nonfano_ic = to_index_coding(fano()), to_index_coding(nonfano())
+    cases = list(_seeded_instances(rng))
+    cases += [(inst, list(inst.receivers)) for inst in (
+        C5.lex_product(C5), fano_ic.lex_product(fano_ic), fano_ic.lex_product(nonfano_ic))]
+    iterated = mode is ClosureMode.ITERATED
+    for inst, receivers in cases:
+        full = inst.messages.full_mask
+        masks = [0, full] + [rng.getrandbits(inst.n) for _ in range(12)]
+        for s in masks:
+            cl = scan_closure(receivers, inst.n, s, iterated)
+            assert inst.closure(s, mode) == cl
+            for t in masks + [s | rng.getrandbits(inst.n)]:
+                want = popcount(t & cl & ~s) if iterated else popcount(
+                    scan_decoded(receivers, s, t & ~s))
+                assert inst.dst(s, t, mode) == want
+
+
+def test_constructor_words_the_first_offender():
+    gs = GroundSet(["a", "b", "c"])
+    good = [(0, 0b110), (1, 0), (2, 0b011)]
+    cases = [
+        (good + [(3, 0)], "receivers[3] wants unknown message index 3"),
+        (good + [(-1, 0)], "receivers[3] wants unknown message index -1"),
+        (good + [(1, 0b1000)], "mask 8 does not fit a 3-element ground set"),
+        (good + [(1, -1)], "mask -1 does not fit a 3-element ground set"),
+        (good + [(1, 1.0)], "mask 1.0 does not fit a 3-element ground set"),
+        (good + [(2, 0b100), (0, 0b1000)], "receivers[3] knows 'c', the message it wants"),
+        ([(0, 0b1000), (5, 0)], "mask 8 does not fit a 3-element ground set"),
+    ]
+    for receivers, message in cases:
+        with pytest.raises(InputError) as err:
+            IndexCodingInstance(gs, receivers)
+        assert str(err.value) == message
+    assert IndexCodingInstance(gs, [[0, 0b110], (0, 0b110)]).receivers == ((0, 0b110),)
+    assert IndexCodingInstance(gs, []).receivers == ()
+    with pytest.raises(ValueError):
+        IndexCodingInstance(gs, [(0, 0b110), (1, 0, 5)])
