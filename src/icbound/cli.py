@@ -50,11 +50,9 @@ def _read_certificate(path: str, gs, schema=None):
 
 
 def _emit(obj, out: Optional[str]) -> None:
-    """obj as JSON into the file out, or printed when out is None."""
-    if out is None:
-        print(dump_json(obj, None))
-    else:
-        dump_json(obj, out)
+    """obj as JSON into the file out, or onto stdout when out is None, a
+    batch at a time either way."""
+    dump_json(obj, sys.stdout if out is None else out)
 
 
 def _row_homs(spec: str, schema_name: str, gs):

@@ -18,12 +18,8 @@ Malformed input raises InputError naming the field's path, such as
 graph edge is a pair of two distinct vertex labels.
 
 `load_json(path)` returns what json.load does, except that an object
-that repeats a key is refused, where json.load would keep the last value,
-and equal strings in an object's all-string array values are one object,
-so a product instance holds each label once however many receivers name
-it. Arrays holding anything but strings are left as decoded, because
-1 == True == 1.0 would let sharing alias a boolean or a float to an
-integer. `load_json(path, gs)` reads a certificate: each subset's label
+that repeats a key is refused, where json.load would keep the last value.
+`load_json(path, gs)` reads a certificate: each subset's label
 array becomes its mask of gs as its object closes, so no label list
 outlives its entry, and `_Json.mask` takes the mask as it is. An array
 that is not a list of distinct str labels of gs is left as decoded, for
@@ -62,25 +58,27 @@ text of `json.dumps(obj, indent=2)`: two-space indentation, "," and a line
 break between items, ": " after keys, keys in insertion order, non-ASCII as
 \\uXXXX escapes, empty containers as [] and {}. It also writes an
 iterator, which json.dumps refuses, as the array of what it yields, taking
-one element at a time. With no path it returns that text; a file gets it
-plus one newline, written a batch of _BATCH pieces at a time between the
-elements of an array, so no copy of the whole text is built.
+one element at a time. With no path it returns that text; a file, named or
+open, gets it plus one newline. `_write` lays out every non-empty object,
+list, tuple and iterator by one loop over its members, appending
+pieces of text to a list that is written out whenever a member leaves it
+holding more than _BATCH pieces, so no copy of the whole text is built.
 `instance_to_json` and `certificate_to_json` hand it each label array as a
 _Labels: a subset mask and the document's _Names, which keep per
-indentation a tuple of pre-escaped `,\\n<indentation>"label"` pieces. Such
-an array is laid out by one compress of the pieces by the mask's bits, and
-an object of strings and such arrays (a receiver, an x entry, a submod row,
-a hom's atoms) is one piece, one join of its keys' and values' pieces.
-A _Labels iterates as its labels and equals their list, but json.dumps
-refuses it. `certificate_to_json` returns its "x" and "y" arrays as
-iterators, so an entry exists only while the writer lays it out.
+indentation two pre-escaped pieces per label, `[\\n<indentation>"label"`
+to open an array and `,\\n<indentation>"label"` inside it. Such an array
+is laid out as the opening piece of its lowest label and one compress of
+the other pieces by the mask's other bits. A _Labels iterates as its labels
+and equals their list, but json.dumps refuses it. `certificate_to_json`
+returns its "x" and "y" arrays as iterators, so an entry exists only while
+the writer lays it out.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
-from itertools import chain, compress
+from itertools import compress
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -202,36 +200,18 @@ def _masker(masks_of):
     return hook, seen
 
 
-def _share():
-    """The pairs hook of a plain load_json: each object's all-string array
-    values are rewritten in place to hold one shared copy of each distinct
-    string as the object closes."""
-    memo: Dict[str, str] = {}
-
-    def share(pairs: list) -> dict:
-        obj = _object(pairs)
-        for value in obj.values():
-            if type(value) is list and set(map(type, value)) == {str}:
-                value[:] = map(memo.setdefault, value, value)
-        return obj
-
-    return share
-
-
 def load_json(path: str, masks_of: Optional[GroundSet | str] = None):
     """The decoded JSON document at path, equal to json.load's in every value,
-    type and key order, its all-string arrays sharing one copy of each
-    distinct string. An object that repeats a key raises InputError.
+    type and key order. An object that repeats a key raises InputError.
 
-    With masks_of, no string is shared; instead every array under "s", "t",
-    "base" or "knows", and every value of an "atoms" object, that holds
-    only distinct str labels becomes its mask as its object closes: labels
-    of the ground set masks_of, or with masks_of="messages" (an instance
-    file) those of the top-level "messages" array, once it is read and if
-    they are distinct strings. Any other array is left as decoded, for the
-    typed readers to word its error. A document read this way must be read
-    against the same labels."""
-    hook, seen = (_share(), None) if masks_of is None else _masker(masks_of)
+    With masks_of, every array under "s", "t", "base" or "knows", and every
+    value of an "atoms" object, that holds only distinct str labels becomes
+    its mask as its object closes: labels of the ground set masks_of, or
+    with masks_of="messages" (an instance file) those of the top-level
+    "messages" array, once it is read and if they are distinct strings. Any
+    other array is left as decoded, for the typed readers to word its
+    error. A document read this way must be read against the same labels."""
+    hook, seen = (_object, None) if masks_of is None else _masker(masks_of)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _Reader(fh, hook, seen).document()
@@ -365,29 +345,45 @@ class _Written(int):
 
 
 class _Escapes(dict):
-    """str -> its JSON spelling, escaped once per distinct string; any other
-    key raises TypeError, as the escaper does."""
+    """str -> its JSON spelling, escaped once per distinct string. Any other
+    key is spelled as json.dumps spells a dict key, or refused with its
+    TypeError, and is not kept: 1, 1.0 and True are one key here but three
+    spellings."""
 
-    def __missing__(self, text: str) -> str:
-        self[text] = escaped = _escape(text)
+    def __missing__(self, key) -> str:
+        if type(key) is not str:
+            return json.dumps({key: 0})[1:-4]
+        self[key] = escaped = _escape(key)
         return escaped
 
 
-# Pieces joined into one write: 32 receivers or x entries, each one piece
-# after its separator, about the text of 256 pieces of their members.
-_BATCH = 1 << 6
+# Pieces joined into one write. A label is one piece, some 20 characters in
+# a product's files, so a batch is about 16 KB: no more text than 33
+# receivers or x entries of the squared Fano and non-Fano files hold. A file
+# that dump_json opens gathers _BUFFER bytes of batches into one system
+# call; a call per batch made `icb product` of C5^4 (3.8 MB) a fifth slower
+# on a 2-vCPU virtual machine.
+_BATCH = 3 << 8
+_BUFFER = 1 << 16
 
 
-def dump_json(obj, path: Optional[str]) -> str | int:
+def dump_json(obj, path) -> str | int:
     """obj as exactly the text of json.dumps(obj, indent=2), a _Labels as
     its list. With path None this returns the text; otherwise it writes the
-    text plus a newline to path, a batch of _BATCH pieces at a time as they
-    are laid out, and returns the number of characters before that newline.
-    A path that cannot be written raises InputError."""
+    text plus a newline to path, a file name or an open text file, a batch
+    of pieces at a time as they are laid out, and returns the number of
+    characters before that newline. A file name that cannot be opened or
+    written raises InputError."""
     parts: List[str] = []
     if path is None:
         _write(obj, "\n", parts, _Escapes(), None)
         return "".join(parts)
+    if not hasattr(path, "write"):  # a file name
+        try:
+            with open(path, "w", encoding="utf-8", buffering=_BUFFER) as fh:
+                return dump_json(obj, fh)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
     written = 0
 
     def spill() -> None:
@@ -395,93 +391,56 @@ def dump_json(obj, path: Optional[str]) -> str | int:
         text = "".join(parts)
         parts.clear()
         written += len(text)
-        fh.write(text)
+        path.write(text)
 
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            _write(obj, "\n", parts, _Escapes(), spill)
-            spill()
-            fh.write("\n")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+    _write(obj, "\n", parts, _Escapes(), spill)
+    spill()
+    path.write("\n")
     return _Written(written)
 
 
 def _write(obj, newline: str, parts: List[str], escaped: _Escapes, spill) -> None:
     """Append the pieces of json.dumps(obj, indent=2) to parts; newline is
-    the line break plus the indentation of obj's own line. Unless spill is
-    None, it is called to empty parts whenever a container's member leaves
-    more than _BATCH pieces. With indent set the stdlib encodes in pure
-    Python, so lists and str-keyed dicts are laid out here, each distinct
-    string escaped once in C, and so is an iterator, as the array of what it
-    yields, and so is a _Labels array. An object of strings and such arrays
-    is one piece. Anything else goes to json.dumps, whose only newlines are
-    layout because strings escape theirs."""
+    the line break plus the indentation of obj's own line. With indent set
+    the stdlib encodes in pure Python, so a non-empty dict, list or tuple,
+    and an iterator as the array of what it yields, are laid out here by one
+    loop over their members: each distinct string is escaped once in C, a
+    _Labels is laid out from its mask, and other members recurse.
+    Unless spill is None, it is called to empty parts whenever a member
+    leaves more than _BATCH pieces. Anything else goes to json.dumps, whose
+    only newlines are layout because strings escape theirs."""
     kind = type(obj)
-    if kind is str:
-        parts.append(escaped[obj])
-        return
-    if kind is _Labels:
+    if kind is dict and obj:
+        keyed, members, close = True, obj.items(), "}"
+    elif kind in (list, tuple) and obj or isinstance(obj, Iterator):
+        keyed, members, close = False, obj, "]"
+    elif kind is _Labels:
         obj.lay_out(parts, newline)
+        return
+    else:
+        parts.append(json.dumps(obj, indent=2).replace("\n", newline))
         return
     out = parts.append
     inner = newline + "  "
+    head = opened = ("{" if keyed else "[") + inner
     sep = "," + inner
-    if kind is dict and obj:
-        items: List[str] = []
-        head = "{" + inner
-        try:  # one piece; the escaper refuses anything but a string
-            for key, value in obj.items():
-                if type(value) is _Labels:
-                    items.append(head + escaped[key] + ": ")
-                    value.lay_out(items, inner)
-                else:
-                    items.append(head + escaped[key] + ": " + escaped[value])
-                head = sep
-            items.append(newline + "}")
-            out("".join(items))
-            return
-        except TypeError:
-            pass
-    if kind in (list, tuple) and obj:
-        out("[" + inner)
-        try:  # the escaper refuses anything but strings, and hashing a list fails
-            out(sep.join(map(escaped.__getitem__, obj)))
-        except TypeError:
-            _elements(obj, inner, parts, escaped, spill)
-        out(newline + "]")
-    elif kind is dict and obj and set(map(type, obj)) == {str}:
-        head = "{" + inner
-        for key, value in obj.items():
+    for value in members:
+        if keyed:
+            key, value = value
             out(head + escaped[key] + ": ")
-            _write(value, inner, parts, escaped, spill)
-            head = sep
-        out(newline + "}")
-    elif isinstance(obj, Iterator):
-        first = next(obj, _END)
-        if first is _END:
-            out("[]")
         else:
-            out("[" + inner)
-            _elements(chain((first,), obj), inner, parts, escaped, spill)
-            out(newline + "]")
-    else:
-        out(json.dumps(obj, indent=2).replace("\n", newline))
-
-
-_END = object()  # next() past an iterator's last element
-
-
-def _elements(values, inner: str, parts: List[str], escaped: _Escapes, spill) -> None:
-    """Append the pieces of an array's elements, each on a line indented as
-    inner; spill as _write says."""
-    sep = "," + inner
-    for i, value in enumerate(values):
-        if i:
-            parts.append(sep)
-        _write(value, inner, parts, escaped, spill)
+            out(head)
+        kind = type(value)
+        if kind is str:
+            out(escaped[value])
+        elif kind is _Labels:
+            value.lay_out(parts, inner)
+        else:
+            _write(value, inner, parts, escaped, spill)
+        head = sep
         if spill and len(parts) > _BATCH:
             spill()
+    out("[]" if head is opened else newline + close)
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -494,21 +453,24 @@ def _bits(mask: int) -> bytes:
 
 class _Names:
     """The labels of a ground set as the strings a file holds, and per
-    indentation the pieces of their arrays: ",", the line break and
+    indentation the pieces of their arrays: "[" or ",", the line break and
     indentation, and the label's JSON spelling."""
 
     __slots__ = ("labels", "_pieces")
 
     def __init__(self, gs: GroundSet):
         self.labels = tuple(map(str, gs.labels))
-        self._pieces: Dict[str, Tuple[str, ...]] = {}
+        self._pieces: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
 
-    def pieces(self, newline: str) -> Tuple[str, ...]:
-        """The pieces for an array whose own line is newline."""
+    def pieces(self, newline: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """The pieces for an array whose own line is newline: those of a
+        first element, then those of a later one."""
         pieces = self._pieces.get(newline)
         if pieces is None:
-            sep = "," + newline + "  "
-            pieces = self._pieces[newline] = tuple(sep + _escape(lab) for lab in self.labels)
+            inner = newline + "  "
+            spelled = tuple(map(_escape, self.labels))
+            pieces = self._pieces[newline] = (tuple("[" + inner + lab for lab in spelled),
+                                              tuple("," + inner + lab for lab in spelled))
         return pieces
 
 
@@ -527,16 +489,19 @@ class _Labels:
     def __eq__(self, other) -> bool:
         return list(self) == (list(other) if type(other) is _Labels else other)
 
-    def lay_out(self, items: List[str], newline: str) -> None:
+    def lay_out(self, parts: List[str], newline: str) -> None:
         """Append the pieces of the array on a line indented as newline to
-        items: one compress of the label pieces by mask's bits."""
-        if not self.mask:
-            items.append("[]")
+        parts: the first piece of the lowest label, then one compress of the
+        later pieces by the other bits."""
+        mask = self.mask
+        if not mask:
+            parts.append("[]")
             return
-        first = len(items)
-        items += compress(self.names.pieces(newline), _bits(self.mask))
-        items[first] = "[" + items[first][1:]
-        items.append(newline + "]")
+        first, later = self.names.pieces(newline)
+        rest = mask & (mask - 1)
+        parts.append(first[(mask ^ rest).bit_length() - 1])
+        parts += compress(later, _bits(rest))
+        parts.append(newline + "]")
 
 
 # -- typed readers ------------------------------------------------------------

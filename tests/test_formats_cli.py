@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from icbound import formats, lincode
 from icbound.certificate import c5_certificate, combine_certificates
-from icbound.cli import _build_parser, _read_certificate, main
+from icbound.cli import _build_parser, _emit, _read_certificate, main
 from icbound.errors import InputError
 from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
                              certificate_to_json, dump_json, instance_from_json,
@@ -104,15 +104,17 @@ _JSON_VALUES = st.recursive(
     max_leaves=20)
 
 
-def _iterated(obj):
-    """obj with each list that dump_json lays out itself passed as an iterator;
-    a dict whose keys are not all strings goes to json.dumps as it is."""
+def _iterated(obj, keep=False):
+    """obj with each list passed as an iterator, or with keep every other
+    level of lists, the outermost first, kept as lists, so iterators sit
+    inside dicts inside lists."""
     if type(obj) is list:
-        return iter(list(map(_iterated, obj)))
+        items = [_iterated(value, not keep) for value in obj]
+        return items if keep else iter(items)
     if type(obj) is tuple:
-        return tuple(map(_iterated, obj))
-    if type(obj) is dict and set(map(type, obj)) == {str}:
-        return {key: _iterated(value) for key, value in obj.items()}
+        return tuple(_iterated(value, keep) for value in obj)
+    if type(obj) is dict:
+        return {key: _iterated(value, keep) for key, value in obj.items()}
     return obj
 
 
@@ -121,30 +123,44 @@ def _iterated(obj):
 def test_dump_json_is_stdlib_text(obj):
     text = json.dumps(obj, indent=2)
     assert dump_json(obj, None) == text
-    assert dump_json(_iterated(obj), None) == text
+    # empty dicts, lists and iterators at depth, around and beside obj
+    deep = [{"a": [obj, {}], "b": {}, "c": [[], [{}], [[obj]]]}, [], ({"d": []},), obj]
+    for keep in (False, True):
+        assert dump_json(_iterated(obj, keep), None) == text
+        assert dump_json(_iterated(deep, keep), None) == json.dumps(deep, indent=2)
     assert dump_json(iter(()), None) == "[]"
     assert dump_json({"x": iter([])}, None) == json.dumps({"x": []}, indent=2)
+    # 1, True and 1.0 are one key of a dict, each spelled its own way
+    keys = [{1: "a"}, {True: "b"}, {1.0: [{1.5: None}]}, {None: {1: 1, "1": 2}}, {"1": 3}]
+    assert dump_json(keys, None) == json.dumps(keys, indent=2)
+    with pytest.raises(TypeError):
+        dump_json({(1,): 1}, None)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(mask=st.integers(0, (1 << 230) - 1), int_labels=st.booleans())
-def test_masks_and_label_lists_roundtrip_past_64_bits(mask, int_labels):
+@given(mask=st.integers(0, (1 << 230) - 1), int_labels=st.booleans(),
+       low=st.sampled_from((0, 7, 8, 229)))
+def test_masks_and_label_lists_roundtrip_past_64_bits(mask, int_labels, low):
     from icbound.formats import _Labels, _Names
     from icbound.groundset import GroundSet
 
     gs = GroundSet(range(230) if int_labels else [f"m{i}" for i in range(230)])
     names = _Names(gs)
-    array = _Labels(names, mask)
-    labels = [str(lab) for lab in gs.labels_of(mask)]
-    assert list(array) == labels and array == labels and labels == array
-    with pytest.raises(TypeError):
-        json.dumps(array)
-    for obj in (array, [array], {"a": array}, {"a": {"b": array}, "c": "d"},
-                {"a": array, "n": [1, array], "e": {}}):
-        listed = json.loads(json.dumps(obj, default=list))
-        assert dump_json(obj, None) == json.dumps(listed, indent=2)
-    assert gs.mask_of(gs.labels_of(mask)) == mask
-    assert GroundSet(names.labels).mask_of(array) == mask
+    # the array opens with its lowest label, a single label or not
+    for mask in (mask, 1 << low, mask >> low << low | 1 << low):
+        array = _Labels(names, mask)
+        labels = [str(lab) for lab in gs.labels_of(mask)]
+        assert list(array) == labels and array == labels and labels == array
+        with pytest.raises(TypeError):
+            json.dumps(array)
+        for obj in (array, [array], {"a": array}, {"a": {"b": array}, "c": "d"},
+                    {"a": array, "n": [1, array], "e": {}}):
+            listed = json.loads(json.dumps(obj, default=list))
+            assert dump_json(obj, None) == json.dumps(listed, indent=2)
+        assert dump_json(iter([array, {"b": array}]), None) == json.dumps(
+            [labels, {"b": labels}], indent=2)
+        assert gs.mask_of(gs.labels_of(mask)) == mask
+        assert GroundSet(names.labels).mask_of(array) == mask
 
 
 def test_certificate_roundtrip_bit_exact():
@@ -248,7 +264,7 @@ def test_load_json_errors(tmp_path):
 @given(obj=_JSON_VALUES)
 def test_load_json_is_json_load(obj, tmp_path):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps({"value": obj}))  # arrays are shared only as object values
+    path.write_text(json.dumps({"value": obj}))
     # repr tells 1, True, 1.0 and "1" apart, where == does not
     assert repr(load_json(str(path))) == repr(json.loads(path.read_text()))
 
@@ -261,13 +277,22 @@ def test_load_json_keeps_mixed_arrays_as_decoded(tmp_path):
 
 
 def test_dump_json_writes_long_text_in_slices(tmp_path):
-    # over 2 MiB, so the write spans many batches
-    obj = {"x": [{"s": [f"{i}:{j}" for j in range(40)], "v": f"{i}/7"} for i in range(6000)]}
+    # over 2 MiB, so the write spans many batches; "wide" is one member far
+    # longer than a batch, so it is cut inside its own arrays
+    obj = {"x": [{"s": [f"{i}:{j}" for j in range(40)], "v": f"{i}/7"} for i in range(6000)],
+           "wide": {"s": [f"w{j}" for j in range(3000)], "t": [[[str(j)]] for j in range(3000)]}}
     path = tmp_path / "long.json"
     text = json.dumps(obj, indent=2)
     assert len(text) > 2 << 20
     assert dump_json(obj, str(path)) == len(text)
     assert path.read_bytes() == (text + "\n").encode("ascii")
+    # no piece is longer than a line, and a write holds the pieces of one
+    # batch, the member that filled it and the closing brackets behind it
+    fh = _Counted()
+    assert dump_json(obj, fh) == len(text)
+    assert fh.getvalue() == text + "\n"
+    line = max(map(len, text.split("\n"))) + 1
+    assert max(fh.sizes) <= (formats._BATCH + 8) * line, max(fh.sizes)
 
 
 def test_dump_json_leaves_the_batches_before_a_layout_error(tmp_path):
@@ -314,7 +339,7 @@ def _buffered_matches_json_loads(tmp_path, monkeypatch, text, hook, masks_of=Non
 def test_load_json_reads_across_buffer_edges(obj, tmp_path, monkeypatch):
     for doc in ({"value": obj, "next": [obj, [obj], []], "last": {}}, [obj, {"k": obj}, [obj, obj]]):
         for text in (json.dumps(doc), json.dumps(doc, indent=2)):
-            _buffered_matches_json_loads(tmp_path, monkeypatch, text, formats._share())
+            _buffered_matches_json_loads(tmp_path, monkeypatch, text, formats._object)
 
 
 _GS_LABELS = ["a", "b", "c:d", "e"]
@@ -339,20 +364,24 @@ def test_load_json_takes_a_number_only_when_it_ends(tmp_path, monkeypatch):
     for pad in range(12):
         for number in ("7.0160528404885225e+19", "-12345.5e-3", "123456789", "-0.25"):
             text = '{"x": [' + " " * pad + number + ", " + number + "]}"
-            _buffered_matches_json_loads(tmp_path, monkeypatch, text, formats._share(),
+            _buffered_matches_json_loads(tmp_path, monkeypatch, text, formats._object,
                                          chunks=(5,))
 
 
-class _CountedReads(io.StringIO):
-    """Text whose read sizes are recorded."""
+class _Counted(io.StringIO):
+    """Text whose read sizes and written lengths are recorded."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str = ""):
         super().__init__(text)
         self.sizes = []
 
     def read(self, size=-1):
         self.sizes.append(size)
         return super().read(size)
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return super().write(text)
 
 
 @pytest.mark.parametrize("text, whole", [
@@ -362,8 +391,8 @@ class _CountedReads(io.StringIO):
 def test_load_json_grows_the_buffer_for_a_long_value(text, whole, monkeypatch):
     # a 4-character buffer grown by one buffer per retry would read 2500 times
     monkeypatch.setattr(formats, "_CHUNK", 4)
-    fh = _CountedReads(text)
-    reader = formats._Reader(fh, formats._share())
+    fh = _Counted(text)
+    reader = formats._Reader(fh, formats._object)
     if whole:
         assert reader.document() == json.loads(text)
     else:
@@ -395,7 +424,7 @@ def test_load_json_past_the_first_buffer_refuses_as_json_load(bad, tmp_path, mon
         with pytest.raises(InputError) as got:
             load_json(str(path))
         try:
-            json.loads(text, object_pairs_hook=formats._share())
+            json.loads(text, object_pairs_hook=formats._object)
         except InputError as exc:  # the repeated key
             assert str(got.value) == f"{path}: {exc}"
         except ValueError as exc:  # line and column count from the start of the file
@@ -1007,30 +1036,8 @@ def c5_power_certs(tmp_path_factory):
     return certs
 
 
-def test_load_json_holds_each_label_once(c5_power_certs):
-    doc = load_json(c5_power_certs[2])
-    first = {}
-    for entry in doc["x"]:
-        for label in entry["s"] + entry["t"]:
-            assert first.setdefault(label, label) is label
-    assert len(first) == 25
-
-
-def test_loaded_certificate_holds_less_memory_than_its_file(c5_power_certs):
-    # each label was its own string object, 3.6 times the file size in all
-    path = c5_power_certs[3]
-    tracemalloc.start()
-    try:
-        doc = load_json(path)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(doc["x"]) == 343
-    assert held < 1.5 * os.path.getsize(path)
-
-
 def test_masked_certificate_load_holds_a_fraction_of_its_file(c5_power_certs):
-    # the plain load holds 0.67 times the file; label lists die as entries close
+    # the plain load holds 3.6 times the file; label lists die as entries close
     path = c5_power_certs[3]
     gs = instance_from_json(load_json(path.replace(".cert.json", ".json"))).messages
     tracemalloc.start()
@@ -1062,18 +1069,30 @@ def test_buffered_certificate_load_holds_a_few_buffers(c5_power_certs, monkeypat
     assert certificate_from_json(doc, gs)[0] == whole
 
 
-def test_dump_json_to_a_file_holds_a_fraction_of_its_text(c5_power_certs, tmp_path):
-    obj = load_json(c5_power_certs[3])
+def _emit_peak(obj, path: str, stdout: bool) -> int:
+    """The tracemalloc peak of writing obj to path, by dump_json or, with
+    stdout, as the command line writes it when --out is not given."""
     tracemalloc.start()
     try:
-        written = dump_json(obj, str(tmp_path / "copy.json"))
-        peak = tracemalloc.get_traced_memory()[1]
+        if stdout:
+            with open(path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+                _emit(obj, None)
+        else:
+            dump_json(obj, path)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert written == os.path.getsize(c5_power_certs[3]) - 1
-    assert peak < written // 3
-    with open(c5_power_certs[3], "rb") as fh:
-        assert (tmp_path / "copy.json").read_bytes() == fh.read()
+
+
+def test_dump_json_to_a_file_holds_a_fraction_of_its_text(c5_power_certs, tmp_path):
+    # printing the whole text to stdout peaked at twice its length
+    obj = load_json(c5_power_certs[3])
+    copy = tmp_path / "copy.json"
+    for stdout in (False, True):
+        peak = _emit_peak(obj, str(copy), stdout)
+        assert peak < (os.path.getsize(c5_power_certs[3]) - 1) // 3
+        with open(c5_power_certs[3], "rb") as fh:
+            assert copy.read_bytes() == fh.read()
 
 
 def test_streamed_certificate_dump_peaks_at_a_fraction_of_its_entries(c5_power_certs, tmp_path):
@@ -1102,6 +1121,22 @@ def test_streamed_certificate_dump_peaks_at_a_fraction_of_its_entries(c5_power_c
     assert peak < held // 6
     with open(c5_power_certs[4], "rb") as fh:
         assert path.read_bytes() == fh.read()
+
+
+def test_instance_write_peaks_at_a_fraction_of_its_text(nonfano_squared, tmp_path):
+    # beside the receiver objects instance_to_json built, writing the 1.8 MB
+    # text of the 3,844 receivers peaks at about 110 KB to a file, its
+    # 64 KiB buffer included, and about 40 KB to stdout
+    _, square, _ = nonfano_squared
+    inst = instance_from_json(load_json(square, "messages"))
+    assert len(inst.receivers) == 3844
+    obj = instance_to_json(inst)
+    path = tmp_path / "nf2.json"
+    for stdout in (False, True):
+        peak = _emit_peak(obj, str(path), stdout)
+        assert peak < os.path.getsize(square) // 10
+        with open(square, "rb") as fh:
+            assert path.read_bytes() == fh.read()
 
 
 def _factor_files(c5_power_certs):

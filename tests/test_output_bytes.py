@@ -86,10 +86,14 @@ def test_solve_certificate_bytes(name, schema, closure, tmp_path, capsys):
 def test_combine_bytes(first, second, tmp_path, capsys):
     inst_g, cert_g = _solve(tmp_path, first, "submod", "single", capsys)
     inst_f, cert_f = _solve(tmp_path, second, "submod", "single", capsys)
+    argv = ["combine", str(inst_g), str(inst_f), str(cert_g), str(cert_f)]
     out = tmp_path / "combined.json"
-    _run(["combine", str(inst_g), str(inst_f), str(cert_g), str(cert_f),
-          "--out", str(out)], capsys)
+    _run(argv + ["--out", str(out)], capsys)
     assert _digest(out) == DIGESTS[f"combine {first} {second}"]
+    # without --out the same bytes go to stdout, ahead of the value
+    assert main(argv) == 0
+    text, value = capsys.readouterr().out.encode("ascii").rsplit(b"value = ", 1)
+    assert text == out.read_bytes() and value.endswith(b"\n")
 
 
 @pytest.mark.parametrize("first, second", [("C5", "C5"), ("fano", "nonfano")])
@@ -101,6 +105,9 @@ def test_product_bytes(first, second, tmp_path, capsys):
     out = tmp_path / "product.json"
     _run(["product", *map(str, paths), "--out", str(out)], capsys)
     assert _digest(out) == DIGESTS[f"product {first} {second}"]
+    # without --out the same bytes go to stdout
+    assert main(["product", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.encode("ascii") == out.read_bytes()
 
 
 def test_combine_past_a_machine_word_bytes(tmp_path, capsys):
