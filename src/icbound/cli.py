@@ -1,9 +1,9 @@
 """Command-line surface: solve, verify, combine, convert, demo.
 
 Exit codes are part of the contract: 0 success, 1 a verification or claimed
-value failed, 2 malformed input, 3 a resource cap was hit. Demos re-run the
-headline pipelines end to end and fail loudly on any mismatch, so they double
-as an installed smoke test.
+value failed, 2 malformed input, 3 a resource cap was hit, 141 stdout was
+closed early (128 + SIGPIPE). Demos re-run the headline pipelines end to end
+and fail loudly on any mismatch, so they double as an installed smoke test.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -98,7 +99,7 @@ def _cmd_combine(args) -> int:
     value = verify_certificate(product, schema, combined)
     combined.claimed_value = value
     _emit(certificate_to_json(combined, product.messages, schema), args.out)
-    print(f"value = {rat_str(value)}")
+    print(f"value = {rat_str(value)}", file=sys.stderr if args.out is None else sys.stdout)
     return 0
 
 
@@ -331,7 +332,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:  # so the flush at exit cannot raise
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

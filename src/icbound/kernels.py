@@ -67,6 +67,15 @@ their solves took 0.5 and 0.7 times as long as with 64-bit fields
 (CPython 3.11, 2 vCPUs). Small LPs keep the capped path: starting them at
 16 bits with the bound made 4-message solves 6-7% slower, as each bounded
 pivot pays about 3 us to unpack d and take the maxima.
+
+Pricing packs the LP's rows alike: over columns lo..hi-1, row i is R_i =
+sum_j a_ij << (W*(j-lo)) and the costs C = sum_j c_j << (W*(j-lo)), so one
+`_unpack` of den * C - sum_i y_i * R_i + BIAS reads every reduced cost times
+den. W is the narrowest of 16, 32, 64 bits, then doubling, whose H exceeds
+max|c| * den + longest * largest * max|y| (at least ||a_j||_1 * max|y|), on
+every call. Replaying one solve's pricing calls, us per call, loop -> packed
+(CPython 3.11, 2 vCPUs): C4 19 -> 9, C5 18 -> 11, C6 23 -> 17, C7 25 -> 27,
+non-Fano 27 -> 35, C8 64 -> 119. So LPs of over 64 rows keep the loop.
 """
 
 from __future__ import annotations
@@ -82,6 +91,30 @@ BACKEND = "pure"
 _CAPPED_WIDTHS = (16, 32, 64)
 # The memoryview item code of each width that has one.
 _ITEM_CODES = {16: "h", 32: "i", 64: "q"}
+# The most rows of an LP priced from packed rows (see the module docstring).
+_PACKED_PRICING_ROWS = 64
+
+
+def _bias(width: int, count: int) -> int:
+    """H = 2^(width-1) in each of count fields of width bits."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
+
+
+def _unpack(q: int, width: int, bias: int, count: int) -> list:
+    """The count fields of the biased packed int q, as a list: a memoryview
+    cast at 16, 32 and 64 bits, `int.from_bytes` per field beyond."""
+    # XOR with the bias turns each field into its two's complement.
+    raw = (q ^ bias).to_bytes(width * count // 8, sys.byteorder)
+    code = _ITEM_CODES.get(width)
+    if code:
+        entries = memoryview(raw).cast(code).tolist()
+    else:
+        step = width // 8
+        entries = [int.from_bytes(raw[k:k + step], sys.byteorder, signed=True)
+                   for k in range(0, len(raw), step)]
+    if sys.byteorder == "big":  # the last field came first
+        entries.reverse()
+    return entries
 
 
 class Adjugate:
@@ -118,24 +151,12 @@ class Adjugate:
         self.width = width
         self.half = 1 << width - 1
         self.mask = (1 << width) - 1
-        self.bias = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * self.m, "little")
+        self.bias = _bias(width, self.m)
         self.low = self.bias - (self.bias >> width - 1)
 
     def unpack(self, q: int) -> list:
-        """The entries of the biased packed column q, as a list: a memoryview
-        cast at 16, 32 and 64 bits, `int.from_bytes` per field beyond."""
-        # XOR with the bias turns each field into its two's complement.
-        raw = (q ^ self.bias).to_bytes(self.width * self.m // 8, sys.byteorder)
-        code = _ITEM_CODES.get(self.width)
-        if code:
-            entries = memoryview(raw).cast(code).tolist()
-        else:
-            step = self.width // 8
-            entries = [int.from_bytes(raw[k:k + step], sys.byteorder, signed=True)
-                       for k in range(0, len(raw), step)]
-        if sys.byteorder == "big":  # the last field came first
-            entries.reverse()
-        return entries
+        """The entries of the biased packed column q, as a list."""
+        return _unpack(q, self.width, self.bias, self.m)
 
     def entry(self, q: int, i: int) -> int:
         """Entry i of the biased packed column q."""
@@ -321,30 +342,51 @@ def _least_ratio(adj: Adjugate, q, packed_d, flags) -> int:
     return kept
 
 
-def price_columns(y, cols_idx, cols_val, cobj, den, lo, hi):
-    """Pick an entering column among lo..hi-1 with positive reduced cost:
-    returns (j, its reduced cost times den), or (-1, 0).
+def price_columns(y, lp, den, lo, hi, packs):
+    """Pick an entering column among lo..hi-1 of the `StandardFormLP` lp with
+    positive reduced cost: returns (j, its reduced cost times den), or (-1, 0).
 
     The reduced cost of column j times den is cobj[j] * den - a_j . y, with
     y the multipliers times den. Returns the most positive reduced cost,
     ties to the lowest column id. With y = c_B^T B, a basic column prices at
     exactly zero in integer arithmetic, so basic columns need no mask: they
-    are never picked. The chunk is read in place, not sliced.
+    are never picked. The chunk is read in place, not sliced: from rows packed
+    in packs, a dict per LP, when the LP has at most `_PACKED_PRICING_ROWS` rows.
     """
-    best_j = -1
-    best_rc = 0
-    for j in range(lo, hi):
-        rc = cobj[j] * den
-        idx = cols_idx[j]
-        val = cols_val[j]
-        for t in range(len(idx)):
-            yi = y[idx[t]]
-            if yi:
-                rc -= val[t] * yi
-        if rc > best_rc:
-            best_rc = rc
-            best_j = j
-    return best_j, best_rc
+    cols_idx, cols_val, cobj = lp.cols_idx, lp.cols_val, lp.cobj
+    if len(y) > _PACKED_PRICING_ROWS:
+        best_j, best_rc = -1, 0
+        for j in range(lo, hi):
+            rc = cobj[j] * den
+            idx = cols_idx[j]
+            val = cols_val[j]
+            for t in range(len(idx)):
+                yi = y[idx[t]]
+                if yi:
+                    rc -= val[t] * yi
+            if rc > best_rc:
+                best_j, best_rc = j, rc
+        return best_j, best_rc
+    cost, by_width = packs.get((lo, hi)) or packs.setdefault(
+        (lo, hi), (max(map(abs, cobj[lo:hi])), {}))
+    bound = cost * den + lp.longest * lp.largest * max(map(abs, y))
+    width = max(16, 1 << bound.bit_length().bit_length())  # H = 2^(W-1) > bound
+    if width not in by_width:  # sums of shifted entries: exact even past a field
+        costs, rows = 0, {}
+        for j in range(lo, hi):
+            shift = width * (j - lo)
+            costs += cobj[j] << shift
+            for i, v in zip(cols_idx[j], cols_val[j]):
+                rows[i] = rows.get(i, 0) + (v << shift)
+        by_width[width] = (costs, list(rows.items()), _bias(width, hi - lo))
+    costs, rows, bias = by_width[width]
+    total = costs * den + bias
+    for i, row in rows:
+        if y[i]:
+            total -= y[i] * row
+    rcs = _unpack(total, width, bias, hi - lo)
+    best = max(rcs)
+    return (lo + rcs.index(best), best) if best > 0 else (-1, 0)
 
 
 def gfp_rref(rows, p):

@@ -21,9 +21,9 @@ nonzero), so the leaving row is picked by the lexicographic ratio test,
 which cannot cycle; as the basic values are column 0 of the inverse, that
 test compares rows of the inverse alone, reading the packed columns one at
 a time. The entering column is the one of most-positive reduced cost over
-a rotating chunk of columns (pricing by chunks). A basic column prices at
-exactly zero (the adjugate times it is den times a unit vector), so pricing
-needs no mask of basic columns. Artificial columns are appended internally
+a rotating chunk of columns, read from packed rows in LPs of up to 64 rows.
+A basic column prices at exactly zero (the adjugate times it is den times a
+unit vector), so pricing needs no mask of basic columns. Artificial columns are appended internally
 to provide the starting basis; they may never enter, and any artificial
 row touched by an entering column is pivoted out at ratio zero, so
 artificials stay at value zero forever and the optimum reached belongs to
@@ -241,6 +241,7 @@ def solve_standard_form(
 
     chunk = max(64, nstruct // 16)
     cursor = 0
+    packs = {}
 
     while True:
         # Partial pricing: scan chunks from the cursor until one yields a
@@ -251,7 +252,7 @@ def solve_standard_form(
         while scanned < nstruct:
             lo = cursor
             hi = min(nstruct, lo + chunk)
-            enter, rc = kernels.price_columns(y, cols_idx, cols_val, cobj, den, lo, hi)
+            enter, rc = kernels.price_columns(y, lp, den, lo, hi, packs)
             scanned += hi - lo
             cursor = hi % nstruct
             if enter >= 0:

@@ -600,6 +600,19 @@ def fraction_simplex(lp, crash=()):
     return "optimal", objective, x, y, iterations
 
 
+def best_reduced_cost(y, lp, den, lo, hi):
+    """What `icbound.kernels.price_columns` picks, one column at a time: the
+    first column among lo..hi-1 of the most positive reduced cost times den,
+    cobj[j] * den - a_j . y, and that cost, or (-1, 0) when none is
+    positive."""
+    best = (-1, 0)
+    for j in range(lo, hi):
+        rc = lp.cobj[j] * den - sum(v * y[i] for i, v in zip(lp.cols_idx[j], lp.cols_val[j]))
+        if rc > best[1]:
+            best = (j, rc)
+    return best
+
+
 def fraction_audit(lp, x, y):
     """The simplex audit one Fraction operation at a time, as a reference.
 

@@ -600,6 +600,22 @@ def test_cli_matroid2ic_refuses_a_large_matrix_before_the_walk(tmp_path):
     assert not (tmp_path / "wide.ic.json").exists()
 
 
+def test_cli_exits_141_without_a_traceback_when_stdout_closes(tmp_path):
+    # as `icb product fano.json fano.json | head -c 100`: the reader takes
+    # 100 bytes of the 1 MB product and closes the pipe
+    path = str(tmp_path / "fano.json")
+    dump_json(instance_to_json(to_index_coding(fano())), path)
+    src = os.path.dirname(os.path.dirname(formats.__file__))
+    with subprocess.Popen([sys.executable, "-m", "icbound.cli", "product", path, path],
+                          env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert head.startswith(b"{") and len(head) == 100
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_cli_matroid_alpha_search(tmp_path, c5_file, capsys):
     mat = str(tmp_path / "fano-matroid.json")
     dump_json(fano_ranks_json(), mat)

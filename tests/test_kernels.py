@@ -1,11 +1,15 @@
 """The packed adjugate of `icbound.kernels`: field layout, reads, exact
-division over the fields, widening, and the sign of the denominator."""
+division over the fields, widening, and the sign of the denominator; and
+pricing, from packed rows and entry by entry."""
 
 import random
 
 import pytest
 
-from icbound.kernels import Adjugate, ftran_sparse, pivot_update
+from icbound import kernels
+from icbound.kernels import Adjugate, ftran_sparse, pivot_update, price_columns
+from icbound.simplex import StandardFormLP
+from oracles import best_reduced_cost
 
 # The widths an adjugate can start at.
 WIDTHS = [16, 32, 64]
@@ -147,3 +151,52 @@ def test_pivot_update_keeps_the_denominator_positive(cap, a):
     assert y == [-v for v in new[3]]
     if d[2] == -3:  # |piv| == D: the columns with a zero in row 2 are left alone
         assert adj.cols[:2] == before[:2]
+
+
+def random_pricing_lp(rng, m):
+    """Sparse columns over m rows, entries and costs in -3..3; a few columns
+    are copies of earlier ones, whose reduced costs tie with theirs."""
+    n = rng.randint(1, 90)
+    cols = []
+    for j in range(n):
+        if j and rng.random() < 0.1:
+            cols.append(cols[rng.randrange(j)])
+            continue
+        idx = tuple(sorted(rng.sample(range(m), rng.randint(0, min(m, 6)))))
+        cols.append((idx, tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in idx),
+                     rng.randint(-3, 3)))
+    cols_idx, cols_val, cobj = map(list, zip(*cols))
+    return StandardFormLP(m, cols_idx, cols_val, cobj)
+
+
+@pytest.mark.parametrize("rows", [(1, 64), (65, 130)], ids=["packed", "loop"])
+def test_price_columns_matches_the_reference(rows):
+    # multipliers of up to 70 bits and denominators of up to 130 take the
+    # packed rows through every width from 16 bits to 256; LPs of more than
+    # 64 rows are priced entry by entry and pack nothing
+    rng = random.Random(3324 + rows[0])
+    picked, ties, widths = set(), 0, set()
+    for _ in range(60):
+        m = rng.randint(*rows)
+        lp = random_pricing_lp(rng, m)
+        packs = {}
+        for _ in range(8):
+            bits = rng.choice((0, 4, 12, 28, 60, 70))
+            y = [rng.choice((-1, 1)) * rng.getrandbits(bits) if rng.random() < 0.7 else 0
+                 for _ in range(m)]
+            den = rng.getrandbits(rng.choice((1, 8, 24, 56, 70, 130))) + 1
+            chunk = rng.choice((1, 7, 64))
+            for lo in range(0, len(lp.cobj), chunk):
+                hi = min(len(lp.cobj), lo + chunk)
+                want = best_reduced_cost(y, lp, den, lo, hi)
+                assert price_columns(y, lp, den, lo, hi, packs) == want
+                picked.add(want[0] >= 0)
+                ties += want[0] >= 0 and sum(
+                    best_reduced_cost(y, lp, den, j, j + 1)[1] == want[1]
+                    for j in range(lo, hi)) > 1
+        widths.update(w for _, packed in packs.values() for w in packed)
+    assert picked == {True, False} and ties > 0
+    if rows[1] <= kernels._PACKED_PRICING_ROWS:
+        assert widths == {16, 32, 64, 128, 256}
+    else:
+        assert widths == set()

@@ -51,6 +51,10 @@ DIGESTS = {
 }
 
 
+# The values test_combine_bytes prints: b(C5)^2 and b(Fano) * b(non-Fano).
+VALUES = {("C5", "C5"): "25/4", ("fano", "nonfano"): "16"}
+
+
 def _instance(name: str):
     if name.startswith("C"):
         return cycle_instance(int(name[1:]))
@@ -90,10 +94,12 @@ def test_combine_bytes(first, second, tmp_path, capsys):
     out = tmp_path / "combined.json"
     _run(argv + ["--out", str(out)], capsys)
     assert _digest(out) == DIGESTS[f"combine {first} {second}"]
-    # without --out the same bytes go to stdout, ahead of the value
+    # without --out the same bytes, and nothing else, go to stdout; the
+    # value goes to stderr
     assert main(argv) == 0
-    text, value = capsys.readouterr().out.encode("ascii").rsplit(b"value = ", 1)
-    assert text == out.read_bytes() and value.endswith(b"\n")
+    printed = capsys.readouterr()
+    assert printed.out.encode("ascii") == out.read_bytes()
+    assert printed.err == f"value = {VALUES[first, second]}\n"
 
 
 @pytest.mark.parametrize("first, second", [("C5", "C5"), ("fano", "nonfano")])

@@ -260,6 +260,18 @@ def random_e0_lp(rng, rows=(2, 6), bound=2):
     return StandardFormLP(m, cols_idx, cols_val, cobj)
 
 
+def sparse_e0_lp(rng, rows):
+    """Like random_e0_lp, but 30 columns of three entries each in -2..2, so
+    that LPs of many rows solve in a few dozen pivots."""
+    m = rng.randint(*rows)
+    cols_idx, cols_val = [(0,)], [(rng.randint(1, 2),)]
+    for _ in range(30):
+        cols_idx.append(tuple(sorted(rng.sample(range(m), 3))))
+        cols_val.append(tuple(rng.choice((-2, -1, 1, 2)) for _ in range(3)))
+    cobj = [rng.randint(-3, 3) for _ in cols_idx]
+    return StandardFormLP(m, cols_idx, cols_val, cobj)
+
+
 def record_adjugates(monkeypatch):
     """Wrap kernels.Adjugate; returns the list of adjugates the solver
     makes, each with `widths`, the field widths it started at and was
@@ -355,6 +367,18 @@ def test_solver_matches_fraction_simplex_on_tall_lps(monkeypatch):
         statuses.add(res.status)
     assert "optimal" in statuses
     assert {(adj.widths[0], adj.capped) for adj in made} == {(16, False)}
+
+
+def test_solver_matches_fraction_simplex_on_both_sides_of_packed_pricing():
+    # 60-70 rows: LPs of up to 64 rows are priced from packed rows, taller
+    # ones entry by entry
+    rng = random.Random(6465)
+    tall = set()
+    for _ in range(12):
+        lp = sparse_e0_lp(rng, (60, 70))
+        assert_same_as_fraction_simplex(lp, [(0, 0)])
+        tall.add(lp.nrows > kernels._PACKED_PRICING_ROWS)
+    assert tall == {False, True}
 
 
 def test_solver_widens_its_fields_on_wide_lps():
