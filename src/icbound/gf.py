@@ -3,10 +3,11 @@
 A one-off rank uses `rank`, the dense `kernels.gfp_rref` on a copy. Ranks
 of every subset of a list of generators come from the walk `span_ranks`,
 which visits only the subsets below full rank (a down-set, as rank is
-monotone) and packs each vector into one int: over GF(2) bit j holds entry
-j mod 2; over GF(p) field j of w bits holds entry j mod p, w the bit length
-of (p-1)(1 + ambient(p-1)). A field starts below p and each of at most
-ambient reduction steps adds at most (p-1)^2: none goes negative or carries.
+monotone). It packs a vector into one int, field j holding entry j mod p:
+a bit over GF(2), reduced by XOR; a byte for p <= 13, where adding (p - f)
+times a row leaves at most (p-1) + (p-1)^2 < 256 and one bytes.translate
+takes every field mod p; else the bit length of p(p-1), reduced field by
+field. Fields stay below p, so a vector is 0 exactly when it is 0 mod p.
 `EchelonBasis` and `Gf2Basis` serve no package path: they remain only as
 test references that the benchmark's layer table names, and go with it.
 """
@@ -14,6 +15,7 @@ test references that the benchmark's layer table names, and go with it.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import List, Sequence
 
 from icbound import kernels
@@ -148,18 +150,26 @@ def span_ranks(
 ) -> List[int]:
     """Rank of the vectors gens[i], i in S, for every subset mask S.
 
-    gens[i] is a list of vectors of length ambient; any other length raises
-    InputError naming i. More than DENSE_CAP generators raise ResourceCapError
-    before anything is allocated. Every mask starts at top, the rank of all
-    the generators, and the walk visits only the masks below top: rank is
-    monotone, so each is reached from its parent, the mask minus its lowest
-    element, whose basis (a tuple of (shift, row) pairs) it extends by that
-    element's vectors. Every mask above one at top is at top too.
+    gens[i] is a list of vectors of length ambient with int entries; a wrong
+    length or entry type raises InputError naming i. More than DENSE_CAP
+    generators raise ResourceCapError before anything is allocated. Every
+    mask starts at top, the rank of all the generators, and a depth-first
+    walk visits only the masks below top: rank is monotone, so each is
+    reached from its parent, the mask minus its lowest element.
 
-    Rows are used in the order they were added. Each is 1 at its own pivot
-    and 0 mod p at the pivots of earlier rows, so one pass zeroes every pivot
-    and no step undoes an earlier one; a nonzero span vector is nonzero at
-    the pivot of its first row, so the residual is 0 exactly on the span.
+    A node carries its mask, its rank and, in one flat list with each
+    element's vectors together, the vectors of every element below its
+    lowest, reduced modulo its span. The rank of S + i is rank(S) plus the
+    rank of i's residuals: a nonzero test for one vector; for several, each
+    that is still nonzero becomes a row and reduces the rest. A child whose
+    residuals are 0 shares its parent's list, one at top is dropped, and
+    any other gets the list's prefix reduced by each new row in one
+    comprehension. A child with no lower element only has its rank written.
+
+    A row is a residual scaled to 1 at its pivot, its lowest nonzero field,
+    and reducing by it clears that field: earlier pivots are 0 in it, so no
+    step undoes another. A nonzero span vector is nonzero at the pivot of
+    its first row, so a residual is 0 exactly on the span.
     """
     if len(gens) > DENSE_CAP:
         raise ResourceCapError(
@@ -169,42 +179,60 @@ def span_ranks(
             if len(vec) != ambient:
                 raise InputError(f"generator {i} has a vector of length {len(vec)}, "
                                  f"expected {ambient}")
-    width = 1 if p == 2 else ((p - 1) * (1 + ambient * (p - 1))).bit_length()
-    field = (1 << width) - 1
-    shifts = range(0, width * ambient, width)
-    packed = [[sum(v % p << t for v, t in zip(vec, shifts)) for vec in vecs] for vecs in gens]
+            if not set(map(type, vec)) <= {int}:  # bool too: a C-speed pass
+                bad = next(v for v in vec if type(v) is not int)
+                raise InputError(f"generator {i} has an entry {bad!r}, expected an int")
+    w = 1 if p == 2 else 8 if p <= 13 else (p * p - p).bit_length()
+    field, shifts, size = (1 << w) - 1, range(0, w * ambient, w), max(ambient, 1)
+    table = bytes(b % p for b in range(256)) if w == 8 else b""
+    flat = [sum(v % p << t for v, t in zip(vec, shifts)) for vecs in gens for vec in vecs]
 
-    def grow(rows: tuple, vecs: List[int], cap: int) -> tuple:  # stops at rank cap
-        for vec in vecs:
-            if len(rows) == cap:
-                break
-            if p == 2:
-                for shift, row in rows:
-                    if vec >> shift & 1:
-                        vec ^= row
-                if vec:
-                    rows += (((vec & -vec).bit_length() - 1, vec),)
-                continue
-            for shift, row in rows:
-                f = (vec >> shift & field) % p
-                if f:
-                    vec += (p - f) * row
-            for j, t in enumerate(shifts):
-                f = (vec >> t & field) % p
-                if f:
-                    inv = pow(f, p - 2, p)
-                    rows += ((t, sum((vec >> u & field) * inv % p << u for u in shifts[j:])),)
-                    break
-        return rows
+    def red(v: int) -> int:  # every field mod p
+        if w == 8:
+            return int.from_bytes(v.to_bytes(size, "little").translate(table), "little")
+        return sum((v >> t & field) % p << t for t in shifts)
 
-    top = len(grow((), [vec for vecs in packed for vec in vecs], ambient))
+    def cut(res: List[int], v: int) -> List[int]:  # res reduced by v's row
+        t = ((v & -v).bit_length() - 1) // w * w  # v's pivot: its lowest nonzero field
+        if p == 2:
+            return [u ^ v if u >> t & 1 else u for u in res]
+        f = v >> t & field
+        row = v if f == 1 else red(v * pow(f, p - 2, p))  # v scaled to 1 at t
+        if w == 8:  # red inlined: a call per vector costs as much as the reduction
+            return [int.from_bytes((u + (p - f) * row).to_bytes(size, "little").translate(table),
+                                   "little") if (f := u >> t & 255) else u for u in res]
+        return [red(u + (p - f) * row) if (f := u >> t & field) else u for u in res]
+
+    ends = list(accumulate(map(len, gens), initial=0))
+    top, work = 0, flat
+    for k in range(len(flat)):
+        if work[k]:
+            work = cut(work, work[k])
+            top += 1
     ranks = [top] * (1 << len(gens))
-    below = [(0, (), len(gens))]  # mask, basis, index of its lowest element (n at 0)
+    single = set(map(len, gens)) <= {1}
+    below = [(0, 0, flat, len(gens))]  # mask, rank, residuals, its lowest element
     while below:
-        s, rows, low = below.pop()
-        ranks[s] = len(rows)
+        s, r, res, low = below.pop()
+        ranks[s] = r
         for i in range(low):
-            child = grow(rows, packed[i], top)
-            if len(child) < top:
-                below.append((s | 1 << i, child, i))
+            if single:  # i's one residual is res[i]
+                if not i:  # a leaf: no list to make
+                    ranks[s | 1] = r + bool(res[0])
+                elif not res[i]:
+                    below.append((s | 1 << i, r, res, i))
+                elif r + 1 < top:
+                    below.append((s | 1 << i, r + 1, cut(res[:i], res[i]), i))
+                continue
+            child, gain, b = res, 0, ends[i + 1]
+            for k in range(ends[i], b):
+                if child[k]:
+                    if r + gain + 1 == top:
+                        break
+                    child = cut(child[:b] if child is res else child, child[k])
+                    gain += 1
+            else:
+                ranks[s | 1 << i] = r + gain  # a leaf is not pushed
+                if i:
+                    below.append((s | 1 << i, r + gain, child, i))
     return ranks

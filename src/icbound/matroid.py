@@ -15,7 +15,9 @@ verifier as everything else.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Dict, List, Sequence, Tuple
 
 from icbound.certificate import DualCertificate
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 _MATROID_CAP = 12
+_ZERO_TO_DIGIT = b"1" + b"0" * 255  # a byte to the binary digit of "it is 0"
 
 
 def _check_cap(gs: GroundSet) -> GroundSet:
@@ -167,34 +170,30 @@ def to_index_coding(matroid: Matroid, minimal: bool = True) -> IndexCodingInstan
     Matroid ranks obey unit increase and submodularity (the constructor
     checks them), so "s spans x" is closed under taking supersets and a
     spanning s is minimal exactly when no s minus one element spans x.
+
+    The sets spanning x are one int, bit s set when s avoids x and ranks[s + x]
+    == ranks[s]: with the ranks (at most n) as the bytes of one int, XOR with
+    it shifted down by 2^x bytes leaves a 0 byte exactly there. clear[i] holds
+    the masks without i, and the spanning sets in it shifted up by 2^i are
+    those whose s minus i spans x. Receivers list each element's sets by
+    descending mask.
     """
-    gs = matroid.gs
-    ranks = matroid.ranks
+    gs, ranks = matroid.gs, bytes(matroid.ranks)
+    every = (1 << len(ranks)) - 1
+    clear = [((1 << (1 << i)) - 1) * (every // ((1 << (2 << i)) - 1)) for i in range(gs.n)]
+    whole = int.from_bytes(ranks, "little")
     receivers = []
     for x in range(gs.n):
         bit = 1 << x
-        rest = gs.full_mask & ~bit
-        s = rest
-        while True:
-            if ranks[s | bit] == ranks[s] and not (
-                minimal and _spanned_without_one(ranks, s, bit)
-            ):
-                receivers.append((x, s))
-            if s == 0:
-                break
-            s = (s - 1) & rest
+        diff = (whole >> (bit << 3) ^ whole).to_bytes(len(ranks), "big")
+        spans = int(diff.translate(_ZERO_TO_DIGIT), 2) & clear[x]
+        if minimal:
+            spans &= ~reduce(or_, [(spans & c) << (1 << i) for i, c in enumerate(clear)])
+        while spans:
+            s = spans.bit_length() - 1
+            receivers.append((x, s))
+            spans ^= 1 << s
     return IndexCodingInstance(gs, receivers)
-
-
-def _spanned_without_one(ranks: Sequence[int], s: int, bit: int) -> bool:
-    """True when s minus some one of its elements still spans bit."""
-    t = s
-    while t:
-        u = s ^ (t & -t)
-        if ranks[u | bit] == ranks[u]:
-            return True
-        t &= t - 1
-    return False
 
 
 def _greedy_independent(matroid: Matroid, inside: int, start: int = 0) -> int:

@@ -248,6 +248,54 @@ def fp_in_span(rows, vec, p):
     return fp_rank(rows + [vec], p) == fp_rank(rows, p)
 
 
+def walk_span_ranks(p, ambient, gens):
+    """Rank of the vectors gens[i], i in S, for every subset mask S, by the
+    basis walk that gf.span_ranks once was: each mask below top extends its
+    parent's basis (a tuple of (shift, row) pairs, the parent being the mask
+    minus its lowest element) by reducing that element's vectors against
+    every row again. Vectors pack one w-bit field per entry, w the bit
+    length of (p-1)(1 + ambient(p-1)), one bit over GF(2)."""
+    width = 1 if p == 2 else ((p - 1) * (1 + ambient * (p - 1))).bit_length()
+    field = (1 << width) - 1
+    shifts = range(0, width * ambient, width)
+    packed = [[sum(v % p << t for v, t in zip(vec, shifts)) for vec in vecs] for vecs in gens]
+
+    def grow(rows, vecs, cap):  # stops at rank cap
+        for vec in vecs:
+            if len(rows) == cap:
+                break
+            if p == 2:
+                for shift, row in rows:
+                    if vec >> shift & 1:
+                        vec ^= row
+                if vec:
+                    rows += (((vec & -vec).bit_length() - 1, vec),)
+                continue
+            for shift, row in rows:
+                f = (vec >> shift & field) % p
+                if f:
+                    vec += (p - f) * row
+            for j, t in enumerate(shifts):
+                f = (vec >> t & field) % p
+                if f:
+                    inv = pow(f, p - 2, p)
+                    rows += ((t, sum((vec >> u & field) * inv % p << u for u in shifts[j:])),)
+                    break
+        return rows
+
+    top = len(grow((), [vec for vecs in packed for vec in vecs], ambient))
+    ranks = [top] * (1 << len(gens))
+    below = [(0, (), len(gens))]  # mask, basis, index of its lowest element (n at 0)
+    while below:
+        s, rows, low = below.pop()
+        ranks[s] = len(rows)
+        for i in range(low):
+            child = grow(rows, packed[i], top)
+            if len(child) < top:
+                below.append((s | 1 << i, child, i))
+    return ranks
+
+
 # -- matroid enumeration -------------------------------------------------------
 
 

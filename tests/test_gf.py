@@ -8,9 +8,10 @@ import pytest
 from icbound.errors import InputError, ResourceCapError
 from icbound.gf import EchelonBasis, Gf2Basis, check_prime, rank, rref, span_ranks
 from icbound.groundset import GroundSet
+from icbound.matroid import rank_from_matrix
 
 from lemmas import inverse, nullspace
-from oracles import fp_in_span, fp_rank, matvec
+from oracles import fp_in_span, fp_rank, matvec, walk_span_ranks
 
 
 def matvec_mod(mat, vec, p):
@@ -258,3 +259,68 @@ def test_span_ranks_rejects_wrong_length(p):
     with pytest.raises(InputError, match="generator 2"):
         span_ranks(p, 3, [[], [[1, 0, 0]], [[1, 0, 0], [0, 1]]])
     assert span_ranks(p, 1, [[[0]], [[1]]]) == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 65537, (1 << 31) - 1])
+def test_span_ranks_matches_the_basis_walk(p):
+    # 0-12 generators of 0-3 vectors in ambient 0-7: entries outside [0, p),
+    # negative ones too, zero and repeated vectors. Generator 0 often holds
+    # u and u + c w, w a vector of the last generator: independent, but one
+    # vector modulo the last generator's span, where a walk that counted
+    # nonzero residuals without eliminating them among themselves would be
+    # one too high. Every mask is checked against the basis walk, a sample
+    # against fp_rank.
+    rng = random.Random(700 + p % 1000)
+    merged = 0
+    for trial in range(40):
+        n, ambient = rng.randint(0, 12), rng.randint(0 if trial % 3 == 0 else 3, 7)
+        made = []
+
+        def vec():
+            roll = rng.random()
+            if made and roll < 0.15:
+                out = list(rng.choice(made))
+            elif roll < 0.25:
+                out = [p * rng.randint(-2, 2) for _ in range(ambient)]
+            elif len(made) > 1 and roll < 0.5:
+                (a, b), c = rng.sample(made, 2), rng.randrange(p)
+                out = [x + c * y + p * rng.randint(-2, 2) for x, y in zip(a, b)]
+            else:
+                out = [rng.randint(-2 * p, 2 * p) for _ in range(ambient)]
+            made.append(out)
+            return out
+
+        gens = [[vec() for _ in range(rng.randint(0, 3))] for _ in range(n)]
+        if n >= 2 and gens[-1] and trial % 3:
+            u, c = vec(), rng.randrange(1, p)
+            gens[0] = [u, [x + c * y for x, y in zip(u, gens[-1][0])]]
+        ranks = span_ranks(p, ambient, gens)
+        assert ranks == walk_span_ranks(p, ambient, gens), gens
+        for s in range(1 << n) if n <= 6 else rng.sample(range(1 << n), 40):
+            rows = [v[:] for i in range(n) if s >> i & 1 for v in gens[i]]
+            assert ranks[s] == fp_rank(rows, p), (s, gens)
+        if n >= 2:
+            last = 1 << n - 1
+            merged += (len(gens[0]) == 2 == fp_rank([v[:] for v in gens[0]], p)
+                       and ranks[1 | last] == ranks[last] + 1 < ranks[-1])
+    assert merged >= 4, merged
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 17])
+def test_span_ranks_eliminates_a_generator_modulo_its_parent(p):
+    # generator 0's two vectors are independent but differ by generator 1's,
+    # so added to {1} they raise the rank by one: rank {0, 1} is 2, not 3
+    gens = [[[0, 1, 0], [p - 1, 1, 2 * p]], [[1, 0, 0]], [[0, 0, 1]]]
+    assert span_ranks(p, 3, gens) == [0, 2, 1, 2, 1, 3, 2, 3]
+    assert walk_span_ranks(p, 3, gens) == [0, 2, 1, 2, 1, 3, 2, 3]
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None, True])
+def test_span_ranks_refuses_non_int_entries(bad):
+    # a float or str used to raise a raw TypeError from the packing, and a
+    # bool was taken for 0 or 1; the JSON reader refuses all of them
+    with pytest.raises(InputError, match="generator 1 has an entry"):
+        span_ranks(3, 2, [[[1, 0]], [[0, 1], [bad, 1]]])
+    with pytest.raises(InputError, match="generator 0 has an entry"):
+        rank_from_matrix(["a", "b"], [[bad, 0], [1, 1]], 3)
+    assert span_ranks(3, 2, [[[1, 0]], [[0, 1], [-4, 1 << 70]]]) == [0, 1, 2, 2]

@@ -239,6 +239,22 @@ def test_to_index_coding_matches_pairwise_filter(monkeypatch):
                 assert to_index_coding(m, minimal) == want, (m.ranks, minimal)
 
 
+def test_to_index_coding_bitsets_at_the_edges(monkeypatch):
+    # one element, a loop or not; nine columns over GF(3) with a zero and a
+    # repeated column, so some receivers know nothing and some know one
+    # element; the spanning sets are bits of 2^n-bit ints on either side
+    rng = random.Random(9)
+    cols = [[rng.randrange(3) for _ in range(4)] for _ in range(7)] + [[0] * 4]
+    cols.append(cols[2][:])
+    matroids = [Matroid(GroundSet(["a"]), ranks) for ranks in ([0, 0], [0, 1])]
+    matroids.append(rank_from_matrix([f"e{i}" for i in range(9)], cols, 3))
+    monkeypatch.setattr("icbound.matroid.IndexCodingInstance", receiver_list)
+    for m in matroids:
+        for minimal in (True, False):
+            assert to_index_coding(m, minimal) == matroid_receivers(m.ranks, m.n, minimal)
+    assert (7, 0) in to_index_coding(matroids[-1]) and (8, 1 << 2) in to_index_coding(matroids[-1])
+
+
 def test_dense_cap():
     with pytest.raises(ResourceCapError):
         uniform(2, 13)
