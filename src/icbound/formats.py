@@ -32,8 +32,9 @@ else goes to the typed reader, whose errors are the same: "messages" after
 "receivers", integer labels, the graph form, a repeated or unknown label.
 A label array that repeats a label, and a certificate that repeats an (s,
 t) pair or a y row, are refused. Both readers take a _Labels (below) as
-its list, so what instance_to_json and certificate_to_json return reads
-back in process.
+its list, so what instance_to_json returns reads back in process. What
+certificate_to_json returns does not: its "x" and "y" are one-shot
+iterators for dump_json, and the reader refuses them as not arrays.
 
 `load_json` holds one buffer of the file's text, _CHUNK (2^21) characters,
 beside what it has decoded. It reads a member of the top-level object or
@@ -562,6 +563,12 @@ class _Json:
     def integer(self) -> int:
         return self._expect(type(self.value) is int, "an integer")
 
+    def integers(self) -> List[int]:
+        items = self._array()
+        if set(map(type, items)) <= {int}:  # one C-speed pass over a rank vector
+            return items
+        return [_Json(v, i, self).integer() for i, v in enumerate(items)]
+
     def rational(self) -> Rational:
         self._expect(type(self.value) in (int, str), 'an integer or a "p/q" string')
         return self._at_path(rat, self.value)
@@ -838,11 +845,11 @@ def matroid_from_json(obj) -> Matroid:
     if "matrix" in doc:
         rows = []
         for node in doc["matrix"]["rows"]:
-            rows.append([n.integer() for n in node])
+            rows.append(node.integers())
             node._expect(len(rows[-1]) == len(elements),
                          f"an array of {len(elements)} integers, one per element")
         columns = [[row[j] for row in rows] for j in range(len(elements))]
         p = doc["matrix"]["p"]
         return rank_from_matrix(elements, columns, p._at_path(check_prime, p.integer()))
     ranks = doc["ranks"]
-    return ranks._at_path(lambda rs: Matroid(gs, rs), [n.integer() for n in ranks])
+    return ranks._at_path(lambda rs: Matroid(gs, rs), ranks.integers())

@@ -1,13 +1,13 @@
 """Exact linear algebra over prime fields.
 
-A one-off rank uses `rank`, the dense `kernels.gfp_rref` on a copy. Ranks
-of every subset of a list of generators come from the walk `span_ranks`,
-which visits only the subsets below full rank (a down-set, as rank is
-monotone). It packs a vector into one int, field j holding entry j mod p:
-a bit over GF(2), reduced by XOR; a byte for p <= 13, where adding (p - f)
-times a row leaves at most (p-1) + (p-1)^2 < 256 and one bytes.translate
-takes every field mod p; else the bit length of p(p-1), reduced field by
-field. Fields stay below p, so a vector is 0 exactly when it is 0 mod p.
+One walk answers every rank the package takes: `span_ranks`, the rank of
+every subset of a list of generators (one rank is the full mask's). It
+visits only the subsets below full rank (a down-set, as rank is monotone).
+It packs a vector into one int, field j holding entry j mod p: a bit over
+GF(2), reduced by XOR; a byte for p <= 13, where adding (p - f) times a row
+leaves at most (p-1) + (p-1)^2 < 256 and one bytes.translate takes every
+field mod p; else the bit length of p(p-1), reduced field by field. Fields
+stay below p, so a vector is 0 exactly when it is 0 mod p.
 `EchelonBasis` and `Gf2Basis` serve no package path: they remain only as
 test references that the benchmark's layer table names, and go with it.
 """
@@ -15,17 +15,15 @@ test references that the benchmark's layer table names, and go with it.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import accumulate
 from typing import List, Sequence
 
-from icbound import kernels
 from icbound.errors import InputError, ResourceCapError
 from icbound.groundset import DENSE_CAP
 
 __all__ = [
     "check_prime",
-    "rref",
-    "rank",
     "EchelonBasis",
     "Gf2Basis",
     "span_ranks",
@@ -43,19 +41,6 @@ def check_prime(p: int) -> int:
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise InputError(f"field size must be prime, got {p}")
     return p
-
-
-def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form; returns (rows copy in RREF, pivot columns)."""
-    work = [[v % p for v in row] for row in rows]
-    if not work:
-        return [], []
-    pivots = kernels.gfp_rref(work, p)
-    return work, list(pivots)
-
-
-def rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    return len(rref(rows, p)[1])
 
 
 class EchelonBasis:
@@ -145,6 +130,12 @@ class Gf2Basis:
         return bool(vec)
 
 
+@cache
+def _byte_table(p: int) -> bytes:
+    """bytes.translate's table taking a byte field mod p, for 3 <= p <= 13."""
+    return bytes(b % p for b in range(256))
+
+
 def span_ranks(
     p: int, ambient: int, gens: Sequence[Sequence[Sequence[int]]]
 ) -> List[int]:
@@ -184,7 +175,7 @@ def span_ranks(
                 raise InputError(f"generator {i} has an entry {bad!r}, expected an int")
     w = 1 if p == 2 else 8 if p <= 13 else (p * p - p).bit_length()
     field, shifts, size = (1 << w) - 1, range(0, w * ambient, w), max(ambient, 1)
-    table = bytes(b % p for b in range(256)) if w == 8 else b""
+    table = _byte_table(p) if w == 8 else b""
     flat = [sum(v % p << t for v, t in zip(vec, shifts)) for vecs in gens for vec in vecs]
 
     def red(v: int) -> int:  # every field mod p

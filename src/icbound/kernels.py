@@ -1,4 +1,5 @@
-"""Inner loops of the simplex core and of GF(p) elimination.
+"""Inner loops of the simplex core; one walk, `gf.span_ranks`, answers every
+GF(p) rank, and `gfp_rref`, at the end, serves no package path.
 
 These are the hot paths of the whole package, in plain Python over ints.
 Callers reach these functions as `kernels.<name>` so that a tracer can wrap
@@ -393,7 +394,8 @@ def gfp_rref(rows, p):
     """In-place reduced row echelon form over GF(p); returns pivot columns.
 
     rows is a list of equal-length lists of ints in [0, p). Zero rows sink to
-    the bottom and are left in place.
+    the bottom and are left in place. Kept only for the benchmark's layer
+    table and the tests' `lemmas.rref`, as `gf.EchelonBasis` and `gf.Gf2Basis` are.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0

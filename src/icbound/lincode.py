@@ -3,9 +3,9 @@
 A scalar linear code broadcasts the matrix-vector product Qx of the message
 vector; a receiver decodes its wanted message exactly when the wanted unit
 vector lies in the span of Q's rows and the known coordinates' unit vectors.
-Those units clear Q's columns in the known set, so the test needs ranks only:
-`is_valid_code` takes two `gf.rank`s of column subsets per receiver, and
-`code_entropy_vector` ranks every column subset with one `gf.span_ranks`.
+Those units clear Q's columns in the known set, so the test needs ranks only,
+and one `gf.span_ranks` walk over Q's columns answers every rank both
+`is_valid_code` and `code_entropy_vector` read.
 Minimum-length search enumerates row spaces in reduced echelon form (one
 candidate per subspace) from the ceiling of the bound LP's value b: a valid
 code's `code_entropy_vector` satisfies every row of that LP, and its value
@@ -23,15 +23,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, eq
-from typing import Optional, Sequence, Tuple
+from operator import add
+from typing import List, Optional, Sequence, Tuple
 
 from icbound import lp
 from icbound.errors import InputError, ResourceCapError
-from icbound.gf import check_prime, rank, span_ranks
+from icbound.gf import check_prime, span_ranks
 from icbound.groundset import SetVector
 from icbound.instance import IndexCodingInstance
-from icbound.matroid import Matroid
+from icbound.matroid import Matroid, _spanned
 
 __all__ = [
     "ScalarLinearCode",
@@ -71,23 +71,23 @@ class ScalarLinearCode:
         return len(self.matrix[0]) if self.matrix else 0
 
 
+def _column_ranks(instance: IndexCodingInstance, code: ScalarLinearCode) -> List[int]:
+    """Rank of Q's columns in S for every subset mask S of the messages."""
+    n = instance.messages.n
+    if code.matrix and code.n != n:
+        raise InputError(f"code is over {code.n} messages but the instance has {n}")
+    return span_ranks(code.p, code.length, [[[row[j] for row in code.matrix]] for j in range(n)])
+
+
 def is_valid_code(instance: IndexCodingInstance, code: ScalarLinearCode) -> bool:
     """Every receiver (w, K) can decode: e_w lies in the span of Q's rows and
     K's units. Those units clear Q's columns in K, so the span has rank |K|
     plus the rank of Q's columns outside K, and e_w lies in it exactly when
     adding e_w leaves that rank unchanged: when Q's columns outside K have
-    more rank than Q's columns outside K and w."""
-    n = instance.messages.n
-    if code.matrix and code.n != n:
-        raise InputError(
-            f"code is over {code.n} messages but the instance has {n}"
-        )
-
-    def rank_outside(mask: int) -> int:
-        keep = [j for j in range(n) if not mask >> j & 1]
-        return rank([[row[j] for j in keep] for row in code.matrix], code.p)
-
-    return all(rank_outside(knows) > rank_outside(knows | 1 << want)
+    more rank than Q's columns outside K and w. Every column subset is
+    ranked at once, so more than DENSE_CAP messages raise ResourceCapError."""
+    cols, full = _column_ranks(instance, code), instance.messages.full_mask
+    return all(cols[full ^ knows] > cols[full ^ knows ^ 1 << want]
                for want, knows in instance.receivers)
 
 
@@ -125,20 +125,11 @@ def min_scalar_linear_rate(
 
 
 def underrep_check(matroid: Matroid, rows: Sequence[Sequence[int]], p: int) -> bool:
-    """Independent rows whose column dependencies cover the matroid's.
-
-    Whenever an element x lies in the matroid closure of a set s, x's column
-    must lie in the span of s's columns. Only sets s independent in the
-    matroid M (rank equal to size) are tested, which is exact:
-
-    - every s has a basis I inside it with cl_M(I) = cl_M(s), so x in
-      cl_M(s) puts x in cl_M(I);
-    - the test at I puts x in cl_N(I), the closure in the column matroid N,
-      and cl_N(I) lies inside cl_N(s).
-
-    Both steps need matroid ranks, which every Matroid has: its constructor
-    runs check_axioms, and the unchecked builds are matroids by construction.
-    """
+    """Independent rows whose column dependencies cover the matroid's: for
+    every set s and element x outside it, x in the matroid closure of s puts
+    x's column in the span of s's columns. Per x, the sets whose closure
+    holds x are one bitset for the matroid and one for the columns, and the
+    first must lie inside the second."""
     check_prime(p)
     n = matroid.gs.n
     for row in rows:
@@ -147,12 +138,7 @@ def underrep_check(matroid: Matroid, rows: Sequence[Sequence[int]], p: int) -> b
     span = span_ranks(p, len(rows), [[[row[j] for row in rows]] for j in range(n)])
     if span[-1] != len(rows):
         return False
-    ranks, bits = matroid.ranks, [1 << x for x in range(n)]
-    for s in itertools.compress(range(1 << n), map(eq, ranks, map(int.bit_count, range(1 << n)))):
-        for bit in bits:
-            if not s & bit and ranks[s | bit] == ranks[s] and span[s | bit] != span[s]:
-                return False
-    return True
+    return not any(m & ~c for m, c in zip(_spanned(matroid.ranks), _spanned(span)))
 
 
 def code_entropy_vector(
@@ -166,9 +152,6 @@ def code_entropy_vector(
     is the whole reason the LP value is a lower bound on code length.
     """
     gs = instance.messages
-    n = gs.n
-    if code.matrix and code.n != n:
-        raise InputError("code does not match the instance size")
-    cols = span_ranks(code.p, code.length, [[[row[j] for row in code.matrix]] for j in range(n)])
-    ranks = list(map(add, map(int.bit_count, range(1 << n)), reversed(cols)))
+    cols = _column_ranks(instance, code)
+    ranks = list(map(add, map(int.bit_count, range(1 << gs.n)), reversed(cols)))
     return SetVector._from_clean(gs, dict(itertools.compress(enumerate(ranks), ranks)))

@@ -162,6 +162,24 @@ def nonfano() -> Matroid:
     return rank_from_matrix(_FANO_LABELS, _fano_columns(), 3)
 
 
+def _without(n: int) -> List[int]:
+    """Per element i of n, the int with bit s set for every mask s without i."""
+    every = (1 << (1 << n)) - 1
+    return [((1 << (1 << i)) - 1) * (every // ((1 << (2 << i)) - 1)) for i in range(n)]
+
+
+def _spanned(ranks: Sequence[int]) -> List[int]:
+    """Per element x, the int with bit s set when s avoids x and ranks[s + x] ==
+    ranks[s] (x is in the closure of s): with the ranks (below 256) as the bytes
+    of one int, XOR with it shifted down by 2^x bytes leaves a 0 byte there."""
+    whole = int.from_bytes(bytes(ranks), "little")
+    spans = []
+    for x, avoid in enumerate(_without(len(ranks).bit_length() - 1)):
+        diff = (whole >> (8 << x) ^ whole).to_bytes(len(ranks), "big")
+        spans.append(int(diff.translate(_ZERO_TO_DIGIT), 2) & avoid)
+    return spans
+
+
 def to_index_coding(matroid: Matroid, minimal: bool = True) -> IndexCodingInstance:
     """Instance whose receivers demand each element given a set spanning it.
 
@@ -171,29 +189,21 @@ def to_index_coding(matroid: Matroid, minimal: bool = True) -> IndexCodingInstan
     checks them), so "s spans x" is closed under taking supersets and a
     spanning s is minimal exactly when no s minus one element spans x.
 
-    The sets spanning x are one int, bit s set when s avoids x and ranks[s + x]
-    == ranks[s]: with the ranks (at most n) as the bytes of one int, XOR with
-    it shifted down by 2^x bytes leaves a 0 byte exactly there. clear[i] holds
-    the masks without i, and the spanning sets in it shifted up by 2^i are
-    those whose s minus i spans x. Receivers list each element's sets by
+    The sets spanning x are the bitset _spanned gives. clear[i] holds the
+    masks without i, and the spanning sets in it shifted up by 2^i are those
+    whose s minus i spans x. Receivers list each element's sets by
     descending mask.
     """
-    gs, ranks = matroid.gs, bytes(matroid.ranks)
-    every = (1 << len(ranks)) - 1
-    clear = [((1 << (1 << i)) - 1) * (every // ((1 << (2 << i)) - 1)) for i in range(gs.n)]
-    whole = int.from_bytes(ranks, "little")
+    clear = _without(matroid.gs.n)
     receivers = []
-    for x in range(gs.n):
-        bit = 1 << x
-        diff = (whole >> (bit << 3) ^ whole).to_bytes(len(ranks), "big")
-        spans = int(diff.translate(_ZERO_TO_DIGIT), 2) & clear[x]
+    for x, spans in enumerate(_spanned(matroid.ranks)):
         if minimal:
             spans &= ~reduce(or_, [(spans & c) << (1 << i) for i, c in enumerate(clear)])
         while spans:
             s = spans.bit_length() - 1
             receivers.append((x, s))
             spans ^= 1 << s
-    return IndexCodingInstance(gs, receivers)
+    return IndexCodingInstance(matroid.gs, receivers)
 
 
 def _greedy_independent(matroid: Matroid, inside: int, start: int = 0) -> int:

@@ -26,7 +26,7 @@ from itertools import compress
 from typing import Dict, Optional, Tuple
 
 from icbound.errors import InputError
-from icbound.gf import check_prime, rank, span_ranks
+from icbound.gf import check_prime, span_ranks
 from icbound.groundset import GroundSet, SetVector
 from icbound.matroid import _FANO_LABELS
 from icbound.schema import HomExtSchema, SubmodSchema, UnionSchema
@@ -195,7 +195,7 @@ def schema_with_submod(parity: str, homs=None) -> UnionSchema:
 
 @dataclass(frozen=True)
 class SubspaceTuple:
-    """Tuple of subspaces of GF(p)^ambient, each given by basis rows."""
+    """Tuple of subspaces of GF(p)^ambient, each given by independent int rows."""
 
     p: int
     ambient: int
@@ -206,7 +206,7 @@ class SubspaceTuple:
         for space in self.spaces:
             if any(len(vec) != self.ambient for vec in space):
                 raise InputError("basis vector of wrong length")
-            if rank(space, self.p) != len(space):
+            if span_ranks(self.p, self.ambient, [space])[-1] != len(space):
                 raise InputError("space rows are not independent")
 
     @property

@@ -6,7 +6,9 @@ API of icbound:
 - random subspace tuples over GF(p), and the two operations that realize
   the tightening map B on them: the quotient of every space by one of them,
   and the projection of every space along a complement of one of them;
-- inversion and null spaces of matrices over GF(p);
+- reduced row echelon form over GF(p) (the package ranks through the
+  subset-lattice walk `gf.span_ranks` and never needs one), and from it
+  inversion and null spaces of matrices;
 - the closure operator of a matroid, read from its rank vector;
 - the inner product of two set vectors.
 """
@@ -14,12 +16,21 @@ API of icbound:
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
+from icbound import kernels
 from icbound.errors import InputError
-from icbound.gf import EchelonBasis, rref
+from icbound.gf import EchelonBasis
 from icbound.tighten import SubspaceTuple
 
 
 # -- linear algebra over GF(p) -------------------------------------------------
+
+
+def rref(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[int]]:
+    """Reduced row echelon form; returns (rows copy in RREF, pivot columns)."""
+    work = [[v % p for v in row] for row in rows]
+    if not work:
+        return [], []
+    return work, kernels.gfp_rref(work, p)
 
 
 def nullspace(rows: Sequence[Sequence[int]], p: int, ncols: int) -> List[List[int]]:

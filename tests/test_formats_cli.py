@@ -217,6 +217,31 @@ def test_matroid_json_forms():
         )
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5])
+def test_matroid_json_names_a_non_integer_rank_or_entry(bad):
+    # ranks and matrix rows are read a whole list at a time; an entry that
+    # is not an int is still named by its path and shown as it was read
+    with pytest.raises(InputError) as err:
+        matroid_from_json({"elements": ["a", "b"], "ranks": [0, 1, bad, 1]})
+    assert str(err.value) == f"ranks[2] must be an integer, got {bad!r}"
+    with pytest.raises(InputError) as err:
+        matroid_from_json({"elements": ["a", "b"], "matrix": {"p": 2, "rows": [[1, 0], [0, bad]]}})
+    assert str(err.value) == f"matrix.rows[1][1] must be an integer, got {bad!r}"
+    rows = [(1, 0), [0, 1]]  # an in-process tuple row reads as an array
+    assert matroid_from_json({"elements": ["a", "b"], "matrix": {"p": 2, "rows": rows}}).ranks \
+        == (0, 1, 1, 2)
+
+
+def test_written_certificate_object_does_not_read_back_in_process():
+    # "x" and "y" are one-shot iterators for dump_json; the reader refuses
+    # them, where a reader that took iterators could see an exhausted one
+    # as an empty array
+    inst = cycle_instance(5)
+    obj = certificate_to_json(c5_certificate()[2], inst.messages, schema_by_name("submod"))
+    with pytest.raises(InputError, match=r"^x must be an array, got <generator "):
+        certificate_from_json(obj, inst.messages)
+
+
 def test_malformed_certificate_fields():
     inst = string_c5()
     good = _listed(certificate_to_json(c5_certificate()[2], cycle_instance(5).messages,

@@ -1,16 +1,16 @@
-"""Finite-field rank, echelon bases, and the null spaces and inverses of
-tests/lemmas.py."""
+"""Finite-field ranks, echelon bases, and the echelon forms, null spaces and
+inverses of tests/lemmas.py."""
 
 import random
 
 import pytest
 
 from icbound.errors import InputError, ResourceCapError
-from icbound.gf import EchelonBasis, Gf2Basis, check_prime, rank, rref, span_ranks
+from icbound.gf import EchelonBasis, Gf2Basis, check_prime, span_ranks
 from icbound.groundset import GroundSet
 from icbound.matroid import rank_from_matrix
 
-from lemmas import inverse, nullspace
+from lemmas import inverse, nullspace, rref
 from oracles import fp_in_span, fp_rank, matvec, walk_span_ranks
 
 
@@ -37,7 +37,7 @@ def test_rank_matches_oracle(p):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         mat = random_matrix(rng, m, n, p)
-        assert rank(mat, p) == fp_rank([row[:] for row in mat], p)
+        assert len(rref(mat, p)[1]) == fp_rank([row[:] for row in mat], p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -48,7 +48,7 @@ def test_rref_shape_and_row_space(p):
         n = rng.randint(1, 5)
         mat = random_matrix(rng, m, n, p)
         red, pivots = rref(mat, p)
-        r = rank(mat, p)
+        r = fp_rank(mat, p)
         assert len(red) == m and len(pivots) == r
         for row in red[r:]:
             assert row == [0] * n  # zero rows sink to the bottom
@@ -73,10 +73,10 @@ def test_nullspace_is_exact_kernel(p):
         n = rng.randint(1, 5)
         mat = random_matrix(rng, m, n, p)
         ns = nullspace(mat, p, n)
-        assert len(ns) == n - rank(mat, p)
+        assert len(ns) == n - fp_rank(mat, p)
         for vec in ns:
             assert matvec_mod(mat, vec, p) == [0] * m
-        assert rank(ns, p) == len(ns) if ns else True
+        assert fp_rank(ns, p) == len(ns)
 
 
 def test_inverse_roundtrip():
@@ -86,7 +86,7 @@ def test_inverse_roundtrip():
         while found < 10:
             n = rng.randint(1, 4)
             mat = random_matrix(rng, n, n, p)
-            if rank(mat, p) < n:
+            if fp_rank(mat, p) < n:
                 continue
             found += 1
             inv = inverse(mat, p)
@@ -123,7 +123,7 @@ def test_gf2_basis_agrees_with_general():
         basis = Gf2Basis()
         for mask in masks:
             basis.add(mask)
-        assert basis.rank == rank(vecs, 2)
+        assert basis.rank == fp_rank(vecs, 2)
         for mask in masks:
             assert basis.reduce(mask) == 0
         probe = rng.randrange(1 << n)

@@ -8,8 +8,7 @@ import pytest
 
 from icbound import lincode
 from icbound.errors import InputError, ResourceCapError
-from icbound.gf import rank
-from icbound.groundset import GroundSet
+from icbound.groundset import DENSE_CAP, GroundSet
 from icbound.instance import IndexCodingInstance, cycle_instance, from_graph
 from icbound.lincode import (ScalarLinearCode, code_entropy_vector,
                              is_valid_code, min_scalar_linear_rate,
@@ -57,7 +56,7 @@ def test_code_constructor_guards():
     with pytest.raises(InputError):
         ScalarLinearCode(3, ((0, 4),))
     eye = identity_code(3, 4)
-    assert eye.length == 4 and eye.n == 4 and rank([list(r) for r in eye.matrix], 3) == 4
+    assert eye.length == 4 and eye.n == 4 and oracles.fp_rank(eye.matrix, 3) == 4
     empty = ScalarLinearCode(2, ())
     assert empty.length == 0 and empty.n == 0
 
@@ -96,6 +95,37 @@ def test_validity_matches_brute_force_decoding():
             n, list(inst.receivers), p, [list(r) for r in rows])
         seen.add((p, valid))
     assert seen == {(p, v) for p in (2, 3, 5) for v in (False, True)}
+    # GF(7) too, up to six messages, messages that no receiver wants, and
+    # codes of length 0; the oracle tries all p^n message vectors, so the
+    # larger fields take fewer messages
+    seen = set()
+    for trial in range(100):
+        p = (2, 3, 5, 7)[trial % 4]
+        n = rng.randint(1, {2: 6, 3: 5, 5: 4, 7: 4}[p])
+        wanted = [w for w in range(n) if rng.random() < 0.7]
+        receivers = [(w, rng.randrange(1 << n) & ~(1 << w))
+                     for w in wanted for _ in range(rng.randint(1, 2))]
+        inst = IndexCodingInstance(GroundSet(range(n)), receivers)
+        length = 0 if trial % 5 == 0 else rng.randint(1, n)
+        rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(length))
+        valid = is_valid_code(inst, ScalarLinearCode(p, rows))
+        assert valid == oracles.brute_decodes(n, receivers, p, [list(r) for r in rows]), (
+            p, receivers, rows)
+        seen.add((p, valid, n == 6, not rows, len(wanted) < n))
+    assert {(p, v) for p, v, *_ in seen} == {(p, v) for p in (2, 3, 5, 7) for v in (False, True)}
+    assert {s[2:] for s in seen} >= {(True, False, True), (False, True, True)}, seen
+    assert any(not rows and valid for _, valid, _, rows, _ in seen), seen
+
+
+def test_validity_refuses_past_the_dense_cap():
+    # every column subset is ranked at once, as code_entropy_vector does
+    unit = ScalarLinearCode(2, (tuple(int(j == 0) for j in range(DENSE_CAP + 1)),))
+    wide = IndexCodingInstance(GroundSet(range(DENSE_CAP + 1)), [(0, 0b10)])
+    for check in (is_valid_code, code_entropy_vector):
+        with pytest.raises(ResourceCapError, match=r"2\^17 subsets exceeds cap 16"):
+            check(wide, unit)
+    at_cap = IndexCodingInstance(GroundSet(range(DENSE_CAP)), [(0, 0b10)])
+    assert is_valid_code(at_cap, ScalarLinearCode(2, (unit.matrix[0][:-1],)))
 
 
 def test_c5_partition_code_is_optimal():
@@ -202,7 +232,7 @@ def test_fano_underrep_roundtrip():
     assert underrep_check(fano(), back, 2)
     # same row space as the matrix we started from
     stacked = [list(r) for r in FANO_ROWS] + [list(r) for r in back]
-    assert len(back) == 3 and rank(stacked, 2) == 3
+    assert len(back) == 3 and oracles.fp_rank(stacked, 2) == 3
 
     assert underrep_check(nonfano(), FANO_ROWS, 3)
     code3 = underrep_code(nonfano(), FANO_ROWS, 3)
@@ -235,7 +265,7 @@ def perturbed_column(rng, rows, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_underrep_check_matches_full_oracle(p):
-    """The independent-set scan agrees with the every-(S, x) definition, on
+    """The per-element closure bitsets agree with the every-(S, x) definition, on
     matrices that under-represent (the representation itself and row
     subspaces of it) and on ones that do not (rank-deficient rows, a
     perturbed column, an unrelated matrix)."""
@@ -265,6 +295,27 @@ def test_underrep_check_matches_full_oracle_on_fano_pair():
             for candidate in (rows, rows[:2], [rows[0], rows[1], rows[0]]):
                 assert underrep_check(matroid, candidate, p) == oracles.underrep_holds(
                     matroid.ranks, 7, candidate, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_underrep_check_matches_full_oracle_on_every_small_matroid(p):
+    """Every matroid on up to four elements (three over GF(3)), loops and
+    parallel elements included, against every row space of GF(p)^n."""
+    seen = set()
+    for n in range(1, 5 if p == 2 else 4):
+        gs = GroundSet([str(i) for i in range(n)])
+        for ranks in oracles.all_rank_functions(n):
+            matroid = Matroid(gs, ranks)
+            loop = any(ranks[1 << x] == 0 for x in range(n))
+            parallel = any(ranks[1 << x] == ranks[1 << y] == ranks[1 << x | 1 << y] == 1
+                           for x in range(n) for y in range(x))
+            for d in range(n + 1):
+                for rows in oracles.rref_spaces(p, d, n):
+                    got = underrep_check(matroid, rows, p)
+                    assert got == oracles.underrep_holds(ranks, n, rows, p), (ranks, rows)
+                    seen.add((loop, parallel, got))
+    assert seen >= {(True, False, True), (True, False, False),
+                    (False, True, True), (False, True, False)}, seen
 
 
 def test_every_valid_c5_code_entropy_is_lp_feasible():

@@ -197,6 +197,9 @@ def test_input_validation():
     with pytest.raises(InputError, match="not independent"):
         SubspaceTuple(3, 3, (((1, 0, 0),), ((1, 2, 0), (2, 1, 0))))  # 2 * row 0 over GF(3)
     assert SubspaceTuple(5, 3, (((1, 2, 0), (2, 1, 0)),)).count == 1  # independent over GF(5)
+    for bad in (1.0, 1.5, True):  # a float used to raise a raw TypeError, a bool read as 1
+        with pytest.raises(InputError, match="has an entry"):
+            SubspaceTuple(3, 2, (((1, 0),), ((0, 1), (bad, 1))))
     with pytest.raises(InputError):
         fano_alpha("middling")
     with pytest.raises(InputError):
