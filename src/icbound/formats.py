@@ -654,9 +654,9 @@ def instance_from_json(obj) -> IndexCodingInstance:
 
 def _plain_receivers(items, gs: GroundSet) -> Optional[List[Tuple[int, int]]]:
     """The (wants, knows) pairs of a receivers array whose every entry has a
-    str label of gs as "wants" and, as "knows", a mask load_json read or an
-    array of distinct str labels of gs; None when anything is irregular, for
-    the typed reader to word the error."""
+    str label of gs as "wants" and, as "knows", a mask that load_json's hook
+    read; None for anything else, label arrays included, for the typed reader
+    to read or to word the error."""
     if type(items) is not list:
         return None
     index = {lab: i for i, lab in enumerate(gs.labels) if type(lab) is str}
@@ -666,10 +666,7 @@ def _plain_receivers(items, gs: GroundSet) -> Optional[List[Tuple[int, int]]]:
     except (KeyError, TypeError):  # a missing field, a non-object entry, a non-label
         return None
     if set(map(type, knows)) != {_Mask}:  # label arrays, from a plain load_json or in process
-        get = _bits_of(gs).__getitem__
-        knows = [_masked(get, list(k) if type(k) is _Labels else k) for k in knows]
-        if set(map(type, knows)) != {_Mask}:
-            return None
+        return None
     return list(zip(wants, map(int, knows)))
 
 

@@ -6,10 +6,11 @@ vector lies in the span of Q's rows and the known coordinates' unit vectors.
 Those units clear Q's columns in the known set, so the test needs ranks only,
 and one `gf.span_ranks` walk over Q's columns answers every rank both
 `is_valid_code` and `code_entropy_vector` read.
-Minimum-length search enumerates row spaces in reduced echelon form (one
-candidate per subspace) from the ceiling of the bound LP's value b: a valid
-code's `code_entropy_vector` satisfies every row of that LP, and its value
-at the empty set is the code's rank, at most its length.
+Q decodes exactly when ker Q has no nonzero d whose support S is bad: its
+complement is not closed, so a receiver knowing only messages outside S
+wants one in S, yet x and x + d agree on Qx and on what it knows. The least
+length is n minus the widest subspace whose nonzero vectors all have good
+supports: minrank in kernel form (Bar-Yossef, Birk, Jayram and Kol 2006).
 
 `underrep_check` decides whether a matrix under-represents a matroid. A
 null-space basis of such a matrix is a valid code for the matroid's
@@ -20,13 +21,11 @@ seven-message binary-matroid instance that way and checks it with
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
+from itertools import compress, product
 from operator import add
 from typing import List, Optional, Sequence, Tuple
 
-from icbound import lp
 from icbound.errors import InputError, ResourceCapError
 from icbound.gf import check_prime, span_ranks
 from icbound.groundset import SetVector
@@ -53,14 +52,13 @@ class ScalarLinearCode:
 
     def __post_init__(self):
         check_prime(self.p)
-        if self.matrix:
-            width = len(self.matrix[0])
-            for row in self.matrix:
-                if len(row) != width:
-                    raise InputError("code matrix rows must share a length")
-                for v in row:
-                    if not 0 <= v < self.p:
-                        raise InputError(f"matrix entry {v} not reduced mod {self.p}")
+        for i, row in enumerate(self.matrix):
+            if len(row) != len(self.matrix[0]):
+                raise InputError("code matrix rows must share a length")
+            for j, v in enumerate(row):
+                if type(v) is not int or not 0 <= v < self.p:  # a bool too
+                    raise InputError(f"code matrix row {i} column {j} holds {v!r}, "
+                                     f"not an int mod {self.p}")
 
     @property
     def length(self) -> int:
@@ -91,24 +89,15 @@ def is_valid_code(instance: IndexCodingInstance, code: ScalarLinearCode) -> bool
                for want, knows in instance.receivers)
 
 
-def _rref_matrices(n: int, length: int, p: int):
-    """All reduced-echelon l x n matrices of full row rank, one per row space."""
-    for pivots in itertools.combinations(range(n), length):
-        free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, n) if j not in pivots]
-        for values in itertools.product(range(p), repeat=len(free)):
-            rows = [[int(j == c) for j in range(n)] for c in pivots]
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield tuple(map(tuple, rows))
-
-
 def min_scalar_linear_rate(
     instance: IndexCodingInstance, p: int, l_max: Optional[int] = None
 ) -> Optional[int]:
-    """Least code length over GF(p), or None when every length up to l_max fails.
+    """Least code length over GF(p), or None when it exceeds l_max.
 
-    Exhaustive over row spaces in echelon form from the ceiling of the bound
-    LP's value b; capped at the sizes where that is still a moment's work.
+    Kernel bases grow in reduced echelon form from the bottom row up, each new
+    pivot left of the others with zeros at theirs: each subspace is met once,
+    one with a bad vector is never grown, and a branch stops once the pivots
+    left cannot beat the best dimension. Capped where that is a moment's work.
     """
     check_prime(p)
     n = instance.messages.n
@@ -116,12 +105,24 @@ def min_scalar_linear_rate(
     if cap is None or n > cap:
         known = ", ".join(f"n <= {v} over GF({k})" for k, v in _SEARCH_CAPS.items())
         raise ResourceCapError(f"exhaustive search supports only {known}; got n = {n} over GF({p})")
-    top = n if l_max is None else min(l_max, n)
-    for length in range(math.ceil(lp.solve_problem(lp.build_problem(instance)).value), top + 1):
-        for rows in _rref_matrices(n, length, p):
-            if is_valid_code(instance, ScalarLinearCode(p, rows)):
-                return length
-    return None
+    full, best = instance.messages.full_mask, 0
+    good = [instance.closure(full ^ s) == full ^ s for s in range(full + 1)]
+
+    def grow(span: List[Tuple[int, ...]], pivots: int, left: int) -> None:
+        nonlocal best  # span: every vector of the subspace; left: its lowest pivot
+        best = max(best, dim := pivots.bit_count())
+        for c in reversed(range(left)):
+            tails = product(*(range(1 if pivots >> j & 1 else p) for j in range(c + 1, n)))
+            for row in ((0,) * c + (1,) + tail for tail in tails):
+                if dim + c < best:  # pivots c, ..., 0 reach dim + c + 1 at most
+                    return
+                new = [tuple((a * r + u) % p for r, u in zip(row, v))
+                       for a in range(1, p) for v in span]
+                if all(good[sum(1 << j for j, x in enumerate(w) if x)] for w in new):
+                    grow(span + new, pivots | 1 << c, c)
+
+    grow([(0,) * n], 0, n)
+    return n - best if l_max is None or n - best <= l_max else None
 
 
 def underrep_check(matroid: Matroid, rows: Sequence[Sequence[int]], p: int) -> bool:
@@ -154,4 +155,4 @@ def code_entropy_vector(
     gs = instance.messages
     cols = _column_ranks(instance, code)
     ranks = list(map(add, map(int.bit_count, range(1 << gs.n)), reversed(cols)))
-    return SetVector._from_clean(gs, dict(itertools.compress(enumerate(ranks), ranks)))
+    return SetVector._from_clean(gs, dict(compress(enumerate(ranks), ranks)))

@@ -203,11 +203,13 @@ class SubspaceTuple:
 
     def __post_init__(self):
         check_prime(self.p)
-        for space in self.spaces:
+        for i, space in enumerate(self.spaces):
             if any(len(vec) != self.ambient for vec in space):
-                raise InputError("basis vector of wrong length")
+                raise InputError(f"space {i} has a row of wrong length, expected {self.ambient}")
+            if bad := [v for vec in space for v in vec if type(v) is not int]:  # a bool too
+                raise InputError(f"space {i} has an entry {bad[0]!r}, expected an int")
             if span_ranks(self.p, self.ambient, [space])[-1] != len(space):
-                raise InputError("space rows are not independent")
+                raise InputError(f"space {i} rows are not independent")
 
     @property
     def count(self) -> int:

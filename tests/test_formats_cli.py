@@ -661,7 +661,7 @@ def test_cli_matroid_alpha_search(tmp_path, c5_file, capsys):
 
 
 def test_cli_search_below_the_bound_exceeds_without_a_code(c5_file, monkeypatch, capsys):
-    # b(C5) = 5/2, so no length up to 2 is tried
+    # the kernel search reads one closure table and ranks no candidate code
     calls = []
     monkeypatch.setattr(lincode, "is_valid_code", lambda *a: calls.append(a))
     for l_max in ("0", "2"):

@@ -1,12 +1,14 @@
 """Scalar linear codes: validity, minimum-length search, matroid duality,
 and entropy vectors."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from icbound import lincode
+from icbound import lincode, lp
 from icbound.errors import InputError, ResourceCapError
 from icbound.groundset import DENSE_CAP, GroundSet
 from icbound.instance import IndexCodingInstance, cycle_instance, from_graph
@@ -21,6 +23,7 @@ from icbound.tighten import fano_schema
 import oracles
 from lemmas import dot, nullspace
 
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 C5 = cycle_instance(5)
 K2 = from_graph([1, 2], [(1, 2)])
 
@@ -53,8 +56,17 @@ def test_code_constructor_guards():
         ScalarLinearCode(4, ((1, 0),))
     with pytest.raises(InputError):
         ScalarLinearCode(2, ((1, 0), (1,)))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"row 0 column 1 holds 4, not an int mod 3"):
         ScalarLinearCode(3, ((0, 4),))
+    # a float or a bool is refused where the code is built, by row and column
+    with pytest.raises(InputError, match=r"^code matrix row 0 column 0 holds 1\.0, "):
+        ScalarLinearCode(2, ((1.0, 0, 0, 0, True),))
+    with pytest.raises(InputError, match=r"^code matrix row 0 column 4 holds True, "):
+        ScalarLinearCode(2, ((1, 0, 0, 0, True),))
+    with pytest.raises(InputError, match=r"^code matrix row 1 column 2 holds 0\.5, "):
+        ScalarLinearCode(5, ((1, 0, 3), (0, 1, 0.5)))
+    with pytest.raises(InputError, match="row 1 column 0 holds -1"):
+        ScalarLinearCode(2, ((1, 0), (-1, 0)))
     eye = identity_code(3, 4)
     assert eye.length == 4 and eye.n == 4 and oracles.fp_rank(eye.matrix, 3) == 4
     empty = ScalarLinearCode(2, ())
@@ -154,9 +166,11 @@ def search_from_zero(instance, p, l_max=None):
 
 
 def test_bounded_search_matches_search_from_zero():
+    """The kernel search against the rank walk over every row space, at every
+    l_max from 0 to n and with none."""
     rng = random.Random(2711)
     seen = set()
-    for trial in range(240):
+    for trial in range(600):
         p = 2 if trial % 3 else 3
         n = rng.randint(1, 5 if p == 2 else 4)
         # some messages nobody wants, and every tenth instance has no receivers
@@ -164,23 +178,42 @@ def test_bounded_search_matches_search_from_zero():
         receivers = [(w, rng.randrange(1 << n) & ~(1 << w))
                      for w in wanted for _ in range(rng.randint(1, 3))]
         inst = IndexCodingInstance(GroundSet(range(n)), receivers)
-        l_max = rng.choice([None, rng.randint(0, n)])
-        got = min_scalar_linear_rate(inst, p, l_max)
-        assert got == search_from_zero(inst, p, l_max), (p, n, receivers, l_max)
-        seen.add((got is None, not receivers, len(wanted) < n))
-    assert {(False, True, True), (True, False, False), (False, False, True)} <= seen, seen
+        lam = search_from_zero(inst, p)
+        assert min_scalar_linear_rate(inst, p) == lam, (p, n, receivers)
+        for l_max in range(n + 1):
+            got = min_scalar_linear_rate(inst, p, l_max)
+            assert got == (lam if lam <= l_max else None), (p, n, receivers, l_max)
+        seen.add((p, n, lam, not receivers, len(wanted) < n))
+    assert {(p, n) for p, n, *_ in seen} == {(2, n) for n in range(1, 6)} | {
+        (3, n) for n in range(1, 5)}
+    assert {s[3:] for s in seen} == {(True, True), (False, True), (False, False)}, seen
+    assert {(p, lam) for p, n, lam, *_ in seen if n == 5 - (p == 3)} >= {
+        (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4)}, seen
+
+
+def test_search_returns_every_pool_rate():
+    pool = json.loads(EXPECTED.read_text())["pool"]
+    rates = [(entry, p) for entry in pool for p in (2, 3) if f"lambda{p}" in entry]
+    assert len(rates) >= 200
+    for entry, p in rates:
+        inst = IndexCodingInstance(GroundSet(range(entry["n"])), map(tuple, entry["receivers"]))
+        assert min_scalar_linear_rate(inst, p) == entry[f"lambda{p}"], (entry["name"], p)
 
 
 def test_search_below_the_bound_tries_no_code(monkeypatch):
-    calls = []
-    real = lincode.is_valid_code
-    monkeypatch.setattr(lincode, "is_valid_code", lambda *a: calls.append(a) or real(*a))
-    # b(C5) = 5/2 and b of three isolated messages is 3
+    # the search reads one closure table: it solves no bound LP and ranks
+    # no candidate code
+    def refuse(*args):
+        raise AssertionError("the search called out")
+
+    for name in ("build_problem", "solve_problem"):
+        monkeypatch.setattr(lp, name, refuse)
+    monkeypatch.setattr(lincode, "is_valid_code", refuse)
     lonely = from_graph([1, 2, 3], [])
+    assert min_scalar_linear_rate(C5, 2) == 3
+    assert min_scalar_linear_rate(lonely, 2) == 3
     for inst, l_max in ((C5, 2), (lonely, 2), (lonely, 0)):
         assert min_scalar_linear_rate(inst, 2, l_max) is None
-    assert calls == []
-    assert min_scalar_linear_rate(C5, 2, 3) == 3 and calls
 
 
 def test_search_caps():

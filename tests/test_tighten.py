@@ -194,12 +194,17 @@ def test_input_validation():
         b0_transpose_apply(SetVector.zero(GS3E), GS3E)  # wrong domain
     with pytest.raises(InputError, match="not independent"):
         SubspaceTuple(2, 3, ((( 1, 0, 1), (1, 0, 1)),))  # dependent rows
-    with pytest.raises(InputError, match="not independent"):
+    with pytest.raises(InputError, match="^space 1 rows are not independent$"):
         SubspaceTuple(3, 3, (((1, 0, 0),), ((1, 2, 0), (2, 1, 0))))  # 2 * row 0 over GF(3)
     assert SubspaceTuple(5, 3, (((1, 2, 0), (2, 1, 0)),)).count == 1  # independent over GF(5)
     for bad in (1.0, 1.5, True):  # a float used to raise a raw TypeError, a bool read as 1
-        with pytest.raises(InputError, match="has an entry"):
+        with pytest.raises(InputError, match=f"^space 1 has an entry {bad!r}, expected an int$"):
             SubspaceTuple(3, 2, (((1, 0),), ((0, 1), (bad, 1))))
+    # every message names the space that holds the bad row
+    with pytest.raises(InputError, match="^space 2 has a row of wrong length, expected 2$"):
+        SubspaceTuple(3, 2, (((1, 0),), (), ((0, 1), (1, 1, 0))))
+    with pytest.raises(InputError, match="^space 1 rows are not independent$"):
+        SubspaceTuple(3, 2, (((1, 0),), ((1, 2), (2, 1)), ((0, 1),)))
     with pytest.raises(InputError):
         fano_alpha("middling")
     with pytest.raises(InputError):
