@@ -31,10 +31,12 @@ its labels are distinct strings. `instance_from_json` and
 else goes to the typed reader, whose errors are the same: "messages" after
 "receivers", integer labels, the graph form, a repeated or unknown label.
 A label array that repeats a label, and a certificate that repeats an (s,
-t) pair or a y row, are refused. Both readers take a _Labels (below) as
-its list, so what instance_to_json returns reads back in process. What
-certificate_to_json returns does not: its "x" and "y" are one-shot
-iterators for dump_json, and the reader refuses them as not arrays.
+t) pair or a y row, are refused. Both readers take a layout object
+(below) as its list of members, and `instance_from_json` takes a
+_Receivers over the same labels as its pairs, so what instance_to_json
+returns reads back in process. What certificate_to_json returns does not:
+its "x" reads, but its "y" is a one-shot iterator for dump_json, and the
+reader refuses it as not an array.
 
 `load_json` holds one buffer of the file's text, _CHUNK (2^21) characters,
 beside what it has decoded. It reads a member of the top-level object or
@@ -64,15 +66,23 @@ open, gets it plus one newline. `_write` lays out every non-empty object,
 list, tuple and iterator by one loop over its members, appending
 pieces of text to a list that is written out whenever a member leaves it
 holding more than _BATCH pieces, so no copy of the whole text is built.
-`instance_to_json` and `certificate_to_json` hand it each label array as a
-_Labels: a subset mask and the document's _Names, which keep per
-indentation two pre-escaped pieces per label, `[\\n<indentation>"label"`
-to open an array and `,\\n<indentation>"label"` inside it. Such an array
-is laid out as the opening piece of its lowest label and one compress of
-the other pieces by the mask's other bits. A _Labels iterates as its labels
-and equals their list, but json.dumps refuses it. `certificate_to_json`
-returns its "x" and "y" arrays as iterators, so an entry exists only while
-the writer lays it out.
+Three kinds of array reach it as layout objects, each laid out by its own
+`lay_out`, which appends pieces and spills as `_write` does; each iterates
+as the array's members and equals their list, but json.dumps refuses it.
+A label array is a _Labels: a subset mask and the document's _Names, which
+keep per indentation two pre-escaped pieces per label,
+`[\\n<indentation>"label"` to open an array and `,\\n<indentation>"label"`
+inside it. It is laid out as the opening piece of its lowest label and one
+compress of the other pieces by the mask's other bits, or in a document of
+many labels one slice of them per run of set bits. `instance_to_json`
+hands over "receivers" as a _Receivers over the instance's (want, mask)
+pairs, and `certificate_to_json` its "x" as an _XEntries over the sorted
+(s, t, weight string) triples, so no object is built per entry. Each
+entry is laid out as one piece from a per-document template that opens it
+and its keys (per wanted label, or "{" and "s"), the _Labels pieces of its
+masks, and one piece that closes a mask and opens the next key or closes
+the entry (per weight, for "v"). `certificate_to_json` returns "y" as an
+iterator, so a y entry exists only while the writer lays it out.
 """
 
 from __future__ import annotations
@@ -369,8 +379,8 @@ _BUFFER = 1 << 16
 
 
 def dump_json(obj, path) -> str | int:
-    """obj as exactly the text of json.dumps(obj, indent=2), a _Labels as
-    its list. With path None this returns the text; otherwise it writes the
+    """obj as exactly the text of json.dumps(obj, indent=2), a layout object
+    as its list. With path None this returns the text; otherwise it writes the
     text plus a newline to path, a file name or an open text file, a batch
     of pieces at a time as they are laid out, and returns the number of
     characters before that newline. A file name that cannot be opened or
@@ -406,7 +416,7 @@ def _write(obj, newline: str, parts: List[str], escaped: _Escapes, spill) -> Non
     the stdlib encodes in pure Python, so a non-empty dict, list or tuple,
     and an iterator as the array of what it yields, are laid out here by one
     loop over their members: each distinct string is escaped once in C, a
-    _Labels is laid out from its mask, and other members recurse.
+    layout object lays itself out, and other members recurse.
     Unless spill is None, it is called to empty parts whenever a member
     leaves more than _BATCH pieces. Anything else goes to json.dumps, whose
     only newlines are layout because strings escape theirs."""
@@ -415,8 +425,8 @@ def _write(obj, newline: str, parts: List[str], escaped: _Escapes, spill) -> Non
         keyed, members, close = True, obj.items(), "}"
     elif kind in (list, tuple) and obj or isinstance(obj, Iterator):
         keyed, members, close = False, obj, "]"
-    elif kind is _Labels:
-        obj.lay_out(parts, newline)
+    elif isinstance(obj, _Layout):
+        obj.lay_out(parts, newline, spill)
         return
     else:
         parts.append(json.dumps(obj, indent=2).replace("\n", newline))
@@ -434,8 +444,8 @@ def _write(obj, newline: str, parts: List[str], escaped: _Escapes, spill) -> Non
         kind = type(value)
         if kind is str:
             out(escaped[value])
-        elif kind is _Labels:
-            value.lay_out(parts, inner)
+        elif isinstance(value, _Layout):
+            value.lay_out(parts, inner, spill)
         else:
             _write(value, inner, parts, escaped, spill)
         head = sep
@@ -452,15 +462,57 @@ def _bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BITS)
 
 
-class _Names:
-    """The labels of a ground set as the strings a file holds, and per
-    indentation the pieces of their arrays: "[" or ",", the line break and
-    indentation, and the label's JSON spelling."""
+def _lay_array(parts: List[str], first: Tuple[str, ...], later: Tuple[str, ...], mask: int,
+               close: str, empty: str) -> None:
+    """Append the pieces of mask's label array to parts: empty when mask is
+    0, else the first piece of the lowest label, one compress of the later
+    pieces by the other bits, and close."""
+    if not mask:
+        parts.append(empty)
+        return
+    rest = mask & (mask - 1)
+    parts.append(first[(mask ^ rest).bit_length() - 1])
+    parts += compress(later, _bits(rest))
+    parts.append(close)
 
-    __slots__ = ("labels", "_pieces")
+
+# Past _RUNS labels, a mask with fewer than one run of set bits per 16
+# labels has its later pieces cut as one tuple slice per run, not picked by
+# one compress over every label. A product's masks are a few runs (6 on
+# average in C5^4's 625 labels), and its instance was laid out in 0.7 of the
+# compress time; at 49 labels slices were 10-30% slower, at 125 as fast.
+_RUNS = 128
+
+
+def _lay_runs(parts: List[str], first: Tuple[str, ...], later: Tuple[str, ...], mask: int,
+              close: str, empty: str) -> None:
+    """_lay_array, by one slice of the later pieces per run of set bits when
+    mask has few runs."""
+    if not mask or (mask & ~(mask << 1)).bit_count() << 4 > len(later):
+        _lay_array(parts, first, later, mask, close, empty)
+        return
+    rest = mask & (mask - 1)
+    parts.append(first[(mask ^ rest).bit_length() - 1])
+    while rest:
+        low = rest & -rest
+        top = rest + low  # the run from low carried into the bit above it
+        parts += later[low.bit_length() - 1:(top & -top).bit_length() - 1]
+        rest &= top
+    parts.append(close)
+
+
+class _Names:
+    """The labels of a ground set as the strings a file holds, their JSON
+    spellings, per indentation the pieces of their arrays ("[" or ",", the
+    line break and indentation, and the label's spelling), and lay, which
+    lays out an array from its mask and the pieces."""
+
+    __slots__ = ("labels", "spelled", "lay", "_pieces")
 
     def __init__(self, gs: GroundSet):
         self.labels = tuple(map(str, gs.labels))
+        self.spelled = tuple(map(_escape, self.labels))
+        self.lay = _lay_runs if len(self.labels) > _RUNS else _lay_array
         self._pieces: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
 
     def pieces(self, newline: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -469,15 +521,24 @@ class _Names:
         pieces = self._pieces.get(newline)
         if pieces is None:
             inner = newline + "  "
-            spelled = tuple(map(_escape, self.labels))
-            pieces = self._pieces[newline] = (tuple("[" + inner + lab for lab in spelled),
-                                              tuple("," + inner + lab for lab in spelled))
+            pieces = self._pieces[newline] = (tuple("[" + inner + lab for lab in self.spelled),
+                                              tuple("," + inner + lab for lab in self.spelled))
         return pieces
 
 
-class _Labels:
-    """A label array held as its subset mask of names. It iterates as its
-    labels and equals their list; json.dumps refuses it."""
+class _Layout:
+    """An array that dump_json lays out by the object's own lay_out(parts,
+    newline, spill), spill as _write's. It iterates as the array's members
+    and equals their list; json.dumps refuses it."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, _Layout) else other)
+
+
+class _Labels(_Layout):
+    """A label array held as its subset mask of names."""
 
     __slots__ = ("names", "mask")
 
@@ -487,21 +548,83 @@ class _Labels:
     def __iter__(self) -> Iterator[str]:
         return compress(self.names.labels, _bits(self.mask))
 
-    def __eq__(self, other) -> bool:
-        return list(self) == (list(other) if type(other) is _Labels else other)
-
-    def lay_out(self, parts: List[str], newline: str) -> None:
+    def lay_out(self, parts: List[str], newline: str, spill) -> None:
         """Append the pieces of the array on a line indented as newline to
-        parts: the first piece of the lowest label, then one compress of the
-        later pieces by the other bits."""
-        mask = self.mask
-        if not mask:
+        parts."""
+        self.names.lay(parts, *self.names.pieces(newline), self.mask, newline + "]", "[]")
+
+
+class _Receivers(_Layout):
+    """An instance's "receivers" array held as its (want, knows mask) pairs;
+    its members are {"wants": label, "knows": _Labels} objects."""
+
+    __slots__ = ("names", "pairs")
+
+    def __init__(self, names: _Names, pairs: Tuple[Tuple[int, int], ...]):
+        self.names, self.pairs = names, pairs
+
+    def __iter__(self) -> Iterator[dict]:
+        labels, names = self.names.labels, self.names
+        return ({"wants": labels[w], "knows": _Labels(names, k)} for w, k in self.pairs)
+
+    def lay_out(self, parts: List[str], newline: str, spill) -> None:
+        """Append the array's pieces to parts, from a template per wanted
+        label that opens a receiver up to its "knows" array."""
+        if not self.pairs:
             parts.append("[]")
             return
-        first, later = self.names.pieces(newline)
-        rest = mask & (mask - 1)
-        parts.append(first[(mask ^ rest).bit_length() - 1])
-        parts += compress(later, _bits(rest))
+        inner = newline + "  "
+        field = inner + "  "
+        first, later = self.names.pieces(field)
+        lay = self.names.lay
+        opening = [f'{{{field}"wants": {lab},{field}"knows": ' for lab in self.names.spelled]
+        heads, later_heads = ["[" + inner + o for o in opening], ["," + inner + o for o in opening]
+        full, empty = field + "]" + inner + "}", "[]" + inner + "}"
+        for w, k in self.pairs:
+            parts.append(heads[w])
+            lay(parts, first, later, k, full, empty)
+            heads = later_heads
+            if spill and len(parts) > _BATCH:
+                spill()
+        parts.append(newline + "]")
+
+
+class _XEntries(_Layout):
+    """A certificate's "x" array held as its sorted (s, t, weight string)
+    triples; its members are {"s": _Labels, "t": _Labels, "v": weight}."""
+
+    __slots__ = ("names", "triples")
+
+    def __init__(self, names: _Names, triples: List[Tuple[int, int, str]]):
+        self.names, self.triples = names, triples
+
+    def __iter__(self) -> Iterator[dict]:
+        names = self.names
+        return ({"s": _Labels(names, s), "t": _Labels(names, t), "v": v}
+                for s, t, v in self.triples)
+
+    def lay_out(self, parts: List[str], newline: str, spill) -> None:
+        """Append the array's pieces to parts, from a template per distinct
+        weight that closes t and the entry."""
+        if not self.triples:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        field = inner + "  "
+        first, later = self.names.pieces(field)
+        opening = "{" + field + '"s": '
+        to_t = f'{field}],{field}"t": ', f'[],{field}"t": '
+        ends = {v: f',{field}"v": {_escape(v)}{inner}}}' for v in {v for _, _, v in self.triples}}
+        closes = {v: (field + "]" + end, "[]" + end) for v, end in ends.items()}
+        lay = self.names.lay
+        head, later_head = "[" + inner + opening, "," + inner + opening
+        for s, t, v in self.triples:
+            parts.append(head)
+            lay(parts, first, later, s, *to_t)
+            lay(parts, first, later, t, *closes[v])
+            head = later_head
+            if spill and len(parts) > _BATCH:
+                spill()
         parts.append(newline + "]")
 
 
@@ -540,7 +663,7 @@ class _Json:
         return self._expect(isinstance(self.value, dict), "an object")
 
     def _array(self) -> list:
-        if type(self.value) is _Labels:
+        if isinstance(self.value, _Layout):
             return list(self.value)
         return self._expect(isinstance(self.value, (list, tuple)), "an array")
 
@@ -619,14 +742,11 @@ def _hom(node: _Json, gen: GroundSet, gs: GroundSet) -> LatticeHom:
 
 
 def instance_to_json(instance: IndexCodingInstance) -> dict:
+    """The instance file's object: "messages" as the list of its labels as
+    strings, "receivers" as a _Receivers over instance.receivers, which
+    dump_json lays out and instance_from_json reads back."""
     names = _Names(instance.messages)
-    labels = names.labels
-    return {
-        "messages": list(labels),
-        "receivers": [
-            {"wants": labels[w], "knows": _Labels(names, k)} for w, k in instance.receivers
-        ],
-    }
+    return {"messages": list(names.labels), "receivers": _Receivers(names, instance.receivers)}
 
 
 def _edge(node: _Json, gs: GroundSet) -> Tuple[str, str]:
@@ -656,7 +776,10 @@ def _plain_receivers(items, gs: GroundSet) -> Optional[List[Tuple[int, int]]]:
     """The (wants, knows) pairs of a receivers array whose every entry has a
     str label of gs as "wants" and, as "knows", a mask that load_json's hook
     read; None for anything else, label arrays included, for the typed reader
-    to read or to word the error."""
+    to read or to word the error. A _Receivers over the same labels gives its
+    own pairs."""
+    if type(items) is _Receivers:
+        return list(items.pairs) if items.names.labels == gs.labels else None
     if type(items) is not list:
         return None
     index = {lab: i for i, lab in enumerate(gs.labels) if type(lab) is str}
@@ -724,11 +847,13 @@ def _row_from_json(node: _Json, gs: GroundSet, schema) -> SchemaRow:
 
 
 def certificate_to_json(cert: DualCertificate, gs: GroundSet, schema) -> dict:
-    """The certificate file's object, with "x" and "y" as iterators that
-    build each entry, label arrays and all, only when dump_json reaches it,
-    so the object can be written once. Every weight is spelled and every row
-    checked here, so a refusal comes before a file is opened. schema is not
-    read, as each row carries its full homomorphism."""
+    """The certificate file's object: "x" as an _XEntries over the sorted
+    (s, t, weight string) triples, which dump_json lays out with no object
+    per entry, and "y" as an iterator that builds each entry, label arrays
+    and all, only when dump_json reaches it, so the object can be written
+    once. Every weight is spelled and every row checked here, so a refusal
+    comes before a file is opened. schema is not read, as each row carries
+    its full homomorphism."""
     names = _Names(gs)
     x = [(s, t, rat_str(v)) for (s, t), v in sorted(cert.x.items())]
     y = [(_serializable(row), rat_str(v)) for row, v in cert.y.items()]
@@ -736,8 +861,7 @@ def certificate_to_json(cert: DualCertificate, gs: GroundSet, schema) -> dict:
         "value": None if cert.claimed_value is None else rat_str(cert.claimed_value),
         "schema": cert.schema_name,
         "closure": cert.closure.value,
-        "x": ({"s": _Labels(names, s), "t": _Labels(names, t), "v": v}
-              for s, t, v in x),
+        "x": _XEntries(names, x),
         "y": ({"row": _row_to_json(row, names), "v": v} for row, v in y),
     }
 
@@ -745,11 +869,13 @@ def certificate_to_json(cert: DualCertificate, gs: GroundSet, schema) -> dict:
 def _plain_x(items) -> Optional[Dict[Tuple[int, int], Rational]]:
     """The weights of an "x" array whose every entry has masks load_json
     read as "s" and "t" and an integer or string "v", no (s, t) pair twice;
-    None when anything is irregular, for the typed loop to word the error."""
+    None when anything is irregular, for the typed loop to word the error.
+    Each distinct weight is parsed once: a product repeats few."""
     try:
         s, t, v = (list(map(itemgetter(key), items)) for key in ("s", "t", "v"))
         if {*map(type, s), *map(type, t)} == {_Mask} and {*map(type, v)} <= {int, str}:
-            x = dict(zip(zip(map(int, s), map(int, t)), map(rat, v)))
+            weights = {w: rat(w) for w in set(v)}
+            x = dict(zip(zip(map(int, s), map(int, t)), map(weights.__getitem__, v)))
             return x if len(x) == len(items) else None
     except (KeyError, TypeError, ValueError):  # a missing field, a non-object entry, a bad weight
         pass

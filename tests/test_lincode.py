@@ -1,6 +1,7 @@
 """Scalar linear codes: validity, minimum-length search, matroid duality,
 and entropy vectors."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -403,6 +404,27 @@ def extend_with_unit(code, column):
     return ScalarLinearCode(code.p, tuple(rows) + (unit,))
 
 
+def random_valid_codes(inst, p, count, rng):
+    """count distinct codes of length n - 2, each a basis of the annihilator
+    of a random plane whose nonzero vectors all have good supports (their
+    complements are closed), so its kernel holds no bad support."""
+    n, full = inst.n, inst.messages.full_mask
+    good = {s for s in range(1, 1 << n) if inst.closure(full ^ s) == full ^ s}
+
+    def support(v):
+        return sum(1 << i for i, x in enumerate(v) if x)
+
+    vectors = [v for v in itertools.product(range(p), repeat=n) if support(v) in good]
+    codes = {}
+    while len(codes) < count:
+        u, v = rng.choice(vectors), rng.choice(vectors)
+        # the plane's other lines: v + c u, which is 0 when u and v are dependent
+        if all(support([(b + c * a) % p for a, b in zip(u, v)]) in good for c in range(p)):
+            rows = tuple(map(tuple, nullspace([u, v], p, n)))
+            codes[rows] = ScalarLinearCode(p, rows)
+    return list(codes.values())
+
+
 def test_characteristic_schema_rows_on_code_entropy():
     rng = random.Random(11)
     for matroid, parity, p in ((fano(), "even", 2), (nonfano(), "odd", 3)):
@@ -415,15 +437,10 @@ def test_characteristic_schema_rows_on_code_entropy():
         vec = schema.row_vector(schema_rows[0], gs)
 
         codes = [identity_code(p, 8),
-                 extend_with_unit(underrep_code(matroid, FANO_ROWS, p), 7)]
-        while len(codes) < 8:
-            rows = tuple(
-                tuple(rng.randrange(p) for _ in range(8)) for _ in range(6)
-            )
-            candidate = ScalarLinearCode(p, rows)
-            if is_valid_code(inst, candidate):
-                codes.append(candidate)
+                 extend_with_unit(underrep_code(matroid, FANO_ROWS, p), 7),
+                 *random_valid_codes(inst, p, 6, rng)]
         for code in codes:
+            assert is_valid_code(inst, code), code.matrix
             z = code_entropy_vector(inst, code)
             assert dot(vec, z) >= rat(0), (parity, code.matrix)
 
