@@ -31,12 +31,10 @@ its labels are distinct strings. `instance_from_json` and
 else goes to the typed reader, whose errors are the same: "messages" after
 "receivers", integer labels, the graph form, a repeated or unknown label.
 A label array that repeats a label, and a certificate that repeats an (s,
-t) pair or a y row, are refused. Both readers take a layout object
-(below) as its list of members, and `instance_from_json` takes a
-_Receivers over the same labels as its pairs, so what instance_to_json
-returns reads back in process. What certificate_to_json returns does not:
-its "x" reads, but its "y" is a one-shot iterator for dump_json, and the
-reader refuses it as not an array.
+t) pair or a y row, are refused. What instance_to_json and
+certificate_to_json return is for dump_json alone and reads back only from
+the text dump_json writes: the readers refuse its layout objects (below)
+and its "y" iterator as not arrays.
 
 `load_json` holds one buffer of the file's text, _CHUNK (2^21) characters,
 beside what it has decoded. It reads a member of the top-level object or
@@ -67,15 +65,15 @@ list, tuple and iterator by one loop over its members, appending
 pieces of text to a list that is written out whenever a member leaves it
 holding more than _BATCH pieces, so no copy of the whole text is built.
 Three kinds of array reach it as layout objects, each laid out by its own
-`lay_out`, which appends pieces and spills as `_write` does; each iterates
-as the array's members and equals their list, but json.dumps refuses it.
-A label array is a _Labels: a subset mask and the document's _Names, which
-keep per indentation two pre-escaped pieces per label,
-`[\\n<indentation>"label"` to open an array and `,\\n<indentation>"label"`
-inside it. It is laid out as the opening piece of its lowest label and one
-compress of the other pieces by the mask's other bits, or in a document of
-many labels one slice of them per run of set bits. `instance_to_json`
-hands over "receivers" as a _Receivers over the instance's (want, mask)
+`lay_out`, which appends pieces and spills as `_write` does; json.dumps
+refuses them. A label array is a _Labels: a subset mask and the document's
+_Names, which spell each label once and keep per indentation two pieces
+per label, `[\\n<indentation>"label"` to open an array and
+`,\\n<indentation>"label"` inside it. It is laid out as the opening piece
+of its lowest label and one compress of the other pieces by the mask's
+other bits, or in a document of many labels one slice of them per run of
+set bits. `instance_to_json` hands over "messages" as the _Labels of the
+full mask and "receivers" as a _Receivers over the instance's (want, mask)
 pairs, and `certificate_to_json` its "x" as an _XEntries over the sorted
 (s, t, weight string) triples, so no object is built per entry. Each
 entry is laid out as one piece from a per-document template that opens it
@@ -355,19 +353,6 @@ class _Written(int):
         return range(self)
 
 
-class _Escapes(dict):
-    """str -> its JSON spelling, escaped once per distinct string. Any other
-    key is spelled as json.dumps spells a dict key, or refused with its
-    TypeError, and is not kept: 1, 1.0 and True are one key here but three
-    spellings."""
-
-    def __missing__(self, key) -> str:
-        if type(key) is not str:
-            return json.dumps({key: 0})[1:-4]
-        self[key] = escaped = _escape(key)
-        return escaped
-
-
 # Pieces joined into one write. A label is one piece, some 20 characters in
 # a product's files, so a batch is about 16 KB: no more text than 33
 # receivers or x entries of the squared Fano and non-Fano files hold. A file
@@ -380,14 +365,14 @@ _BUFFER = 1 << 16
 
 def dump_json(obj, path) -> str | int:
     """obj as exactly the text of json.dumps(obj, indent=2), a layout object
-    as its list. With path None this returns the text; otherwise it writes the
-    text plus a newline to path, a file name or an open text file, a batch
-    of pieces at a time as they are laid out, and returns the number of
-    characters before that newline. A file name that cannot be opened or
-    written raises InputError."""
+    as the array it lays out. With path None this returns the text;
+    otherwise it writes the text plus a newline to path, a file name or an
+    open text file, a batch of pieces at a time as they are laid out, and
+    returns the number of characters before that newline. A file name that
+    cannot be opened or written raises InputError."""
     parts: List[str] = []
     if path is None:
-        _write(obj, "\n", parts, _Escapes(), None)
+        _write(obj, "\n", parts, None)
         return "".join(parts)
     if not hasattr(path, "write"):  # a file name
         try:
@@ -404,19 +389,20 @@ def dump_json(obj, path) -> str | int:
         written += len(text)
         path.write(text)
 
-    _write(obj, "\n", parts, _Escapes(), spill)
+    _write(obj, "\n", parts, spill)
     spill()
     path.write("\n")
     return _Written(written)
 
 
-def _write(obj, newline: str, parts: List[str], escaped: _Escapes, spill) -> None:
+def _write(obj, newline: str, parts: List[str], spill) -> None:
     """Append the pieces of json.dumps(obj, indent=2) to parts; newline is
     the line break plus the indentation of obj's own line. With indent set
     the stdlib encodes in pure Python, so a non-empty dict, list or tuple,
     and an iterator as the array of what it yields, are laid out here by one
-    loop over their members: each distinct string is escaped once in C, a
-    layout object lays itself out, and other members recurse.
+    loop over their members: a string is escaped in C, a non-str key
+    spelled as json.dumps spells it, a layout object lays itself out, and
+    other members recurse.
     Unless spill is None, it is called to empty parts whenever a member
     leaves more than _BATCH pieces. Anything else goes to json.dumps, whose
     only newlines are layout because strings escape theirs."""
@@ -438,16 +424,16 @@ def _write(obj, newline: str, parts: List[str], escaped: _Escapes, spill) -> Non
     for value in members:
         if keyed:
             key, value = value
-            out(head + escaped[key] + ": ")
+            out(head + (_escape(key) if type(key) is str else json.dumps({key: 0})[1:-4]) + ": ")
         else:
             out(head)
         kind = type(value)
         if kind is str:
-            out(escaped[value])
+            out(_escape(value))
         elif isinstance(value, _Layout):
             value.lay_out(parts, inner, spill)
         else:
-            _write(value, inner, parts, escaped, spill)
+            _write(value, inner, parts, spill)
         head = sep
         if spill and len(parts) > _BATCH:
             spill()
@@ -502,17 +488,16 @@ def _lay_runs(parts: List[str], first: Tuple[str, ...], later: Tuple[str, ...], 
 
 
 class _Names:
-    """The labels of a ground set as the strings a file holds, their JSON
-    spellings, per indentation the pieces of their arrays ("[" or ",", the
-    line break and indentation, and the label's spelling), and lay, which
-    lays out an array from its mask and the pieces."""
+    """The JSON spellings of a ground set's labels as the strings a file
+    holds, per indentation the pieces of their arrays ("[" or ",", the line
+    break and indentation, and the label's spelling), and lay, which lays
+    out an array from its mask and the pieces."""
 
-    __slots__ = ("labels", "spelled", "lay", "_pieces")
+    __slots__ = ("spelled", "lay", "_pieces")
 
     def __init__(self, gs: GroundSet):
-        self.labels = tuple(map(str, gs.labels))
-        self.spelled = tuple(map(_escape, self.labels))
-        self.lay = _lay_runs if len(self.labels) > _RUNS else _lay_array
+        self.spelled = tuple(map(_escape, map(str, gs.labels)))
+        self.lay = _lay_runs if len(self.spelled) > _RUNS else _lay_array
         self._pieces: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
 
     def pieces(self, newline: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -528,13 +513,10 @@ class _Names:
 
 class _Layout:
     """An array that dump_json lays out by the object's own lay_out(parts,
-    newline, spill), spill as _write's. It iterates as the array's members
-    and equals their list; json.dumps refuses it."""
+    newline, spill), spill as _write's; json.dumps and the readers refuse
+    it."""
 
     __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        return list(self) == (list(other) if isinstance(other, _Layout) else other)
 
 
 class _Labels(_Layout):
@@ -544,9 +526,6 @@ class _Labels(_Layout):
 
     def __init__(self, names: _Names, mask: int):
         self.names, self.mask = names, mask
-
-    def __iter__(self) -> Iterator[str]:
-        return compress(self.names.labels, _bits(self.mask))
 
     def lay_out(self, parts: List[str], newline: str, spill) -> None:
         """Append the pieces of the array on a line indented as newline to
@@ -562,10 +541,6 @@ class _Receivers(_Layout):
 
     def __init__(self, names: _Names, pairs: Tuple[Tuple[int, int], ...]):
         self.names, self.pairs = names, pairs
-
-    def __iter__(self) -> Iterator[dict]:
-        labels, names = self.names.labels, self.names
-        return ({"wants": labels[w], "knows": _Labels(names, k)} for w, k in self.pairs)
 
     def lay_out(self, parts: List[str], newline: str, spill) -> None:
         """Append the array's pieces to parts, from a template per wanted
@@ -597,11 +572,6 @@ class _XEntries(_Layout):
 
     def __init__(self, names: _Names, triples: List[Tuple[int, int, str]]):
         self.names, self.triples = names, triples
-
-    def __iter__(self) -> Iterator[dict]:
-        names = self.names
-        return ({"s": _Labels(names, s), "t": _Labels(names, t), "v": v}
-                for s, t, v in self.triples)
 
     def lay_out(self, parts: List[str], newline: str, spill) -> None:
         """Append the array's pieces to parts, from a template per distinct
@@ -663,8 +633,6 @@ class _Json:
         return self._expect(isinstance(self.value, dict), "an object")
 
     def _array(self) -> list:
-        if isinstance(self.value, _Layout):
-            return list(self.value)
         return self._expect(isinstance(self.value, (list, tuple)), "an array")
 
     def __contains__(self, key: str) -> bool:
@@ -714,8 +682,8 @@ class _Json:
         return self._at_path(gs.index, self.label())
 
     def mask(self, gs: GroundSet) -> int:
-        """A list or a _Labels of distinct labels as a subset mask of gs; an
-        array that load_json(path, gs) already read as its mask, as that int."""
+        """A list of distinct labels as a subset mask of gs; an array that
+        load_json(path, gs) already read as its mask, as that int."""
         if type(self.value) is _Mask:
             return int(self.value)
         labels = self.labels()
@@ -742,11 +710,11 @@ def _hom(node: _Json, gen: GroundSet, gs: GroundSet) -> LatticeHom:
 
 
 def instance_to_json(instance: IndexCodingInstance) -> dict:
-    """The instance file's object: "messages" as the list of its labels as
-    strings, "receivers" as a _Receivers over instance.receivers, which
-    dump_json lays out and instance_from_json reads back."""
+    """The instance file's object for dump_json: "messages" as the _Labels
+    of every label, "receivers" as a _Receivers over instance.receivers."""
     names = _Names(instance.messages)
-    return {"messages": list(names.labels), "receivers": _Receivers(names, instance.receivers)}
+    return {"messages": _Labels(names, instance.messages.full_mask),
+            "receivers": _Receivers(names, instance.receivers)}
 
 
 def _edge(node: _Json, gs: GroundSet) -> Tuple[str, str]:
@@ -776,10 +744,7 @@ def _plain_receivers(items, gs: GroundSet) -> Optional[List[Tuple[int, int]]]:
     """The (wants, knows) pairs of a receivers array whose every entry has a
     str label of gs as "wants" and, as "knows", a mask that load_json's hook
     read; None for anything else, label arrays included, for the typed reader
-    to read or to word the error. A _Receivers over the same labels gives its
-    own pairs."""
-    if type(items) is _Receivers:
-        return list(items.pairs) if items.names.labels == gs.labels else None
+    to read or to word the error."""
     if type(items) is not list:
         return None
     index = {lab: i for i, lab in enumerate(gs.labels) if type(lab) is str}

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from collections.abc import Iterator
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -39,20 +38,21 @@ def fano_ranks_json():
     return {"elements": list(_FANO_LABELS), "ranks": list(fano().ranks)}
 
 
+def _listed(obj):
+    """An instance_to_json or certificate_to_json object as its written text
+    reads back, for a test to index, change, write twice or hand to
+    json.dumps. A label array holds its names' strings."""
+    return json.loads(dump_json(obj, None))
+
+
+def _read_back(inst):
+    """inst as written and read back: its labels become strings."""
+    return instance_from_json(_listed(instance_to_json(inst)))
+
+
 def string_c5():
     """C5 with string labels, as any instance read back from a file has."""
-    return instance_from_json(instance_to_json(cycle_instance(5)))
-
-
-def _listed(obj):
-    """An instance_to_json or certificate_to_json object with its iterators
-    and label arrays listed, for a test to index, change, write twice or
-    hand to json.dumps. A listed label array holds its names' strings."""
-    if type(obj) is dict:
-        return {key: _listed(value) for key, value in obj.items()}
-    if type(obj) is list or isinstance(obj, (formats._Layout, Iterator)):
-        return [_listed(value) for value in obj]
-    return obj
+    return _read_back(cycle_instance(5))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -60,12 +60,12 @@ def _listed(obj):
 
 def test_instance_roundtrip_stringifies_labels():
     inst = cycle_instance(5)
-    obj = instance_to_json(inst)
+    obj = _listed(instance_to_json(inst))
     assert obj["messages"] == ["1", "2", "3", "4", "5"]
     back = instance_from_json(obj)
     assert back.messages.labels == ("1", "2", "3", "4", "5")
     assert list(back.receivers) == list(inst.receivers)  # same bit layout
-    assert instance_to_json(back) == obj
+    assert _listed(instance_to_json(back)) == obj
 
 
 def test_instance_graph_form():
@@ -146,26 +146,29 @@ def test_masks_and_label_lists_roundtrip_past_64_bits(mask, int_labels, low, run
     from icbound.groundset import GroundSet
 
     gs = GroundSet(range(230) if int_labels else [f"m{i}" for i in range(230)])
-    names = _Names(gs)
+    one = GroundSet([low] if int_labels else [f"m{low}"])
     # the array opens with its lowest label, a single label or not; a mask
-    # of few runs, as a product's, is laid out a slice per run
+    # of few runs, as a product's, is laid out a slice per run, and the full
+    # mask, as "messages" is written, as one run
     few_runs = 1 << low
     for start, length in runs:
         few_runs |= ((1 << length) - 1 << start) & gs.full_mask
-    for mask in (mask, 1 << low, mask >> low << low | 1 << low, few_runs):
-        array = _Labels(names, mask)
+    for gs, mask in ((gs, mask), (gs, 1 << low), (gs, mask >> low << low | 1 << low),
+                     (gs, few_runs), (gs, gs.full_mask), (one, one.full_mask), (one, 0)):
+        array = _Labels(_Names(gs), mask)
         labels = [str(lab) for lab in gs.labels_of(mask)]
-        assert list(array) == labels and array == labels and labels == array
+        written = json.loads(dump_json(array, None))
+        assert written == labels
         with pytest.raises(TypeError):
             json.dumps(array)
-        for obj in (array, [array], {"a": array}, {"a": {"b": array}, "c": "d"},
-                    {"a": array, "n": [1, array], "e": {}}):
-            listed = json.loads(json.dumps(obj, default=list))
-            assert dump_json(obj, None) == json.dumps(listed, indent=2)
+        for obj in (lambda a: a, lambda a: [a], lambda a: {"a": a},
+                    lambda a: {"a": {"b": a}, "c": "d"},
+                    lambda a: {"a": a, "n": [1, a], "e": {}}):
+            assert dump_json(obj(array), None) == json.dumps(obj(labels), indent=2)
         assert dump_json(iter([array, {"b": array}]), None) == json.dumps(
             [labels, {"b": labels}], indent=2)
         assert gs.mask_of(gs.labels_of(mask)) == mask
-        assert GroundSet(names.labels).mask_of(array) == mask
+        assert GroundSet([str(lab) for lab in gs.labels]).mask_of(written) == mask
 
 
 # labels that product_messages keeps distinct: no ":"
@@ -194,12 +197,14 @@ def _labels_of(names, mask):
 def test_receivers_and_x_layouts_write_stdlib_text(inst, other):
     names = list(map(str, inst.messages.labels))
     obj = instance_to_json(inst)
-    listed = _listed(obj)
-    assert listed == {"messages": names, "receivers": [
-        {"wants": names[w], "knows": _labels_of(names, k)} for w, k in inst.receivers]}
-    assert dump_json(obj, None) == json.dumps(listed, indent=2)
-    back = instance_from_json(obj)
+    text = dump_json(obj, None)
+    assert text == json.dumps({"messages": names, "receivers": [
+        {"wants": names[w], "knows": _labels_of(names, k)} for w, k in inst.receivers]},
+        indent=2)
+    back = instance_from_json(json.loads(text))
     assert back.messages.labels == tuple(names) and back.receivers == inst.receivers
+    with pytest.raises(TypeError):
+        json.dumps(obj["messages"])
     with pytest.raises(TypeError):
         json.dumps(obj["receivers"])
     schema = schema_by_name("submod")
@@ -209,11 +214,11 @@ def test_receivers_and_x_layouts_write_stdlib_text(inst, other):
     for written, gs in ((cert, inst.messages),
                         (combined, product_messages(inst.messages, other.messages))):
         names = list(map(str, gs.labels))
-        listed = _listed(certificate_to_json(written, gs, schema))
+        text = dump_json(certificate_to_json(written, gs, schema), None)
+        listed = json.loads(text)
         assert listed["x"] == [{"s": _labels_of(names, s), "t": _labels_of(names, t),
                                 "v": rat_str(v)} for (s, t), v in sorted(written.x.items())]
-        assert dump_json(certificate_to_json(written, gs, schema), None) \
-            == json.dumps(listed, indent=2)
+        assert text == json.dumps(listed, indent=2)
         with pytest.raises(TypeError):
             json.dumps(certificate_to_json(written, gs, schema)["x"])
 
@@ -233,7 +238,7 @@ def test_certificate_roundtrip_bit_exact():
 
 
 def test_homext_certificate_roundtrip():
-    inst = instance_from_json(instance_to_json(to_index_coding(fano())))
+    inst = _read_back(to_index_coding(fano()))
     schema = schema_by_name("submod+fano-odd")
     row = next(r for r in schema.rows(inst.messages) if r.side == 1)
     cert = addineq_certificate(fano(), row, schema)
@@ -288,11 +293,18 @@ def test_matroid_json_names_a_non_integer_rank_or_entry(bad):
 
 
 def test_written_certificate_object_does_not_read_back_in_process():
-    # "x" reads as the array it lays out, but "y" is a one-shot iterator for
-    # dump_json; the reader refuses it, where a reader that took iterators
-    # could see an exhausted one as an empty array
+    # what instance_to_json and certificate_to_json return is for dump_json
+    # alone: the readers refuse its layout objects, and "y", a one-shot
+    # iterator, where a reader that took iterators could see an exhausted
+    # one as an empty array
     inst = string_c5()
+    for written in (inst, to_index_coding(fano()), IndexCodingInstance(GroundSet(["a"]), [])):
+        with pytest.raises(InputError, match=r"^messages must be an array, got <icbound\.form"):
+            instance_from_json(instance_to_json(written))
     obj = certificate_to_json(c5_certificate()[2], inst.messages, schema_by_name("submod"))
+    with pytest.raises(InputError, match=r"^x must be an array, got <icbound\.form"):
+        certificate_from_json(obj, inst.messages)
+    obj["x"] = []
     with pytest.raises(InputError, match=r"^y must be an array, got <generator "):
         certificate_from_json(obj, inst.messages)
 
@@ -364,8 +376,15 @@ def test_dump_json_writes_long_text_in_slices(tmp_path):
     path = tmp_path / "long.json"
     text = json.dumps(obj, indent=2)
     assert len(text) > 2 << 20
-    assert dump_json(obj, str(path)) == len(text)
+    written = dump_json(obj, str(path))
+    assert written == len(text)
     assert path.read_bytes() == (text + "\n").encode("ascii")
+    # what the text's encode would measure, a file's size less its newline,
+    # for a named file and for an open one
+    assert len(written.encode("utf-8")) + 1 == path.stat().st_size
+    with open(path, "w", encoding="utf-8") as out:
+        written = dump_json(obj, out)
+    assert len(written.encode("utf-8")) + 1 == path.stat().st_size
     # no piece is longer than a line, and a write holds the pieces of one
     # batch, the member that filled it and the closing brackets behind it
     fh = _Counted()
@@ -893,7 +912,7 @@ def test_cli_integer_claimed_value_is_checked(c5_file, tmp_path, capsys):
 
 
 def test_cli_homext_atom_key_outside_generator(fano_file, tmp_path, capsys):
-    inst = instance_from_json(instance_to_json(to_index_coding(fano())))
+    inst = _read_back(to_index_coding(fano()))
     schema = schema_by_name("submod+fano-odd")
     row = next(r for r in schema.rows(inst.messages) if r.side == 1)
     cert = _listed(certificate_to_json(addineq_certificate(fano(), row, schema), inst.messages,
@@ -1298,7 +1317,7 @@ def nonfano_squared(tmp_path_factory):
     """The non-Fano instance and its even-row certificate, then the files of
     their square, by icb product and combine."""
     work = tmp_path_factory.mktemp("nonfano")
-    inst = instance_from_json(instance_to_json(to_index_coding(nonfano())))
+    inst = _read_back(to_index_coding(nonfano()))
     even = schema_by_name("submod+fano-even")
     row = next(r for r in even.rows(inst.messages) if r.side == 1)
     files = [_write(work, "nf.json", instance_to_json(inst)), _write(
@@ -1376,7 +1395,7 @@ def fuzz_seeds(tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
     c5 = _listed(instance_to_json(cycle_instance(5)))
     c5_path = _write(work, "c5.json", c5)
-    fano_inst = instance_from_json(instance_to_json(to_index_coding(fano())))
+    fano_inst = _read_back(to_index_coding(fano()))
     fano_path = _write(work, "fano.json", instance_to_json(fano_inst))
     odd = schema_by_name("submod+fano-odd")
     row = next(r for r in odd.rows(fano_inst.messages) if r.side == 1)
@@ -1470,7 +1489,7 @@ def _row_masks(row):
 @pytest.fixture(scope="module")
 def cert_seeds(tmp_path_factory):
     """name -> (valid certificate document, ground set, schema or None)."""
-    fano_inst = instance_from_json(instance_to_json(to_index_coding(fano())))
+    fano_inst = _read_back(to_index_coding(fano()))
     odd = schema_by_name("submod+fano-odd")
     row = next(r for r in odd.rows(fano_inst.messages) if r.side == 1)
     return tmp_path_factory.mktemp("masked"), {
@@ -1525,9 +1544,11 @@ def test_fast_receivers_read_matches_the_typed_read(data):
     name = data.draw(st.sampled_from(["c5", "fano"]))
     inst = string_c5() if name == "c5" else to_index_coding(fano())
     labels = list(map(str, inst.messages.labels))
-    doc = instance_to_json(inst)
-    if data.draw(st.booleans()):  # receiver objects, for a mutation to reach into
-        doc["receivers"] = list(doc["receivers"])
+    text = dump_json(instance_to_json(inst), None)
+    if data.draw(st.booleans()):  # "knows" as masks, as load_json reads them
+        doc = formats._Reader(io.StringIO(text), *formats._masker("messages")).document()
+    else:  # label arrays, for a mutation to reach into
+        doc = json.loads(text)
     doc = _mutated(data, doc, labels)
 
     def read():
