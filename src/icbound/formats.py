@@ -514,9 +514,12 @@ class _Names:
 class _Layout:
     """An array that dump_json lays out by the object's own lay_out(parts,
     newline, spill), spill as _write's; json.dumps and the readers refuse
-    it."""
+    it, a reader's error naming its class."""
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        return type(self).__name__
 
 
 class _Labels(_Layout):
