@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Optional, Tuple
 
 from icbound.errors import CertificateInvalid, InputError
 from icbound.groundset import BlockEmbedding, GroundSet, LatticeHom
 from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
                               product_messages)
-from icbound.rational import Rational, rat
+from icbound.rational import Rational, rat, scaled
 from icbound.schema import HomExtRow, SchemaRow, SideRow, SubmodRow, SubmodSchema
 
 __all__ = [
@@ -180,25 +180,26 @@ def combine_certificates(
     g_hom = BlockEmbedding(gs_g, gs_p, nf)
     firsts = sum(1 << i * nf for i in range(gs_g.n))  # bit 0 of every block
 
-    # Weights are summed as integers over den_g * den_f, each the lcm of its
-    # certificate's denominators, and become Fractions at the end.
-    den_g, den_f = _den(cert_g), _den(cert_f)
+    # Weights are summed as integers over den_g * den_f, each its
+    # certificate's common denominator, and become Fractions at the end. A
+    # certificate's scaled weights list its x entries, then its y entries.
+    g_w, den_g = scaled(chain(cert_g.x.values(), cert_g.y.values()))
+    f_w, den_f = scaled(chain(cert_f.x.values(), cert_f.y.values()))
     x: Dict[Tuple[int, int], int] = {}
     y: Dict[SchemaRow, int] = {}
 
-    for row, v in cert_g.y.items():
+    for row, v in zip(cert_g.y, g_w[len(cert_g.x):]):
         if not v:
             continue
         key = schema.pushforward_row(g_hom, row)
-        y[key] = y.get(key, 0) + _times(v, den_g) * den_f
+        y[key] = y.get(key, 0) + v * den_f
         note("y", key, ("left-row", row))
 
-    f_x = [(a, b, _times(vf, den_f)) for (a, b), vf in cert_f.x.items() if vf]
-    f_y = [(row, _times(vf, den_f)) for row, vf in cert_f.y.items() if vf]
-    for (s, t), vg in cert_g.x.items():
+    f_x = [(a, b, vf) for (a, b), vf in zip(cert_f.x, f_w) if vf]
+    f_y = [(row, vf) for row, vf in zip(cert_f.y, f_w[len(cert_f.x):]) if vf]
+    for (s, t), vg in zip(cert_g.x, g_w):
         if not vg:
             continue
-        vg = _times(vg, den_g)
         # atom u goes to bit u of each block of t minus s, on s's blocks
         spread = g_hom.apply(t & ~s) & firsts
         hom = LatticeHom(gs_f, gs_p, g_hom.apply(s), tuple(spread << u for u in range(nf)))
@@ -218,17 +219,6 @@ def combine_certificates(
     return DualCertificate(schema.name, cert_g.closure,
                            {key: Rational(w, den) for key, w in x.items()},
                            {key: Rational(w, den) for key, w in y.items()}, None)
-
-
-def _den(cert: DualCertificate) -> int:
-    """The lcm of the denominators of a verified certificate's weights."""
-    return lcm(*(rat(v).denominator for v in chain(cert.x.values(), cert.y.values()) if v))
-
-
-def _times(v, den: int) -> int:
-    """v times den, an integer where den is a multiple of v's denominator."""
-    v = rat(v)
-    return v.numerator * (den // v.denominator)
 
 
 def c5_certificate():

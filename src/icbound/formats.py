@@ -45,14 +45,7 @@ dropped; a file that fits one buffer is read whole at the first read. A
 value longer than the rest of a buffer doubles the buffer until it fits.
 Text that this reader does not take (malformed JSON, a repeated key, a
 top-level scalar) is read again by json.load, whose error names the line
-and column in the whole file. The buffer's size trades peak memory against
-speed. A 2^22-character buffer peaked at 18.6 MB while reading the 34.6 MB
-C5^4 certificate. A file longer than the buffer is decoded a member at a
-time, which costs time once the buffer is much smaller than the file: at
-2^16, verifying the squared Fano and non-Fano certificates ran about 30%
-slower in one run. At 2^21 the squared non-Fano instance (1.8 MB) is still
-read whole; the 3.8 MB C5^4 instance is not, and verifying C5^4 measured
-no slower.
+and column in the whole file.
 
 This module is also the only JSON writer. `dump_json` lays out exactly the
 text of `json.dumps(obj, indent=2)`: two-space indentation, "," and a line

@@ -25,10 +25,11 @@ z = n on every subset is feasible. A solver result "unbounded", or w other
 than 1, is a bug and raises VerificationError. Results (`BoundSolution`) are
 Fractions, and carry the dual weights as a certificate.
 
-The solution is re-audited here against the instance itself (closures are
-recomputed, schema rows re-evaluated), independently of the solver's own
-audit, so a bug in column construction cannot survive unnoticed. That audit
-works in integers over the common denominator of z.
+Each side of the optimum is checked again against the instance itself,
+independently of the solver's own audit, so a bug in column construction
+cannot survive unnoticed: z by an audit that recomputes closures and
+re-evaluates schema rows in integers over z's common denominator, and the
+certificate by `verify_certificate`, whose refusal raises VerificationError.
 
 The LP has a row per subset and the simplex keeps a dense adjugate of
 rows^2 entries, so `build_problem` refuses more than ROW_CAP rows before it
@@ -39,13 +40,12 @@ about 5 s, while full C9's 512 had not finished after 15 minutes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Dict, List, Tuple
 
-from icbound.certificate import DualCertificate, _row_text
-from icbound.errors import InputError, ResourceCapError, VerificationError
+from icbound.certificate import DualCertificate, _row_text, verify_certificate
+from icbound.errors import CertificateInvalid, InputError, ResourceCapError, VerificationError
 from icbound.instance import ClosureMode, IndexCodingInstance
-from icbound.rational import Rational
+from icbound.rational import Rational, scaled
 from icbound.schema import SchemaRow, SubmodSchema
 from icbound.simplex import SolveStats, StandardFormLP, solve_standard_form
 
@@ -174,25 +174,28 @@ def solve_problem(problem: LPProblem) -> BoundSolution:
     cert = DualCertificate(problem.schema.name, problem.closure, x, y, res.objective)
     sol = BoundSolution(res.objective, z, cert, res.stats)
     _audit_against_instance(problem, sol, res.x[problem.w_plus] - res.x[problem.w_minus])
+    try:
+        verify_certificate(problem.instance, problem.schema, cert)
+    except CertificateInvalid as exc:
+        raise VerificationError(f"extracted certificate: {exc}") from None
     return sol
 
 
 def _audit_against_instance(problem: LPProblem, sol: BoundSolution, w: Rational) -> None:
-    """Check the claimed optimum against the instance, not the built columns.
+    """Check the primal side of the claimed optimum, z and the value, against
+    the instance, not the built columns; the certificate is left to
+    `verify_certificate`.
 
     w is the solver's scale multiplier x[w_plus] - x[w_minus], which zero-sum
-    schema rows pin to 1. z is brought to integers over the lcm of its
-    denominators, and the dual weights x over theirs, so every check is
-    integer arithmetic.
+    schema rows pin to 1. z is brought to integers over its common
+    denominator (`rational.scaled`), so every check is integer arithmetic.
     """
     inst = problem.instance
     gs = inst.messages
     n = gs.n
     if w != 1:
         raise VerificationError(f"scale multiplier w = {w}, not 1")
-    zf = [sol.z[s] for s in range(1 << n)]
-    dz = lcm(*(v.denominator for v in zf))
-    z = [v.numerator * (dz // v.denominator) for v in zf]
+    z, dz = scaled(sol.z[s] for s in range(1 << n))
     value = sol.value
     if z[gs.full_mask] != n * dz:
         raise VerificationError("full-set value is not pinned to n")
@@ -213,11 +216,3 @@ def _audit_against_instance(problem: LPProblem, sol: BoundSolution, w: Rational)
         vec = problem.schema.row_vector(row, gs)
         if sum(coeff * z[mask] for mask, coeff in vec.items()) < 0:
             raise VerificationError(f"solution violates {_row_text(row, gs)}")
-    # Dual side: the certificate's weights must reproduce the objective.
-    x = sol.cert.x
-    dx = lcm(*(v.denominator for v in x.values()))
-    total = 0
-    for (s, t), xv in x.items():
-        total += xv.numerator * (dx // xv.denominator) * inst.dst(s, t, problem.closure)
-    if total * value.denominator != value.numerator * dx:
-        raise VerificationError("dual value identity failed at w = 1")

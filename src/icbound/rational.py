@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 
@@ -55,3 +56,12 @@ def rat_str(value) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def scaled(values) -> tuple[list[int], int]:
+    """(nums, den): den is the lcm of the denominators of values, 1 for
+    none, and nums lists each value times den, an int. Takes what `rat`
+    takes, so a float is refused."""
+    qs = [rat(v) for v in values]
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den

@@ -42,12 +42,11 @@ VerificationError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from icbound import kernels
 from icbound.errors import InputError, VerificationError
-from icbound.rational import ZERO, Rational
+from icbound.rational import ZERO, Rational, scaled
 
 __all__ = ["SimplexResult", "SolveStats", "StandardFormLP", "solve_standard_form"]
 
@@ -291,41 +290,37 @@ def solve_standard_form(
         elif v:
             raise VerificationError("artificial column ended basic at a nonzero value")
     y = [Rational(v, den) for v in y]
-    _audit(lp, x, y)
-    objective = sum((lp.cobj[j] * x[j] for j in range(nstruct) if x[j]), ZERO)
-    return result("optimal", objective, x, y)
+    return result("optimal", _audit(lp, x, y), x, y)
 
 
-def _audit(lp: StandardFormLP, x, y) -> None:
+def _audit(lp: StandardFormLP, x, y) -> Rational:
     """Check the optimum (x, y) against lp's data as given, in this order:
     x >= 0 while the rows are summed, every primal row against e_0, every
-    reduced cost, primal objective = dual objective y_0.
+    reduced cost, primal objective = dual objective y_0, which it returns.
 
-    x and y are brought to integers over the lcm of their own denominators,
+    `scaled` brings x and y to integers over their own common denominators,
     dx and dy, never over the solver's denominator, so a bug in the solver's
-    state cannot pass its own audit. Every check is then integer arithmetic; Fractions are
-    built only for an error message.
+    state cannot pass its own audit. Every check is integer arithmetic;
+    Fractions are built only for the objective and an error message.
     """
     m = lp.nrows
-    dx = lcm(*(v.denominator for v in x if v))
-    dy = lcm(*(v.denominator for v in y if v))
+    xn, dx = scaled(x)
+    yn, dy = scaled(y)
     lhs = [0] * m
     primal = 0
-    for j, xj in enumerate(x):
+    for j, xj in enumerate(xn):
         if not xj:
             continue
         if xj < 0:
             raise VerificationError("negative primal value in audit")
-        xn = xj.numerator * (dx // xj.denominator)
         for k, v in zip(lp.cols_idx[j], lp.cols_val[j]):
-            lhs[k] += v * xn
-        primal += lp.cobj[j] * xn
+            lhs[k] += v * xj
+        primal += lp.cobj[j] * xj
     for i, v in enumerate(lhs):
         b = 1 if i == 0 else 0
         if v != b * dx:
             raise VerificationError(
                 f"audit: row {i} violated, {Rational(v, dx)} != {b}")
-    yn = [v.numerator * (dy // v.denominator) for v in y]
     for j, (idx, val) in enumerate(zip(lp.cols_idx, lp.cols_val)):
         rc = lp.cobj[j] * dy
         for k, v in zip(idx, val):
@@ -337,3 +332,4 @@ def _audit(lp: StandardFormLP, x, y) -> None:
     if primal * dy != dual * dx:
         raise VerificationError(
             f"audit: objective mismatch {Rational(primal, dx)} != {Rational(dual, dy)}")
+    return Rational(primal, dx)

@@ -21,6 +21,7 @@ vector-space constructions that realize them on subspace tuples over GF(p)
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, Optional, Tuple
@@ -161,23 +162,16 @@ def lambda_odd() -> SetVector:
     return _lambda_vector(_LAMBDA_ODD)
 
 
-_ALPHA_CACHE: Dict[str, SetVector] = {}
-
-
+@functools.cache
 def fano_alpha(parity: str) -> SetVector:
     """Tightened generating row over the 8-element ground set, cached."""
-    cached = _ALPHA_CACHE.get(parity)
-    if cached is not None:
-        return cached
     if parity == "even":
         lam = lambda_even()
     elif parity == "odd":
         lam = lambda_odd()
     else:
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
-    alpha = tighten_transpose_apply(lam, "e")
-    _ALPHA_CACHE[parity] = alpha
-    return alpha
+    return tighten_transpose_apply(lam, "e")
 
 
 def fano_schema(parity: str, homs=None) -> HomExtSchema:

@@ -1,8 +1,9 @@
-"""The two audits of an LP optimum: every check fires on a broken optimum, the
-simplex audit agrees with a Fraction reference, and the subset vectors and
-LP data are ints while every result handed back is a Fraction. A schema row
-that is not integral is refused when its vector is built, and one that does
-not sum to zero before the LP is built."""
+"""The checks of an LP optimum: every check of the two audits fires on a
+broken optimum, the simplex audit agrees with a Fraction reference, and
+`solve_problem` refuses a certificate that `verify_certificate` refuses. The
+subset vectors and LP data are ints while every result handed back is a
+Fraction. A schema row that is not integral is refused when its vector is
+built, and one that does not sum to zero before the LP is built."""
 
 import dataclasses
 import random
@@ -164,11 +165,6 @@ def test_instance_audit_fires_on_each_check():
     assert instance_audit_message(problem, sol, z=z) == "full-set value is not pinned to n"
     assert (instance_audit_message(problem, sol, value=sol.value + 1)
             == "empty-set value disagrees with the LP objective")
-    x = dict(sol.cert.x)
-    pair = next(p for p in x if problem.instance.dst(*p))
-    x[pair] *= 2
-    assert (instance_audit_message(problem, sol, cert=dataclasses.replace(sol.cert, x=x))
-            == "dual value identity failed at w = 1")
 
     # Two messages, no receivers: every step costs 1 and the one schema row
     # is submodularity at {a}, {b}.
@@ -184,6 +180,32 @@ def test_instance_audit_fires_on_each_check():
     with pytest.raises(VerificationError, match=re.escape("submod row (('a',), ('b',))")):
         lp_module._audit_against_instance(
             pair_problem, dataclasses.replace(pair_sol, z=flat, value=ONE), ONE)
+
+
+def test_solve_problem_verifies_its_certificate(monkeypatch):
+    # Schema rows read back in reverse pair each y weight with another row:
+    # z and the value still pass the instance audit, the certificate does not.
+    problem = build_problem(cycle_instance(5))
+    backwards = dataclasses.replace(problem, schema_rows=problem.schema_rows[::-1])
+    with pytest.raises(VerificationError, match="^" + re.escape(
+            "extracted certificate: combination misses e_empty - e_full; "
+            "first offender () with excess -1/2") + "$"):
+        solve_problem(backwards)
+
+    # A doubled x weight on a pair that decodes, once caught by a dual value
+    # identity in the instance audit.
+    def doubled(lp, crash):
+        res = solve_standard_form(lp, crash=crash)
+        col = next(c for c in range(problem.dec_count)
+                   if res.x[c] and problem.instance.dst(*lp.cols_idx[c]))
+        res.x[col] *= 2
+        return res
+
+    monkeypatch.setattr(lp_module, "solve_standard_form", doubled)
+    with pytest.raises(VerificationError, match="^" + re.escape(
+            "extracted certificate: combination misses e_empty - e_full; "
+            "first offender (1, 4) with excess 1/2") + "$"):
+        solve_problem(problem)
 
 
 def test_instance_audit_names_a_homext_row_by_labels():

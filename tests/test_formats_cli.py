@@ -1,6 +1,7 @@
 """JSON round trips and the command-line surface, exit codes included."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -10,11 +11,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from icbound import formats, lincode
+from icbound import cli, formats, lincode
 from icbound.certificate import c5_certificate, combine_certificates
 from icbound.cli import _build_parser, _emit, _read_certificate, main
 from icbound.errors import InputError
@@ -27,7 +30,7 @@ from icbound.instance import IndexCodingInstance, cycle_instance, product_messag
 from icbound.lp import ROW_CAP, build_problem, solve_problem
 from icbound.certificate import verify_certificate
 from icbound.matroid import _FANO_LABELS, addineq_certificate, fano, nonfano, to_index_coding
-from icbound.rational import rat, rat_str
+from icbound.rational import rat, rat_str, scaled
 from icbound.schema import SideRow, SubmodRow
 
 FANO_ROWS = [[int(lab[i]) for lab in _FANO_LABELS] for i in range(3)]
@@ -90,6 +93,27 @@ def test_rational_strings():
     cert.x[next(iter(cert.x))] = 0.1
     with pytest.raises(InputError, match=re.escape("refusing float 0.1")):
         certificate_to_json(cert, instance.messages, schema)
+
+
+_RATIONALS = (st.integers() | st.fractions()
+              | st.fractions().map(lambda q: f"{q.numerator}/{q.denominator}"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(_RATIONALS | st.just(0) | st.just("0/7"), max_size=8))
+def test_scaled_matches_fraction_arithmetic(values):
+    nums, den = scaled(values)
+    fracs = [Fraction(v) for v in values]
+    assert den == lcm(*(q.denominator for q in fracs))
+    assert [type(v) for v in nums] == [int] * len(values)
+    assert [Fraction(v, den) for v in nums] == fracs
+
+
+def test_scaled_takes_what_rat_takes():
+    assert scaled([]) == ([], 1)
+    assert scaled(iter(["-3/4", 0, rat("5/6")])) == ([-9, 0, 10], 12)
+    with pytest.raises(InputError, match=re.escape("refusing float 0.5")):
+        scaled([1, 0.5])
 
 
 _AWKWARD_TEXT = st.text(st.sampled_from('a:"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')
@@ -571,6 +595,20 @@ def test_cli_solve_verify_and_tamper(c5_file, tmp_path, capsys):
     dump_json(obj, cert)
     assert main(["verify", c5_file, cert]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_cli_solve_refuses_a_certificate_it_cannot_verify(c5_file, capsys, monkeypatch):
+    # rows read back in reverse give the right b and a wrong certificate
+    def backwards(*args):
+        problem = build_problem(*args)
+        return dataclasses.replace(problem, schema_rows=problem.schema_rows[::-1])
+
+    monkeypatch.setattr(cli, "build_problem", backwards)
+    assert main(["solve", c5_file]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal verification failure: extracted certificate: combination misses "
+                   "e_empty - e_full; first offender () with excess -1/2\n")
 
 
 def test_cli_solve_stats_go_to_stderr_alone(c5_file, tmp_path, capsys):

@@ -72,6 +72,7 @@ def test_tighten_maps_extended_ranks_back():
 
 
 def test_alpha_cuts_the_matching_rank_vector():
+    assert fano_alpha("odd") is fano_alpha("odd")  # built once per parity
     assert dot(fano_alpha("odd"), rank_vector(adjoin_zero(fano()))) == -1
     assert dot(fano_alpha("even"), rank_vector(adjoin_zero(nonfano()))) == -1
     assert dot(fano_alpha("odd"), rank_vector(adjoin_zero(nonfano()))) == 0
@@ -205,7 +206,8 @@ def test_input_validation():
         SubspaceTuple(3, 2, (((1, 0),), (), ((0, 1), (1, 1, 0))))
     with pytest.raises(InputError, match="^space 1 rows are not independent$"):
         SubspaceTuple(3, 2, (((1, 0),), ((1, 2), (2, 1)), ((0, 1),)))
-    with pytest.raises(InputError):
-        fano_alpha("middling")
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(InputError, match="^parity must be 'even' or 'odd', got 'middling'$"):
+            fano_alpha("middling")
     with pytest.raises(InputError):
         dimension_vector(random_subspace_tuple(2, 3, 2), GS3E)  # size clash
