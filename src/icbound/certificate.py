@@ -143,7 +143,6 @@ def combine_certificates(
     cert_g: DualCertificate,
     cert_f: DualCertificate,
     schema,
-    provenance: Optional[Dict] = None,
 ) -> DualCertificate:
     """Certificate for lex_product(inst_g, inst_f) from certificates of the parts.
 
@@ -155,9 +154,6 @@ def combine_certificates(
     trusted blindly. Both inputs are verified up front. The product's
     receivers are not built here: its messages come from `product_messages`,
     the helper `lex_product` labels them with.
-
-    Pass a dict as provenance to get, per product key, the list of factor
-    entries that contributed to it (triage aid when a combination misses).
     """
     if cert_g.schema_name != schema.name or cert_f.schema_name != schema.name:
         raise InputError("both certificates must match the schema being combined under")
@@ -172,11 +168,6 @@ def combine_certificates(
     gs_f = inst_f.messages
     gs_p = product_messages(gs_g, gs_f)
     nf = gs_f.n
-
-    def note(kind, key, source) -> None:
-        if provenance is not None:
-            provenance.setdefault((kind, key), []).append(source)
-
     g_hom = BlockEmbedding(gs_g, gs_p, nf)
     firsts = sum(1 << i * nf for i in range(gs_g.n))  # bit 0 of every block
 
@@ -193,7 +184,6 @@ def combine_certificates(
             continue
         key = schema.pushforward_row(g_hom, row)
         y[key] = y.get(key, 0) + v * den_f
-        note("y", key, ("left-row", row))
 
     f_x = [(a, b, vf) for (a, b), vf in zip(cert_f.x, f_w) if vf]
     f_y = [(row, vf) for row, vf in zip(cert_f.y, f_w[len(cert_f.x):]) if vf]
@@ -209,11 +199,9 @@ def combine_certificates(
                 continue  # degenerate image, dropped with its mass
             key = (ka, kb)
             x[key] = x.get(key, 0) + vg * vf
-            note("x", key, ((s, t), (a, b)))
         for row, vf in f_y:
             key = schema.pushforward_row(hom, row)
             y[key] = y.get(key, 0) + vg * vf
-            note("y", key, ((s, t), row))
 
     den = den_g * den_f
     return DualCertificate(schema.name, cert_g.closure,
@@ -233,10 +221,7 @@ def c5_certificate():
     half = rat("1/2")
 
     def m(*labels: int) -> int:
-        out = 0
-        for lab in labels:
-            out |= 1 << (lab - 1)
-        return out
+        return instance.messages.mask_of(labels)
 
     x = {
         (0, m(1, 3)): half,

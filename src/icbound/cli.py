@@ -1,9 +1,10 @@
 """Command-line surface: solve, verify, combine, convert, demo.
 
 Exit codes are part of the contract: 0 success, 1 a verification or claimed
-value failed, 2 malformed input, 3 a resource cap was hit, 141 stdout was
-closed early (128 + SIGPIPE). Demos re-run the headline pipelines end to end
-and fail loudly on any mismatch, so they double as an installed smoke test.
+value failed, 2 malformed input or a stdout that cannot be written (a full
+disk), 3 a resource cap was hit, 141 stdout was closed early (128 +
+SIGPIPE). Demos re-run the headline pipelines end to end and fail loudly on
+any mismatch, so they double as an installed smoke test.
 """
 
 from __future__ import annotations
@@ -334,10 +335,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
-    except BrokenPipeError:
+    except OSError as exc:  # from stdout: formats turns a file's OSError into InputError
         with open(os.devnull, "w") as devnull:  # so the flush at exit cannot raise
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"input error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

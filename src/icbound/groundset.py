@@ -156,14 +156,7 @@ class SetVector:
 
     def __add__(self, other: "SetVector") -> "SetVector":
         self._check_mate(other)
-        data = dict(self._data)
-        for mask, v in other._data.items():
-            new = data.get(mask, 0) + v
-            if new:
-                data[mask] = new
-            else:
-                data.pop(mask, None)
-        return SetVector._from_clean(self.gs, data)
+        return SetVector._from_clean(self.gs, _summed(dict(self._data), other._data.items()))
 
     def mass(self) -> int:
         """Sum of all entries, i.e. the dot product with the all-ones vector."""
@@ -178,15 +171,9 @@ class SetVector:
         """Image vector: (result)_T is the sum of v_S over S with h(S) = T."""
         if hom.domain != self.gs:
             raise InputError("pushforward along a map with a different domain")
-        data: dict[int, int] = {}
-        for mask, v in self._data.items():
-            img = hom.apply(mask)
-            new = data.get(img, 0) + v
-            if new:
-                data[img] = new
-            else:
-                data.pop(img, None)
-        return SetVector._from_clean(hom.codomain, data)
+        data = self._data
+        return SetVector._from_clean(hom.codomain,
+                                     _summed({}, zip(map(hom.apply, data), data.values())))
 
     def _check_mate(self, other: "SetVector"):
         if not isinstance(other, SetVector) or other.gs != self.gs:
@@ -201,6 +188,17 @@ class SetVector:
             f"{{{','.join(map(str, self.gs.labels_of(m)))}}}: {v}"
             for m, v in sorted(self._data.items()))
         return f"SetVector({entries})"
+
+
+def _summed(data: dict, entries) -> dict:
+    """data with each (mask, v) of entries added in, sums of zero dropped."""
+    for mask, v in entries:
+        new = data.get(mask, 0) + v
+        if new:
+            data[mask] = new
+        else:
+            data.pop(mask, None)
+    return data
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ class IndexCodingInstance:
         vertices = sorted(range(self.n), key=lambda v: (-popcount(adj[v]), v))
         best = 0
 
-        def grow(chosen: int, count: int, candidates: list[int]):
+        def grow(count: int, candidates: list[int]):
             nonlocal best
             if count > best:
                 best = count
@@ -174,12 +174,10 @@ class IndexCodingInstance:
                     return
                 v = candidates[0]
                 candidates = candidates[1:]
-                if adj[v] & chosen == 0:
-                    grow(chosen | (1 << v), count + 1,
-                         [u for u in candidates if u != v and not adj[v] >> u & 1])
+                grow(count + 1, [u for u in candidates if not adj[v] >> u & 1])
                 # falling through drops v and continues with the remainder
 
-        grow(0, 0, vertices)
+        grow(0, vertices)
         return best
 
 

@@ -42,7 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from icbound.certificate import DualCertificate, _row_text, verify_certificate
+from icbound import certificate
+from icbound.certificate import DualCertificate, _row_text
 from icbound.errors import CertificateInvalid, InputError, ResourceCapError, VerificationError
 from icbound.instance import ClosureMode, IndexCodingInstance
 from icbound.rational import Rational, scaled
@@ -175,7 +176,7 @@ def solve_problem(problem: LPProblem) -> BoundSolution:
     sol = BoundSolution(res.objective, z, cert, res.stats)
     _audit_against_instance(problem, sol, res.x[problem.w_plus] - res.x[problem.w_minus])
     try:
-        verify_certificate(problem.instance, problem.schema, cert)
+        certificate.verify_certificate(problem.instance, problem.schema, cert)
     except CertificateInvalid as exc:
         raise VerificationError(f"extracted certificate: {exc}") from None
     return sol

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from icbound.errors import InputError
 from icbound.gf import check_prime, span_ranks
@@ -71,17 +71,8 @@ def b0_transpose_apply(w: SetVector, gs_j: GroundSet, drop_label="e") -> SetVect
     if w.gs != gs_i:
         raise InputError("vector does not live over the reduced ground set")
     e_bit = 1 << gs_i.n
-    data: Dict[int, int] = {}
-    for mask, v in w.items():
-        data[mask | e_bit] = v
-    total = w.mass()
-    if total:
-        prev = data.get(e_bit, 0) - total
-        if prev:
-            data[e_bit] = prev
-        else:
-            data.pop(e_bit, None)
-    return SetVector(gs_j, data)
+    return (SetVector(gs_j, {mask | e_bit: v for mask, v in w.items()})
+            + SetVector(gs_j, {e_bit: -w.mass()}))
 
 
 def tighten_transpose_apply(w: SetVector, drop_label="e") -> SetVector:

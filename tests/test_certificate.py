@@ -162,19 +162,6 @@ def test_combine_error_paths():
         combine_certificates(inst, inst, cert, broken, SUBMOD)
 
 
-def test_combine_provenance():
-    inst, schema, cert = c5_certificate()
-    notes = {}
-    combined = combine_certificates(inst, inst, cert, cert, SUBMOD,
-                                    provenance=notes)
-    assert notes
-    x_support = sum(1 for v in combined.x.values() if v)
-    assert len([k for k in notes if k[0] == "x"]) >= x_support
-    kind, key = next(k for k in notes if k[0] == "x")
-    for (pair_g, pair_f) in notes[(kind, key)]:
-        assert pair_g in cert.x and pair_f in cert.x
-
-
 def test_addineq_certificates_exact_values():
     cases = [
         (fano(), "odd", rat("133/33"), rat(33)),

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from icbound import cli, formats, lincode
-from icbound.certificate import c5_certificate, combine_certificates
+from icbound.certificate import DualCertificate, c5_certificate, combine_certificates
 from icbound.cli import _build_parser, _emit, _read_certificate, main
 from icbound.errors import InputError
 from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
@@ -333,6 +333,18 @@ def test_written_certificate_object_does_not_read_back_in_process():
     obj["x"] = []
     with pytest.raises(InputError, match=r"^y must be an array, got <generator "):
         certificate_from_json(obj, inst.messages)
+
+
+def test_unserializable_row_is_refused_before_the_file_opens(tmp_path):
+    # a row with no JSON form, two union sides deep, after the good rows
+    inst, schema, cert = c5_certificate()
+    bad = SideRow(0, SideRow(1, "mystery"))
+    cert = DualCertificate(cert.schema_name, cert.closure, cert.x, {**cert.y, bad: rat(1)})
+    path = tmp_path / "cert.json"
+    with pytest.raises(InputError) as err:
+        dump_json(certificate_to_json(cert, inst.messages, schema), str(path))
+    assert str(err.value) == "cannot serialize schema row 'mystery'"
+    assert not path.exists()
 
 
 def test_malformed_certificate_fields():
@@ -753,6 +765,24 @@ def test_cli_exits_141_without_a_traceback_when_stdout_closes(tmp_path):
         _, err = proc.communicate(timeout=120)
     assert head.startswith(b"{") and len(head) == 100
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cli_exits_2_with_one_line_when_stdout_is_full(tmp_path):
+    # as `icb product c5.json c5.json > /dev/full`: every write to stdout
+    # fails with ENOSPC, and the error is named, not shown as a traceback
+    inst, schema, cert = c5_certificate()
+    path, cert_path = str(tmp_path / "c5.json"), str(tmp_path / "c5.cert.json")
+    dump_json(instance_to_json(inst), path)
+    dump_json(certificate_to_json(cert, inst.messages, schema), cert_path)
+    src = os.path.dirname(os.path.dirname(formats.__file__))
+    for argv in (["product", path, path], ["verify", path, cert_path]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "icbound.cli", *argv],
+                                  env=dict(os.environ, PYTHONPATH=src), stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            2, "input error: cannot write stdout: [Errno 28] No space left on device\n"), argv
 
 
 def test_cli_matroid_alpha_search(tmp_path, c5_file, capsys):
