@@ -14,7 +14,7 @@ from icbound.errors import (
     VerificationError,
 )
 from icbound.groundset import GroundSet, LatticeHom, SetVector
-from icbound.instance import ClosureMode, IndexCodingInstance, cycle_instance
+from icbound.instance import IndexCodingInstance, cycle_instance
 from icbound.schema import (
     HomExtRow,
     HomExtSchema,
@@ -66,7 +66,6 @@ __all__ = [
     "GroundSet",
     "LatticeHom",
     "SetVector",
-    "ClosureMode",
     "IndexCodingInstance",
     "cycle_instance",
     "HomExtRow",

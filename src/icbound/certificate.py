@@ -3,8 +3,9 @@
 A certificate for an instance is a nonnegative combination of one-step
 decoding inequalities (the x part, keyed by nested subset pairs) and schema
 rows (the y part) whose net subset-vector is exactly e_empty - e_full. Its
-value, the sum of x weights times the number of newly-decoded wanted
-messages per pair, lower-bounds the LP optimum and hence the broadcast rate.
+value, the sum of x weights times the messages of t that s decodes in one
+step (the only closure) per pair (s, t), lower-bounds the LP optimum and
+hence the broadcast rate.
 
 Verification recomputes everything from the instance and schema; it trusts
 nothing stored in the certificate beyond the weights themselves. Certificates
@@ -21,9 +22,8 @@ from typing import Dict, Optional, Tuple
 
 from icbound.errors import CertificateInvalid, InputError
 from icbound.groundset import BlockEmbedding, GroundSet, LatticeHom
-from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
-                              product_messages)
-from icbound.rational import Rational, rat, scaled
+from icbound.instance import IndexCodingInstance, cycle_instance, product_messages
+from icbound.rational import Rational, capped, rat, scaled
 from icbound.schema import HomExtRow, SchemaRow, SideRow, SubmodRow, SubmodSchema
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
 @dataclass
 class DualCertificate:
     schema_name: str
-    closure: ClosureMode
     x: Dict[Tuple[int, int], Rational] = field(default_factory=dict)
     y: Dict[SchemaRow, Rational] = field(default_factory=dict)
     claimed_value: Optional[Rational] = None
@@ -51,8 +50,8 @@ def verify_certificate(
     Each entry, x before y, is checked as it comes: its masks, its nesting,
     its weight's sign, then the weight as a rational. The sums are integers
     over den, the lcm of the nonzero weights' denominators so far, and are
-    scaled up when den grows. Only the value and an offender's excess
-    become Fractions."""
+    scaled up when den grows, which `rational.capped` bounds. Only the value
+    and an offender's excess become Fractions."""
     if cert.schema_name != schema.name:
         raise InputError(
             f"certificate was written against schema {cert.schema_name!r}, "
@@ -73,7 +72,7 @@ def verify_certificate(
         q = v.denominator
         if den % q:
             scale = q // gcd(den, q)
-            den *= scale
+            den = capped(den * scale)
             value *= scale
             for mask in residual:
                 residual[mask] *= scale
@@ -93,7 +92,7 @@ def verify_certificate(
             v = over_den(v)
             residual[s] = get(s, 0) + v
             residual[t] = get(t, 0) - v
-            value += v * instance.dst(s, t, cert.closure)
+            value += v * instance.dst(s, t)
     for row, v in cert.y.items():
         if v < 0:
             raise CertificateInvalid(f"negative y weight {v} on {_row_text(row, gs)}")
@@ -151,14 +150,13 @@ def combine_certificates(
     is pushed through each of these, weighted, and the first certificate's
     schema rows ride along the block embedding. No LP is involved, and the
     result is verified like any other certificate, so nothing here is
-    trusted blindly. Both inputs are verified up front. The product's
-    receivers are not built here: its messages come from `product_messages`,
-    the helper `lex_product` labels them with.
+    trusted blindly. Both inputs are verified up front, and the product's
+    denominator capped before any entry is built. The product's receivers
+    are not built here: its messages come from `product_messages`, the
+    helper `lex_product` labels them with.
     """
     if cert_g.schema_name != schema.name or cert_f.schema_name != schema.name:
         raise InputError("both certificates must match the schema being combined under")
-    if cert_g.closure != cert_f.closure:
-        raise InputError("certificates disagree on closure mode")
     for which, inst, cert in (("first", inst_g, cert_g), ("second", inst_f, cert_f)):
         try:
             verify_certificate(inst, schema, cert)
@@ -171,11 +169,12 @@ def combine_certificates(
     g_hom = BlockEmbedding(gs_g, gs_p, nf)
     firsts = sum(1 << i * nf for i in range(gs_g.n))  # bit 0 of every block
 
-    # Weights are summed as integers over den_g * den_f, each its
+    # Weights are summed as integers over den = den_g * den_f, each its
     # certificate's common denominator, and become Fractions at the end. A
     # certificate's scaled weights list its x entries, then its y entries.
     g_w, den_g = scaled(chain(cert_g.x.values(), cert_g.y.values()))
     f_w, den_f = scaled(chain(cert_f.x.values(), cert_f.y.values()))
+    den = capped(den_g * den_f)
     x: Dict[Tuple[int, int], int] = {}
     y: Dict[SchemaRow, int] = {}
 
@@ -203,9 +202,7 @@ def combine_certificates(
             key = schema.pushforward_row(hom, row)
             y[key] = y.get(key, 0) + vg * vf
 
-    den = den_g * den_f
-    return DualCertificate(schema.name, cert_g.closure,
-                           {key: Rational(w, den) for key, w in x.items()},
+    return DualCertificate(schema.name, {key: Rational(w, den) for key, w in x.items()},
                            {key: Rational(w, den) for key, w in y.items()}, None)
 
 
@@ -236,5 +233,5 @@ def c5_certificate():
         SubmodRow(m(2, 3, 4), m(1, 2, 3)): half,
         SubmodRow(m(2, 3), m(5)): half,
     }
-    cert = DualCertificate("submod", ClosureMode.SINGLE_STEP, x, y, rat("5/2"))
+    cert = DualCertificate("submod", x, y, rat("5/2"))
     return instance, schema, cert

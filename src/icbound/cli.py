@@ -1,5 +1,6 @@
 """Command-line surface: solve, verify, combine, convert, demo.
 
+The bound LP and every certificate use the one-step closure, the only one.
 Exit codes are part of the contract: 0 success, 1 a verification or claimed
 value failed, 2 malformed input or a stdout that cannot be written (a full
 disk), 3 a resource cap was hit, 141 stdout was closed early (128 +
@@ -32,7 +33,6 @@ from icbound.formats import (
     orbit_homs_from_json,
     schema_by_name,
 )
-from icbound.instance import ClosureMode
 from icbound.lincode import min_scalar_linear_rate
 from icbound.lp import build_problem, solve_problem
 from icbound.matroid import addineq_certificate, fano, nonfano, to_index_coding
@@ -72,7 +72,7 @@ def _row_homs(spec: str, schema_name: str, gs):
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
     schema = schema_by_name(args.schema, _row_homs(args.rows, args.schema, instance.messages))
-    sol = solve_problem(build_problem(instance, schema, ClosureMode(args.closure)))
+    sol = solve_problem(build_problem(instance, schema))
     if args.stats:
         print(json.dumps(dataclasses.asdict(sol.stats)), file=sys.stderr)
     print(f"b = {rat_str(sol.value)}")
@@ -280,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", default="identity", metavar="identity|orbit:PATH|file:PATH",
                    help="fano rows: the identity embedding; it and its images under a JSON "
                    "array of label maps; or a JSON array of homs (see icbound.formats)")
-    p.add_argument("--closure", default="single", choices=sorted(m.value for m in ClosureMode))
     p.add_argument("--emit-cert", metavar="PATH")
     p.add_argument("--stats", action="store_true",
                    help="print the solver's counts to stderr as one JSON line")

@@ -8,7 +8,8 @@ class InputError(ValueError):
 
 class ResourceCapError(RuntimeError):
     """An operation was refused because it would exceed a size cap
-    (dense subset enumeration, branch-and-bound instance size, code search)."""
+    (dense subset enumeration, branch-and-bound instance size, code search,
+    a denominator past rational.DIGIT_CAP digits)."""
 
 
 class VerificationError(AssertionError):

@@ -15,7 +15,8 @@ A hom (homext row, `--rows file:` entry) is {"base": [label], "atoms":
 orbit:` file is an array of {generator label: instance label} maps.
 Malformed input raises InputError naming the field's path, such as
 `receivers[2].knows`, never a raw KeyError, TypeError or ValueError. A
-graph edge is a pair of two distinct vertex labels.
+graph edge is a pair of two distinct vertex labels. A certificate's
+"closure" is "single", the only closure; any other value is refused.
 
 `load_json(path)` returns what json.load does, except that an object
 that repeats a key is refused, where json.load would keep the last value.
@@ -89,7 +90,7 @@ from icbound.certificate import DualCertificate
 from icbound.errors import InputError
 from icbound.gf import check_prime
 from icbound.groundset import GroundSet, LatticeHom, first_repeat
-from icbound.instance import ClosureMode, IndexCodingInstance, from_graph
+from icbound.instance import IndexCodingInstance, from_graph
 from icbound.matroid import Matroid, rank_from_matrix
 from icbound.rational import Rational, rat, rat_str
 from icbound.schema import (HomExtRow, HomExtSchema, SchemaRow, SideRow, SubmodRow,
@@ -821,7 +822,7 @@ def certificate_to_json(cert: DualCertificate, gs: GroundSet, schema) -> dict:
     return {
         "value": None if cert.claimed_value is None else rat_str(cert.claimed_value),
         "schema": cert.schema_name,
-        "closure": cert.closure.value,
+        "closure": "single",
         "x": _XEntries(names, x),
         "y": ({"row": _row_to_json(row, names), "v": v} for row, v in y),
     }
@@ -859,7 +860,9 @@ def certificate_from_json(obj, gs: GroundSet, schema=None):
     elif name != schema.name:
         raise InputError(f"{node.path} is {name!r}, expected {schema.name!r}")
     node = doc["closure"]
-    closure = node._at_path(ClosureMode, node.value)
+    if node.value != "single":
+        raise InputError(f"{node.path} is {reprlib.repr(node.value)}; "
+                         'only "single" closure is supported')
     x = _plain_x(doc["x"].value)
     if x is None:
         x = {}
@@ -875,7 +878,7 @@ def certificate_from_json(obj, gs: GroundSet, schema=None):
             raise InputError(f"{entry.path} repeats an earlier row")
         y[row] = entry["v"].rational()
     claimed = None if doc.value.get("value") is None else doc["value"].rational()
-    return DualCertificate(name, closure, x, y, claimed), schema
+    return DualCertificate(name, x, y, claimed), schema
 
 
 def _homext_part(schema_name: str) -> HomExtSchema:

@@ -3,23 +3,19 @@
 An instance is a ground set of messages plus receivers (want, knows): the
 receiver demands message `want` and already holds the messages in `knows`.
 Undirected graphs embed as one receiver per vertex knowing its neighbors.
+The closure of a set is one round of decoding, not a fixed point: the
+single step that the bound LP and the combination theorem are stated for.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from enum import Enum
 from itertools import repeat
 from operator import rshift
 from typing import Iterable
 
 from .errors import InputError, ResourceCapError
 from .groundset import BlockEmbedding, GroundSet, bit_indices, popcount
-
-
-class ClosureMode(Enum):
-    SINGLE_STEP = "single"
-    ITERATED = "iterated"
 
 
 class IndexCodingInstance:
@@ -94,27 +90,15 @@ class IndexCodingInstance:
                 decoded |= bit
         return decoded
 
-    def closure(self, mask: int, mode: ClosureMode = ClosureMode.SINGLE_STEP) -> int:
-        """Messages decodable from the set: mask plus every wanted message
-        whose receiver's side information lies inside mask. Single-step adds
-        one round; iterated repeats to a fixed point."""
-        self.messages.check_mask(mask)
-        full = self.messages.full_mask
-        current = mask
-        while True:
-            outside = full ^ current
-            grown = current | self._decoded(outside, outside)
-            if mode is ClosureMode.SINGLE_STEP or grown == current:
-                return grown
-            current = grown
+    def closure(self, mask: int) -> int:
+        """Messages decodable from the set in one step: mask plus every
+        wanted message some receiver of which knows only messages of mask."""
+        outside = self.messages.full_mask ^ self.messages.check_mask(mask)
+        return mask | self._decoded(outside, outside)
 
-    def dst(self, s: int, t: int, mode: ClosureMode = ClosureMode.SINGLE_STEP) -> int:
-        """Count of t's messages decodable from s without being in s.
-
-        Single-step only tests the messages of t outside s, not every receiver.
-        """
-        if mode is ClosureMode.ITERATED:
-            return popcount(t & self.closure(s, mode) & ~s)
+    def dst(self, s: int, t: int) -> int:
+        """Count of t's messages in closure(s) but not in s; only the
+        messages of t outside s are tested, not every receiver."""
         outside = self.messages.full_mask ^ self.messages.check_mask(s)
         return popcount(self._decoded(outside, t & outside))
 

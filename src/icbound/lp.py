@@ -2,14 +2,14 @@
 
 The LP minimizes the value assigned to the empty set subject to: the full
 message set scores n, adding one message to a known set costs at most 1 (and
-costs 0 when that message is already implied), and every schema row is
-nonnegative. Solving happens on the dual in standard form, whose simplex
-multipliers are exactly the primal subset values; that keeps the basis at
-size 2^n instead of the number of constraints. The primal objective is z of
-the empty set alone, so the dual's right-hand side is e_0, the one shape
-`simplex.StandardFormLP` takes. The crash basis climbs from the empty set
-to the full set one decoding column at a time, then covers the full set's
-row with w_plus.
+costs 0 when that message is in the set's one-step closure), and every
+schema row is nonnegative. Solving happens on the dual in standard form,
+whose simplex multipliers are exactly the primal subset values; that keeps
+the basis at size 2^n instead of the number of constraints. The primal
+objective is z of the empty set alone, so the dual's right-hand side is
+e_0, the one shape `simplex.StandardFormLP` takes. The crash basis climbs
+from the empty set to the full set one decoding column at a time, then
+covers the full set's row with w_plus.
 
 The LP data are ints: costs 0, -1, n and -n, decoding columns (1, -1), and
 each schema row's coefficients, which a SetVector holds as ints already.
@@ -45,7 +45,7 @@ from typing import Dict, List, Tuple
 from icbound import certificate
 from icbound.certificate import DualCertificate, _row_text
 from icbound.errors import CertificateInvalid, InputError, ResourceCapError, VerificationError
-from icbound.instance import ClosureMode, IndexCodingInstance
+from icbound.instance import IndexCodingInstance
 from icbound.rational import Rational, scaled
 from icbound.schema import SchemaRow, SubmodSchema
 from icbound.simplex import SolveStats, StandardFormLP, solve_standard_form
@@ -62,7 +62,6 @@ __all__ = [
 class LPProblem:
     instance: IndexCodingInstance
     schema: object
-    closure: ClosureMode
     dec_count: int  # columns 0..dec_count-1 decode: cols_idx[col] is the pair (s, t)
     schema_rows: List[SchemaRow]
     lp: StandardFormLP
@@ -74,8 +73,7 @@ class LPProblem:
 @dataclass
 class BoundSolution:
     """The optimum b, the subset values z, the dual weights as a certificate
-    (claimed value b) under the problem's schema and closure, and the
-    solver's counts."""
+    (claimed value b) under the problem's schema, and the solver's counts."""
 
     value: Rational
     z: Dict[int, Rational]
@@ -90,11 +88,7 @@ class BoundSolution:
 ROW_CAP = 256  # rows of the largest LP build_problem admits
 
 
-def build_problem(
-    instance: IndexCodingInstance,
-    schema=None,
-    closure: ClosureMode = ClosureMode.SINGLE_STEP,
-) -> LPProblem:
+def build_problem(instance: IndexCodingInstance, schema=None) -> LPProblem:
     if schema is None:
         schema = SubmodSchema()
     gs = instance.messages
@@ -110,7 +104,7 @@ def build_problem(
 
     crash: List[Tuple[int, int]] = []
     for s in range(1 << n):
-        cl = instance.closure(s, closure)
+        cl = instance.closure(s)
         for i in range(n):
             bit = 1 << i
             if s & bit:
@@ -151,9 +145,7 @@ def build_problem(
     crash.append((w_plus, full))
 
     lp = StandardFormLP(1 << n, cols_idx, cols_val, cobj)
-    return LPProblem(
-        instance, schema, closure, dec_count, schema_rows, lp, crash, w_plus, w_minus
-    )
+    return LPProblem(instance, schema, dec_count, schema_rows, lp, crash, w_plus, w_minus)
 
 
 def solve_problem(problem: LPProblem) -> BoundSolution:
@@ -172,7 +164,7 @@ def solve_problem(problem: LPProblem) -> BoundSolution:
     for k, row in enumerate(problem.schema_rows):
         if res.x[base + k]:
             y[row] = res.x[base + k]
-    cert = DualCertificate(problem.schema.name, problem.closure, x, y, res.objective)
+    cert = DualCertificate(problem.schema.name, x, y, res.objective)
     sol = BoundSolution(res.objective, z, cert, res.stats)
     _audit_against_instance(problem, sol, res.x[problem.w_plus] - res.x[problem.w_minus])
     try:
@@ -203,7 +195,7 @@ def _audit_against_instance(problem: LPProblem, sol: BoundSolution, w: Rational)
     if z[0] * value.denominator != value.numerator * dz:
         raise VerificationError("empty-set value disagrees with the LP objective")
     for s in range(1 << n):
-        cl = inst.closure(s, problem.closure)
+        cl = inst.closure(s)
         zs = z[s]
         for i in range(n):
             bit = 1 << i

@@ -24,7 +24,7 @@ from icbound.certificate import DualCertificate
 from icbound.errors import InputError, ResourceCapError
 from icbound.gf import check_prime, span_ranks
 from icbound.groundset import GroundSet
-from icbound.instance import ClosureMode, IndexCodingInstance
+from icbound.instance import IndexCodingInstance
 from icbound.rational import ZERO, Rational
 
 __all__ = [
@@ -268,4 +268,4 @@ def addineq_certificate(matroid: Matroid, row, schema) -> DualCertificate:
 
     y = {row: Rational(1, scale)}
     value = gs.n - matroid.full_rank - Rational(deficit, scale)
-    return DualCertificate(schema.name, ClosureMode.SINGLE_STEP, x, y, value)
+    return DualCertificate(schema.name, x, y, value)

@@ -3,7 +3,8 @@
 Subset vectors, schema rows and LP data are ints. Rationals appear only where
 a value can be fractional: certificate weights, claimed values and LP results.
 The one rational type is fractions.Fraction, with unbounded integer numerator
-and denominator; no floating point ever enters.
+and denominator; no floating point ever enters. Where a denominator grows,
+`capped` holds it to DIGIT_CAP digits, so that everything written reads back.
 """
 
 from __future__ import annotations
@@ -12,13 +13,16 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 
 Rational = Fraction
 BACKEND = "fractions"
 
 ZERO = Rational(0)
 ONE = Rational(1)
+
+DIGIT_CAP = 4300  # CPython's default limit on int <-> str (sys.int_info)
+_PAST_CAP = 10 ** DIGIT_CAP
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -63,5 +67,17 @@ def scaled(values) -> tuple[list[int], int]:
     none, and nums lists each value times den, an int. Takes what `rat`
     takes, so a float is refused."""
     qs = [rat(v) for v in values]
-    den = lcm(*(q.denominator for q in qs))
+    den = capped(lcm(*(q.denominator for q in qs)))
     return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def capped(den: int) -> int:
+    """den, or ResourceCapError past DIGIT_CAP digits, found by comparing
+    sizes: no digits are spelled on the way."""
+    if den < _PAST_CAP:
+        return den
+    digits = int(den.bit_length() * 0.30102999566398120)  # times log10(2): at most den's
+    while den >= 10 ** digits:
+        digits += 1
+    raise ResourceCapError(
+        f"a denominator of {digits} digits is past the cap of {DIGIT_CAP} digits")

@@ -726,7 +726,7 @@ def fraction_verify(instance, schema, cert):
             v = rat(v)
             residual[s] = residual.get(s, F0) + v
             residual[t] = residual.get(t, F0) - v
-            value += v * instance.dst(s, t, cert.closure)
+            value += v * instance.dst(s, t)
     for row, v in cert.y.items():
         if v < 0:
             raise CertificateInvalid(f"negative y weight {v} on {_row_text(row, gs)}")

@@ -17,7 +17,7 @@ from icbound import simplex
 from icbound.certificate import DualCertificate
 from icbound.errors import InputError, VerificationError
 from icbound.groundset import GroundSet, SetVector
-from icbound.instance import ClosureMode, IndexCodingInstance, cycle_instance
+from icbound.instance import IndexCodingInstance, cycle_instance
 from icbound.lincode import ScalarLinearCode, code_entropy_vector
 from icbound.lp import build_problem, solve_problem
 from icbound.matroid import fano, nonfano, to_index_coding
@@ -215,7 +215,7 @@ def test_instance_audit_names_a_homext_row_by_labels():
     problem = build_problem(to_index_coding(matroid), schema_with_submod("odd"))
     value = rat(matroid.n - matroid.full_rank)
     z = {s: value + r for s, r in enumerate(matroid.ranks)}
-    cert = DualCertificate("submod+fano-odd", ClosureMode.SINGLE_STEP)
+    cert = DualCertificate("submod+fano-odd")
     sol = lp_module.BoundSolution(value, z, cert, SolveStats())
     atoms = ", ".join(f"{lab!r} -> ({lab!r},)" for lab in matroid.gs.labels)
     assert instance_audit_message(problem, sol) == (

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icbound.certificate import (DualCertificate, c5_certificate,
                                  combine_certificates, verify_certificate)
 from icbound.errors import CertificateInvalid, InputError
 from icbound.groundset import GroundSet, SetVector
-from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
-                              from_graph, product_messages)
+from icbound.instance import IndexCodingInstance, cycle_instance, from_graph, product_messages
 from icbound.lp import build_problem, solve_problem
 from icbound.matroid import addineq_certificate, fano, nonfano, to_index_coding
 from icbound.rational import ONE, rat
@@ -41,7 +41,7 @@ def test_c5_certificate_verifies():
 def test_forced_decode_certificate_on_edgeless():
     inst = from_graph([1, 2, 3], [])
     full = inst.messages.full_mask
-    cert = DualCertificate("submod", ClosureMode.SINGLE_STEP, {(0, full): ONE}, {})
+    cert = DualCertificate("submod", {(0, full): ONE}, {})
     assert verify_certificate(inst, SUBMOD, cert) == rat(3)
 
 
@@ -119,17 +119,40 @@ def test_combine_value_and_feasibility_random_pairs():
         cert_g, val_g = solved_certificate(g)
         cert_f, val_f = solved_certificate(f)
         combined = combine_certificates(g, f, cert_g, cert_f, SUBMOD)
-        got = verify_certificate(g.lex_product(f), SUBMOD, combined)
-        assert got >= val_g * val_f
-        if all(knows for _, knows in g.receivers + f.receivers):
-            assert got == val_g * val_f
+        assert verify_certificate(g.lex_product(f), SUBMOD, combined) == val_g * val_f
+
+
+@st.composite
+def _hypergraph_pairs(draw):
+    """Two instances whose product has at most 6 messages. A message may have
+    no receiver or several, and a receiver may know nothing."""
+    def instance(n):
+        receivers = draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.just(0) | st.integers(0, (1 << n) - 1)), max_size=2 * n))
+        return IndexCodingInstance(GroundSet(range(n)),
+                                   [(want, knows & ~(1 << want)) for want, knows in receivers])
+    ng = draw(st.integers(1, 6))
+    return instance(ng), instance(draw(st.integers(1, 6 // ng)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=_hypergraph_pairs())
+def test_combined_certificate_is_worth_the_product_lp(pair):
+    # the one-step closure makes b(G) * b(F) a certified bound on G•F, and
+    # it is the product's own LP optimum
+    g, f = pair
+    cert_g, val_g = solved_certificate(g)
+    cert_f, val_f = solved_certificate(f)
+    product = g.lex_product(f)
+    combined = combine_certificates(g, f, cert_g, cert_f, SUBMOD)
+    assert verify_certificate(product, SUBMOD, combined) == val_g * val_f
+    assert lp_bound(product) == val_g * val_f
 
 
 def test_combine_identity_case():
     inst, schema, cert = c5_certificate()
     single = IndexCodingInstance(GroundSet(["v"]), [(0, 0)])
-    trivial = DualCertificate(
-        "submod", ClosureMode.SINGLE_STEP, {(0, 1): ONE}, {}, ONE)
+    trivial = DualCertificate("submod", {(0, 1): ONE}, {}, ONE)
     assert verify_certificate(single, SUBMOD, trivial) == ONE
     combined = combine_certificates(inst, single, cert, trivial, SUBMOD)
     assert verify_certificate(inst.lex_product(single), SUBMOD, combined) == rat("5/2")
@@ -150,14 +173,10 @@ def test_combine_labels_product_without_building_it(monkeypatch):
 
 def test_combine_error_paths():
     inst, schema, cert = c5_certificate()
-    other = DualCertificate("fano-odd", cert.closure, dict(cert.x), dict(cert.y))
+    other = DualCertificate("fano-odd", dict(cert.x), dict(cert.y))
     with pytest.raises(InputError):
         combine_certificates(inst, inst, cert, other, SUBMOD)
-    iterated = DualCertificate("submod", ClosureMode.ITERATED, dict(cert.x),
-                               dict(cert.y))
-    with pytest.raises(InputError):
-        combine_certificates(inst, inst, cert, iterated, SUBMOD)
-    broken = DualCertificate("submod", cert.closure, dict(cert.x), {})
+    broken = DualCertificate("submod", dict(cert.x), {})
     with pytest.raises(CertificateInvalid):
         combine_certificates(inst, inst, cert, broken, SUBMOD)
 
@@ -242,7 +261,7 @@ def test_negative_y_weight_names_the_row_by_labels():
 
     matroid, union = fano(), schema_with_submod("odd")
     left = SideRow(0, SubmodRow(0b0000011, 0b0000101))
-    cert = DualCertificate(union.name, ClosureMode.SINGLE_STEP, {}, {left: rat(-1)})
+    cert = DualCertificate(union.name, {}, {left: rat(-1)})
     with pytest.raises(CertificateInvalid) as err:
         verify_certificate(to_index_coding(matroid), union, cert)
     assert str(err.value) == (
@@ -266,28 +285,25 @@ def test_negative_homext_weight_names_the_hom_by_labels():
 
 def _seeded_certificates():
     """(instance, schema, certificate) from the solver, combine_certificates
-    and addineq_certificate, under both closure modes."""
+    and addineq_certificate."""
     rng = random.Random(2801)
     out = []
-    for closure in ClosureMode:
+    for _ in range(2):
         solved = []
         for _ in range(8):
             inst = random_graph_instance(rng, rng.randint(1, 5), True)
-            solved.append((inst, solve_problem(build_problem(inst, SUBMOD, closure)).cert))
+            solved.append((inst, solve_problem(build_problem(inst, SUBMOD)).cert))
         out += [(inst, SUBMOD, cert) for inst, cert in solved]
         for _ in range(4):
             (g, cert_g), (f, cert_f) = rng.sample(solved[:6], 2)
             out.append((g.lex_product(f), SUBMOD,
                         combine_certificates(g, f, cert_g, cert_f, SUBMOD)))
-        for matroid, parity in ((fano(), "odd"), (nonfano(), "even")):
-            schema = schema_with_submod(parity)
-            inst = to_index_coding(matroid)
-            solved = solve_problem(build_problem(inst, schema, closure)).cert
-            out.append((inst, schema, solved))
-            (row,) = list(fano_schema(parity).rows(matroid.gs))
-            cert = addineq_certificate(matroid, SideRow(1, row), schema)
-            cert.closure = closure
-            out.append((inst, schema, cert))
+    for matroid, parity in ((fano(), "odd"), (nonfano(), "even")):
+        schema = schema_with_submod(parity)
+        inst = to_index_coding(matroid)
+        out.append((inst, schema, solve_problem(build_problem(inst, schema)).cert))
+        (row,) = list(fano_schema(parity).rows(matroid.gs))
+        out.append((inst, schema, addineq_certificate(matroid, SideRow(1, row), schema)))
     return out
 
 
@@ -317,7 +333,7 @@ def _moved(rng, cert):
         else:
             v = float(v)
         weights[key] = v
-    return DualCertificate(cert.schema_name, cert.closure, x, y, claimed)
+    return DualCertificate(cert.schema_name, x, y, claimed)
 
 
 def _outcome(check, inst, schema, cert):

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from icbound import cli, formats, lincode
 from icbound.certificate import DualCertificate, c5_certificate, combine_certificates
 from icbound.cli import _build_parser, _emit, _read_certificate, main
-from icbound.errors import InputError
+from icbound.errors import InputError, ResourceCapError
 from icbound.formats import (SCHEMA_NAMES, certificate_from_json,
                              certificate_to_json, dump_json, instance_from_json,
                              instance_to_json, load_json, matroid_from_json,
@@ -30,7 +30,7 @@ from icbound.instance import IndexCodingInstance, cycle_instance, product_messag
 from icbound.lp import ROW_CAP, build_problem, solve_problem
 from icbound.certificate import verify_certificate
 from icbound.matroid import _FANO_LABELS, addineq_certificate, fano, nonfano, to_index_coding
-from icbound.rational import rat, rat_str, scaled
+from icbound.rational import DIGIT_CAP, capped, rat, rat_str, scaled
 from icbound.schema import SideRow, SubmodRow
 
 FANO_ROWS = [[int(lab[i]) for lab in _FANO_LABELS] for i in range(3)]
@@ -257,7 +257,7 @@ def test_certificate_roundtrip_bit_exact():
     assert back.x == cert.x
     assert back.y == cert.y
     assert back.claimed_value == cert.claimed_value
-    assert back.closure == cert.closure
+    assert json.loads(text)["closure"] == "single"
     assert verify_certificate(inst, back_schema, back) == rat("5/2")
 
 
@@ -339,7 +339,7 @@ def test_unserializable_row_is_refused_before_the_file_opens(tmp_path):
     # a row with no JSON form, two union sides deep, after the good rows
     inst, schema, cert = c5_certificate()
     bad = SideRow(0, SideRow(1, "mystery"))
-    cert = DualCertificate(cert.schema_name, cert.closure, cert.x, {**cert.y, bad: rat(1)})
+    cert = DualCertificate(cert.schema_name, cert.x, {**cert.y, bad: rat(1)})
     path = tmp_path / "cert.json"
     with pytest.raises(InputError) as err:
         dump_json(certificate_to_json(cert, inst.messages, schema), str(path))
@@ -354,7 +354,6 @@ def test_malformed_certificate_fields():
     for mutate in (
         lambda o: o.pop("schema"),
         lambda o: o.pop("closure"),
-        lambda o: o.update(closure="transitive"),
         lambda o: o["x"].append(dict(o["x"][0])),  # duplicate pair
         lambda o: o["x"][0].pop("v"),
         lambda o: o["y"][0]["row"].update(kind="mystery"),
@@ -362,6 +361,13 @@ def test_malformed_certificate_fields():
         obj = json.loads(json.dumps(good))
         mutate(obj)
         with pytest.raises(InputError):
+            certificate_from_json(obj, inst.messages)
+    # one closure: any "closure" but "single" is refused by name and value
+    for closure in ("transitive", "iterated", ["single"]):
+        obj = json.loads(json.dumps(good))
+        obj["closure"] = closure
+        with pytest.raises(InputError, match="^" + re.escape(
+                f'closure is {closure!r}; only "single" closure is supported') + "$"):
             certificate_from_json(obj, inst.messages)
     # homext or union rows placed under a schema that has no such part
     for row, message in (
@@ -674,9 +680,23 @@ def test_cli_calls_in_one_process_share_no_options(c5_file, fano_file, tmp_path,
     assert capsys.readouterr().out == "b = 4\n"
 
 
-def test_cli_solve_iterated_closure(c5_file, capsys):
-    assert main(["solve", c5_file, "--closure", "iterated"]) == 0
-    assert "b = 5/2" in capsys.readouterr().out
+def test_cli_solve_iterated_closure(c5_file, tmp_path, capsys):
+    # icb solve has no --closure option, and a certificate file that says
+    # "iterated" is refused with exit 2 and one line
+    for closure in ("iterated", "single"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", c5_file, "--closure", closure])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --closure" in capsys.readouterr().err
+    cert = tmp_path / "cert.json"
+    assert main(["solve", c5_file, "--emit-cert", str(cert)]) == 0
+    capsys.readouterr()
+    obj = load_json(str(cert))
+    obj["closure"] = "iterated"
+    dump_json(obj, str(cert))
+    assert main(["verify", c5_file, str(cert)]) == 2
+    assert capsys.readouterr() == (
+        "", "input error: closure is 'iterated'; only \"single\" closure is supported\n")
 
 
 def test_cli_product_and_combine(c5_file, tmp_path, capsys, monkeypatch):
@@ -783,6 +803,52 @@ def test_cli_exits_2_with_one_line_when_stdout_is_full(tmp_path):
                                   stderr=subprocess.PIPE, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (
             2, "input error: cannot write stdout: [Errno 28] No space left on device\n"), argv
+
+
+def test_denominators_are_capped_at_the_digits_that_read_back():
+    assert capped(10 ** DIGIT_CAP - 1) == 10 ** DIGIT_CAP - 1
+    widest = Fraction(-1, 10 ** DIGIT_CAP - 1)
+    assert rat(rat_str(widest)) == widest
+    for den, digits in ((10 ** DIGIT_CAP, 4301), (2 ** 20000, 6021), (10 ** 8000 + 7, 8001)):
+        with pytest.raises(ResourceCapError, match=f"^a denominator of {digits} digits is past "
+                           f"the cap of {DIGIT_CAP} digits$"):
+            capped(den)
+    with pytest.raises(ResourceCapError):
+        scaled([Fraction(1, 10 ** 2200 + 1), Fraction(1, 10 ** 2200 + 3)])
+
+
+def test_cli_refuses_denominators_past_the_cap_in_one_line(tmp_path):
+    # C5's certificate with its seven x weights 1/(10^4000 + k) is not
+    # valid, and with its weights scaled by 1 - w beside a chain of weight
+    # w = 1/(10^2200 + 1) it is: verify of the first and combine of the
+    # second with itself grow a denominator past the cap, before any
+    # offender or entry is spelled, and no file is written
+    inst, schema, cert = c5_certificate()
+    bad = DualCertificate(cert.schema_name, {pair: Fraction(1, 10 ** 4000 + k)
+                                             for k, pair in enumerate(cert.x)}, cert.y)
+    w = Fraction(1, 10 ** 2200 + 1)
+    x = {pair: v * (1 - w) for pair, v in cert.x.items()}
+    for i in range(5):  # the chain {} < {1} < {1, 2} < ... < {1, ..., 5}
+        pair = ((1 << i) - 1, (2 << i) - 1)
+        x[pair] = x.get(pair, 0) + w
+    big = DualCertificate(cert.schema_name, x, {row: v * (1 - w) for row, v in cert.y.items()})
+    path = _write(tmp_path, "c5.json", instance_to_json(inst))
+    bad_path, big_path = (_write(tmp_path, name, certificate_to_json(c, inst.messages, schema))
+                          for name, c in (("bad.json", bad), ("big.json", big)))
+    out = str(tmp_path / "c5sq.cert.json")
+    src = os.path.dirname(os.path.dirname(formats.__file__))
+    value = (1 - w) * Fraction(5, 2) + w  # only {1, ..., 4} < {1, ..., 5} decodes, one message
+    for argv, code, stdout, stderr in (
+            (["verify", path, bad_path], 3, "",
+             "resource cap: a denominator of 8001 digits is past the cap of 4300 digits\n"),
+            (["verify", path, big_path], 0, f"value = {rat_str(value)}\n", ""),
+            (["combine", path, path, big_path, big_path, "--out", out], 3, "",
+             "resource cap: a denominator of 4401 digits is past the cap of 4300 digits\n")):
+        proc = subprocess.run([sys.executable, "-m", "icbound.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr), argv
+    assert not os.path.exists(out)
 
 
 def test_cli_matroid_alpha_search(tmp_path, c5_file, capsys):
@@ -1344,6 +1410,9 @@ def _factor_files(c5_power_certs):
 # icbound.cli is imported, so the bound does not move with the size of the
 # interpreter and its imports. VmHWM is the child's own peak: its ru_maxrss
 # would also count this process's pages, which the child holds until it execs.
+# Each bound sits between this tree's reading and the reading of the tree
+# whose regression it guards, both read from a warm private cache as
+# _rise_of reads them (KiB, CPython 3.11).
 _RISE = ("import sys\n"
          "def status(key):\n"
          "    with open('/proc/self/status') as fh:\n"
@@ -1355,35 +1424,49 @@ _RISE = ("import sys\n"
          "sys.exit(code)\n")
 
 
-def _rise_of(*argv):
+@pytest.fixture(scope="module")
+def pycache(tmp_path_factory):
+    """A bytecode cache of _rise_of's own, apart from any __pycache__ beside
+    the sources."""
+    return str(tmp_path_factory.mktemp("pycache"))
+
+
+def _rise_of(pycache, *argv):
     """What `icb argv` prints in a fresh process, and how many KiB its peak
-    RSS rose above its RSS after importing icbound.cli."""
+    RSS rose above its RSS after importing icbound.cli. Compiling in the
+    measured process moves its peak (by 770 KiB for icb product of
+    non-Fano^2), so a first run of the same command writes the bytecode of
+    every module it imports to pycache, and the measured run reads it there,
+    whether or not the sources have cached bytecode."""
     src = os.path.dirname(os.path.dirname(formats.__file__))
-    proc = subprocess.run([sys.executable, "-c", _RISE, *argv],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    warm = {key: v for key, v in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    warm.update(PYTHONPATH=src, PYTHONPYCACHEPREFIX=pycache)
+    for env in (warm, dict(warm, PYTHONDONTWRITEBYTECODE="1")):
+        proc = subprocess.run([sys.executable, "-c", _RISE, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
     printed, _, rise_kib = proc.stdout[:-1].rpartition("\n")
     return printed, int(rise_kib)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_verify_of_c5_to_the_fourth_rises_little_past_its_imports(c5_power_certs):
-    # on the 34.6 MB certificate a 2^22-character buffer rose 21.5-22.5 MB
-    # (CPython 3.10-3.13); a 2^21 one rises 10.6-11.8 MB
+def test_verify_of_c5_to_the_fourth_rises_little_past_its_imports(c5_power_certs, pycache):
+    # on the 34.6 MB certificate a 2^22-character buffer rose 20,332-20,396
+    # (the parent of e7265b8); a 2^21 one rises 14,588-14,592
     assert os.path.getsize(c5_power_certs[4]) > 30 << 20
     power = c5_power_certs[4].replace(".cert.json", ".json")
-    printed, rise_kib = _rise_of("verify", power, c5_power_certs[4])
+    printed, rise_kib = _rise_of(pycache, "verify", power, c5_power_certs[4])
     assert printed == "value = 625/16"
     assert rise_kib < 16 << 10
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_combine_into_c5_to_the_fourth_rises_little_past_its_imports(c5_power_certs, tmp_path):
-    # listing every entry before the write rose 18.0-19.2 MB (CPython
-    # 3.10-3.13); building each as the writer reaches it rises 2.5-3.5 MB
+def test_combine_into_c5_to_the_fourth_rises_little_past_its_imports(c5_power_certs, pycache,
+                                                                    tmp_path):
+    # listing every entry before the write rose 19,788-19,796 (the parent of
+    # e7265b8); building each as the writer reaches it rises 3,348
     out = str(tmp_path / "c5p4.cert.json")
-    printed, rise_kib = _rise_of("combine", *_factor_files(c5_power_certs), "--out", out)
+    printed, rise_kib = _rise_of(pycache, "combine", *_factor_files(c5_power_certs), "--out", out)
     assert printed == "value = 625/16"
     assert rise_kib < 9 << 10
     with open(c5_power_certs[4], "rb") as fh, open(out, "rb") as mine:
@@ -1409,38 +1492,43 @@ def nonfano_squared(tmp_path_factory):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_verify_of_nonfano_squared_rises_little_past_its_imports(nonfano_squared):
+def test_verify_of_nonfano_squared_rises_little_past_its_imports(nonfano_squared, pycache):
     # the 1.8 MB instance is read whole, its receivers to masks, beside the
-    # 0.7 MB certificate and the packed index: 3.4 MB (CPython 3.11), as
-    # much as reading label lists and scanning receivers took
+    # 0.7 MB certificate and the packed index: 3,636-3,736, about what
+    # reading label lists and scanning receivers took (3,744-3,840 at the
+    # parent of 0af4937); json.load of each whole file rose 4,332-4,352
+    # (the parent of ae538d2)
     _, square, square_cert = nonfano_squared
-    printed, rise_kib = _rise_of("verify", square, square_cert)
+    printed, rise_kib = _rise_of(pycache, "verify", square, square_cert)
     assert printed == "value = 8649/529"
-    assert rise_kib < 6 << 10
+    assert rise_kib < 4 << 10
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_product_into_nonfano_squared_rises_little_past_its_imports(nonfano_squared, tmp_path):
-    # the 3,844 receivers are laid out from their (want, mask) pairs: 528
-    # KiB (CPython 3.11), where an object per receiver rose 1,144 KiB
+def test_product_into_nonfano_squared_rises_little_past_its_imports(nonfano_squared, pycache,
+                                                                   tmp_path):
+    # the 3,844 receivers are laid out from their (want, mask) pairs: 1,276,
+    # where an object per receiver rose 2,020-2,028 (the parent of 443d149)
     (inst, _), square, _ = nonfano_squared
     out = str(tmp_path / "nf2.json")
-    printed, rise_kib = _rise_of("product", inst, inst, "--out", out)
+    printed, rise_kib = _rise_of(pycache, "product", inst, inst, "--out", out)
     assert printed == ""
-    assert rise_kib < 800
+    assert rise_kib < 1650
     with open(square, "rb") as fh, open(out, "rb") as mine:
         assert mine.read() == fh.read()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_combine_into_nonfano_squared_rises_little_past_its_imports(nonfano_squared, tmp_path):
+def test_combine_into_nonfano_squared_rises_little_past_its_imports(nonfano_squared, pycache,
+                                                                   tmp_path):
     # the product instance is built and decoded in memory and the
-    # certificate written an entry at a time: 0.7 MB (CPython 3.11)
+    # certificate written an entry at a time: 1,624, where listing every
+    # entry before the write rose 2,064 (the parent of e7265b8)
     (inst, cert), _, square_cert = nonfano_squared
     out = str(tmp_path / "nf2.cert.json")
-    printed, rise_kib = _rise_of("combine", inst, inst, cert, cert, "--out", out)
+    printed, rise_kib = _rise_of(pycache, "combine", inst, inst, cert, cert, "--out", out)
     assert printed == "value = 8649/529"
-    assert rise_kib < 2 << 10
+    assert rise_kib < 1850
     with open(square_cert, "rb") as fh, open(out, "rb") as mine:
         assert mine.read() == fh.read()
 

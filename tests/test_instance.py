@@ -6,8 +6,7 @@ import pytest
 
 from icbound.errors import InputError, ResourceCapError
 from icbound.groundset import GroundSet, bit_indices, popcount
-from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
-                              from_graph)
+from icbound.instance import IndexCodingInstance, cycle_instance, from_graph
 from icbound.matroid import fano, nonfano, to_index_coding
 
 from lemmas import closure
@@ -21,9 +20,9 @@ def vmask(*verts):
     return C5.messages.mask_of(verts)
 
 
-def cst(inst, s, t, mode=ClosureMode.SINGLE_STEP):
+def cst(inst, s, t):
     """Count of t's messages not decodable from s."""
-    return popcount(t & ~inst.closure(s, mode))
+    return popcount(t & ~inst.closure(s))
 
 
 def test_receivers_deduplicated_and_validated():
@@ -59,14 +58,16 @@ def test_closure_examples():
 
 
 def test_closure_extensive_monotone_and_modes():
+    # one round of decoding, not its fixed point: where a knows b, b knows c
+    # and c knows nothing, the empty set decodes c alone
+    chain = IndexCodingInstance(GroundSet("abc"), [(0, 0b010), (1, 0b100), (2, 0)])
+    assert [chain.closure(s) for s in (0, 0b100, 0b110)] == [0b100, 0b110, 0b111]
     for inst in (C5, to_index_coding(fano())):
         full = inst.messages.full_mask
         for s in range(0, full + 1, 7):  # sampled subsets
             one = inst.closure(s)
-            many = inst.closure(s, ClosureMode.ITERATED)
             assert one & s == s
-            assert one & ~many == 0  # single-step inside iterated
-            assert inst.closure(many, ClosureMode.ITERATED) == many
+            assert one & ~inst.closure(one) == 0
         for s in range(0, full + 1, 13):
             for t in range(0, full + 1, 11):
                 if s & ~t == 0:
@@ -230,15 +231,26 @@ def _random_instance(rng, n):
     return IndexCodingInstance(GroundSet(range(n)), receivers), receivers
 
 
-def _oracle_closure(receivers, s, mode):
+def _oracle_closure(receivers, s, rounds):
+    """One round of closure_once, or rounds to a fixed point when rounds is
+    "iterated"."""
     grown = closure_once(receivers, s)
-    while mode is ClosureMode.ITERATED and grown != s:
+    while rounds == "iterated" and grown != s:
         s, grown = grown, closure_once(receivers, grown)
     return grown
 
 
-@pytest.mark.parametrize("mode", list(ClosureMode), ids=lambda m: m.value)
-def test_dst_and_closure_match_oracle_on_random_instances(mode):
+def _fixed_point(inst, s):
+    """closure repeated until it adds nothing."""
+    while (grown := inst.closure(s)) != s:
+        s = grown
+    return s
+
+
+# "single" checks closure and dst against one round of the oracle;
+# "iterated" checks that repeating closure reaches the oracle's fixed point.
+@pytest.mark.parametrize("rounds", ["single", "iterated"])
+def test_dst_and_closure_match_oracle_on_random_instances(rounds):
     rng = random.Random(20260)
     for n in [3, 4, 5, 6, 7] * 6 + [70, 130]:
         inst, receivers = _random_instance(rng, n)
@@ -246,13 +258,16 @@ def test_dst_and_closure_match_oracle_on_random_instances(mode):
         for _ in range(40):
             t = rng.getrandbits(n)
             s = t & rng.getrandbits(n) if rng.random() < 0.7 else rng.getrandbits(n)
-            cl = _oracle_closure(receivers, s, mode)
-            assert inst.closure(s, mode) == cl
-            assert inst.dst(s, t, mode) == popcount(t & cl & ~s)
-            assert inst.dst(s, t, mode) == popcount(t & inst.closure(s, mode) & ~s)
-            assert cst(inst, s, t, mode) == popcount(t & ~cl)
-        assert inst.closure(full, mode) == full
-        assert inst.dst(0, full, mode) == popcount(_oracle_closure(receivers, 0, mode))
+            cl = _oracle_closure(receivers, s, rounds)
+            if rounds == "iterated":
+                assert _fixed_point(inst, s) == cl
+                continue
+            assert inst.closure(s) == cl
+            assert inst.dst(s, t) == popcount(t & cl & ~s)
+            assert inst.dst(s, t) == popcount(t & inst.closure(s) & ~s)
+            assert cst(inst, s, t) == popcount(t & ~cl)
+        assert inst.closure(full) == full
+        assert inst.dst(0, full) == popcount(_oracle_closure(receivers, 0, "single"))
 
 
 def _seeded_instances(rng):
@@ -268,26 +283,28 @@ def _seeded_instances(rng):
         yield IndexCodingInstance(GroundSet(range(n)), receivers), receivers
 
 
-@pytest.mark.parametrize("mode", list(ClosureMode), ids=lambda m: m.value)
-def test_packed_decode_matches_the_receiver_scan(mode):
+@pytest.mark.parametrize("rounds", ["single", "iterated"])
+def test_packed_decode_matches_the_receiver_scan(rounds):
     """closure and dst read the packed index; the per-receiver scan they
-    replaced is the reference, on s and t from 0 to the full mask."""
+    replaced is the reference, on s and t from 0 to the full mask. Under
+    "iterated", closure repeated to its fixed point against the scan's."""
     rng = random.Random(1108)
     fano_ic, nonfano_ic = to_index_coding(fano()), to_index_coding(nonfano())
     cases = list(_seeded_instances(rng))
     cases += [(inst, list(inst.receivers)) for inst in (
         C5.lex_product(C5), fano_ic.lex_product(fano_ic), fano_ic.lex_product(nonfano_ic))]
-    iterated = mode is ClosureMode.ITERATED
+    iterated = rounds == "iterated"
     for inst, receivers in cases:
         full = inst.messages.full_mask
         masks = [0, full] + [rng.getrandbits(inst.n) for _ in range(12)]
         for s in masks:
             cl = scan_closure(receivers, inst.n, s, iterated)
-            assert inst.closure(s, mode) == cl
+            if iterated:
+                assert _fixed_point(inst, s) == cl
+                continue
+            assert inst.closure(s) == cl
             for t in masks + [s | rng.getrandbits(inst.n)]:
-                want = popcount(t & cl & ~s) if iterated else popcount(
-                    scan_decoded(receivers, s, t & ~s))
-                assert inst.dst(s, t, mode) == want
+                assert inst.dst(s, t) == popcount(scan_decoded(receivers, s, t & ~s))
 
 
 def test_constructor_words_the_first_offender():

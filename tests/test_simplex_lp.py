@@ -12,8 +12,7 @@ import pytest
 from icbound import kernels
 from icbound.errors import InputError
 from icbound.groundset import GroundSet, popcount
-from icbound.instance import (ClosureMode, IndexCodingInstance, cycle_instance,
-                              from_graph)
+from icbound.instance import IndexCodingInstance, cycle_instance, from_graph
 from icbound.lp import build_problem, solve_problem
 from icbound.matroid import Matroid, fano, nonfano, to_index_coding
 from icbound.rational import ONE, ZERO, rat, rat_str
@@ -30,9 +29,9 @@ def to_fraction(v):
     return Fraction(int(v.numerator), int(v.denominator))
 
 
-def lp_bound(inst, schema=None, closure=ClosureMode.SINGLE_STEP):
+def lp_bound(inst, schema=None):
     """The optimum of the bound LP (default schema: submodularity)."""
-    return solve_problem(build_problem(inst, schema, closure)).value
+    return solve_problem(build_problem(inst, schema)).value
 
 
 def hand_lp_arrays():
@@ -645,11 +644,3 @@ def test_fano_separation_direction():
     nonfano_even = lp_bound(to_index_coding(nonfano()), schema_with_submod("even"))
     assert fano_odd > rat(4)
     assert nonfano_even > rat(4)
-
-
-def test_iterated_closure_only_tightens():
-    gs = GroundSet(["a", "b", "c"])
-    chain = IndexCodingInstance(gs, [(0, 0b010), (1, 0b100), (2, 0b001)])
-    single = lp_bound(chain)
-    iterated = lp_bound(chain, closure=ClosureMode.ITERATED)
-    assert iterated >= single
