@@ -18,63 +18,11 @@ Malformed input raises InputError naming the field's path, such as
 graph edge is a pair of two distinct vertex labels. A certificate's
 "closure" is "single", the only closure; any other value is refused.
 
-`load_json(path)` returns what json.load does, except that an object
-that repeats a key is refused, where json.load would keep the last value.
-`load_json(path, gs)` reads a certificate: each subset's label
-array becomes its mask of gs as its object closes, so no label list
-outlives its entry, and `_Json.mask` takes the mask as it is. An array
-that is not a list of distinct str labels of gs is left as decoded, for
-the typed reader to word its error. `load_json(path, "messages")` reads an
-instance so: each receiver's "knows" becomes its mask as it closes, once
-the top-level "messages" (instance_to_json writes it first) is read, if
-its labels are distinct strings. `instance_from_json` and
-`certificate_from_json` take arrays of such masks at C speed; anything
-else goes to the typed reader, whose errors are the same: "messages" after
-"receivers", integer labels, the graph form, a repeated or unknown label.
-A label array that repeats a label, and a certificate that repeats an (s,
-t) pair or a y row, are refused. What instance_to_json and
-certificate_to_json return is for dump_json alone and reads back only from
-the text dump_json writes: the readers refuse its layout objects (below)
-and its "y" iterator as not arrays.
-
-`load_json` holds one buffer of the file's text, _CHUNK (2^21) characters,
-beside what it has decoded. It reads a member of the top-level object or
-array at a time, and a member array an element at a time until the rest of
-the file is in the buffer, each by raw_decode with the same hook, so a
-certificate's label arrays become masks while the text behind them is
-dropped; a file that fits one buffer is read whole at the first read. A
-value longer than the rest of a buffer doubles the buffer until it fits.
-Text that this reader does not take (malformed JSON, a repeated key, a
-top-level scalar) is read again by json.load, whose error names the line
-and column in the whole file.
-
-This module is also the only JSON writer. `dump_json` lays out exactly the
-text of `json.dumps(obj, indent=2)`: two-space indentation, "," and a line
-break between items, ": " after keys, keys in insertion order, non-ASCII as
-\\uXXXX escapes, empty containers as [] and {}. It also writes an
-iterator, which json.dumps refuses, as the array of what it yields, taking
-one element at a time. With no path it returns that text; a file, named or
-open, gets it plus one newline. `_write` lays out every non-empty object,
-list, tuple and iterator by one loop over its members, appending
-pieces of text to a list that is written out whenever a member leaves it
-holding more than _BATCH pieces, so no copy of the whole text is built.
-Three kinds of array reach it as layout objects, each laid out by its own
-`lay_out`, which appends pieces and spills as `_write` does; json.dumps
-refuses them. A label array is a _Labels: a subset mask and the document's
-_Names, which spell each label once and keep per indentation two pieces
-per label, `[\\n<indentation>"label"` to open an array and
-`,\\n<indentation>"label"` inside it. It is laid out as the opening piece
-of its lowest label and one compress of the other pieces by the mask's
-other bits, or in a document of many labels one slice of them per run of
-set bits. `instance_to_json` hands over "messages" as the _Labels of the
-full mask and "receivers" as a _Receivers over the instance's (want, mask)
-pairs, and `certificate_to_json` its "x" as an _XEntries over the sorted
-(s, t, weight string) triples, so no object is built per entry. Each
-entry is laid out as one piece from a per-document template that opens it
-and its keys (per wanted label, or "{" and "s"), the _Labels pieces of its
-masks, and one piece that closes a mask and opens the next key or closes
-the entry (per weight, for "v"). `certificate_to_json` returns "y" as an
-iterator, so a y entry exists only while the writer lays it out.
+It is also the only JSON writer. The reader `load_json` and the writer
+`dump_json` both take a document a piece at a time, so that neither holds a
+copy of a product's file (tens of MB) beside what it stands for. The writer
+lays out its text itself, as json.dumps(obj, indent=2) would, since the
+stdlib encodes in pure Python when indenting and builds every value first.
 """
 
 from __future__ import annotations
@@ -145,10 +93,10 @@ class _Mask(int):
     __slots__ = ()
 
 
-def _bits_of(gs: GroundSet) -> Dict[str, int]:
-    """The str labels of gs mapped to their bits; an int, a bool or a float
-    misses every key, so only a label spelled as a JSON string is found."""
-    return {lab: 1 << i for i, lab in enumerate(gs.labels) if type(lab) is str}
+def _bits_of(labels) -> Dict[str, int]:
+    """The str labels mapped to their bits; an int, a bool or a float misses
+    every key, so only a label spelled as a JSON string is found."""
+    return {lab: 1 << i for i, lab in enumerate(labels) if type(lab) is str}
 
 
 def _masked(get, value):
@@ -177,14 +125,13 @@ def _masker(masks_of):
     """The pairs hook of load_json(path, masks_of), which masks as that
     says, and the callback that gets each top-level member as soon as it is
     read; until the labels are known, the hook masks nothing."""
-    get = None if masks_of == "messages" else _bits_of(masks_of).__getitem__
+    get = None if masks_of == "messages" else _bits_of(masks_of.labels).__getitem__
 
     def seen(key: str, value) -> None:
         nonlocal get
-        if key == "messages" and get is None and type(value) is list \
-                and set(map(type, value)) <= {str}:
-            bits = {lab: 1 << i for i, lab in enumerate(value)}
-            if len(bits) == len(value):
+        if key == "messages" and get is None and type(value) is list:
+            bits = _bits_of(value)
+            if len(bits) == len(value):  # else a non-str or repeated label
                 get = bits.__getitem__
 
     def hook(pairs: list) -> dict:
@@ -209,11 +156,13 @@ def load_json(path: str, masks_of: Optional[GroundSet | str] = None):
 
     With masks_of, every array under "s", "t", "base" or "knows", and every
     value of an "atoms" object, that holds only distinct str labels becomes
-    its mask as its object closes: labels of the ground set masks_of, or
-    with masks_of="messages" (an instance file) those of the top-level
-    "messages" array, once it is read and if they are distinct strings. Any
-    other array is left as decoded, for the typed readers to word its
-    error. A document read this way must be read against the same labels."""
+    its mask as its object closes, so no label list outlives its entry:
+    labels of the ground set masks_of, or with masks_of="messages" (an
+    instance file) those of the top-level "messages" array, once it is read
+    (instance_to_json writes it first) and if they are distinct strings.
+    Any other array is left as decoded, for the typed readers to word its
+    error as they would for a plain load_json. A document read this way
+    must be read against the same labels."""
     hook, seen = (_object, None) if masks_of is None else _masker(masks_of)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -232,10 +181,14 @@ _ENDS = frozenset(" \t\n\r,]}:")  # what may follow a whole value
 
 
 class _Reader:
-    """The document of an open file, read a buffer at a time as the module
-    docstring says; the hook closes each object in json.load's order, and
-    seen, unless None, is called with each member of a top-level object as
-    soon as it is read."""
+    """The document of an open file, read through one buffer of _CHUNK
+    characters beside what is decoded: a member of the top-level object or
+    array at a time, and a member array an element at a time until the rest
+    of the file is in the buffer, each by raw_decode, so a certificate's
+    label arrays become masks while the text behind them is dropped. A file
+    that fits one buffer is read whole at the first read. The hook closes
+    each object in json.load's order, and seen, unless None, is called with
+    each member of a top-level object as soon as it is read."""
 
     def __init__(self, fh, hook, seen=None):
         self.fh, self.hook, self.seen = fh, hook, seen
@@ -357,23 +310,20 @@ _BATCH = 3 << 8
 _BUFFER = 1 << 16
 
 
-def dump_json(obj, path) -> str | int:
-    """obj as exactly the text of json.dumps(obj, indent=2), a layout object
-    as the array it lays out. With path None this returns the text;
-    otherwise it writes the text plus a newline to path, a file name or an
-    open text file, a batch of pieces at a time as they are laid out, and
-    returns the number of characters before that newline. A file name that
-    cannot be opened or written raises InputError."""
-    parts: List[str] = []
-    if path is None:
-        _write(obj, "\n", parts, None)
-        return "".join(parts)
+def dump_json(obj, path) -> int:
+    """Write obj as exactly the text of json.dumps(obj, indent=2), a layout
+    object as the array it lays out, plus a newline to path, a file name or
+    an open text file, a batch of pieces at a time as they are laid out, so
+    no copy of the whole text is built, and return the number of characters
+    before that newline. A file name that cannot be opened or written raises
+    InputError."""
     if not hasattr(path, "write"):  # a file name
         try:
             with open(path, "w", encoding="utf-8", buffering=_BUFFER) as fh:
                 return dump_json(obj, fh)
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc}") from exc
+    parts: List[str] = []
     written = 0
 
     def spill() -> None:
@@ -395,19 +345,18 @@ def _write(obj, newline: str, parts: List[str], spill) -> None:
     the stdlib encodes in pure Python, so a non-empty dict, list or tuple,
     and an iterator as the array of what it yields, are laid out here by one
     loop over their members: a string is escaped in C, a non-str key
-    spelled as json.dumps spells it, a layout object lays itself out, and
-    other members recurse.
-    Unless spill is None, it is called to empty parts whenever a member
-    leaves more than _BATCH pieces. Anything else goes to json.dumps, whose
-    only newlines are layout because strings escape theirs."""
+    spelled as json.dumps spells it, and other members recurse. A layout
+    object lays itself out. spill is called to empty parts whenever a
+    member leaves more than _BATCH pieces. Anything else goes to json.dumps,
+    whose only newlines are layout because strings escape theirs."""
     kind = type(obj)
     if kind is dict and obj:
         keyed, members, close = True, obj.items(), "}"
-    elif kind in (list, tuple) and obj or isinstance(obj, Iterator):
-        keyed, members, close = False, obj, "]"
     elif isinstance(obj, _Layout):
         obj.lay_out(parts, newline, spill)
         return
+    elif kind in (list, tuple) and obj or isinstance(obj, Iterator):
+        keyed, members, close = False, obj, "]"
     else:
         parts.append(json.dumps(obj, indent=2).replace("\n", newline))
         return
@@ -421,15 +370,12 @@ def _write(obj, newline: str, parts: List[str], spill) -> None:
             out(head + (_escape(key) if type(key) is str else json.dumps({key: 0})[1:-4]) + ": ")
         else:
             out(head)
-        kind = type(value)
-        if kind is str:
+        if type(value) is str:
             out(_escape(value))
-        elif isinstance(value, _Layout):
-            value.lay_out(parts, inner, spill)
         else:
             _write(value, inner, parts, spill)
         head = sep
-        if spill and len(parts) > _BATCH:
+        if len(parts) > _BATCH:
             spill()
     out("[]" if head is opened else newline + close)
 
@@ -442,20 +388,6 @@ def _bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BITS)
 
 
-def _lay_array(parts: List[str], first: Tuple[str, ...], later: Tuple[str, ...], mask: int,
-               close: str, empty: str) -> None:
-    """Append the pieces of mask's label array to parts: empty when mask is
-    0, else the first piece of the lowest label, one compress of the later
-    pieces by the other bits, and close."""
-    if not mask:
-        parts.append(empty)
-        return
-    rest = mask & (mask - 1)
-    parts.append(first[(mask ^ rest).bit_length() - 1])
-    parts += compress(later, _bits(rest))
-    parts.append(close)
-
-
 # Past _RUNS labels, a mask with fewer than one run of set bits per 16
 # labels has its later pieces cut as one tuple slice per run, not picked by
 # one compress over every label. A product's masks are a few runs (6 on
@@ -464,34 +396,37 @@ def _lay_array(parts: List[str], first: Tuple[str, ...], later: Tuple[str, ...],
 _RUNS = 128
 
 
-def _lay_runs(parts: List[str], first: Tuple[str, ...], later: Tuple[str, ...], mask: int,
-              close: str, empty: str) -> None:
-    """_lay_array, by one slice of the later pieces per run of set bits when
-    mask has few runs."""
-    if not mask or (mask & ~(mask << 1)).bit_count() << 4 > len(later):
-        _lay_array(parts, first, later, mask, close, empty)
+def _lay(parts: List[str], first: Tuple[str, ...], later: Tuple[str, ...], mask: int,
+         close: str, empty: str) -> None:
+    """Append the pieces of mask's label array to parts: empty when mask is
+    0, else the first piece of the lowest label, the later pieces of the
+    other bits, and close. The later pieces are picked by one compress, or
+    past _RUNS labels for a mask of few runs one slice per run."""
+    if not mask:
+        parts.append(empty)
         return
     rest = mask & (mask - 1)
     parts.append(first[(mask ^ rest).bit_length() - 1])
-    while rest:
-        low = rest & -rest
-        top = rest + low  # the run from low carried into the bit above it
-        parts += later[low.bit_length() - 1:(top & -top).bit_length() - 1]
-        rest &= top
+    if len(later) > _RUNS and (mask & ~(mask << 1)).bit_count() << 4 <= len(later):
+        while rest:
+            low = rest & -rest
+            top = rest + low  # the run from low carried into the bit above it
+            parts += later[low.bit_length() - 1:(top & -top).bit_length() - 1]
+            rest &= top
+    else:
+        parts += compress(later, _bits(rest))
     parts.append(close)
 
 
 class _Names:
     """The JSON spellings of a ground set's labels as the strings a file
-    holds, per indentation the pieces of their arrays ("[" or ",", the line
-    break and indentation, and the label's spelling), and lay, which lays
-    out an array from its mask and the pieces."""
+    holds, and per indentation the pieces of their arrays ("[" or ",", the
+    line break and indentation, and the label's spelling) for _lay."""
 
-    __slots__ = ("spelled", "lay", "_pieces")
+    __slots__ = ("spelled", "_pieces")
 
     def __init__(self, gs: GroundSet):
         self.spelled = tuple(map(_escape, map(str, gs.labels)))
-        self.lay = _lay_runs if len(self.spelled) > _RUNS else _lay_array
         self._pieces: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
 
     def pieces(self, newline: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -527,7 +462,7 @@ class _Labels(_Layout):
     def lay_out(self, parts: List[str], newline: str, spill) -> None:
         """Append the pieces of the array on a line indented as newline to
         parts."""
-        self.names.lay(parts, *self.names.pieces(newline), self.mask, newline + "]", "[]")
+        _lay(parts, *self.names.pieces(newline), self.mask, newline + "]", "[]")
 
 
 class _Receivers(_Layout):
@@ -548,15 +483,14 @@ class _Receivers(_Layout):
         inner = newline + "  "
         field = inner + "  "
         first, later = self.names.pieces(field)
-        lay = self.names.lay
         opening = [f'{{{field}"wants": {lab},{field}"knows": ' for lab in self.names.spelled]
         heads, later_heads = ["[" + inner + o for o in opening], ["," + inner + o for o in opening]
         full, empty = field + "]" + inner + "}", "[]" + inner + "}"
         for w, k in self.pairs:
             parts.append(heads[w])
-            lay(parts, first, later, k, full, empty)
+            _lay(parts, first, later, k, full, empty)
             heads = later_heads
-            if spill and len(parts) > _BATCH:
+            if len(parts) > _BATCH:
                 spill()
         parts.append(newline + "]")
 
@@ -583,14 +517,13 @@ class _XEntries(_Layout):
         to_t = f'{field}],{field}"t": ', f'[],{field}"t": '
         ends = {v: f',{field}"v": {_escape(v)}{inner}}}' for v in {v for _, _, v in self.triples}}
         closes = {v: (field + "]" + end, "[]" + end) for v, end in ends.items()}
-        lay = self.names.lay
         head, later_head = "[" + inner + opening, "," + inner + opening
         for s, t, v in self.triples:
             parts.append(head)
-            lay(parts, first, later, s, *to_t)
-            lay(parts, first, later, t, *closes[v])
+            _lay(parts, first, later, s, *to_t)
+            _lay(parts, first, later, t, *closes[v])
             head = later_head
-            if spill and len(parts) > _BATCH:
+            if len(parts) > _BATCH:
                 spill()
         parts.append(newline + "]")
 
@@ -809,11 +742,11 @@ def _row_from_json(node: _Json, gs: GroundSet, schema) -> SchemaRow:
 
 
 def certificate_to_json(cert: DualCertificate, gs: GroundSet, schema) -> dict:
-    """The certificate file's object: "x" as an _XEntries over the sorted
-    (s, t, weight string) triples, which dump_json lays out with no object
-    per entry, and "y" as an iterator that builds each entry, label arrays
-    and all, only when dump_json reaches it, so the object can be written
-    once. Every weight is spelled and every row checked here, so a refusal
+    """The certificate file's object for dump_json alone: "x" as an
+    _XEntries over the sorted (s, t, weight string) triples, which dump_json
+    lays out with no object per entry, and "y" as an iterator that builds
+    each entry, label arrays and all, only when dump_json reaches it, so the
+    object can be written once. Every weight is spelled and every row checked here, so a refusal
     comes before a file is opened. schema is not read, as each row carries
     its full homomorphism."""
     names = _Names(gs)
@@ -845,7 +778,8 @@ def _plain_x(items) -> Optional[Dict[Tuple[int, int], Rational]]:
 
 
 def certificate_from_json(obj, gs: GroundSet, schema=None):
-    """Read a certificate; returns (certificate, schema).
+    """Read a certificate; returns (certificate, schema). A label array that
+    repeats a label, an (s, t) pair or a y row that repeats, is refused.
 
     When no schema object is supplied, one is built from the file's schema
     name with the identity embedding; verification never depends on the

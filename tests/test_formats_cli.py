@@ -12,10 +12,10 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from icbound import cli, formats, lincode
 from icbound.certificate import DualCertificate, c5_certificate, combine_certificates
@@ -41,11 +41,19 @@ def fano_ranks_json():
     return {"elements": list(_FANO_LABELS), "ranks": list(fano().ranks)}
 
 
+def _text(obj) -> str:
+    """The text dump_json writes for obj, batches and all, without the
+    newline that ends the file."""
+    out = io.StringIO()
+    dump_json(obj, out)
+    return out.getvalue()[:-1]
+
+
 def _listed(obj):
     """An instance_to_json or certificate_to_json object as its written text
     reads back, for a test to index, change, write twice or hand to
     json.dumps. A label array holds its names' strings."""
-    return json.loads(dump_json(obj, None))
+    return json.loads(_text(obj))
 
 
 def _read_back(inst):
@@ -146,19 +154,19 @@ def _iterated(obj, keep=False):
 @given(obj=_JSON_VALUES)
 def test_dump_json_is_stdlib_text(obj):
     text = json.dumps(obj, indent=2)
-    assert dump_json(obj, None) == text
+    assert _text(obj) == text
     # empty dicts, lists and iterators at depth, around and beside obj
     deep = [{"a": [obj, {}], "b": {}, "c": [[], [{}], [[obj]]]}, [], ({"d": []},), obj]
     for keep in (False, True):
-        assert dump_json(_iterated(obj, keep), None) == text
-        assert dump_json(_iterated(deep, keep), None) == json.dumps(deep, indent=2)
-    assert dump_json(iter(()), None) == "[]"
-    assert dump_json({"x": iter([])}, None) == json.dumps({"x": []}, indent=2)
+        assert _text(_iterated(obj, keep)) == text
+        assert _text(_iterated(deep, keep)) == json.dumps(deep, indent=2)
+    assert _text(iter(())) == "[]"
+    assert _text({"x": iter([])}) == json.dumps({"x": []}, indent=2)
     # 1, True and 1.0 are one key of a dict, each spelled its own way
     keys = [{1: "a"}, {True: "b"}, {1.0: [{1.5: None}]}, {None: {1: 1, "1": 2}}, {"1": 3}]
-    assert dump_json(keys, None) == json.dumps(keys, indent=2)
+    assert _text(keys) == json.dumps(keys, indent=2)
     with pytest.raises(TypeError):
-        dump_json({(1,): 1}, None)
+        _text({(1,): 1})
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -181,15 +189,15 @@ def test_masks_and_label_lists_roundtrip_past_64_bits(mask, int_labels, low, run
                      (gs, few_runs), (gs, gs.full_mask), (one, one.full_mask), (one, 0)):
         array = _Labels(_Names(gs), mask)
         labels = [str(lab) for lab in gs.labels_of(mask)]
-        written = json.loads(dump_json(array, None))
+        written = json.loads(_text(array))
         assert written == labels
         with pytest.raises(TypeError):
             json.dumps(array)
         for obj in (lambda a: a, lambda a: [a], lambda a: {"a": a},
                     lambda a: {"a": {"b": a}, "c": "d"},
                     lambda a: {"a": a, "n": [1, a], "e": {}}):
-            assert dump_json(obj(array), None) == json.dumps(obj(labels), indent=2)
-        assert dump_json(iter([array, {"b": array}]), None) == json.dumps(
+            assert _text(obj(array)) == json.dumps(obj(labels), indent=2)
+        assert _text(iter([array, {"b": array}])) == json.dumps(
             [labels, {"b": labels}], indent=2)
         assert gs.mask_of(gs.labels_of(mask)) == mask
         assert GroundSet([str(lab) for lab in gs.labels]).mask_of(written) == mask
@@ -221,7 +229,7 @@ def _labels_of(names, mask):
 def test_receivers_and_x_layouts_write_stdlib_text(inst, other):
     names = list(map(str, inst.messages.labels))
     obj = instance_to_json(inst)
-    text = dump_json(obj, None)
+    text = _text(obj)
     assert text == json.dumps({"messages": names, "receivers": [
         {"wants": names[w], "knows": _labels_of(names, k)} for w, k in inst.receivers]},
         indent=2)
@@ -238,7 +246,7 @@ def test_receivers_and_x_layouts_write_stdlib_text(inst, other):
     for written, gs in ((cert, inst.messages),
                         (combined, product_messages(inst.messages, other.messages))):
         names = list(map(str, gs.labels))
-        text = dump_json(certificate_to_json(written, gs, schema), None)
+        text = _text(certificate_to_json(written, gs, schema))
         listed = json.loads(text)
         assert listed["x"] == [{"s": _labels_of(names, s), "t": _labels_of(names, t),
                                 "v": rat_str(v)} for (s, t), v in sorted(written.x.items())]
@@ -252,7 +260,7 @@ def test_certificate_roundtrip_bit_exact():
     schema = schema_by_name("submod")
     cert = solve_problem(build_problem(inst, schema)).cert
     obj = certificate_to_json(cert, inst.messages, schema)
-    text = dump_json(obj, None)
+    text = _text(obj)
     back, back_schema = certificate_from_json(json.loads(text), inst.messages)
     assert back.x == cert.x
     assert back.y == cert.y
@@ -849,6 +857,102 @@ def test_cli_refuses_denominators_past_the_cap_in_one_line(tmp_path):
                               text=True, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr), argv
     assert not os.path.exists(out)
+
+
+def _rotated(cert, by):
+    """A certificate of C5 moved around the cycle by `by` labels."""
+    def turn(mask):
+        return (mask << by | mask >> 5 - by) & 31
+
+    return DualCertificate(cert.schema_name, {(turn(s), turn(t)): v for (s, t), v in cert.x.items()},
+                           {SubmodRow(turn(r.s), turn(r.t)): v for r, v in cert.y.items()})
+
+
+def _chain(order):
+    """The certificate of C5 with weight 1 on each step of the chain that
+    adds the labels in order."""
+    masks = [sum(1 << label - 1 for label in order[:k]) for k in range(6)]
+    return DualCertificate("submod", {pair: Fraction(1) for pair in zip(masks, masks[1:])}, {})
+
+
+def _mixed(*parts):
+    """The certificate sum of (weight, certificate) parts, which share no
+    x entry or y row, so each weight keeps its own denominator."""
+    x, y = {}, {}
+    for weight, cert in parts:
+        for into, entries in ((x, cert.x), (y, cert.y)):
+            assert not into.keys() & entries.keys()
+            into.update((key, weight * v) for key, v in entries.items())
+    return DualCertificate("submod", x, y)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(digits=st.integers(DIGIT_CAP - 2, DIGIT_CAP + 2),
+       first=st.integers(DIGIT_CAP // 4, DIGIT_CAP // 2),
+       k1=st.integers(0, 50), k2=st.integers(0, 50))
+def test_coprime_denominators_read_back_under_the_cap_and_exit_3_past_it(
+        digits, first, k1, k2, tmp_path, capsys):
+    # d1 and d2 are odd and coprime, each far below the cap; every path below
+    # grows a denominator of 4 d1 d2, which has `digits` digits: verify's lcm
+    # of the weights 1/(4 d1) and 1/(4 d2), and combine's product of 2 d1 and
+    # 2 d2. Under the cap each output reads back to its exact value; past it
+    # the command exits 3 with one line and --out leaves no file
+    d1, d2 = 10 ** first + 2 * k1 + 1, 10 ** (digits - 1 - first) + 2 * k2 + 1
+    assume(gcd(d1, d2) == 1)
+    assert 10 ** (digits - 1) <= 4 * d1 * d2 < 10 ** digits
+    past = digits > DIGIT_CAP
+    refusal = (f"resource cap: a denominator of {digits} digits is past the cap of "
+               f"{DIGIT_CAP} digits\n")
+    inst, schema, c5 = c5_certificate()
+    turned, a, b = _rotated(c5, 2), _chain((1, 2, 3, 5, 4)), _chain((4, 3, 5, 2, 1))
+    value_a, value_b = (verify_certificate(inst, schema, cert) for cert in (a, b))
+    w1, w2, half = Fraction(1, d1), Fraction(1, d2), Fraction(1, 2)
+    first_cert = _mixed((w1, c5), (1 - w1, a))
+    second_cert = _mixed((w2, turned), (1 - w2, b))
+    value_g = w1 * Fraction(5, 2) + (1 - w1) * value_a
+    value_f = w2 * Fraction(5, 2) + (1 - w2) * value_b
+    both = _mixed((half, first_cert), (half, second_cert))
+    bad = _mixed((half * w1, c5), (half * (1 - 2 * w1), a), (half * w2, turned), (half, b))
+    path = _write(tmp_path, "c5.json", instance_to_json(inst))
+    files = {name: _write(tmp_path, f"{name}.json", certificate_to_json(c, inst.messages, schema))
+             for name, c in (("g", first_cert), ("f", second_cert), ("both", both), ("bad", bad))}
+
+    def run(*argv):
+        code = main(list(argv))
+        printed = capsys.readouterr()
+        return code, printed.out, printed.err
+
+    # the verify error text: the flow out of the empty set is off by
+    # (1/d2 - 1/d1) / 2, the offender's excess
+    code, out, err = run("verify", path, files["bad"])
+    if past:
+        assert (code, out, err) == (3, "", refusal)
+    else:
+        assert (code, out) == (1, "")
+        head, _, excess = err.rpartition(" with excess ")
+        assert head == "verification failed: combination misses e_empty - e_full; first offender ()"
+        assert excess.endswith("\n") and rat(excess[:-1]) == half * (w2 - w1)
+    # the verify value
+    code, out, err = run("verify", path, files["both"])
+    if past:
+        assert (code, out, err) == (3, "", refusal)
+    else:
+        assert (code, out, err) == (0, f"value = {rat_str(half * (value_g + value_f))}\n", "")
+    # the combine write
+    out_path = tmp_path / "c5sq.cert.json"
+    out_path.unlink(missing_ok=True)  # tmp_path is shared by the examples
+    code, out, err = run("combine", path, path, files["g"], files["f"], "--out", str(out_path))
+    if past:
+        assert (code, out, err) == (3, "", refusal)
+        assert not out_path.exists()
+    else:
+        assert (code, out, err) == (0, f"value = {rat_str(value_g * value_f)}\n", "")
+        square = inst.lex_product(inst)
+        written, _ = _read_certificate(str(out_path), square.messages, schema)
+        combined = combine_certificates(inst, inst, first_cert, second_cert, schema)
+        assert (written.x, written.y) == (combined.x, combined.y)
+        assert written.claimed_value == value_g * value_f
 
 
 def test_cli_matroid_alpha_search(tmp_path, c5_file, capsys):

@@ -1,4 +1,5 @@
-"""The files the command line writes, pinned byte for byte by sha256.
+"""The files the command line writes, pinned byte for byte by sha256, and
+the text of each demo.
 
 Certificates from `icb solve --emit-cert`, products from `icb combine`, and
 instances from `icb product` and `icb matroid2ic` must not change by a
@@ -47,6 +48,28 @@ DIGESTS = {
     "matroid2ic fano full": "522f460f9170fed627bdbac28d7bac99ca2073246fb8b5e85f17d0db8efa0d3e",
     "matroid2ic nonfano minimal": "c4680984e1ed410e5c3c868a3f5be0179280751f949a70286b0f60a495e39d57",
     "matroid2ic nonfano full": "a5186a74b12965c599bc2674353c2dd984223f957e52d8c06266ad3394219dee",
+}
+
+
+# The text of each demo, its exit code 0 and an empty stderr pinned beside it.
+DEMOS = {
+    "c5": ("ok:   built-in pentagon certificate verifies to 5/2\n"
+           "ok:   LP optimum b = 5/2\n"
+           "ok:   extracted certificate re-verifies to the optimum\n"
+           "ok:   independence number alpha = 2\n"
+           "gap ratio b/alpha = 5/4\n"),
+    "alpha-beta": ("ok:   squared-pentagon certificate verifies to 25/4 on 25 messages\n"
+                   "ok:   alpha of the squared pentagon = 4\n"
+                   "certified beta/alpha >= 25/16\n"),
+    "fano-gap": ("ok:   plain LP bound for the binary matroid instance = 4\n"
+                 "ok:   odd-row certificate for the binary instance = 133/33 > 4\n"
+                 "ok:   plain LP bound for the ternary matroid instance = 4\n"
+                 "ok:   even-row certificate for the ternary instance = 93/23 > 4\n"),
+    "separation": ("ok:   submodular certificate pins b of the product at 16\n"
+                   "ok:   odd-characteristic certificate on the 49-message product"
+                   " = 532/33 > 16\n"
+                   "ok:   even-characteristic certificate on the 49-message product"
+                   " = 372/23 > 16\n"),
 }
 
 
@@ -146,3 +169,10 @@ def test_matroid2ic_bytes(name, full, tmp_path, capsys):
     _run(["matroid2ic", str(src), "--out", str(out)]
          + (["--full-receivers"] if full else []), capsys)
     assert _digest(out) == DIGESTS[f"matroid2ic {name} {'full' if full else 'minimal'}"]
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_demo_text(demo, capsys):
+    assert main(["demo", demo]) == 0
+    printed = capsys.readouterr()
+    assert (printed.out, printed.err) == (DEMOS[demo], "")
