@@ -30,15 +30,22 @@ P // den is the packed column of the quotients, since the sum of the
 quotients times den is P again. So FTRAN is one big-int product per
 nonzero of the entering column, and a Bareiss step, which computes every
 new entry as (B[i][j] * piv - d[i] * B[r][j]) / den with an exact
-division, is four or five big-int operations per column (three when
-|piv| == den, and then only on the columns with a nonzero entry in row r).
+division, is four or five big-int operations per column, three where
+B[r][j] is 0. When den divides piv, d is divided once and no column is:
+two operations per column, and none on the columns where B[r][j] is 0 when
+|piv| == den (see `pivot_update`).
 Reads: a whole column becomes a list at C speed through `to_bytes` and a
 memoryview cast to 16-, 32- or 64-bit ints (XOR with BIAS turns each biased
 field into its two's complement), which is how the simplex reads column 0,
-the basic values. Row r of B, the only transposed read, costs one shift and
-mask per column; BTRAN reads the rows of its nonzero weights the same way.
-FTRAN hands d back packed like a column, and the simplex tests the signs of
-its fields with masks over the whole int.
+the basic values. 24-, 40-, 48- and 56-bit fields are first copied into
+8-byte items, a strided slice per byte, over sign bytes that one
+`bytes.translate` reads from each field's top byte. `make_room` reads all
+columns at once.
+Row r of B, the only transposed read, costs one shift and mask per column,
+or, when |piv| == den, one AND per column to find its nonzero entries and
+a shift only for those; BTRAN reads the rows of its nonzero weights with a
+shift per column. FTRAN hands d back packed like a column, and the simplex
+tests the signs of its fields with masks over the whole int.
 
 Width invariant: a field is read back only while |entry| < H. The packed
 sum stays exact in any case, but a field that outgrew its W bits carries
@@ -55,19 +62,21 @@ den, floored, as entries are integers; row r, unchanged, is covered too,
 as |B[r][j]| <= bound and |piv| + max|d'| >= |piv| + |piv - den| >= den.
 When the bound reaches H, it is first recomputed exactly from the stored
 columns, which are still readable; if that is not enough, every column is
-repacked into fields doubled in width until they suffice (32, 64, then
-128, 256, ... bits, read with `int.from_bytes`). The representation is the
-same at every width.
+repacked into the narrowest fields of whole bytes that suffice, at least a
+byte wider (16, 24, 32, 40, ... bits; past 64, read with `int.from_bytes`).
+The representation is the same at every width.
 
 The starting width: the narrowest of 16, 32 and 64 bits that the caller's
 bound proves wide enough, and the adjugate is capped; when none is proven,
-16 bits with the bound, widened on demand. Every big-int operation costs in
-proportion to the width, and the entries of the 128-row bound LPs stay far
-below the Hadamard bound: C7 ends at 16 bits and non-Fano at 32, and
-their solves took 0.5 and 0.7 times as long as with 64-bit fields
-(CPython 3.11, 2 vCPUs). Small LPs keep the capped path: starting them at
-16 bits with the bound made 4-message solves 6-7% slower, as each bounded
-pivot pays about 3 us to unpack d and take the maxima.
+16 bits with the bound, widened a byte or more at a time on demand. Every
+big-int operation costs in proportion to the width, and the entries of the
+128-row bound LPs stay far below the Hadamard bound: C7 ends at 16 bits and
+non-Fano at 24, and their solves took about 0.6 times as long as with
+64-bit fields (C7 0.60-0.64, non-Fano 0.57: medians of 9 or 15 solves that
+alternate the two in one process, CPython 3.11, 2 vCPUs). Small LPs keep
+the capped path: starting them at 16 bits with the bound made 4-message
+solves 6-7% slower, as each bounded pivot pays about 3 us to unpack d and
+take the maxima.
 
 Pricing packs the LP's rows alike: over columns lo..hi-1, row i is R_i =
 sum_j a_ij << (W*(j-lo)) and the costs C = sum_j c_j << (W*(j-lo)), so one
@@ -81,7 +90,9 @@ non-Fano 27 -> 35, C8 64 -> 119. So LPs of over 64 rows keep the loop.
 
 from __future__ import annotations
 
+import struct
 import sys
+from math import gcd
 
 from icbound.errors import VerificationError
 
@@ -90,8 +101,10 @@ BACKEND = "pure"
 # The starting widths of a capped adjugate, narrowest first; the first one
 # also starts every adjugate that no cap proves.
 _CAPPED_WIDTHS = (16, 32, 64)
-# The memoryview item code of each width that has one.
-_ITEM_CODES = {16: "h", 32: "i", 64: "q"}
+# The memoryview item code of each field size, in bytes, that has one.
+_ITEM_CODES = {2: "h", 4: "i", 8: "q"}
+# The sign byte of a field, 0 or 0xff, indexed by its top byte.
+_SIGN_BYTE = bytes(0xFF * (b >> 7) for b in range(256))
 # The most rows of an LP priced from packed rows (see the module docstring).
 _PACKED_PRICING_ROWS = 64
 
@@ -101,21 +114,31 @@ def _bias(width: int, count: int) -> int:
     return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
 
 
+def _fields(raw, step: int) -> list:
+    """The two's complement fields of step bytes each, little-endian, that
+    make up the bytes raw, as a list: a memoryview cast to 2-, 4- or 8-byte
+    items as they are; at other sizes up to 8 bytes, the fields' bytes are
+    first copied into 8-byte items over sign bytes; `int.from_bytes` per
+    field beyond."""
+    code = _ITEM_CODES.get(step)
+    if not code:
+        if step > 8:
+            return [int.from_bytes(raw[k:k + step], "little", signed=True)
+                    for k in range(0, len(raw), step)]
+        items = bytearray(8 * (len(raw) // step))
+        sign = raw[step - 1::step].translate(_SIGN_BYTE)
+        for k in range(8):
+            items[k::8] = raw[k::step] if k < step else sign
+        raw, code = items, "q"
+    if sys.byteorder == "big":  # reversed, raw holds big-endian items, the last first
+        return memoryview(raw[::-1]).cast(code).tolist()[::-1]
+    return memoryview(raw).cast(code).tolist()
+
+
 def _unpack(q: int, width: int, bias: int, count: int) -> list:
-    """The count fields of the biased packed int q, as a list: a memoryview
-    cast at 16, 32 and 64 bits, `int.from_bytes` per field beyond."""
+    """The count fields of the biased packed int q, as a list."""
     # XOR with the bias turns each field into its two's complement.
-    raw = (q ^ bias).to_bytes(width * count // 8, sys.byteorder)
-    code = _ITEM_CODES.get(width)
-    if code:
-        entries = memoryview(raw).cast(code).tolist()
-    else:
-        step = width // 8
-        entries = [int.from_bytes(raw[k:k + step], sys.byteorder, signed=True)
-                   for k in range(0, len(raw), step)]
-    if sys.byteorder == "big":  # the last field came first
-        entries.reverse()
-    return entries
+    return _fields((q ^ bias).to_bytes(width * count // 8, "little"), width // 8)
 
 
 class Adjugate:
@@ -128,10 +151,11 @@ class Adjugate:
     a bound on every entry that can ever arise. The width starts at the
     narrowest of 16, 32 and 64 bits whose H^2 exceeds cap_square, and then
     `capped` is set and `bound` is not maintained; when none does, it
-    starts at 16 bits and `bound` bounds every |entry|. `marks` holds the
-    top bit of the field of each row the caller has marked, every row to
-    start with. `widenings` and `tightenings` count repacks into wider
-    fields and exact recomputations of `bound`.
+    starts at 16 bits, `bound` bounds every |entry|, and `make_room` widens
+    the fields when it must. `marks` holds the top bit of the field of each
+    row the caller has marked, every row to start with. `widenings` and
+    `tightenings` count repacks into wider fields and exact recomputations
+    of `bound`.
     """
 
     __slots__ = ("m", "width", "half", "mask", "bias", "low", "cols", "capped", "bound",
@@ -175,26 +199,36 @@ class Adjugate:
         return (hits & -hits).bit_length() // self.width - 1
 
     def pack(self, entries) -> int:
-        """The biased packed column of a list of entries that fit the width."""
+        """The biased packed column of a list of entries that fit the width:
+        up to 64 bits, the low bytes of each entry's 8-byte item."""
         step = self.width // 8
-        raw = b"".join(v.to_bytes(step, "little", signed=True) for v in entries)
+        if step > 8:
+            raw = b"".join(v.to_bytes(step, "little", signed=True) for v in entries)
+        else:
+            raw = items = struct.pack(f"<{len(entries)}q", *entries)
+            if step < 8:
+                raw = bytearray(step * len(entries))
+                for k in range(step):
+                    raw[k::step] = items[k::8]
         return int.from_bytes(raw, "little") ^ self.bias
 
     def make_room(self, reach) -> None:
         """Make the fields hold every value up to reach(), a bound computed
         from `bound`: recompute `bound` exactly from the columns, then, if
-        reach() still reaches H, widen the fields until it does not."""
-        self.bound = max(max(map(abs, self.unpack(q))) for q in self.cols)
+        reach() still reaches H, widen the fields to the narrowest whole
+        number of bytes whose H exceeds it: a byte or more at a time, 16,
+        24, 32, 40, ... bits."""
+        m, step = self.m, self.width // 8
+        raw = b"".join((q ^ self.bias).to_bytes(step * m, "little") for q in self.cols)
+        entries = _fields(raw, step)  # every column at once
+        self.bound = max(max(entries), -min(entries))
         self.tightenings += 1
         need = reach()
         if need >= self.half:
-            entries = [self.unpack(q) for q in self.cols]
-            marked = [i for i in range(self.m) if self.marks >> self.width * i & self.half]
-            width = self.width
-            while need >> width - 1:
-                width *= 2
+            marked = [i for i in range(m) if self.marks >> self.width * i & self.half]
+            width = (need.bit_length() + 8) // 8 * 8  # H > need >= the old H
             self._set_width(width)
-            self.cols = [self.pack(col) for col in entries]
+            self.cols = [self.pack(entries[j * m:j * m + m]) for j in range(m)]
             self.marks = sum(self.half << width * i for i in marked)
             self.widenings += 1
 
@@ -237,19 +271,39 @@ def pivot_update(adj: Adjugate, packed_d, r, den, y=None, rc=0):
     den (so that row r comes out unchanged); with the bias folded in,
     cols[j] <- (cols[j] * piv + BIAS * (den - piv) - D' * B[r][j]) // den.
     When piv < 0, piv, D' and rc are negated first, which negates the new
-    B, D and y: the same inverse, over a positive D. When piv == den, P_j *
-    piv / den is P_j itself: only the columns with a nonzero entry in row r
-    move, and the bias stays. y, when given, is updated as one more such row
-    with d_i = -rc, where rc is the entering column's reduced cost times
-    den; when piv == den, only its entries over those columns move.
+    B, D and y: the same inverse, over a positive D.
+
+    When den divides piv, no column is divided: P_j * piv / den is P_j *
+    (piv / den), and den divides d_i * B[r][j] for every i and j (the new
+    entries are integers), so with k = gcd(den, row r), D' divides by
+    den / k exactly, once, and D' * B[r][j] / den is D' / (den / k) times
+    B[r][j] / k. When piv == den, P_j * piv / den is P_j itself: only the
+    columns with a nonzero entry in row r move, and the bias stays. y, when
+    given, is updated as one more such row with d_i = -rc, where rc is the
+    entering column's reduced cost times den; when piv == den, only its
+    entries over those columns move.
     """
     width, mask, half = adj.width, adj.mask, adj.half
     shift = width * r
     piv = ((packed_d >> shift) & mask) - half
-    row_u = [(q >> shift) & mask for q in adj.cols]  # row r, each entry plus H
+    cols = adj.cols
+    whole = not piv % den  # piv / den is a whole number
+    if whole:
+        # Most pivots land here (419 of C7's 498 have |piv| == den; sent
+        # through the general update, they make a C7 solve three times as
+        # slow), and row r holds few nonzero entries: one AND per column
+        # finds them, and only they are read, as {column: entry}.
+        field, zero = mask << shift, half << shift
+        row = {j: ((q >> shift) & mask) - half for j, q in enumerate(cols) if q & field != zero}
+    else:
+        row_u = [(q >> shift) & mask for q in cols]  # row r, each entry plus H
     if not adj.capped:
         d = adj.unpack(packed_d)
-        grow = max(max(d), -min(d), abs(piv - den)) * max(max(row_u) - half, half - min(row_u))
+        if whole:
+            row_max = max(map(abs, row.values()))
+        else:
+            row_max = max(max(row_u) - half, half - min(row_u))
+        grow = max(max(d), -min(d), abs(piv - den)) * row_max
         reach = lambda: (adj.bound * abs(piv) + grow) // den
         if reach() >= half:
             adj.make_room(reach)
@@ -259,19 +313,26 @@ def pivot_update(adj: Adjugate, packed_d, r, den, y=None, rc=0):
     lowered = packed_d - adj.bias - (den << shift)
     if piv < 0:  # (B, D) and (-B, -D) are the same inverse; keep D > 0
         piv, lowered, rc = -piv, -lowered, -rc
-    cols = adj.cols
-    if piv == den:
-        # Most pivots land here (419 of C7's 498); sent through the general
-        # update instead, they make a C7 solve three times as slow.
-        for j, u in enumerate(row_u):
-            if u != half:
-                x = u - half
-                cols[j] -= lowered * x // den
-                if y is not None:
-                    y[j] += rc * x // den
+    if whole:
+        times = piv // den
+        if times > 1:
+            still = adj.bias * (1 - times)
+            adj.cols = cols = [q * times + still for q in cols]
+            if y is not None:
+                y[:] = [a * times for a in y]
+        k = gcd(den, *row.values()) if den > 1 else 1
+        if k < den:
+            lowered //= den // k
+        for j, x in row.items():
+            cols[j] -= lowered * (x // k)
+            if y is not None:
+                y[j] += rc * x // den
     else:
-        fold = adj.bias * (den - piv) + lowered * half
-        adj.cols = [(q * piv + fold - lowered * u) // den for q, u in zip(cols, row_u)]
+        # a column whose entry in row r is zero (u == H) takes no D' product
+        still = adj.bias * (den - piv)
+        fold = still + lowered * half
+        adj.cols = [(q * piv + still if u == half else q * piv + fold - lowered * u) // den
+                    for q, u in zip(cols, row_u)]
         if y is not None:
             rc_half = rc * half
             y[:] = [(a * piv + rc * u - rc_half) // den for a, u in zip(y, row_u)]

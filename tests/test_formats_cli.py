@@ -739,7 +739,7 @@ def test_cli_product_and_combine(c5_file, tmp_path, capsys, monkeypatch):
 
 
 def test_cli_solve_refuses_an_lp_past_the_row_cap(tmp_path, capsys):
-    # full C9's 512 rows had not finished after 15 minutes; C8's 256 take about 5 s
+    # full C9's 512 rows had not finished after 15 minutes; C8's 256 take about 2.4 s
     eight = IndexCodingInstance.from_receivers(GroundSet(range(8)), [])
     assert build_problem(eight).lp.nrows == ROW_CAP == 256
     path = _write(tmp_path, "nine.json", {"messages": [str(i) for i in range(9)], "receivers": []})

@@ -3,16 +3,19 @@ division over the fields, widening, and the sign of the denominator; and
 pricing, from packed rows and entry by entry."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from icbound import kernels
-from icbound.kernels import Adjugate, ftran_sparse, pivot_update, price_columns
+from icbound.kernels import Adjugate, ftran_sparse, leaving_row, pivot_update, price_columns
 from icbound.simplex import StandardFormLP
 from oracles import best_reduced_cost
 
 # The widths an adjugate can start at.
 WIDTHS = [16, 32, 64]
+# Whole-byte widths: strided reads up to 64 bits, `int.from_bytes` past it.
+BYTE_WIDTHS = list(range(8, 65, 8)) + [72, 96, 128, 200]
 
 
 def capped_at(width: int) -> int:
@@ -30,6 +33,70 @@ def extremes(width: int) -> list:
 
 def rotations(values):
     return [values[k:] + values[:k] for k in range(len(values))]
+
+
+def at_width(width: int, m: int) -> Adjugate:
+    """The m x m identity adjugate in fields of any whole number of bytes,
+    every row marked."""
+    adj = Adjugate(m, 0)
+    adj._set_width(width)
+    adj.cols = [adj.pack([int(i == j) for i in range(m)]) for j in range(m)]
+    adj.marks = adj.bias
+    return adj
+
+
+def least_ratio_row(rows, d):
+    """The row i with d[i] > 0 whose row over d[i] is lexicographically
+    least, or -1; None when two rows tie for it."""
+    keyed = sorted(([Fraction(v, d[i]) for v in row], i) for i, row in enumerate(rows) if d[i] > 0)
+    if not keyed:
+        return -1
+    if len(keyed) > 1 and keyed[0][0] == keyed[1][0]:
+        return None
+    return keyed[0][1]
+
+
+@pytest.mark.parametrize("width", BYTE_WIDTHS)
+def test_every_whole_byte_width_reads_what_it_packs(width):
+    # the extremes H - 1 and -(H - 1), with +-1 and 0, in every field
+    half = 1 << width - 1
+    values = [0, 1, -1, half - 1, -(half - 1), 0]
+    adj = at_width(width, len(values))
+    assert adj.unpack(adj.cols[2]) == [0, 0, 1, 0, 0, 0]
+    for col in rotations(values):
+        q = adj.pack(col)
+        assert kernels._unpack(q, width, adj.bias, len(col)) == col
+        assert [adj.entry(q, i) for i in range(len(col))] == col
+        assert [(q >> width * i) & adj.mask for i in range(len(col))] == [v + half for v in col]
+        assert adj.first_marked_nonzero(q) == next(i for i, v in enumerate(col) if v)
+    adj.unmark(1)
+    adj.unmark(3)
+    assert adj.first_marked_nonzero(adj.pack([0, 1, 0, -1, 0, half - 1])) == 5
+    assert adj.first_marked_nonzero(adj.pack([0, half - 1, 0, 1, 0, 0])) == -1
+
+
+@pytest.mark.parametrize("width", BYTE_WIDTHS)
+def test_leaving_row_at_every_whole_byte_width(width):
+    # rows of 0, +-1 and +-(H - 1) often tie in column 0, so that the test
+    # reads further; the answer is the least row over d among d's positive
+    # rows, or -1 when there is none
+    half = 1 << width - 1
+    rng = random.Random(width)
+    choices = [0, 0, 0, 1, -1, half - 1, -(half - 1)]
+    m = 6
+    adj = at_width(width, m)
+    seen = set()
+    for _ in range(80):
+        rows = [[rng.choice(choices) for _ in range(m)] for _ in range(m)]
+        d = [rng.choice(choices) for _ in range(m)]
+        want = least_ratio_row(rows, d)
+        if want is None:
+            continue
+        adj.cols = [adj.pack(list(col)) for col in zip(*rows)]
+        assert leaving_row(adj, adj.pack(d)) == want
+        firsts = sorted(Fraction(row[0], di) for row, di in zip(rows, d) if di > 0)
+        seen.add("unbounded" if not firsts else "tie" if firsts[1:2] == firsts[:1] else "column 0")
+    assert seen == {"unbounded", "tie", "column 0"}
 
 
 def test_adjugate_starts_as_the_identity():
@@ -89,8 +156,8 @@ def test_make_room_widens_and_keeps_every_entry():
         assert adj.width == width
         cols = rotations(values)
         adj.cols = [adj.pack(col) for col in cols]
-        adj.make_room(lambda: 1 << 100)
-        assert (adj.width, adj.tightenings, adj.widenings) == (128, 1, 1)
+        adj.make_room(lambda: 1 << 100)  # 101 bits: H > 2^100 at 13 bytes
+        assert (adj.width, adj.tightenings, adj.widenings) == (104, 1, 1)
         assert [adj.unpack(q) for q in adj.cols] == cols
         assert adj.bound == 1 << width - 1
         wide = [1 << 100, -(1 << 100), 0, 1, -1, 2, -2]
@@ -107,7 +174,7 @@ def test_marks_find_the_lowest_marked_nonzero_row_at_every_width():
         assert adj.first_marked_nonzero(col) == 2
         adj.cols = [adj.pack([adj.half - 1, 0, 0, 0])] * 4
         adj.make_room(lambda: 1 << width)
-        assert adj.width == 2 * width
+        assert adj.width == width + 8
         col = adj.pack([0, 5, -(1 << width), 7])
         assert adj.first_marked_nonzero(col) == 2
         assert adj.first_marked_nonzero(adj.pack([0, 5, 0, 0])) == -1
@@ -151,6 +218,49 @@ def test_pivot_update_keeps_the_denominator_positive(cap, a):
     assert y == [-v for v in new[3]]
     if d[2] == -3:  # |piv| == D: the columns with a zero in row 2 are left alone
         assert adj.cols[:2] == before[:2]
+
+
+@pytest.mark.parametrize("cap", [capped_at(64), 1 << 400], ids=["capped", "bounded"])
+def test_pivot_update_matches_plain_bareiss_on_every_path(cap):
+    # chains of pivots from the identity on random columns, each step checked
+    # against plain rows: |piv| == D (only the columns with a nonzero entry in
+    # row r move), D dividing piv (no column divided), and the general step,
+    # at either sign of piv; the bounded adjugate widens on the way
+    rng = random.Random(4518)
+    paths, widenings = set(), 0
+    for _ in range(60):
+        m = rng.randint(2, 7)
+        adj = Adjugate(m, cap)
+        rows = [[int(i == j) for j in range(m)] for i in range(m)]
+        costs = [rng.randint(-3, 3) for _ in range(m)]
+        y, den = list(costs), 1
+        for _ in range(2 * m):
+            a = [rng.choice((-3, -2, -1, 0, 0, 1, 2, 3)) for _ in range(m)]
+            d = [sum(b * v for b, v in zip(row, a)) for row in rows]
+            nonzero = [i for i in range(m) if d[i]]
+            if not nonzero:
+                continue
+            r = rng.choice(nonzero)
+            rc = rng.randint(-3, 3) * den - sum(v * w for v, w in zip(a, y))
+            before, width, still = list(adj.cols), adj.width, [not v for v in rows[r]]
+            new = bareiss(rows + [y], d + [-rc], r, den)
+            path = ("|piv| == D" if abs(d[r]) == den else "D | piv" if d[r] % den == 0
+                    else "general")
+            paths.add((path, d[r] < 0))
+            got = pivot_update(adj, ftran_sparse(adj, range(m), a), r, den, y, rc)
+            sign = -1 if d[r] < 0 else 1
+            rows, y, den = ([[sign * v for v in row] for row in new[:m]],
+                            [sign * v for v in new[m]], abs(d[r]))
+            assert got == den
+            assert [adj.unpack(q) for q in adj.cols] == [list(col) for col in zip(*rows)]
+            assert adj.capped or max(abs(v) for row in rows for v in row) <= adj.bound
+            if path == "|piv| == D" and adj.width == width:
+                assert [q for q, s in zip(adj.cols, still) if s] == [
+                    q for q, s in zip(before, still) if s]
+        widenings += adj.widenings
+    assert (widenings > 0) == (not adj.capped)
+    assert paths == {(path, neg) for path in ("|piv| == D", "D | piv", "general")
+                     for neg in (False, True)}
 
 
 def random_pricing_lp(rng, m):

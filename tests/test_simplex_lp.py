@@ -327,13 +327,17 @@ def test_solver_matches_fraction_simplex_from_wider_capped_starts(monkeypatch, r
 
 def test_solver_widens_from_16_bits_through_every_width(monkeypatch):
     # coefficients up to 2^20 on 3-6 rows: no width is proven, and the
-    # entries outgrow 16, 32 and 64 bits in turn
+    # entries outgrow one whole-byte width after another, the strided reads
+    # of 24, 40 and 48 bits and the `int.from_bytes` reads past 64 included
     made = record_adjugates(monkeypatch)
     rng = random.Random(24890)
     for _ in range(30):
         assert_same_as_fraction_simplex(random_e0_lp(rng, (3, 6), 1 << 20), [(0, 0)])
-    assert [16, 32, 64, 128] in [adj.widths for adj in made]
-    assert all(adj.widths[0] == 16 for adj in made if not adj.capped)
+    ladders = [adj.widths for adj in made if not adj.capped]
+    assert [16, 24, 48, 64, 88, 104, 112, 128] in ladders
+    assert {24, 40, 48} <= {w for ladder in ladders for w in ladder}
+    assert all(ladder[0] == 16 and all(b > a and b % 8 == 0 for a, b in zip(ladder, ladder[1:]))
+               for ladder in ladders)
 
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -427,7 +431,7 @@ def test_entry_bound_holds_after_every_kernel_call(monkeypatch):
                 tightenings=5, width=16, den_bits=6)),
     (lambda: build_problem(to_index_coding(nonfano()), schema_with_submod("odd")),
      SolveStats(iterations=440, degenerate=440, forced_exits=120, rescaling=165,
-                widenings=1, tightenings=2, width=32, den_bits=14)),
+                widenings=1, tightenings=6, width=24, den_bits=14)),
 ], ids=["C5", "C7", "nonfano-odd"])
 def test_solve_stats_pin_the_pivot_path(make, stats):
     # iterations, degenerate and forced_exits follow the pivot path alone,
@@ -435,11 +439,21 @@ def test_solve_stats_pin_the_pivot_path(make, stats):
     # rescaling and den_bits count the work of the pivots on that path.
     # C5's Hadamard bound proves 64-bit fields, so they are capped there;
     # the 128-row LPs start at 16 bits, where C7 stays through five exact
-    # recomputations of its entry bound; non-Fano, with two, widens once,
-    # to 32 bits.
+    # recomputations of its entry bound; non-Fano, with six, widens once,
+    # by a byte, to 24 bits.
     sol = solve_problem(make())
     assert sol.stats == stats
     assert sol.iterations == stats.iterations
+
+
+def test_full_c8_widens_its_256_rows_and_keeps_its_path():
+    # the only bound LP of 256 rows solved here: from 16 bits it widens four
+    # times, a byte or more at a time, to 48 bits
+    sol = solve_problem(build_problem(cycle_instance(8)))
+    assert rat_str(sol.value) == "4"
+    assert sol.stats == SolveStats(iterations=2203, degenerate=1866, forced_exits=247,
+                                   rescaling=997, widenings=4, tightenings=33, width=48,
+                                   den_bits=28)
 
 
 def test_solver_requires_covering_crash():
