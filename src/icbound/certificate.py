@@ -193,10 +193,9 @@ def combine_certificates(
         spread = g_hom.apply(t & ~s) & firsts
         hom = LatticeHom(gs_f, gs_p, g_hom.apply(s), tuple(spread << u for u in range(nf)))
         for a, b, vf in f_x:
-            ka, kb = hom.apply(a), hom.apply(b)
-            if ka == kb:
-                continue  # degenerate image, dropped with its mass
-            key = (ka, kb)
+            # the hom is injective (its atom images are nonempty and disjoint)
+            # and a is strictly inside b, so the image pair is never degenerate
+            key = (hom.apply(a), hom.apply(b))
             x[key] = x.get(key, 0) + vg * vf
         for row, vf in f_y:
             key = schema.pushforward_row(hom, row)

@@ -62,13 +62,14 @@ den, floored, as entries are integers; row r, unchanged, is covered too,
 as |B[r][j]| <= bound and |piv| + max|d'| >= |piv| + |piv - den| >= den.
 When the bound reaches H, it is first recomputed exactly from the stored
 columns, which are still readable; if that is not enough, every column is
-repacked into the narrowest fields of whole bytes that suffice, at least a
-byte wider (16, 24, 32, 40, ... bits; past 64, read with `int.from_bytes`).
-The representation is the same at every width.
+repacked into wider fields. The representation is the same at every width.
 
-The starting width: the narrowest of 16, 32 and 64 bits that the caller's
-bound proves wide enough, and the adjugate is capped; when none is proven,
-16 bits with the bound, widened a byte or more at a time on demand. Every
+Width rule: every packed field, of the adjugate and of pricing, is as
+wide as `_width_for` the bound at hand, the narrowest whole number of
+bytes, at least 16 bits, whose H exceeds it (16, 24, 32, 40, ... bits;
+past 64, read with `int.from_bytes`). The adjugate is capped when its
+caller's bound asks for 64 bits or less; otherwise it starts at 16 bits
+with the bound, and `make_room` widens it, a byte or more at a time. Every
 big-int operation costs in proportion to the width, and the entries of the
 128-row bound LPs stay far below the Hadamard bound: C7 ends at 16 bits and
 non-Fano at 24, and their solves took about 0.6 times as long as with
@@ -81,32 +82,34 @@ take the maxima.
 Pricing packs the LP's rows alike: over columns lo..hi-1, row i is R_i =
 sum_j a_ij << (W*(j-lo)) and the costs C = sum_j c_j << (W*(j-lo)), so one
 `_unpack` of den * C - sum_i y_i * R_i + BIAS reads every reduced cost times
-den. W is the narrowest of 16, 32, 64 bits, then doubling, whose H exceeds
-max|c| * den + longest * largest * max|y| (at least ||a_j||_1 * max|y|), on
-every call. Replaying one solve's pricing calls, us per call, loop -> packed
-(CPython 3.11, 2 vCPUs): C4 19 -> 9, C5 18 -> 11, C6 23 -> 17, C7 25 -> 27,
-non-Fano 27 -> 35, C8 64 -> 119. So LPs of over 64 rows keep the loop.
+den. W is the width for max|c| * den + longest * largest * max|y| (at least
+||a_j||_1 * max|y|), on every call. Replaying one solve's pricing calls, us
+per call, loop -> packed (CPython 3.11, 2 vCPUs): C4 19 -> 9, C5 18 -> 11,
+C6 23 -> 17, C7 25 -> 27, non-Fano 27 -> 35, C8 64 -> 119. So LPs of over
+64 rows keep the loop.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from math import gcd
+from math import gcd, isqrt
 
 from icbound.errors import VerificationError
 
 BACKEND = "pure"
 
-# The starting widths of a capped adjugate, narrowest first; the first one
-# also starts every adjugate that no cap proves.
-_CAPPED_WIDTHS = (16, 32, 64)
 # The memoryview item code of each field size, in bytes, that has one.
 _ITEM_CODES = {2: "h", 4: "i", 8: "q"}
 # The sign byte of a field, 0 or 0xff, indexed by its top byte.
 _SIGN_BYTE = bytes(0xFF * (b >> 7) for b in range(256))
 # The most rows of an LP priced from packed rows (see the module docstring).
 _PACKED_PRICING_ROWS = 64
+
+
+def _width_for(bound: int) -> int:
+    """The narrowest width of whole bytes, at least 16 bits, whose H exceeds bound."""
+    return max(16, (bound.bit_length() + 8) // 8 * 8)
 
 
 def _bias(width: int, count: int) -> int:
@@ -148,11 +151,11 @@ class Adjugate:
     Starts as the m x m identity. `cols`, `width`, `half` (H), `mask` (one
     field of ones), `bias` and `low` (all but the top bit of every field)
     follow the layout in the module docstring. cap_square is the square of
-    a bound on every entry that can ever arise. The width starts at the
-    narrowest of 16, 32 and 64 bits whose H^2 exceeds cap_square, and then
-    `capped` is set and `bound` is not maintained; when none does, it
-    starts at 16 bits, `bound` bounds every |entry|, and `make_room` widens
-    the fields when it must. `marks` holds the top bit of the field of each
+    a bound on every entry that can ever arise. When `_width_for` its
+    square root is 64 bits or less, the fields start at that width, and
+    then `capped` is set and `bound` is not maintained; otherwise they
+    start at 16 bits, `bound` bounds every |entry|, and `make_room` widens
+    them when it must. `marks` holds the top bit of the field of each
     row the caller has marked, every row to start with. `widenings` and
     `tightenings` count repacks into wider fields and exact recomputations
     of `bound`.
@@ -163,9 +166,9 @@ class Adjugate:
 
     def __init__(self, m: int, cap_square: int):
         self.m = m
-        width = next((w for w in _CAPPED_WIDTHS if cap_square < 1 << 2 * w - 2), None)
-        self.capped = width is not None  # H^2 = 2^(2W-2) is past cap_square
-        self._set_width(width or _CAPPED_WIDTHS[0])
+        width = _width_for(isqrt(cap_square))  # H > isqrt(cap_square): H^2 > cap_square
+        self.capped = width <= 64
+        self._set_width(width if self.capped else 16)
         self.cols = [self.bias + (1 << self.width * j) for j in range(m)]
         self.marks = self.bias
         self.bound = 1
@@ -215,9 +218,8 @@ class Adjugate:
     def make_room(self, reach) -> None:
         """Make the fields hold every value up to reach(), a bound computed
         from `bound`: recompute `bound` exactly from the columns, then, if
-        reach() still reaches H, widen the fields to the narrowest whole
-        number of bytes whose H exceeds it: a byte or more at a time, 16,
-        24, 32, 40, ... bits."""
+        reach() still reaches H, widen the fields to `_width_for` it, a byte
+        or more at a time."""
         m, step = self.m, self.width // 8
         raw = b"".join((q ^ self.bias).to_bytes(step * m, "little") for q in self.cols)
         entries = _fields(raw, step)  # every column at once
@@ -226,10 +228,9 @@ class Adjugate:
         need = reach()
         if need >= self.half:
             marked = [i for i in range(m) if self.marks >> self.width * i & self.half]
-            width = (need.bit_length() + 8) // 8 * 8  # H > need >= the old H
-            self._set_width(width)
+            self._set_width(_width_for(need))
             self.cols = [self.pack(entries[j * m:j * m + m]) for j in range(m)]
-            self.marks = sum(self.half << width * i for i in marked)
+            self.marks = sum(self.half << self.width * i for i in marked)
             self.widenings += 1
 
 
@@ -432,7 +433,7 @@ def price_columns(y, lp, den, lo, hi, packs):
     cost, by_width = packs.get((lo, hi)) or packs.setdefault(
         (lo, hi), (max(map(abs, cobj[lo:hi])), {}))
     bound = cost * den + lp.longest * lp.largest * max(map(abs, y))
-    width = max(16, 1 << bound.bit_length().bit_length())  # H = 2^(W-1) > bound
+    width = _width_for(bound)
     if width not in by_width:  # sums of shifted entries: exact even past a field
         costs, rows = 0, {}
         for j in range(lo, hi):

@@ -19,11 +19,13 @@ A duck-typed schema whose vectors hold anything but ints is refused by
 `StandardFormLP`'s own type check. The stronger atom-sum tightness check
 stays in the test suite (`tests/oracles.schema_is_tight`).
 
-Zero-sum rows give every bound LP an optimum, with w = x[w_plus] - x[w_minus]
-= 1: the equality rows sum to that, as every other column sums to zero, and
-z = n on every subset is feasible. A solver result "unbounded", or w other
-than 1, is a bug and raises VerificationError. Results (`BoundSolution`) are
-Fractions, and carry the dual weights as a certificate.
+Zero-sum rows give every bound LP an optimum, with w = x[w_plus] = 1 at
+every feasible point: the equality rows sum to that, as every other column
+sums to zero, and z = n on every subset is feasible. So w_plus never leaves
+the basis, and its reduced cost of zero pins z of the full set to n. A
+solver result "unbounded", or w other than 1, is a bug and raises
+VerificationError. Results (`BoundSolution`) are Fractions, and carry the
+dual weights as a certificate.
 
 Each side of the optimum is checked again against the instance itself,
 independently of the solver's own audit, so a bug in column construction
@@ -68,7 +70,6 @@ class LPProblem:
     lp: StandardFormLP
     crash: List[Tuple[int, int]]
     w_plus: int
-    w_minus: int
 
 
 @dataclass
@@ -138,15 +139,11 @@ def build_problem(instance: IndexCodingInstance, schema=None) -> LPProblem:
     cols_idx.append((full,))
     cols_val.append((1,))
     cobj.append(n)
-    w_minus = len(cols_idx)
-    cols_idx.append((full,))
-    cols_val.append((-1,))
-    cobj.append(-n)
 
     crash.append((w_plus, full))
 
     lp = StandardFormLP(1 << n, cols_idx, cols_val, cobj)
-    return LPProblem(instance, schema, dec_count, schema_rows, lp, crash, w_plus, w_minus)
+    return LPProblem(instance, schema, dec_count, schema_rows, lp, crash, w_plus)
 
 
 def solve_problem(problem: LPProblem) -> BoundSolution:
@@ -167,7 +164,7 @@ def solve_problem(problem: LPProblem) -> BoundSolution:
             y[row] = res.x[base + k]
     cert = DualCertificate(problem.schema.name, x, y, res.objective)
     sol = BoundSolution(res.objective, z, cert, res.stats)
-    _audit_against_instance(problem, sol, res.x[problem.w_plus] - res.x[problem.w_minus])
+    _audit_against_instance(problem, sol, res.x[problem.w_plus])
     try:
         certificate.verify_certificate(problem.instance, problem.schema, cert)
     except CertificateInvalid as exc:
@@ -180,9 +177,9 @@ def _audit_against_instance(problem: LPProblem, sol: BoundSolution, w: Rational)
     the instance, not the built columns; the certificate is left to
     `verify_certificate`.
 
-    w is the solver's scale multiplier x[w_plus] - x[w_minus], which zero-sum
-    schema rows pin to 1. z is brought to integers over its common
-    denominator (`rational.scaled`), so every check is integer arithmetic.
+    w is the solver's scale multiplier x[w_plus], which zero-sum schema rows
+    pin to 1. z is brought to integers over its common denominator
+    (`rational.scaled`), so every check is integer arithmetic.
     """
     inst = problem.instance
     gs = inst.messages

@@ -8,9 +8,9 @@ the caller), so the basis inverse is an integer matrix, the adjugate of the
 basis times the sign of its determinant, over one positive denominator, the
 determinant's absolute value, updated by the Bareiss step in
 `kernels.pivot_update`. The adjugate is held as one packed int per column
-(`kernels.Adjugate`), in fields as narrow as the Hadamard bound of the LP
-proves wide enough, or, when no width up to 64 bits is proven, in 16-bit
-fields widened on demand, a whole byte or more at a time. The basic
+(`kernels.Adjugate`), in fields of whole bytes as narrow as the Hadamard
+bound of the LP proves wide enough, or, when that would take more than 64
+bits, in 16-bit fields widened on demand, a byte or more at a time. The basic
 values, the inverse times e_0, are its column 0. The simplex multipliers
 are an integer vector over the same denominator, updated as one more row
 of each pivot, so BTRAN runs once per solve. Fractions appear only in the

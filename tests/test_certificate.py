@@ -13,7 +13,7 @@ from icbound.groundset import GroundSet, SetVector
 from icbound.instance import IndexCodingInstance, cycle_instance, from_graph, product_messages
 from icbound.lp import build_problem, solve_problem
 from icbound.matroid import addineq_certificate, fano, nonfano, to_index_coding
-from icbound.rational import ONE, rat
+from icbound.rational import ONE, ZERO, rat
 from icbound.schema import SideRow, SubmodRow, SubmodSchema
 from icbound.tighten import fano_schema, schema_with_submod
 
@@ -169,6 +169,23 @@ def test_combine_labels_product_without_building_it(monkeypatch):
     combined = combine_certificates(inst, inst, cert, cert, SUBMOD)
     assert product.messages == product_messages(inst.messages, inst.messages)
     assert verify_certificate(product, SUBMOD, combined) == rat("25/4")
+
+
+def test_combine_drops_zero_weights():
+    # an x entry and a y row of weight 0, in either factor or in both, leave
+    # the combination as it is without them
+    inst, schema, cert = c5_certificate()
+    mask = inst.messages.mask_of
+    padded = DualCertificate("submod", {**cert.x, (0, mask((1,))): ZERO},
+                             {**cert.y, SubmodRow(mask((1,)), mask((2,))): ZERO},
+                             cert.claimed_value)
+    assert verify_certificate(inst, SUBMOD, padded) == rat("5/2")
+    want = combine_certificates(inst, inst, cert, cert, SUBMOD)
+    product = inst.lex_product(inst)
+    for g, f in ((padded, cert), (cert, padded), (padded, padded)):
+        combined = combine_certificates(inst, inst, g, f, SUBMOD)
+        assert combined == want
+        assert verify_certificate(product, SUBMOD, combined) == rat("25/4")
 
 
 def test_combine_error_paths():

@@ -650,7 +650,7 @@ def test_cli_solve_stats_go_to_stderr_alone(c5_file, tmp_path, capsys):
     assert err_stats.endswith("\n") and err_stats.count("\n") == 1
     assert json.loads(err_stats) == {
         "iterations": 50, "degenerate": 48, "forced_exits": 26, "rescaling": 7,
-        "widenings": 0, "tightenings": 0, "width": 64, "den_bits": 3}
+        "widenings": 0, "tightenings": 0, "width": 40, "den_bits": 3}
 
 
 @pytest.mark.parametrize("argv", [
@@ -1121,6 +1121,7 @@ def test_error_message_bounds_deep_values():
 @pytest.mark.parametrize("mutate, path", [
     (lambda c: c["x"][0].update(v=0.5), "x[0].v"),
     (lambda c: c.update(x=3), "x"),
+    (lambda c: c["x"][0].update(v="1/0"), "x[0].v"),
     # int() read each of these spellings; the first two as 5/2 and 1/2
     (lambda c: c.update(value="2_5/10"), "value"),
     (lambda c: c["x"][0].update(v="1_0/20"), "x[0].v"),
@@ -1132,8 +1133,8 @@ def test_error_message_bounds_deep_values():
     (lambda c: c.update(value="\u0665/2"), "value"),  # Arabic-Indic digit five
     # used to name no path: "unknown schema 'sumbod'; known: ..."
     (lambda c: c.update(schema="sumbod"), "schema"),
-], ids=["v-float", "x-int", "value-underscore", "v-underscore", "value-plus",
-        "value-plus-denominator", "value-leading-space", "value-trailing-space",
+], ids=["v-float", "x-int", "v-zero-denominator", "value-underscore", "v-underscore",
+        "value-plus", "value-plus-denominator", "value-leading-space", "value-trailing-space",
         "value-fullwidth-digit", "value-arabic-indic-digit", "schema-unknown"])
 def test_cli_malformed_certificate(mutate, path, c5_file, tmp_path, capsys):
     cert = _c5_cert_json()

@@ -12,8 +12,8 @@ from icbound.kernels import Adjugate, ftran_sparse, leaving_row, pivot_update, p
 from icbound.simplex import StandardFormLP
 from oracles import best_reduced_cost
 
-# The widths an adjugate can start at.
-WIDTHS = [16, 32, 64]
+# The widths an adjugate can start at: whole bytes from 16 bits to 64.
+WIDTHS = list(range(16, 65, 8))
 # Whole-byte widths: strided reads up to 64 bits, `int.from_bytes` past it.
 BYTE_WIDTHS = list(range(8, 65, 8)) + [72, 96, 128, 200]
 
@@ -130,11 +130,14 @@ def test_exact_division_distributes_over_the_fields():
 
 
 def test_cap_decides_whether_bounds_are_kept():
-    # the narrowest width whose H^2 = 2^(2W-2) exceeds cap_square starts
-    # capped; past every such width, the fields start at 16 bits with bounds
-    for cap_square, start in [((1 << 30) - 1, (16, True)), (1 << 30, (32, True)),
-                              ((1 << 62) - 1, (32, True)), (1 << 62, (64, True)),
-                              ((1 << 126) - 1, (64, True)), (1 << 126, (16, False))]:
+    # the narrowest whole-byte width whose H^2 = 2^(2W-2) exceeds cap_square
+    # starts capped; past 64 bits, the fields start at 16 bits with bounds
+    for cap_square, start in [(0, (16, True)), ((1 << 30) - 1, (16, True)),
+                              (1 << 30, (24, True)), ((1 << 46) - 1, (24, True)),
+                              (1 << 46, (32, True)), ((1 << 62) - 1, (32, True)),
+                              (1 << 62, (40, True)), ((1 << 110) - 1, (56, True)),
+                              (1 << 110, (64, True)), ((1 << 126) - 1, (64, True)),
+                              (1 << 126, (16, False))]:
         adj = Adjugate(4, cap_square)
         assert (adj.width, adj.capped) == start, cap_square
         assert [adj.unpack(q) for q in adj.cols] == [[int(i == j) for i in range(4)]
@@ -282,8 +285,9 @@ def random_pricing_lp(rng, m):
 @pytest.mark.parametrize("rows", [(1, 64), (65, 130)], ids=["packed", "loop"])
 def test_price_columns_matches_the_reference(rows):
     # multipliers of up to 70 bits and denominators of up to 130 take the
-    # packed rows through every width from 16 bits to 256; LPs of more than
-    # 64 rows are priced entry by entry and pack nothing
+    # packed rows through whole-byte widths from 16 bits to 136, strided
+    # reads of 24, 40 and 56 bits and `int.from_bytes` past 64 included;
+    # LPs of more than 64 rows are priced entry by entry and pack nothing
     rng = random.Random(3324 + rows[0])
     picked, ties, widths = set(), 0, set()
     for _ in range(60):
@@ -307,6 +311,6 @@ def test_price_columns_matches_the_reference(rows):
         widths.update(w for _, packed in packs.values() for w in packed)
     assert picked == {True, False} and ties > 0
     if rows[1] <= kernels._PACKED_PRICING_ROWS:
-        assert widths == {16, 32, 64, 128, 256}
+        assert widths == {16, 24, 32, 40, 56, 64, 72, 80, 128, 136}
     else:
         assert widths == set()

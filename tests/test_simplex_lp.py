@@ -307,22 +307,25 @@ def test_solver_matches_fraction_simplex_on_random_lps(monkeypatch):
     assert {(adj.widths[0], adj.capped) for adj in made} == {(16, True)}
 
 
-@pytest.mark.parametrize("rows, count, start", [
-    ((8, 11), 30, (32, True)),
-    ((13, 18), 10, (64, True)),
-], ids=["32-capped", "64-capped"])
+@pytest.mark.parametrize("rows, count, starts", [
+    ((8, 8), 20, {24}),
+    ((10, 11), 30, {32}),
+    ((13, 18), 10, {40, 48, 56}),
+    ((19, 19), 6, {64}),
+], ids=["24-capped", "32-capped", "40-to-56-capped", "64-capped"])
 def test_solver_matches_fraction_simplex_from_wider_capped_starts(monkeypatch, rows, count,
-                                                                  start):
-    # entries in -2..2: the row count alone sets the Hadamard bound, and
-    # with it the width the adjugate starts at (2-6 rows start at 16 bits
-    # capped, 20 and more at 16 bits with bounds: see the neighbouring tests)
+                                                                  starts):
+    # entries in -2..2: the rows and the longest column set the Hadamard
+    # bound, and with it the whole-byte width the adjugate starts at (2-6
+    # rows start at 16 bits capped, 20 and more at 16 bits with bounds: see
+    # the neighbouring tests)
     made = record_adjugates(monkeypatch)
     rng = random.Random(1108 + rows[0])
     statuses = set()
     for _ in range(count):
         statuses.add(assert_same_as_fraction_simplex(random_e0_lp(rng, rows), [(0, 0)]).status)
     assert "optimal" in statuses
-    assert {(adj.widths[0], adj.capped) for adj in made} == {start}
+    assert {(adj.widths[0], adj.capped) for adj in made} == {(w, True) for w in starts}
 
 
 def test_solver_widens_from_16_bits_through_every_width(monkeypatch):
@@ -344,12 +347,13 @@ EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json
 
 
 def test_cycle_bound_lps_keep_their_path_at_every_start(monkeypatch):
-    # C3-C7 start at every width the rule picks; b is the known value and
-    # the iterations are the benchmark's references where it has them
+    # C3-C5 start capped at 16, 24 and 40 bits, C6 and C7 at 16 bits with
+    # bounds; b is the known value and the iterations are the benchmark's
+    # references where it has them
     fixed = json.loads(EXPECTED.read_text())["fixed"]
     assert {"C3", "C4", "C5", "C7"} <= fixed.keys()
     made = record_adjugates(monkeypatch)
-    for n, b, start in [(3, "1", (16, True)), (4, "2", (32, True)), (5, "5/2", (64, True)),
+    for n, b, start in [(3, "1", (16, True)), (4, "2", (24, True)), (5, "5/2", (40, True)),
                         (6, "3", (16, False)), (7, "7/2", (16, False))]:
         sol = solve_problem(build_problem(cycle_instance(n)))
         assert (made[-1].widths[0], made[-1].capped) == start
@@ -425,7 +429,7 @@ def test_entry_bound_holds_after_every_kernel_call(monkeypatch):
 @pytest.mark.parametrize("make, stats", [
     (lambda: build_problem(cycle_instance(5)),
      SolveStats(iterations=50, degenerate=48, forced_exits=26, rescaling=7,
-                width=64, den_bits=3)),
+                width=40, den_bits=3)),
     (lambda: build_problem(cycle_instance(7)),
      SolveStats(iterations=490, degenerate=487, forced_exits=120, rescaling=79,
                 tightenings=5, width=16, den_bits=6)),
@@ -437,7 +441,7 @@ def test_solve_stats_pin_the_pivot_path(make, stats):
     # iterations, degenerate and forced_exits follow the pivot path alone,
     # so an arithmetic-only change to the solver leaves them as they are;
     # rescaling and den_bits count the work of the pivots on that path.
-    # C5's Hadamard bound proves 64-bit fields, so they are capped there;
+    # C5's Hadamard bound proves 40-bit fields, so they are capped there;
     # the 128-row LPs start at 16 bits, where C7 stays through five exact
     # recomputations of its entry bound; non-Fano, with six, widens once,
     # by a byte, to 24 bits.
@@ -589,7 +593,7 @@ def test_strong_duality_and_forced_w():
     for inst in (cycle_instance(5), to_index_coding(fano())):
         problem = build_problem(inst)
         res = solve_standard_form(problem.lp, crash=problem.crash)
-        assert res.x[problem.w_plus] - res.x[problem.w_minus] == ONE
+        assert res.x[problem.w_plus] == ONE
         sol = solve_problem(problem)
         assert sol.z[0] == sol.value
         assert sol.z[inst.messages.full_mask] == rat(inst.n)
